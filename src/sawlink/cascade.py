@@ -11,9 +11,11 @@ channel interactions per packet, hence the hard 2*tau window limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .dynamics import Trajectory, evolve_generator
 from .errors import DiagnosticsError, RoleAmbiguityError, ValidationError
@@ -21,10 +23,12 @@ from .ioshape import ChannelParams, ControlSchedule
 from .qcore import (
     NUMBER,
     SIGMA_MINUS,
+    Generator,
     HilbertSpace,
     Operator,
     QuantumState,
-    SuperOperator,
+    commutator_superop,
+    cross_dissipator,
     dissipator,
     embed,
     partial_trace,
@@ -87,78 +91,38 @@ class CascadeConfig:
             )
 
 
-def _noise_terms(cfg: CascadeConfig, space: HilbertSpace, labels_by_qubit):
-    terms = []
+def _noise_block(cfg: CascadeConfig, space: HilbertSpace, labels_by_qubit) -> sparse.csr_array:
+    """Intrinsic relaxation and dephasing of every listed copy, summed."""
+    block = sparse.csr_array((space.dim**2, space.dim**2), dtype=complex)
     for qubit_idx, labels in labels_by_qubit.items():
         nz = cfg.noise[qubit_idx - 1]
         for lbl in labels:
-            if nz.relax_rate > 0:
-                terms.append(
-                    (nz.relax_rate, dissipator(embed(SIGMA_MINUS, lbl, space)).terms[0][1])
-                )
-            if nz.dephase_rate > 0:
-                terms.append(
-                    (nz.dephase_rate, dissipator(embed(NUMBER, lbl, space)).terms[0][1])
-                )
-    return terms
+            block = block + nz.relax_rate * dissipator(embed(SIGMA_MINUS, lbl, space))
+            block = block + nz.dephase_rate * dissipator(embed(NUMBER, lbl, space))
+    return block
 
 
-def _commutator_block(op_matrix: np.ndarray) -> np.ndarray:
-    eye = np.eye(op_matrix.shape[0])
-    return -1j * (np.kron(op_matrix, eye) - np.kron(eye, op_matrix.T))
+def _qubit_blocks(space: HilbertSpace, labels: tuple[str, str]) -> list[sparse.csr_array]:
+    """D[sigma-] of each labelled qubit, then the commutator with its number operator."""
+    return [dissipator(embed(SIGMA_MINUS, lbl, space)) for lbl in labels] + [
+        commutator_superop(embed(NUMBER, lbl, space)) for lbl in labels
+    ]
 
 
-def _kappa_coeff(schedule: ControlSchedule, qubit: int, shift: float = 0.0):
-    def coeff(t: float) -> float:
-        return float(schedule.kappa(qubit, t - shift))
-
-    return coeff
+def _rates(schedule: ControlSchedule, t: float) -> tuple[float, float, float, float]:
+    """kappa_1, kappa_2, Delta_1, Delta_2 at one time; the order of ``_qubit_blocks``."""
+    return (schedule.kappa(1, t), schedule.kappa(2, t), schedule.delta(1, t), schedule.delta(2, t))
 
 
-def _delta_coeff(schedule: ControlSchedule, qubit: int, shift: float = 0.0):
-    def coeff(t: float) -> float:
-        return float(schedule.delta(qubit, t - shift))
-
-    return coeff
-
-
-def stage1_liouvillian(cfg: CascadeConfig) -> SuperOperator:
-    """Two-qubit generator for the emission window [0, tau].
-
-    Time enters through the coefficient functions; ``matrix_at(t)``
-    gives the instantaneous generator.
-    """
+def stage1_liouvillian(cfg: CascadeConfig) -> Generator:
+    """Two-qubit generator for the emission window [0, tau]."""
     space = two_qubit_space()
-    terms = []
-    for qubit, lbl in enumerate(TWO_QUBIT_LABELS, start=1):
-        s = embed(SIGMA_MINUS, lbl, space)
-        n = embed(NUMBER, lbl, space)
-        terms.append((_kappa_coeff(cfg.schedule, qubit), dissipator(s).terms[0][1]))
-        terms.append((_delta_coeff(cfg.schedule, qubit), _commutator_block(n.matrix)))
-    terms.extend(_noise_terms(cfg, space, {1: ["q1"], 2: ["q2"]}))
-    return SuperOperator(space, terms)
+    blocks = _qubit_blocks(space, TWO_QUBIT_LABELS)
+    blocks.append(_noise_block(cfg, space, {1: ["q1"], 2: ["q2"]}))
+    return Generator(space, blocks, lambda t: np.array([*_rates(cfg.schedule, t), 1.0]))
 
 
-def _cross_block(e_op: Operator, r_op: Operator) -> np.ndarray:
-    """rho -> E rho R^+ + R rho E^+ - 1/2 {E^+R + R^+E, rho} as one block."""
-    me, mr = e_op.matrix, r_op.matrix
-    eye = np.eye(me.shape[0])
-    anti = me.conj().T @ mr + mr.conj().T @ me
-    return (
-        np.kron(me, mr.conj())
-        + np.kron(mr, me.conj())
-        - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
-    )
-
-
-def _exchange_block(e_op: Operator, r_op: Operator) -> np.ndarray:
-    """Hamiltonian part of the cascade: rho -> 1/2 [sE^+ sR - sE sR^+, rho]."""
-    m = e_op.matrix.conj().T @ r_op.matrix - e_op.matrix @ r_op.matrix.conj().T
-    eye = np.eye(m.shape[0])
-    return 0.5 * (np.kron(m, eye) - np.kron(eye, m.T))
-
-
-def stage2_liouvillian(cfg: CascadeConfig) -> SuperOperator:
+def stage2_liouvillian(cfg: CascadeConfig) -> Generator:
     """Doubled-space generator for the feedback window [tau, 2*tau].
 
     The lagged copies re-run the emission under the time-shifted
@@ -169,35 +133,25 @@ def stage2_liouvillian(cfg: CascadeConfig) -> SuperOperator:
     """
     space = doubled_space()
     tau = cfg.ch.tau
-    eta = cfg.ch.eta
-    terms = []
-    s_r = {i: embed(SIGMA_MINUS, f"q{i}", space) for i in (1, 2)}
-    s_e = {i: embed(SIGMA_MINUS, f"q{i}e", space) for i in (1, 2)}
-    for i in (1, 2):
-        terms.append((_kappa_coeff(cfg.schedule, i, shift=tau), dissipator(s_e[i]).terms[0][1]))
-        terms.append((_kappa_coeff(cfg.schedule, i), dissipator(s_r[i]).terms[0][1]))
-        terms.append(
-            (_delta_coeff(cfg.schedule, i, shift=tau),
-             _commutator_block(embed(NUMBER, f"q{i}e", space).matrix))
-        )
-        terms.append(
-            (_delta_coeff(cfg.schedule, i),
-             _commutator_block(embed(NUMBER, f"q{i}", space).matrix))
-        )
+    root_eta = math.sqrt(cfg.ch.eta)
+    blocks = _qubit_blocks(space, ("q1e", "q2e")) + _qubit_blocks(space, TWO_QUBIT_LABELS)
     for i in (1, 2):
         for j in (1, 2):
-            ke = _kappa_coeff(cfg.schedule, i, shift=tau)
-            kr = _kappa_coeff(cfg.schedule, j)
+            s_e = embed(SIGMA_MINUS, f"q{i}e", space).matrix
+            s_r = embed(SIGMA_MINUS, f"q{j}", space).matrix
+            # collective damping cross term plus the exchange Hamiltonian
+            # 1/2 i (sE^+ sR - sE sR^+), which share one coefficient
+            exchange = 0.5j * (s_e.conj().T @ s_r - s_e @ s_r.conj().T)
+            blocks.append(cross_dissipator(s_e, s_r) + commutator_superop(exchange))
+    blocks.append(_noise_block(cfg, space, {1: ["q1", "q1e"], 2: ["q2", "q2e"]}))
 
-            def coeff(t: float, ke=ke, kr=kr) -> float:
-                return np.sqrt(eta) * np.sqrt(ke(t) * kr(t))
+    def coeffs(t: float) -> np.ndarray:
+        lagged = _rates(cfg.schedule, t - tau)
+        now = _rates(cfg.schedule, t)
+        pairs = [root_eta * math.sqrt(ke * kr) for ke in lagged[:2] for kr in now[:2]]
+        return np.array([*lagged, *now, *pairs, 1.0])
 
-            terms.append((coeff, _cross_block(s_e[i], s_r[j])))
-            terms.append((coeff, _exchange_block(s_e[i], s_r[j])))
-    terms.extend(
-        _noise_terms(cfg, space, {1: ["q1", "q1e"], 2: ["q2", "q2e"]})
-    )
-    return SuperOperator(space, terms)
+    return Generator(space, blocks, coeffs)
 
 
 def run_cascade(
@@ -224,7 +178,8 @@ def run_cascade(
         raise ValidationError("rho0 must live on the two-qubit space")
 
     bps = [float(b) for b in cfg.schedule.breakpoints()]
-    grid1 = np.unique(np.concatenate([grid[grid <= tau], [0.0, tau]]))
+    early, late = grid[grid <= tau], grid[grid > tau]
+    grid1 = np.unique(np.concatenate([early, [0.0, tau]]))
     traj1 = evolve_generator(
         two_qubit_space(),
         stage1_liouvillian(cfg),
@@ -243,7 +198,6 @@ def run_cascade(
     if np.max(np.abs(check.rho - rho_tau.rho)) > 1e-10:
         raise DiagnosticsError("splice broke the receiver-copy marginal")
 
-    late = grid[grid > tau]
     traj2 = None
     if late.size:
         t_end = float(late[-1])
@@ -259,21 +213,15 @@ def run_cascade(
             breakpoints=bp2,
         )
 
-    times, states = [], []
-    for t, st in zip(traj1.times, traj1.states):
-        if t in grid and t <= tau:
-            times.append(t)
-            states.append(st)
+    # stage 1 samples grid1 and stage 2 samples tau followed by ``late``
+    states = [traj1.states[i] for i in np.searchsorted(grid1, early)]
     if traj2 is not None:
-        for t, st in zip(traj2.times, traj2.states):
-            if t in grid and t > tau:
-                times.append(t)
-                states.append(partial_trace(st, ["q1", "q2"]))
+        states += [partial_trace(st, ["q1", "q2"]) for st in traj2.states[1:]]
     series = {}
     if observables:
         for name, op in observables.items():
             series[name] = np.array([s.expect(op).real for s in states])
-    reduced = Trajectory(np.array(times), tuple(states), series)
+    reduced = Trajectory(np.concatenate([early, late]), tuple(states), series)
     if return_doubled:
         if traj2 is None:
             raise ValidationError("no grid samples past tau: nothing doubled to return")

@@ -102,7 +102,7 @@ def cmd_sweep(args) -> int:
             all_metrics = list(pool.map(_sweep_worker, *zip(*points)))
     else:
         all_metrics = [_sweep_worker(raw, out) for raw, out in points]
-    columns = {args.param: np.array([float(v) for v in values])}
+    columns = {args.param: np.array([np.nan if v is None else float(v) for v in values])}
     for key in sorted(all_metrics[0]):
         columns[key] = np.array([m[key] for m in all_metrics])
     write_series(Path(args.out) / "summary.csv", columns)

@@ -18,10 +18,10 @@ from scipy.integrate import solve_ivp
 from .errors import DiagnosticsError, IntegrationError, ValidationError
 from .qcore import (
     Coefficient,
+    Generator,
     HilbertSpace,
     Operator,
     QuantumState,
-    SuperOperator,
     commutator_superop,
     dissipator,
 )
@@ -59,17 +59,18 @@ class LindbladModel:
         object.__setattr__(self, "hamiltonian", tuple(hamiltonian))
         object.__setattr__(self, "collapse_ops", tuple(collapse_ops))
 
-    def liouvillian(self) -> SuperOperator:
-        terms: list[tuple[Coefficient, np.ndarray]] = []
-        for coeff, op in self.hamiltonian:
-            terms.append((coeff, commutator_superop(op).terms[0][1]))
-        for amp, op in self.collapse_ops:
-            block = dissipator(op).terms[0][1]
-            if callable(amp):
-                terms.append(((lambda t, a=amp: abs(a(t)) ** 2), block))
-            else:
-                terms.append((abs(amp) ** 2, block))
-        return SuperOperator(self.space, terms)
+    def liouvillian(self) -> Generator:
+        blocks = [commutator_superop(op) for _, op in self.hamiltonian]
+        blocks += [dissipator(op) for _, op in self.collapse_ops]
+        coeffs: list[Coefficient] = [coeff for coeff, _ in self.hamiltonian] + [
+            (lambda t, a=amp: abs(a(t)) ** 2) if callable(amp) else abs(amp) ** 2
+            for amp, _ in self.collapse_ops
+        ]
+        if not any(callable(c) for c in coeffs):
+            return Generator(self.space, blocks, coeffs)
+        return Generator(
+            self.space, blocks, lambda t: np.array([c(t) if callable(c) else c for c in coeffs])
+        )
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ def _check_and_repair(rho: np.ndarray, tol: float, t: float) -> np.ndarray:
 
 def evolve_generator(
     space: HilbertSpace,
-    generator: SuperOperator,
+    generator: Generator,
     rho0: QuantumState,
     grid: np.ndarray,
     tol: float = DEFAULT_TOL,
@@ -172,18 +173,16 @@ def evolve_generator(
         raise ValidationError("initial state lives on a different space")
 
     d = space.dim
-    if generator.is_constant:
-        lmat = generator.matrix_at(0.0)
+    t0, tf = grid[0], grid[-1]
+    if callable(generator.coeffs):
+        rhs = generator
+    else:
+        # summed once: the generator applied to the identity is its matrix
+        lmat = generator(t0, np.eye(d * d, dtype=complex))
 
         def rhs(t, y):
             return lmat @ y
 
-    else:
-
-        def rhs(t, y):
-            return generator.matrix_at(t) @ y
-
-    t0, tf = grid[0], grid[-1]
     cuts = sorted({t0, tf} | {b for b in breakpoints if t0 < b < tf})
     y = rho0.rho.reshape(-1).astype(complex)
     times_out: list[np.ndarray] = []

@@ -30,8 +30,8 @@ from .ioshape import (
 from .qcore import (
     NUMBER,
     SIGMA_MINUS,
+    Generator,
     QuantumState,
-    SuperOperator,
     dissipator,
     embed,
     partial_trace,
@@ -125,8 +125,9 @@ def run_interference(device: DeviceParams, params: dict, seed: int) -> Experimen
     kc, w = params["kappa_c"], params["window_ns"]
     ch = device.channel(eta=_eta(device, params))
     n_phases = int(params["n_phases"])
-    if n_phases < 4:
-        raise ValidationError("need at least 4 phase points")
+    if n_phases < 5:
+        # the fringe's harmonic ratio needs rfft bins beyond the fundamental
+        raise ValidationError("need at least 5 phase points")
     sigma = params["sigma_phi"]
     if sigma is None:
         # Gaussian phase spread accumulated over one emit-wait-capture cycle
@@ -245,13 +246,8 @@ def run_bell(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     pair = partial_trace(doubled.states[-1], ["q1e", "q2"])
     sp = pair.space
     nz = device.q1.noise()
-    idle = SuperOperator(
-        sp,
-        [
-            (nz.relax_rate, dissipator(embed(SIGMA_MINUS, "q1e", sp)).terms[0][1]),
-            (nz.dephase_rate, dissipator(embed(NUMBER, "q1e", sp)).terms[0][1]),
-        ],
-    )
+    blocks = [dissipator(embed(op, "q1e", sp)) for op in (SIGMA_MINUS, NUMBER)]
+    idle = Generator(sp, blocks, [nz.relax_rate, nz.dephase_rate])
     aged = evolve_generator(
         sp, idle, pair, np.array([0.0, ch.tau]), tol=params["tol"]
     ).final_state()

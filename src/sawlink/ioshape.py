@@ -10,6 +10,8 @@ live in `cascade`.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -61,6 +63,9 @@ def kappa_release_full(t, kappa_c: float):
     return kappa_c * expit(kappa_c * np.asarray(t, dtype=float))
 
 
+_X_MAX = 700.0  # e^{-700} is still a normal double
+
+
 def kappa_release_partial(t, kappa_c: float, alpha: float):
     """Schedule emitting a fraction alpha of the stored excitation."""
     if kappa_c <= 0:
@@ -68,16 +73,34 @@ def kappa_release_partial(t, kappa_c: float, alpha: float):
     if not 0.0 < alpha <= 1.0:
         raise ValidationError(f"alpha = {alpha} outside (0, 1]")
     x = kappa_c * np.asarray(t, dtype=float)
-    # two algebraic forms of the same function, each overflow-safe on its side
-    pos = np.exp(-np.abs(x))  # e^{-|x|}
-    with np.errstate(over="ignore"):
-        out = np.where(
-            x > 0,
-            alpha * pos / ((pos + 1.0 - alpha) * (pos + 1.0)),
-            alpha * np.exp(np.minimum(x, 0.0))
-            / ((1.0 + (1.0 - alpha) * np.exp(np.minimum(x, 0.0))) * (1.0 + np.exp(np.minimum(x, 0.0)))),
-        )
+    # two algebraic forms of the same function, each overflow-safe on its
+    # side; e^{-|x|} stops short of underflow so that at alpha = 1 the
+    # release side reads pos / pos, not 0 / 0
+    pos = np.exp(-np.minimum(np.abs(x), _X_MAX))
+    out = np.where(
+        x > 0,
+        alpha * pos / ((pos + (1.0 - alpha)) * (pos + 1.0)),
+        alpha * np.exp(np.minimum(x, 0.0))
+        / ((1.0 + (1.0 - alpha) * np.exp(np.minimum(x, 0.0))) * (1.0 + np.exp(np.minimum(x, 0.0)))),
+    )
     return kappa_c * out
+
+
+def _expit(x: float) -> float:
+    """Scalar logistic function, overflow-safe on both sides."""
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def _partial_shape(x: float, alpha: float) -> float:
+    """Scalar ``kappa_release_partial / kappa_c`` at x = kappa_c t."""
+    if x > 0.0:
+        pos = math.exp(-min(x, _X_MAX))
+        return alpha * pos / ((pos + (1.0 - alpha)) * (pos + 1.0))
+    e = math.exp(x)
+    return alpha * e / ((1.0 + (1.0 - alpha) * e) * (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -129,6 +152,20 @@ class Segment:
             return kappa_release_partial(-tl, self.kappa_c, self.alpha)
         return np.zeros_like(tl)
 
+    def kappa_at(self, t: float) -> float:
+        """``kappa`` at one time, with the same shapes evaluated in ``math``."""
+        if not self.couples:
+            return 0.0
+        x = self.kappa_c * (t - (self.t_start + self.duration / 2.0))
+        if "capture" in self.kind:
+            x = -x
+        if "partial" in self.kind:
+            return self.kappa_c * _partial_shape(x, self.alpha)
+        return self.kappa_c * _expit(x)
+
+    def delta_at(self, t: float) -> float:
+        return self.f_mhz * MHZ if self.kind == "detune" else 0.0
+
     def delta(self, t: np.ndarray) -> np.ndarray:
         if self.kind == "detune":
             return np.full_like(np.asarray(t, dtype=float), self.f_mhz * MHZ)
@@ -170,16 +207,35 @@ class ControlSchedule:
                         f"overlapping couplings: {a.kind} on qubit {a.qubit} and "
                         f"{b.kind} on qubit {b.qubit}"
                     )
-        # no overlapping segments of any kind on one qubit
+        # no overlapping segments of any kind on one qubit; the ordered
+        # starts, ends and segments also serve the scalar lookups
+        ordered = {}
         for q in (1, 2):
             mine = sorted((s for s in segs if s.qubit == q), key=lambda s: s.t_start)
             for a, b in zip(mine[:-1], mine[1:]):
                 if b.t_start < a.t_end - 1e-12:
                     raise ValidationError(f"overlapping segments on qubit {q}")
+            ordered[q] = (tuple(s.t_start for s in mine), tuple(s.t_end for s in mine), tuple(mine))
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "window", (float(window[0]), float(window[1])))
+        object.__setattr__(self, "_ordered", ordered)
 
-    def kappa(self, qubit: int, t) -> np.ndarray:
+    def _scalar(self, qubit: int, t: float, value) -> float:
+        """Sum of ``value(segment, t)`` over the qubit's segments holding t."""
+        starts, ends, found = self._ordered.get(qubit, ((), (), ()))
+        i = bisect_right(starts, t)
+        out = 0.0
+        # segments are disjoint up to the 1e-12 ns slack allowed above;
+        # inside such a sliver both count, as on the array path
+        while i and t < ends[i - 1]:
+            i -= 1
+            out += value(found[i], t)
+        return out
+
+    def kappa(self, qubit: int, t) -> np.ndarray | float:
+        """Coupling rate of one qubit (1/ns); a float for a scalar ``t``."""
+        if isinstance(t, float) or np.ndim(t) == 0:
+            return self._scalar(qubit, float(t), Segment.kappa_at)
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         for s in self.segments:
@@ -189,7 +245,10 @@ class ControlSchedule:
                     out[mask] += s.kappa(t[mask])
         return out
 
-    def delta(self, qubit: int, t) -> np.ndarray:
+    def delta(self, qubit: int, t) -> np.ndarray | float:
+        """Detuning of one qubit (rad/ns); a float for a scalar ``t``."""
+        if isinstance(t, float) or np.ndim(t) == 0:
+            return self._scalar(qubit, float(t), Segment.delta_at)
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         for s in self.segments:

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .errors import ValidationError
+from .ioshape import MHZ
 from .qcore import (
     NUMBER,
     SIGMA_MINUS,
@@ -24,8 +25,6 @@ from .qcore import (
     embed,
     embed_product,
 )
-
-MHZ = 2e-3 * np.pi  # linear MHz -> rad/ns
 
 
 @dataclass(frozen=True)

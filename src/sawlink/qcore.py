@@ -1,9 +1,10 @@
-"""Dense complex linear algebra over small composite Hilbert spaces.
+"""Complex linear algebra over small composite Hilbert spaces.
 
-States, operators, tensor embedding, partial trace and superoperator
-assembly for the mode counts this toolkit needs (dimension <= a few
-hundred).  Density matrices are vectorized row-major, so a sandwich
-A rho B turns into (A kron B^T) vec(rho).
+Dense states, operators, tensor embedding and partial trace, plus sparse
+superoperator blocks and the time-dependent generator built from them,
+for the mode counts this toolkit needs (dimension <= a few hundred).
+Density matrices are vectorized row-major, so a sandwich A rho B turns
+into (A kron B^T) vec(rho).
 
 All values are immutable after construction; nothing here keeps shared
 mutable state.
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ValidationError
 
@@ -122,23 +124,6 @@ class Operator:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dag(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if other.space is not self.space and other.space != self.space:
-            raise ValidationError("operator spaces differ")
-        return Operator(self.space, self.matrix @ other.matrix)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        return Operator(self.space, self.matrix + other.matrix)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.space, self.matrix * scalar)
-
-    __rmul__ = __mul__
 
 
 # Validation tolerances for physical density matrices.
@@ -253,84 +238,95 @@ def partial_trace(state: QuantumState, keep: Sequence[str]) -> QuantumState:
 
 
 @dataclass(frozen=True)
-class SuperOperator:
-    """Linear map on vectorized density matrices.
+class Generator:
+    """Linear map L(t) = sum_k c_k(t) B_k on vectorized density matrices.
 
-    Stored as a sum of constant dim^2 x dim^2 blocks, each scaled by a
-    (possibly time-dependent) scalar coefficient.
+    The constant d^2 x d^2 blocks B_k are stacked vertically into one
+    sparse (n_terms * d^2) x d^2 matrix, and one function returns the
+    whole coefficient vector c(t), so applying L(t) costs one sparse
+    product and one contraction over the terms.  A constant generator
+    holds its coefficient vector in place of the function.
     """
 
     space: HilbertSpace
-    terms: tuple[tuple[Coefficient, np.ndarray], ...]
+    stacked: sparse.csr_array
+    coeffs: Callable[[float], np.ndarray] | np.ndarray
 
-    def __init__(self, space: HilbertSpace, terms: Sequence[tuple[Coefficient, np.ndarray]]):
+    def __init__(
+        self,
+        space: HilbertSpace,
+        blocks: Sequence[sparse.sparray],
+        coeffs: Callable[[float], np.ndarray] | Sequence[complex],
+    ):
         d2 = space.dim**2
-        frozen = []
-        for coeff, mat in terms:
-            m = np.asarray(mat, dtype=complex)
-            if m.shape != (d2, d2):
-                raise ValidationError(f"superoperator block shape {m.shape}, expected {(d2, d2)}")
-            m = m.copy()
-            m.setflags(write=False)
-            frozen.append((coeff, m))
+        if any(block.shape != (d2, d2) for block in blocks):
+            raise ValidationError(f"superoperator blocks must be {d2} x {d2}")
+        stacked = sparse.vstack(blocks, format="csr") if blocks else (0, d2)
+        stacked = sparse.csr_array(stacked, dtype=complex)
+        stacked.eliminate_zeros()
+        if not callable(coeffs):
+            coeffs = np.array(coeffs)
+            if coeffs.shape != (len(blocks),):
+                raise ValidationError(f"{coeffs.size} coefficients for {len(blocks)} blocks")
+            coeffs.setflags(write=False)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", tuple(frozen))
+        object.__setattr__(self, "stacked", stacked)
+        object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def is_constant(self) -> bool:
-        return all(not callable(c) for c, _ in self.terms)
-
-    def matrix_at(self, t: float = 0.0) -> np.ndarray:
-        d2 = self.space.dim**2
-        out = np.zeros((d2, d2), dtype=complex)
-        for coeff, mat in self.terms:
-            c = coeff(t) if callable(coeff) else coeff
-            if c != 0.0:
-                out += c * mat
-        return out
-
-    def apply(self, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
-        d = self.space.dim
-        return (self.matrix_at(t) @ np.asarray(rho, dtype=complex).reshape(-1)).reshape(d, d)
-
-    def __add__(self, other: "SuperOperator") -> "SuperOperator":
-        if other.space != self.space:
-            raise ValidationError("superoperator spaces differ")
-        return SuperOperator(self.space, self.terms + other.terms)
+    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
+        """L(t) vec(rho), or L(t) applied to each column of a matrix ``y``."""
+        c = self.coeffs(t) if callable(self.coeffs) else self.coeffs
+        return (c @ (self.stacked @ y).reshape(c.size, y.size)).reshape(y.shape)
 
 
-def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superoperator block for rho -> a rho b (row-major vectorization)."""
-    return np.kron(a, b.T)
+def _matrix(op: Operator | np.ndarray) -> np.ndarray:
+    return op.matrix if isinstance(op, Operator) else np.asarray(op, dtype=complex)
 
 
-def commutator_superop(h: Operator) -> SuperOperator:
-    """rho -> -i [H, rho]; trace-free and Hermiticity-preserving for Hermitian H."""
-    m = h.matrix
+def _block(*terms: tuple[complex, np.ndarray, np.ndarray]) -> sparse.csr_array:
+    """Sparse block of rho -> sum w a rho b over the (w, a, b) terms.
+
+    Each term is the Kronecker product w (a kron b^T) (row-major
+    vectorization), built from the nonzeros of a and b alone.
+    """
+    n = terms[0][1].shape[0]
+    rows, cols, vals = [], [], []
+    for w, a, b in terms:
+        bt = b.T
+        ia, ja = np.nonzero(a)
+        ib, jb = np.nonzero(bt)
+        rows.append((ia[:, None] * n + ib).ravel())
+        cols.append((ja[:, None] * n + jb).ravel())
+        vals.append((w * a[ia, ja][:, None] * bt[ib, jb]).ravel())
+    coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return sparse.csr_array(sparse.coo_array(coo, shape=(n * n, n * n), dtype=complex))
+
+
+def commutator_superop(h: Operator | np.ndarray) -> sparse.csr_array:
+    """Block of rho -> -i [H, rho]; trace-free and Hermiticity-preserving for Hermitian H."""
+    m = _matrix(h)
     eye = np.eye(m.shape[0])
-    block = -1j * (_sandwich(m, eye) - _sandwich(eye, m))
-    return SuperOperator(h.space, [(1.0, block)])
+    return _block((-1j, m, eye), (1j, eye, m))
 
 
-def dissipator(x: Operator) -> SuperOperator:
-    """Lindblad damping superoperator D[X] rho = X rho X^+ - 1/2 {X^+X, rho}."""
-    m = x.matrix
+def dissipator(x: Operator | np.ndarray) -> sparse.csr_array:
+    """Block of the Lindblad damping D[X] rho = X rho X^+ - 1/2 {X^+X, rho}."""
+    m = _matrix(x)
     eye = np.eye(m.shape[0])
     xdx = m.conj().T @ m
-    block = _sandwich(m, m.conj().T) - 0.5 * (_sandwich(xdx, eye) + _sandwich(eye, xdx))
-    return SuperOperator(x.space, [(1.0, block)])
+    return _block((1.0, m, m.conj().T), (-0.5, xdx, eye), (-0.5, eye, xdx))
 
 
-def cross_dissipator(a: Operator, b: Operator) -> SuperOperator:
-    """Interference part of D[A + B]: rho -> A rho B^+ + B rho A^+ - 1/2 {A^+B + B^+A, rho}."""
-    if b.space != a.space:
+def cross_dissipator(a: Operator | np.ndarray, b: Operator | np.ndarray) -> sparse.csr_array:
+    """Block of the interference part of D[A + B].
+
+    rho -> A rho B^+ + B rho A^+ - 1/2 {A^+B + B^+A, rho}
+    """
+    ma, mb = _matrix(a), _matrix(b)
+    if ma.shape != mb.shape:
         raise ValidationError("operator spaces differ")
-    ma, mb = a.matrix, b.matrix
     eye = np.eye(ma.shape[0])
     anti = ma.conj().T @ mb + mb.conj().T @ ma
-    block = (
-        _sandwich(ma, mb.conj().T)
-        + _sandwich(mb, ma.conj().T)
-        - 0.5 * (_sandwich(anti, eye) + _sandwich(eye, anti))
+    return _block(
+        (1.0, ma, mb.conj().T), (1.0, mb, ma.conj().T), (-0.5, anti, eye), (-0.5, eye, anti)
     )
-    return SuperOperator(a.space, [(1.0, block)])

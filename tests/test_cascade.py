@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sawlink.cascade import (
     CascadeConfig,
@@ -15,7 +17,7 @@ from sawlink.cascade import (
 )
 from sawlink.errors import RoleAmbiguityError, ValidationError
 from sawlink.ioshape import ChannelParams, ControlSchedule, Segment, transfer_schedule
-from sawlink.qcore import NUMBER, QuantumState, embed, partial_trace
+from sawlink.qcore import NUMBER, SIGMA_MINUS, QuantumState, embed, partial_trace
 from sawlink.ioshape import simulate_io
 
 TAU = 508.12
@@ -52,13 +54,57 @@ class TestQubitNoise:
             QubitNoise(gamma_phi=-0.1)
 
 
+def dense_generator(cfg: CascadeConfig, t: float, doubled: bool) -> np.ndarray:
+    """sum_k c_k(t) B_k of either stage, from the dense Lindblad formulas
+    and the schedule's array path."""
+
+    def kron(a, b):  # rho -> a rho b
+        return np.kron(a, b.T)
+
+    def diss(x):
+        xdx = x.conj().T @ x
+        return kron(x, x.conj().T) - 0.5 * (kron(xdx, eye) + kron(eye, xdx))
+
+    def comm(h):
+        return -1j * (kron(h, eye) - kron(eye, h))
+
+    def rates(s):
+        ts = np.array([s])
+        return ([cfg.schedule.kappa(q, ts)[0] for q in (1, 2)],
+                [cfg.schedule.delta(q, ts)[0] for q in (1, 2)])
+
+    sp = doubled_space() if doubled else two_qubit_space()
+    eye = np.eye(sp.dim)
+    sm = {lbl: embed(SIGMA_MINUS, lbl, sp).matrix for lbl in sp.labels}
+    num = {lbl: embed(NUMBER, lbl, sp).matrix for lbl in sp.labels}
+    copies = [("q1", "q2", t)] + ([("q1e", "q2e", t - TAU)] if doubled else [])
+    out = np.zeros((sp.dim**2, sp.dim**2), dtype=complex)
+    for labels, when in ((c[:2], c[2]) for c in copies):
+        kappa, delta = rates(when)
+        for q, lbl in enumerate(labels):
+            nz = cfg.noise[q]
+            out += kappa[q] * diss(sm[lbl]) + delta[q] * comm(num[lbl])
+            out += nz.relax_rate * diss(sm[lbl]) + nz.dephase_rate * diss(num[lbl])
+    if doubled:
+        ke, _ = rates(t - TAU)
+        kr, _ = rates(t)
+        for i in (1, 2):
+            for j in (1, 2):
+                a, b = sm[f"q{i}e"], sm[f"q{j}"]
+                m = a.conj().T @ b - a @ b.conj().T
+                out += np.sqrt(cfg.ch.eta * ke[i - 1] * kr[j - 1]) * (
+                    diss(a + b) - diss(a) - diss(b) + 0.5 * (kron(m, eye) - kron(eye, m))
+                )
+    return out
+
+
 class TestGenerators:
     def test_stage1_trace_free(self):
         liou = stage1_liouvillian(swap_cfg(eta=0.67))
         d = two_qubit_space().dim
         tr = np.eye(d).reshape(-1)
         for t in (10.0, 90.0, 250.0):
-            assert np.max(np.abs(tr @ liou.matrix_at(t))) < 1e-12
+            assert np.max(np.abs(tr @ liou(t, np.eye(d * d)))) < 1e-12
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.67, 1.0])
     def test_stage2_trace_free_any_transmission(self, eta):
@@ -66,12 +112,13 @@ class TestGenerators:
         d = doubled_space().dim
         tr = np.eye(d).reshape(-1)
         for t in (TAU + 5.0, TAU + 90.0, TAU + 300.0):
-            assert np.max(np.abs(tr @ liou.matrix_at(t))) < 1e-12
+            assert np.max(np.abs(tr @ liou(t, np.eye(d * d)))) < 1e-12
 
     def test_stage2_idle_when_uncoupled(self):
         # outside every segment the generator is exactly zero (quiet qubits)
         liou = stage2_liouvillian(swap_cfg(eta=0.67))
-        assert np.max(np.abs(liou.matrix_at(2 * TAU - 1.0))) == 0.0
+        d2 = doubled_space().dim ** 2
+        assert np.max(np.abs(liou(2 * TAU - 1.0, np.eye(d2)))) == 0.0
 
     def test_full_transmission_is_collective_decay(self):
         # at eta = 1 the dissipative part collapses to D[sqrt(kE) sE + sqrt(kR) sR]
@@ -81,22 +128,51 @@ class TestGenerators:
         ke = float(cfg.schedule.kappa(1, t - TAU))
         kr = float(cfg.schedule.kappa(2, t))
         assert ke > 0 and kr > 0
-        from sawlink.qcore import SIGMA_MINUS, dissipator
+        from sawlink.qcore import dissipator
 
         sp = doubled_space()
-        s_e = embed(SIGMA_MINUS, "q1e", sp)
-        s_r = embed(SIGMA_MINUS, "q2", sp)
-        coll = np.sqrt(ke) * s_e.matrix + np.sqrt(kr) * s_r.matrix
-        from sawlink.qcore import Operator
-
-        want = dissipator(Operator(sp, coll)).terms[0][1]
+        s_e = embed(SIGMA_MINUS, "q1e", sp).matrix
+        s_r = embed(SIGMA_MINUS, "q2", sp).matrix
+        coll = np.sqrt(ke) * s_e + np.sqrt(kr) * s_r
+        want = dissipator(coll).toarray()
         m = np.sqrt(ke) * np.sqrt(kr)
-        # subtract the exchange Hamiltonian to isolate the dissipator
-        got = liou.matrix_at(t)
-        from sawlink.cascade import _exchange_block
-
-        got = got - m * _exchange_block(s_e, s_r)
+        # subtract the exchange Hamiltonian 1/2 [sE^+ sR - sE sR^+, rho]
+        # to isolate the dissipator
+        ex = s_e.conj().T @ s_r - s_e @ s_r.conj().T
+        eye = np.eye(sp.dim)
+        got = liou(t, np.eye(sp.dim**2))
+        got = got - m * 0.5 * (np.kron(ex, eye) - np.kron(eye, ex.T))
         assert np.allclose(got, want, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        pair=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+        kappa_c=st.floats(0.05, 0.3),
+        window=st.floats(60.0, 200.0),
+        eta=st.floats(0.0, 1.0),
+        alpha=st.none() | st.floats(0.1, 1.0),
+        detune=st.none() | st.tuples(st.floats(1.0, 100.0), st.floats(-40.0, 40.0)),
+        noise=st.tuples(st.none() | st.floats(5.0, 50.0), st.floats(0.0, 2.0)),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_stacked_generator_matches_dense_sum(
+        self, pair, kappa_c, window, eta, alpha, detune, noise, frac
+    ):
+        emitter, receiver = pair
+        sched = transfer_schedule(kappa_c, window, TAU, emitter, receiver, alpha=alpha)
+        segs = list(sched.segments)
+        if detune is not None:
+            segs.append(Segment("detune", emitter, window, detune[0], f_mhz=detune[1]))
+        cfg = CascadeConfig(
+            ControlSchedule(segs, window=sched.window),
+            ChannelParams(eta=eta, tau=TAU),
+            noise=(QubitNoise(*noise), QubitNoise(T1_int=21.7, gamma_phi=0.45)),
+        )
+        for stage, t, doubled in ((stage1_liouvillian, frac * TAU, False),
+                                  (stage2_liouvillian, TAU * (1.0 + frac), True)):
+            want = dense_generator(cfg, t, doubled)
+            got = stage(cfg)(t, np.eye(want.shape[0]))
+            assert np.max(np.abs(got - want)) < 1e-13
 
 
 class TestRunCascade:

@@ -95,6 +95,15 @@ class TestSweep:
         eff0 = yaml.safe_load((out / "point_000" / "config.yaml").read_text())
         assert eff0["device"]["eta"] == 0.5
 
+    def test_null_value_is_nan_in_summary(self, config_path, tmp_path):
+        # null means "use the device value"; the summary cannot show it as a number
+        out = tmp_path / "s"
+        assert main(["sweep", "params.eta", "0.67", "null",
+                     "--config", config_path, "--out", str(out)]) == 0
+        lines = (out / "summary.csv").read_text().strip().splitlines()
+        assert len(lines) == 3
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.67", "nan"]
+
     def test_parallel_matches_serial(self, config_path, tmp_path):
         kwargs = ["sweep", "params.window_ns", "100", "150",
                   "--config", config_path]
@@ -139,6 +148,16 @@ class TestExitCodes:
         path.write_text(yaml.safe_dump(raw))
         assert main(["run", "--config", str(path),
                      "--out", str(tmp_path / "r")]) == 2
+
+    def test_too_few_interference_phases_is_2(self, tmp_path, capsys):
+        path = tmp_path / "c.yaml"
+        raw = default_config("interference")
+        raw["params"].update({"n_phases": 4, "realizations": 8})
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ValidationError"
 
     def test_integration_failure_is_3(self, config_path, tmp_path,
                                       monkeypatch, capsys):

@@ -50,8 +50,10 @@ def test_constant_decay_matches_exponential():
 def test_resonant_vacuum_rabi_oracle():
     g = 2 * np.pi * 0.005  # rad/ns
     space = HilbertSpace([2, 2], ["q", "m"])
-    h = embed_product({"q": SIGMA_PLUS, "m": SIGMA_MINUS}, space) + embed_product(
-        {"q": SIGMA_MINUS, "m": SIGMA_PLUS}, space
+    h = Operator(
+        space,
+        embed_product({"q": SIGMA_PLUS, "m": SIGMA_MINUS}, space).matrix
+        + embed_product({"q": SIGMA_MINUS, "m": SIGMA_PLUS}, space).matrix,
     )
     model = LindbladModel(space, hamiltonian=[(g, h)])
     t_half = (np.pi / 2) / g
@@ -103,9 +105,11 @@ def test_capped_space_matches_full_tensor_space():
         ham = []
         for j, d in enumerate(detunings):
             ham.append((d, embed(NUMBER, f"m{j}", space)))
-            swap = embed_product(
-                {"q": SIGMA_PLUS, f"m{j}": SIGMA_MINUS}, space
-            ) + embed_product({"q": SIGMA_MINUS, f"m{j}": SIGMA_PLUS}, space)
+            swap = Operator(
+                space,
+                embed_product({"q": SIGMA_PLUS, f"m{j}": SIGMA_MINUS}, space).matrix
+                + embed_product({"q": SIGMA_MINUS, f"m{j}": SIGMA_PLUS}, space).matrix,
+            )
             ham.append((g, swap))
         collapse = [(np.sqrt(1 / 21700.0), embed(SIGMA_MINUS, "q", space))]
         return LindbladModel(space, ham, collapse)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 from scipy.optimize import brentq
 
 from sawlink.dynamics import NoiseSpec
 from sawlink.errors import IntegrationError, ValidationError
 from sawlink.ioshape import (
+    SEGMENT_KINDS,
     ChannelParams,
     ControlSchedule,
     IOTrace,
@@ -53,6 +56,11 @@ class TestPulseShapes:
             kappa_release_partial(t, KC, 1.0), kappa_release_full(t, KC), atol=1e-12
         )
 
+    def test_partial_at_alpha_one_stays_full_far_out(self):
+        # (pos + 1) - alpha used to cancel to 0 once e^{-kc t} < 1e-16
+        t = np.array([400.0, 1e4])
+        assert np.allclose(kappa_release_partial(t, KC, 1.0), KC, rtol=1e-12)
+
     def test_partial_rate_overflow_safe(self):
         assert np.isfinite(kappa_release_partial(1e5, KC, 0.5))
         assert np.isfinite(kappa_release_partial(-1e5, KC, 0.5))
@@ -64,6 +72,39 @@ class TestPulseShapes:
             kappa_release_partial(0.0, KC, 0.0)
         with pytest.raises(ValidationError):
             kappa_release_partial(0.0, KC, 1.5)
+
+
+@st.composite
+def schedules(draw):
+    """One to five segments of any kind on either qubit, laid end to end or
+    with gaps, so the coupling rules hold by construction."""
+    segs, t = [], draw(st.floats(-50.0, 50.0))
+    for _ in range(draw(st.integers(1, 5))):
+        duration = draw(st.floats(1.0, 200.0))
+        segs.append(Segment(
+            draw(st.sampled_from(SEGMENT_KINDS)), draw(st.sampled_from([1, 2])), t, duration,
+            kappa_c=draw(st.floats(0.01, 1.0)), alpha=draw(st.floats(0.05, 1.0)),
+            f_mhz=draw(st.floats(-50.0, 50.0)),
+        ))
+        t += duration + draw(st.sampled_from([0.0, 5.0]))
+    return ControlSchedule(segs)
+
+
+class TestScheduleLookup:
+    @settings(max_examples=60, deadline=None)
+    @given(sched=schedules(), data=st.data())
+    def test_scalar_lookup_matches_array_path(self, sched, data):
+        # segment edges included: both paths treat intervals as half-open
+        edges = [x for s in sched.segments for x in (s.t_start, s.t_end)]
+        lo, hi = sched.window
+        t = data.draw(st.sampled_from(edges) | st.floats(lo - 10.0, hi + 10.0))
+        for qubit in (1, 2):
+            for lookup in (sched.kappa, sched.delta):
+                scalar = lookup(qubit, t)
+                assert isinstance(scalar, float)
+                want = lookup(qubit, np.array([t]))[0]
+                # atol only forgives subnormals, which scipy's expit flushes to 0
+                assert np.isclose(scalar, want, rtol=1e-13, atol=1e-300)
 
 
 class TestRelease:

@@ -9,6 +9,7 @@ from sawlink.qcore import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
+    Generator,
     HilbertSpace,
     Operator,
     QuantumState,
@@ -174,13 +175,18 @@ class TestPartialTrace:
         assert np.isclose(np.trace(reduced.rho), 1.0, atol=1e-10)
 
 
+def apply_block(block, rho: np.ndarray) -> np.ndarray:
+    d = rho.shape[0]
+    return (block @ rho.reshape(-1)).reshape(d, d)
+
+
 class TestSuperOperators:
     def test_commutator_matches_dense_action(self):
         space = HilbertSpace([2], ["q"])
         h = Operator(space, 0.3 * SIGMA_Z + 0.1 * SIGMA_MINUS + 0.1 * SIGMA_PLUS)
         rng = np.random.default_rng(11)
         rho = random_density(2, rng)
-        got = commutator_superop(h).apply(rho)
+        got = apply_block(commutator_superop(h), rho)
         want = -1j * (h.matrix @ rho - rho @ h.matrix)
         assert np.allclose(got, want, atol=1e-14)
 
@@ -189,7 +195,7 @@ class TestSuperOperators:
         x = Operator(space, lowering(3))
         rng = np.random.default_rng(13)
         rho = random_density(3, rng)
-        got = dissipator(x).apply(rho)
+        got = apply_block(dissipator(x), rho)
         xm = x.matrix
         want = xm @ rho @ xm.conj().T - 0.5 * (
             xm.conj().T @ xm @ rho + rho @ xm.conj().T @ xm
@@ -199,16 +205,16 @@ class TestSuperOperators:
     def test_decay_sends_excited_to_ground(self):
         space = HilbertSpace([2], ["q"])
         rho_e = np.diag([0.0, 1.0]).astype(complex)
-        drho = dissipator(Operator(space, SIGMA_MINUS)).apply(rho_e)
+        drho = apply_block(dissipator(Operator(space, SIGMA_MINUS)), rho_e)
         assert np.allclose(drho, np.diag([1.0, -1.0]), atol=1e-14)
 
     def test_dissipator_is_trace_free(self):
         space = HilbertSpace([3], ["m"])
         rng = np.random.default_rng(17)
-        sup = dissipator(Operator(space, lowering(3)))
+        block = dissipator(Operator(space, lowering(3)))
         for _ in range(20):
             rho = random_density(3, rng)
-            assert abs(np.trace(sup.apply(rho))) < 1e-13
+            assert abs(np.trace(apply_block(block, rho))) < 1e-13
 
     def test_cross_dissipator_completes_collective_decay(self):
         # D[A + B] = D[A] + D[B] + cross(A, B)
@@ -216,27 +222,31 @@ class TestSuperOperators:
         a = embed(SIGMA_MINUS, "a", space)
         b = embed(SIGMA_MINUS, "b", space)
         combined = Operator(space, a.matrix + b.matrix)
-        lhs = dissipator(combined).matrix_at()
+        lhs = dissipator(combined).toarray()
         rhs = (
-            dissipator(a).matrix_at()
-            + dissipator(b).matrix_at()
-            + cross_dissipator(a, b).matrix_at()
+            dissipator(a).toarray()
+            + dissipator(b).toarray()
+            + cross_dissipator(a, b).toarray()
         )
         assert np.allclose(lhs, rhs, atol=1e-13)
 
     def test_time_dependent_coefficient(self):
         space = HilbertSpace([2], ["q"])
-        base = dissipator(Operator(space, SIGMA_MINUS))
-        sup = base.__class__(space, [(lambda t: 2.0 * t, base.terms[0][1])])
-        assert np.allclose(sup.matrix_at(0.0), 0.0)
-        assert np.allclose(sup.matrix_at(1.5), 3.0 * base.matrix_at())
+        block = dissipator(Operator(space, SIGMA_MINUS))
+        gen = Generator(space, [block], lambda t: np.array([2.0 * t]))
+        eye = np.eye(4)
+        assert np.allclose(gen(0.0, eye), 0.0)
+        assert np.allclose(gen(1.5, eye), 3.0 * block.toarray())
 
     def test_hermiticity_preserved_by_lindblad_generator(self):
         space = HilbertSpace([2], ["q"])
-        gen = commutator_superop(Operator(space, SIGMA_Z)) + dissipator(
-            Operator(space, SIGMA_MINUS)
+        gen = Generator(
+            space,
+            [commutator_superop(Operator(space, SIGMA_Z)),
+             dissipator(Operator(space, SIGMA_MINUS))],
+            [1.0, 1.0],
         )
         rng = np.random.default_rng(23)
         rho = random_density(2, rng)
-        out = gen.apply(rho)
+        out = gen(0.0, rho.reshape(-1)).reshape(2, 2)
         assert np.allclose(out, out.conj().T, atol=1e-13)
