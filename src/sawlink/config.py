@@ -98,6 +98,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if "experiment" not in raw:
         raise ConfigError("config needs an 'experiment' key")
     experiment = raw["experiment"]
+    if not isinstance(experiment, str):
+        raise ConfigError(f"experiment must be a string, got {experiment!r}")
     base = default_config(experiment)
     unknown = sorted(set(raw) - set(base))
     if unknown:

@@ -1,16 +1,17 @@
-"""Time-dependent Lindblad integration and classical noise averaging.
+"""Time-dependent Lindblad integration and classical phase-noise draws.
 
 The master equation is integrated on the vectorized density matrix with
 an adaptive RK45 scheme; coefficients are evaluated analytically at the
-integrator's internal times.  Monte-Carlo averaging over classical
-phase noise derives one counter-based stream per realization from a
-single master seed, so repeated runs are bit-identical.
+integrator's internal times.  Classical phase noise is drawn per
+realization from one counter-based stream each, derived from a single
+master seed, so repeated runs are bit-identical; the delay-loop
+interference experiment in `ioshape` averages over those draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -242,45 +243,3 @@ def evolve(
     return evolve_generator(
         model.space, model.liouvillian(), rho0, grid, tol, observables, breakpoints
     )
-
-
-def mc_average(
-    model_builder: Callable[[float], LindbladModel],
-    noise: NoiseSpec,
-    rho0: QuantumState,
-    grid: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    observables: dict[str, Operator] | None = None,
-    breakpoints: Sequence[float] = (),
-) -> Trajectory:
-    """Mean trajectory over Gaussian-phase realizations.
-
-    Realizations are reduced in fixed index order, so the result does
-    not depend on scheduling.
-    """
-    phases = realization_phases(noise)
-    n = noise.n_realizations
-    sum_states: np.ndarray | None = None
-    sum_obs: dict[str, np.ndarray] = {}
-    for i, phi in enumerate(phases):
-        try:
-            traj = evolve(model_builder(phi), rho0, grid, tol, observables, breakpoints)
-        except (IntegrationError, DiagnosticsError) as exc:
-            raise IntegrationError(f"realization {i} (phi = {phi:.4f} rad): {exc}") from exc
-        stack = np.array([s.rho for s in traj.states])
-        if sum_states is None:
-            sum_states = stack
-        else:
-            sum_states += stack
-        for name, ser in traj.observables.items():
-            if name in sum_obs:
-                sum_obs[name] += ser
-            else:
-                sum_obs[name] = ser.copy()
-    assert sum_states is not None
-    mean_states = tuple(
-        QuantumState(rho0.space, 0.5 * (r + r.conj().T) / np.trace(r).real)
-        for r in sum_states / n
-    )
-    mean_obs = {name: ser / n for name, ser in sum_obs.items()}
-    return Trajectory(np.asarray(grid, dtype=float), mean_states, mean_obs)

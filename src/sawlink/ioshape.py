@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from .dynamics import NoiseSpec, realization_phases
-from .errors import IntegrationError, ValidationError
+from .errors import IntegrationError, RoleAmbiguityError, ValidationError
 
 MHZ = 2e-3 * np.pi  # linear MHz -> rad/ns
 DETUNE_PULSE_MHZ = 20.0  # fixed detuning used to dial in a relative phase
@@ -203,7 +203,7 @@ class ControlSchedule:
         for a in coupled:
             for b in coupled:
                 if a.qubit != b.qubit and a.t_start < b.t_end and b.t_start < a.t_end:
-                    raise ValidationError(
+                    raise RoleAmbiguityError(
                         f"overlapping couplings: {a.kind} on qubit {a.qubit} and "
                         f"{b.kind} on qubit {b.qubit}"
                     )
@@ -283,40 +283,6 @@ class IOTrace:
         return np.abs(self.s2) ** 2
 
 
-class _History:
-    """Output-field record on the half-step grid with cubic read-back.
-
-    Delay lookups normally land exactly on stored nodes; off-node times
-    fall back to 4-point cubic interpolation.
-    """
-
-    def __init__(self, t0: float, half_step: float, n_nodes: int, batch: int):
-        self.t0 = t0
-        self.h2 = half_step
-        self.values = np.zeros((batch, n_nodes), dtype=complex)
-        self.filled = 0
-
-    def push(self, value: np.ndarray):
-        self.values[:, self.filled] = value
-        self.filled += 1
-
-    def at(self, t: float) -> np.ndarray:
-        x = (t - self.t0) / self.h2
-        k = int(round(x))
-        if abs(x - k) < 1e-9:
-            if not 0 <= k < self.filled:
-                raise IntegrationError(f"history lookup at t = {t:.6g} ns out of range")
-            return self.values[:, k]
-        i0 = min(max(int(np.floor(x)) - 1, 0), self.filled - 4)
-        if i0 < 0:
-            raise IntegrationError("history too short for cubic interpolation")
-        pts = np.arange(i0, i0 + 4)
-        w = np.array(
-            [np.prod([(x - q) / (p - q) for q in pts if q != p]) for p in pts]
-        )
-        return self.values[:, i0 : i0 + 4] @ w
-
-
 def _integrate(
     schedule: ControlSchedule,
     ch: ChannelParams,
@@ -325,7 +291,15 @@ def _integrate(
     extra_phases: np.ndarray | None = None,
     keep_trace: bool = True,
 ):
-    """Fixed-step RK4 for the delayed feedback loop, batched over phases."""
+    """Fixed-step RK4 for the delayed feedback loop, batched over phases.
+
+    Everything lives on the half-step grid t0 + (h/2) j: kappa and Delta
+    of both qubits are evaluated there once, and the output field is
+    recorded there, node by node, in one (batch, 2 n_steps + 1) array.
+    The step divides tau exactly, so the delay is a fixed offset of
+    2 n_sub nodes: the input at node j is the fed-back output of node
+    j - 2 n_sub, and zero before the first transit has arrived.
+    """
     t0, t1 = schedule.window
     base = min(dt, 0.25)
     n_sub = max(int(np.ceil(ch.tau / base)), 1)
@@ -336,6 +310,15 @@ def _integrate(
         )
     n_steps = int(np.ceil((t1 - t0) / h - 1e-9))
     times = t0 + h * np.arange(n_steps + 1)
+    # node 2i is times[i] and node 2i + 1 the step's midpoint times[i] + h/2
+    nodes = (times[:, None] + [0.0, h / 2.0]).ravel()[:-1]
+    lag = 2 * n_sub
+
+    # (node, qubit) coefficients of ds/dt = decay * s + root * a_in
+    kappa = np.stack([schedule.kappa(q, nodes) for q in (1, 2)], axis=1)
+    delta = np.stack([schedule.delta(q, nodes) for q in (1, 2)], axis=1)
+    decay = -(1j * delta + kappa / 2.0)
+    root = np.sqrt(kappa)
 
     s = np.array(s0, dtype=complex)
     if s.ndim == 1:
@@ -343,64 +326,39 @@ def _integrate(
     batch = s.shape[0]
     phases = np.zeros(batch) if extra_phases is None else np.asarray(extra_phases, dtype=float)
     feedback = np.sqrt(ch.eta) * np.exp(1j * (ch.phase + phases))  # (batch,)
+    zero = np.zeros(batch, dtype=complex)
+    out = np.zeros((batch, 2 * n_steps + 1), dtype=complex)
 
-    hist = _History(t0, h / 2.0, 2 * n_steps + 2, batch)
+    def rhs(j: int, y: np.ndarray, ain: np.ndarray) -> np.ndarray:
+        return decay[j] * y + root[j] * ain[:, None]
 
-    def coeffs(t: float):
-        k1 = float(schedule.kappa(1, t))
-        k2 = float(schedule.kappa(2, t))
-        d1 = float(schedule.delta(1, t))
-        d2 = float(schedule.delta(2, t))
-        return np.array([k1, k2]), np.array([d1, d2])
-
-    def a_in_at(t: float) -> np.ndarray:
-        if t - ch.tau < t0 - 1e-9:
-            return np.zeros(batch, dtype=complex)
-        return feedback * hist.at(t - ch.tau)
-
-    def rhs(t: float, y: np.ndarray, ain: np.ndarray) -> np.ndarray:
-        k, d = coeffs(t)
-        return -(1j * d + k / 2.0) * y + np.sqrt(k) * ain[:, None]
-
-    def a_out_of(t: float, y: np.ndarray, ain: np.ndarray) -> np.ndarray:
-        k, _ = coeffs(t)
-        return y @ np.sqrt(k) - ain
-
-    traces = {"s": [], "ain": [], "aout": []} if keep_trace else None
-    ain0 = a_in_at(times[0])
-    hist.push(a_out_of(times[0], s, ain0))
-    if keep_trace:
-        traces["s"].append(s.copy())
-        traces["ain"].append(ain0)
-        traces["aout"].append(hist.values[:, 0].copy())
-
+    out[:, 0] = s @ root[0]  # no input before the first transit
+    ain_b = zero
+    states, inputs = [s], [ain_b]
     for i in range(n_steps):
-        ta, tm, tb = times[i], times[i] + h / 2.0, times[i + 1]
-        ain_a = a_in_at(ta)
-        ain_m = a_in_at(tm)
-        ain_b = a_in_at(tb)
-        f1 = rhs(ta, s, ain_a)
-        f2 = rhs(tm, s + 0.5 * h * f1, ain_m)
-        f3 = rhs(tm, s + 0.5 * h * f2, ain_m)
-        f4 = rhs(tb, s + h * f3, ain_b)
+        a, m, b = 2 * i, 2 * i + 1, 2 * i + 2
+        ain_a = ain_b
+        ain_m = feedback * out[:, m - lag] if m >= lag else zero
+        ain_b = feedback * out[:, b - lag] if b >= lag else zero
+        f1 = rhs(a, s, ain_a)
+        f2 = rhs(m, s + 0.5 * h * f1, ain_m)
+        f3 = rhs(m, s + 0.5 * h * f2, ain_m)
+        f4 = rhs(b, s + h * f3, ain_b)
         s_new = s + (h / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4)
         # midpoint state via cubic Hermite, then the two new output nodes
-        fb = rhs(tb, s_new, ain_b)
+        fb = rhs(b, s_new, ain_b)
         s_mid = 0.5 * (s + s_new) + (h / 8.0) * (f1 - fb)
-        hist.push(a_out_of(tm, s_mid, ain_m))
-        hist.push(a_out_of(tb, s_new, ain_b))
+        out[:, m] = s_mid @ root[m] - ain_m
+        out[:, b] = s_new @ root[b] - ain_b
         s = s_new
         if keep_trace:
-            traces["s"].append(s.copy())
-            traces["ain"].append(ain_b)
-            traces["aout"].append(hist.values[:, 2 * i + 2].copy())
+            states.append(s)
+            inputs.append(ain_b)
 
     if not keep_trace:
         return times, s
-    s_arr = np.stack(traces["s"], axis=1)  # (batch, nt, 2)
-    ain_arr = np.stack(traces["ain"], axis=1)
-    aout_arr = np.stack(traces["aout"], axis=1)
-    return times, s_arr, ain_arr, aout_arr
+    s_arr = np.stack(states, axis=1)  # (batch, nt, 2)
+    return times, s_arr, np.stack(inputs, axis=1), out[:, ::2]
 
 
 def simulate_io(
@@ -474,6 +432,8 @@ def interference_experiment(
     duration delta_phi / (2 pi * 20 MHz), applied between the release
     and capture windows, as in the hardware calibration.
     """
+    if chunk < 1:
+        raise ValidationError(f"chunk = {chunk} must be at least 1")
     delta_phi = float(delta_phi) % (2 * np.pi)
     release = Segment("partial_release", 1, 0.0, window, kappa_c, alpha=0.5)
     segs = [release, time_reverse(replace(release, t_start=ch.tau))]

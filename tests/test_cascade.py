@@ -268,19 +268,22 @@ class TestRunCascade:
             run_cascade(cfg, rho0, np.array([0.0, TAU]))
 
     def test_role_ambiguity_detected(self):
+        # qubit 2 starts its capture while qubit 1 is still releasing
+        segs = [
+            Segment("full_release", 1, 0.0, 100.0, KC),
+            Segment("capture", 2, 50.0, 100.0, KC),
+        ]
+        with pytest.raises(RoleAmbiguityError):
+            CascadeConfig(ControlSchedule(segs), ChannelParams(eta=1.0, tau=TAU))
+
+    def test_schedule_must_be_a_control_schedule(self):
         class BothOn:
             window = (0.0, 100.0)
 
             def kappa(self, qubit, t):
                 return np.full_like(np.asarray(t, dtype=float), 0.05)
 
-            def delta(self, qubit, t):
-                return np.zeros_like(np.asarray(t, dtype=float))
-
-            def breakpoints(self):
-                return []
-
-        with pytest.raises(RoleAmbiguityError):
+        with pytest.raises(ValidationError):
             CascadeConfig(BothOn(), ChannelParams(eta=1.0, tau=TAU))
 
 

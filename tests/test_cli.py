@@ -159,6 +159,25 @@ class TestExitCodes:
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "ValidationError"
 
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_interference_chunk_below_one_is_2(self, tmp_path, capsys, chunk):
+        path = tmp_path / "c.yaml"
+        raw = default_config("interference")
+        raw["params"].update({"n_phases": 5, "realizations": 8, "chunk": chunk})
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ValidationError"
+
+    def test_non_string_experiment_is_2(self, tmp_path, capsys):
+        path = tmp_path / "c.yaml"
+        path.write_text("experiment: [bell]\n")
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ConfigError"
+
     def test_integration_failure_is_3(self, config_path, tmp_path,
                                       monkeypatch, capsys):
         def blow_up(*args, **kwargs):

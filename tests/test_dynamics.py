@@ -7,7 +7,6 @@ from sawlink.dynamics import (
     Trajectory,
     dephasing_rate,
     evolve,
-    mc_average,
     realization_phases,
 )
 from sawlink.errors import ValidationError
@@ -180,34 +179,6 @@ class TestNoise:
             NoiseSpec(sigma_phi=-0.1)
         with pytest.raises(ValidationError):
             NoiseSpec(sigma_phi=0.1, n_realizations=0)
-
-
-class TestMcAverage:
-    @staticmethod
-    def builder(phi):
-        # phase enters as a detuning-like rotation plus fixed decay
-        h = Operator(QUBIT, SIGMA_PLUS + SIGMA_MINUS)
-        return LindbladModel(
-            QUBIT,
-            hamiltonian=[(0.05 * np.cos(phi), h)],
-            collapse_ops=[(np.sqrt(0.01), Operator(QUBIT, SIGMA_MINUS))],
-        )
-
-    def test_zero_noise_equals_single_run(self):
-        grid = np.linspace(0, 40, 9)
-        obs = {"pe": Operator(QUBIT, NUMBER)}
-        noise = NoiseSpec(sigma_phi=0.0, n_realizations=8, master_seed=3)
-        avg = mc_average(self.builder, noise, EXCITED, grid, observables=obs)
-        single = evolve(self.builder(0.0), EXCITED, grid, observables=obs)
-        assert np.allclose(avg.observables["pe"], single.observables["pe"], atol=1e-12)
-
-    def test_mean_is_deterministic(self):
-        grid = np.linspace(0, 40, 5)
-        obs = {"pe": Operator(QUBIT, NUMBER)}
-        noise = NoiseSpec(sigma_phi=0.4, n_realizations=16, master_seed=11)
-        a = mc_average(self.builder, noise, EXCITED, grid, observables=obs)
-        b = mc_average(self.builder, noise, EXCITED, grid, observables=obs)
-        assert np.array_equal(a.observables["pe"], b.observables["pe"])
 
 
 def test_trajectory_requires_monotonic_times():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from sawlink.ioshape import (
     ControlSchedule,
     IOTrace,
     Segment,
+    _integrate,
     interference_experiment,
     kappa_release_full,
     kappa_release_partial,
@@ -225,6 +228,46 @@ class TestSimulateIO:
             ChannelParams(eta=1.2, tau=TAU)
         with pytest.raises(ValidationError):
             ChannelParams(eta=0.5, tau=0.0)
+
+
+@st.composite
+def delay_lines(draw):
+    """A release on qubit 1 for one transit, then a capture on qubit 2, in a
+    window that starts off zero and holds at least two round trips; tau is
+    never a multiple of the 0.25 ns base step, so the step is always cut down."""
+    tau = draw(st.floats(2.0, 20.0).filter(lambda x: abs(x / 0.25 - round(x / 0.25)) > 1e-6))
+    dt = draw(st.floats(0.1, 0.25))
+    ch = ChannelParams(eta=draw(st.floats(0.0, 1.0)), tau=tau,
+                       phase=draw(st.floats(-np.pi, np.pi)))
+    t0 = draw(st.floats(-50.0, 50.0).filter(lambda x: x != 0.0))
+    kc = draw(st.floats(0.05, 0.4))
+    segs = [Segment("full_release", 1, t0, tau, kc), Segment("capture", 2, t0 + tau, tau, kc)]
+    window = (t0, t0 + tau * (2.0 + draw(st.floats(0.0, 1.0))))
+    return ControlSchedule(segs, window=window), ch, dt
+
+
+class TestDelayLine:
+    @settings(max_examples=25, deadline=None)
+    @given(line=delay_lines())
+    def test_input_is_fed_back_output_one_transit_late(self, line):
+        sched, ch, dt = line
+        tr = simulate_io(sched, ch, s0=(1.0, 0.0), dt=dt)
+        n_sub = int(np.ceil(ch.tau / min(dt, 0.25)))
+        assert np.all(tr.a_in[:n_sub] == 0.0)
+        feedback = np.sqrt(ch.eta) * np.exp(1j * ch.phase)
+        assert np.allclose(tr.a_in[n_sub:], feedback * tr.a_out[:-n_sub], rtol=0.0, atol=1e-14)
+
+    @settings(max_examples=10, deadline=None)
+    @given(line=delay_lines(), extra=st.lists(st.floats(-np.pi, np.pi), min_size=2, max_size=4))
+    def test_batched_rows_equal_single_runs(self, line, extra):
+        sched, ch, dt = line
+        s0 = np.tile([1.0 + 0j, 0.0], (len(extra), 1))
+        batched = _integrate(sched, ch, s0, dt, extra_phases=np.array(extra))
+        for row, phi in enumerate(extra):
+            single = _integrate(sched, replace(ch, phase=ch.phase + phi), s0[row], dt)
+            assert np.array_equal(batched[0], single[0])
+            for got, want in zip(batched[1:], single[1:]):
+                assert np.allclose(got[row], want[0], rtol=0.0, atol=1e-14)
 
 
 class TestInterference:
