@@ -7,12 +7,22 @@ Stage 1 integrates the bare two-qubit master equation on [0, tau];
 stage 2 splices the doubled state together and integrates the cascaded
 generator on [tau, 2*tau].  The construction is valid for at most two
 channel interactions per packet, hence the hard 2*tau window limit.
+
+Each stage generator is L(t) = sum_k c_k(t) B_k with blocks B_k that
+depend on the space alone, built once per process.  Every copy of a
+qubit (q1, q2, and on the doubled space the lagged q1e, q2e) owns three
+blocks: D[sigma-] with coefficient kappa_q + 1/T1_q, the commutator
+with n with Delta_q, and D[n] with the pure-dephasing rate.  The
+doubled space adds one block per emitter/receiver pair (q_ie, q_j)
+with sqrt(eta kappa_i(t - tau) kappa_j(t)).  The schedule, the channel
+and the qubit noise thus reach the generator only through c(t).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy import sparse
@@ -83,35 +93,41 @@ class CascadeConfig:
             raise ValidationError("schedule must be a ControlSchedule")
 
 
-def _noise_block(cfg: CascadeConfig, space: HilbertSpace, labels_by_qubit) -> sparse.csr_array:
-    """Intrinsic relaxation and dephasing of every listed copy, summed."""
-    block = sparse.csr_array((space.dim**2, space.dim**2), dtype=complex)
-    for qubit_idx, labels in labels_by_qubit.items():
-        nz = cfg.noise[qubit_idx - 1]
-        for lbl in labels:
-            block = block + nz.relax_rate * dissipator(embed(SIGMA_MINUS, lbl, space))
-            block = block + nz.dephase_rate * dissipator(embed(NUMBER, lbl, space))
-    return block
+@cache
+def _stage_blocks(doubled: bool) -> tuple[sparse.csr_array, ...]:
+    """The blocks of one stage in coefficient order; they depend on the space alone."""
+    space = doubled_space() if doubled else two_qubit_space()
+    blocks = []
+    for lbl in ("q1e", "q2e", *TWO_QUBIT_LABELS) if doubled else TWO_QUBIT_LABELS:
+        sm, num = embed(SIGMA_MINUS, lbl, space), embed(NUMBER, lbl, space)
+        blocks += [dissipator(sm), commutator_superop(num), dissipator(num)]
+    for i, j in [(1, 1), (1, 2), (2, 1), (2, 2)] if doubled else []:
+        s_e = embed(SIGMA_MINUS, f"q{i}e", space).matrix
+        s_r = embed(SIGMA_MINUS, f"q{j}", space).matrix
+        # collective damping cross term plus the exchange Hamiltonian
+        # 1/2 i (sE^+ sR - sE sR^+), which share one coefficient
+        exchange = 0.5j * (s_e.conj().T @ s_r - s_e @ s_r.conj().T)
+        blocks.append(cross_dissipator(s_e, s_r) + commutator_superop(exchange))
+    return tuple(blocks)
 
 
-def _qubit_blocks(space: HilbertSpace, labels: tuple[str, str]) -> list[sparse.csr_array]:
-    """D[sigma-] of each labelled qubit, then the commutator with its number operator."""
-    return [dissipator(embed(SIGMA_MINUS, lbl, space)) for lbl in labels] + [
-        commutator_superop(embed(NUMBER, lbl, space)) for lbl in labels
-    ]
-
-
-def _rates(schedule: ControlSchedule, t: float) -> tuple[float, float, float, float]:
-    """kappa_1, kappa_2, Delta_1, Delta_2 at one time; the order of ``_qubit_blocks``."""
-    return (schedule.kappa(1, t), schedule.kappa(2, t), schedule.delta(1, t), schedule.delta(2, t))
+def _copy_coeffs(schedule: ControlSchedule, noise, t: float) -> tuple[list, list]:
+    """The coefficients of q1's then q2's per-copy blocks at one time, and the
+    bare coupling rates; ``noise`` holds each qubit's (relax, dephase) rate."""
+    k1, k2 = schedule.kappa(1, t), schedule.kappa(2, t)
+    (r1, f1), (r2, f2) = noise
+    return [k1 + r1, schedule.delta(1, t), f1, k2 + r2, schedule.delta(2, t), f2], [k1, k2]
 
 
 def stage1_liouvillian(cfg: CascadeConfig) -> Generator:
-    """Two-qubit generator for the emission window [0, tau]."""
-    space = two_qubit_space()
-    blocks = _qubit_blocks(space, TWO_QUBIT_LABELS)
-    blocks.append(_noise_block(cfg, space, {1: ["q1"], 2: ["q2"]}))
-    return Generator(space, blocks, lambda t: np.array([*_rates(cfg.schedule, t), 1.0]))
+    """Two-qubit generator for the emission window [0, tau]: the six
+    per-copy blocks of q1 and q2, with their coefficients at t."""
+    noise = [(nz.relax_rate, nz.dephase_rate) for nz in cfg.noise]
+    return Generator(
+        two_qubit_space(),
+        _stage_blocks(False),
+        lambda t: np.array(_copy_coeffs(cfg.schedule, noise, t)[0]),
+    )
 
 
 def stage2_liouvillian(cfg: CascadeConfig) -> Generator:
@@ -120,30 +136,22 @@ def stage2_liouvillian(cfg: CascadeConfig) -> Generator:
     The lagged copies re-run the emission under the time-shifted
     controls; their output drives the current-time qubits through the
     collective dissipator and the exchange Hamiltonian, attenuated by
-    the channel transmission.  All emitter/receiver pairings carry
-    their own coefficient, so roles may switch during the window.
+    the channel transmission.  Sixteen blocks: the per-copy blocks of
+    q1e, q2e (coefficients at t - tau) and of q1, q2 (at t), then the
+    four emitter/receiver pairs.  Each pairing carries its own
+    coefficient, so roles may switch during the window.
     """
-    space = doubled_space()
     tau = cfg.ch.tau
     root_eta = math.sqrt(cfg.ch.eta)
-    blocks = _qubit_blocks(space, ("q1e", "q2e")) + _qubit_blocks(space, TWO_QUBIT_LABELS)
-    for i in (1, 2):
-        for j in (1, 2):
-            s_e = embed(SIGMA_MINUS, f"q{i}e", space).matrix
-            s_r = embed(SIGMA_MINUS, f"q{j}", space).matrix
-            # collective damping cross term plus the exchange Hamiltonian
-            # 1/2 i (sE^+ sR - sE sR^+), which share one coefficient
-            exchange = 0.5j * (s_e.conj().T @ s_r - s_e @ s_r.conj().T)
-            blocks.append(cross_dissipator(s_e, s_r) + commutator_superop(exchange))
-    blocks.append(_noise_block(cfg, space, {1: ["q1", "q1e"], 2: ["q2", "q2e"]}))
+    noise = [(nz.relax_rate, nz.dephase_rate) for nz in cfg.noise]
 
     def coeffs(t: float) -> np.ndarray:
-        lagged = _rates(cfg.schedule, t - tau)
-        now = _rates(cfg.schedule, t)
-        pairs = [root_eta * math.sqrt(ke * kr) for ke in lagged[:2] for kr in now[:2]]
-        return np.array([*lagged, *now, *pairs, 1.0])
+        lagged, k_lag = _copy_coeffs(cfg.schedule, noise, t - tau)
+        now, k_now = _copy_coeffs(cfg.schedule, noise, t)
+        pairs = [root_eta * math.sqrt(ke * kr) for ke in k_lag for kr in k_now]
+        return np.array(lagged + now + pairs)
 
-    return Generator(space, blocks, coeffs)
+    return Generator(doubled_space(), _stage_blocks(True), coeffs)
 
 
 def run_cascade(
@@ -232,43 +240,34 @@ def process_tomography_run(
     """Characterize a transfer as a process matrix over the spanning preps.
 
     Each preparation in {g, +, +i, e} (the 16-element product set for
-    two-qubit transfers) is loaded onto the emitter qubit(s), evolved
-    through the cascade to ``t_ro``, and the receiver marginal handed to
-    the process reconstruction.  ``frame`` is an optional unitary applied
-    to every output state; the transfer imprints a fixed relative phase on
-    the moved amplitude, and experiments calibrate it out by redefining
-    the receiving qubit's frame.
+    two-qubit transfers) is loaded onto the emitter qubit(s), any other
+    qubit in g, evolved through the cascade to ``t_ro``, and the
+    receiver marginal handed to the process reconstruction.  ``frame``
+    is an optional unitary applied to every output state; the transfer
+    imprints a fixed relative phase on the moved amplitude, and
+    experiments calibrate it out by redefining the receiving qubit's
+    frame.
     """
     from . import tomo
 
     emitters = (emitter,) if isinstance(emitter, int) else tuple(emitter)
     receivers = (receiver,) if isinstance(receiver, int) else tuple(receiver)
-    if len(emitters) != len(receivers) or len(emitters) not in (1, 2):
+    n = len(emitters)
+    if len(receivers) != n or n not in (1, 2):
         raise ValidationError("transfer must map one qubit to one, or two to two")
-    if not set(emitters) <= {1, 2} or not set(receivers) <= {1, 2}:
-        raise ValidationError("qubit indices are 1 or 2")
+    if not {*emitters, *receivers} <= {1, 2} or len({*emitters}) < n or len({*receivers}) < n:
+        raise ValidationError("qubit indices are 1 or 2, each used once per side")
     grid = np.array([0.0, float(t_ro)])
-    space = two_qubit_space()
-    ground = np.array([1.0, 0.0])
+    ground = np.diag([1.0, 0.0])
+    keep = [f"q{q}" for q in sorted(receivers)]
 
-    inputs: dict = {}
-    outputs: dict = {}
-    if len(emitters) == 1:
-        for name, prep in tomo.PREP_KETS.items():
-            parts = [prep if q == emitters[0] else ground for q in (1, 2)]
-            state0 = QuantumState.from_ket(space, np.kron(parts[0], parts[1]))
-            traj = run_cascade(cfg, state0, grid, tol=tol)
-            out = partial_trace(traj.final_state(), [f"q{receivers[0]}"]).rho
-            inputs[name] = np.outer(prep, prep.conj())
-            outputs[name] = out
-    else:
-        if set(emitters) != {1, 2} or set(receivers) != {1, 2}:
-            raise ValidationError("two-qubit transfers use both qubits on each side")
-        inputs = tomo.prep_states(2)
-        for combo in inputs:
-            ket = np.kron(tomo.PREP_KETS[combo[0]], tomo.PREP_KETS[combo[1]])
-            traj = run_cascade(cfg, QuantumState.from_ket(space, ket), grid, tol=tol)
-            outputs[combo] = traj.final_state().rho
+    inputs = tomo.prep_states(n)
+    outputs = {}
+    for key, prep in inputs.items():
+        if n == 1:
+            prep = np.kron(prep, ground) if emitters[0] == 1 else np.kron(ground, prep)
+        traj = run_cascade(cfg, QuantumState(two_qubit_space(), prep), grid, tol=tol)
+        outputs[key] = partial_trace(traj.final_state(), keep).rho
     if frame is not None:
         outputs = {k: frame @ v @ frame.conj().T for k, v in outputs.items()}
     return tomo.process_from_states(inputs, outputs)

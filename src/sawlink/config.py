@@ -8,7 +8,6 @@ cannot silently fall back to a default.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -105,8 +104,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
     seed = raw.get("seed", base["seed"])
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    # numpy's default_rng takes non-negative seeds, and the Philox key of
+    # each noise realization holds the seed in its top 64 bits
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     dev_raw = _merge_section(raw.get("device", {}), base["device"], "device")
     params = _merge_section(raw.get("params", {}), base["params"], "params")
     device = DeviceParams(
@@ -146,7 +147,7 @@ def effective_dict(cfg: ExperimentConfig) -> dict:
 
 
 def with_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    return dataclasses.replace(cfg, seed=int(seed))
+    return config_from_dict({**effective_dict(cfg), "seed": seed})
 
 
 def set_by_path(cfg: ExperimentConfig, path: str, value) -> ExperimentConfig:

@@ -19,7 +19,6 @@ from .device import DeviceParams
 from .dynamics import LindbladModel, NoiseSpec, evolve, evolve_generator
 from .errors import ValidationError
 from .ioshape import (
-    ChannelParams,
     ControlSchedule,
     Segment,
     interference_experiment,
@@ -42,7 +41,6 @@ from .qcore import (
 # the runners do the same with a fixed Z on each receiving qubit.
 Z_FRAME = np.diag([1.0, -1.0]).astype(complex)
 SWAP_GATE = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
-PAULI_BASIS_1Q = ("I", "X", "Y", "Z")
 QUBIT_BASIS_2Q = ("gg", "ge", "eg", "ee")
 
 
@@ -55,6 +53,13 @@ class ExperimentOutput:
 
 def _eta(device: DeviceParams, params: dict) -> float:
     return device.eta if params.get("eta") is None else float(params["eta"])
+
+
+def _integer(params: dict, key: str, least: int = 1, most: float = np.inf) -> int:
+    n = int(params[key])
+    if not least <= n <= most:
+        raise ValidationError(f"{key} = {n} is outside [{least}, {most}]")
+    return n
 
 
 def run_ping_pong(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
@@ -84,9 +89,7 @@ def run_ping_pong(device: DeviceParams, params: dict, seed: int) -> ExperimentOu
 def run_multi_transit(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     """Capture after n full transits; efficiency decays geometrically."""
     kc, w = params["kappa_c"], params["window_ns"]
-    n_max = int(params["max_transits"])
-    if n_max < 1:
-        raise ValidationError("max_transits must be >= 1")
+    n_max = _integer(params, "max_transits")
     ch = device.channel(eta=_eta(device, params))
     release = Segment("full_release", 1, 0.0, w, kc)
     effs = []
@@ -124,10 +127,8 @@ def run_interference(device: DeviceParams, params: dict, seed: int) -> Experimen
     """Half release, dialed phase, half recapture, averaged over dephasing."""
     kc, w = params["kappa_c"], params["window_ns"]
     ch = device.channel(eta=_eta(device, params))
-    n_phases = int(params["n_phases"])
-    if n_phases < 5:
-        # the fringe's harmonic ratio needs rfft bins beyond the fundamental
-        raise ValidationError("need at least 5 phase points")
+    # the fringe's harmonic ratio needs rfft bins beyond the fundamental
+    n_phases = _integer(params, "n_phases", least=5)
     sigma = params["sigma_phi"]
     if sigma is None:
         # Gaussian phase spread accumulated over one emit-wait-capture cycle
@@ -271,12 +272,12 @@ def run_bell(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
 
 def run_spectroscopy(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     """Single-excitation spectrum while the qubit sweeps the mode ladder."""
-    q = device.qubits[int(params["qubit"]) - 1]
+    q = device.qubits[_integer(params, "qubit", most=2) - 1]
     p = multimode.MultimodeParams(
         g=q.g_mhz, n_a=int(params["n_modes"]), fsr=1e3 / device.tau_ns
     )
     span = float(params["span_mhz"])
-    offsets = np.linspace(-span / 2, span / 2, int(params["points"]))
+    offsets = np.linspace(-span / 2, span / 2, _integer(params, "points"))
     eig = multimode.spectrum(p, offsets)
     series = {"offset_mhz": offsets}
     for j in range(eig.shape[1]):
@@ -305,7 +306,7 @@ def run_vacuum_rabi(device: DeviceParams, params: dict, seed: int) -> Experiment
     tractable truncated ladder.  The golden-rule figure is always
     quoted at the device coupling.
     """
-    q = device.qubits[int(params["qubit"]) - 1]
+    q = device.qubits[_integer(params, "qubit", most=2) - 1]
     g = float(params["g_mhz"])
     p = multimode.MultimodeParams(
         g=g,
@@ -320,7 +321,7 @@ def run_vacuum_rabi(device: DeviceParams, params: dict, seed: int) -> Experiment
         [(1.0, multimode.jc_hamiltonian(p, space))],
         [(np.sqrt(ka), embed(SIGMA_MINUS, lbl, space)) for lbl in p.mode_labels],
     )
-    grid = np.linspace(0.0, float(params["horizon_tau"]) * p.tau_ns, int(params["points"]))
+    grid = np.linspace(0.0, float(params["horizon_tau"]) * p.tau_ns, _integer(params, "points"))
     rho0 = QuantumState.basis_state(space, [1] + [0] * p.n_a)
     traj = evolve(
         model, rho0, grid, tol=params["tol"],
@@ -350,7 +351,7 @@ def run_saw_response(device: DeviceParams, params: dict, seed: int) -> Experimen
     """Transducer emission spectrum and mirror reflectance curves."""
     g = device.geometry
     f = np.linspace(float(params["f_lo_ghz"]), float(params["f_hi_ghz"]),
-                    int(params["points"]))
+                    _integer(params, "points"))
     kappa_max = 1.0 / device.q1.kappa_inv_ns
     budget = sawphys.loss_budget(g, g.band_center_ghz)
     return ExperimentOutput(
@@ -376,9 +377,7 @@ def run_saw_response(device: DeviceParams, params: dict, seed: int) -> Experimen
 
 def run_tomo_roundtrip(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     """Reconstruction fidelity audit on random states, exact and corrected."""
-    n_states = int(params["n_states"])
-    if n_states < 1:
-        raise ValidationError("n_states must be >= 1")
+    n_states = _integer(params, "n_states")
     rng = np.random.default_rng(seed)
     readout = device.readout()
     worst_exact = 0.0

@@ -407,8 +407,8 @@ def transfer_schedule(
     amplitude-independent, so a partial emission still wants the full
     absorber on the receiving side.
     """
-    rel_kind = "full_release" if alpha is None else "partial_release"
-    release = Segment(rel_kind, emitter, t_start, window, kappa_c, alpha=alpha or 1.0)
+    kind, alpha = ("full_release", 1.0) if alpha is None else ("partial_release", alpha)
+    release = Segment(kind, emitter, t_start, window, kappa_c, alpha=alpha)
     capture = time_reverse(
         Segment("full_release", receiver, t_start + tau, window, kappa_c)
     )

@@ -1,14 +1,20 @@
 """Command-line interface: bundles, sweeps, exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sawlink.cli import main
 from sawlink.config import default_config
 from sawlink.errors import IntegrationError
-from sawlink.experiments import ExperimentOutput
+from sawlink.experiments import EXPERIMENTS, ExperimentOutput
 
 from test_serialize import bundle_bytes
 
@@ -178,6 +184,40 @@ class TestExitCodes:
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("experiment, params", [
+        ("bell", {"alpha": 0}),  # a zero release, not a full one
+        ("spectroscopy", {"qubit": 0}),
+        ("spectroscopy", {"qubit": 3}),
+        ("vacuum_rabi", {"qubit": 3}),
+        ("saw_response", {"points": -1}),
+        ("spectroscopy", {"points": 0}),
+    ])
+    def test_out_of_range_param_is_2(self, tmp_path, capsys, experiment, params):
+        path = tmp_path / "c.yaml"
+        raw = default_config(experiment)
+        raw["params"].update(params)
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ValidationError"
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_is_2(self, tmp_path, capsys, seed):
+        path = tmp_path / "c.yaml"
+        raw = default_config("tomo_roundtrip")
+        raw["seed"] = seed
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["validate", "--config", str(path)]) == 2
+        raw["seed"] = 1
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "r"),
+                     "--seed", str(seed)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line)["error"] for line in err] == ["ConfigError"] * 2
+        assert not (tmp_path / "r").exists()
+
     def test_integration_failure_is_3(self, config_path, tmp_path,
                                       monkeypatch, capsys):
         def blow_up(*args, **kwargs):
@@ -203,3 +243,94 @@ class TestExitCodes:
         monkeypatch.setattr("sawlink.cli.run_experiment", blow_up)
         with pytest.raises(RuntimeError):
             main(["run", "--config", config_path, "--out", str(tmp_path / "r")])
+
+
+# The fuzz runs three cheap experiments end to end (made smaller still
+# here) and validates the other seven.
+RUN_EXPERIMENTS = ("saw_response", "spectroscopy", "tomo_roundtrip")
+SMALL_PARAMS = {
+    "saw_response": {"points": 21},
+    "spectroscopy": {"points": 11, "n_modes": 4},
+    "tomo_roundtrip": {"n_states": 4},
+}
+VALIDATE_EXPERIMENTS = tuple(sorted(set(EXPERIMENTS) - set(RUN_EXPERIMENTS)))
+
+
+def _paths(tree, prefix=()):
+    """Every key path of a config tree, sections included, plus one unknown
+    key at the top, under ``params`` and under ``device``."""
+    for key, value in tree.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+    if prefix in ((), ("params",), ("device",)):
+        yield prefix + ("bogus",)
+
+
+values = (
+    st.integers(-3, 3)
+    | st.floats(-5.0, 5.0)
+    | st.none()
+    | st.text("abx", max_size=3)
+    | st.lists(st.integers(0, 2), max_size=2)
+)
+
+
+@st.composite
+def cases(draw, experiments):
+    """An experiment and one to three (key path, value) changes to its defaults."""
+    experiment = draw(st.sampled_from(experiments))
+    paths = sorted(set(_paths(default_config(experiment))))
+    changes = draw(st.lists(st.tuples(st.sampled_from(paths), values), min_size=1, max_size=3))
+    return experiment, changes
+
+
+def _mutated(experiment, changes):
+    raw = default_config(experiment)
+    raw["params"].update(SMALL_PARAMS.get(experiment, {}))
+    for path, value in changes:
+        node = raw
+        for key in path[:-1]:
+            node = node.get(key) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            node[path[-1]] = value
+    return raw
+
+
+def _exit_cleanly(command, raw):
+    """Run ``command`` on ``raw``; the exit code and stderr must follow the contract."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        argv = [command, "--config", str(path)]
+        if command == "run":
+            argv += ["--out", str(Path(tmp) / "r")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+class TestConfigFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(case=cases(RUN_EXPERIMENTS))
+    @example(case=("bell", [(("params", "alpha"), 0)]))  # stops at the alpha check
+    @example(case=("spectroscopy", [(("params", "qubit"), 0)]))
+    @example(case=("spectroscopy", [(("params", "qubit"), 3)]))
+    @example(case=("saw_response", [(("params", "points"), -1)]))
+    @example(case=("spectroscopy", [(("params", "points"), 0)]))
+    @example(case=("tomo_roundtrip", [(("seed",), -1)]))
+    def test_run_exits_cleanly(self, case):
+        _exit_cleanly("run", _mutated(*case))
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=cases(VALIDATE_EXPERIMENTS))
+    @example(case=("interference", [(("seed",), -1)]))
+    def test_validate_exits_cleanly(self, case):
+        _exit_cleanly("validate", _mutated(*case))
