@@ -60,7 +60,15 @@ def default_config(experiment: str) -> dict:
 def _check_number(value, default, where: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return type(default)(value) if isinstance(default, (int, float)) else value
+    if isinstance(default, int):
+        # an integral float such as 4.0 is fine; 2.7 must not become 2
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:  # a YAML integer beyond the float range
+        raise ConfigError(f"{where} is out of range, got {value!r}") from None
 
 
 def _merge_section(raw: dict, defaults: dict, where: str) -> dict:

@@ -5,7 +5,8 @@ an adaptive RK45 scheme; coefficients are evaluated analytically at the
 integrator's internal times.  Classical phase noise is drawn per
 realization from one counter-based stream each, derived from a single
 master seed, so repeated runs are bit-identical; the delay-loop
-interference experiment in `ioshape` averages over those draws.
+interference experiment in `ioshape` draws them once per call and takes
+the exact mean of the final population over them.
 """
 
 from __future__ import annotations

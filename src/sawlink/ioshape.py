@@ -283,6 +283,14 @@ class IOTrace:
         return np.abs(self.s2) ** 2
 
 
+def _grid(window: tuple[float, float], tau: float, dt: float) -> tuple[int, float, int]:
+    """Steps per transit, the step (an exact divisor of tau) and the steps
+    spanning the window."""
+    n_sub = max(int(np.ceil(tau / min(dt, 0.25))), 1)
+    h = tau / n_sub
+    return n_sub, h, int(np.ceil((window[1] - window[0]) / h - 1e-9))
+
+
 def _integrate(
     schedule: ControlSchedule,
     ch: ChannelParams,
@@ -294,21 +302,24 @@ def _integrate(
     """Fixed-step RK4 for the delayed feedback loop, batched over phases.
 
     Everything lives on the half-step grid t0 + (h/2) j: kappa and Delta
-    of both qubits are evaluated there once, and the output field is
-    recorded there, node by node, in one (batch, 2 n_steps + 1) array.
-    The step divides tau exactly, so the delay is a fixed offset of
-    2 n_sub nodes: the input at node j is the fed-back output of node
+    of both qubits are evaluated there once, and the output and input
+    fields are recorded there in (2 n_steps + 1, batch) arrays.  The step
+    divides tau exactly, so the delay is a fixed offset of 2 n_sub
+    nodes: the input at node j is the fed-back output of node
     j - 2 n_sub, and zero before the first transit has arrived.
+
+    The loop runs once per round trip.  Inside a block of n_sub steps
+    the input is the fed-back output of the previous block, so each RK4
+    step is an affine map s -> A s + B per qubit; an inclusive scan
+    composes the block's maps, and the midpoint and output nodes follow
+    as whole-block array expressions.
     """
-    t0, t1 = schedule.window
-    base = min(dt, 0.25)
-    n_sub = max(int(np.ceil(ch.tau / base)), 1)
-    h = ch.tau / n_sub  # delay is an exact multiple of the step
+    t0 = schedule.window[0]
+    n_sub, h, n_steps = _grid(schedule.window, ch.tau, dt)
     if schedule.max_kappa() > 0 and h > 1.0 / (10.0 * schedule.max_kappa()):
         raise IntegrationError(
             f"step {h:.3g} ns cannot resolve kappa_max = {schedule.max_kappa():.3g} 1/ns"
         )
-    n_steps = int(np.ceil((t1 - t0) / h - 1e-9))
     times = t0 + h * np.arange(n_steps + 1)
     # node 2i is times[i] and node 2i + 1 the step's midpoint times[i] + h/2
     nodes = (times[:, None] + [0.0, h / 2.0]).ravel()[:-1]
@@ -326,39 +337,49 @@ def _integrate(
     batch = s.shape[0]
     phases = np.zeros(batch) if extra_phases is None else np.asarray(extra_phases, dtype=float)
     feedback = np.sqrt(ch.eta) * np.exp(1j * (ch.phase + phases))  # (batch,)
-    zero = np.zeros(batch, dtype=complex)
-    out = np.zeros((batch, 2 * n_steps + 1), dtype=complex)
+    # (node, batch) output and input fields
+    out = np.zeros((2 * n_steps + 1, batch), dtype=complex)
+    ain = np.zeros((2 * n_steps + 1, batch), dtype=complex)
+    states = np.empty((n_steps + 1, batch, 2), dtype=complex)
+    states[0] = s
+    out[0] = s @ root[0]  # no input before the first transit
 
-    def rhs(j: int, y: np.ndarray, ain: np.ndarray) -> np.ndarray:
-        return decay[j] * y + root[j] * ain[:, None]
-
-    out[:, 0] = s @ root[0]  # no input before the first transit
-    ain_b = zero
-    states, inputs = [s], [ain_b]
-    for i in range(n_steps):
-        a, m, b = 2 * i, 2 * i + 1, 2 * i + 2
-        ain_a = ain_b
-        ain_m = feedback * out[:, m - lag] if m >= lag else zero
-        ain_b = feedback * out[:, b - lag] if b >= lag else zero
-        f1 = rhs(a, s, ain_a)
-        f2 = rhs(m, s + 0.5 * h * f1, ain_m)
-        f3 = rhs(m, s + 0.5 * h * f2, ain_m)
-        f4 = rhs(b, s + h * f3, ain_b)
-        s_new = s + (h / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4)
+    for first in range(0, n_steps, n_sub):
+        n = min(n_sub, n_steps - first)
+        a, m, b = (slice(2 * first + k, 2 * (first + n) + k, 2) for k in (0, 1, 2))
+        # the output one round trip back, fed back; the block's last node
+        # reads the output at its own first node
+        lo, hi = max(2 * first, lag), 2 * (first + n) + 1
+        if lo < hi:
+            ain[lo:hi] = feedback * out[lo - lag : hi - lag]
+        # (step, batch, qubit) stage coefficients f_k = alpha_k s + beta_k
+        d_a, d_m, d_b = decay[a][:, None], decay[m][:, None], decay[b][:, None]
+        r_a, r_m, r_b = root[a][:, None], root[m][:, None], root[b][:, None]
+        u_a, u_m, u_b = ain[a][..., None], ain[m][..., None], ain[b][..., None]
+        al1, be1 = d_a, r_a * u_a
+        al2, be2 = d_m * (1 + 0.5 * h * al1), d_m * (0.5 * h * be1) + r_m * u_m
+        al3, be3 = d_m * (1 + 0.5 * h * al2), d_m * (0.5 * h * be2) + r_m * u_m
+        al4, be4 = d_b * (1 + h * al3), d_b * (h * be3) + r_b * u_b
+        A = 1 + (h / 6.0) * (al1 + 2 * al2 + 2 * al3 + al4)
+        B = (h / 6.0) * (be1 + 2 * be2 + 2 * be3 + be4)
+        # Hillis-Steele inclusive scan: step k's map becomes steps 0..k composed
+        d = 1
+        while d < n:
+            B[d:] = A[d:] * B[:-d] + B[d:]
+            A[d:] = A[d:] * A[:-d]
+            d *= 2
+        states[first + 1 : first + n + 1] = A * states[first] + B
+        s_old, s_new = states[first : first + n], states[first + 1 : first + n + 1]
         # midpoint state via cubic Hermite, then the two new output nodes
-        fb = rhs(b, s_new, ain_b)
-        s_mid = 0.5 * (s + s_new) + (h / 8.0) * (f1 - fb)
-        out[:, m] = s_mid @ root[m] - ain_m
-        out[:, b] = s_new @ root[b] - ain_b
-        s = s_new
-        if keep_trace:
-            states.append(s)
-            inputs.append(ain_b)
+        f1 = d_a * s_old + r_a * u_a
+        fb = d_b * s_new + r_b * u_b
+        s_mid = 0.5 * (s_old + s_new) + (h / 8.0) * (f1 - fb)
+        out[m] = (s_mid * r_m).sum(axis=2) - ain[m]
+        out[b] = (s_new * r_b).sum(axis=2) - ain[b]
 
     if not keep_trace:
-        return times, s
-    s_arr = np.stack(states, axis=1)  # (batch, nt, 2)
-    return times, s_arr, np.stack(inputs, axis=1), out[:, ::2]
+        return times, states[-1]
+    return times, states.transpose(1, 0, 2), ain[::2].T, out[::2].T
 
 
 def simulate_io(
@@ -418,41 +439,60 @@ def transfer_schedule(
 
 
 def interference_experiment(
-    delta_phi: float,
+    delta_phi: float | np.ndarray,
     ch: ChannelParams,
     noise: NoiseSpec | None = None,
     kappa_c: float = 0.1,
     window: float = 180.0,
     dt: float = 0.25,
     chunk: int = 128,
-) -> float:
+) -> float | np.ndarray:
     """Half release, phase twiddle, half recapture: mean final population.
 
     The relative phase is dialed with a fixed 20 MHz detuning pulse of
     duration delta_phi / (2 pi * 20 MHz), applied between the release
-    and capture windows, as in the hardware calibration.
+    and capture windows, as in the hardware calibration.  A scalar
+    delta_phi gives a float, a 1-D array one value per phase.
+
+    The noise average is exact: with z = e^{i phi} the per-realization
+    phase, s1(T) = sum_m c_m z^m is a polynomial of degree n, the round
+    trips in the window.  It is integrated at the n + 1 roots of unity
+    (``chunk`` rows per pass), the c_m follow by FFT, and the mean of
+    |s1|^2 runs over the seeded phases, drawn once per call.  Without
+    noise the same formula is read at phi = 0.
     """
     if chunk < 1:
         raise ValidationError(f"chunk = {chunk} must be at least 1")
-    delta_phi = float(delta_phi) % (2 * np.pi)
+    dphis = np.asarray(delta_phi, dtype=float)
+    if dphis.ndim > 1:
+        raise ValidationError("delta_phi must be a scalar or a 1-D array")
     release = Segment("partial_release", 1, 0.0, window, kappa_c, alpha=0.5)
     segs = [release, time_reverse(replace(release, t_start=ch.tau))]
-    if delta_phi > 0:
-        pulse_len = delta_phi / (DETUNE_PULSE_MHZ * MHZ)
-        if pulse_len > ch.tau - window:
-            raise ValidationError("phase pulse does not fit between release and capture")
-        segs.append(Segment("detune", 1, window, pulse_len, f_mhz=DETUNE_PULSE_MHZ))
-    schedule = ControlSchedule(segs, window=(0.0, ch.tau + window))
+    schedules = []
+    for dphi in np.atleast_1d(dphis) % (2 * np.pi):
+        pulse = []
+        if dphi > 0:
+            pulse_len = dphi / (DETUNE_PULSE_MHZ * MHZ)
+            if pulse_len > ch.tau - window:
+                raise ValidationError("phase pulse does not fit between release and capture")
+            pulse = [Segment("detune", 1, window, pulse_len, f_mhz=DETUNE_PULSE_MHZ)]
+        schedules.append(ControlSchedule(segs + pulse, window=(0.0, ch.tau + window)))
 
+    n_sub, _, n_steps = _grid((0.0, ch.tau + window), ch.tau, dt)
+    n = n_steps // n_sub
+    root_phases = 2 * np.pi * np.arange(n + 1) / (n + 1)
     if noise is None or noise.sigma_phi == 0.0:
-        _, s_final = _integrate(schedule, ch, np.array([[1.0, 0.0]]), dt, keep_trace=False)
-        return float(np.abs(s_final[0, 0]) ** 2)
-
-    phases = realization_phases(noise)
-    total = 0.0
-    for start in range(0, len(phases), chunk):
-        batch_ph = phases[start : start + chunk]
-        s0 = np.tile(np.array([1.0 + 0j, 0.0 + 0j]), (len(batch_ph), 1))
-        _, s_final = _integrate(schedule, ch, s0, dt, extra_phases=batch_ph, keep_trace=False)
-        total += float(np.sum(np.abs(s_final[:, 0]) ** 2))
-    return total / len(phases)
+        phases = np.zeros(1)
+    else:
+        phases = realization_phases(noise)
+    powers = np.exp(1j * np.outer(phases, np.arange(n + 1)))  # (realization, m)
+    pe = np.empty(len(schedules))
+    for k, schedule in enumerate(schedules):
+        s1 = np.concatenate([
+            _integrate(schedule, ch, np.tile([1.0 + 0j, 0.0], (len(rows), 1)), dt,
+                       extra_phases=rows, keep_trace=False)[1][:, 0]
+            for rows in (root_phases[i : i + chunk] for i in range(0, n + 1, chunk))
+        ])
+        coeffs = np.fft.fft(s1) / (n + 1)
+        pe[k] = np.mean(np.abs(powers @ coeffs) ** 2)
+    return float(pe[0]) if dphis.ndim == 0 else pe

@@ -203,6 +203,45 @@ class TestExitCodes:
         assert json.loads(err[0])["error"] == "ValidationError"
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("experiment, key, value", [
+        ("multi_transit", "max_transits", 2.7),
+        ("interference", "realizations", 2.5),
+        ("interference", "n_phases", 5.5),
+        ("interference", "chunk", 2.5),
+        ("spectroscopy", "points", 11.5),
+    ])
+    def test_fractional_integer_param_is_2(self, tmp_path, capsys, experiment, key, value):
+        path = tmp_path / "c.yaml"
+        raw = default_config(experiment)
+        raw["params"][key] = value
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line)["error"] for line in err] == ["ConfigError"] * 2
+        assert key in json.loads(err[0])["message"]
+        assert not (tmp_path / "r").exists()
+
+    def test_integer_beyond_float_range_is_2(self, tmp_path, capsys):
+        path = tmp_path / "c.yaml"
+        raw = default_config("ping_pong")
+        raw["params"]["kappa_c"] = 10**400
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line)["error"] for line in err] == ["ConfigError"]
+
+    def test_integral_float_is_taken_as_integer(self, tmp_path, capsys):
+        path = tmp_path / "c.yaml"
+        raw = default_config("multi_transit")
+        raw["params"]["max_transits"] = 2.0
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 0
+        effective = yaml.safe_load((tmp_path / "r" / "config.yaml").read_text())
+        assert effective["params"]["max_transits"] == 2
+        assert isinstance(effective["params"]["max_transits"], int)
+        assert len(json.loads(capsys.readouterr().out)["metrics"]) > 0
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range_is_2(self, tmp_path, capsys, seed):
         path = tmp_path / "c.yaml"
@@ -245,13 +284,16 @@ class TestExitCodes:
             main(["run", "--config", config_path, "--out", str(tmp_path / "r")])
 
 
-# The fuzz runs three cheap experiments end to end (made smaller still
-# here) and validates the other seven.
-RUN_EXPERIMENTS = ("saw_response", "spectroscopy", "tomo_roundtrip")
+# The fuzz runs six cheap experiments end to end (made smaller still
+# here), the three delay-loop ones among them, and validates the other four.
+RUN_EXPERIMENTS = ("saw_response", "spectroscopy", "tomo_roundtrip",
+                   "ping_pong", "multi_transit", "interference")
 SMALL_PARAMS = {
     "saw_response": {"points": 21},
     "spectroscopy": {"points": 11, "n_modes": 4},
     "tomo_roundtrip": {"n_states": 4},
+    "multi_transit": {"max_transits": 2},
+    "interference": {"n_phases": 5, "realizations": 8},
 }
 VALIDATE_EXPERIMENTS = tuple(sorted(set(EXPERIMENTS) - set(RUN_EXPERIMENTS)))
 

@@ -113,6 +113,28 @@ class TestInterference:
             again.series["fringe"]["p_e"], interference_out.series["fringe"]["p_e"]
         )
 
+    @pytest.mark.parametrize("realizations", [1, 64, 1024])
+    def test_one_draw_and_n_plus_one_rows_per_phase(self, monkeypatch, realizations):
+        # the default window holds one round trip, so two rows per phase
+        import sawlink.ioshape as ioshape
+
+        draws, rows = [], []
+        draw, integrate = ioshape.realization_phases, ioshape._integrate
+
+        def counted_draw(noise):
+            draws.append(noise)
+            return draw(noise)
+
+        def counted_integrate(schedule, ch, s0, dt, **kwargs):
+            rows.append(len(np.atleast_2d(s0)))
+            return integrate(schedule, ch, s0, dt, **kwargs)
+
+        monkeypatch.setattr(ioshape, "realization_phases", counted_draw)
+        monkeypatch.setattr(ioshape, "_integrate", counted_integrate)
+        run("interference", **{**SMALL_INTERFERENCE, "realizations": realizations})
+        assert len(draws) == 1
+        assert rows == [2] * SMALL_INTERFERENCE["n_phases"]
+
     def test_different_seed_changes_fringe(self, interference_out):
         other = run("interference", seed=77, **SMALL_INTERFERENCE)
         assert not np.array_equal(

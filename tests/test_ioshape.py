@@ -2,12 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 from scipy.optimize import brentq
 
-from sawlink.dynamics import NoiseSpec
+from sawlink.dynamics import NoiseSpec, realization_phases
 from sawlink.errors import IntegrationError, ValidationError
 from sawlink.ioshape import (
     SEGMENT_KINDS,
@@ -232,18 +232,73 @@ class TestSimulateIO:
 
 @st.composite
 def delay_lines(draw):
-    """A release on qubit 1 for one transit, then a capture on qubit 2, in a
-    window that starts off zero and holds at least two round trips; tau is
-    never a multiple of the 0.25 ns base step, so the step is always cut down."""
+    """A release on qubit 1 for one transit (full or partial), an optional
+    detune pulse on qubit 1 after it, then a capture on qubit 2, in a window
+    that starts off zero and holds one to four round trips; tau is never a
+    multiple of the 0.25 ns base step, so the step is always cut down."""
     tau = draw(st.floats(2.0, 20.0).filter(lambda x: abs(x / 0.25 - round(x / 0.25)) > 1e-6))
     dt = draw(st.floats(0.1, 0.25))
     ch = ChannelParams(eta=draw(st.floats(0.0, 1.0)), tau=tau,
                        phase=draw(st.floats(-np.pi, np.pi)))
     t0 = draw(st.floats(-50.0, 50.0).filter(lambda x: x != 0.0))
     kc = draw(st.floats(0.05, 0.4))
-    segs = [Segment("full_release", 1, t0, tau, kc), Segment("capture", 2, t0 + tau, tau, kc)]
-    window = (t0, t0 + tau * (2.0 + draw(st.floats(0.0, 1.0))))
+    alpha = draw(st.none() | st.floats(0.05, 1.0))
+    release = (Segment("full_release", 1, t0, tau, kc) if alpha is None
+               else Segment("partial_release", 1, t0, tau, kc, alpha=alpha))
+    segs = [release, Segment("capture", 2, t0 + tau, tau, kc)]
+    if draw(st.booleans()):
+        segs.append(Segment("detune", 1, t0 + tau, tau * draw(st.floats(0.1, 1.0)),
+                            f_mhz=draw(st.floats(-30.0, 30.0))))
+    window = (t0, t0 + tau * draw(st.floats(1.0, 4.0)))
     return ControlSchedule(segs, window=window), ch, dt
+
+
+def stepwise_integrate(schedule, ch, s0, dt, extra_phases=None):
+    """Reference: the delay loop stepped one RK4 step at a time in Python,
+    on the same half-step grid, input offset and Hermite midpoint."""
+    t0, t1 = schedule.window
+    n_sub = max(int(np.ceil(ch.tau / min(dt, 0.25))), 1)
+    h = ch.tau / n_sub
+    n_steps = int(np.ceil((t1 - t0) / h - 1e-9))
+    times = t0 + h * np.arange(n_steps + 1)
+    nodes = (times[:, None] + [0.0, h / 2.0]).ravel()[:-1]
+    lag = 2 * n_sub
+    kappa = np.stack([schedule.kappa(q, nodes) for q in (1, 2)], axis=1)
+    delta = np.stack([schedule.delta(q, nodes) for q in (1, 2)], axis=1)
+    decay = -(1j * delta + kappa / 2.0)
+    root = np.sqrt(kappa)
+
+    s = np.atleast_2d(np.array(s0, dtype=complex))
+    batch = s.shape[0]
+    phases = np.zeros(batch) if extra_phases is None else np.asarray(extra_phases, dtype=float)
+    feedback = np.sqrt(ch.eta) * np.exp(1j * (ch.phase + phases))
+    zero = np.zeros(batch, dtype=complex)
+    out = np.zeros((batch, 2 * n_steps + 1), dtype=complex)
+
+    def rhs(j, y, ain):
+        return decay[j] * y + root[j] * ain[:, None]
+
+    out[:, 0] = s @ root[0]
+    ain_b = zero
+    states, inputs = [s], [ain_b]
+    for i in range(n_steps):
+        a, m, b = 2 * i, 2 * i + 1, 2 * i + 2
+        ain_a = ain_b
+        ain_m = feedback * out[:, m - lag] if m >= lag else zero
+        ain_b = feedback * out[:, b - lag] if b >= lag else zero
+        f1 = rhs(a, s, ain_a)
+        f2 = rhs(m, s + 0.5 * h * f1, ain_m)
+        f3 = rhs(m, s + 0.5 * h * f2, ain_m)
+        f4 = rhs(b, s + h * f3, ain_b)
+        s_new = s + (h / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4)
+        fb = rhs(b, s_new, ain_b)
+        s_mid = 0.5 * (s + s_new) + (h / 8.0) * (f1 - fb)
+        out[:, m] = s_mid @ root[m] - ain_m
+        out[:, b] = s_new @ root[b] - ain_b
+        s = s_new
+        states.append(s)
+        inputs.append(ain_b)
+    return times, np.stack(states, axis=1), np.stack(inputs, axis=1), out[:, ::2]
 
 
 class TestDelayLine:
@@ -270,7 +325,73 @@ class TestDelayLine:
                 assert np.allclose(got[row], want[0], rtol=0.0, atol=1e-14)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(line=delay_lines(),
+           rows=st.lists(st.tuples(st.floats(-np.pi, np.pi), st.complex_numbers(max_magnitude=1.0),
+                                   st.complex_numbers(max_magnitude=1.0)),
+                         min_size=1, max_size=3))
+    def test_block_scan_matches_stepwise_loop(self, line, rows):
+        sched, ch, dt = line
+        extra = np.array([phi for phi, _, _ in rows])
+        s0 = np.array([[s1, s2] for _, s1, s2 in rows])
+        got = _integrate(sched, ch, s0, dt, extra_phases=extra)
+        want = stepwise_integrate(sched, ch, s0, dt, extra_phases=extra)
+        assert np.array_equal(got[0], want[0])
+        for g, w in zip(got[1:], want[1:]):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-13
+        _, final = _integrate(sched, ch, s0, dt, extra_phases=extra, keep_trace=False)
+        assert np.array_equal(final, got[1][:, -1])
+
+
+def interference_schedule(delta_phi, tau, kappa_c, window):
+    """The schedule `interference_experiment` integrates for one phase."""
+    release = Segment("partial_release", 1, 0.0, window, kappa_c, alpha=0.5)
+    segs = [release, time_reverse(replace(release, t_start=tau))]
+    if delta_phi > 0:
+        segs.append(Segment("detune", 1, window, delta_phi / (20.0 * 2e-3 * np.pi), f_mhz=20.0))
+    return ControlSchedule(segs, window=(0.0, tau + window))
+
+
+@st.composite
+def interference_cases(draw):
+    """Short lines; window = tau (two round trips in the integration window)
+    leaves no room for a phase pulse, so delta_phi is 0 there."""
+    tau = draw(st.floats(20.0, 60.0))
+    window = draw(st.just(tau) | st.floats(0.2 * tau, 0.9 * tau))
+    room = (tau - window) * 20.0 * 2e-3 * np.pi  # the widest phase that fits
+    ch = ChannelParams(eta=draw(st.floats(0.0, 1.0)), tau=tau,
+                       phase=draw(st.floats(-np.pi, np.pi)))
+    noise = NoiseSpec(sigma_phi=draw(st.just(0.0) | st.floats(0.0, 2.0)),
+                      n_realizations=draw(st.integers(1, 16)),
+                      master_seed=draw(st.integers(0, 2**32)))
+    return (draw(st.floats(0.0, 0.999)) * min(room, 2 * np.pi - 1e-6), ch, noise,
+            draw(st.floats(0.05, 0.4)), window, draw(st.integers(1, 4)))
+
+
 class TestInterference:
+    @settings(max_examples=40, deadline=None)
+    @given(case=interference_cases())
+    @example(case=(0.0, ChannelParams(eta=0.67, tau=30.0, phase=0.3),
+                   NoiseSpec(0.7, 5, 11), 0.2, 30.0, 1))
+    def test_exact_average_matches_per_realization_rows(self, case):
+        dphi, ch, noise, kappa_c, window, chunk = case
+        pe = interference_experiment(dphi, ch, noise, kappa_c, window, chunk=chunk)
+        phases = np.zeros(1) if noise.sigma_phi == 0.0 else realization_phases(noise)
+        sched = interference_schedule(dphi, ch.tau, kappa_c, window)
+        s0 = np.tile([1.0 + 0j, 0.0], (len(phases), 1))
+        _, final = _integrate(sched, ch, s0, 0.25, extra_phases=phases, keep_trace=False)
+        assert pe == pytest.approx(np.mean(np.abs(final[:, 0]) ** 2), rel=0.0, abs=1e-12)
+
+    def test_phase_array_matches_scalar_calls(self):
+        ch = ChannelParams(eta=0.67, tau=TAU)
+        noise = NoiseSpec(sigma_phi=0.5, n_realizations=64, master_seed=2)
+        dphis = np.linspace(0.0, 2 * np.pi, 5)
+        fringe = interference_experiment(dphis, ch, noise)
+        assert fringe.shape == (5,)
+        assert np.array_equal(fringe, [interference_experiment(p, ch, noise) for p in dphis])
+        assert isinstance(interference_experiment(1.0, ch, noise), float)
+
     def test_lossless_rephasing_is_complete(self):
         pe = interference_experiment(0.0, ChannelParams(eta=1.0, tau=TAU))
         assert pe == pytest.approx(1.0, abs=1e-3)
