@@ -23,11 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .dynamics import Trajectory, evolve_generator
+from .dynamics import Trajectory, evolve_generator, expectations
 from .errors import DiagnosticsError, ValidationError
 from .ioshape import ChannelParams, ControlSchedule
 from .qcore import (
@@ -42,6 +43,7 @@ from .qcore import (
     dissipator,
     embed,
     partial_trace,
+    partial_trace_stack,
 )
 
 TWO_QUBIT_LABELS = ("q1", "q2")
@@ -156,7 +158,7 @@ def stage2_liouvillian(cfg: CascadeConfig) -> Generator:
 
 def run_cascade(
     cfg: CascadeConfig,
-    rho0: QuantumState,
+    rho0: QuantumState | Sequence[QuantumState],
     grid: np.ndarray,
     tol: float = 1e-8,
     observables: dict[str, Operator] | None = None,
@@ -164,8 +166,11 @@ def run_cascade(
 ):
     """Reduced two-qubit trajectory of the full transfer on [0, 2*tau].
 
-    With ``return_doubled`` the stage-2 trajectory on the doubled space
-    is returned alongside, for readouts that need the lagged copies.
+    ``rho0`` is one initial state, or a sequence of states that each
+    stage integrates together as the columns of one matrix ODE; a
+    sequence gives one trajectory per state.  With ``return_doubled``
+    the stage-2 trajectory on the doubled space is returned alongside,
+    for readouts that need the lagged copies.
     """
     tau = cfg.ch.tau
     grid = np.asarray(grid, dtype=float)
@@ -174,28 +179,26 @@ def run_cascade(
             "the cascade construction is valid on [0, 2*tau] only; "
             f"requested grid reaches {grid[-1]:.1f} ns"
         )
-    if rho0.space != two_qubit_space():
+    single = isinstance(rho0, QuantumState)
+    preps = [rho0] if single else list(rho0)
+    if any(p.space != two_qubit_space() for p in preps):
         raise ValidationError("rho0 must live on the two-qubit space")
 
     bps = [float(b) for b in cfg.schedule.breakpoints()]
     early, late = grid[grid <= tau], grid[grid > tau]
     grid1 = np.unique(np.concatenate([early, [0.0, tau]]))
-    traj1 = evolve_generator(
-        two_qubit_space(),
-        stage1_liouvillian(cfg),
-        rho0,
-        grid1,
-        tol=tol,
-        breakpoints=[b for b in bps if 0.0 < b < tau],
-    )
-    rho_tau = traj1.final_state()
+    bp1 = [b for b in bps if 0.0 < b < tau]
+    traj1 = evolve_generator(two_qubit_space(), stage1_liouvillian(cfg), preps, grid1, tol,
+                             breakpoints=bp1)
 
-    spliced = np.kron(rho_tau.rho, rho0.rho)
-    if abs(np.trace(spliced).real - 1.0) > 1e-8:
+    # the splice is not linear in rho0, so every prep keeps its own column
+    rho_tau = np.stack([tr.rhos[-1] for tr in traj1])
+    spliced = np.stack([np.kron(r, p.rho) for r, p in zip(rho_tau, preps)])
+    if np.max(np.abs(np.trace(spliced, axis1=1, axis2=2).real - 1.0)) > 1e-8:
         raise DiagnosticsError("splice produced a non-unit-trace doubled state")
-    doubled0 = QuantumState(doubled_space(), spliced)
-    check = partial_trace(doubled0, ["q1", "q2"])
-    if np.max(np.abs(check.rho - rho_tau.rho)) > 1e-10:
+    doubled0 = [QuantumState(doubled_space(), r) for r in spliced]
+    check = partial_trace_stack(doubled_space(), spliced, ["q1", "q2"])
+    if np.max(np.abs(check - rho_tau)) > 1e-10:
         raise DiagnosticsError("splice broke the receiver-copy marginal")
 
     traj2 = None
@@ -204,29 +207,23 @@ def run_cascade(
         grid2 = np.unique(np.concatenate([[tau], late]))
         bp2 = sorted({b for b in bps if tau < b < t_end}
                      | {b + tau for b in bps if 0.0 < b < t_end - tau})
-        traj2 = evolve_generator(
-            doubled_space(),
-            stage2_liouvillian(cfg),
-            doubled0,
-            grid2,
-            tol=tol,
-            breakpoints=bp2,
-        )
+        traj2 = evolve_generator(doubled_space(), stage2_liouvillian(cfg), doubled0, grid2, tol,
+                                 breakpoints=bp2)
 
     # stage 1 samples grid1 and stage 2 samples tau followed by ``late``
-    states = [traj1.states[i] for i in np.searchsorted(grid1, early)]
-    if traj2 is not None:
-        states += [partial_trace(st, ["q1", "q2"]) for st in traj2.states[1:]]
-    series = {}
-    if observables:
-        for name, op in observables.items():
-            series[name] = np.array([s.expect(op).real for s in states])
-    reduced = Trajectory(np.concatenate([early, late]), tuple(states), series)
+    times, rows = np.concatenate([early, late]), np.searchsorted(grid1, early)
+    reduced = []
+    for j, tr in enumerate(traj1):
+        rhos = tr.rhos[rows]
+        if traj2 is not None:
+            late_rhos = partial_trace_stack(doubled_space(), traj2[j].rhos[1:], ["q1", "q2"])
+            rhos = np.concatenate([rhos, late_rhos])
+        reduced.append(Trajectory(two_qubit_space(), times, rhos, expectations(rhos, observables)))
     if return_doubled:
         if traj2 is None:
             raise ValidationError("no grid samples past tau: nothing doubled to return")
-        return reduced, traj2
-    return reduced
+        return (reduced[0], traj2[0]) if single else (reduced, traj2)
+    return reduced[0] if single else reduced
 
 
 def process_tomography_run(
@@ -241,8 +238,8 @@ def process_tomography_run(
 
     Each preparation in {g, +, +i, e} (the 16-element product set for
     two-qubit transfers) is loaded onto the emitter qubit(s), any other
-    qubit in g, evolved through the cascade to ``t_ro``, and the
-    receiver marginal handed to the process reconstruction.  ``frame``
+    qubit in g; one cascade run evolves all of them to ``t_ro``, and
+    their receiver marginals go to the process reconstruction.  ``frame``
     is an optional unitary applied to every output state; the transfer
     imprints a fixed relative phase on the moved amplitude, and
     experiments calibrate it out by redefining the receiving qubit's
@@ -262,12 +259,13 @@ def process_tomography_run(
     keep = [f"q{q}" for q in sorted(receivers)]
 
     inputs = tomo.prep_states(n)
-    outputs = {}
-    for key, prep in inputs.items():
+    preps = []
+    for prep in inputs.values():
         if n == 1:
             prep = np.kron(prep, ground) if emitters[0] == 1 else np.kron(ground, prep)
-        traj = run_cascade(cfg, QuantumState(two_qubit_space(), prep), grid, tol=tol)
-        outputs[key] = partial_trace(traj.final_state(), keep).rho
+        preps.append(QuantumState(two_qubit_space(), prep))
+    trajs = run_cascade(cfg, preps, grid, tol=tol)
+    outputs = {key: partial_trace(tr.final_state(), keep).rho for key, tr in zip(inputs, trajs)}
     if frame is not None:
         outputs = {k: frame @ v @ frame.conj().T for k, v in outputs.items()}
     return tomo.process_from_states(inputs, outputs)

@@ -16,7 +16,7 @@ import numpy as np
 from . import multimode, sawphys, tomo
 from .cascade import CascadeConfig, process_tomography_run, run_cascade, two_qubit_space
 from .device import DeviceParams
-from .dynamics import LindbladModel, NoiseSpec, evolve, evolve_generator
+from .dynamics import NoiseSpec, evolve_generator
 from .errors import ValidationError
 from .ioshape import (
     ControlSchedule,
@@ -31,6 +31,7 @@ from .qcore import (
     SIGMA_MINUS,
     Generator,
     QuantumState,
+    commutator_superop,
     dissipator,
     embed,
     partial_trace,
@@ -242,7 +243,7 @@ def run_bell(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
         tol=params["tol"],
         return_doubled=True,
     )
-    pair = partial_trace(doubled.states[-1], ["q1e", "q2"])
+    pair = partial_trace(doubled.final_state(), ["q1e", "q2"])
     sp = pair.space
     nz = device.q1.noise()
     blocks = [dissipator(embed(op, "q1e", sp)) for op in (SIGMA_MINUS, NUMBER)]
@@ -314,15 +315,13 @@ def run_vacuum_rabi(device: DeviceParams, params: dict, seed: int) -> Experiment
     )
     space = multimode.build_space(p)
     ka = p.kappa_a * 1e-3
-    model = LindbladModel(
-        space,
-        [(1.0, multimode.jc_hamiltonian(p, space))],
-        [(np.sqrt(ka), embed(SIGMA_MINUS, lbl, space)) for lbl in p.mode_labels],
-    )
+    blocks = [commutator_superop(multimode.jc_hamiltonian(p, space))]
+    blocks += [dissipator(embed(SIGMA_MINUS, lbl, space)) for lbl in p.mode_labels]
+    generator = Generator(space, blocks, [1.0] + [ka] * p.n_a)
     grid = np.linspace(0.0, float(params["horizon_tau"]) * p.tau_ns, _integer(params, "points"))
     rho0 = QuantumState.basis_state(space, [1] + [0] * p.n_a)
-    traj = evolve(
-        model, rho0, grid, tol=params["tol"],
+    traj = evolve_generator(
+        space, generator, rho0, grid, tol=params["tol"],
         observables={"pe": embed(NUMBER, "q", space)},
     )
     pe_lindblad = traj.observables["pe"]

@@ -21,7 +21,6 @@ from scipy import sparse
 
 from .errors import ValidationError
 
-Coefficient = Callable[[float], complex] | float
 
 # Single-qubit matrices in the {|g>, |e>} basis.
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -132,6 +131,31 @@ TRACE_ATOL = 1e-10
 EIG_ATOL = 1e-10
 
 
+def hermiticity_error(rhos: np.ndarray) -> np.ndarray:
+    """max |rho - rho^H| of each matrix of a stack (..., d, d), taken from the
+    real and imaginary parts so that no complex copy of the stack is made."""
+    re, im = rhos.real, rhos.imag
+    err = re - re.swapaxes(-1, -2)
+    return np.hypot(err, im + im.swapaxes(-1, -2), out=err).max(axis=(-2, -1))
+
+
+def check_states(rhos: np.ndarray) -> None:
+    """Raise unless every matrix of a stack (..., d, d) is Hermitian, of unit
+    trace and positive within the tolerances above."""
+    if np.max(hermiticity_error(rhos)) > HERM_ATOL:
+        raise ValidationError("state is not Hermitian within tolerance")
+    tr = np.trace(rhos, axis1=-2, axis2=-1)
+    off = np.maximum(np.abs(tr.real - 1.0), np.abs(tr.imag))
+    if np.max(off) > TRACE_ATOL:
+        raise ValidationError(f"state trace {tr.flat[np.argmax(off)]} is not 1 within tolerance")
+    # every eigenvalue exceeds -EIG_ATOL exactly when rho + EIG_ATOL I has a
+    # Cholesky factor, which costs a fraction of an eigendecomposition
+    try:
+        np.linalg.cholesky(rhos + EIG_ATOL * np.eye(rhos.shape[-1]))
+    except np.linalg.LinAlgError:
+        raise ValidationError("state has a negative eigenvalue beyond tolerance") from None
+
+
 @dataclass(frozen=True)
 class QuantumState:
     space: HilbertSpace
@@ -143,12 +167,7 @@ class QuantumState:
             raise ValidationError(
                 f"rho shape {r.shape} does not match space dim {self.space.dim}"
             )
-        if np.max(np.abs(r - r.conj().T)) > HERM_ATOL:
-            raise ValidationError("state is not Hermitian within tolerance")
-        if abs(np.trace(r).real - 1.0) > TRACE_ATOL or abs(np.trace(r).imag) > TRACE_ATOL:
-            raise ValidationError(f"state trace {np.trace(r)} is not 1 within tolerance")
-        if np.min(np.linalg.eigvalsh(r)) < -EIG_ATOL:
-            raise ValidationError("state has a negative eigenvalue beyond tolerance")
+        check_states(r)
         r = r.copy()
         r.setflags(write=False)
         object.__setattr__(self, "rho", r)
@@ -205,20 +224,25 @@ def embed(op: np.ndarray | Operator, target_mode: str, space: HilbertSpace) -> O
 
 def partial_trace(state: QuantumState, keep: Sequence[str]) -> QuantumState:
     """Reduced density matrix on the kept modes, in keep-list order."""
-    space = state.space
-    keep = list(keep)
+    dims = [state.space.mode_dims[state.space.mode_index(lbl)] for lbl in keep]
+    return QuantumState(HilbertSpace(dims, keep), partial_trace_stack(state.space, state.rho, keep))
+
+
+def partial_trace_stack(space: HilbertSpace, rhos: np.ndarray, keep: Sequence[str]) -> np.ndarray:
+    """Reduced matrices on the kept modes of a stack (..., d, d), Hermitian-symmetrised."""
     keep_idx = [space.mode_index(lbl) for lbl in keep]
+    lead = rhos.shape[:-2]
 
     if space.excitation_cap is None:
-        rho_full = state.rho
+        rho_full = rhos
     else:
         full_dim = int(np.prod(space.mode_dims))
         idx = space.full_indices()
-        rho_full = np.zeros((full_dim, full_dim), dtype=complex)
-        rho_full[np.ix_(idx, idx)] = state.rho
+        rho_full = np.zeros(lead + (full_dim, full_dim), dtype=complex)
+        rho_full[..., idx[:, None], idx[None, :]] = rhos
 
     n = space.n_modes
-    tensor = rho_full.reshape(space.mode_dims + space.mode_dims)
+    tensor = rho_full.reshape(lead + space.mode_dims + space.mode_dims)
     letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
     if 2 * n > len(letters):
         raise ValidationError("too many modes for partial trace")
@@ -228,13 +252,10 @@ def partial_trace(state: QuantumState, keep: Sequence[str]) -> QuantumState:
         if m not in keep_idx:
             ket[m] = bra[m]  # contract this mode
     out = "".join(bra[m] for m in keep_idx) + "".join(ket[m] for m in keep_idx)
-    reduced = np.einsum("".join(bra) + "".join(ket) + "->" + out, tensor)
-    kept_dims = [space.mode_dims[m] for m in keep_idx]
-    d = int(np.prod(kept_dims))
-    reduced = reduced.reshape(d, d)
-    new_space = HilbertSpace(kept_dims, keep)
-    reduced = 0.5 * (reduced + reduced.conj().T)
-    return QuantumState(new_space, reduced)
+    reduced = np.einsum("..." + "".join(bra) + "".join(ket) + "->..." + out, tensor)
+    d = int(np.prod([space.mode_dims[m] for m in keep_idx]))
+    reduced = reduced.reshape(lead + (d, d))
+    return 0.5 * (reduced + reduced.conj().swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -245,7 +266,8 @@ class Generator:
     sparse (n_terms * d^2) x d^2 matrix, and one function returns the
     whole coefficient vector c(t), so applying L(t) costs one sparse
     product and one contraction over the terms.  A constant generator
-    holds its coefficient vector in place of the function.
+    holds its coefficient vector in place of the function, and its blocks
+    are summed into ``stacked`` once, so applying it is one sparse product.
     """
 
     space: HilbertSpace
@@ -261,21 +283,24 @@ class Generator:
         d2 = space.dim**2
         if any(block.shape != (d2, d2) for block in blocks):
             raise ValidationError(f"superoperator blocks must be {d2} x {d2}")
-        stacked = sparse.vstack(blocks, format="csr") if blocks else (0, d2)
-        stacked = sparse.csr_array(stacked, dtype=complex)
-        stacked.eliminate_zeros()
         if not callable(coeffs):
             coeffs = np.array(coeffs)
             if coeffs.shape != (len(blocks),):
                 raise ValidationError(f"{coeffs.size} coefficients for {len(blocks)} blocks")
             coeffs.setflags(write=False)
+            blocks = [sum((c * b for c, b in zip(coeffs, blocks)), sparse.csr_array((d2, d2)))]
+        stacked = sparse.vstack(blocks, format="csr") if blocks else (0, d2)
+        stacked = sparse.csr_array(stacked, dtype=complex)
+        stacked.eliminate_zeros()
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "stacked", stacked)
         object.__setattr__(self, "coeffs", coeffs)
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         """L(t) vec(rho), or L(t) applied to each column of a matrix ``y``."""
-        c = self.coeffs(t) if callable(self.coeffs) else self.coeffs
+        if not callable(self.coeffs):
+            return self.stacked @ y
+        c = self.coeffs(t)
         return (c @ (self.stacked @ y).reshape(c.size, y.size)).reshape(y.shape)
 
 

@@ -86,11 +86,6 @@ class SawGeometry:
         """Transducer synchronous frequency, speed over pitch."""
         return self.idt.speed_km_s / self.idt.pitch_um
 
-    @property
-    def mirror_bragg_ghz(self) -> float:
-        """Bragg condition of the mirror grating, speed over twice the pitch."""
-        return self.mirror.speed_km_s / (2 * self.mirror.pitch_um)
-
 
 def default_geometry() -> SawGeometry:
     """Measured parameters of the device this package models."""

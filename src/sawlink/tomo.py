@@ -10,6 +10,7 @@ Scalar figures of merit live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -175,13 +176,31 @@ def readout_correct(probs: np.ndarray, readout: ReadoutModel) -> np.ndarray:
     return est / total
 
 
+@cache
 def _setting_unitary(setting: tuple[str, ...]) -> np.ndarray:
     u = np.array([[1.0]], dtype=complex)
     for name in setting:
         if name not in TOMO_GATES:
             raise ValidationError(f"unknown tomography gate {name!r}")
         u = np.kron(u, TOMO_GATES[name])
+    u.setflags(write=False)
     return u
+
+
+@cache
+def _effect_rows(n_qubits: int) -> np.ndarray:
+    """Conjugated, flattened effects U^+ |b><b| U per setting U and outcome b."""
+    dim = 2**n_qubits
+    rows = []
+    for setting in all_settings(n_qubits):
+        u = _setting_unitary(setting)
+        for b in range(dim):
+            proj = np.zeros((dim, dim), dtype=complex)
+            proj[b, b] = 1.0
+            rows.append((u.conj().T @ proj @ u).conj().reshape(-1))
+    rows = np.array(rows)
+    rows.setflags(write=False)
+    return rows
 
 
 def all_settings(n_qubits: int) -> tuple[tuple[str, ...], ...]:
@@ -225,7 +244,7 @@ def state_tomo(
     if missing:
         raise ValidationError(f"missing tomography settings: {missing}")
     dim = 2**n
-    rows, targets = [], []
+    targets = []
     for setting in settings:
         probs = np.asarray(data[setting], dtype=float)
         if probs.shape != (dim,):
@@ -236,14 +255,8 @@ def state_tomo(
         probs = probs / total
         if readout is not None:
             probs = readout_correct(probs, readout)
-        u = _setting_unitary(setting)
-        for b in range(dim):
-            proj = np.zeros((dim, dim), dtype=complex)
-            proj[b, b] = 1.0
-            effect = u.conj().T @ proj @ u
-            rows.append(effect.conj().reshape(-1))
-            targets.append(probs[b])
-    sol, *_ = np.linalg.lstsq(np.array(rows), np.array(targets), rcond=None)
+        targets.extend(probs)
+    sol, *_ = np.linalg.lstsq(_effect_rows(n), np.array(targets), rcond=None)
     return project_psd(sol.reshape(dim, dim), trace=1.0)
 
 
@@ -256,6 +269,15 @@ def prep_states(n_qubits: int) -> dict[tuple[str, ...], np.ndarray]:
             ket = np.kron(ket, PREP_KETS[name])
         out[combo] = np.outer(ket, ket.conj())
     return out
+
+
+@cache
+def _chi_blocks(n_qubits: int) -> np.ndarray:
+    """Flattened kron(P_a, conj(P_b)) for every Pauli pair, indexed [a, b]."""
+    basis = list(pauli_basis(n_qubits).values())
+    blocks = np.array([[np.kron(pa, pb.conj()).reshape(-1) for pb in basis] for pa in basis])
+    blocks.setflags(write=False)
+    return blocks
 
 
 def process_from_states(
@@ -286,13 +308,11 @@ def process_from_states(
     if np.linalg.matrix_rank(in_mat, tol=1e-10) < dim * dim:
         raise ValidationError("input states do not span operator space")
     smap = out_mat @ np.linalg.inv(in_mat)
-    n = 1 if dim == 2 else 2
-    basis = list(pauli_basis(n).values())
+    blocks = _chi_blocks(1 if dim == 2 else 2)
     chi = np.empty((dim * dim, dim * dim), dtype=complex)
-    for a, pa in enumerate(basis):
-        for b, pb in enumerate(basis):
-            block = np.kron(pa, pb.conj())
-            chi[a, b] = np.vdot(block.reshape(-1), smap.reshape(-1)) / dim**2
+    for a, row in enumerate(blocks):
+        for b, block in enumerate(row):
+            chi[a, b] = np.vdot(block, smap.reshape(-1)) / dim**2
     chi = 0.5 * (chi + chi.conj().T)
     chi = project_psd(chi, trace=np.trace(chi).real)
     return ProcessMatrix(chi)

@@ -321,7 +321,55 @@ class TestDoubledView:
         assert abs(stale.rho[i_eg, i_ge]) < 1e-6
 
 
+def per_prep_process(cfg, emitters, receivers, t_ro, tol, frame):
+    """The process reconstruction with one cascade run per prep: the
+    reference for the batched run."""
+    from sawlink import tomo
+
+    inputs = tomo.prep_states(len(emitters))
+    ground = np.diag([1.0, 0.0])
+    keep = [f"q{q}" for q in sorted(receivers)]
+    outputs = {}
+    for key, prep in inputs.items():
+        if len(emitters) == 1:
+            prep = np.kron(prep, ground) if emitters[0] == 1 else np.kron(ground, prep)
+        traj = run_cascade(cfg, QuantumState(two_qubit_space(), prep), np.array([0.0, t_ro]),
+                           tol=tol)
+        out = partial_trace(traj.final_state(), keep).rho
+        outputs[key] = frame @ out @ frame.conj().T
+    return tomo.process_from_states(inputs, outputs)
+
+
 class TestProcessTomographyRun:
+    @pytest.mark.parametrize(
+        "emitters, receivers, eta",
+        [((1,), (1,), 0.67), ((1,), (2,), 0.67), ((2,), (1,), 1.0), ((1, 2), (2, 1), 0.67)],
+    )
+    def test_batched_preps_match_per_prep_runs(self, emitters, receivers, eta):
+        from sawlink.experiments import double_swap_schedule
+
+        tol = 1e-10
+        noise = (QubitNoise(T1_int=21.7, gamma_phi=0.45), QubitNoise(T1_int=26.1, gamma_phi=1.6))
+        if len(emitters) == 2:
+            sched, t_ro = double_swap_schedule(0.15, 120.0, TAU), TAU + 240.0
+        else:
+            sched = transfer_schedule(KC, WINDOW, TAU, emitter=emitters[0], receiver=receivers[0])
+            t_ro = TAU + WINDOW
+        cfg = CascadeConfig(sched, ChannelParams(eta=eta, tau=TAU), noise=noise)
+        frame = np.kron(*[np.diag([1.0, -1.0])] * 2) if len(emitters) == 2 else np.diag([1.0, -1.0])
+        chi = process_tomography_run(cfg, emitters, receivers, t_ro, tol=tol, frame=frame)
+        ref = per_prep_process(cfg, emitters, receivers, t_ro, tol, frame)
+        assert np.max(np.abs(chi.chi - ref.chi)) <= tol
+
+    def test_batched_run_returns_one_trajectory_per_prep(self):
+        grid = np.array([0.0, 100.0, TAU + WINDOW])
+        preps = [excited(two_qubit_space(), q) for q in (1, 2)]
+        reduced, doubled = run_cascade(swap_cfg(eta=0.67), preps, grid, return_doubled=True)
+        assert len(reduced) == len(doubled) == 2
+        for prep, traj in zip(preps, reduced):
+            alone = run_cascade(swap_cfg(eta=0.67), prep, grid)
+            assert np.max(np.abs(traj.rhos - alone.rhos)) <= 1e-7
+
     def test_identity_transfer(self):
         # couplers never fire: each prep sits still and the process is I
         sched = ControlSchedule([Segment("idle", 1, 0.0, 1.0)], window=(0.0, 1.0))

@@ -191,6 +191,11 @@ class TestExitCodes:
         ("vacuum_rabi", {"qubit": 3}),
         ("saw_response", {"points": -1}),
         ("spectroscopy", {"points": 0}),
+        # a negative tol crashed inside scipy; zero or a subnormal one stalled RK45
+        ("bell", {"tol": -2}),
+        ("swap", {"tol": 0}),
+        ("vacuum_rabi", {"tol": 5e-324}),
+        ("double_swap", {"tol": 3.0}),
     ])
     def test_out_of_range_param_is_2(self, tmp_path, capsys, experiment, params):
         path = tmp_path / "c.yaml"
@@ -284,10 +289,11 @@ class TestExitCodes:
             main(["run", "--config", config_path, "--out", str(tmp_path / "r")])
 
 
-# The fuzz runs six cheap experiments end to end (made smaller still
-# here), the three delay-loop ones among them, and validates the other four.
+# The fuzz runs nine experiments end to end (the cheap ones made smaller
+# still here) and validates vacuum_rabi.
 RUN_EXPERIMENTS = ("saw_response", "spectroscopy", "tomo_roundtrip",
-                   "ping_pong", "multi_transit", "interference")
+                   "ping_pong", "multi_transit", "interference",
+                   "swap", "double_swap", "bell")
 SMALL_PARAMS = {
     "saw_response": {"points": 21},
     "spectroscopy": {"points": 11, "n_modes": 4},
@@ -339,6 +345,21 @@ def _mutated(experiment, changes):
     return raw
 
 
+def _main_exits_cleanly(argv):
+    """Run the CLI on ``argv``; the exit code and stderr must follow the contract."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
+    return code
+
+
 def _exit_cleanly(command, raw):
     """Run ``command`` on ``raw``; the exit code and stderr must follow the contract."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -347,16 +368,7 @@ def _exit_cleanly(command, raw):
         argv = [command, "--config", str(path)]
         if command == "run":
             argv += ["--out", str(Path(tmp) / "r")]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv)
-    assert code in (0, 2, 3, 4)
-    lines = err.getvalue().splitlines()
-    if code == 0:
-        assert lines == []
-    else:
-        assert len(lines) == 1
-        assert set(json.loads(lines[0])) == {"error", "message"}
+        _main_exits_cleanly(argv)
 
 
 class TestConfigFuzz:
@@ -376,3 +388,60 @@ class TestConfigFuzz:
     @example(case=("interference", [(("seed",), -1)]))
     def test_validate_exits_cleanly(self, case):
         _exit_cleanly("validate", _mutated(*case))
+
+
+# sweeps run every point twice (serial and parallel), so they leave out
+# the slowest experiment
+SWEEP_EXPERIMENTS = tuple(e for e in RUN_EXPERIMENTS if e != "double_swap")
+
+
+@st.composite
+def sweeps(draw):
+    """An experiment, a swept key path with one to three values (near the
+    default or anywhere), and an optional --seed."""
+    experiment = draw(st.sampled_from(SWEEP_EXPERIMENTS))
+    raw = _mutated(experiment, [])
+    paths = sorted(p for p in _paths(raw) if p[0] in ("params", "device", "seed"))
+    path = draw(st.sampled_from(paths))
+    node = raw
+    for key in path:
+        node = node.get(key) if isinstance(node, dict) else None
+    near = values
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        near = st.floats(0.5, 1.5).map(lambda f: type(node)(f * node)) | values
+    swept = draw(st.lists(near, min_size=1, max_size=3))
+    seed = draw(st.none() | st.integers(-1, 2**64))
+    return experiment, ".".join(path), [json.dumps(v) for v in swept], seed
+
+
+def _sweep_exits_cleanly(raw, path, swept, extra, out):
+    """Sweep ``path`` over ``swept`` into ``out``, returning the exit code."""
+    config = out.parent / "c.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    # options first and the values after "--", so a value such as -1e-05 is
+    # not read as an option
+    return _main_exits_cleanly(
+        ["sweep", "--config", str(config), "--out", str(out), *extra, path, "--", *swept]
+    )
+
+
+class TestSweepFuzz:
+    @settings(max_examples=15, deadline=None)
+    @given(case=sweeps(), jobs=st.integers(0, 3))
+    @example(case=("ping_pong", "params.window_ns", ["100", "150", "140"], 3), jobs=2)
+    @example(case=("swap", "params.eta", ["0.6", "0.7"], None), jobs=2)
+    @example(case=("bell", "params.alpha", ["0.4", "0.6"], 5), jobs=2)
+    @example(case=("interference", "seed", ["1", "2"], None), jobs=2)
+    def test_parallel_sweep_matches_serial(self, case, jobs):
+        experiment, path, swept, seed = case
+        raw = _mutated(experiment, [])
+        extra = [] if seed is None else ["--seed", str(seed)]
+        with tempfile.TemporaryDirectory() as tmp:
+            serial, parallel = Path(tmp) / "ser" / "s", Path(tmp) / "par" / "s"
+            serial.parent.mkdir()
+            parallel.parent.mkdir()
+            code = _sweep_exits_cleanly(raw, path, swept, extra, serial)
+            assert _sweep_exits_cleanly(raw, path, swept, [*extra, "--jobs", str(jobs)],
+                                        parallel) == code
+            if code == 0:
+                assert bundle_bytes(serial) == bundle_bytes(parallel)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
-from sawlink.dynamics import LindbladModel, evolve
+from sawlink.dynamics import evolve_generator
 from sawlink.errors import ValidationError
 from sawlink.multimode import (
     MultimodeParams,
@@ -18,7 +18,15 @@ from sawlink.multimode import (
     revival_onset,
     spectrum,
 )
-from sawlink.qcore import NUMBER, SIGMA_MINUS, QuantumState, embed
+from sawlink.qcore import (
+    NUMBER,
+    SIGMA_MINUS,
+    Generator,
+    QuantumState,
+    commutator_superop,
+    dissipator,
+    embed,
+)
 
 
 class TestParams:
@@ -167,15 +175,14 @@ class TestOracleEquivalence:
         p = MultimodeParams(g=0.1, n_a=8, fsr=1.97, kappa_a=1 / 1.2)
         space = build_space(p)
         ka = p.kappa_a * 1e-3
-        model = LindbladModel(
-            space,
-            [(1.0, jc_hamiltonian(p, space))],
-            [(np.sqrt(ka), embed(SIGMA_MINUS, lbl, space)) for lbl in p.mode_labels],
-        )
+        blocks = [commutator_superop(jc_hamiltonian(p, space))]
+        blocks += [dissipator(embed(SIGMA_MINUS, lbl, space)) for lbl in p.mode_labels]
+        generator = Generator(space, blocks, [1.0] + [ka] * p.n_a)
         rho0 = QuantumState.basis_state(space, [1] + [0] * p.n_a)
         grid = np.linspace(0.0, 1.6 * p.tau_ns, 500)
-        traj = evolve(
-            model, rho0, grid, tol=1e-9, observables={"pe": embed(NUMBER, "q", space)}
+        traj = evolve_generator(
+            space, generator, rho0, grid, tol=1e-9,
+            observables={"pe": embed(NUMBER, "q", space)},
         )
         pe_series = np.abs(laguerre_amplitude(grid, p)) ** 2
         assert np.max(np.abs(traj.observables["pe"] - pe_series)) <= 1e-2

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sawlink.errors import ValidationError
 from sawlink.qcore import (
+    EIG_ATOL,
     NUMBER,
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -13,13 +14,16 @@ from sawlink.qcore import (
     HilbertSpace,
     Operator,
     QuantumState,
+    check_states,
     commutator_superop,
     cross_dissipator,
     dissipator,
     embed,
     embed_product,
+    hermiticity_error,
     lowering,
     partial_trace,
+    partial_trace_stack,
 )
 
 
@@ -83,6 +87,35 @@ class TestStates:
         space = HilbertSpace([2], ["q"])
         excited = QuantumState.basis_state(space, [1])
         assert np.isclose(excited.expect(Operator(space, NUMBER)), 1.0)
+
+    def test_negative_eigenvalue_tolerance(self):
+        # the rule is min eigenvalue >= -EIG_ATOL, on either side of the bound
+        space = HilbertSpace([2], ["q"])
+        QuantumState(space, np.diag([1 + 0.5 * EIG_ATOL, -0.5 * EIG_ATOL]))
+        with pytest.raises(ValidationError):
+            QuantumState(space, np.diag([1 + 2 * EIG_ATOL, -2 * EIG_ATOL]))
+
+    @pytest.mark.parametrize("fault", ["trace", "hermiticity", "eigenvalue"])
+    def test_stack_check_rejects_one_bad_member(self, fault):
+        rng = np.random.default_rng(17)
+        stack = np.stack([random_density(3, rng) for _ in range(6)]).reshape(2, 3, 3, 3)
+        check_states(stack)
+        bad = {
+            "trace": stack[1, 2] * 1.01,
+            "hermiticity": stack[1, 2] + 1e-6 * np.eye(3, k=1),
+            "eigenvalue": np.diag([1.2, 0.0, -0.2]),
+        }[fault]
+        stack[1, 2] = bad
+        with pytest.raises(ValidationError):
+            check_states(stack)
+        with pytest.raises(ValidationError):
+            QuantumState(HilbertSpace([3], ["m"]), bad)
+
+    def test_hermiticity_error_is_max_abs_difference(self):
+        rng = np.random.default_rng(19)
+        stack = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+        want = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        assert np.array_equal(hermiticity_error(stack), want)
 
 
 class TestEmbedding:
@@ -165,6 +198,18 @@ class TestPartialTrace:
         reduced = partial_trace(state, ["q"])
         assert np.allclose(reduced.rho, np.diag([0.5, 0.5]), atol=1e-12)
 
+    @pytest.mark.parametrize("cap", [None, 1])
+    def test_stack_matches_single_states(self, cap):
+        space = HilbertSpace([2, 2, 2], ["q", "m1", "m2"], excitation_cap=cap)
+        rng = np.random.default_rng(29)
+        stack = np.stack([random_density(space.dim, rng) for _ in range(6)])
+        stack = stack.reshape(3, 2, space.dim, space.dim)
+        for keep in (["q"], ["m2", "q"], ["q", "m1", "m2"]):
+            got = partial_trace_stack(space, stack, keep)
+            for idx in np.ndindex(3, 2):
+                want = partial_trace(QuantumState(space, stack[idx]), keep).rho
+                assert np.allclose(got[idx], want, atol=1e-14)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_trace_preserved(self, seed):
@@ -237,6 +282,15 @@ class TestSuperOperators:
         eye = np.eye(4)
         assert np.allclose(gen(0.0, eye), 0.0)
         assert np.allclose(gen(1.5, eye), 3.0 * block.toarray())
+
+    def test_constant_generator_is_the_coefficient_sum(self):
+        space = HilbertSpace([3], ["m"])
+        blocks = [commutator_superop(lowering(3) + lowering(3).T), dissipator(lowering(3))]
+        gen = Generator(space, blocks, [0.7, 0.2])
+        y = np.random.default_rng(31).normal(size=(9, 2)) + 0j
+        want = (0.7 * blocks[0].toarray() + 0.2 * blocks[1].toarray()) @ y
+        assert np.allclose(gen(3.0, y), want, atol=1e-14)
+        assert np.allclose(gen(0.0, y[:, 0]), want[:, 0], atol=1e-14)
 
     def test_hermiticity_preserved_by_lindblad_generator(self):
         space = HilbertSpace([2], ["q"])

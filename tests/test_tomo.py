@@ -153,6 +153,34 @@ class TestStateTomo:
             assert np.sqrt(10) / 2 < hi / lo < np.sqrt(10) * 2
 
 
+class TestDesignCaches:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_cached_designs_equal_fresh_builds(self, n):
+        # the per-call constructions the caches replace, rebuilt here
+        dim = 2**n
+        rows = []
+        for setting in tomo.all_settings(n):
+            u = np.array([[1.0]], dtype=complex)
+            for name in setting:
+                u = np.kron(u, tomo.TOMO_GATES[name])
+            assert np.array_equal(tomo._setting_unitary(setting), u)
+            for b in range(dim):
+                proj = np.zeros((dim, dim), dtype=complex)
+                proj[b, b] = 1.0
+                rows.append((u.conj().T @ proj @ u).conj().reshape(-1))
+        assert np.array_equal(tomo._effect_rows(n), np.array(rows))
+        basis = list(tomo.pauli_basis(n).values())
+        for a, pa in enumerate(basis):
+            for b, pb in enumerate(basis):
+                assert np.array_equal(tomo._chi_blocks(n)[a, b], np.kron(pa, pb.conj()).reshape(-1))
+
+    def test_cached_arrays_are_read_only(self):
+        cached = (tomo._setting_unitary(("I", "Rx90")), tomo._effect_rows(1), tomo._chi_blocks(1))
+        for arr in cached:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
 class TestProcessTomo:
     def test_identity_process(self):
         ins = tomo.prep_states(1)
