@@ -188,8 +188,7 @@ def run_cascade(
     early, late = grid[grid <= tau], grid[grid > tau]
     grid1 = np.unique(np.concatenate([early, [0.0, tau]]))
     bp1 = [b for b in bps if 0.0 < b < tau]
-    traj1 = evolve_generator(two_qubit_space(), stage1_liouvillian(cfg), preps, grid1, tol,
-                             breakpoints=bp1)
+    traj1 = evolve_generator(stage1_liouvillian(cfg), preps, grid1, tol, breakpoints=bp1)
 
     # the splice is not linear in rho0, so every prep keeps its own column
     rho_tau = np.stack([tr.rhos[-1] for tr in traj1])
@@ -207,8 +206,7 @@ def run_cascade(
         grid2 = np.unique(np.concatenate([[tau], late]))
         bp2 = sorted({b for b in bps if tau < b < t_end}
                      | {b + tau for b in bps if 0.0 < b < t_end - tau})
-        traj2 = evolve_generator(doubled_space(), stage2_liouvillian(cfg), doubled0, grid2, tol,
-                                 breakpoints=bp2)
+        traj2 = evolve_generator(stage2_liouvillian(cfg), doubled0, grid2, tol, breakpoints=bp2)
 
     # stage 1 samples grid1 and stage 2 samples tau followed by ``late``
     times, rows = np.concatenate([early, late]), np.searchsorted(grid1, early)

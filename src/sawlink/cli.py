@@ -5,9 +5,9 @@ bundle; ``sweep`` repeats it across values of one scalar config field;
 ``validate`` checks a config without integrating anything; ``defaults``
 emits the fully populated default config for an experiment.
 
-Exit codes: 0 success, 2 validation (config or physics preconditions),
-3 integration failure, 4 I/O failure.  Errors print one JSON line to
-stderr with the error class and message.
+Exit codes: 0 success, 2 validation (usage, config or physics
+preconditions), 3 integration failure, 4 I/O failure.  Errors print
+one JSON line to stderr with the error class and message.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .config import (
     set_by_path,
     with_seed,
 )
-from .errors import IntegrationError, ValidationError
+from .errors import ConfigError, IntegrationError, ValidationError
 from .experiments import EXPERIMENTS, run_experiment
 from .serialize import write_bundle, write_series
 
@@ -126,6 +126,13 @@ def cmd_defaults(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so they reach ``_diagnose`` like any other."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _add_common(parser, out_required: bool):
     parser.add_argument("--config", required=True, help="config file path")
     parser.add_argument("--out", required=out_required, help="output directory")
@@ -135,9 +142,7 @@ def _add_common(parser, out_required: bool):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sawlink", description="phonon-channel experiment runner"
-    )
+    parser = _Parser(prog="sawlink", description="phonon-channel experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment, write a result bundle")
@@ -163,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValidationError, IntegrationError, OSError) as exc:
         return _diagnose(exc)

@@ -147,7 +147,6 @@ def _check_and_repair(rhos: np.ndarray, tol: float, times: np.ndarray) -> None:
 
 
 def evolve_generator(
-    space: HilbertSpace,
     generator: Generator,
     rho0: QuantumState | Sequence[QuantumState],
     grid: np.ndarray,
@@ -159,6 +158,7 @@ def evolve_generator(
 
     One initial state gives one Trajectory; a sequence of k states gives
     k Trajectories, integrated as the columns of one d^2 x k matrix ODE.
+    The states must live on the generator's space.
     ``breakpoints`` mark times where coefficients are non-smooth; the
     window is integrated piecewise between them so the adaptive stepper
     never straddles a kink.
@@ -168,6 +168,7 @@ def evolve_generator(
         raise ValidationError("grid must be a strictly increasing 1-d array")
     if not MIN_TOL <= tol <= MAX_TOL:  # tighter stalls RK45, looser integrates noise
         raise ValidationError(f"tol = {tol} is outside [{MIN_TOL}, {MAX_TOL}]")
+    space = generator.space
     single = isinstance(rho0, QuantumState)
     preps = [rho0] if single else list(rho0)
     if not preps or any(p.space != space for p in preps):

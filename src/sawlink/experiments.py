@@ -248,9 +248,7 @@ def run_bell(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     nz = device.q1.noise()
     blocks = [dissipator(embed(op, "q1e", sp)) for op in (SIGMA_MINUS, NUMBER)]
     idle = Generator(sp, blocks, [nz.relax_rate, nz.dephase_rate])
-    aged = evolve_generator(
-        sp, idle, pair, np.array([0.0, ch.tau]), tol=params["tol"]
-    ).final_state()
+    aged = evolve_generator(idle, pair, np.array([0.0, ch.tau]), tol=params["tol"]).final_state()
     frame = np.kron(np.eye(2), Z_FRAME)
     rho = frame @ aged.rho @ frame.conj().T
     psi = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)
@@ -321,7 +319,7 @@ def run_vacuum_rabi(device: DeviceParams, params: dict, seed: int) -> Experiment
     grid = np.linspace(0.0, float(params["horizon_tau"]) * p.tau_ns, _integer(params, "points"))
     rho0 = QuantumState.basis_state(space, [1] + [0] * p.n_a)
     traj = evolve_generator(
-        space, generator, rho0, grid, tol=params["tol"],
+        generator, rho0, grid, tol=params["tol"],
         observables={"pe": embed(NUMBER, "q", space)},
     )
     pe_lindblad = traj.observables["pe"]

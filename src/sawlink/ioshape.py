@@ -6,6 +6,12 @@ next after the delay tau, attenuated by sqrt(eta) and rotated by the
 per-transit phase.  This single-excitation picture is the fast path
 for efficiency and interference sweeps; density-matrix experiments
 live in `cascade`.
+
+Every coupling shape follows one rule, written once: the partial
+release, of which the full release is alpha = 1 and a capture the
+mirror image in time.  It has a float form (``math``), for the
+cascade's per-call schedule lookups, and an array form (numpy), for
+the delay loop's grid.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .dynamics import NoiseSpec, realization_phases
 from .errors import IntegrationError, RoleAmbiguityError, ValidationError
@@ -56,14 +61,32 @@ def sech_envelope(t, kappa_c: float):
     return np.sqrt(kappa_c / 4.0) / np.cosh(kappa_c * np.asarray(t) / 2.0)
 
 
+_X_MAX = 700.0  # e^{-700} is still a normal double
+
+
+def _release(x, alpha: float):
+    """Release shape kappa / kappa_c at x = kappa_c (t - t_mid), emitting a
+    fraction alpha; alpha = 1 is the full release and a capture is the
+    release at -x.
+
+    One formula for both forms: a float x is evaluated with ``math`` and
+    an array with numpy.  In e = e^{-|x|}, (lo, hi) is (e, 1) after the
+    midpoint and (1, e) before it, which keeps each side overflow-safe;
+    e stops short of underflow so that at alpha = 1 the late side reads
+    e / e, not 0 / 0.
+    """
+    if isinstance(x, float):
+        e = math.exp(-min(abs(x), _X_MAX))
+        lo, hi = (e, 1.0) if x > 0.0 else (1.0, e)
+    else:
+        e = np.exp(-np.minimum(np.abs(x), _X_MAX))
+        lo, hi = np.where(x > 0.0, e, 1.0), np.where(x > 0.0, 1.0, e)
+    return alpha * e / ((lo + (1.0 - alpha) * hi) * (1.0 + e))
+
+
 def kappa_release_full(t, kappa_c: float):
     """Coupling schedule whose free emission is the unit sech packet."""
-    if kappa_c <= 0:
-        raise ValidationError("kappa_c must be positive")
-    return kappa_c * expit(kappa_c * np.asarray(t, dtype=float))
-
-
-_X_MAX = 700.0  # e^{-700} is still a normal double
+    return kappa_release_partial(t, kappa_c, 1.0)
 
 
 def kappa_release_partial(t, kappa_c: float, alpha: float):
@@ -72,35 +95,7 @@ def kappa_release_partial(t, kappa_c: float, alpha: float):
         raise ValidationError("kappa_c must be positive")
     if not 0.0 < alpha <= 1.0:
         raise ValidationError(f"alpha = {alpha} outside (0, 1]")
-    x = kappa_c * np.asarray(t, dtype=float)
-    # two algebraic forms of the same function, each overflow-safe on its
-    # side; e^{-|x|} stops short of underflow so that at alpha = 1 the
-    # release side reads pos / pos, not 0 / 0
-    pos = np.exp(-np.minimum(np.abs(x), _X_MAX))
-    out = np.where(
-        x > 0,
-        alpha * pos / ((pos + (1.0 - alpha)) * (pos + 1.0)),
-        alpha * np.exp(np.minimum(x, 0.0))
-        / ((1.0 + (1.0 - alpha) * np.exp(np.minimum(x, 0.0))) * (1.0 + np.exp(np.minimum(x, 0.0)))),
-    )
-    return kappa_c * out
-
-
-def _expit(x: float) -> float:
-    """Scalar logistic function, overflow-safe on both sides."""
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
-def _partial_shape(x: float, alpha: float) -> float:
-    """Scalar ``kappa_release_partial / kappa_c`` at x = kappa_c t."""
-    if x > 0.0:
-        pos = math.exp(-min(x, _X_MAX))
-        return alpha * pos / ((pos + (1.0 - alpha)) * (pos + 1.0))
-    e = math.exp(x)
-    return alpha * e / ((1.0 + (1.0 - alpha) * e) * (1.0 + e))
+    return kappa_c * _release(kappa_c * np.asarray(t, dtype=float), alpha)
 
 
 @dataclass(frozen=True)
@@ -140,36 +135,18 @@ class Segment:
     def couples(self) -> bool:
         return self.kind not in ("idle", "detune")
 
-    def kappa(self, t: np.ndarray) -> np.ndarray:
-        tl = np.asarray(t, dtype=float) - (self.t_start + self.duration / 2.0)
-        if self.kind == "full_release":
-            return kappa_release_full(tl, self.kappa_c)
-        if self.kind == "partial_release":
-            return kappa_release_partial(tl, self.kappa_c, self.alpha)
-        if self.kind == "capture":
-            return kappa_release_full(-tl, self.kappa_c)
-        if self.kind == "partial_capture":
-            return kappa_release_partial(-tl, self.kappa_c, self.alpha)
-        return np.zeros_like(tl)
-
-    def kappa_at(self, t: float) -> float:
-        """``kappa`` at one time, with the same shapes evaluated in ``math``."""
+    def kappa(self, t):
+        """Coupling rate (1/ns) at t: a float for a float t, else an array."""
         if not self.couples:
-            return 0.0
+            return 0.0 * t  # zero of t's type
         x = self.kappa_c * (t - (self.t_start + self.duration / 2.0))
         if "capture" in self.kind:
             x = -x
-        if "partial" in self.kind:
-            return self.kappa_c * _partial_shape(x, self.alpha)
-        return self.kappa_c * _expit(x)
+        return self.kappa_c * _release(x, self.alpha if "partial" in self.kind else 1.0)
 
-    def delta_at(self, t: float) -> float:
-        return self.f_mhz * MHZ if self.kind == "detune" else 0.0
-
-    def delta(self, t: np.ndarray) -> np.ndarray:
-        if self.kind == "detune":
-            return np.full_like(np.asarray(t, dtype=float), self.f_mhz * MHZ)
-        return np.zeros_like(np.asarray(t, dtype=float))
+    def delta(self, t):
+        """Detuning (rad/ns) at t: a float for a float t, else an array."""
+        return 0.0 * t + (self.f_mhz * MHZ if self.kind == "detune" else 0.0)
 
 
 def time_reverse(segment: Segment) -> Segment:
@@ -208,7 +185,7 @@ class ControlSchedule:
                         f"{b.kind} on qubit {b.qubit}"
                     )
         # no overlapping segments of any kind on one qubit; the ordered
-        # starts, ends and segments also serve the scalar lookups
+        # starts, ends and segments also serve the lookups
         ordered = {}
         for q in (1, 2):
             mine = sorted((s for s in segs if s.qubit == q), key=lambda s: s.t_start)
@@ -220,43 +197,35 @@ class ControlSchedule:
         object.__setattr__(self, "window", (float(window[0]), float(window[1])))
         object.__setattr__(self, "_ordered", ordered)
 
-    def _scalar(self, qubit: int, t: float, value) -> float:
-        """Sum of ``value(segment, t)`` over the qubit's segments holding t."""
+    def _lookup(self, qubit: int, t, value):
+        """Sum of ``value(segment, t)`` over the qubit's segments holding t:
+        a float for a scalar t, else an array like t."""
         starts, ends, found = self._ordered.get(qubit, ((), (), ()))
-        i = bisect_right(starts, t)
-        out = 0.0
-        # segments are disjoint up to the 1e-12 ns slack allowed above;
-        # inside such a sliver both count, as on the array path
-        while i and t < ends[i - 1]:
-            i -= 1
-            out += value(found[i], t)
+        if isinstance(t, float) or np.ndim(t) == 0:
+            t = float(t)
+            i = bisect_right(starts, t)
+            out = 0.0
+            # segments are disjoint up to the 1e-12 ns slack allowed above;
+            # inside such a sliver both count, as on the array form
+            while i and t < ends[i - 1]:
+                i -= 1
+                out += value(found[i], t)
+            return out
+        t = np.asarray(t, dtype=float)
+        out = np.zeros_like(t)
+        for s in found:
+            mask = (t >= s.t_start) & (t < s.t_end)
+            if mask.any():
+                out[mask] += value(s, t[mask])
         return out
 
     def kappa(self, qubit: int, t) -> np.ndarray | float:
         """Coupling rate of one qubit (1/ns); a float for a scalar ``t``."""
-        if isinstance(t, float) or np.ndim(t) == 0:
-            return self._scalar(qubit, float(t), Segment.kappa_at)
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for s in self.segments:
-            if s.qubit == qubit and s.couples:
-                mask = (t >= s.t_start) & (t < s.t_end)
-                if mask.any():
-                    out[mask] += s.kappa(t[mask])
-        return out
+        return self._lookup(qubit, t, Segment.kappa)
 
     def delta(self, qubit: int, t) -> np.ndarray | float:
         """Detuning of one qubit (rad/ns); a float for a scalar ``t``."""
-        if isinstance(t, float) or np.ndim(t) == 0:
-            return self._scalar(qubit, float(t), Segment.delta_at)
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for s in self.segments:
-            if s.qubit == qubit and s.kind == "detune":
-                mask = (t >= s.t_start) & (t < s.t_end)
-                if mask.any():
-                    out[mask] += s.delta(t[mask])
-        return out
+        return self._lookup(qubit, t, Segment.delta)
 
     def max_kappa(self) -> float:
         return max((s.kappa_c for s in self.segments if s.couples), default=0.0)

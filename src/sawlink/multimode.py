@@ -32,9 +32,8 @@ class MultimodeParams:
     """Qubit + mode-ladder parameters.
 
     Frequencies (g, fsr, delta0) are linear MHz; kappa_a is the mode
-    energy decay rate in 1/us; qubit coherence times are in us.  The
-    transit time is the inverse free spectral range and is always
-    derived, never stored separately.
+    energy decay rate in 1/us.  The transit time is the inverse free
+    spectral range and is always derived, never stored separately.
     """
 
     g: float
@@ -42,8 +41,6 @@ class MultimodeParams:
     fsr: float = 1.97
     delta0: float = 0.0
     kappa_a: float = 0.0
-    T1_int: float | None = None
-    T2R: float | None = None
 
     def __post_init__(self):
         if self.n_a < 1:

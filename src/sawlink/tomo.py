@@ -308,11 +308,7 @@ def process_from_states(
     if np.linalg.matrix_rank(in_mat, tol=1e-10) < dim * dim:
         raise ValidationError("input states do not span operator space")
     smap = out_mat @ np.linalg.inv(in_mat)
-    blocks = _chi_blocks(1 if dim == 2 else 2)
-    chi = np.empty((dim * dim, dim * dim), dtype=complex)
-    for a, row in enumerate(blocks):
-        for b, block in enumerate(row):
-            chi[a, b] = np.vdot(block, smap.reshape(-1)) / dim**2
+    chi = _chi_blocks(1 if dim == 2 else 2).conj() @ smap.reshape(-1) / dim**2
     chi = 0.5 * (chi + chi.conj().T)
     chi = project_psd(chi, trace=np.trace(chi).real)
     return ProcessMatrix(chi)

@@ -38,10 +38,17 @@ class TestDefaults:
         assert main(["validate", "--config", str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "ok"
 
-    def test_unknown_experiment_is_usage_error(self):
+    def test_unknown_experiment_is_usage_error(self, capsys):
+        assert main(["defaults", "teleport"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ConfigError"
+
+    def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["defaults", "teleport"])
-        assert exc.value.code == 2
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert "usage: sawlink sweep" in capsys.readouterr().out
 
 
 class TestRun:
@@ -117,13 +124,24 @@ class TestSweep:
         assert main([*kwargs, "--out", str(tmp_path / "par"), "--jobs", "2"]) == 0
         assert bundle_bytes(tmp_path / "ser") == bundle_bytes(tmp_path / "par")
 
-    def test_no_values_is_usage_error(self, config_path, tmp_path):
+    def test_no_values_is_usage_error(self, config_path, tmp_path, capsys):
         out = tmp_path / "s"
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "device.eta", "--config", config_path,
-                  "--out", str(out)])
-        assert exc.value.code == 2
+        assert main(["sweep", "device.eta", "--config", config_path,
+                     "--out", str(out)]) == 2
         assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ConfigError"
+
+    def test_value_read_as_option_is_usage_error(self, config_path, tmp_path, capsys):
+        # argparse takes -1e-05 for an option; "--" before the values avoids that
+        out = tmp_path / "s"
+        assert main(["sweep", "params.tol", "-1e-05", "--config", config_path,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert set(json.loads(err[0])) == {"error", "message"}
 
     def test_bad_path_writes_nothing(self, config_path, tmp_path, capsys):
         out = tmp_path / "s"

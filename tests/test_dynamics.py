@@ -37,7 +37,7 @@ def test_free_evolution_is_identity():
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho0 = a @ a.conj().T
     rho0 /= np.trace(rho0)
-    traj = evolve_generator(QUBIT, free, QuantumState(QUBIT, rho0), np.linspace(0, 50, 11))
+    traj = evolve_generator(free, QuantumState(QUBIT, rho0), np.linspace(0, 50, 11))
     for s in traj.states:
         assert np.allclose(s.rho, rho0, atol=1e-8)
 
@@ -47,7 +47,7 @@ def test_constant_decay_matches_exponential():
     decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [kappa])
     grid = np.linspace(0, 200, 41)
     traj = evolve_generator(
-        QUBIT, decay, EXCITED, grid, observables={"pe": Operator(QUBIT, NUMBER)}
+        decay, EXCITED, grid, observables={"pe": Operator(QUBIT, NUMBER)}
     )
     assert np.allclose(traj.observables["pe"], np.exp(-kappa * grid), atol=1e-7)
 
@@ -64,7 +64,6 @@ def test_resonant_vacuum_rabi_oracle():
     t_half = (np.pi / 2) / g
     grid = np.linspace(0, t_half, 25)
     traj = evolve_generator(
-        space,
         rabi,
         QuantumState.basis_state(space, [1, 0]),
         grid,
@@ -79,7 +78,7 @@ def test_trace_and_hermiticity_along_trajectory():
     driven = Generator(
         QUBIT, [commutator_superop(SIGMA_PLUS + SIGMA_MINUS), dissipator(SIGMA_MINUS)], [0.3, kappa]
     )
-    traj = evolve_generator(QUBIT, driven, EXCITED, np.linspace(0, 100, 51))
+    traj = evolve_generator(driven, EXCITED, np.linspace(0, 100, 51))
     for s in traj.states:
         assert abs(np.trace(s.rho) - 1.0) < 1e-8
         assert np.max(np.abs(s.rho - s.rho.conj().T)) < 1e-12
@@ -91,7 +90,7 @@ def test_time_dependent_amplitude():
     ramp = Generator(QUBIT, [dissipator(SIGMA_MINUS)], lambda t: np.array([rate * t]))
     grid = np.linspace(0, 60, 13)
     traj = evolve_generator(
-        QUBIT, ramp, EXCITED, grid, observables={"pe": Operator(QUBIT, NUMBER)}
+        ramp, EXCITED, grid, observables={"pe": Operator(QUBIT, NUMBER)}
     )
     assert np.allclose(traj.observables["pe"], np.exp(-0.5 * rate * grid**2), atol=1e-7)
 
@@ -123,7 +122,6 @@ def test_capped_space_matches_full_tensor_space():
     obs_full = {"pe": embed(NUMBER, "q", full)}
     obs_capped = {"pe": embed(NUMBER, "q", capped)}
     traj_full = evolve_generator(
-        full,
         build(full),
         QuantumState.basis_state(full, [1, 0, 0, 0]),
         grid,
@@ -131,7 +129,6 @@ def test_capped_space_matches_full_tensor_space():
         observables=obs_full,
     )
     traj_capped = evolve_generator(
-        capped,
         build(capped),
         QuantumState.basis_state(capped, [1, 0, 0, 0]),
         grid,
@@ -235,10 +232,10 @@ class TestStackedEvolution:
         breaks = grid[1 : 1 + n_breaks] if on_grid else rng.uniform(0.0, 60.0, size=n_breaks)
         preps = [QuantumState(PAIR, r) for r in random_states(rng, k, 4)]
         number = {"n_a": embed(NUMBER, "a", PAIR)}
-        stacked = evolve_generator(PAIR, generator, preps, grid, tol, number, breaks)
+        stacked = evolve_generator(generator, preps, grid, tol, number, breaks)
         assert len(stacked) == k
         for prep, traj in zip(preps, stacked):
-            alone = evolve_generator(PAIR, generator, prep, grid, tol, number, breaks)
+            alone = evolve_generator(generator, prep, grid, tol, number, breaks)
             assert np.array_equal(traj.times, alone.times)
             assert np.max(np.abs(traj.rhos - alone.rhos)) <= 10 * tol
             assert np.max(np.abs(traj.observables["n_a"] - alone.observables["n_a"])) <= 10 * tol
@@ -246,9 +243,9 @@ class TestStackedEvolution:
     def test_single_state_gives_one_trajectory(self):
         grid = np.linspace(0, 10, 3)
         decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [0.1])
-        traj = evolve_generator(QUBIT, decay, EXCITED, grid)
+        traj = evolve_generator(decay, EXCITED, grid)
         assert isinstance(traj, Trajectory)
-        (listed,) = evolve_generator(QUBIT, decay, [EXCITED], grid)
+        (listed,) = evolve_generator(decay, [EXCITED], grid)
         assert np.array_equal(listed.rhos, traj.rhos)
         assert traj.final_state().space == QUBIT
         assert len(traj.states) == 3
@@ -256,7 +253,7 @@ class TestStackedEvolution:
     def test_initial_state_on_another_space_rejected(self):
         decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [0.1])
         with pytest.raises(ValidationError):
-            evolve_generator(QUBIT, decay, [EXCITED, QuantumState.basis_state(PAIR, [1, 0])],
+            evolve_generator(decay, [EXCITED, QuantumState.basis_state(PAIR, [1, 0])],
                              np.linspace(0, 1, 2))
 
 

@@ -106,8 +106,19 @@ class TestScheduleLookup:
                 scalar = lookup(qubit, t)
                 assert isinstance(scalar, float)
                 want = lookup(qubit, np.array([t]))[0]
-                # atol only forgives subnormals, which scipy's expit flushes to 0
-                assert np.isclose(scalar, want, rtol=1e-13, atol=1e-300)
+                assert np.isclose(scalar, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("kind, partial", [("full_release", "partial_release"),
+                                               ("capture", "partial_capture")])
+    def test_full_kind_is_partial_at_alpha_one_bit_for_bit(self, kind, partial):
+        # kappa_c t spans +-800, past the e^{-700} floor on both sides
+        seg = Segment(kind, 1, -400.0, 1600.0, kappa_c=1.0)
+        same = replace(seg, kind=partial, alpha=1.0)
+        t = np.linspace(seg.t_start, seg.t_end, 20001)
+        assert np.array_equal(seg.kappa(t), same.kappa(t))
+        for ti in t[::50].tolist():
+            assert isinstance(seg.kappa(ti), float)
+            assert seg.kappa(ti) == same.kappa(ti)
 
 
 class TestRelease:

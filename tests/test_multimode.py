@@ -181,7 +181,7 @@ class TestOracleEquivalence:
         rho0 = QuantumState.basis_state(space, [1] + [0] * p.n_a)
         grid = np.linspace(0.0, 1.6 * p.tau_ns, 500)
         traj = evolve_generator(
-            space, generator, rho0, grid, tol=1e-9,
+            generator, rho0, grid, tol=1e-9,
             observables={"pe": embed(NUMBER, "q", space)},
         )
         pe_series = np.abs(laguerre_amplitude(grid, p)) ** 2
