@@ -25,6 +25,7 @@ import yaml
 from . import __version__
 from .config import (
     ExperimentConfig,
+    YamlLoader,
     default_config,
     effective_dict,
     load_config,
@@ -92,7 +93,7 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = with_seed(cfg, args.seed)
-    values = [yaml.safe_load(v) for v in args.values]
+    values = [yaml.load(v, Loader=YamlLoader) for v in args.values]
     points = []
     for i, value in enumerate(values):
         cfg_i = set_by_path(cfg, args.param, value)

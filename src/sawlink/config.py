@@ -8,6 +8,8 @@ cannot silently fall back to a default.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -20,6 +22,14 @@ from .experiments import EXPERIMENTS
 
 _QUBIT_KEYS = ("T1_int_us", "T2R_us", "F_g", "F_e", "g_mhz", "kappa_inv_ns")
 _DEVICE_SCALARS = ("eta", "tau_ns", "t1_saw_us")
+
+
+class YamlLoader(yaml.SafeLoader):
+    """The safe loader, also reading 1e-7 as a float (YAML 1.1 wants 1.0e-7)."""
+
+
+YamlLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"), list("-+0123456789"))
 
 
 @dataclass(frozen=True)
@@ -60,6 +70,8 @@ def default_config(experiment: str) -> dict:
 def _check_number(value, default, where: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     if isinstance(default, int):
         # an integral float such as 4.0 is fine; 2.7 must not become 2
         if isinstance(value, float) and not value.is_integer():
@@ -132,7 +144,7 @@ def load_config(path) -> ExperimentConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        raw = yaml.safe_load(p.read_text())
+        raw = yaml.load(p.read_text(), Loader=YamlLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config does not parse: {exc}") from exc
     if raw is None:

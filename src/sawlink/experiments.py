@@ -92,7 +92,7 @@ def run_multi_transit(device: DeviceParams, params: dict, seed: int) -> Experime
     kc, w = params["kappa_c"], params["window_ns"]
     n_max = _integer(params, "max_transits")
     ch = device.channel(eta=_eta(device, params))
-    release = Segment("full_release", 1, 0.0, w, kc)
+    release = Segment("release", 1, 0.0, w, kc)
     effs = []
     for n in range(1, n_max + 1):
         capture = time_reverse(replace(release, t_start=n * ch.tau))
@@ -198,8 +198,8 @@ def double_swap_schedule(kc: float, w: float, tau: float) -> ControlSchedule:
     whole exchange fits one [0, tau + 2w] window, so it stays inside
     the model's two-interaction validity span for w <= tau / 2.
     """
-    rel2 = Segment("full_release", 2, 0.0, w, kc)
-    rel1 = Segment("full_release", 1, w, w, kc)
+    rel2 = Segment("release", 2, 0.0, w, kc)
+    rel1 = Segment("release", 1, w, w, kc)
     cap1 = time_reverse(replace(rel2, qubit=1, t_start=tau))
     cap2 = time_reverse(replace(rel1, qubit=2, t_start=tau + w))
     return ControlSchedule([rel2, rel1, cap1, cap2], window=(0.0, tau + 2 * w))

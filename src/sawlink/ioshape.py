@@ -7,11 +7,11 @@ per-transit phase.  This single-excitation picture is the fast path
 for efficiency and interference sweeps; density-matrix experiments
 live in `cascade`.
 
-Every coupling shape follows one rule, written once: the partial
-release, of which the full release is alpha = 1 and a capture the
-mirror image in time.  It has a float form (``math``), for the
-cascade's per-call schedule lookups, and an array form (numpy), for
-the delay loop's grid.
+A coupling segment releases the fraction alpha of the stored excitation
+(alpha = 1 empties the qubit) or captures it, the release with the same
+alpha mirrored in time; a detune segment shifts the qubit.  The shape is
+written once, with a float form (``math``) for the cascade's per-call
+schedule lookups and an array form (numpy) for the delay loop's grid.
 """
 
 from __future__ import annotations
@@ -29,14 +29,7 @@ from .errors import IntegrationError, RoleAmbiguityError, ValidationError
 MHZ = 2e-3 * np.pi  # linear MHz -> rad/ns
 DETUNE_PULSE_MHZ = 20.0  # fixed detuning used to dial in a relative phase
 
-SEGMENT_KINDS = (
-    "full_release",
-    "partial_release",
-    "capture",
-    "partial_capture",
-    "idle",
-    "detune",
-)
+SEGMENT_KINDS = ("release", "capture", "detune")
 
 
 @dataclass(frozen=True)
@@ -84,27 +77,16 @@ def _release(x, alpha: float):
     return alpha * e / ((lo + (1.0 - alpha) * hi) * (1.0 + e))
 
 
-def kappa_release_full(t, kappa_c: float):
-    """Coupling schedule whose free emission is the unit sech packet."""
-    return kappa_release_partial(t, kappa_c, 1.0)
-
-
-def kappa_release_partial(t, kappa_c: float, alpha: float):
-    """Schedule emitting a fraction alpha of the stored excitation."""
-    if kappa_c <= 0:
-        raise ValidationError("kappa_c must be positive")
-    if not 0.0 < alpha <= 1.0:
-        raise ValidationError(f"alpha = {alpha} outside (0, 1]")
-    return kappa_c * _release(kappa_c * np.asarray(t, dtype=float), alpha)
-
-
 @dataclass(frozen=True)
 class Segment:
     """One control interval on one qubit.
 
-    Release/capture shapes are centered on the segment midpoint, so a
-    release peaks its packet there and the matching capture must be
-    scheduled one transit later.
+    A ``release`` emits the fraction ``alpha`` of the stored excitation
+    (alpha = 1 empties the qubit) and a ``capture`` is the release with
+    the same alpha mirrored in time, the absorber matched to its packet.
+    Both are centered on the segment midpoint, so a release peaks its
+    packet there and the matching capture must be scheduled one transit
+    later.  A ``detune`` shifts the qubit by ``f_mhz``; at 0 MHz it idles.
     """
 
     kind: str
@@ -122,10 +104,8 @@ class Segment:
             raise ValidationError("qubit must be 1 or 2")
         if self.duration <= 0:
             raise ValidationError("duration must be positive")
-        if self.kind not in ("idle", "detune") and self.kappa_c <= 0:
-            raise ValidationError(f"{self.kind} segment needs kappa_c > 0")
-        if "partial" in self.kind and not 0.0 < self.alpha <= 1.0:
-            raise ValidationError(f"alpha = {self.alpha} outside (0, 1]")
+        if self.couples and not (self.kappa_c > 0 and 0.0 < self.alpha <= 1.0):
+            raise ValidationError(f"{self.kind} segment needs kappa_c > 0 and alpha in (0, 1]")
 
     @property
     def t_end(self) -> float:
@@ -133,33 +113,22 @@ class Segment:
 
     @property
     def couples(self) -> bool:
-        return self.kind not in ("idle", "detune")
+        return self.kind != "detune"
 
     def kappa(self, t):
         """Coupling rate (1/ns) at t: a float for a float t, else an array."""
-        if not self.couples:
-            return 0.0 * t  # zero of t's type
         x = self.kappa_c * (t - (self.t_start + self.duration / 2.0))
-        if "capture" in self.kind:
-            x = -x
-        return self.kappa_c * _release(x, self.alpha if "partial" in self.kind else 1.0)
+        return self.kappa_c * _release(-x if self.kind == "capture" else x, self.alpha)
 
     def delta(self, t):
         """Detuning (rad/ns) at t: a float for a float t, else an array."""
-        return 0.0 * t + (self.f_mhz * MHZ if self.kind == "detune" else 0.0)
+        return 0.0 * t + self.f_mhz * MHZ
 
 
 def time_reverse(segment: Segment) -> Segment:
     """Reflect a segment's coupling shape about its own midpoint."""
-    flip = {
-        "full_release": "capture",
-        "capture": "full_release",
-        "partial_release": "partial_capture",
-        "partial_capture": "partial_release",
-        "idle": "idle",
-        "detune": "detune",
-    }
-    return replace(segment, kind=flip[segment.kind])
+    flip = {"release": "capture", "capture": "release"}
+    return replace(segment, kind=flip.get(segment.kind, segment.kind))
 
 
 @dataclass(frozen=True)
@@ -184,23 +153,25 @@ class ControlSchedule:
                         f"overlapping couplings: {a.kind} on qubit {a.qubit} and "
                         f"{b.kind} on qubit {b.qubit}"
                     )
-        # no overlapping segments of any kind on one qubit; the ordered
-        # starts, ends and segments also serve the lookups
-        ordered = {}
+        # no overlapping segments of any kind on one qubit
+        couplings, detunes = {}, {}
         for q in (1, 2):
             mine = sorted((s for s in segs if s.qubit == q), key=lambda s: s.t_start)
             for a, b in zip(mine[:-1], mine[1:]):
                 if b.t_start < a.t_end - 1e-12:
                     raise ValidationError(f"overlapping segments on qubit {q}")
-            ordered[q] = (tuple(s.t_start for s in mine), tuple(s.t_end for s in mine), tuple(mine))
+            for table, c in ((couplings, True), (detunes, False)):
+                part = tuple(s for s in mine if s.couples == c)
+                table[q] = (tuple(s.t_start for s in part), tuple(s.t_end for s in part), part)
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "window", (float(window[0]), float(window[1])))
-        object.__setattr__(self, "_ordered", ordered)
+        object.__setattr__(self, "_couplings", couplings)
+        object.__setattr__(self, "_detunes", detunes)
 
-    def _lookup(self, qubit: int, t, value):
-        """Sum of ``value(segment, t)`` over the qubit's segments holding t:
-        a float for a scalar t, else an array like t."""
-        starts, ends, found = self._ordered.get(qubit, ((), (), ()))
+    @staticmethod
+    def _lookup(ordered: tuple, t, value):
+        """Sum of ``value(segment, t)`` over the segments holding t; a float for a scalar t."""
+        starts, ends, found = ordered
         if isinstance(t, float) or np.ndim(t) == 0:
             t = float(t)
             i = bisect_right(starts, t)
@@ -221,11 +192,11 @@ class ControlSchedule:
 
     def kappa(self, qubit: int, t) -> np.ndarray | float:
         """Coupling rate of one qubit (1/ns); a float for a scalar ``t``."""
-        return self._lookup(qubit, t, Segment.kappa)
+        return self._lookup(self._couplings[qubit], t, Segment.kappa)
 
     def delta(self, qubit: int, t) -> np.ndarray | float:
         """Detuning of one qubit (rad/ns); a float for a scalar ``t``."""
-        return self._lookup(qubit, t, Segment.delta)
+        return self._lookup(self._detunes[qubit], t, Segment.delta)
 
     def max_kappa(self) -> float:
         return max((s.kappa_c for s in self.segments if s.couples), default=0.0)
@@ -389,19 +360,16 @@ def transfer_schedule(
     emitter: int = 1,
     receiver: int = 2,
     t_start: float = 0.0,
-    alpha: float | None = None,
+    alpha: float = 1.0,
 ) -> ControlSchedule:
-    """Release on one qubit, matched time-reversed capture on the other.
+    """Release on one qubit, capture one transit later on the other.
 
-    The capture is always the reversed full release: shape matching is
-    amplitude-independent, so a partial emission still wants the full
-    absorber on the receiving side.
+    ``alpha`` is the fraction the emitter releases.  The receiver's
+    capture has alpha = 1 whatever the release: the Bell pair's half
+    release is absorbed by the full capture, as on the device.
     """
-    kind, alpha = ("full_release", 1.0) if alpha is None else ("partial_release", alpha)
-    release = Segment(kind, emitter, t_start, window, kappa_c, alpha=alpha)
-    capture = time_reverse(
-        Segment("full_release", receiver, t_start + tau, window, kappa_c)
-    )
+    release = Segment("release", emitter, t_start, window, kappa_c, alpha=alpha)
+    capture = Segment("capture", receiver, t_start + tau, window, kappa_c)
     return ControlSchedule(
         [release, capture], window=(t_start, t_start + tau + window + 0.25 * tau)
     )
@@ -435,7 +403,7 @@ def interference_experiment(
     dphis = np.asarray(delta_phi, dtype=float)
     if dphis.ndim > 1:
         raise ValidationError("delta_phi must be a scalar or a 1-D array")
-    release = Segment("partial_release", 1, 0.0, window, kappa_c, alpha=0.5)
+    release = Segment("release", 1, 0.0, window, kappa_c, alpha=0.5)
     segs = [release, time_reverse(replace(release, t_start=ch.tau))]
     schedules = []
     for dphi in np.atleast_1d(dphis) % (2 * np.pi):

@@ -150,7 +150,7 @@ class TestGenerators:
         kappa_c=st.floats(0.05, 0.3),
         window=st.floats(60.0, 200.0),
         eta=st.floats(0.0, 1.0),
-        alpha=st.none() | st.floats(0.1, 1.0),
+        alpha=st.just(1.0) | st.floats(0.1, 1.0),
         detune=st.none() | st.tuples(st.floats(1.0, 100.0), st.floats(-40.0, 40.0)),
         noise=st.tuples(st.none() | st.floats(5.0, 50.0), st.floats(0.0, 2.0)),
         frac=st.floats(0.0, 1.0),
@@ -218,7 +218,7 @@ class TestRunCascade:
 
     def test_no_capture_means_plain_decay(self):
         # release only: the excitation leaves and nothing comes back
-        rel = Segment("full_release", 1, 0.0, WINDOW, kappa_c=KC)
+        rel = Segment("release", 1, 0.0, WINDOW, kappa_c=KC)
         sched = ControlSchedule([rel], window=(0.0, 2 * TAU))
         cfg = CascadeConfig(sched, ChannelParams(eta=1.0, tau=TAU))
         space = two_qubit_space()
@@ -270,7 +270,7 @@ class TestRunCascade:
     def test_role_ambiguity_detected(self):
         # qubit 2 starts its capture while qubit 1 is still releasing
         segs = [
-            Segment("full_release", 1, 0.0, 100.0, KC),
+            Segment("release", 1, 0.0, 100.0, KC),
             Segment("capture", 2, 50.0, 100.0, KC),
         ]
         with pytest.raises(RoleAmbiguityError):
@@ -372,7 +372,7 @@ class TestProcessTomographyRun:
 
     def test_identity_transfer(self):
         # couplers never fire: each prep sits still and the process is I
-        sched = ControlSchedule([Segment("idle", 1, 0.0, 1.0)], window=(0.0, 1.0))
+        sched = ControlSchedule([Segment("detune", 1, 0.0, 1.0)], window=(0.0, 1.0))
         cfg = CascadeConfig(sched, ChannelParams(eta=0.67, tau=TAU))
         chi = process_tomography_run(cfg, emitter=1, receiver=1, t_ro=1.0)
         assert chi.chi[0, 0].real == pytest.approx(1.0, abs=1e-8)
@@ -390,7 +390,7 @@ class TestProcessTomographyRun:
         assert tomo.fidelity(chi, tomo.chi_ideal(np.eye(2))) > 0.999
 
     def test_mismatched_sides_rejected(self):
-        sched = ControlSchedule([Segment("idle", 1, 0.0, 1.0)], window=(0.0, 1.0))
+        sched = ControlSchedule([Segment("detune", 1, 0.0, 1.0)], window=(0.0, 1.0))
         cfg = CascadeConfig(sched, ChannelParams(eta=0.67, tau=TAU))
         with pytest.raises(ValidationError):
             process_tomography_run(cfg, emitter=(1, 2), receiver=1, t_ro=1.0)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sawlink.cli import main
-from sawlink.config import default_config
+from sawlink.config import default_config, load_config
 from sawlink.errors import IntegrationError
 from sawlink.experiments import EXPERIMENTS, ExperimentOutput
 
@@ -143,6 +143,17 @@ class TestSweep:
         assert len(err) == 1
         assert set(json.loads(err[0])) == {"error", "message"}
 
+    def test_exponent_form_values_are_floats(self, tmp_path, capsys):
+        config = tmp_path / "bell.yaml"
+        config.write_text(yaml.safe_dump(default_config("bell")))
+        out = tmp_path / "s"
+        assert main(["sweep", "params.tol", "1e-07", "2e-08",
+                     "--config", str(config), "--out", str(out)]) == 0
+        lines = (out / "summary.csv").read_text().strip().splitlines()
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [1e-07, 2e-08]
+        eff1 = yaml.safe_load((out / "point_001" / "config.yaml").read_text())
+        assert eff1["params"]["tol"] == 2e-08
+
     def test_bad_path_writes_nothing(self, config_path, tmp_path, capsys):
         out = tmp_path / "s"
         code = main(["sweep", "params.nope", "1", "2",
@@ -245,6 +256,37 @@ class TestExitCodes:
         assert key in json.loads(err[0])["message"]
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize("where, body", [
+        ("params.kappa_c", "params: {kappa_c: X}"),
+        ("params.window_ns", "params: {window_ns: X}"),
+        ("params.eta", "params: {eta: X}"),
+        ("device.eta", "device: {eta: X}"),
+        ("device.q1.F_g", "device: {q1: {F_g: X}}"),
+    ])
+    def test_non_finite_number_is_2(self, tmp_path, capsys, where, body, value):
+        # YAML's .nan and .inf are floats; a run on one would print NaN,
+        # which is not JSON, or fail deep inside the integrator
+        path = tmp_path / "c.yaml"
+        path.write_text("experiment: ping_pong\n" + body.replace("X", value) + "\n")
+        assert main(["validate", "--config", str(path)]) == 2
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line)["error"] for line in err] == ["ConfigError"] * 2
+        assert where in json.loads(err[0])["message"]
+        assert not (tmp_path / "r").exists()
+
+    def test_exponent_form_is_a_number(self, tmp_path, capsys):
+        path = tmp_path / "c.yaml"
+        path.write_text("experiment: swap\nparams:\n  tol: 1e-7\n")
+        assert main(["validate", "--config", str(path)]) == 0
+        assert load_config(path).params["tol"] == 1e-7
+        path.write_text("experiment: swap\nparams:\n  tol: 1e400\n")
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(err[0])["error"] == "ConfigError"
+        assert "finite" in json.loads(err[0])["message"]
+
     def test_integer_beyond_float_range_is_2(self, tmp_path, capsys):
         path = tmp_path / "c.yaml"
         raw = default_config("ping_pong")
@@ -336,6 +378,7 @@ def _paths(tree, prefix=()):
 values = (
     st.integers(-3, 3)
     | st.floats(-5.0, 5.0)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf")])
     | st.none()
     | st.text("abx", max_size=3)
     | st.lists(st.integers(0, 2), max_size=2)

@@ -4,6 +4,7 @@ import pytest
 import yaml
 
 from sawlink.config import (
+    YamlLoader,
     config_from_dict,
     default_config,
     effective_dict,
@@ -82,6 +83,10 @@ class TestMerging:
             {"experiment": "ping_pong", "params": {"kappa_c": "fast"}},
             {"experiment": "ping_pong", "device": {"eta": True}},
             {"experiment": "ping_pong", "device": 3},     # section not a mapping
+            {"experiment": "ping_pong", "params": {"kappa_c": float("nan")}},
+            {"experiment": "ping_pong", "params": {"eta": float("inf")}},
+            {"experiment": "ping_pong", "device": {"q2": {"F_e": -float("inf")}}},
+            {"experiment": "multi_transit", "params": {"max_transits": float("inf")}},
         ],
     )
     def test_malformed_values_rejected(self, raw):
@@ -113,6 +118,19 @@ class TestLoadFile:
         path.write_text("experiment: [unclosed\n")
         with pytest.raises(ConfigError, match="parse"):
             load_config(path)
+
+    @pytest.mark.parametrize("text, want", [
+        ("1e-7", 1e-7), ("1.5e2", 150.0), ("-2E-3", -0.002), ("+1e5", 1e5),
+        ("1e400", float("inf")), ("1.0e-07", 1e-7), ("0.5", 0.5),
+        ("12", 12), ("0x1f", 31), ("1_000", 1000), ('"1e-7"', "1e-7"), ("1e", "1e"),
+    ])
+    def test_loader_reads_exponent_form_as_float(self, text, want):
+        got = yaml.load(text, Loader=YamlLoader)
+        assert got == want
+        assert type(got) is type(want)
+
+    def test_safe_loader_left_as_is(self):
+        assert yaml.safe_load("1e-7") == "1e-7"
 
 
 class TestOverrides:

@@ -17,8 +17,6 @@ from sawlink.ioshape import (
     Segment,
     _integrate,
     interference_experiment,
-    kappa_release_full,
-    kappa_release_partial,
     sech_envelope,
     simulate_io,
     time_reverse,
@@ -29,10 +27,14 @@ KC = 0.1  # 1/ns
 TAU = 508.0  # ns
 
 
-def release_only(window: float, alpha: float | None = None, kappa_c: float = KC):
-    kind = "full_release" if alpha is None else "partial_release"
-    seg = Segment(kind, 1, 0.0, window, kappa_c, alpha=alpha or 1.0)
+def release_only(window: float, alpha: float = 1.0, kappa_c: float = KC):
+    seg = Segment("release", 1, 0.0, window, kappa_c, alpha=alpha)
     return ControlSchedule([seg], window=(0.0, window))
+
+
+def centered(kind: str = "release", alpha: float = 1.0, kappa_c: float = KC) -> Segment:
+    """A coupling segment with its midpoint at t = 0, spanning |t| < 1e5 ns."""
+    return Segment(kind, 1, -1e5, 2e5, kappa_c, alpha=alpha)
 
 
 class TestPulseShapes:
@@ -50,31 +52,31 @@ class TestPulseShapes:
         assert 2 * half == pytest.approx(35.3, abs=0.1)
 
     def test_release_rate_limits(self):
-        assert kappa_release_full(-400.0, KC) == pytest.approx(0.0, abs=1e-12)
-        assert kappa_release_full(400.0, KC) == pytest.approx(KC, abs=1e-12)
-
-    def test_partial_reduces_to_full_at_alpha_one(self):
-        t = np.linspace(-100, 100, 20)
-        assert np.allclose(
-            kappa_release_partial(t, KC, 1.0), kappa_release_full(t, KC), atol=1e-12
-        )
+        assert centered().kappa(-400.0) == pytest.approx(0.0, abs=1e-12)
+        assert centered().kappa(400.0) == pytest.approx(KC, abs=1e-12)
 
     def test_partial_at_alpha_one_stays_full_far_out(self):
         # (pos + 1) - alpha used to cancel to 0 once e^{-kc t} < 1e-16
         t = np.array([400.0, 1e4])
-        assert np.allclose(kappa_release_partial(t, KC, 1.0), KC, rtol=1e-12)
+        assert np.allclose(centered(alpha=1.0).kappa(t), KC, rtol=1e-12)
 
     def test_partial_rate_overflow_safe(self):
-        assert np.isfinite(kappa_release_partial(1e5, KC, 0.5))
-        assert np.isfinite(kappa_release_partial(-1e5, KC, 0.5))
+        assert np.isfinite(centered(alpha=0.5).kappa(1e5))
+        assert np.isfinite(centered(alpha=0.5).kappa(-1e5))
 
     def test_invalid_args_rejected(self):
         with pytest.raises(ValidationError):
             sech_envelope(0.0, -1.0)
         with pytest.raises(ValidationError):
-            kappa_release_partial(0.0, KC, 0.0)
+            centered(alpha=0.0)
         with pytest.raises(ValidationError):
-            kappa_release_partial(0.0, KC, 1.5)
+            centered(alpha=1.5)
+
+    @pytest.mark.parametrize("kind", ["release", "capture"])
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.0 + 1e-12, 1.5, 5.0, float("nan")])
+    def test_coupling_alpha_outside_unit_interval_rejected(self, kind, alpha):
+        with pytest.raises(ValidationError):
+            centered(kind, alpha=alpha)
 
 
 @st.composite
@@ -108,17 +110,24 @@ class TestScheduleLookup:
                 want = lookup(qubit, np.array([t]))[0]
                 assert np.isclose(scalar, want, rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("kind, partial", [("full_release", "partial_release"),
-                                               ("capture", "partial_capture")])
-    def test_full_kind_is_partial_at_alpha_one_bit_for_bit(self, kind, partial):
-        # kappa_c t spans +-800, past the e^{-700} floor on both sides
-        seg = Segment(kind, 1, -400.0, 1600.0, kappa_c=1.0)
-        same = replace(seg, kind=partial, alpha=1.0)
-        t = np.linspace(seg.t_start, seg.t_end, 20001)
-        assert np.array_equal(seg.kappa(t), same.kappa(t))
-        for ti in t[::50].tolist():
-            assert isinstance(seg.kappa(ti), float)
-            assert seg.kappa(ti) == same.kappa(ti)
+    @settings(max_examples=60, deadline=None)
+    @given(sched=schedules(), data=st.data())
+    def test_lookup_sums_the_segments_holding_t(self, sched, data):
+        # brute force: every segment of the qubit whose [start, end) holds
+        # t, couplings adding to kappa and detunes to delta
+        edges = [x for s in sched.segments for x in (s.t_start, s.t_end)]
+        lo, hi = sched.window
+        ts = data.draw(st.lists(st.sampled_from(edges) | st.floats(lo - 10.0, hi + 10.0),
+                                min_size=1, max_size=8))
+        for qubit in (1, 2):
+            for lookup, value, couples in ((sched.kappa, Segment.kappa, True),
+                                           (sched.delta, Segment.delta, False)):
+                holding = [[s for s in sched.segments if s.qubit == qubit
+                            and s.couples == couples and s.t_start <= t < s.t_end] for t in ts]
+                want = [sum(value(s, t) for s in segs) for t, segs in zip(ts, holding)]
+                assert [lookup(qubit, t) for t in ts] == want
+                got = lookup(qubit, np.array(ts))
+                assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 class TestRelease:
@@ -158,11 +167,11 @@ class TestRelease:
 
 class TestTimeReverse:
     def test_double_reversal_identity(self):
-        seg = Segment("partial_release", 1, 10.0, 150.0, KC, alpha=0.3)
+        seg = Segment("release", 1, 10.0, 150.0, KC, alpha=0.3)
         assert time_reverse(time_reverse(seg)) == seg
 
     def test_reversal_mirrors_rate(self):
-        seg = Segment("full_release", 1, 0.0, 200.0, KC)
+        seg = Segment("release", 1, 0.0, 200.0, KC)
         rev = time_reverse(seg)
         t = np.linspace(0.0, 200.0, 33)
         assert np.allclose(seg.kappa(t), rev.kappa(200.0 - t), atol=1e-12)
@@ -221,7 +230,7 @@ class TestSimulateIO:
 
     def test_overlapping_couplings_rejected(self):
         segs = [
-            Segment("full_release", 1, 0.0, 100.0, KC),
+            Segment("release", 1, 0.0, 100.0, KC),
             Segment("capture", 2, 50.0, 100.0, KC),
         ]
         with pytest.raises(ValidationError):
@@ -229,7 +238,7 @@ class TestSimulateIO:
 
     def test_unresolvable_rate_rejected(self):
         sched = ControlSchedule(
-            [Segment("full_release", 1, 0.0, 10.0, 10.0)], window=(0.0, 10.0)
+            [Segment("release", 1, 0.0, 10.0, 10.0)], window=(0.0, 10.0)
         )
         with pytest.raises(IntegrationError):
             simulate_io(sched, ChannelParams(eta=1.0, tau=TAU), s0=(1.0, 0.0))
@@ -253,10 +262,9 @@ def delay_lines(draw):
                        phase=draw(st.floats(-np.pi, np.pi)))
     t0 = draw(st.floats(-50.0, 50.0).filter(lambda x: x != 0.0))
     kc = draw(st.floats(0.05, 0.4))
-    alpha = draw(st.none() | st.floats(0.05, 1.0))
-    release = (Segment("full_release", 1, t0, tau, kc) if alpha is None
-               else Segment("partial_release", 1, t0, tau, kc, alpha=alpha))
-    segs = [release, Segment("capture", 2, t0 + tau, tau, kc)]
+    alpha = draw(st.just(1.0) | st.floats(0.05, 1.0))
+    segs = [Segment("release", 1, t0, tau, kc, alpha=alpha),
+            Segment("capture", 2, t0 + tau, tau, kc)]
     if draw(st.booleans()):
         segs.append(Segment("detune", 1, t0 + tau, tau * draw(st.floats(0.1, 1.0)),
                             f_mhz=draw(st.floats(-30.0, 30.0))))
@@ -357,7 +365,7 @@ class TestDelayLine:
 
 def interference_schedule(delta_phi, tau, kappa_c, window):
     """The schedule `interference_experiment` integrates for one phase."""
-    release = Segment("partial_release", 1, 0.0, window, kappa_c, alpha=0.5)
+    release = Segment("release", 1, 0.0, window, kappa_c, alpha=0.5)
     segs = [release, time_reverse(replace(release, t_start=tau))]
     if delta_phi > 0:
         segs.append(Segment("detune", 1, window, delta_phi / (20.0 * 2e-3 * np.pi), f_mhz=20.0))
