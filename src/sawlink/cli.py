@@ -89,11 +89,18 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _sweep_value(text: str):
+    try:
+        return yaml.load(text, Loader=YamlLoader)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"sweep value {text!r} does not parse: {exc}") from exc
+
+
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = with_seed(cfg, args.seed)
-    values = [yaml.load(v, Loader=YamlLoader) for v in args.values]
+    values = [_sweep_value(v) for v in args.values]
     points = []
     for i, value in enumerate(values):
         cfg_i = set_by_path(cfg, args.param, value)

@@ -1,10 +1,15 @@
-"""Time-dependent Lindblad integration and classical phase-noise draws.
+"""Lindblad evolution and classical phase-noise draws.
 
-The master equation is integrated on the vectorized density matrix with
-an adaptive RK45 scheme; coefficients are evaluated analytically at the
-integrator's internal times.  A stack of k initial states is integrated
-as one d^2 x k matrix ODE, and the sampled (n_times, k, d, d) stack is
-checked, repaired and contracted with the observables in one pass.
+The master equation acts on the vectorized density matrix, and the
+generator's kind picks the route.  A constant generator is propagated
+exactly: exp(L h) is built once per distinct grid step by a Taylor
+series with scaling and squaring, using sparse x dense products only,
+and applied step by step.  A time-dependent one is integrated with an
+adaptive RK45 scheme, its coefficients evaluated analytically at the
+integrator's internal times.  A stack of k initial states evolves as the
+k columns of one d^2 x k matrix, and the sampled (n_times, k, d, d)
+stack is checked, repaired and contracted with the observables in one
+pass.
 
 Classical phase noise is drawn per realization from one counter-based
 stream each, derived from a single master seed, so repeated runs are
@@ -15,10 +20,12 @@ population over them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .errors import DiagnosticsError, IntegrationError, ValidationError
@@ -31,6 +38,11 @@ MIN_TOL, MAX_TOL = 1e-12, 1e-3
 # unphysical rather than integration noise.
 POSITIVITY_CLIP = 1e-8
 CLIP_BLOCK = 64
+
+# exp(A) is summed as a Taylor series once ||A||_1 <= TAYLOR_NORM; a
+# longer step is scaled down by a power of two and squared back up
+TAYLOR_NORM = 1.0
+UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -146,6 +158,88 @@ def _check_and_repair(rhos: np.ndarray, tol: float, times: np.ndarray) -> None:
     rhos /= np.trace(rhos, axis1=-2, axis2=-1).real[..., None, None]
 
 
+def _step_groups(steps: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Label each step with a group and give each group's mean width.
+
+    Steps within ``atol`` of their group's smallest member share a group,
+    so grid steps that differ only by rounding get one label."""
+    starts = []
+    for width in np.unique(steps):
+        if not starts or width - starts[-1] > atol:
+            starts.append(width)
+    labels = np.searchsorted(starts, steps, side="right") - 1
+    widths = np.bincount(labels, weights=steps) / np.bincount(labels)
+    return labels, widths
+
+
+def _propagator(generator: sparse.csr_array, h: float) -> sparse.csr_array:
+    """exp(L h) by a Taylor series with scaling and squaring (Moler and
+    Van Loan, SIAM Rev. 45, 3 (2003)).
+
+    Every product is a sparse x dense one, which runs without BLAS, so
+    the result does not depend on the BLAS thread count."""
+    a = generator * h
+    norm = float(abs(a).sum(axis=0).max())
+    squarings = math.ceil(math.log2(norm / TAYLOR_NORM)) if norm > TAYLOR_NORM else 0
+    a, norm = a * 0.5**squarings, norm * 0.5**squarings
+    p = term = np.eye(a.shape[0], dtype=complex)
+    # add terms until ||a||^j / j!, a bound on the next term's norm, is
+    # below the unit roundoff
+    j, bound = 0, 1.0
+    while bound > UNIT_ROUNDOFF:
+        j += 1
+        term = a @ term / j
+        p = p + term
+        bound *= norm / j
+    for _ in range(squarings):
+        p = sparse.csr_array(p) @ p
+    return sparse.csr_array(p)
+
+
+def _propagate(generator: sparse.csr_array, y: np.ndarray, grid: np.ndarray,
+               flat: np.ndarray) -> None:
+    """Step y <- exp(L h) y across ``grid``, writing each state to ``flat``.
+
+    One propagator is built per distinct step width: a ``linspace`` grid,
+    whose steps differ only in the rounding of the grid points, builds one."""
+    if not np.isfinite(generator.data).all():
+        raise ValidationError("generator has a non-finite entry")
+    atol = 16 * np.finfo(float).eps * np.max(np.abs(grid))
+    labels, widths = _step_groups(np.diff(grid), atol)
+    props = [_propagator(generator, h) for h in widths]
+    flat[0] = y.T
+    for i, label in enumerate(labels, 1):
+        y = props[label] @ y
+        flat[i] = y.T
+
+
+def _integrate(generator: Generator, y: np.ndarray, grid: np.ndarray, tol: float,
+               breakpoints: Sequence[float], raw: np.ndarray) -> None:
+    """RK45 across ``grid``, restarting at each breakpoint, writing the
+    sampled (n_times, k, d, d) stack to ``raw``."""
+    _, k, d, _ = raw.shape
+    # one state stays a vector: a sparse product with a single column is slower
+    rhs = generator if k == 1 else lambda t, y: generator(t, y.reshape(d * d, k)).reshape(-1)
+    y = y.reshape(-1)
+    t0, tf = grid[0], grid[-1]
+    cuts = sorted({t0, tf} | {b for b in breakpoints if t0 < b < tf})
+    # segment i samples grid[ends[i]:ends[i + 1]], the grid points in
+    # (cuts[i], cuts[i + 1]], and the first segment t0 as well
+    ends = np.searchsorted(grid, cuts, side="right")
+    ends[0] = 0
+    # each segment's samples are copied in once, so the solver's output
+    # is freed segment by segment
+    for a, b, lo, hi in zip(cuts, cuts[1:], ends, ends[1:]):
+        # always sample the segment endpoint so the next segment restarts there
+        t_eval = grid[lo:hi] if hi > lo and grid[hi - 1] == b else np.append(grid[lo:hi], b)
+        sol = solve_ivp(rhs, (a, b), y, method="RK45", t_eval=t_eval, rtol=tol, atol=tol * 1e-2)
+        if not sol.success:
+            raise IntegrationError(f"integration failed on [{a:.6g}, {b:.6g}] ns: {sol.message}")
+        raw[lo:hi] = sol.y[:, : hi - lo].reshape(d, d, k, hi - lo).transpose(3, 2, 0, 1)
+        y = sol.y[:, -1].copy()
+        del sol
+
+
 def evolve_generator(
     generator: Generator,
     rho0: QuantumState | Sequence[QuantumState],
@@ -154,14 +248,20 @@ def evolve_generator(
     observables: dict[str, Operator] | None = None,
     breakpoints: Sequence[float] = (),
 ) -> Trajectory | list[Trajectory]:
-    """Integrate d(vec rho)/dt = L(t) vec rho and sample it on ``grid``.
+    """Evolve d(vec rho)/dt = L(t) vec rho and sample it on ``grid``.
 
     One initial state gives one Trajectory; a sequence of k states gives
-    k Trajectories, integrated as the columns of one d^2 x k matrix ODE.
-    The states must live on the generator's space.
-    ``breakpoints`` mark times where coefficients are non-smooth; the
-    window is integrated piecewise between them so the adaptive stepper
-    never straddles a kink.
+    k Trajectories, evolved as the columns of one d^2 x k matrix.  The
+    states must live on the generator's space.
+
+    The generator's kind picks the route.  A constant generator is
+    propagated exactly: exp(L h) is built once per distinct grid step and
+    applied to the states step by step, and ``breakpoints`` do not
+    matter.  A time-dependent one is integrated with RK45 at ``tol``;
+    ``breakpoints`` mark times where its coefficients are non-smooth, and
+    the window is integrated piecewise between them so the adaptive
+    stepper never straddles a kink.  On either route ``tol`` sets the
+    trace and Hermiticity thresholds of the repair pass.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -175,28 +275,15 @@ def evolve_generator(
         raise ValidationError("initial states must live on the generator space")
 
     d, k = space.dim, len(preps)
-    t0, tf = grid[0], grid[-1]
-    # one state stays a vector: a sparse product with a single column is slower
-    rhs = generator if k == 1 else lambda t, y: generator(t, y.reshape(d * d, k)).reshape(-1)
-
-    cuts = sorted({t0, tf} | {b for b in breakpoints if t0 < b < tf})
-    # segment i samples grid[ends[i]:ends[i + 1]], the grid points in
-    # (cuts[i], cuts[i + 1]], and the first segment t0 as well
-    ends = np.searchsorted(grid, cuts, side="right")
-    ends[0] = 0
-    y = np.stack([p.rho for p in preps], axis=-1).reshape(-1)
-    # row i, column j holds state j at grid[i]; each segment's samples are
-    # copied in once, so the solver's output is freed segment by segment
+    # column j of y is state j, and raw[i, j] holds it at grid[i]
+    y = np.stack([p.rho for p in preps], axis=-1).reshape(d * d, k)
     raw = np.empty((grid.size, k, d, d), dtype=complex)
-    for a, b, lo, hi in zip(cuts, cuts[1:], ends, ends[1:]):
-        # always sample the segment endpoint so the next segment restarts there
-        t_eval = grid[lo:hi] if hi > lo and grid[hi - 1] == b else np.append(grid[lo:hi], b)
-        sol = solve_ivp(rhs, (a, b), y, method="RK45", t_eval=t_eval, rtol=tol, atol=tol * 1e-2)
-        if not sol.success:
-            raise IntegrationError(f"integration failed on [{a:.6g}, {b:.6g}] ns: {sol.message}")
-        raw[lo:hi] = sol.y[:, : hi - lo].reshape(d, d, k, hi - lo).transpose(3, 2, 0, 1)
-        y = sol.y[:, -1].copy()
-        del sol
+    if callable(generator.coeffs):
+        _integrate(generator, y, grid, tol, breakpoints, raw)
+    else:
+        # one state stays a vector: a sparse product with a single column is slower
+        _propagate(generator.stacked, y[:, 0] if k == 1 else y, grid,
+                   raw.reshape(grid.size, k, d * d))
 
     _check_and_repair(raw, tol, grid)
     series = expectations(raw, observables)

@@ -481,8 +481,8 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "g_mhz": 0.18,
             "horizon_tau": 2.0,
             "points": 800,
-            # long ladder integrations need the tighter step control to
-            # stay inside the positivity guard
+            # the constant ladder generator is propagated exactly, so tol
+            # sets only the repair pass's trace and Hermiticity thresholds
             "tol": 1e-9,
         },
     ),

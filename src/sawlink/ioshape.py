@@ -87,6 +87,8 @@ class Segment:
     Both are centered on the segment midpoint, so a release peaks its
     packet there and the matching capture must be scheduled one transit
     later.  A ``detune`` shifts the qubit by ``f_mhz``; at 0 MHz it idles.
+    Each kind takes only the fields it reads: a coupling leaves ``f_mhz``
+    at 0, and a detune leaves ``kappa_c`` at 0 and ``alpha`` at 1.
     """
 
     kind: str
@@ -106,6 +108,10 @@ class Segment:
             raise ValidationError("duration must be positive")
         if self.couples and not (self.kappa_c > 0 and 0.0 < self.alpha <= 1.0):
             raise ValidationError(f"{self.kind} segment needs kappa_c > 0 and alpha in (0, 1]")
+        if self.couples and self.f_mhz != 0.0:
+            raise ValidationError(f"{self.kind} segment takes no f_mhz")
+        if not self.couples and (self.kappa_c != 0.0 or self.alpha != 1.0):
+            raise ValidationError("detune segment takes no kappa_c or alpha")
 
     @property
     def t_end(self) -> float:

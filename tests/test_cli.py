@@ -237,6 +237,18 @@ class TestExitCodes:
         assert json.loads(err[0])["error"] == "ValidationError"
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("value", ["[", "{", ": x"])
+    def test_sweep_value_that_does_not_parse_is_2(self, config_path, tmp_path, capsys, value):
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", config_path, "--out", str(out),
+                     "params.window_ns", "--", "150", value]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        diag = json.loads(err[0])
+        assert diag["error"] == "ConfigError"
+        assert repr(value) in diag["message"]
+
     @pytest.mark.parametrize("experiment, key, value", [
         ("multi_transit", "max_transits", 2.7),
         ("interference", "realizations", 2.5),
@@ -349,19 +361,19 @@ class TestExitCodes:
             main(["run", "--config", config_path, "--out", str(tmp_path / "r")])
 
 
-# The fuzz runs nine experiments end to end (the cheap ones made smaller
-# still here) and validates vacuum_rabi.
+# The fuzz runs all ten experiments end to end (the cheap ones made
+# smaller still here) and validates them too.
 RUN_EXPERIMENTS = ("saw_response", "spectroscopy", "tomo_roundtrip",
                    "ping_pong", "multi_transit", "interference",
-                   "swap", "double_swap", "bell")
+                   "swap", "double_swap", "bell", "vacuum_rabi")
 SMALL_PARAMS = {
     "saw_response": {"points": 21},
     "spectroscopy": {"points": 11, "n_modes": 4},
     "tomo_roundtrip": {"n_states": 4},
     "multi_transit": {"max_transits": 2},
     "interference": {"n_phases": 5, "realizations": 8},
+    "vacuum_rabi": {"n_modes": 3, "points": 40},
 }
-VALIDATE_EXPERIMENTS = tuple(sorted(set(EXPERIMENTS) - set(RUN_EXPERIMENTS)))
 
 
 def _paths(tree, prefix=()):
@@ -445,7 +457,7 @@ class TestConfigFuzz:
         _exit_cleanly("run", _mutated(*case))
 
     @settings(max_examples=80, deadline=None)
-    @given(case=cases(VALIDATE_EXPERIMENTS))
+    @given(case=cases(tuple(sorted(EXPERIMENTS))))
     @example(case=("interference", [(("seed",), -1)]))
     def test_validate_exits_cleanly(self, case):
         _exit_cleanly("validate", _mutated(*case))
@@ -454,12 +466,14 @@ class TestConfigFuzz:
 # sweeps run every point twice (serial and parallel), so they leave out
 # the slowest experiment
 SWEEP_EXPERIMENTS = tuple(e for e in RUN_EXPERIMENTS if e != "double_swap")
+# swept values that are not YAML
+UNPARSEABLE = ("[", "{", ": x")
 
 
 @st.composite
 def sweeps(draw):
     """An experiment, a swept key path with one to three values (near the
-    default or anywhere), and an optional --seed."""
+    default, anywhere, or not YAML at all), and an optional --seed."""
     experiment = draw(st.sampled_from(SWEEP_EXPERIMENTS))
     raw = _mutated(experiment, [])
     paths = sorted(p for p in _paths(raw) if p[0] in ("params", "device", "seed"))
@@ -470,9 +484,10 @@ def sweeps(draw):
     near = values
     if isinstance(node, (int, float)) and not isinstance(node, bool):
         near = st.floats(0.5, 1.5).map(lambda f: type(node)(f * node)) | values
-    swept = draw(st.lists(near, min_size=1, max_size=3))
+    texts = near.map(json.dumps) | st.sampled_from(UNPARSEABLE)
+    swept = draw(st.lists(texts, min_size=1, max_size=3))
     seed = draw(st.none() | st.integers(-1, 2**64))
-    return experiment, ".".join(path), [json.dumps(v) for v in swept], seed
+    return experiment, ".".join(path), swept, seed
 
 
 def _sweep_exits_cleanly(raw, path, swept, extra, out):

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sawlink
+from sawlink import dynamics
 from sawlink.dynamics import (
     POSITIVITY_CLIP,
     NoiseSpec,
@@ -49,7 +57,7 @@ def test_constant_decay_matches_exponential():
     traj = evolve_generator(
         decay, EXCITED, grid, observables={"pe": Operator(QUBIT, NUMBER)}
     )
-    assert np.allclose(traj.observables["pe"], np.exp(-kappa * grid), atol=1e-7)
+    assert np.max(np.abs(traj.observables["pe"] - np.exp(-kappa * grid))) <= 1e-12
 
 
 def test_resonant_vacuum_rabi_oracle():
@@ -201,13 +209,19 @@ def random_states(rng, k, dim, rank=None):
     return rho / np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
 
 
-def pair_generator(rng, time_dependent):
-    """Decay and dephasing of both qubits plus a random Hermitian drive."""
+def pair_blocks(rng):
+    """Decay and dephasing of both qubits plus a random Hermitian drive:
+    the blocks and their rates."""
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     blocks = [commutator_superop(0.02 * (h + h.conj().T))]
     for lbl in ("a", "b"):
         blocks += [dissipator(embed(SIGMA_MINUS, lbl, PAIR)), dissipator(embed(NUMBER, lbl, PAIR))]
-    rates = np.concatenate([[1.0], rng.uniform(0.0, 0.05, size=4)])
+    return blocks, np.concatenate([[1.0], rng.uniform(0.0, 0.05, size=4)])
+
+
+def pair_generator(rng, time_dependent):
+    """The ``pair_blocks`` generator, its rates constant or modulated in time."""
+    blocks, rates = pair_blocks(rng)
     if not time_dependent:
         return Generator(PAIR, blocks, rates)
     omega = rng.uniform(0.05, 0.3)
@@ -255,6 +269,108 @@ class TestStackedEvolution:
         with pytest.raises(ValidationError):
             evolve_generator(decay, [EXCITED, QuantumState.basis_state(PAIR, [1, 0])],
                              np.linspace(0, 1, 2))
+
+
+# ---- exact propagation of a constant generator ---------------------------------
+
+LADDER = HilbertSpace([2, 2, 2, 2], ["q", "m0", "m1", "m2"], excitation_cap=1)
+
+
+def ladder_blocks(rng):
+    """A random Hermitian drive plus decay of every element of the capped
+    ladder, with random rates."""
+    h = rng.normal(size=(LADDER.dim,) * 2) + 1j * rng.normal(size=(LADDER.dim,) * 2)
+    blocks = [commutator_superop(0.02 * (h + h.conj().T))]
+    blocks += [dissipator(embed(SIGMA_MINUS, lbl, LADDER)) for lbl in LADDER.labels]
+    return blocks, np.concatenate([[1.0], rng.uniform(0.0, 0.05, size=len(LADDER.labels))])
+
+
+class TestExactPropagation:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        on_ladder=st.booleans(),
+        k=st.integers(1, 16),
+        n_points=st.integers(2, 8),
+    )
+    def test_matches_rk45(self, seed, on_ladder, k, n_points):
+        # the same blocks behind a callable coefficient vector take the RK45 route
+        rng = np.random.default_rng(seed)
+        space = LADDER if on_ladder else PAIR
+        blocks, rates = (ladder_blocks if on_ladder else pair_blocks)(rng)
+        grid = np.sort(rng.uniform(0.0, 60.0, size=n_points))
+        grid[0] = 0.0
+        preps = [QuantumState(space, r) for r in random_states(rng, k, space.dim)]
+        exact = evolve_generator(Generator(space, blocks, rates), preps, grid, 1e-12)
+        rk45 = evolve_generator(Generator(space, blocks, lambda t: rates), preps, grid, 1e-12)
+        for a, b in zip(exact, rk45):
+            assert np.max(np.abs(a.rhos - b.rhos)) <= 1e-9
+
+    def test_matches_per_step_matrix_exponential(self):
+        rng = np.random.default_rng(21)
+        generator = pair_generator(rng, time_dependent=False)
+        # the last steps are long enough that the series is scaled and squared
+        grid = np.array([0.0, 0.3, 2.0, 7.5, 80.0, 400.0])
+        rhos = random_states(rng, 3, 4)
+        trajs = evolve_generator(generator, [QuantumState(PAIR, r) for r in rhos], grid)
+        y = rhos.reshape(3, 16).T
+        want = [y]
+        for h in np.diff(grid):
+            want.append(scipy.linalg.expm(generator.stacked.toarray() * h) @ want[-1])
+        want = np.stack(want).transpose(0, 2, 1).reshape(grid.size, 3, 4, 4)
+        for j, traj in enumerate(trajs):
+            assert np.max(np.abs(traj.rhos - want[:, j])) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(t0=st.floats(-1e4, 1e4), span=st.floats(1e-3, 1e5))
+    @example(t0=0.0, span=2 * 508.12)  # the vacuum_rabi grid
+    def test_linspace_grid_builds_one_propagator(self, t0, span):
+        built = []
+        build = dynamics._propagator
+
+        def counting(generator, h):
+            built.append(h)
+            return build(generator, h)
+
+        decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [0.02])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_propagator", counting)
+            evolve_generator(decay, EXCITED, np.linspace(t0, t0 + span, 800))
+            assert len(built) == 1
+            evolve_generator(decay, EXCITED, np.array([0.0, 1.0, 2.0, 4.0, 6.0]))
+            assert built[1:] == [1.0, 2.0]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("rate", [np.inf, -np.inf, np.nan])
+    def test_non_finite_generator_rejected(self, rate):
+        decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [rate])
+        with pytest.raises(ValidationError, match="non-finite"):
+            evolve_generator(decay, EXCITED, np.linspace(0, 1, 3))
+
+    def test_bit_identical_across_blas_threads(self):
+        script = (
+            "import hashlib\n"
+            "from sawlink import experiments\n"
+            "from sawlink.device import default_device\n"
+            "evolve, seen = experiments.evolve_generator, []\n"
+            "def spy(*args, **kwargs):\n"
+            "    seen.append(evolve(*args, **kwargs))\n"
+            "    return seen[-1]\n"
+            "experiments.evolve_generator = spy\n"
+            "params = dict(experiments.EXPERIMENTS['vacuum_rabi'].defaults)\n"
+            "experiments.run_experiment('vacuum_rabi', default_device(), params, 1234)\n"
+            "print(hashlib.sha256(seen[0].rhos.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(sawlink.__file__).parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True)
+            digests.append(out.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
 
 def repair_one(rho, tol, t):

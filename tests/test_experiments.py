@@ -203,6 +203,16 @@ class TestVacuumRabi:
         assert abs(m["revival_onset_ns"] - m["expected_onset_ns"]) <= 5.0
         assert m["golden_rule_inverse_ns"] == pytest.approx(7.6, rel=0.03)
 
+    def test_looser_tol_runs_with_the_same_result(self):
+        # the constant generator is propagated exactly, so tol only sets the
+        # repair thresholds; RK45 at tol 1e-8 left a negative eigenvalue of
+        # -1.00e-08 at t = 983.171 ns and stopped
+        loose, default = run("vacuum_rabi", tol=1e-8), run("vacuum_rabi")
+        assert loose.metrics == default.metrics
+        decay = loose.series["decay"]
+        for key, values in default.series["decay"].items():
+            assert np.array_equal(decay[key], values)
+
 
 class TestSawResponse:
     def test_device_level_numbers(self):

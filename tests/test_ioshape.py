@@ -79,18 +79,35 @@ class TestPulseShapes:
             centered(kind, alpha=alpha)
 
 
+    @pytest.mark.parametrize("kind, fields", [
+        ("release", {"kappa_c": KC, "f_mhz": 10.0}),
+        ("capture", {"kappa_c": KC, "f_mhz": -0.5}),
+        ("release", {"kappa_c": KC, "f_mhz": float("nan")}),
+        ("detune", {"kappa_c": 0.3}),
+        ("detune", {"alpha": 0.5}),
+        ("detune", {"f_mhz": 20.0, "kappa_c": 0.3, "alpha": 0.5}),
+    ])
+    def test_field_the_kind_does_not_read_rejected(self, kind, fields):
+        # the schedule would drop it: a release's f_mhz detunes nothing and
+        # a detune's kappa_c couples nothing
+        with pytest.raises(ValidationError):
+            Segment(kind, 1, 0.0, 100.0, **fields)
+
+
 @st.composite
 def schedules(draw):
     """One to five segments of any kind on either qubit, laid end to end or
-    with gaps, so the coupling rules hold by construction."""
+    with gaps, so the coupling rules hold by construction; each kind draws
+    only the fields it reads."""
     segs, t = [], draw(st.floats(-50.0, 50.0))
     for _ in range(draw(st.integers(1, 5))):
+        kind, qubit = draw(st.sampled_from(SEGMENT_KINDS)), draw(st.sampled_from([1, 2]))
         duration = draw(st.floats(1.0, 200.0))
-        segs.append(Segment(
-            draw(st.sampled_from(SEGMENT_KINDS)), draw(st.sampled_from([1, 2])), t, duration,
-            kappa_c=draw(st.floats(0.01, 1.0)), alpha=draw(st.floats(0.05, 1.0)),
-            f_mhz=draw(st.floats(-50.0, 50.0)),
-        ))
+        if kind == "detune":
+            fields = {"f_mhz": draw(st.floats(-50.0, 50.0))}
+        else:
+            fields = {"kappa_c": draw(st.floats(0.01, 1.0)), "alpha": draw(st.floats(0.05, 1.0))}
+        segs.append(Segment(kind, qubit, t, duration, **fields))
         t += duration + draw(st.sampled_from([0.0, 5.0]))
     return ControlSchedule(segs)
 
