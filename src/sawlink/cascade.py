@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
+from . import tomo
 from .dynamics import Trajectory, evolve_generator, expectations
 from .errors import DiagnosticsError, ValidationError
 from .ioshape import ChannelParams, ControlSchedule
@@ -243,8 +244,6 @@ def process_tomography_run(
     experiments calibrate it out by redefining the receiving qubit's
     frame.
     """
-    from . import tomo
-
     emitters = (emitter,) if isinstance(emitter, int) else tuple(emitter)
     receivers = (receiver,) if isinstance(receiver, int) else tuple(receiver)
     n = len(emitters)

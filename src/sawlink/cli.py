@@ -145,8 +145,6 @@ def _add_common(parser, out_required: bool):
     parser.add_argument("--config", required=True, help="config file path")
     parser.add_argument("--out", required=out_required, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override master seed")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for independent sweep points")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,6 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("param", help="dotted config path, e.g. params.window_ns")
     p_sweep.add_argument("values", nargs="+", help="one or more values to sweep")
     _add_common(p_sweep, out_required=True)
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="parallel workers for independent sweep points")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="check a config without running")

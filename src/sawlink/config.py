@@ -97,16 +97,8 @@ def _merge_section(raw: dict, defaults: dict, where: str) -> dict:
             merged[key] = _merge_section(value, default, spot)
         elif default is None:
             merged[key] = None if value is None else _check_number(value, 1.0, spot)
-        elif isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{spot} must be a boolean")
-            merged[key] = value
-        elif isinstance(default, (int, float)):
-            merged[key] = _check_number(value, default, spot)
         else:
-            if not isinstance(value, type(default)):
-                raise ConfigError(f"{spot} has the wrong type")
-            merged[key] = value
+            merged[key] = _check_number(value, default, spot)
     return merged
 
 

@@ -11,11 +11,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cascade import QubitNoise
-from .dynamics import dephasing_rate
 from .errors import ValidationError
 from .ioshape import ChannelParams
 from .sawphys import SawGeometry, default_geometry
 from .tomo import ReadoutModel
+
+
+def dephasing_rate(T2R: float, T1_int: float) -> float:
+    """Pure-dephasing rate (1/us) from Ramsey and intrinsic-lifetime inputs."""
+    if T2R <= 0 or T1_int <= 0:
+        raise ValidationError("coherence times must be positive")
+    rate = 1.0 / T2R - 1.0 / (2.0 * T1_int)
+    if rate < 0:
+        raise ValidationError(
+            f"T2R = {T2R} us exceeds the 2*T1 = {2 * T1_int} us limit; inputs inconsistent"
+        )
+    return rate
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Lindblad evolution and classical phase-noise draws.
+"""Lindblad evolution.
 
 The master equation acts on the vectorized density matrix, and the
 generator's kind picks the route.  A constant generator is propagated
@@ -10,12 +10,6 @@ integrator's internal times.  A stack of k initial states evolves as the
 k columns of one d^2 x k matrix, and the sampled (n_times, k, d, d)
 stack is checked, repaired and contracted with the observables in one
 pass.
-
-Classical phase noise is drawn per realization from one counter-based
-stream each, derived from a single master seed, so repeated runs are
-bit-identical; the delay-loop interference experiment in `ioshape`
-draws them once per call and takes the exact mean of the final
-population over them.
 """
 
 from __future__ import annotations
@@ -46,52 +40,9 @@ UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    """Gaussian classical phase noise shared by a set of realizations."""
-
-    sigma_phi: float  # rad
-    n_realizations: int = 1024
-    master_seed: int = 0
-
-    def __post_init__(self):
-        if self.sigma_phi < 0:
-            raise ValidationError("sigma_phi must be >= 0")
-        if self.n_realizations < 1:
-            raise ValidationError("n_realizations must be >= 1")
-
-
-def realization_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Counter-split stream: one independent generator per realization."""
-    key = (int(master_seed) << 64) | int(index)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def realization_phases(noise: NoiseSpec) -> np.ndarray:
-    """Per-realization Gaussian phases, reproducible from the master seed."""
-    return np.array(
-        [
-            realization_rng(noise.master_seed, i).normal(0.0, noise.sigma_phi)
-            for i in range(noise.n_realizations)
-        ]
-    )
-
-
-def dephasing_rate(T2R: float, T1_int: float) -> float:
-    """Pure-dephasing rate (1/us) from Ramsey and intrinsic-lifetime inputs."""
-    if T2R <= 0 or T1_int <= 0:
-        raise ValidationError("coherence times must be positive")
-    rate = 1.0 / T2R - 1.0 / (2.0 * T1_int)
-    if rate < 0:
-        raise ValidationError(
-            f"T2R = {T2R} us exceeds the 2*T1 = {2 * T1_int} us limit; inputs inconsistent"
-        )
-    return rate
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """States ``rhos[i]`` of one initial state at ``times[i]``, validated as one
-    stack; ``final_state()`` and ``states`` build QuantumStates when read."""
+    stack; ``final_state()`` builds a QuantumState when read."""
 
     space: HilbertSpace
     times: np.ndarray
@@ -110,10 +61,6 @@ class Trajectory:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "rhos", rhos)
 
-    @property
-    def states(self) -> tuple[QuantumState, ...]:
-        return tuple(QuantumState(self.space, r) for r in self.rhos)
-
     def final_state(self) -> QuantumState:
         return QuantumState(self.space, self.rhos[-1])
 
@@ -130,7 +77,9 @@ def _check_and_repair(rhos: np.ndarray, tol: float, times: np.ndarray) -> None:
     Per state: trace drift up to 100 tol and Hermiticity error up to 10 tol
     pass; the state is symmetrised, eigenvalues down to -POSITIVITY_CLIP
     are clipped to zero and the trace restored.  An error names the
-    earliest time at which a state fails a check."""
+    earliest time at which a state fails a check.  Each test reads
+    ``not x <= tol``, so a non-finite state raises before any clip or
+    retrace."""
     drift = np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0)
     herm_err = hermiticity_error(rhos)
     # (rho + rho^H) / 2 in place; numpy buffers the overlapping transposed operand
@@ -139,13 +88,13 @@ def _check_and_repair(rhos: np.ndarray, tol: float, times: np.ndarray) -> None:
     rhos *= 0.5
     evals, evecs = np.linalg.eigh(rhos)
     low = evals[..., 0]
-    bad = (drift > 100 * tol) | (herm_err > 10 * tol) | (low < -POSITIVITY_CLIP)
+    bad = ~(drift <= 100 * tol) | ~(herm_err <= 10 * tol) | ~(-low <= POSITIVITY_CLIP)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         t = times[i]
-        if drift[i, j] > 100 * tol:
+        if not drift[i, j] <= 100 * tol:
             raise DiagnosticsError(f"trace drift {drift[i, j]:.2e} at t = {t:.6g} ns")
-        if herm_err[i, j] > 10 * tol:
+        if not herm_err[i, j] <= 10 * tol:
             raise DiagnosticsError(f"Hermiticity violation {herm_err[i, j]:.2e} at t = {t:.6g} ns")
         raise DiagnosticsError(f"negative eigenvalue {low[i, j]:.2e} at t = {t:.6g} ns")
     # clipped states are rebuilt a block at a time to keep the temporaries small

@@ -16,10 +16,11 @@ import numpy as np
 from . import multimode, sawphys, tomo
 from .cascade import CascadeConfig, process_tomography_run, run_cascade, two_qubit_space
 from .device import DeviceParams
-from .dynamics import NoiseSpec, evolve_generator
+from .dynamics import evolve_generator
 from .errors import ValidationError
 from .ioshape import (
     ControlSchedule,
+    NoiseSpec,
     Segment,
     interference_experiment,
     simulate_io,
@@ -69,7 +70,7 @@ def run_ping_pong(device: DeviceParams, params: dict, seed: int) -> ExperimentOu
     ch = device.channel(eta=_eta(device, params))
     sched = transfer_schedule(kc, w, ch.tau, emitter=1, receiver=1)
     trace = simulate_io(sched, ch, s0=(1.0, 0.0))
-    p1 = np.abs(trace.s1) ** 2
+    p1 = trace.p1
     efficiency = float(p1[-1] / p1[0])
     return ExperimentOutput(
         metrics={

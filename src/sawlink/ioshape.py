@@ -5,13 +5,19 @@ kappa_i(t); the output of one transit feeds back as the input of the
 next after the delay tau, attenuated by sqrt(eta) and rotated by the
 per-transit phase.  This single-excitation picture is the fast path
 for efficiency and interference sweeps; density-matrix experiments
-live in `cascade`.
+live in `cascade`.  The module needs numpy alone: it imports nothing
+from the Lindblad side and no scipy.
 
 A coupling segment releases the fraction alpha of the stored excitation
 (alpha = 1 empties the qubit) or captures it, the release with the same
 alpha mirrored in time; a detune segment shifts the qubit.  The shape is
 written once, with a float form (``math``) for the cascade's per-call
 schedule lookups and an array form (numpy) for the delay loop's grid.
+
+Classical phase noise is drawn per realization from one counter-based
+stream each, derived from a single master seed, so repeated runs are
+bit-identical; the interference experiment draws the phases once per
+call and takes the exact mean of the final population over them.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import NoiseSpec, realization_phases
 from .errors import IntegrationError, RoleAmbiguityError, ValidationError
 
 MHZ = 2e-3 * np.pi  # linear MHz -> rad/ns
@@ -47,11 +52,35 @@ class ChannelParams:
             raise ValidationError("tau must be positive")
 
 
-def sech_envelope(t, kappa_c: float):
-    """Unit-power wavepacket sqrt(kappa_c/4) / cosh(kappa_c t / 2)."""
-    if kappa_c <= 0:
-        raise ValidationError("kappa_c must be positive")
-    return np.sqrt(kappa_c / 4.0) / np.cosh(kappa_c * np.asarray(t) / 2.0)
+@dataclass(frozen=True)
+class NoiseSpec:
+    """Gaussian classical phase noise shared by a set of realizations."""
+
+    sigma_phi: float  # rad
+    n_realizations: int = 1024
+    master_seed: int = 0
+
+    def __post_init__(self):
+        if self.sigma_phi < 0:
+            raise ValidationError("sigma_phi must be >= 0")
+        if self.n_realizations < 1:
+            raise ValidationError("n_realizations must be >= 1")
+
+
+def realization_rng(master_seed: int, index: int) -> np.random.Generator:
+    """Counter-split stream: one independent generator per realization."""
+    key = (int(master_seed) << 64) | int(index)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def realization_phases(noise: NoiseSpec) -> np.ndarray:
+    """Per-realization Gaussian phases, reproducible from the master seed."""
+    return np.array(
+        [
+            realization_rng(noise.master_seed, i).normal(0.0, noise.sigma_phi)
+            for i in range(noise.n_realizations)
+        ]
+    )
 
 
 _X_MAX = 700.0  # e^{-700} is still a normal double

@@ -84,10 +84,6 @@ def jc_hamiltonian(p: MultimodeParams, space: HilbertSpace | None = None) -> Ope
     return Operator(space, h)
 
 
-def excitation_number(space: HilbertSpace) -> Operator:
-    return Operator(space, np.diag([float(sum(occ)) for occ in space.basis]))
-
-
 def spectrum(p: MultimodeParams, qubit_offsets_mhz: Sequence[float]) -> np.ndarray:
     """Single-excitation eigenvalues (MHz) versus qubit frequency offset.
 

@@ -32,14 +32,6 @@ NUMBER = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 
-def lowering(dim: int) -> np.ndarray:
-    """Bosonic lowering operator truncated to ``dim`` Fock states."""
-    a = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, dim):
-        a[n - 1, n] = np.sqrt(n)
-    return a
-
-
 @dataclass(frozen=True)
 class HilbertSpace:
     """Composite space of labelled modes, optionally excitation-capped.
@@ -141,12 +133,13 @@ def hermiticity_error(rhos: np.ndarray) -> np.ndarray:
 
 def check_states(rhos: np.ndarray) -> None:
     """Raise unless every matrix of a stack (..., d, d) is Hermitian, of unit
-    trace and positive within the tolerances above."""
-    if np.max(hermiticity_error(rhos)) > HERM_ATOL:
+    trace and positive within the tolerances above.  Each test reads
+    ``not x <= tol``, so a NaN fails it."""
+    if not np.max(hermiticity_error(rhos)) <= HERM_ATOL:
         raise ValidationError("state is not Hermitian within tolerance")
     tr = np.trace(rhos, axis1=-2, axis2=-1)
     off = np.maximum(np.abs(tr.real - 1.0), np.abs(tr.imag))
-    if np.max(off) > TRACE_ATOL:
+    if not np.max(off) <= TRACE_ATOL:
         raise ValidationError(f"state trace {tr.flat[np.argmax(off)]} is not 1 within tolerance")
     # every eigenvalue exceeds -EIG_ATOL exactly when rho + EIG_ATOL I has a
     # Cholesky factor, which costs a fraction of an eigendecomposition
@@ -173,20 +166,10 @@ class QuantumState:
         object.__setattr__(self, "rho", r)
 
     @classmethod
-    def from_ket(cls, space: HilbertSpace, ket: np.ndarray) -> "QuantumState":
-        v = np.asarray(ket, dtype=complex).reshape(-1)
-        v = v / np.linalg.norm(v)
-        return cls(space, np.outer(v, v.conj()))
-
-    @classmethod
     def basis_state(cls, space: HilbertSpace, occupation: Sequence[int]) -> "QuantumState":
         v = np.zeros(space.dim, dtype=complex)
         v[space.basis_index(occupation)] = 1.0
         return cls(space, np.outer(v, v.conj()))
-
-    def expect(self, op: Operator | np.ndarray) -> complex:
-        m = op.matrix if isinstance(op, Operator) else np.asarray(op)
-        return complex(np.trace(m @ self.rho))
 
 
 def embed_product(ops: dict[str, np.ndarray], space: HilbertSpace) -> Operator:

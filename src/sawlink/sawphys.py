@@ -59,9 +59,6 @@ class SawGeometry:
     ``band_center_ghz`` is the measured stop-band center; the mirror
     speed/pitch ratio predicts a slightly different value, so the
     measured one is stored explicitly and used by the COM reflectance.
-    ``aperture_um`` and ``metallization_ratio`` are recorded for
-    provenance but enter no formula here (diffraction and dispersion
-    are out of scope).
     """
 
     mirror: Grating
@@ -69,8 +66,6 @@ class SawGeometry:
     free: FreeSpace
     eff_mirror_distance_um: float
     band_center_ghz: float
-    aperture_um: float = 75.0
-    metallization_ratio: float = 0.58
     penetration_delay_ns: float = 5.0
 
     def __post_init__(self):
@@ -78,8 +73,6 @@ class SawGeometry:
             raise ValidationError("mirror distance must be positive")
         if self.band_center_ghz <= 0:
             raise ValidationError("band center must be positive")
-        if not 0 <= self.metallization_ratio <= 1:
-            raise ValidationError("metallization ratio is a fraction")
 
     @property
     def idt_center_ghz(self) -> float:

@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ValidationError
-from .qcore import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, HilbertSpace, QuantumState
+from .qcore import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, QuantumState
 
 PAULIS_1Q = {
     "I": IDENTITY_2,
@@ -68,10 +68,6 @@ class ReadoutModel:
             for f in (fg, fe):
                 if not 0.5 < f <= 1.0:
                     raise ValidationError("readout fidelities must lie in (0.5, 1]")
-
-    @classmethod
-    def perfect(cls, n_qubits: int) -> "ReadoutModel":
-        return cls(((1.0, 1.0),) * n_qubits)
 
     @property
     def n_qubits(self) -> int:

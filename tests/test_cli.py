@@ -205,6 +205,15 @@ class TestExitCodes:
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "ValidationError"
 
+    def test_run_takes_no_jobs_flag(self, config_path, tmp_path, capsys):
+        # --jobs parallelises sweep points; a single run has none to share
+        out = tmp_path / "r"
+        assert main(["run", "--config", config_path, "--out", str(out), "--jobs", "2"]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ConfigError"
+
     def test_non_string_experiment_is_2(self, tmp_path, capsys):
         path = tmp_path / "c.yaml"
         path.write_text("experiment: [bell]\n")

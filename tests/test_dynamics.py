@@ -13,12 +13,9 @@ import sawlink
 from sawlink import dynamics
 from sawlink.dynamics import (
     POSITIVITY_CLIP,
-    NoiseSpec,
     Trajectory,
     _check_and_repair,
-    dephasing_rate,
     evolve_generator,
-    realization_phases,
 )
 from sawlink.errors import DiagnosticsError, ValidationError
 from sawlink.qcore import (
@@ -46,8 +43,8 @@ def test_free_evolution_is_identity():
     rho0 = a @ a.conj().T
     rho0 /= np.trace(rho0)
     traj = evolve_generator(free, QuantumState(QUBIT, rho0), np.linspace(0, 50, 11))
-    for s in traj.states:
-        assert np.allclose(s.rho, rho0, atol=1e-8)
+    for rho in traj.rhos:
+        assert np.allclose(rho, rho0, atol=1e-8)
 
 
 def test_constant_decay_matches_exponential():
@@ -87,9 +84,9 @@ def test_trace_and_hermiticity_along_trajectory():
         QUBIT, [commutator_superop(SIGMA_PLUS + SIGMA_MINUS), dissipator(SIGMA_MINUS)], [0.3, kappa]
     )
     traj = evolve_generator(driven, EXCITED, np.linspace(0, 100, 51))
-    for s in traj.states:
-        assert abs(np.trace(s.rho) - 1.0) < 1e-8
-        assert np.max(np.abs(s.rho - s.rho.conj().T)) < 1e-12
+    for rho in traj.rhos:
+        assert abs(np.trace(rho) - 1.0) < 1e-8
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
 
 
 def test_time_dependent_amplitude():
@@ -146,50 +143,6 @@ def test_capped_space_matches_full_tensor_space():
     assert np.allclose(
         traj_full.observables["pe"], traj_capped.observables["pe"], atol=1e-8
     )
-
-
-class TestDephasingRate:
-    def test_lifetime_limited_coherence_gives_zero(self):
-        assert dephasing_rate(2 * 21.7, 21.7) == pytest.approx(0.0, abs=1e-15)
-
-    def test_first_qubit_value(self):
-        assert dephasing_rate(2.10, 21.7) == pytest.approx(0.45315, abs=5e-5)
-
-    def test_second_qubit_value(self):
-        assert dephasing_rate(0.60, 26.1) == pytest.approx(1.64751, abs=5e-5)
-
-    def test_inconsistent_inputs_rejected(self):
-        with pytest.raises(ValidationError):
-            dephasing_rate(60.0, 26.1)
-
-
-class TestNoise:
-    def test_sigma_from_transit_calibration(self):
-        tau_us, t2r = 0.508, 2.1
-        sigma = np.sqrt(2 * tau_us / t2r)
-        assert sigma == pytest.approx(0.6956, abs=5e-4)
-
-    def test_phase_draws_match_gaussian_characteristic_function(self):
-        noise = NoiseSpec(sigma_phi=0.6956, n_realizations=1024, master_seed=42)
-        phases = realization_phases(noise)
-        assert np.mean(np.cos(phases)) == pytest.approx(
-            np.exp(-0.6956**2 / 2), abs=0.02
-        )
-
-    def test_phases_bit_reproducible(self):
-        noise = NoiseSpec(sigma_phi=0.5, n_realizations=64, master_seed=7)
-        assert np.array_equal(realization_phases(noise), realization_phases(noise))
-
-    def test_distinct_seeds_give_distinct_streams(self):
-        a = realization_phases(NoiseSpec(0.5, 32, master_seed=1))
-        b = realization_phases(NoiseSpec(0.5, 32, master_seed=2))
-        assert not np.array_equal(a, b)
-
-    def test_invalid_spec_rejected(self):
-        with pytest.raises(ValidationError):
-            NoiseSpec(sigma_phi=-0.1)
-        with pytest.raises(ValidationError):
-            NoiseSpec(sigma_phi=0.1, n_realizations=0)
 
 
 def test_trajectory_requires_monotonic_times():
@@ -262,7 +215,7 @@ class TestStackedEvolution:
         (listed,) = evolve_generator(decay, [EXCITED], grid)
         assert np.array_equal(listed.rhos, traj.rhos)
         assert traj.final_state().space == QUBIT
-        assert len(traj.states) == 3
+        assert len(traj.rhos) == 3
 
     def test_initial_state_on_another_space_rejected(self):
         decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [0.1])
@@ -461,3 +414,16 @@ class TestStackedRepair:
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(messages[fault])
         assert str(got.value).endswith(f"at t = {times[5]:.6g} ns")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["all_entries", "one_entry"])
+    def test_non_finite_state_rejected(self, value, where):
+        # a NaN fails every threshold test, so it must be caught by name
+        stack = np.zeros((2, 1, 2, 2), dtype=complex)
+        stack[..., 0, 0] = 1.0
+        if where == "all_entries":
+            stack[:] = value
+        else:
+            stack[1, 0, 0, 1] = value
+        with pytest.raises(DiagnosticsError), np.errstate(invalid="ignore"):
+            _check_and_repair(stack, 1e-8, np.array([0.0, 1.0]))

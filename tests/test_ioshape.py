@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,17 +11,18 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 from scipy.optimize import brentq
 
-from sawlink.dynamics import NoiseSpec, realization_phases
+import sawlink
 from sawlink.errors import IntegrationError, ValidationError
 from sawlink.ioshape import (
     SEGMENT_KINDS,
     ChannelParams,
     ControlSchedule,
     IOTrace,
+    NoiseSpec,
     Segment,
     _integrate,
     interference_experiment,
-    sech_envelope,
+    realization_phases,
     simulate_io,
     time_reverse,
     transfer_schedule,
@@ -25,6 +30,12 @@ from sawlink.ioshape import (
 
 KC = 0.1  # 1/ns
 TAU = 508.0  # ns
+
+
+def sech_envelope(t, kappa_c: float):
+    """Unit-power wavepacket sqrt(kappa_c/4) / cosh(kappa_c t / 2): the packet
+    a full release emits."""
+    return np.sqrt(kappa_c / 4.0) / np.cosh(kappa_c * np.asarray(t) / 2.0)
 
 
 def release_only(window: float, alpha: float = 1.0, kappa_c: float = KC):
@@ -65,8 +76,6 @@ class TestPulseShapes:
         assert np.isfinite(centered(alpha=0.5).kappa(-1e5))
 
     def test_invalid_args_rejected(self):
-        with pytest.raises(ValidationError):
-            sech_envelope(0.0, -1.0)
         with pytest.raises(ValidationError):
             centered(alpha=0.0)
         with pytest.raises(ValidationError):
@@ -463,3 +472,47 @@ def test_iotrace_population_properties():
     )
     assert np.allclose(tr.p1, [1.0, 0.5])
     assert np.allclose(tr.p2, [0.0, 0.25])
+
+
+class TestNoise:
+    def test_sigma_from_transit_calibration(self):
+        tau_us, t2r = 0.508, 2.1
+        sigma = np.sqrt(2 * tau_us / t2r)
+        assert sigma == pytest.approx(0.6956, abs=5e-4)
+
+    def test_phase_draws_match_gaussian_characteristic_function(self):
+        noise = NoiseSpec(sigma_phi=0.6956, n_realizations=1024, master_seed=42)
+        phases = realization_phases(noise)
+        assert np.mean(np.cos(phases)) == pytest.approx(
+            np.exp(-0.6956**2 / 2), abs=0.02
+        )
+
+    def test_phases_bit_reproducible(self):
+        noise = NoiseSpec(sigma_phi=0.5, n_realizations=64, master_seed=7)
+        assert np.array_equal(realization_phases(noise), realization_phases(noise))
+
+    def test_distinct_seeds_give_distinct_streams(self):
+        a = realization_phases(NoiseSpec(0.5, 32, master_seed=1))
+        b = realization_phases(NoiseSpec(0.5, 32, master_seed=2))
+        assert not np.array_equal(a, b)
+
+    def test_invalid_spec_rejected(self):
+        with pytest.raises(ValidationError):
+            NoiseSpec(sigma_phi=-0.1)
+        with pytest.raises(ValidationError):
+            NoiseSpec(sigma_phi=0.1, n_realizations=0)
+
+
+def test_import_loads_no_scipy_and_no_lindblad_module():
+    # the delay loop stands alone: numpy and `errors` are all it needs
+    script = (
+        "import sys\n"
+        "import sawlink.ioshape\n"
+        "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')\n"
+        "              or m in ('sawlink.dynamics', 'sawlink.qcore')))\n"
+    )
+    src = str(Path(sawlink.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.split() == []

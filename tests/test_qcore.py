@@ -21,10 +21,14 @@ from sawlink.qcore import (
     embed,
     embed_product,
     hermiticity_error,
-    lowering,
     partial_trace,
     partial_trace_stack,
 )
+
+
+def lowering(dim: int) -> np.ndarray:
+    """Bosonic lowering operator truncated to ``dim`` Fock states."""
+    return np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -78,15 +82,26 @@ class TestStates:
         with pytest.raises(ValidationError):
             QuantumState(space, np.diag([1.5, -0.5]))
 
-    def test_from_ket_normalizes(self):
-        space = HilbertSpace([2], ["q"])
-        st8 = QuantumState.from_ket(space, np.array([3.0, 4.0]))
-        assert np.isclose(st8.rho[1, 1], 0.64)
-
     def test_expect_number(self):
         space = HilbertSpace([2], ["q"])
         excited = QuantumState.basis_state(space, [1])
-        assert np.isclose(excited.expect(Operator(space, NUMBER)), 1.0)
+        assert np.isclose(np.trace(NUMBER @ excited.rho), 1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["all_entries", "one_entry"])
+    def test_non_finite_state_rejected(self, value, where):
+        # a NaN fails every threshold test, so it must be caught by name
+        space = HilbertSpace([2], ["q"])
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        if where == "all_entries":
+            rho[:] = value
+        else:
+            rho[0, 1] = value
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValidationError):
+                QuantumState(space, rho)
+            with pytest.raises(ValidationError):
+                check_states(np.stack([np.diag([1.0, 0.0]), rho]))
 
     def test_negative_eigenvalue_tolerance(self):
         # the rule is min eigenvalue >= -EIG_ATOL, on either side of the bound
@@ -176,7 +191,7 @@ class TestPartialTrace:
         space = HilbertSpace([2, 2], ["a", "b"])
         ket = np.zeros(4, dtype=complex)
         ket[0] = ket[3] = 1 / np.sqrt(2)
-        bell = QuantumState.from_ket(space, ket)
+        bell = QuantumState(space, np.outer(ket, ket.conj()))
         assert np.allclose(partial_trace(bell, ["a"]).rho, np.eye(2) / 2, atol=1e-12)
 
     def test_keep_order_controls_output_order(self):
@@ -194,7 +209,7 @@ class TestPartialTrace:
         ket = np.zeros(space.dim, dtype=complex)
         ket[space.basis_index((1, 0, 0))] = 1 / np.sqrt(2)
         ket[space.basis_index((0, 1, 0))] = 1 / np.sqrt(2)
-        state = QuantumState.from_ket(space, ket)
+        state = QuantumState(space, np.outer(ket, ket.conj()))
         reduced = partial_trace(state, ["q"])
         assert np.allclose(reduced.rho, np.diag([0.5, 0.5]), atol=1e-12)
 

@@ -15,6 +15,11 @@ BELL[:, :] = np.outer(_psi, _psi)
 TABLE_RO = tomo.ReadoutModel(((0.969, 0.933), (0.977, 0.952)))
 
 
+def perfect(n_qubits: int) -> tomo.ReadoutModel:
+    """Readout that reports every basis state without error."""
+    return tomo.ReadoutModel(((1.0, 1.0),) * n_qubits)
+
+
 def rand_state(dim, rng=RNG):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = a @ a.conj().T
@@ -28,7 +33,7 @@ class TestReadoutModel:
         assert np.allclose(conf.sum(axis=0), 1.0, atol=1e-12)
 
     def test_perfect_is_identity(self):
-        assert np.allclose(tomo.ReadoutModel.perfect(2).confusion(), np.eye(4))
+        assert np.allclose(perfect(2).confusion(), np.eye(4))
 
     def test_invalid_fidelity_rejected(self):
         with pytest.raises(ValidationError):
@@ -40,7 +45,7 @@ class TestReadoutModel:
 class TestSimulateMeasurement:
     def test_ground_state_perfect(self):
         rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        probs = tomo.simulate_measurement(rho, tomo.ReadoutModel.perfect(2))
+        probs = tomo.simulate_measurement(rho, perfect(2))
         assert np.allclose(probs, [1.0, 0.0, 0.0, 0.0])
 
     def test_excited_state_reports_fidelity(self):
@@ -64,7 +69,7 @@ class TestSimulateMeasurement:
 class TestReadoutCorrect:
     def test_perfect_is_identity(self):
         p = np.array([0.4, 0.1, 0.3, 0.2])
-        out = tomo.readout_correct(p, tomo.ReadoutModel.perfect(2))
+        out = tomo.readout_correct(p, perfect(2))
         assert np.allclose(out, p, atol=1e-14)
 
     def test_round_trip(self):
