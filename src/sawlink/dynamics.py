@@ -4,12 +4,14 @@ The master equation acts on the vectorized density matrix, and the
 generator's kind picks the route.  A constant generator is propagated
 exactly: exp(L h) is built once per distinct grid step by a Taylor
 series with scaling and squaring, using sparse x dense products only,
-and applied step by step.  A time-dependent one is integrated with an
-adaptive RK45 scheme, its coefficients evaluated analytically at the
-integrator's internal times.  A stack of k initial states evolves as the
-k columns of one d^2 x k matrix, and the sampled (n_times, k, d, d)
-stack is checked, repaired and contracted with the observables in one
-pass.
+kept as a dense matrix and applied step by step as a dense product.  A
+time-dependent one is integrated with an adaptive RK45 scheme, its
+coefficients evaluated analytically at the integrator's internal times.
+A stack of k initial states evolves as the k columns of one d^2 x k
+matrix, and the sampled (n_times, k, d, d) stack is checked, repaired
+and contracted with the observables in one pass: the positivity check
+reads eigenvalues only, and only states whose lowest eigenvalue is
+below -EIG_ATOL / d are rebuilt from an eigendecomposition.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .errors import DiagnosticsError, IntegrationError, ValidationError
-from .qcore import Generator, HilbertSpace, Operator, QuantumState, check_states, hermiticity_error
+from .qcore import (EIG_ATOL, Generator, HilbertSpace, Operator, QuantumState, check_states,
+                    hermiticity_error)
 
 DEFAULT_TOL = 1e-8
 MIN_TOL, MAX_TOL = 1e-12, 1e-3
@@ -74,20 +77,29 @@ def expectations(rhos: np.ndarray, observables: dict[str, Operator] | None) -> d
 def _check_and_repair(rhos: np.ndarray, tol: float, times: np.ndarray) -> None:
     """Check and repair a stack (n_times, k, d, d) of integrated states in place.
 
+    A non-finite state is rejected before any arithmetic on the stack.
     Per state: trace drift up to 100 tol and Hermiticity error up to 10 tol
-    pass; the state is symmetrised, eigenvalues down to -POSITIVITY_CLIP
-    are clipped to zero and the trace restored.  An error names the
-    earliest time at which a state fails a check.  Each test reads
-    ``not x <= tol``, so a non-finite state raises before any clip or
-    retrace."""
+    pass, and the state is symmetrised; its lowest eigenvalue must be at
+    least -POSITIVITY_CLIP.  A state whose lowest eigenvalue is below
+    -EIG_ATOL / d is rebuilt with its negative eigenvalues clipped to zero;
+    one between -EIG_ATOL / d and zero is left as it is.  The 1/d keeps
+    the reduced states valid too: tracing out a factor of dimension d_B
+    can lower the lowest eigenvalue d_B-fold, so a partial trace of a
+    state left unrebuilt stays above -EIG_ATOL, the bound
+    ``check_states`` holds every state to.  Every state is then
+    retraced.  An error names the earliest time at which a state fails a
+    check."""
+    finite = np.isfinite(rhos).all(axis=(-2, -1))
+    if not finite.all():
+        i = np.argwhere(~finite)[0, 0]
+        raise DiagnosticsError(f"non-finite state at t = {times[i]:.6g} ns")
     drift = np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0)
     herm_err = hermiticity_error(rhos)
     # (rho + rho^H) / 2 in place; numpy buffers the overlapping transposed operand
     rhos.real += rhos.real.swapaxes(-1, -2)
     rhos.imag -= rhos.imag.swapaxes(-1, -2)
     rhos *= 0.5
-    evals, evecs = np.linalg.eigh(rhos)
-    low = evals[..., 0]
+    low = np.linalg.eigvalsh(rhos)[..., 0]
     bad = ~(drift <= 100 * tol) | ~(herm_err <= 10 * tol) | ~(-low <= POSITIVITY_CLIP)
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -97,12 +109,12 @@ def _check_and_repair(rhos: np.ndarray, tol: float, times: np.ndarray) -> None:
         if not herm_err[i, j] <= 10 * tol:
             raise DiagnosticsError(f"Hermiticity violation {herm_err[i, j]:.2e} at t = {t:.6g} ns")
         raise DiagnosticsError(f"negative eigenvalue {low[i, j]:.2e} at t = {t:.6g} ns")
-    # clipped states are rebuilt a block at a time to keep the temporaries small
-    ii, jj = np.nonzero(low < 0.0)
+    # rebuilt states are decomposed a block at a time to keep the temporaries small
+    ii, jj = np.nonzero(low < -EIG_ATOL / rhos.shape[-1])
     for s in range(0, ii.size, CLIP_BLOCK):
         i, j = ii[s : s + CLIP_BLOCK], jj[s : s + CLIP_BLOCK]
-        vecs = evecs[i, j]
-        vals = np.clip(evals[i, j], 0.0, None)
+        vals, vecs = np.linalg.eigh(rhos[i, j])
+        vals = np.clip(vals, 0.0, None)
         rhos[i, j] = (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     rhos /= np.trace(rhos, axis1=-2, axis2=-1).real[..., None, None]
 
@@ -121,12 +133,14 @@ def _step_groups(steps: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray
     return labels, widths
 
 
-def _propagator(generator: sparse.csr_array, h: float) -> sparse.csr_array:
-    """exp(L h) by a Taylor series with scaling and squaring (Moler and
-    Van Loan, SIAM Rev. 45, 3 (2003)).
+def _propagator(generator: sparse.csr_array, h: float) -> np.ndarray:
+    """exp(L h) as a dense matrix, by a Taylor series with scaling and
+    squaring (Moler and Van Loan, SIAM Rev. 45, 3 (2003)).
 
     Every product is a sparse x dense one, which runs without BLAS, so
-    the result does not depend on the BLAS thread count."""
+    the result does not depend on the BLAS thread count.  It is returned
+    dense because it mostly is: on a ladder of a qubit and 12 modes it
+    holds 21,169 nonzeros in 28,561 entries."""
     a = generator * h
     norm = float(abs(a).sum(axis=0).max())
     squarings = math.ceil(math.log2(norm / TAYLOR_NORM)) if norm > TAYLOR_NORM else 0
@@ -142,7 +156,7 @@ def _propagator(generator: sparse.csr_array, h: float) -> sparse.csr_array:
         bound *= norm / j
     for _ in range(squarings):
         p = sparse.csr_array(p) @ p
-    return sparse.csr_array(p)
+    return p
 
 
 def _propagate(generator: sparse.csr_array, y: np.ndarray, grid: np.ndarray,
@@ -150,7 +164,8 @@ def _propagate(generator: sparse.csr_array, y: np.ndarray, grid: np.ndarray,
     """Step y <- exp(L h) y across ``grid``, writing each state to ``flat``.
 
     One propagator is built per distinct step width: a ``linspace`` grid,
-    whose steps differ only in the rounding of the grid points, builds one."""
+    whose steps differ only in the rounding of the grid points, builds one.
+    Each step is a dense BLAS product."""
     if not np.isfinite(generator.data).all():
         raise ValidationError("generator has a non-finite entry")
     atol = 16 * np.finfo(float).eps * np.max(np.abs(grid))
@@ -230,9 +245,7 @@ def evolve_generator(
     if callable(generator.coeffs):
         _integrate(generator, y, grid, tol, breakpoints, raw)
     else:
-        # one state stays a vector: a sparse product with a single column is slower
-        _propagate(generator.stacked, y[:, 0] if k == 1 else y, grid,
-                   raw.reshape(grid.size, k, d * d))
+        _propagate(generator.stacked, y, grid, raw.reshape(grid.size, k, d * d))
 
     _check_and_repair(raw, tol, grid)
     series = expectations(raw, observables)

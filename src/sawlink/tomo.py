@@ -64,21 +64,23 @@ class ReadoutModel:
     fidelities: tuple[tuple[float, float], ...]  # (F_g, F_e) per qubit
 
     def __post_init__(self):
+        mat = np.array([[1.0]])
         for fg, fe in self.fidelities:
             for f in (fg, fe):
                 if not 0.5 < f <= 1.0:
                     raise ValidationError("readout fidelities must lie in (0.5, 1]")
+            mat = np.kron(mat, np.array([[fg, 1.0 - fe], [1.0 - fg, fe]]))
+        mat.setflags(write=False)
+        # built once per model: every measurement and correction reads it
+        object.__setattr__(self, "_confusion", mat)
 
     @property
     def n_qubits(self) -> int:
         return len(self.fidelities)
 
     def confusion(self) -> np.ndarray:
-        """Column-stochastic map from true to reported basis statistics."""
-        mat = np.array([[1.0]])
-        for fg, fe in self.fidelities:
-            mat = np.kron(mat, np.array([[fg, 1.0 - fe], [1.0 - fg, fe]]))
-        return mat
+        """Column-stochastic map from true to reported basis statistics (read-only)."""
+        return self._confusion
 
 
 @dataclass(frozen=True)

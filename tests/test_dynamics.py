@@ -1,3 +1,5 @@
+import itertools
+import json
 import os
 import subprocess
 import sys
@@ -8,9 +10,12 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import sawlink
-from sawlink import dynamics
+from sawlink import dynamics, experiments
+from sawlink.cascade import doubled_space
+from sawlink.device import default_device
 from sawlink.dynamics import (
     POSITIVITY_CLIP,
     Trajectory,
@@ -19,6 +24,7 @@ from sawlink.dynamics import (
 )
 from sawlink.errors import DiagnosticsError, ValidationError
 from sawlink.qcore import (
+    EIG_ATOL,
     NUMBER,
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -30,6 +36,7 @@ from sawlink.qcore import (
     dissipator,
     embed,
     embed_product,
+    partial_trace,
 )
 
 QUBIT = HilbertSpace([2], ["q"])
@@ -293,6 +300,32 @@ class TestExactPropagation:
             evolve_generator(decay, EXCITED, np.array([0.0, 1.0, 2.0, 4.0, 6.0]))
             assert built[1:] == [1.0, 2.0]
 
+    def test_dense_step_matches_sparse_step(self, monkeypatch):
+        # the propagator is applied as a dense matrix; applying the same
+        # matrix in CSR form over the vacuum_rabi default grid agrees
+        seen = []
+
+        def spy(generator, rho0, grid, **kwargs):
+            seen.append((generator, rho0, grid))
+            return evolve_generator(generator, rho0, grid, **kwargs)
+
+        monkeypatch.setattr(experiments, "evolve_generator", spy)
+        params = dict(experiments.EXPERIMENTS["vacuum_rabi"].defaults)
+        experiments.run_experiment("vacuum_rabi", default_device(), params, 1234)
+        ((generator, rho0, grid),) = seen
+        assert grid.size == 800
+        atol = 16 * np.finfo(float).eps * np.max(np.abs(grid))
+        _, (h,) = dynamics._step_groups(np.diff(grid), atol)
+        dense = dynamics._propagator(generator.stacked, h)
+        assert isinstance(dense, np.ndarray)
+        csr = sparse.csr_array(dense)
+        y_dense = y_sparse = rho0.rho.reshape(-1)
+        worst = 0.0
+        for _ in range(grid.size - 1):
+            y_dense, y_sparse = dense @ y_dense, csr @ y_sparse
+            worst = max(worst, np.max(np.abs(y_dense - y_sparse)))
+        assert worst <= 1e-13
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("rate", [np.inf, -np.inf, np.nan])
     def test_non_finite_generator_rejected(self, rate):
@@ -325,10 +358,39 @@ class TestExactPropagation:
         assert len(digests[0]) == 64
         assert digests[0] == digests[1]
 
+    def test_dense_route_results_identical_across_blas_threads(self):
+        # each dense step is a BLAS product; vacuum_rabi steps a 169-dim
+        # state 799 times and bell ages a two-qubit pair in one step
+        script = (
+            "import json\n"
+            "from sawlink import experiments\n"
+            "from sawlink.device import default_device\n"
+            "out = {}\n"
+            "for name in ('vacuum_rabi', 'bell'):\n"
+            "    params = dict(experiments.EXPERIMENTS[name].defaults)\n"
+            "    res = experiments.run_experiment(name, default_device(), params, 1234)\n"
+            "    series = {f'{g}.{c}': v.tolist() for g, cols in res.series.items()\n"
+            "              for c, v in cols.items()}\n"
+            "    out[name] = {'metrics': res.metrics, 'series': series}\n"
+            "print(json.dumps(out))\n"
+        )
+        src = str(Path(sawlink.__file__).parents[1])
+        results = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True)
+            results.append(json.loads(out.stdout))
+        assert len(results[0]["vacuum_rabi"]["series"]["decay.p_e_lindblad"]) == 800
+        assert results[0]["bell"]["metrics"]
+        assert results[0] == results[1]
+
 
 def repair_one(rho, tol, t):
     """The per-state repair rule, one state at a time: the reference the
-    stacked pass must reproduce."""
+    stacked pass must reproduce.  Only a state whose lowest eigenvalue is
+    below -EIG_ATOL / d is rebuilt with its eigenvalues clipped."""
     tr = np.trace(rho)
     if abs(tr - 1.0) > 100 * tol:
         raise DiagnosticsError(f"trace drift {abs(tr - 1.0):.2e} at t = {t:.6g} ns")
@@ -336,12 +398,12 @@ def repair_one(rho, tol, t):
     if herm_err > 10 * tol:
         raise DiagnosticsError(f"Hermiticity violation {herm_err:.2e} at t = {t:.6g} ns")
     rho = 0.5 * (rho + rho.conj().T)
-    evals, evecs = np.linalg.eigh(rho)
-    if evals[0] < -POSITIVITY_CLIP:
-        raise DiagnosticsError(f"negative eigenvalue {evals[0]:.2e} at t = {t:.6g} ns")
-    if evals[0] < 0.0:
-        evals = np.clip(evals, 0.0, None)
-        rho = (evecs * evals) @ evecs.conj().T
+    low = np.linalg.eigvalsh(rho)[0]
+    if low < -POSITIVITY_CLIP:
+        raise DiagnosticsError(f"negative eigenvalue {low:.2e} at t = {t:.6g} ns")
+    if low < -EIG_ATOL / rho.shape[0]:
+        evals, evecs = np.linalg.eigh(rho)
+        rho = (evecs * np.clip(evals, 0.0, None)) @ evecs.conj().T
     return rho / np.trace(rho).real
 
 
@@ -362,11 +424,30 @@ def shift_weight(rho, amount=1e-6):
 
 
 def noisy_stack(rng, n, k, dim, tol):
-    """Low-rank states with integration-sized noise: many have eigenvalues
-    just below zero, so the clip branch runs next to untouched states."""
+    """Low-rank states with integration-sized noise, its size spread over
+    six decades per state: many have eigenvalues below zero, some far
+    enough to be rebuilt and some left as they are."""
     stack = random_states(rng, n * k, dim, rank=2).reshape(n, k, dim, dim)
     noise = rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape)
-    return stack + 0.1 * tol * noise
+    scale = 0.1 * tol * 10.0 ** rng.uniform(-6.0, 0.0, size=(n, k, 1, 1))
+    return stack + scale * noise
+
+
+def edge_stack(rng, space, n, depth, product):
+    """n states of unit trace whose d - 1 lowest eigenvalues all equal
+    -depth EIG_ATOL / d, the most negative a state may be and stay
+    unrebuilt at depth 1.  With ``product`` the eigenvectors are basis
+    states, for which a partial trace over d_B lowers the lowest
+    eigenvalue by the full factor d_B."""
+    d = space.dim
+    low = -depth * EIG_ATOL / d
+    vals = np.array([1.0 - (d - 1) * low] + [low] * (d - 1))
+    if product:
+        vecs = np.stack([np.eye(d, dtype=complex)[rng.permutation(d)].T for _ in range(n)])
+    else:
+        a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+        vecs = np.linalg.qr(a)[0]
+    return ((vecs * vals) @ vecs.conj().swapaxes(-1, -2))[:, None]
 
 
 class TestStackedRepair:
@@ -387,7 +468,35 @@ class TestStackedRepair:
         stack = noisy_stack(rng, 50, 2, 4, 1e-8)
         sym = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
         low = np.linalg.eigvalsh(sym)[..., 0]
-        assert 0 < np.sum(low < 0) < low.size
+        rebuilt = low < -EIG_ATOL / 4
+        kept = (low < 0) & ~rebuilt
+        assert rebuilt.any() and kept.any() and (low >= 0).any()
+        got = stack.copy()
+        _check_and_repair(got, 1e-8, np.arange(50.0))
+        after = np.linalg.eigvalsh(got)[..., 0]
+        assert np.all(after[rebuilt] >= -1e-15)
+        # a state left as it is only has its trace restored
+        trace = np.trace(sym, axis1=-2, axis2=-1).real[..., None, None]
+        assert np.array_equal(got[kept], (sym / trace)[kept])
+        assert np.all(after[kept] < 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), doubled=st.booleans(),
+           depth=st.floats(1e-4, 1e2), product=st.booleans())
+    @example(seed=0, doubled=True, depth=0.99, product=True)
+    @example(seed=0, doubled=False, depth=0.99, product=True)
+    def test_partial_traces_of_repaired_states_are_valid(self, seed, doubled, depth, product):
+        # every reduced state of a repaired state passes check_states: the
+        # unrebuilt band stops at -EIG_ATOL / d, not at -EIG_ATOL
+        space = doubled_space() if doubled else PAIR
+        rng = np.random.default_rng(seed)
+        stack = edge_stack(rng, space, 8, depth, product)
+        _check_and_repair(stack, 1e-8, np.arange(8.0))
+        for rho in stack[:, 0]:
+            state = QuantumState(space, rho)
+            for r in range(1, space.n_modes):
+                for keep in itertools.combinations(space.labels, r):
+                    partial_trace(state, list(keep))
 
     @pytest.mark.parametrize("fault", ["trace", "hermiticity", "eigenvalue"])
     def test_each_error_at_the_first_offending_time(self, fault):
@@ -415,15 +524,18 @@ class TestStackedRepair:
         assert str(got.value).startswith(messages[fault])
         assert str(got.value).endswith(f"at t = {times[5]:.6g} ns")
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["all_entries", "one_entry"])
     def test_non_finite_state_rejected(self, value, where):
-        # a NaN fails every threshold test, so it must be caught by name
-        stack = np.zeros((2, 1, 2, 2), dtype=complex)
+        # rejected by name, at the earliest such time, before any arithmetic
+        # on the stack, so no numpy warning is raised on the way
+        stack = np.zeros((3, 1, 2, 2), dtype=complex)
         stack[..., 0, 0] = 1.0
         if where == "all_entries":
-            stack[:] = value
+            stack[1:] = value
         else:
             stack[1, 0, 0, 1] = value
-        with pytest.raises(DiagnosticsError), np.errstate(invalid="ignore"):
-            _check_and_repair(stack, 1e-8, np.array([0.0, 1.0]))
+            stack[2, 0, 1, 1] = value
+        with pytest.raises(DiagnosticsError, match="non-finite state at t = 1 ns"):
+            _check_and_repair(stack, 1e-8, np.array([0.0, 1.0, 2.0]))

@@ -35,6 +35,14 @@ class TestReadoutModel:
     def test_perfect_is_identity(self):
         assert np.allclose(perfect(2).confusion(), np.eye(4))
 
+    def test_confusion_built_once_and_read_only(self):
+        conf = TABLE_RO.confusion()
+        assert TABLE_RO.confusion() is conf
+        assert not conf.flags.writeable
+        (fg1, fe1), (fg2, fe2) = TABLE_RO.fidelities
+        want = np.kron([[fg1, 1 - fe1], [1 - fg1, fe1]], [[fg2, 1 - fe2], [1 - fg2, fe2]])
+        assert np.array_equal(conf, want)
+
     def test_invalid_fidelity_rejected(self):
         with pytest.raises(ValidationError):
             tomo.ReadoutModel(((0.5, 0.9),))
