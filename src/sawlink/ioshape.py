@@ -14,10 +14,18 @@ alpha mirrored in time; a detune segment shifts the qubit.  The shape is
 written once, with a float form (``math``) for the cascade's per-call
 schedule lookups and an array form (numpy) for the delay loop's grid.
 
-Classical phase noise is drawn per realization from one counter-based
-stream each, derived from a single master seed, so repeated runs are
-bit-identical; the interference experiment draws the phases once per
-call and takes the exact mean of the final population over them.
+The delay loop is fixed-step RK4 with the step nodes and the step
+midpoints in separate contiguous arrays.  The step maps, which depend
+on the schedule alone, are built once per call; each round trip then
+only forms its input offsets, composes its steps with a log-depth scan
+and evaluates its outputs.
+
+Classical phase noise is drawn per realization from the Philox stream
+keyed by (master seed, realization index); being counter-based, a stream
+is fixed by its key, so one generator re-keyed per realization gives the
+same bits as a fresh one, and repeated runs are bit-identical.  The
+interference experiment draws the phases once per call and takes the
+exact mean of the final population over them.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -65,22 +74,31 @@ class NoiseSpec:
             raise ValidationError("sigma_phi must be >= 0")
         if self.n_realizations < 1:
             raise ValidationError("n_realizations must be >= 1")
-
-
-def realization_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Counter-split stream: one independent generator per realization."""
-    key = (int(master_seed) << 64) | int(index)
-    return np.random.Generator(np.random.Philox(key=key))
+        seed = self.master_seed
+        # the seed is the high word of each realization's 128-bit Philox key
+        if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 2**64:
+            raise ValidationError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def realization_phases(noise: NoiseSpec) -> np.ndarray:
-    """Per-realization Gaussian phases, reproducible from the master seed."""
-    return np.array(
-        [
-            realization_rng(noise.master_seed, i).normal(0.0, noise.sigma_phi)
-            for i in range(noise.n_realizations)
-        ]
-    )
+    """Per-realization Gaussian phases, reproducible from the master seed.
+
+    Realization i draws from the Philox stream keyed (master_seed, i) with
+    its counter at zero.  Philox is counter-based, so a stream is fixed by
+    its key alone: one generator is re-keyed through its ``state`` for
+    each realization instead of being built anew.
+    """
+    bits = np.random.Philox(key=0)
+    rng = np.random.Generator(bits)
+    state = bits.state  # a fresh stream's: counter at zero, nothing buffered
+    key = state["state"]["key"]  # (index, seed), the low word first
+    key[1] = noise.master_seed
+    phases = np.empty(noise.n_realizations)
+    for i in range(noise.n_realizations):
+        key[0] = i
+        bits.state = state
+        phases[i] = rng.normal(0.0, noise.sigma_phi)
+    return phases
 
 
 _X_MAX = 700.0  # e^{-700} is still a normal double
@@ -266,6 +284,49 @@ def _grid(window: tuple[float, float], tau: float, dt: float) -> tuple[int, floa
     return n_sub, h, int(np.ceil((window[1] - window[0]) / h - 1e-9))
 
 
+def _step_maps(decay: np.ndarray, root: np.ndarray, h: float, n: int) -> tuple:
+    """The (qubit, 1, step) maps of n RK4 steps, from decay and root at the
+    step nodes (columns 0..n) followed by the midpoints (columns n+1..2n).
+
+    RK4 stage k is f_k = al_k s + be_k with be_k linear in the inputs
+    u_a, u_m, u_b at the step's start, midpoint and end, so a step is
+    s -> A s + Ca u_a + Cm u_m + Cb u_b.  The cubic Hermite midpoint
+    s_a / 2 + s_b / 2 + (h / 8) (f_a - f_b), f the right-hand side at the
+    step's ends, is Ha s_a + Hb s_b + Ga u_a + Gb u_b; Cb, Ga and Gb are
+    multiples of root, left to the caller.  The sums accumulate in place
+    to keep the memory of long windows small.
+    """
+    d_a, d_b, d_m = decay[:, :n], decay[:, 1 : n + 1], decay[:, n + 1 :]
+    r_a, r_m = root[:, :n], root[:, n + 1 :]
+    al2 = d_m * (1 + 0.5 * h * d_a)
+    al3 = d_m * (1 + 0.5 * h * al2)
+    A = d_a + 2 * al2
+    A += 2 * al3
+    A += d_b * (1 + h * al3)  # al4
+    A *= h / 6.0
+    A += 1
+    del al2, al3
+    # weights of be_2 and be_3 on u_a and of be_3 on u_m; be_4 = c_b be_3 + r_b u_b
+    c_m, c_b = d_m * (0.5 * h), d_b * h
+    be2a = c_m * r_a
+    be3a = c_m * be2a
+    Ca = r_a + 2 * be2a
+    Ca += 2 * be3a
+    Ca += c_b * be3a
+    Ca *= h / 6.0
+    del be2a, be3a
+    be3m = c_m * r_m
+    be3m += r_m
+    Cm = 2 * r_m + 2 * be3m
+    Cm += c_b * be3m
+    Cm *= h / 6.0
+    del c_m, c_b, be3m
+    Ha, Hb = (h / 8.0) * d_a, (-h / 8.0) * d_b
+    Ha += 0.5
+    Hb += 0.5
+    return tuple(m[:, None] for m in (A, Ca, Cm, Ha, Hb))
+
+
 def _integrate(
     schedule: ControlSchedule,
     ch: ChannelParams,
@@ -276,18 +337,20 @@ def _integrate(
 ):
     """Fixed-step RK4 for the delayed feedback loop, batched over phases.
 
-    Everything lives on the half-step grid t0 + (h/2) j: kappa and Delta
-    of both qubits are evaluated there once, and the output and input
-    fields are recorded there in (2 n_steps + 1, batch) arrays.  The step
-    divides tau exactly, so the delay is a fixed offset of 2 n_sub
-    nodes: the input at node j is the fed-back output of node
-    j - 2 n_sub, and zero before the first transit has arrived.
+    The step nodes ``times`` (n_steps + 1) and the step midpoints
+    (n_steps) are kept apart, each in contiguous arrays with the node
+    last: the coefficients per (qubit, node), the input and output fields
+    per (batch, node), the states per (qubit, batch, node).  The step
+    divides tau exactly, so the fed-back input is a plain offset of n_sub
+    nodes, and zero before the first transit has arrived.
 
-    The loop runs once per round trip.  Inside a block of n_sub steps
-    the input is the fed-back output of the previous block, so each RK4
-    step is an affine map s -> A s + B per qubit; an inclusive scan
-    composes the block's maps, and the midpoint and output nodes follow
-    as whole-block array expressions.
+    The step maps of ``_step_maps`` depend on the schedule alone and are
+    built once per call.  The loop then runs once per round trip: inside
+    a block of n_sub steps the input is the fed-back output of the
+    previous block, so the loop forms the block's offsets
+    B = Ca u_a + Cm u_m + Cb u_b, composes the block's steps with an
+    inclusive scan, and evaluates the outputs at the block's midpoints
+    and end nodes as whole-block expressions.
     """
     t0 = schedule.window[0]
     n_sub, h, n_steps = _grid(schedule.window, ch.tau, dt)
@@ -296,65 +359,66 @@ def _integrate(
             f"step {h:.3g} ns cannot resolve kappa_max = {schedule.max_kappa():.3g} 1/ns"
         )
     times = t0 + h * np.arange(n_steps + 1)
-    # node 2i is times[i] and node 2i + 1 the step's midpoint times[i] + h/2
-    nodes = (times[:, None] + [0.0, h / 2.0]).ravel()[:-1]
-    lag = 2 * n_sub
-
-    # (node, qubit) coefficients of ds/dt = decay * s + root * a_in
-    kappa = np.stack([schedule.kappa(q, nodes) for q in (1, 2)], axis=1)
-    delta = np.stack([schedule.delta(q, nodes) for q in (1, 2)], axis=1)
-    decay = -(1j * delta + kappa / 2.0)
-    root = np.sqrt(kappa)
+    # (qubit, node) coefficients of ds/dt = decay * s + root * a_in at the
+    # step nodes, then the midpoints
+    nodes = np.concatenate([times, times[:-1] + h / 2.0])
+    kappa = np.stack([schedule.kappa(q, nodes) for q in (1, 2)])
+    # decay = -(kappa / 2 + i Delta), written part by part: arithmetic
+    # that mixes float and complex operands runs at half speed
+    decay = np.empty(kappa.shape, dtype=complex)
+    decay.real = -0.5 * kappa
+    decay.imag = -np.stack([schedule.delta(q, nodes) for q in (1, 2)])
+    root = np.sqrt(kappa).astype(complex)
+    A, Ca, Cm, Ha, Hb = _step_maps(decay, root, h, n_steps)
+    del nodes, kappa, decay  # only root is read past the maps
+    r_a, r_b = root[:, None, :n_steps], root[:, None, 1 : n_steps + 1]
+    r_m = root[:, None, n_steps + 1 :]
 
     s = np.array(s0, dtype=complex)
     if s.ndim == 1:
         s = s[None, :]
     batch = s.shape[0]
     phases = np.zeros(batch) if extra_phases is None else np.asarray(extra_phases, dtype=float)
-    feedback = np.sqrt(ch.eta) * np.exp(1j * (ch.phase + phases))  # (batch,)
-    # (node, batch) output and input fields
-    out = np.zeros((2 * n_steps + 1, batch), dtype=complex)
-    ain = np.zeros((2 * n_steps + 1, batch), dtype=complex)
-    states = np.empty((n_steps + 1, batch, 2), dtype=complex)
-    states[0] = s
-    out[0] = s @ root[0]  # no input before the first transit
+    feedback = (np.sqrt(ch.eta) * np.exp(1j * (ch.phase + phases)))[:, None]  # (batch, 1)
+    # (batch, node) input and output fields at the step nodes and midpoints
+    ain, aout = (np.zeros((batch, n_steps + 1), dtype=complex) for _ in range(2))
+    ain_m, aout_m = (np.zeros((batch, n_steps), dtype=complex) for _ in range(2))
+    states = np.empty((2, batch, n_steps + 1), dtype=complex)
+    states[:, :, 0] = s.T
 
+    def project(weights, v):
+        """(batch, step) sum over the qubits of weights * v."""
+        return weights[0] * v[0] + weights[1] * v[1]
+
+    aout[:, :1] = project(root[:, None, :1], states[:, :, :1])  # no input yet
     for first in range(0, n_steps, n_sub):
         n = min(n_sub, n_steps - first)
-        a, m, b = (slice(2 * first + k, 2 * (first + n) + k, 2) for k in (0, 1, 2))
+        blk, nxt = slice(first, first + n), slice(first + 1, first + n + 1)
         # the output one round trip back, fed back; the block's last node
         # reads the output at its own first node
-        lo, hi = max(2 * first, lag), 2 * (first + n) + 1
-        if lo < hi:
-            ain[lo:hi] = feedback * out[lo - lag : hi - lag]
-        # (step, batch, qubit) stage coefficients f_k = alpha_k s + beta_k
-        d_a, d_m, d_b = decay[a][:, None], decay[m][:, None], decay[b][:, None]
-        r_a, r_m, r_b = root[a][:, None], root[m][:, None], root[b][:, None]
-        u_a, u_m, u_b = ain[a][..., None], ain[m][..., None], ain[b][..., None]
-        al1, be1 = d_a, r_a * u_a
-        al2, be2 = d_m * (1 + 0.5 * h * al1), d_m * (0.5 * h * be1) + r_m * u_m
-        al3, be3 = d_m * (1 + 0.5 * h * al2), d_m * (0.5 * h * be2) + r_m * u_m
-        al4, be4 = d_b * (1 + h * al3), d_b * (h * be3) + r_b * u_b
-        A = 1 + (h / 6.0) * (al1 + 2 * al2 + 2 * al3 + al4)
-        B = (h / 6.0) * (be1 + 2 * be2 + 2 * be3 + be4)
+        lo = max(first, n_sub)
+        if lo <= first + n:
+            ain[:, lo : first + n + 1] = feedback * aout[:, lo - n_sub : first + n + 1 - n_sub]
+            ain_m[:, lo : first + n] = feedback * aout_m[:, lo - n_sub : first + n - n_sub]
+        u_a, u_m, u_b = ain[:, blk], ain_m[:, blk], ain[:, nxt]
+        B = Ca[..., blk] * u_a + Cm[..., blk] * u_m + (h / 6.0) * r_b[..., blk] * u_b
         # Hillis-Steele inclusive scan: step k's map becomes steps 0..k composed
+        An = A[..., blk].copy()
         d = 1
         while d < n:
-            B[d:] = A[d:] * B[:-d] + B[d:]
-            A[d:] = A[d:] * A[:-d]
+            B[..., d:] += An[..., d:] * B[..., :-d]
+            An[..., d:] *= An[..., :-d]
             d *= 2
-        states[first + 1 : first + n + 1] = A * states[first] + B
-        s_old, s_new = states[first : first + n], states[first + 1 : first + n + 1]
-        # midpoint state via cubic Hermite, then the two new output nodes
-        f1 = d_a * s_old + r_a * u_a
-        fb = d_b * s_new + r_b * u_b
-        s_mid = 0.5 * (s_old + s_new) + (h / 8.0) * (f1 - fb)
-        out[m] = (s_mid * r_m).sum(axis=2) - ain[m]
-        out[b] = (s_new * r_b).sum(axis=2) - ain[b]
+        states[..., nxt] = An * states[..., first : first + 1] + B
+        s_old, s_new = states[..., blk], states[..., nxt]
+        s_mid = (Ha[..., blk] * s_old + Hb[..., blk] * s_new + (h / 8.0) * r_a[..., blk] * u_a
+                 + (-h / 8.0) * r_b[..., blk] * u_b)
+        aout_m[:, blk] = project(r_m[..., blk], s_mid) - u_m
+        aout[:, nxt] = project(r_b[..., blk], s_new) - u_b
 
     if not keep_trace:
-        return times, states[-1]
-    return times, states.transpose(1, 0, 2), ain[::2].T, out[::2].T
+        return times, states[..., -1].T
+    return times, states.transpose(1, 2, 0), ain, aout
 
 
 def simulate_io(

@@ -278,10 +278,12 @@ class TestSimulateIO:
 
 @st.composite
 def delay_lines(draw):
-    """A release on qubit 1 for one transit (full or partial), an optional
-    detune pulse on qubit 1 after it, then a capture on qubit 2, in a window
-    that starts off zero and holds one to four round trips; tau is never a
-    multiple of the 0.25 ns base step, so the step is always cut down."""
+    """A release for one transit (full or partial), then a capture one
+    transit later by the same qubit or the other one, and an optional
+    detune pulse on a qubit free at that time, in a window that starts off
+    zero.  The window holds one to four round trips, the last one full or
+    partial; tau is never a multiple of the 0.25 ns base step, so the step
+    is always cut down."""
     tau = draw(st.floats(2.0, 20.0).filter(lambda x: abs(x / 0.25 - round(x / 0.25)) > 1e-6))
     dt = draw(st.floats(0.1, 0.25))
     ch = ChannelParams(eta=draw(st.floats(0.0, 1.0)), tau=tau,
@@ -289,13 +291,29 @@ def delay_lines(draw):
     t0 = draw(st.floats(-50.0, 50.0).filter(lambda x: x != 0.0))
     kc = draw(st.floats(0.05, 0.4))
     alpha = draw(st.just(1.0) | st.floats(0.05, 1.0))
-    segs = [Segment("release", 1, t0, tau, kc, alpha=alpha),
-            Segment("capture", 2, t0 + tau, tau, kc)]
+    emitter, receiver = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+    segs = [Segment("release", emitter, t0, tau, kc, alpha=alpha),
+            Segment("capture", receiver, t0 + tau, tau, kc)]
     if draw(st.booleans()):
-        segs.append(Segment("detune", 1, t0 + tau, tau * draw(st.floats(0.1, 1.0)),
+        # the emitter is free after its release unless it captures too
+        free = emitter if receiver != emitter else 3 - emitter
+        segs.append(Segment("detune", free, t0 + tau, tau * draw(st.floats(0.1, 1.0)),
                             f_mhz=draw(st.floats(-30.0, 30.0))))
-    window = (t0, t0 + tau * draw(st.floats(1.0, 4.0)))
+    last = draw(st.just(1.0) | st.floats(0.01, 0.99))
+    window = (t0, t0 + tau * (draw(st.integers(0, 3)) + last))
     return ControlSchedule(segs, window=window), ch, dt
+
+
+def fixed_line(receiver: int, trips: float):
+    """A partial release on qubit 1, captured by ``receiver``, with a detune
+    pulse on the qubit free after the release, over ``trips`` round trips."""
+    tau = 7.3
+    detuned = 2 if receiver == 1 else 1
+    segs = [Segment("release", 1, 1.0, tau, 0.3, alpha=0.6),
+            Segment("capture", receiver, 1.0 + tau, tau, 0.3),
+            Segment("detune", detuned, 1.0 + tau, 0.5 * tau, f_mhz=12.0)]
+    ch = ChannelParams(eta=0.8, tau=tau, phase=0.4)
+    return ControlSchedule(segs, window=(1.0, 1.0 + trips * tau)), ch, 0.2
 
 
 def stepwise_integrate(schedule, ch, s0, dt, extra_phases=None):
@@ -370,12 +388,17 @@ class TestDelayLine:
                 assert np.allclose(got[row], want[0], rtol=0.0, atol=1e-14)
 
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(line=delay_lines(),
            rows=st.lists(st.tuples(st.floats(-np.pi, np.pi), st.complex_numbers(max_magnitude=1.0),
                                    st.complex_numbers(max_magnitude=1.0)),
                          min_size=1, max_size=3))
+    @example(line=fixed_line(receiver=1, trips=3.7),
+             rows=[(0.0, 1.0, 0.0), (1.1, 0.3j, 0.5), (-2.5, 0.6, -0.2 + 0.1j)])
+    @example(line=fixed_line(receiver=2, trips=4.0), rows=[(0.4, 0.8, 0.1j)])
     def test_block_scan_matches_stepwise_loop(self, line, rows):
+        # differential: the step maps and block scan against the oracle that
+        # takes one RK4 step at a time, on states, a_in and a_out
         sched, ch, dt = line
         extra = np.array([phi for phi, _, _ in rows])
         s0 = np.array([[s1, s2] for _, s1, s2 in rows])
@@ -474,7 +497,20 @@ def test_iotrace_population_properties():
     assert np.allclose(tr.p2, [0.0, 0.25])
 
 
+def realization_rng(master_seed: int, index: int) -> np.random.Generator:
+    """Reference stream of one realization: a fresh Philox keyed (seed, index)."""
+    key = (int(master_seed) << 64) | int(index)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 class TestNoise:
+    @pytest.mark.parametrize("seed", [0, 1234, 2**64 - 1])
+    @pytest.mark.parametrize("n", [1, 7, 1024])
+    def test_rekeyed_draws_match_fresh_generators(self, seed, n):
+        noise = NoiseSpec(sigma_phi=0.7, n_realizations=n, master_seed=seed)
+        want = [realization_rng(seed, i).normal(0.0, 0.7) for i in range(n)]
+        assert np.array_equal(realization_phases(noise), want)
+
     def test_sigma_from_transit_calibration(self):
         tau_us, t2r = 0.508, 2.1
         sigma = np.sqrt(2 * tau_us / t2r)
@@ -501,6 +537,16 @@ class TestNoise:
             NoiseSpec(sigma_phi=-0.1)
         with pytest.raises(ValidationError):
             NoiseSpec(sigma_phi=0.1, n_realizations=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, 3.5, "7", True, None])
+    def test_seed_outside_key_range_rejected(self, seed):
+        # the seed is the high word of a 128-bit Philox key
+        with pytest.raises(ValidationError, match="master_seed"):
+            NoiseSpec(0.3, 2, master_seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, np.uint64(2**64 - 1), np.int64(5)])
+    def test_integer_seeds_in_key_range_accepted(self, seed):
+        assert len(realization_phases(NoiseSpec(0.3, 2, master_seed=seed))) == 2
 
 
 def test_import_loads_no_scipy_and_no_lindblad_module():
