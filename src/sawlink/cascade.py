@@ -37,7 +37,6 @@ from .qcore import (
     SIGMA_MINUS,
     Generator,
     HilbertSpace,
-    Operator,
     QuantumState,
     commutator_superop,
     cross_dissipator,
@@ -105,8 +104,8 @@ def _stage_blocks(doubled: bool) -> tuple[sparse.csr_array, ...]:
         sm, num = embed(SIGMA_MINUS, lbl, space), embed(NUMBER, lbl, space)
         blocks += [dissipator(sm), commutator_superop(num), dissipator(num)]
     for i, j in [(1, 1), (1, 2), (2, 1), (2, 2)] if doubled else []:
-        s_e = embed(SIGMA_MINUS, f"q{i}e", space).matrix
-        s_r = embed(SIGMA_MINUS, f"q{j}", space).matrix
+        s_e = embed(SIGMA_MINUS, f"q{i}e", space)
+        s_r = embed(SIGMA_MINUS, f"q{j}", space)
         # collective damping cross term plus the exchange Hamiltonian
         # 1/2 i (sE^+ sR - sE sR^+), which share one coefficient
         exchange = 0.5j * (s_e.conj().T @ s_r - s_e @ s_r.conj().T)
@@ -162,7 +161,7 @@ def run_cascade(
     rho0: QuantumState | Sequence[QuantumState],
     grid: np.ndarray,
     tol: float = 1e-8,
-    observables: dict[str, Operator] | None = None,
+    observables: dict[str, np.ndarray] | None = None,
     return_doubled: bool = False,
 ):
     """Reduced two-qubit trajectory of the full transfer on [0, 2*tau].

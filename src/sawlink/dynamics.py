@@ -25,8 +25,7 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .errors import DiagnosticsError, IntegrationError, ValidationError
-from .qcore import (EIG_ATOL, Generator, HilbertSpace, Operator, QuantumState, check_states,
-                    hermiticity_error)
+from .qcore import EIG_ATOL, Generator, HilbertSpace, QuantumState, hermiticity_error
 
 DEFAULT_TOL = 1e-8
 MIN_TOL, MAX_TOL = 1e-12, 1e-3
@@ -44,8 +43,11 @@ UNIT_ROUNDOFF = 2.0**-53
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States ``rhos[i]`` of one initial state at ``times[i]``, validated as one
-    stack; ``final_state()`` builds a QuantumState when read."""
+    """States ``rhos[i]`` of one initial state at ``times[i]``; ``final_state()``
+    builds a QuantumState when read.
+
+    The stack is not re-validated here: every stack a Trajectory receives
+    has just passed ``_check_and_repair``, or is a partial trace of one."""
 
     space: HilbertSpace
     times: np.ndarray
@@ -59,7 +61,6 @@ class Trajectory:
         rhos = np.asarray(self.rhos, dtype=complex).view()
         if rhos.shape != t.shape + (self.space.dim,) * 2:
             raise ValidationError("one state per time required")
-        check_states(rhos)
         rhos.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "rhos", rhos)
@@ -68,10 +69,10 @@ class Trajectory:
         return QuantumState(self.space, self.rhos[-1])
 
 
-def expectations(rhos: np.ndarray, observables: dict[str, Operator] | None) -> dict:
+def expectations(rhos: np.ndarray, observables: dict[str, np.ndarray] | None) -> dict:
     """Real series Tr(O rho) over a stack (..., d, d), one per named observable O."""
     obs = (observables or {}).items()
-    return {name: np.einsum("ab,...ba->...", op.matrix, rhos).real for name, op in obs}
+    return {name: np.einsum("ab,...ba->...", op, rhos).real for name, op in obs}
 
 
 def _check_and_repair(rhos: np.ndarray, tol: float, times: np.ndarray) -> None:
@@ -209,7 +210,7 @@ def evolve_generator(
     rho0: QuantumState | Sequence[QuantumState],
     grid: np.ndarray,
     tol: float = DEFAULT_TOL,
-    observables: dict[str, Operator] | None = None,
+    observables: dict[str, np.ndarray] | None = None,
     breakpoints: Sequence[float] = (),
 ) -> Trajectory | list[Trajectory]:
     """Evolve d(vec rho)/dt = L(t) vec rho and sample it on ``grid``.

@@ -21,7 +21,6 @@ from .qcore import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     HilbertSpace,
-    Operator,
     embed,
     embed_product,
 )
@@ -71,17 +70,19 @@ def build_space(p: MultimodeParams, excitation_cap: int | None = 1) -> HilbertSp
     )
 
 
-def jc_hamiltonian(p: MultimodeParams, space: HilbertSpace | None = None) -> Operator:
-    """Exchange Hamiltonian sum_j Delta_j n_j + g (sp a_j + sm a_j^+), rad/ns."""
+def jc_hamiltonian(p: MultimodeParams, space: HilbertSpace | None = None) -> np.ndarray:
+    """Exchange Hamiltonian sum_j Delta_j n_j + g (sp a_j + sm a_j^+), rad/ns,
+    as a read-only array."""
     if space is None:
         space = build_space(p)
     g = p.g * MHZ
     h = np.zeros((space.dim, space.dim), dtype=complex)
     for label, delta in zip(p.mode_labels, p.mode_detunings()):
-        h += delta * embed(NUMBER, label, space).matrix
+        h += delta * embed(NUMBER, label, space)
         swap = embed_product({"q": SIGMA_PLUS, label: SIGMA_MINUS}, space)
-        h += g * (swap.matrix + swap.matrix.conj().T)
-    return Operator(space, h)
+        h += g * (swap + swap.conj().T)
+    h.setflags(write=False)
+    return h
 
 
 def spectrum(p: MultimodeParams, qubit_offsets_mhz: Sequence[float]) -> np.ndarray:
@@ -92,8 +93,8 @@ def spectrum(p: MultimodeParams, qubit_offsets_mhz: Sequence[float]) -> np.ndarr
     """
     space = build_space(p)
     sector = [i for i, occ in enumerate(space.basis) if sum(occ) == 1]
-    base = jc_hamiltonian(p, space).matrix
-    nq = embed(NUMBER, "q", space).matrix
+    base = jc_hamiltonian(p, space)
+    nq = embed(NUMBER, "q", space)
     out = np.empty((len(qubit_offsets_mhz), len(sector)))
     for k, off in enumerate(qubit_offsets_mhz):
         h = base + off * MHZ * nq

@@ -3,11 +3,14 @@
 Dense states, operators, tensor embedding and partial trace, plus sparse
 superoperator blocks and the time-dependent generator built from them,
 for the mode counts this toolkit needs (dimension <= a few hundred).
-Density matrices are vectorized row-major, so a sandwich A rho B turns
-into (A kron B^T) vec(rho).
+An operator is a plain complex (dim, dim) array; a state is a
+``QuantumState``, checked to be a density matrix when built.  Density
+matrices are vectorized row-major, so a sandwich A rho B turns into
+(A kron B^T) vec(rho).
 
-All values are immutable after construction; nothing here keeps shared
-mutable state.
+All values are immutable after construction (the operator arrays
+``embed`` and ``embed_product`` return are read-only); nothing here
+keeps shared mutable state.
 """
 
 from __future__ import annotations
@@ -101,22 +104,6 @@ class HilbertSpace:
         return np.array(self.basis, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class Operator:
-    space: HilbertSpace
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.space.dim, self.space.dim):
-            raise ValidationError(
-                f"matrix shape {m.shape} does not match space dim {self.space.dim}"
-            )
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
 # Validation tolerances for physical density matrices.
 HERM_ATOL = 1e-12
 TRACE_ATOL = 1e-10
@@ -172,8 +159,9 @@ class QuantumState:
         return cls(space, np.outer(v, v.conj()))
 
 
-def embed_product(ops: dict[str, np.ndarray], space: HilbertSpace) -> Operator:
-    """Tensor product of single-mode operators, identity elsewhere.
+def embed_product(ops: dict[str, np.ndarray], space: HilbertSpace) -> np.ndarray:
+    """Tensor product of single-mode operators, identity elsewhere, as a
+    read-only (dim, dim) array.
 
     Matrix elements are taken directly between capped-basis kets, which
     equals building the full Kronecker product and projecting onto the
@@ -196,13 +184,13 @@ def embed_product(ops: dict[str, np.ndarray], space: HilbertSpace) -> Operator:
     for k in range(space.n_modes):
         if k not in seen:
             mat *= basis[:, k][:, None] == basis[None, :, k]
-    return Operator(space, mat)
+    mat.setflags(write=False)
+    return mat
 
 
-def embed(op: np.ndarray | Operator, target_mode: str, space: HilbertSpace) -> Operator:
-    """Lift a single-mode operator onto the composite space."""
-    m = op.matrix if isinstance(op, Operator) else op
-    return embed_product({target_mode: m}, space)
+def embed(op: np.ndarray, target_mode: str, space: HilbertSpace) -> np.ndarray:
+    """Lift a single-mode operator onto the composite space (read-only)."""
+    return embed_product({target_mode: op}, space)
 
 
 def partial_trace(state: QuantumState, keep: Sequence[str]) -> QuantumState:
@@ -287,10 +275,6 @@ class Generator:
         return (c @ (self.stacked @ y).reshape(c.size, y.size)).reshape(y.shape)
 
 
-def _matrix(op: Operator | np.ndarray) -> np.ndarray:
-    return op.matrix if isinstance(op, Operator) else np.asarray(op, dtype=complex)
-
-
 def _block(*terms: tuple[complex, np.ndarray, np.ndarray]) -> sparse.csr_array:
     """Sparse block of rho -> sum w a rho b over the (w, a, b) terms.
 
@@ -310,31 +294,28 @@ def _block(*terms: tuple[complex, np.ndarray, np.ndarray]) -> sparse.csr_array:
     return sparse.csr_array(sparse.coo_array(coo, shape=(n * n, n * n), dtype=complex))
 
 
-def commutator_superop(h: Operator | np.ndarray) -> sparse.csr_array:
+def commutator_superop(h: np.ndarray) -> sparse.csr_array:
     """Block of rho -> -i [H, rho]; trace-free and Hermiticity-preserving for Hermitian H."""
-    m = _matrix(h)
-    eye = np.eye(m.shape[0])
-    return _block((-1j, m, eye), (1j, eye, m))
+    eye = np.eye(h.shape[0])
+    return _block((-1j, h, eye), (1j, eye, h))
 
 
-def dissipator(x: Operator | np.ndarray) -> sparse.csr_array:
+def dissipator(x: np.ndarray) -> sparse.csr_array:
     """Block of the Lindblad damping D[X] rho = X rho X^+ - 1/2 {X^+X, rho}."""
-    m = _matrix(x)
-    eye = np.eye(m.shape[0])
-    xdx = m.conj().T @ m
-    return _block((1.0, m, m.conj().T), (-0.5, xdx, eye), (-0.5, eye, xdx))
+    eye = np.eye(x.shape[0])
+    xdx = x.conj().T @ x
+    return _block((1.0, x, x.conj().T), (-0.5, xdx, eye), (-0.5, eye, xdx))
 
 
-def cross_dissipator(a: Operator | np.ndarray, b: Operator | np.ndarray) -> sparse.csr_array:
+def cross_dissipator(a: np.ndarray, b: np.ndarray) -> sparse.csr_array:
     """Block of the interference part of D[A + B].
 
     rho -> A rho B^+ + B rho A^+ - 1/2 {A^+B + B^+A, rho}
     """
-    ma, mb = _matrix(a), _matrix(b)
-    if ma.shape != mb.shape:
+    if a.shape != b.shape:
         raise ValidationError("operator spaces differ")
-    eye = np.eye(ma.shape[0])
-    anti = ma.conj().T @ mb + mb.conj().T @ ma
+    eye = np.eye(a.shape[0])
+    anti = a.conj().T @ b + b.conj().T @ a
     return _block(
-        (1.0, ma, mb.conj().T), (1.0, mb, ma.conj().T), (-0.5, anti, eye), (-0.5, eye, anti)
+        (1.0, a, b.conj().T), (1.0, b, a.conj().T), (-0.5, anti, eye), (-0.5, eye, anti)
     )

@@ -5,6 +5,11 @@ standard pre-rotation settings, convolved with a per-qubit confusion
 model.  Inverse direction: linear inversion (least squares over the
 informationally complete setting list) followed by eigenvalue clipping.
 Scalar figures of merit live here too.
+
+States and process matrices are plain complex arrays.  A process matrix
+chi is indexed over the unnormalized Pauli basis (``pauli_basis``):
+the map acts as rho -> sum_mn chi_mn P_m rho P_n^+, with labels in
+lexicographic I, X, Y, Z order per qubit, leftmost qubit slowest.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ValidationError
-from .qcore import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, QuantumState
+from .qcore import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 PAULIS_1Q = {
     "I": IDENTITY_2,
@@ -83,34 +88,6 @@ class ReadoutModel:
         return self._confusion
 
 
-@dataclass(frozen=True)
-class ProcessMatrix:
-    """Process representation chi_mn over the unnormalized Pauli basis.
-
-    The map acts as rho -> sum_mn chi_mn P_m rho P_n^+; labels follow
-    lexicographic I, X, Y, Z per qubit, leftmost qubit slowest.
-    """
-
-    chi: np.ndarray
-
-    def __post_init__(self):
-        chi = np.asarray(self.chi, dtype=complex)
-        d2 = chi.shape[0]
-        if chi.ndim != 2 or chi.shape != (d2, d2) or d2 not in (4, 16):
-            raise ValidationError("chi must be 4x4 or 16x16")
-        if np.max(np.abs(chi - chi.conj().T)) > 1e-9:
-            raise ValidationError("chi must be Hermitian")
-        object.__setattr__(self, "chi", chi)
-
-    @property
-    def n_qubits(self) -> int:
-        return 1 if self.chi.shape[0] == 4 else 2
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(pauli_basis(self.n_qubits).keys())
-
-
 def project_psd(mat: np.ndarray, trace: float | None = 1.0) -> np.ndarray:
     """Nearest positive matrix by eigenvalue clipping, optional retrace."""
     herm = 0.5 * (mat + mat.conj().T)
@@ -125,12 +102,6 @@ def project_psd(mat: np.ndarray, trace: float | None = 1.0) -> np.ndarray:
     return out
 
 
-def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, QuantumState):
-        return rho.rho
-    return np.asarray(rho, dtype=complex)
-
-
 def simulate_measurement(
     rho,
     readout: ReadoutModel | None = None,
@@ -142,7 +113,7 @@ def simulate_measurement(
     Exact mode (shots None) returns the error-convolved probability
     vector; otherwise multinomial counts from a seeded draw.
     """
-    mat = _as_matrix(rho)
+    mat = np.asarray(rho, dtype=complex)
     dim = mat.shape[0]
     if dim not in (2, 4):
         raise ValidationError("measurement model covers one or two qubits")
@@ -212,7 +183,7 @@ def tomography_data(
     seed: int = 0,
 ) -> dict[tuple[str, ...], np.ndarray]:
     """Forward-simulate the full pre-rotation measurement set."""
-    mat = _as_matrix(rho)
+    mat = np.asarray(rho, dtype=complex)
     n = 1 if mat.shape[0] == 2 else 2
     data = {}
     for k, setting in enumerate(all_settings(n)):
@@ -278,26 +249,16 @@ def _chi_blocks(n_qubits: int) -> np.ndarray:
     return blocks
 
 
-def process_from_states(
-    inputs: dict | list,
-    outputs: dict | list,
-) -> ProcessMatrix:
-    """Process matrix from matched prepared/measured state pairs.
+def process_from_states(inputs: dict, outputs: dict) -> np.ndarray:
+    """Process matrix chi from matched prepared/measured state pairs.
 
-    Accepts parallel lists or equal-keyed dicts of density matrices.
-    The input set must span operator space (4^n states).
+    ``inputs`` and ``outputs`` map the same keys to density matrices; the
+    inputs must span operator space (4^n states).
     """
-    if isinstance(inputs, dict):
-        keys = list(inputs.keys())
-        if set(keys) != set(outputs.keys()):
-            raise ValidationError("input and output keys differ")
-        ins = [_as_matrix(inputs[k]) for k in keys]
-        outs = [_as_matrix(outputs[k]) for k in keys]
-    else:
-        ins = [_as_matrix(m) for m in inputs]
-        outs = [_as_matrix(m) for m in outputs]
-    if len(ins) != len(outs):
-        raise ValidationError("mismatched number of states")
+    if set(inputs) != set(outputs):
+        raise ValidationError("input and output keys differ")
+    ins = [np.asarray(inputs[k], dtype=complex) for k in inputs]
+    outs = [np.asarray(outputs[k], dtype=complex) for k in inputs]
     dim = ins[0].shape[0]
     if dim not in (2, 4) or len(ins) != dim * dim:
         raise ValidationError(f"need {dim*dim} spanning inputs for dimension {dim}")
@@ -308,11 +269,10 @@ def process_from_states(
     smap = out_mat @ np.linalg.inv(in_mat)
     chi = _chi_blocks(1 if dim == 2 else 2).conj() @ smap.reshape(-1) / dim**2
     chi = 0.5 * (chi + chi.conj().T)
-    chi = project_psd(chi, trace=np.trace(chi).real)
-    return ProcessMatrix(chi)
+    return project_psd(chi, trace=np.trace(chi).real)
 
 
-def chi_ideal(unitary: np.ndarray) -> ProcessMatrix:
+def chi_ideal(unitary: np.ndarray) -> np.ndarray:
     """Rank-one process matrix of a unitary channel."""
     u = np.asarray(unitary, dtype=complex)
     dim = u.shape[0]
@@ -322,31 +282,28 @@ def chi_ideal(unitary: np.ndarray) -> ProcessMatrix:
     coeffs = np.array(
         [np.trace(p.conj().T @ u) / dim for p in pauli_basis(n).values()]
     )
-    return ProcessMatrix(np.outer(coeffs, coeffs.conj()))
+    return np.outer(coeffs, coeffs.conj())
 
 
-def fidelity(a, b) -> float:
-    """Overlap figure Tr(A B); agrees with the usual form for pure refs."""
-    ma = a.chi if isinstance(a, ProcessMatrix) else _as_matrix(a)
-    mb = b.chi if isinstance(b, ProcessMatrix) else _as_matrix(b)
-    if ma.shape != mb.shape:
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """Overlap figure Tr(A B) of two states or two chi matrices; agrees
+    with the usual form for pure refs."""
+    if a.shape != b.shape:
         raise ValidationError("shape mismatch")
-    return float(np.real(np.trace(ma @ mb)))
+    return float(np.real(np.trace(a @ b)))
 
 
-def hs_distance(a, b) -> float:
+def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Hilbert-Schmidt distance sqrt(Tr[(A - B)^2])."""
-    ma = a.chi if isinstance(a, ProcessMatrix) else _as_matrix(a)
-    mb = b.chi if isinstance(b, ProcessMatrix) else _as_matrix(b)
-    if ma.shape != mb.shape:
+    if a.shape != b.shape:
         raise ValidationError("shape mismatch")
-    diff = ma - mb
+    diff = a - b
     return float(np.sqrt(abs(np.real(np.trace(diff @ diff)))))
 
 
 def concurrence(rho) -> float:
     """Two-qubit entanglement monotone via the spin-flip construction."""
-    mat = _as_matrix(rho)
+    mat = np.asarray(rho, dtype=complex)
     if mat.shape != (4, 4):
         raise ValidationError("concurrence is defined for two qubits")
     yy = np.kron(SIGMA_Y, SIGMA_Y)
@@ -358,7 +315,7 @@ def concurrence(rho) -> float:
 
 def pauli_expectations(rho) -> dict[str, float]:
     """Real expectation values over the Pauli basis of matching size."""
-    mat = _as_matrix(rho)
+    mat = np.asarray(rho, dtype=complex)
     n = 1 if mat.shape[0] == 2 else 2
     return {
         lbl: float(np.real(np.trace(p @ mat)))

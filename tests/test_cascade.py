@@ -17,7 +17,7 @@ from sawlink.cascade import (
 )
 from sawlink.errors import RoleAmbiguityError, ValidationError
 from sawlink.ioshape import ChannelParams, ControlSchedule, Segment, transfer_schedule
-from sawlink.qcore import NUMBER, SIGMA_MINUS, QuantumState, embed, partial_trace
+from sawlink.qcore import NUMBER, SIGMA_MINUS, QuantumState, check_states, embed, partial_trace
 from sawlink.ioshape import simulate_io
 
 TAU = 508.12
@@ -75,8 +75,8 @@ def dense_generator(cfg: CascadeConfig, t: float, doubled: bool) -> np.ndarray:
 
     sp = doubled_space() if doubled else two_qubit_space()
     eye = np.eye(sp.dim)
-    sm = {lbl: embed(SIGMA_MINUS, lbl, sp).matrix for lbl in sp.labels}
-    num = {lbl: embed(NUMBER, lbl, sp).matrix for lbl in sp.labels}
+    sm = {lbl: embed(SIGMA_MINUS, lbl, sp) for lbl in sp.labels}
+    num = {lbl: embed(NUMBER, lbl, sp) for lbl in sp.labels}
     copies = [("q1", "q2", t)] + ([("q1e", "q2e", t - TAU)] if doubled else [])
     out = np.zeros((sp.dim**2, sp.dim**2), dtype=complex)
     for labels, when in ((c[:2], c[2]) for c in copies):
@@ -131,8 +131,8 @@ class TestGenerators:
         from sawlink.qcore import dissipator
 
         sp = doubled_space()
-        s_e = embed(SIGMA_MINUS, "q1e", sp).matrix
-        s_r = embed(SIGMA_MINUS, "q2", sp).matrix
+        s_e = embed(SIGMA_MINUS, "q1e", sp)
+        s_r = embed(SIGMA_MINUS, "q2", sp)
         coll = np.sqrt(ke) * s_e + np.sqrt(kr) * s_r
         want = dissipator(coll).toarray()
         m = np.sqrt(ke) * np.sqrt(kr)
@@ -203,7 +203,7 @@ class TestRunCascade:
         finals = []
         for eta in (0.3, 0.5, 0.67, 0.9, 1.0):
             traj = run_cascade(swap_cfg(eta=eta), excited(space), grid, tol=1e-9)
-            finals.append(np.trace(n2.matrix @ traj.final_state().rho).real)
+            finals.append(np.trace(n2 @ traj.final_state().rho).real)
         assert all(b > a for a, b in zip(finals, finals[1:]))
         assert finals[-1] > 0.999
 
@@ -213,6 +213,7 @@ class TestRunCascade:
         space = two_qubit_space()
         grid = np.linspace(0.0, 2 * TAU, 41)
         traj = run_cascade(cfg, excited(space), grid, tol=1e-9)
+        check_states(traj.rhos)
         for rho in traj.rhos:
             assert abs(np.trace(rho).real - 1.0) < 1e-7
 
@@ -227,8 +228,8 @@ class TestRunCascade:
         n1 = embed(NUMBER, "q1", space)
         n2 = embed(NUMBER, "q2", space)
         final = traj.final_state()
-        assert np.trace(n1.matrix @ final.rho).real < 1e-3
-        assert np.trace(n2.matrix @ final.rho).real < 1e-12
+        assert np.trace(n1 @ final.rho).real < 1e-3
+        assert np.trace(n2 @ final.rho).real < 1e-12
 
     def test_stage1_decay_with_imperfections(self):
         # during the release window the excited population obeys
@@ -359,7 +360,7 @@ class TestProcessTomographyRun:
         frame = np.kron(*[np.diag([1.0, -1.0])] * 2) if len(emitters) == 2 else np.diag([1.0, -1.0])
         chi = process_tomography_run(cfg, emitters, receivers, t_ro, tol=tol, frame=frame)
         ref = per_prep_process(cfg, emitters, receivers, t_ro, tol, frame)
-        assert np.max(np.abs(chi.chi - ref.chi)) <= tol
+        assert np.max(np.abs(chi - ref)) <= tol
 
     def test_batched_run_returns_one_trajectory_per_prep(self):
         grid = np.array([0.0, 100.0, TAU + WINDOW])
@@ -375,8 +376,8 @@ class TestProcessTomographyRun:
         sched = ControlSchedule([Segment("detune", 1, 0.0, 1.0)], window=(0.0, 1.0))
         cfg = CascadeConfig(sched, ChannelParams(eta=0.67, tau=TAU))
         chi = process_tomography_run(cfg, emitter=1, receiver=1, t_ro=1.0)
-        assert chi.chi[0, 0].real == pytest.approx(1.0, abs=1e-8)
-        assert np.max(np.abs(chi.chi - np.diag([1.0, 0, 0, 0]))) < 1e-8
+        assert chi[0, 0].real == pytest.approx(1.0, abs=1e-8)
+        assert np.max(np.abs(chi - np.diag([1.0, 0, 0, 0]))) < 1e-8
 
     def test_lossless_transfer_is_identity_process(self):
         sched = transfer_schedule(KC, WINDOW, TAU)

@@ -11,10 +11,11 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sawlink import multimode
 from sawlink.cli import main
 from sawlink.config import default_config, load_config
 from sawlink.errors import IntegrationError
-from sawlink.experiments import EXPERIMENTS, ExperimentOutput
+from sawlink.experiments import EXPERIMENTS, MAX_MODES, ExperimentOutput
 
 from test_serialize import bundle_bytes
 
@@ -234,8 +235,22 @@ class TestExitCodes:
         ("swap", {"tol": 0}),
         ("vacuum_rabi", {"tol": 5e-324}),
         ("double_swap", {"tol": 3.0}),
+        # n_modes outside [1, MAX_MODES]
+        ("spectroscopy", {"n_modes": 0}),
+        ("spectroscopy", {"n_modes": 21}),
+        ("vacuum_rabi", {"n_modes": 21}),
+        ("vacuum_rabi", {"n_modes": 2**31}),
     ])
-    def test_out_of_range_param_is_2(self, tmp_path, capsys, experiment, params):
+    def test_out_of_range_param_is_2(self, tmp_path, capsys, monkeypatch, experiment, params):
+        # a space enumerates 2^(n_modes + 1) kets: too many modes must be
+        # rejected before one is built, not after days
+        build_space = multimode.build_space
+
+        def bounded_build_space(p, *args, **kwargs):
+            assert p.n_a <= MAX_MODES, "a space was built for too many modes"
+            return build_space(p, *args, **kwargs)
+
+        monkeypatch.setattr(multimode, "build_space", bounded_build_space)
         path = tmp_path / "c.yaml"
         raw = default_config(experiment)
         raw["params"].update(params)

@@ -30,8 +30,8 @@ from sawlink.qcore import (
     SIGMA_PLUS,
     Generator,
     HilbertSpace,
-    Operator,
     QuantumState,
+    check_states,
     commutator_superop,
     dissipator,
     embed,
@@ -59,7 +59,7 @@ def test_constant_decay_matches_exponential():
     decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [kappa])
     grid = np.linspace(0, 200, 41)
     traj = evolve_generator(
-        decay, EXCITED, grid, observables={"pe": Operator(QUBIT, NUMBER)}
+        decay, EXCITED, grid, observables={"pe": NUMBER}
     )
     assert np.max(np.abs(traj.observables["pe"] - np.exp(-kappa * grid))) <= 1e-12
 
@@ -67,11 +67,8 @@ def test_constant_decay_matches_exponential():
 def test_resonant_vacuum_rabi_oracle():
     g = 2 * np.pi * 0.005  # rad/ns
     space = HilbertSpace([2, 2], ["q", "m"])
-    h = Operator(
-        space,
-        embed_product({"q": SIGMA_PLUS, "m": SIGMA_MINUS}, space).matrix
-        + embed_product({"q": SIGMA_MINUS, "m": SIGMA_PLUS}, space).matrix,
-    )
+    h = (embed_product({"q": SIGMA_PLUS, "m": SIGMA_MINUS}, space)
+         + embed_product({"q": SIGMA_MINUS, "m": SIGMA_PLUS}, space))
     rabi = Generator(space, [commutator_superop(h)], [g])
     t_half = (np.pi / 2) / g
     grid = np.linspace(0, t_half, 25)
@@ -91,6 +88,7 @@ def test_trace_and_hermiticity_along_trajectory():
         QUBIT, [commutator_superop(SIGMA_PLUS + SIGMA_MINUS), dissipator(SIGMA_MINUS)], [0.3, kappa]
     )
     traj = evolve_generator(driven, EXCITED, np.linspace(0, 100, 51))
+    check_states(traj.rhos)
     for rho in traj.rhos:
         assert abs(np.trace(rho) - 1.0) < 1e-8
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
@@ -102,7 +100,7 @@ def test_time_dependent_amplitude():
     ramp = Generator(QUBIT, [dissipator(SIGMA_MINUS)], lambda t: np.array([rate * t]))
     grid = np.linspace(0, 60, 13)
     traj = evolve_generator(
-        ramp, EXCITED, grid, observables={"pe": Operator(QUBIT, NUMBER)}
+        ramp, EXCITED, grid, observables={"pe": NUMBER}
     )
     assert np.allclose(traj.observables["pe"], np.exp(-0.5 * rate * grid**2), atol=1e-7)
 
@@ -119,8 +117,8 @@ def test_capped_space_matches_full_tensor_space():
         blocks, coeffs = [], []
         for j, d in enumerate(detunings):
             swap = (
-                embed_product({"q": SIGMA_PLUS, f"m{j}": SIGMA_MINUS}, space).matrix
-                + embed_product({"q": SIGMA_MINUS, f"m{j}": SIGMA_PLUS}, space).matrix
+                embed_product({"q": SIGMA_PLUS, f"m{j}": SIGMA_MINUS}, space)
+                + embed_product({"q": SIGMA_MINUS, f"m{j}": SIGMA_PLUS}, space)
             )
             blocks += [commutator_superop(embed(NUMBER, f"m{j}", space)), commutator_superop(swap)]
             coeffs += [d, g]

@@ -55,14 +55,14 @@ class TestHamiltonian:
     def test_excitation_conserved(self):
         p = MultimodeParams(g=2.57, n_a=6)
         space = build_space(p)
-        h = jc_hamiltonian(p, space).matrix
+        h = jc_hamiltonian(p, space)
         n = excitation_number(space)
         assert np.max(np.abs(h @ n - n @ h)) < 1e-12
 
     def test_decoupled_limit_is_diagonal(self):
         p = MultimodeParams(g=0.0, n_a=4, fsr=1.97, delta0=0.3)
         space = build_space(p)
-        h = jc_hamiltonian(p, space).matrix
+        h = jc_hamiltonian(p, space)
         assert np.max(np.abs(h - np.diag(np.diag(h)))) < 1e-15
         sector = [i for i, occ in enumerate(space.basis) if sum(occ) == 1]
         evals = np.sort(np.diag(h)[sector].real)
@@ -72,7 +72,7 @@ class TestHamiltonian:
     def test_single_mode_vacuum_rabi_doublet(self):
         p = MultimodeParams(g=2.57, n_a=1, delta0=0.0)
         space = build_space(p)
-        h = jc_hamiltonian(p, space).matrix
+        h = jc_hamiltonian(p, space)
         sector = [i for i, occ in enumerate(space.basis) if sum(occ) == 1]
         evals = np.linalg.eigvalsh(h[np.ix_(sector, sector)])
         g = 2.57 * 2e-3 * np.pi

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sawlink.errors import ValidationError
+from sawlink.multimode import MultimodeParams, build_space, jc_hamiltonian
 from sawlink.qcore import (
     EIG_ATOL,
     NUMBER,
@@ -12,7 +13,6 @@ from sawlink.qcore import (
     SIGMA_Z,
     Generator,
     HilbertSpace,
-    Operator,
     QuantumState,
     check_states,
     commutator_superop,
@@ -137,21 +137,21 @@ class TestEmbedding:
     def test_identity_embeds_to_identity(self):
         space = HilbertSpace([2, 2, 3], ["a", "b", "c"])
         op = embed(np.eye(2), "b", space)
-        assert np.allclose(op.matrix, np.eye(space.dim))
+        assert np.allclose(op, np.eye(space.dim))
 
     def test_embed_matches_kron_uncapped(self):
         space = HilbertSpace([2, 3], ["q", "m"])
         a = lowering(3)
-        got = embed(a, "m", space).matrix
+        got = embed(a, "m", space)
         assert np.allclose(got, np.kron(np.eye(2), a))
-        got_q = embed(SIGMA_MINUS, "q", space).matrix
+        got_q = embed(SIGMA_MINUS, "q", space)
         assert np.allclose(got_q, np.kron(SIGMA_MINUS, np.eye(3)))
 
     def test_embed_capped_equals_projected_kron(self):
         space = HilbertSpace([2, 2, 2], ["q", "m1", "m2"], excitation_cap=1)
         full = np.kron(np.eye(2), np.kron(SIGMA_MINUS, np.eye(2)))
         idx = space.full_indices()
-        assert np.allclose(embed(SIGMA_MINUS, "m1", space).matrix, full[np.ix_(idx, idx)])
+        assert np.allclose(embed(SIGMA_MINUS, "m1", space), full[np.ix_(idx, idx)])
 
     def test_embed_product_transfers_excitation(self):
         # sigma+ on q times sigma- on m keeps total occupation, so the
@@ -162,14 +162,26 @@ class TestEmbedding:
         dst = space.basis_index((1, 0))
         expected = np.zeros((3, 3))
         expected[dst, src] = 1.0
-        assert np.allclose(op.matrix, expected)
+        assert np.allclose(op, expected)
 
     def test_embed_composition_within_mode(self):
         space = HilbertSpace([2, 4], ["q", "m"])
         a = lowering(4)
-        left = embed(a @ a, "m", space).matrix
-        right = embed(a, "m", space).matrix @ embed(a, "m", space).matrix
+        left = embed(a @ a, "m", space)
+        right = embed(a, "m", space) @ embed(a, "m", space)
         assert np.allclose(left, right, atol=1e-12)
+
+    def test_results_are_read_only_arrays(self):
+        p = MultimodeParams(g=0.5, n_a=1)
+        space = build_space(p)
+        ops = (embed(SIGMA_MINUS, "m0", space),
+               embed_product({"q": SIGMA_PLUS, "m0": SIGMA_MINUS}, space),
+               jc_hamiltonian(p, space))
+        for op in ops:
+            assert type(op) is np.ndarray and op.dtype == complex
+            assert op.shape == (space.dim, space.dim)
+            with pytest.raises(ValueError):
+                op[0, 0] = 1.0
 
     def test_wrong_mode_dim_rejected(self):
         space = HilbertSpace([2, 3], ["q", "m"])
@@ -242,36 +254,31 @@ def apply_block(block, rho: np.ndarray) -> np.ndarray:
 
 class TestSuperOperators:
     def test_commutator_matches_dense_action(self):
-        space = HilbertSpace([2], ["q"])
-        h = Operator(space, 0.3 * SIGMA_Z + 0.1 * SIGMA_MINUS + 0.1 * SIGMA_PLUS)
+        h = 0.3 * SIGMA_Z + 0.1 * SIGMA_MINUS + 0.1 * SIGMA_PLUS
         rng = np.random.default_rng(11)
         rho = random_density(2, rng)
         got = apply_block(commutator_superop(h), rho)
-        want = -1j * (h.matrix @ rho - rho @ h.matrix)
+        want = -1j * (h @ rho - rho @ h)
         assert np.allclose(got, want, atol=1e-14)
 
     def test_dissipator_matches_dense_action(self):
-        space = HilbertSpace([3], ["m"])
-        x = Operator(space, lowering(3))
+        xm = lowering(3)
         rng = np.random.default_rng(13)
         rho = random_density(3, rng)
-        got = apply_block(dissipator(x), rho)
-        xm = x.matrix
+        got = apply_block(dissipator(xm), rho)
         want = xm @ rho @ xm.conj().T - 0.5 * (
             xm.conj().T @ xm @ rho + rho @ xm.conj().T @ xm
         )
         assert np.allclose(got, want, atol=1e-14)
 
     def test_decay_sends_excited_to_ground(self):
-        space = HilbertSpace([2], ["q"])
         rho_e = np.diag([0.0, 1.0]).astype(complex)
-        drho = apply_block(dissipator(Operator(space, SIGMA_MINUS)), rho_e)
+        drho = apply_block(dissipator(SIGMA_MINUS), rho_e)
         assert np.allclose(drho, np.diag([1.0, -1.0]), atol=1e-14)
 
     def test_dissipator_is_trace_free(self):
-        space = HilbertSpace([3], ["m"])
         rng = np.random.default_rng(17)
-        block = dissipator(Operator(space, lowering(3)))
+        block = dissipator(lowering(3))
         for _ in range(20):
             rho = random_density(3, rng)
             assert abs(np.trace(apply_block(block, rho))) < 1e-13
@@ -281,8 +288,7 @@ class TestSuperOperators:
         space = HilbertSpace([2, 2], ["a", "b"])
         a = embed(SIGMA_MINUS, "a", space)
         b = embed(SIGMA_MINUS, "b", space)
-        combined = Operator(space, a.matrix + b.matrix)
-        lhs = dissipator(combined).toarray()
+        lhs = dissipator(a + b).toarray()
         rhs = (
             dissipator(a).toarray()
             + dissipator(b).toarray()
@@ -292,7 +298,7 @@ class TestSuperOperators:
 
     def test_time_dependent_coefficient(self):
         space = HilbertSpace([2], ["q"])
-        block = dissipator(Operator(space, SIGMA_MINUS))
+        block = dissipator(SIGMA_MINUS)
         gen = Generator(space, [block], lambda t: np.array([2.0 * t]))
         eye = np.eye(4)
         assert np.allclose(gen(0.0, eye), 0.0)
@@ -311,8 +317,7 @@ class TestSuperOperators:
         space = HilbertSpace([2], ["q"])
         gen = Generator(
             space,
-            [commutator_superop(Operator(space, SIGMA_Z)),
-             dissipator(Operator(space, SIGMA_MINUS))],
+            [commutator_superop(SIGMA_Z), dissipator(SIGMA_MINUS)],
             [1.0, 1.0],
         )
         rng = np.random.default_rng(23)

@@ -200,26 +200,27 @@ class TestProcessTomo:
         chi = tomo.process_from_states(ins, ins)
         want = np.zeros((4, 4))
         want[0, 0] = 1.0
-        assert np.max(np.abs(chi.chi - want)) < 1e-10
+        assert np.max(np.abs(chi - want)) < 1e-10
 
     def test_pauli_x_process(self):
         ins = tomo.prep_states(1)
         x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         outs = {k: x @ v @ x for k, v in ins.items()}
         chi = tomo.process_from_states(ins, outs)
-        assert chi.chi[1, 1].real == pytest.approx(1.0, abs=1e-10)
-        assert abs(np.trace(chi.chi) - 1.0) < 1e-10
+        assert chi[1, 1].real == pytest.approx(1.0, abs=1e-10)
+        assert abs(np.trace(chi) - 1.0) < 1e-10
 
     def test_depolarizing_process(self):
         ins = tomo.prep_states(1)
         outs = {k: np.eye(2, dtype=complex) / 2 for k in ins}
         chi = tomo.process_from_states(ins, outs)
-        assert np.allclose(np.diag(chi.chi).real, 0.25, atol=1e-10)
+        assert np.allclose(np.diag(chi).real, 0.25, atol=1e-10)
 
     def test_rank_deficient_inputs_rejected(self):
         g = np.diag([1.0, 0.0]).astype(complex)
+        same = {k: g for k in tomo.prep_states(1)}
         with pytest.raises(ValidationError):
-            tomo.process_from_states([g] * 4, [g] * 4)
+            tomo.process_from_states(same, same)
 
     def test_two_qubit_swap_round_trip(self):
         swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
@@ -230,7 +231,7 @@ class TestProcessTomo:
 
     def test_chi_ideal_unit_trace(self):
         swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
-        assert np.trace(tomo.chi_ideal(swap).chi).real == pytest.approx(1.0)
+        assert np.trace(tomo.chi_ideal(swap)).real == pytest.approx(1.0)
 
     def test_orthogonal_unitaries(self):
         x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
