@@ -229,8 +229,8 @@ def process_tomography_run(
     emitter: int | tuple[int, ...],
     receiver: int | tuple[int, ...],
     t_ro: float,
+    frame: np.ndarray,
     tol: float = 1e-8,
-    frame: np.ndarray | None = None,
 ):
     """Characterize a transfer as a process matrix over the spanning preps.
 
@@ -238,10 +238,9 @@ def process_tomography_run(
     two-qubit transfers) is loaded onto the emitter qubit(s), any other
     qubit in g; one cascade run evolves all of them to ``t_ro``, and
     their receiver marginals go to the process reconstruction.  ``frame``
-    is an optional unitary applied to every output state; the transfer
-    imprints a fixed relative phase on the moved amplitude, and
-    experiments calibrate it out by redefining the receiving qubit's
-    frame.
+    is a unitary applied to every output state: the transfer imprints a
+    fixed relative phase on the moved amplitude, and experiments
+    calibrate it out by redefining the receiving qubit's frame.
     """
     emitters = (emitter,) if isinstance(emitter, int) else tuple(emitter)
     receivers = (receiver,) if isinstance(receiver, int) else tuple(receiver)
@@ -261,7 +260,6 @@ def process_tomography_run(
             prep = np.kron(prep, ground) if emitters[0] == 1 else np.kron(ground, prep)
         preps.append(QuantumState(two_qubit_space(), prep))
     trajs = run_cascade(cfg, preps, grid, tol=tol)
-    outputs = {key: partial_trace(tr.final_state(), keep).rho for key, tr in zip(inputs, trajs)}
-    if frame is not None:
-        outputs = {k: frame @ v @ frame.conj().T for k, v in outputs.items()}
+    rhos = {key: partial_trace(tr.final_state(), keep).rho for key, tr in zip(inputs, trajs)}
+    outputs = {key: frame @ rho @ frame.conj().T for key, rho in rhos.items()}
     return tomo.process_from_states(inputs, outputs)

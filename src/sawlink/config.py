@@ -40,15 +40,11 @@ class ExperimentConfig:
     params: dict[str, Any]
 
 
-def _qubit_dict(q: QubitParams) -> dict:
-    return {k: getattr(q, k) for k in _QUBIT_KEYS}
-
-
-def device_defaults() -> dict:
-    d = default_device()
+def _device_dict(d: DeviceParams) -> dict:
+    """The device's config section: the channel scalars, then each qubit's table."""
     out: dict[str, Any] = {k: getattr(d, k) for k in _DEVICE_SCALARS}
-    out["q1"] = _qubit_dict(d.q1)
-    out["q2"] = _qubit_dict(d.q2)
+    for name, q in (("q1", d.q1), ("q2", d.q2)):
+        out[name] = {k: getattr(q, k) for k in _QUBIT_KEYS}
     return out
 
 
@@ -62,7 +58,7 @@ def default_config(experiment: str) -> dict:
     return {
         "experiment": experiment,
         "seed": 1234,
-        "device": device_defaults(),
+        "device": _device_dict(default_device()),
         "params": dict(EXPERIMENTS[experiment].defaults),
     }
 
@@ -149,11 +145,7 @@ def effective_dict(cfg: ExperimentConfig) -> dict:
     return {
         "experiment": cfg.experiment,
         "seed": cfg.seed,
-        "device": {
-            **{k: getattr(cfg.device, k) for k in _DEVICE_SCALARS},
-            "q1": _qubit_dict(cfg.device.q1),
-            "q2": _qubit_dict(cfg.device.q2),
-        },
+        "device": _device_dict(cfg.device),
         "params": dict(cfg.params),
     }
 

@@ -82,10 +82,9 @@ class DeviceParams:
     def noise_pair(self) -> tuple[QubitNoise, QubitNoise]:
         return (self.q1.noise(), self.q2.noise())
 
-    def channel(self, eta: float | None = None, phase: float = 0.0) -> ChannelParams:
-        return ChannelParams(
-            eta=self.eta if eta is None else eta, tau=self.tau_ns, phase=phase
-        )
+    def channel(self, eta: float | None) -> ChannelParams:
+        """The channel at transmission ``eta``; None takes the device's."""
+        return ChannelParams(eta=self.eta if eta is None else float(eta), tau=self.tau_ns)
 
     def readout(self) -> ReadoutModel:
         return ReadoutModel(((self.q1.F_g, self.q1.F_e), (self.q2.F_g, self.q2.F_e)))

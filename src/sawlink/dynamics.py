@@ -183,8 +183,6 @@ def _integrate(generator: Generator, y: np.ndarray, grid: np.ndarray, tol: float
     """RK45 across ``grid``, restarting at each breakpoint, writing the
     sampled (n_times, k, d, d) stack to ``raw``."""
     _, k, d, _ = raw.shape
-    # one state stays a vector: a sparse product with a single column is slower
-    rhs = generator if k == 1 else lambda t, y: generator(t, y.reshape(d * d, k)).reshape(-1)
     y = y.reshape(-1)
     t0, tf = grid[0], grid[-1]
     cuts = sorted({t0, tf} | {b for b in breakpoints if t0 < b < tf})
@@ -197,7 +195,8 @@ def _integrate(generator: Generator, y: np.ndarray, grid: np.ndarray, tol: float
     for a, b, lo, hi in zip(cuts, cuts[1:], ends, ends[1:]):
         # always sample the segment endpoint so the next segment restarts there
         t_eval = grid[lo:hi] if hi > lo and grid[hi - 1] == b else np.append(grid[lo:hi], b)
-        sol = solve_ivp(rhs, (a, b), y, method="RK45", t_eval=t_eval, rtol=tol, atol=tol * 1e-2)
+        sol = solve_ivp(generator, (a, b), y, method="RK45", t_eval=t_eval, rtol=tol,
+                        atol=tol * 1e-2)
         if not sol.success:
             raise IntegrationError(f"integration failed on [{a:.6g}, {b:.6g}] ns: {sol.message}")
         raw[lo:hi] = sol.y[:, : hi - lo].reshape(d, d, k, hi - lo).transpose(3, 2, 0, 1)

@@ -44,11 +44,12 @@ from .qcore import (
 Z_FRAME = np.diag([1.0, -1.0]).astype(complex)
 SWAP_GATE = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 QUBIT_BASIS_2Q = ("gg", "ge", "eg", "ee")
-# Most ladder modes a runner accepts.  HilbertSpace enumerates all
-# 2^(n + 1) kets before it applies the excitation cap, so the cost doubles
-# with each mode: at 20 modes spectroscopy took 0.38 s and vacuum_rabi
-# 0.53 s at a peak RSS of 100 MB (one thread of a 2-core Xeon); 24 modes
-# would take about 16 times as long.
+# Most ladder modes a runner accepts; the config contract rejects 21 with
+# exit code 2.  The capped ladder of n modes holds n + 2 kets and is built
+# ket by ket, so the cost grows as a power of n: at 20 modes spectroscopy
+# took 0.009 s and vacuum_rabi 0.15 s at a peak RSS of 101 MB, and
+# vacuum_rabi, whose dense propagator has (n + 2)^4 entries, 0.80 s at 32
+# modes (one thread of a 2-core Xeon).
 MAX_MODES = 20
 
 
@@ -57,10 +58,6 @@ class ExperimentOutput:
     metrics: dict[str, float]
     series: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
     matrices: dict[str, tuple[np.ndarray, tuple[str, ...]]] = field(default_factory=dict)
-
-
-def _eta(device: DeviceParams, params: dict) -> float:
-    return device.eta if params.get("eta") is None else float(params["eta"])
 
 
 def _integer(params: dict, key: str, least: int = 1, most: float = np.inf) -> int:
@@ -73,7 +70,7 @@ def _integer(params: dict, key: str, least: int = 1, most: float = np.inf) -> in
 def run_ping_pong(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     """Release a full phonon and recapture it with the same qubit."""
     kc, w = params["kappa_c"], params["window_ns"]
-    ch = device.channel(eta=_eta(device, params))
+    ch = device.channel(params["eta"])
     sched = transfer_schedule(kc, w, ch.tau, emitter=1, receiver=1)
     trace = simulate_io(sched, ch, s0=(1.0, 0.0))
     p1 = trace.p1
@@ -98,7 +95,7 @@ def run_multi_transit(device: DeviceParams, params: dict, seed: int) -> Experime
     """Capture after n full transits; efficiency decays geometrically."""
     kc, w = params["kappa_c"], params["window_ns"]
     n_max = _integer(params, "max_transits")
-    ch = device.channel(eta=_eta(device, params))
+    ch = device.channel(params["eta"])
     release = Segment("release", 1, 0.0, w, kc)
     effs = []
     for n in range(1, n_max + 1):
@@ -134,7 +131,7 @@ def run_multi_transit(device: DeviceParams, params: dict, seed: int) -> Experime
 def run_interference(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     """Half release, dialed phase, half recapture, averaged over dephasing."""
     kc, w = params["kappa_c"], params["window_ns"]
-    ch = device.channel(eta=_eta(device, params))
+    ch = device.channel(params["eta"])
     # the fringe's harmonic ratio needs rfft bins beyond the fundamental
     n_phases = _integer(params, "n_phases", least=5)
     sigma = params["sigma_phi"]
@@ -185,12 +182,10 @@ def run_swap(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     """Single shaped transfer characterized by process tomography."""
     kc, w = params["kappa_c"], params["window_ns"]
     emitter, receiver = int(params["emitter"]), int(params["receiver"])
-    ch = device.channel(eta=_eta(device, params))
+    ch = device.channel(params["eta"])
     sched = transfer_schedule(kc, w, ch.tau, emitter=emitter, receiver=receiver)
     cfg = CascadeConfig(sched, ch, noise=device.noise_pair())
-    chi = process_tomography_run(
-        cfg, emitter, receiver, ch.tau + w, tol=params["tol"], frame=Z_FRAME
-    )
+    chi = process_tomography_run(cfg, emitter, receiver, ch.tau + w, Z_FRAME, tol=params["tol"])
     out = _chi_output(chi, tomo.chi_ideal(np.eye(2)), "process")
     out.metrics["reference_fidelity"] = 0.83
     return out
@@ -214,13 +209,12 @@ def double_swap_schedule(kc: float, w: float, tau: float) -> ControlSchedule:
 def run_double_swap(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     """Two counter-directed transfers exchanging the qubit states."""
     kc, w = params["kappa_c"], params["window_ns"]
-    ch = device.channel(eta=_eta(device, params))
+    ch = device.channel(params["eta"])
     if 2 * w > ch.tau:
         raise ValidationError("double swap needs window_ns <= tau / 2")
     cfg = CascadeConfig(double_swap_schedule(kc, w, ch.tau), ch, noise=device.noise_pair())
     chi = process_tomography_run(
-        cfg, (1, 2), (2, 1), ch.tau + 2 * w, tol=params["tol"],
-        frame=np.kron(Z_FRAME, Z_FRAME),
+        cfg, (1, 2), (2, 1), ch.tau + 2 * w, np.kron(Z_FRAME, Z_FRAME), tol=params["tol"]
     )
     out = _chi_output(chi, tomo.chi_ideal(SWAP_GATE), "process")
     out.metrics["reference_fidelity"] = 0.63
@@ -237,7 +231,7 @@ def run_bell(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     """
     kc, w = params["kappa_c"], params["window_ns"]
     alpha = float(params["alpha"])
-    ch = device.channel(eta=_eta(device, params))
+    ch = device.channel(params["eta"])
     sched = transfer_schedule(kc, w, ch.tau, emitter=1, receiver=2, alpha=alpha)
     cfg = CascadeConfig(sched, ch, noise=device.noise_pair())
     space = two_qubit_space()

@@ -189,12 +189,10 @@ class ControlSchedule:
     segments: tuple[Segment, ...]
     window: tuple[float, float]
 
-    def __init__(self, segments: Sequence[Segment], window: tuple[float, float] | None = None):
+    def __init__(self, segments: Sequence[Segment], window: tuple[float, float]):
         segs = tuple(segments)
         if not segs:
             raise ValidationError("schedule needs at least one segment")
-        if window is None:
-            window = (min(s.t_start for s in segs), max(s.t_end for s in segs))
         if window[1] <= window[0]:
             raise ValidationError("window must have positive length")
         # coupling exclusivity: the two qubits never talk to the line at once
@@ -333,9 +331,12 @@ def _integrate(
     s0: np.ndarray,
     dt: float,
     extra_phases: np.ndarray | None = None,
-    keep_trace: bool = True,
 ):
     """Fixed-step RK4 for the delayed feedback loop, batched over phases.
+
+    ``s0`` holds one amplitude pair per batch row.  Returns the step
+    nodes, the amplitudes per (batch, node, qubit) and the input and
+    output fields per (batch, node).
 
     The step nodes ``times`` (n_steps + 1) and the step midpoints
     (n_steps) are kept apart, each in contiguous arrays with the node
@@ -374,9 +375,7 @@ def _integrate(
     r_a, r_b = root[:, None, :n_steps], root[:, None, 1 : n_steps + 1]
     r_m = root[:, None, n_steps + 1 :]
 
-    s = np.array(s0, dtype=complex)
-    if s.ndim == 1:
-        s = s[None, :]
+    s = np.asarray(s0, dtype=complex)
     batch = s.shape[0]
     phases = np.zeros(batch) if extra_phases is None else np.asarray(extra_phases, dtype=float)
     feedback = (np.sqrt(ch.eta) * np.exp(1j * (ch.phase + phases)))[:, None]  # (batch, 1)
@@ -416,8 +415,6 @@ def _integrate(
         aout_m[:, blk] = project(r_m[..., blk], s_mid) - u_m
         aout[:, nxt] = project(r_b[..., blk], s_new) - u_b
 
-    if not keep_trace:
-        return times, states[..., -1].T
     return times, states.transpose(1, 2, 0), ain, aout
 
 
@@ -437,7 +434,7 @@ def simulate_io(
     s0 = np.asarray(s0, dtype=complex)
     if s0.shape != (2,):
         raise ValidationError("s0 must hold exactly two amplitudes")
-    times, s_arr, ain_arr, aout_arr = _integrate(schedule, ch, s0, dt)
+    times, s_arr, ain_arr, aout_arr = _integrate(schedule, ch, s0[None, :], dt)
     s1, s2 = s_arr[0, :, 0], s_arr[0, :, 1]
     ain, aout = ain_arr[0], aout_arr[0]
     if grid is not None:
@@ -458,54 +455,51 @@ def transfer_schedule(
     tau: float,
     emitter: int = 1,
     receiver: int = 2,
-    t_start: float = 0.0,
     alpha: float = 1.0,
 ) -> ControlSchedule:
-    """Release on one qubit, capture one transit later on the other.
+    """Release on one qubit from t = 0, capture one transit later on the other.
 
     ``alpha`` is the fraction the emitter releases.  The receiver's
     capture has alpha = 1 whatever the release: the Bell pair's half
     release is absorbed by the full capture, as on the device.
     """
-    release = Segment("release", emitter, t_start, window, kappa_c, alpha=alpha)
-    capture = Segment("capture", receiver, t_start + tau, window, kappa_c)
-    return ControlSchedule(
-        [release, capture], window=(t_start, t_start + tau + window + 0.25 * tau)
-    )
+    release = Segment("release", emitter, 0.0, window, kappa_c, alpha=alpha)
+    capture = Segment("capture", receiver, tau, window, kappa_c)
+    return ControlSchedule([release, capture], window=(0.0, tau + window + 0.25 * tau))
 
 
 def interference_experiment(
-    delta_phi: float | np.ndarray,
+    delta_phi: np.ndarray,
     ch: ChannelParams,
-    noise: NoiseSpec | None = None,
+    noise: NoiseSpec,
     kappa_c: float = 0.1,
     window: float = 180.0,
     dt: float = 0.25,
     chunk: int = 128,
-) -> float | np.ndarray:
-    """Half release, phase twiddle, half recapture: mean final population.
+) -> np.ndarray:
+    """Half release, phase twiddle, half recapture: mean final population,
+    one value per relative phase of the 1-D array ``delta_phi``.
 
     The relative phase is dialed with a fixed 20 MHz detuning pulse of
     duration delta_phi / (2 pi * 20 MHz), applied between the release
-    and capture windows, as in the hardware calibration.  A scalar
-    delta_phi gives a float, a 1-D array one value per phase.
+    and capture windows, as in the hardware calibration.
 
     The noise average is exact: with z = e^{i phi} the per-realization
     phase, s1(T) = sum_m c_m z^m is a polynomial of degree n, the round
     trips in the window.  It is integrated at the n + 1 roots of unity
     (``chunk`` rows per pass), the c_m follow by FFT, and the mean of
-    |s1|^2 runs over the seeded phases, drawn once per call.  Without
-    noise the same formula is read at phi = 0.
+    |s1|^2 runs over the seeded phases, drawn once per call.  At
+    sigma_phi = 0 the same formula is read at phi = 0.
     """
     if chunk < 1:
         raise ValidationError(f"chunk = {chunk} must be at least 1")
     dphis = np.asarray(delta_phi, dtype=float)
-    if dphis.ndim > 1:
-        raise ValidationError("delta_phi must be a scalar or a 1-D array")
+    if dphis.ndim != 1:
+        raise ValidationError("delta_phi must be a 1-D array")
     release = Segment("release", 1, 0.0, window, kappa_c, alpha=0.5)
     segs = [release, time_reverse(replace(release, t_start=ch.tau))]
     schedules = []
-    for dphi in np.atleast_1d(dphis) % (2 * np.pi):
+    for dphi in dphis % (2 * np.pi):
         pulse = []
         if dphi > 0:
             pulse_len = dphi / (DETUNE_PULSE_MHZ * MHZ)
@@ -517,18 +511,15 @@ def interference_experiment(
     n_sub, _, n_steps = _grid((0.0, ch.tau + window), ch.tau, dt)
     n = n_steps // n_sub
     root_phases = 2 * np.pi * np.arange(n + 1) / (n + 1)
-    if noise is None or noise.sigma_phi == 0.0:
-        phases = np.zeros(1)
-    else:
-        phases = realization_phases(noise)
+    phases = np.zeros(1) if noise.sigma_phi == 0.0 else realization_phases(noise)
     powers = np.exp(1j * np.outer(phases, np.arange(n + 1)))  # (realization, m)
     pe = np.empty(len(schedules))
     for k, schedule in enumerate(schedules):
         s1 = np.concatenate([
             _integrate(schedule, ch, np.tile([1.0 + 0j, 0.0], (len(rows), 1)), dt,
-                       extra_phases=rows, keep_trace=False)[1][:, 0]
+                       extra_phases=rows)[1][:, -1, 0]
             for rows in (root_phases[i : i + chunk] for i in range(0, n + 1, chunk))
         ])
         coeffs = np.fft.fft(s1) / (n + 1)
         pe[k] = np.mean(np.abs(powers @ coeffs) ** 2)
-    return float(pe[0]) if dphis.ndim == 0 else pe
+    return pe

@@ -64,17 +64,14 @@ class MultimodeParams:
         return (self.delta0 + (j - j0) * self.fsr) * MHZ
 
 
-def build_space(p: MultimodeParams, excitation_cap: int | None = 1) -> HilbertSpace:
-    return HilbertSpace(
-        [2] * (1 + p.n_a), ("q",) + p.mode_labels, excitation_cap=excitation_cap
-    )
+def build_space(p: MultimodeParams) -> HilbertSpace:
+    """The qubit and the ladder, capped at one excitation."""
+    return HilbertSpace([2] * (1 + p.n_a), ("q",) + p.mode_labels, excitation_cap=1)
 
 
-def jc_hamiltonian(p: MultimodeParams, space: HilbertSpace | None = None) -> np.ndarray:
+def jc_hamiltonian(p: MultimodeParams, space: HilbertSpace) -> np.ndarray:
     """Exchange Hamiltonian sum_j Delta_j n_j + g (sp a_j + sm a_j^+), rad/ns,
-    as a read-only array."""
-    if space is None:
-        space = build_space(p)
+    on ``build_space(p)``, as a read-only array."""
     g = p.g * MHZ
     h = np.zeros((space.dim, space.dim), dtype=complex)
     for label, delta in zip(p.mode_labels, p.mode_detunings()):
@@ -92,7 +89,7 @@ def spectrum(p: MultimodeParams, qubit_offsets_mhz: Sequence[float]) -> np.ndarr
     it; each row holds the sorted eigenvalues at one sweep point.
     """
     space = build_space(p)
-    sector = [i for i, occ in enumerate(space.basis) if sum(occ) == 1]
+    sector = np.flatnonzero(space.basis.sum(axis=1) == 1)
     base = jc_hamiltonian(p, space)
     nq = embed(NUMBER, "q", space)
     out = np.empty((len(qubit_offsets_mhz), len(sector)))
@@ -140,15 +137,16 @@ def _laguerre(n: int, x: np.ndarray) -> np.ndarray:
     return lk1
 
 
-def laguerre_amplitude(t, p: MultimodeParams):
-    """Analytical qubit excited-state amplitude A_e(t) for the mode ladder.
+def laguerre_amplitude(t: np.ndarray, p: MultimodeParams) -> np.ndarray:
+    """Analytical qubit excited-state amplitude A_e(t) for the mode ladder,
+    at each time of the array ``t``.
 
     Echo n arrives after n transit times; its envelope is a Laguerre
     difference in kappa*(t - n*tau).  The stored emission rate is an
     energy rate, so the amplitude exponents carry kappa/2, and channel
     loss contributes one factor exp(-kappa_a*tau/2) per transit.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValidationError("t must be >= 0")
     kappa = golden_rule_kappa(p.g, p.fsr).rate
@@ -168,7 +166,7 @@ def laguerre_amplitude(t, p: MultimodeParams):
             * np.exp(-x / 2.0)
             * script
         )
-    return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
+    return out
 
 
 def revival_onset(times: np.ndarray, pe: np.ndarray) -> float:

@@ -15,14 +15,15 @@ keeps shared mutable state.
 
 from __future__ import annotations
 
-import itertools
+import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .errors import ValidationError
+from .errors import IntegrationError, ValidationError
 
 
 # Single-qubit matrices in the {|g>, |e>} basis.
@@ -42,13 +43,14 @@ class HilbertSpace:
     Basis kets are occupation vectors in lexicographic order (leftmost
     mode most significant), which coincides with the usual Kronecker
     ordering for uncapped spaces.  With ``excitation_cap`` set, only
-    kets with total occupation <= cap are retained, in the same order.
+    kets with total occupation <= cap are built, in the same order.
+    ``basis`` holds them as the rows of a read-only (dim, n_modes) array.
     """
 
     mode_dims: tuple[int, ...]
     labels: tuple[str, ...]
     excitation_cap: int | None = None
-    basis: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -69,10 +71,16 @@ class HilbertSpace:
         object.__setattr__(self, "mode_dims", dims)
         object.__setattr__(self, "labels", labs)
         object.__setattr__(self, "excitation_cap", excitation_cap)
-        kets = itertools.product(*(range(d) for d in dims))
-        if excitation_cap is not None:
-            kets = (k for k in kets if sum(k) <= excitation_cap)
-        object.__setattr__(self, "basis", tuple(kets))
+        cap = sum(dims) if excitation_cap is None else excitation_cap
+        # extend every prefix within the cap by each allowed occupation of
+        # the next mode; nonzero() walks (prefix, occupation) row-major,
+        # which keeps the kets in lexicographic order
+        kets, load = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+        for d in dims:
+            prefix, occ = np.nonzero(load[:, None] + np.arange(d) <= cap)
+            kets, load = np.column_stack([kets[prefix], occ]), load[prefix] + occ
+        kets.setflags(write=False)
+        object.__setattr__(self, "basis", kets)
 
     @property
     def dim(self) -> int:
@@ -89,19 +97,12 @@ class HilbertSpace:
             raise ValidationError(f"unknown mode label {label!r}; have {self.labels}")
 
     def basis_index(self, occupation: Sequence[int]) -> int:
-        try:
-            return self.basis.index(tuple(occupation))
-        except ValueError:
-            raise ValidationError(f"occupation {tuple(occupation)} not in basis")
-
-    def full_indices(self) -> np.ndarray:
-        """Index of each basis ket inside the uncapped tensor space."""
-        strides = np.cumprod((1,) + self.mode_dims[::-1][:-1])[::-1]
-        occ = np.array(self.basis, dtype=np.int64)
-        return occ @ strides
-
-    def basis_array(self) -> np.ndarray:
-        return np.array(self.basis, dtype=np.int64)
+        occ = tuple(occupation)
+        if len(occ) == self.n_modes:
+            hit = np.flatnonzero((self.basis == occ).all(axis=1))
+            if hit.size:
+                return int(hit[0])
+        raise ValidationError(f"occupation {occ} not in basis")
 
 
 # Validation tolerances for physical density matrices.
@@ -167,7 +168,7 @@ def embed_product(ops: dict[str, np.ndarray], space: HilbertSpace) -> np.ndarray
     equals building the full Kronecker product and projecting onto the
     retained subspace.
     """
-    basis = space.basis_array()
+    basis = space.basis
     dim = space.dim
     mat = np.ones((dim, dim), dtype=complex)
     seen = set()
@@ -200,20 +201,15 @@ def partial_trace(state: QuantumState, keep: Sequence[str]) -> QuantumState:
 
 
 def partial_trace_stack(space: HilbertSpace, rhos: np.ndarray, keep: Sequence[str]) -> np.ndarray:
-    """Reduced matrices on the kept modes of a stack (..., d, d), Hermitian-symmetrised."""
+    """Reduced matrices on the kept modes of a stack (..., d, d), Hermitian-symmetrised.
+
+    The space must be the full tensor product: a capped space is rejected."""
     keep_idx = [space.mode_index(lbl) for lbl in keep]
     lead = rhos.shape[:-2]
-
-    if space.excitation_cap is None:
-        rho_full = rhos
-    else:
-        full_dim = int(np.prod(space.mode_dims))
-        idx = space.full_indices()
-        rho_full = np.zeros(lead + (full_dim, full_dim), dtype=complex)
-        rho_full[..., idx[:, None], idx[None, :]] = rhos
-
+    if space.dim != math.prod(space.mode_dims):
+        raise ValidationError("partial trace needs an uncapped space")
     n = space.n_modes
-    tensor = rho_full.reshape(lead + space.mode_dims + space.mode_dims)
+    tensor = rhos.reshape(lead + space.mode_dims + space.mode_dims)
     letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
     if 2 * n > len(letters):
         raise ValidationError("too many modes for partial trace")
@@ -268,11 +264,20 @@ class Generator:
         object.__setattr__(self, "coeffs", coeffs)
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        """L(t) vec(rho), or L(t) applied to each column of a matrix ``y``."""
-        if not callable(self.coeffs):
-            return self.stacked @ y
+        """The right-hand side L(t) y of a time-dependent generator (a
+        constant one is applied as ``stacked``).  ``y`` holds k vectorized
+        states as the columns of a d^2 x k matrix, flattened row-major as
+        the ODE solver passes it, and the result is flattened alike.
+
+        A non-finite coefficient raises: the adaptive stepper would
+        otherwise shrink its step forever."""
         c = self.coeffs(t)
-        return (c @ (self.stacked @ y).reshape(c.size, y.size)).reshape(y.shape)
+        out = c @ (self.stacked @ y.reshape(self.stacked.shape[1], -1)).reshape(c.size, y.size)
+        # with finite states, a non-finite coefficient makes every entry of
+        # ``out`` non-finite, so the first entry screens for one
+        if not cmath.isfinite(out[0]) and not np.isfinite(c).all():
+            raise IntegrationError(f"non-finite generator coefficient at t = {t:.6g} ns")
+        return out
 
 
 def _block(*terms: tuple[complex, np.ndarray, np.ndarray]) -> sparse.csr_array:

@@ -101,8 +101,8 @@ def _check_window(f_ghz: np.ndarray):
         )
 
 
-def idt_rate_spectrum(f_ghz, g: SawGeometry, kappa_max: float):
-    """Qubit emission rate vs frequency, 1/ns.
+def idt_rate_spectrum(f_ghz: np.ndarray, g: SawGeometry, kappa_max: float) -> np.ndarray:
+    """Qubit emission rate (1/ns) at each frequency of the array ``f_ghz``.
 
     The transducer array factor kappa_max * [sin(X)/X]^2 with
     X = N * pi * (f - f0) / f0; the peak sits at the synchronous
@@ -114,12 +114,12 @@ def idt_rate_spectrum(f_ghz, g: SawGeometry, kappa_max: float):
     _check_window(f)
     f0 = g.idt_center_ghz
     x = g.idt.cells * (f - f0) / f0  # sinc argument in units of pi
-    out = kappa_max * np.sinc(x) ** 2
-    return out if out.ndim else float(out)
+    return kappa_max * np.sinc(x) ** 2
 
 
-def mirror_stopband(f_ghz, g: SawGeometry):
-    """Mirror power reflectance in [0, 1] from the COM grating closed form.
+def mirror_stopband(f_ghz: np.ndarray, g: SawGeometry) -> np.ndarray:
+    """Mirror power reflectance in [0, 1] at each frequency of the array
+    ``f_ghz``, from the COM grating closed form.
 
     Per-cell detuning delta = pi*(f - fc)/fc against per-line coupling
     |r|; inside the band (|delta| < |r|) the response saturates as
@@ -137,8 +137,7 @@ def mirror_stopband(f_ghz, g: SawGeometry):
     den = np.abs(s * np.cosh(n * s) + 1j * delta * np.sinh(n * s)) ** 2
     with np.errstate(invalid="ignore"):
         refl = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.tanh(n * r) ** 2)
-    refl = np.clip(refl, 0.0, 1.0)  # shave float noise off the unit ceiling
-    return refl if refl.ndim else float(refl)
+    return np.clip(refl, 0.0, 1.0)  # shave float noise off the unit ceiling
 
 
 def stopband_width_mhz(g: SawGeometry) -> float:

@@ -1,8 +1,8 @@
 """State and process tomography with readout-error handling.
 
-Forward direction: exact or sampled basis-state statistics after the
-standard pre-rotation settings, convolved with a per-qubit confusion
-model.  Inverse direction: linear inversion (least squares over the
+Forward direction: exact basis-state probabilities after the standard
+pre-rotation settings, convolved with a per-qubit confusion model.
+Inverse direction: linear inversion (least squares over the
 informationally complete setting list) followed by eigenvalue clipping.
 Scalar figures of merit live here too.
 
@@ -88,31 +88,21 @@ class ReadoutModel:
         return self._confusion
 
 
-def project_psd(mat: np.ndarray, trace: float | None = 1.0) -> np.ndarray:
-    """Nearest positive matrix by eigenvalue clipping, optional retrace."""
+def project_psd(mat: np.ndarray, trace: float) -> np.ndarray:
+    """Nearest positive matrix by eigenvalue clipping, rescaled to ``trace``."""
     herm = 0.5 * (mat + mat.conj().T)
     vals, vecs = np.linalg.eigh(herm)
     vals = np.clip(vals, 0.0, None)
     out = (vecs * vals) @ vecs.conj().T
-    if trace is not None:
-        tr = np.trace(out).real
-        if tr <= 0:
-            raise ValidationError("projection left no positive weight")
-        out = out * (trace / tr)
-    return out
+    tr = np.trace(out).real
+    if tr <= 0:
+        raise ValidationError("projection left no positive weight")
+    return out * (trace / tr)
 
 
-def simulate_measurement(
-    rho,
-    readout: ReadoutModel | None = None,
-    shots: int | None = None,
-    seed: int = 0,
-) -> np.ndarray:
-    """Joint basis-state statistics of a 1- or 2-qubit state.
-
-    Exact mode (shots None) returns the error-convolved probability
-    vector; otherwise multinomial counts from a seeded draw.
-    """
+def simulate_measurement(rho, readout: ReadoutModel | None = None) -> np.ndarray:
+    """Joint basis-state probabilities of a 1- or 2-qubit state, convolved
+    with the readout model when one is given."""
     mat = np.asarray(rho, dtype=complex)
     dim = mat.shape[0]
     if dim not in (2, 4):
@@ -123,10 +113,7 @@ def simulate_measurement(
         if 2 ** readout.n_qubits != dim:
             raise ValidationError("readout model size mismatch")
         probs = readout.confusion() @ probs
-    if shots is None:
-        return probs
-    rng = np.random.default_rng(seed)
-    return rng.multinomial(int(shots), probs).astype(float)
+    return probs
 
 
 def readout_correct(probs: np.ndarray, readout: ReadoutModel) -> np.ndarray:
@@ -176,22 +163,14 @@ def all_settings(n_qubits: int) -> tuple[tuple[str, ...], ...]:
     return tuple(product(SETTING_ORDER, repeat=n_qubits))
 
 
-def tomography_data(
-    rho,
-    readout: ReadoutModel | None = None,
-    shots: int | None = None,
-    seed: int = 0,
-) -> dict[tuple[str, ...], np.ndarray]:
+def tomography_data(rho, readout: ReadoutModel | None = None) -> dict[tuple[str, ...], np.ndarray]:
     """Forward-simulate the full pre-rotation measurement set."""
     mat = np.asarray(rho, dtype=complex)
     n = 1 if mat.shape[0] == 2 else 2
     data = {}
-    for k, setting in enumerate(all_settings(n)):
+    for setting in all_settings(n):
         u = _setting_unitary(setting)
-        rotated = u @ mat @ u.conj().T
-        data[setting] = simulate_measurement(
-            rotated, readout, shots, seed=seed + k
-        )
+        data[setting] = simulate_measurement(u @ mat @ u.conj().T, readout)
     return data
 
 

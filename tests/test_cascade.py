@@ -98,13 +98,19 @@ def dense_generator(cfg: CascadeConfig, t: float, doubled: bool) -> np.ndarray:
     return out
 
 
+def dense_matrix(liou, t: float) -> np.ndarray:
+    """L(t) as a dense d^2 x d^2 matrix, applied to the flattened identity."""
+    n = liou.space.dim**2
+    return liou(t, np.eye(n).reshape(-1)).reshape(n, n)
+
+
 class TestGenerators:
     def test_stage1_trace_free(self):
         liou = stage1_liouvillian(swap_cfg(eta=0.67))
         d = two_qubit_space().dim
         tr = np.eye(d).reshape(-1)
         for t in (10.0, 90.0, 250.0):
-            assert np.max(np.abs(tr @ liou(t, np.eye(d * d)))) < 1e-12
+            assert np.max(np.abs(tr @ dense_matrix(liou, t))) < 1e-12
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.67, 1.0])
     def test_stage2_trace_free_any_transmission(self, eta):
@@ -112,13 +118,12 @@ class TestGenerators:
         d = doubled_space().dim
         tr = np.eye(d).reshape(-1)
         for t in (TAU + 5.0, TAU + 90.0, TAU + 300.0):
-            assert np.max(np.abs(tr @ liou(t, np.eye(d * d)))) < 1e-12
+            assert np.max(np.abs(tr @ dense_matrix(liou, t))) < 1e-12
 
     def test_stage2_idle_when_uncoupled(self):
         # outside every segment the generator is exactly zero (quiet qubits)
         liou = stage2_liouvillian(swap_cfg(eta=0.67))
-        d2 = doubled_space().dim ** 2
-        assert np.max(np.abs(liou(2 * TAU - 1.0, np.eye(d2)))) == 0.0
+        assert np.max(np.abs(dense_matrix(liou, 2 * TAU - 1.0))) == 0.0
 
     def test_full_transmission_is_collective_decay(self):
         # at eta = 1 the dissipative part collapses to D[sqrt(kE) sE + sqrt(kR) sR]
@@ -140,7 +145,7 @@ class TestGenerators:
         # to isolate the dissipator
         ex = s_e.conj().T @ s_r - s_e @ s_r.conj().T
         eye = np.eye(sp.dim)
-        got = liou(t, np.eye(sp.dim**2))
+        got = dense_matrix(liou, t)
         got = got - m * 0.5 * (np.kron(ex, eye) - np.kron(eye, ex.T))
         assert np.allclose(got, want, atol=1e-12)
 
@@ -171,7 +176,7 @@ class TestGenerators:
         for stage, t, doubled in ((stage1_liouvillian, frac * TAU, False),
                                   (stage2_liouvillian, TAU * (1.0 + frac), True)):
             want = dense_generator(cfg, t, doubled)
-            got = stage(cfg)(t, np.eye(want.shape[0]))
+            got = dense_matrix(stage(cfg), t)
             assert np.max(np.abs(got - want)) < 1e-13
 
 
@@ -275,7 +280,8 @@ class TestRunCascade:
             Segment("capture", 2, 50.0, 100.0, KC),
         ]
         with pytest.raises(RoleAmbiguityError):
-            CascadeConfig(ControlSchedule(segs), ChannelParams(eta=1.0, tau=TAU))
+            CascadeConfig(ControlSchedule(segs, window=(0.0, 150.0)),
+                          ChannelParams(eta=1.0, tau=TAU))
 
     def test_schedule_must_be_a_control_schedule(self):
         class BothOn:
@@ -358,7 +364,7 @@ class TestProcessTomographyRun:
             t_ro = TAU + WINDOW
         cfg = CascadeConfig(sched, ChannelParams(eta=eta, tau=TAU), noise=noise)
         frame = np.kron(*[np.diag([1.0, -1.0])] * 2) if len(emitters) == 2 else np.diag([1.0, -1.0])
-        chi = process_tomography_run(cfg, emitters, receivers, t_ro, tol=tol, frame=frame)
+        chi = process_tomography_run(cfg, emitters, receivers, t_ro, frame, tol=tol)
         ref = per_prep_process(cfg, emitters, receivers, t_ro, tol, frame)
         assert np.max(np.abs(chi - ref)) <= tol
 
@@ -375,7 +381,7 @@ class TestProcessTomographyRun:
         # couplers never fire: each prep sits still and the process is I
         sched = ControlSchedule([Segment("detune", 1, 0.0, 1.0)], window=(0.0, 1.0))
         cfg = CascadeConfig(sched, ChannelParams(eta=0.67, tau=TAU))
-        chi = process_tomography_run(cfg, emitter=1, receiver=1, t_ro=1.0)
+        chi = process_tomography_run(cfg, emitter=1, receiver=1, t_ro=1.0, frame=np.eye(2))
         assert chi[0, 0].real == pytest.approx(1.0, abs=1e-8)
         assert np.max(np.abs(chi - np.diag([1.0, 0, 0, 0]))) < 1e-8
 
@@ -384,7 +390,7 @@ class TestProcessTomographyRun:
         cfg = CascadeConfig(sched, ChannelParams(eta=1.0, tau=TAU))
         z = np.diag([1.0, -1.0])
         chi = process_tomography_run(
-            cfg, emitter=1, receiver=2, t_ro=TAU + WINDOW, tol=1e-8, frame=z
+            cfg, emitter=1, receiver=2, t_ro=TAU + WINDOW, frame=z, tol=1e-8
         )
         from sawlink import tomo
 
@@ -394,8 +400,8 @@ class TestProcessTomographyRun:
         sched = ControlSchedule([Segment("detune", 1, 0.0, 1.0)], window=(0.0, 1.0))
         cfg = CascadeConfig(sched, ChannelParams(eta=0.67, tau=TAU))
         with pytest.raises(ValidationError):
-            process_tomography_run(cfg, emitter=(1, 2), receiver=1, t_ro=1.0)
+            process_tomography_run(cfg, emitter=(1, 2), receiver=1, t_ro=1.0, frame=np.eye(2))
         with pytest.raises(ValidationError):
-            process_tomography_run(cfg, emitter=3, receiver=1, t_ro=1.0)
+            process_tomography_run(cfg, emitter=3, receiver=1, t_ro=1.0, frame=np.eye(2))
         with pytest.raises(ValidationError):
-            process_tomography_run(cfg, emitter=(1, 1), receiver=(2, 2), t_ro=1.0)
+            process_tomography_run(cfg, emitter=(1, 1), receiver=(2, 2), t_ro=1.0, frame=np.eye(4))

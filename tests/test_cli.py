@@ -242,8 +242,7 @@ class TestExitCodes:
         ("vacuum_rabi", {"n_modes": 2**31}),
     ])
     def test_out_of_range_param_is_2(self, tmp_path, capsys, monkeypatch, experiment, params):
-        # a space enumerates 2^(n_modes + 1) kets: too many modes must be
-        # rejected before one is built, not after days
+        # too many modes must be rejected before a space is built
         build_space = multimode.build_space
 
         def bounded_build_space(p, *args, **kwargs):

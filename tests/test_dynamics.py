@@ -105,6 +105,35 @@ def test_time_dependent_amplitude():
     assert np.allclose(traj.observables["pe"], np.exp(-0.5 * rate * grid**2), atol=1e-7)
 
 
+@pytest.mark.parametrize("start", [0.0, 5.0])
+@pytest.mark.parametrize("value", ["np.nan", "np.inf"])
+def test_non_finite_coefficient_raises_integration_error(value, start):
+    # a coefficient non-finite from t = 0 makes RK45's first step NaN, and it
+    # then retries forever; the run goes to a child process with a timeout,
+    # so a regression fails instead of hanging
+    script = (
+        "import numpy as np\n"
+        "from sawlink.dynamics import evolve_generator\n"
+        "from sawlink.errors import IntegrationError\n"
+        "from sawlink.qcore import SIGMA_MINUS, Generator, HilbertSpace, QuantumState, dissipator\n"
+        "space = HilbertSpace([2], ['q'])\n"
+        f"coeffs = lambda t: np.array([{value} if t >= {start} else 0.1])\n"
+        "generator = Generator(space, [dissipator(SIGMA_MINUS)], coeffs)\n"
+        "try:\n"
+        "    evolve_generator(generator, QuantumState.basis_state(space, [1]),\n"
+        "                     np.linspace(0.0, 10.0, 5))\n"
+        "except IntegrationError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(sawlink.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    head, _, t = out.stdout.strip().partition(" at t = ")
+    assert head == "non-finite generator coefficient"
+    assert start <= float(t.removesuffix(" ns")) <= 10.0
+
+
 def test_capped_space_matches_full_tensor_space():
     # One excitation shared between a qubit and 3 detuned modes: the
     # interaction conserves excitation number, so the cap-1 space must

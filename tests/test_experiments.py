@@ -237,7 +237,7 @@ class TestTomoRoundtrip:
 def _transferred_qubit_state():
     """Receiver state after one eta = 0.67 transfer of |e>, full noise."""
     sched = transfer_schedule(0.15, 120.0, DEV.tau_ns)
-    cfg = CascadeConfig(schedule=sched, ch=DEV.channel(), noise=DEV.noise_pair())
+    cfg = CascadeConfig(schedule=sched, ch=DEV.channel(None), noise=DEV.noise_pair())
     excited = np.kron(np.diag([0.0, 1.0]), np.diag([1.0, 0.0])).astype(complex)
     grid = np.array([0.0, DEV.tau_ns + 120.0])
     traj = run_cascade(cfg, QuantumState(two_qubit_space(), excited), grid)

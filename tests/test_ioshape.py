@@ -30,6 +30,7 @@ from sawlink.ioshape import (
 
 KC = 0.1  # 1/ns
 TAU = 508.0  # ns
+NOISELESS = NoiseSpec(sigma_phi=0.0)
 
 
 def sech_envelope(t, kappa_c: float):
@@ -118,7 +119,7 @@ def schedules(draw):
             fields = {"kappa_c": draw(st.floats(0.01, 1.0)), "alpha": draw(st.floats(0.05, 1.0))}
         segs.append(Segment(kind, qubit, t, duration, **fields))
         t += duration + draw(st.sampled_from([0.0, 5.0]))
-    return ControlSchedule(segs)
+    return ControlSchedule(segs, window=(segs[0].t_start, segs[-1].t_end))
 
 
 class TestScheduleLookup:
@@ -260,7 +261,7 @@ class TestSimulateIO:
             Segment("capture", 2, 50.0, 100.0, KC),
         ]
         with pytest.raises(ValidationError):
-            ControlSchedule(segs)
+            ControlSchedule(segs, window=(0.0, 150.0))
 
     def test_unresolvable_rate_rejected(self):
         sched = ControlSchedule(
@@ -382,7 +383,7 @@ class TestDelayLine:
         s0 = np.tile([1.0 + 0j, 0.0], (len(extra), 1))
         batched = _integrate(sched, ch, s0, dt, extra_phases=np.array(extra))
         for row, phi in enumerate(extra):
-            single = _integrate(sched, replace(ch, phase=ch.phase + phi), s0[row], dt)
+            single = _integrate(sched, replace(ch, phase=ch.phase + phi), s0[row : row + 1], dt)
             assert np.array_equal(batched[0], single[0])
             for got, want in zip(batched[1:], single[1:]):
                 assert np.allclose(got[row], want[0], rtol=0.0, atol=1e-14)
@@ -408,8 +409,6 @@ class TestDelayLine:
         for g, w in zip(got[1:], want[1:]):
             assert g.shape == w.shape
             assert np.max(np.abs(g - w)) <= 1e-13
-        _, final = _integrate(sched, ch, s0, dt, extra_phases=extra, keep_trace=False)
-        assert np.array_equal(final, got[1][:, -1])
 
 
 def interference_schedule(delta_phi, tau, kappa_c, window):
@@ -444,12 +443,12 @@ class TestInterference:
                    NoiseSpec(0.7, 5, 11), 0.2, 30.0, 1))
     def test_exact_average_matches_per_realization_rows(self, case):
         dphi, ch, noise, kappa_c, window, chunk = case
-        pe = interference_experiment(dphi, ch, noise, kappa_c, window, chunk=chunk)
+        pe = interference_experiment(np.array([dphi]), ch, noise, kappa_c, window, chunk=chunk)
         phases = np.zeros(1) if noise.sigma_phi == 0.0 else realization_phases(noise)
         sched = interference_schedule(dphi, ch.tau, kappa_c, window)
         s0 = np.tile([1.0 + 0j, 0.0], (len(phases), 1))
-        _, final = _integrate(sched, ch, s0, 0.25, extra_phases=phases, keep_trace=False)
-        assert pe == pytest.approx(np.mean(np.abs(final[:, 0]) ** 2), rel=0.0, abs=1e-12)
+        final = _integrate(sched, ch, s0, 0.25, extra_phases=phases)[1][:, -1]
+        assert pe[0] == pytest.approx(np.mean(np.abs(final[:, 0]) ** 2), rel=0.0, abs=1e-12)
 
     def test_phase_array_matches_scalar_calls(self):
         ch = ChannelParams(eta=0.67, tau=TAU)
@@ -457,31 +456,33 @@ class TestInterference:
         dphis = np.linspace(0.0, 2 * np.pi, 5)
         fringe = interference_experiment(dphis, ch, noise)
         assert fringe.shape == (5,)
-        assert np.array_equal(fringe, [interference_experiment(p, ch, noise) for p in dphis])
-        assert isinstance(interference_experiment(1.0, ch, noise), float)
+        # one phase per call, as one-element arrays
+        singles = [interference_experiment(np.array([p]), ch, noise) for p in dphis]
+        assert np.array_equal(fringe, np.concatenate(singles))
+        with pytest.raises(ValidationError):
+            interference_experiment(1.0, ch, noise)
 
     def test_lossless_rephasing_is_complete(self):
-        pe = interference_experiment(0.0, ChannelParams(eta=1.0, tau=TAU))
+        (pe,) = interference_experiment(np.array([0.0]), ChannelParams(eta=1.0, tau=TAU), NOISELESS)
         assert pe == pytest.approx(1.0, abs=1e-3)
 
     def test_noiseless_extremes_match_closed_form(self):
         # P_e = 1/4 + eta/4 + (sqrt(eta)/2) cos(dphi)
         eta = 0.67
         ch = ChannelParams(eta=eta, tau=TAU)
-        hi = interference_experiment(0.0, ch)
-        lo = interference_experiment(np.pi, ch)
+        hi, lo = interference_experiment(np.array([0.0, np.pi]), ch, NOISELESS)
         assert hi == pytest.approx(0.25 + eta / 4 + np.sqrt(eta) / 2, abs=0.005)
         assert lo == pytest.approx(0.25 + eta / 4 - np.sqrt(eta) / 2, abs=0.005)
 
     def test_destructive_extreme_with_dephasing(self):
         noise = NoiseSpec(sigma_phi=np.sqrt(2 * 0.508 / 2.1), n_realizations=256, master_seed=5)
-        pe = interference_experiment(np.pi, ChannelParams(eta=0.67, tau=TAU), noise)
+        (pe,) = interference_experiment(np.array([np.pi]), ChannelParams(eta=0.67, tau=TAU), noise)
         assert pe == pytest.approx(0.08, abs=0.05)
 
     def test_phase_pulse_must_fit(self):
         with pytest.raises(ValidationError):
             interference_experiment(
-                np.pi, ChannelParams(eta=1.0, tau=200.0), window=180.0
+                np.array([np.pi]), ChannelParams(eta=1.0, tau=200.0), NOISELESS, window=180.0
             )
 
 

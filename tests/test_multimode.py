@@ -169,7 +169,7 @@ class TestLaguerre:
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValidationError):
-            laguerre_amplitude(-1.0, MultimodeParams(g=1.0))
+            laguerre_amplitude(np.array([-1.0]), MultimodeParams(g=1.0))
 
 
 class TestOracleEquivalence:

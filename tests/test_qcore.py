@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,16 +39,50 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho)
 
 
+def full_indices(space: HilbertSpace) -> np.ndarray:
+    """Index of each basis ket inside the uncapped tensor space."""
+    strides = np.cumprod((1,) + space.mode_dims[::-1][:-1])[::-1]
+    return space.basis @ strides
+
+
 class TestHilbertSpace:
     def test_uncapped_basis_matches_kron_order(self):
         space = HilbertSpace([2, 3], ["q", "m"])
         assert space.dim == 6
-        assert space.basis == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
+        assert space.basis.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]]
 
     def test_capped_basis_filters_total_occupation(self):
         space = HilbertSpace([2, 2, 2], ["a", "b", "c"], excitation_cap=1)
-        assert space.basis == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
+        assert space.basis.tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]]
         assert space.dim == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.lists(st.integers(2, 4), min_size=1, max_size=6),
+           cap=st.none() | st.integers(0, 8))
+    def test_basis_is_the_filtered_product(self, dims, cap):
+        # oracle: every ket of the full product, in its order, kept when
+        # its total occupation is within the cap
+        want = [k for k in itertools.product(*(range(d) for d in dims))
+                if cap is None or sum(k) <= cap]
+        space = HilbertSpace(dims, [f"m{j}" for j in range(len(dims))], excitation_cap=cap)
+        assert space.basis.shape == (len(want), len(dims))
+        assert [tuple(k) for k in space.basis.tolist()] == want
+        assert not space.basis.flags.writeable
+        for occ in want[:: max(1, len(want) // 7)]:
+            assert space.basis_index(occ) == want.index(occ)
+
+    def test_long_capped_ladder_builds_only_its_kets(self):
+        # 40 two-level modes at one excitation: 41 kets of 2^40
+        space = HilbertSpace([2] * 40, [f"m{j}" for j in range(40)], excitation_cap=1)
+        assert space.dim == 41
+        assert space.basis_index([0] * 39 + [1]) == 1
+        assert space.basis_index([1] + [0] * 39) == 40
+
+    def test_occupation_outside_basis_rejected(self):
+        space = HilbertSpace([2, 2], ["q", "m"], excitation_cap=1)
+        for occ in ((1, 1), (0,), (0, 0, 0)):
+            with pytest.raises(ValidationError):
+                space.basis_index(occ)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValidationError):
@@ -59,7 +95,7 @@ class TestHilbertSpace:
 
     def test_full_indices_roundtrip(self):
         space = HilbertSpace([2, 3, 2], ["a", "b", "c"], excitation_cap=2)
-        full = space.full_indices()
+        full = full_indices(space)
         # index in uncapped kron order: i*6 + j*2 + k
         for pos, occ in enumerate(space.basis):
             assert full[pos] == occ[0] * 6 + occ[1] * 2 + occ[2]
@@ -150,7 +186,7 @@ class TestEmbedding:
     def test_embed_capped_equals_projected_kron(self):
         space = HilbertSpace([2, 2, 2], ["q", "m1", "m2"], excitation_cap=1)
         full = np.kron(np.eye(2), np.kron(SIGMA_MINUS, np.eye(2)))
-        idx = space.full_indices()
+        idx = full_indices(space)
         assert np.allclose(embed(SIGMA_MINUS, "m1", space), full[np.ix_(idx, idx)])
 
     def test_embed_product_transfers_excitation(self):
@@ -216,16 +252,16 @@ class TestPartialTrace:
         assert swapped.space.labels == ("b", "a")
         assert np.allclose(swapped.rho, np.kron(rb, ra), atol=1e-12)
 
-    def test_capped_space_lifts_before_tracing(self):
+    def test_capped_space_rejected(self):
         space = HilbertSpace([2, 2, 2], ["q", "m1", "m2"], excitation_cap=1)
-        ket = np.zeros(space.dim, dtype=complex)
-        ket[space.basis_index((1, 0, 0))] = 1 / np.sqrt(2)
-        ket[space.basis_index((0, 1, 0))] = 1 / np.sqrt(2)
-        state = QuantumState(space, np.outer(ket, ket.conj()))
-        reduced = partial_trace(state, ["q"])
-        assert np.allclose(reduced.rho, np.diag([0.5, 0.5]), atol=1e-12)
+        state = QuantumState.basis_state(space, (1, 0, 0))
+        with pytest.raises(ValidationError):
+            partial_trace(state, ["q"])
+        with pytest.raises(ValidationError):
+            partial_trace_stack(space, state.rho[None], ["q"])
 
-    @pytest.mark.parametrize("cap", [None, 1])
+    # a cap of 3 removes no ket of three qubits: the space is the full product
+    @pytest.mark.parametrize("cap", [None, 3])
     def test_stack_matches_single_states(self, cap):
         space = HilbertSpace([2, 2, 2], ["q", "m1", "m2"], excitation_cap=cap)
         rng = np.random.default_rng(29)
@@ -300,9 +336,9 @@ class TestSuperOperators:
         space = HilbertSpace([2], ["q"])
         block = dissipator(SIGMA_MINUS)
         gen = Generator(space, [block], lambda t: np.array([2.0 * t]))
-        eye = np.eye(4)
+        eye = np.eye(4).reshape(-1)  # four states, flattened as the solver passes them
         assert np.allclose(gen(0.0, eye), 0.0)
-        assert np.allclose(gen(1.5, eye), 3.0 * block.toarray())
+        assert np.allclose(gen(1.5, eye).reshape(4, 4), 3.0 * block.toarray())
 
     def test_constant_generator_is_the_coefficient_sum(self):
         space = HilbertSpace([3], ["m"])
@@ -310,8 +346,8 @@ class TestSuperOperators:
         gen = Generator(space, blocks, [0.7, 0.2])
         y = np.random.default_rng(31).normal(size=(9, 2)) + 0j
         want = (0.7 * blocks[0].toarray() + 0.2 * blocks[1].toarray()) @ y
-        assert np.allclose(gen(3.0, y), want, atol=1e-14)
-        assert np.allclose(gen(0.0, y[:, 0]), want[:, 0], atol=1e-14)
+        assert np.allclose(gen.stacked @ y, want, atol=1e-14)
+        assert np.allclose(gen.stacked @ y[:, 0], want[:, 0], atol=1e-14)
 
     def test_hermiticity_preserved_by_lindblad_generator(self):
         space = HilbertSpace([2], ["q"])
@@ -322,5 +358,5 @@ class TestSuperOperators:
         )
         rng = np.random.default_rng(23)
         rho = random_density(2, rng)
-        out = gen(0.0, rho.reshape(-1)).reshape(2, 2)
+        out = (gen.stacked @ rho.reshape(-1)).reshape(2, 2)
         assert np.allclose(out, out.conj().T, atol=1e-13)

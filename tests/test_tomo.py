@@ -66,13 +66,6 @@ class TestSimulateMeasurement:
             probs = tomo.simulate_measurement(rand_state(4), TABLE_RO)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_shot_mode_counts(self):
-        rho = rand_state(4)
-        counts = tomo.simulate_measurement(rho, TABLE_RO, shots=5000, seed=3)
-        assert counts.sum() == 5000
-        again = tomo.simulate_measurement(rho, TABLE_RO, shots=5000, seed=3)
-        assert np.array_equal(counts, again)
-
 
 class TestReadoutCorrect:
     def test_perfect_is_identity(self):
@@ -128,14 +121,18 @@ class TestStateTomo:
             tomo.state_tomo(data)
 
     def test_counts_accepted(self):
+        # counts are normalized per setting: scaled probabilities invert alike
         rho = rand_state(2)
-        data = tomo.tomography_data(rho, shots=200000, seed=9)
+        data = {k: 200000 * p for k, p in tomo.tomography_data(rho).items()}
         rec = tomo.state_tomo(data)
         assert tomo.hs_distance(rho, rec) < 0.02
 
     def test_output_physical(self):
-        # heavy shot noise still yields a unit-trace PSD matrix
-        data = tomo.tomography_data(rand_state(4), shots=50, seed=1)
+        # probabilities perturbed as by a few dozen shots still yield a
+        # unit-trace PSD matrix
+        rng = np.random.default_rng(1)
+        data = {k: np.clip(p + rng.normal(0.0, 0.1, p.shape), 0.0, None)
+                for k, p in tomo.tomography_data(rand_state(4)).items()}
         rec = tomo.state_tomo(data)
         vals = np.linalg.eigvalsh(rec)
         assert vals.min() >= -1e-12
@@ -148,22 +145,6 @@ class TestStateTomo:
         assert ex["YY"] > 0.99
         assert ex["ZZ"] < -0.99
         assert abs(ex["XY"]) < 1e-8
-
-    def test_shot_noise_scaling(self):
-        errs = []
-        for shots in (10**3, 10**4, 10**5):
-            tot = 0.0
-            for rep in range(20):
-                rho = rand_state(2, np.random.default_rng(40 + rep))
-                rec = tomo.state_tomo(
-                    tomo.tomography_data(rho, shots=shots, seed=100 + rep)
-                )
-                et = tomo.pauli_expectations(rho)
-                er = tomo.pauli_expectations(rec)
-                tot += np.mean([abs(et[k] - er[k]) for k in ("X", "Y", "Z")])
-            errs.append(tot / 20)
-        for hi, lo in zip(errs, errs[1:]):
-            assert np.sqrt(10) / 2 < hi / lo < np.sqrt(10) * 2
 
 
 class TestDesignCaches:
@@ -278,10 +259,10 @@ class TestMetrics:
 class TestProjection:
     def test_idempotent(self):
         m = rand_state(4) - 0.1 * np.eye(4)
-        once = tomo.project_psd(m)
-        twice = tomo.project_psd(once)
+        once = tomo.project_psd(m, 1.0)
+        twice = tomo.project_psd(once, 1.0)
         assert np.max(np.abs(once - twice)) < 1e-12
 
     def test_leaves_physical_states_alone(self):
         rho = rand_state(4)
-        assert np.max(np.abs(tomo.project_psd(rho) - rho)) < 1e-12
+        assert np.max(np.abs(tomo.project_psd(rho, 1.0) - rho)) < 1e-12
