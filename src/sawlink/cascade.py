@@ -26,21 +26,25 @@ from functools import cache
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from . import tomo
-from .dynamics import Trajectory, evolve_generator, expectations
+from .device import QubitNoise
+from .dynamics import (
+    Generator,
+    Trajectory,
+    commutator_superop,
+    cross_dissipator,
+    dissipator,
+    evolve_generator,
+    expectations,
+)
 from .errors import DiagnosticsError, ValidationError
 from .ioshape import ChannelParams, ControlSchedule
 from .qcore import (
     NUMBER,
     SIGMA_MINUS,
-    Generator,
     HilbertSpace,
     QuantumState,
-    commutator_superop,
-    cross_dissipator,
-    dissipator,
     embed,
     partial_trace,
     partial_trace_stack,
@@ -59,30 +63,6 @@ def doubled_space() -> HilbertSpace:
 
 
 @dataclass(frozen=True)
-class QubitNoise:
-    """Intrinsic lifetime (us) and pure-dephasing rate (1/us) of one qubit."""
-
-    T1_int: float | None = None
-    gamma_phi: float = 0.0
-
-    def __post_init__(self):
-        if self.T1_int is not None and self.T1_int <= 0:
-            raise ValidationError("T1_int must be positive")
-        if self.gamma_phi < 0:
-            raise ValidationError("gamma_phi must be >= 0")
-
-    @property
-    def relax_rate(self) -> float:
-        """Energy relaxation rate, 1/ns."""
-        return 0.0 if self.T1_int is None else 1.0 / (self.T1_int * 1e3)
-
-    @property
-    def dephase_rate(self) -> float:
-        """Pure-dephasing rate, 1/ns."""
-        return self.gamma_phi * 1e-3
-
-
-@dataclass(frozen=True)
 class CascadeConfig:
     schedule: ControlSchedule
     ch: ChannelParams
@@ -96,7 +76,7 @@ class CascadeConfig:
 
 
 @cache
-def _stage_blocks(doubled: bool) -> tuple[sparse.csr_array, ...]:
+def _stage_blocks(doubled: bool) -> tuple:
     """The blocks of one stage in coefficient order; they depend on the space alone."""
     space = doubled_space() if doubled else two_qubit_space()
     blocks = []

@@ -2,19 +2,42 @@
 
 One frozen bundle of the as-calibrated numbers (coherence times,
 readout fidelities, couplings, channel efficiency and delay) plus
-helpers that turn them into the noise, readout, and channel objects
-the simulation modules consume.
+helpers that turn them into the noise (``QubitNoise``), readout, and
+channel objects the simulation modules consume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cascade import QubitNoise
 from .errors import ValidationError
 from .ioshape import ChannelParams
 from .sawphys import SawGeometry, default_geometry
 from .tomo import ReadoutModel
+
+
+@dataclass(frozen=True)
+class QubitNoise:
+    """Intrinsic lifetime (us) and pure-dephasing rate (1/us) of one qubit."""
+
+    T1_int: float | None = None
+    gamma_phi: float = 0.0
+
+    def __post_init__(self):
+        if self.T1_int is not None and self.T1_int <= 0:
+            raise ValidationError("T1_int must be positive")
+        if self.gamma_phi < 0:
+            raise ValidationError("gamma_phi must be >= 0")
+
+    @property
+    def relax_rate(self) -> float:
+        """Energy relaxation rate, 1/ns."""
+        return 0.0 if self.T1_int is None else 1.0 / (self.T1_int * 1e3)
+
+    @property
+    def dephase_rate(self) -> float:
+        """Pure-dephasing rate, 1/ns."""
+        return self.gamma_phi * 1e-3
 
 
 def dephasing_rate(T2R: float, T1_int: float) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from . import multimode, sawphys, tomo
 from .cascade import CascadeConfig, process_tomography_run, run_cascade, two_qubit_space
 from .device import DeviceParams
-from .dynamics import evolve_generator
+from .dynamics import Generator, commutator_superop, dissipator, evolve_generator
 from .errors import ValidationError
 from .ioshape import (
     ControlSchedule,
@@ -30,10 +30,7 @@ from .ioshape import (
 from .qcore import (
     NUMBER,
     SIGMA_MINUS,
-    Generator,
     QuantumState,
-    commutator_superop,
-    dissipator,
     embed,
     partial_trace,
 )
@@ -373,6 +370,9 @@ def run_saw_response(device: DeviceParams, params: dict, seed: int) -> Experimen
 def run_tomo_roundtrip(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     """Reconstruction fidelity audit on random states, exact and corrected."""
     n_states = _integer(params, "n_states")
+    p_werner = float(params["werner_p"])
+    if not 0 <= p_werner <= 1:
+        raise ValidationError(f"werner_p = {p_werner} is outside [0, 1]")
     rng = np.random.default_rng(seed)
     readout = device.readout()
     worst_exact = 0.0
@@ -400,7 +400,6 @@ def run_tomo_roundtrip(device: DeviceParams, params: dict, seed: int) -> Experim
         )
     psi = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)
     bell = np.outer(psi, psi)
-    p_werner = float(params["werner_p"])
     werner = p_werner * bell + (1 - p_werner) * np.eye(4) / 4
     c_closed = max(0.0, (3 * p_werner - 1) / 2)
     return ExperimentOutput(

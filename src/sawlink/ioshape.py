@@ -5,8 +5,7 @@ kappa_i(t); the output of one transit feeds back as the input of the
 next after the delay tau, attenuated by sqrt(eta) and rotated by the
 per-transit phase.  This single-excitation picture is the fast path
 for efficiency and interference sweeps; density-matrix experiments
-live in `cascade`.  The module needs numpy alone: it imports nothing
-from the Lindblad side and no scipy.
+live in `cascade`.  The module needs numpy alone.
 
 A coupling segment releases the fraction alpha of the stored excitation
 (alpha = 1 empties the qubit) or captures it, the release with the same

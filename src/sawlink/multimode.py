@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import ValidationError
 from .ioshape import MHZ
@@ -183,6 +182,7 @@ def revival_onset(times: np.ndarray, pe: np.ndarray) -> float:
     edge curvature, so concave (weak-coupling) and convex
     (strong-coupling) revival edges are timed consistently.
     """
+    from scipy.optimize import curve_fit  # here, so the module needs numpy alone
     times = np.asarray(times, dtype=float)
     pe = np.asarray(pe, dtype=float)
     head = slice(0, int(0.45 * len(times)))

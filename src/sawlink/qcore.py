@@ -1,12 +1,11 @@
 """Complex linear algebra over small composite Hilbert spaces.
 
-Dense states, operators, tensor embedding and partial trace, plus sparse
-superoperator blocks and the time-dependent generator built from them,
-for the mode counts this toolkit needs (dimension <= a few hundred).
-An operator is a plain complex (dim, dim) array; a state is a
-``QuantumState``, checked to be a density matrix when built.  Density
-matrices are vectorized row-major, so a sandwich A rho B turns into
-(A kron B^T) vec(rho).
+Dense states, operators, tensor embedding and partial trace, for the
+mode counts this toolkit needs (dimension <= a few hundred).  An
+operator is a plain complex (dim, dim) array; a state is a
+``QuantumState``, checked to be a density matrix when built.  The
+module needs numpy alone: the superoperators built from these operators
+live in `dynamics`.
 
 All values are immutable after construction (the operator arrays
 ``embed`` and ``embed_product`` return are read-only); nothing here
@@ -15,15 +14,13 @@ keeps shared mutable state.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
-from .errors import IntegrationError, ValidationError
+from .errors import ValidationError
 
 
 # Single-qubit matrices in the {|g>, |e>} basis.
@@ -223,104 +220,3 @@ def partial_trace_stack(space: HilbertSpace, rhos: np.ndarray, keep: Sequence[st
     d = int(np.prod([space.mode_dims[m] for m in keep_idx]))
     reduced = reduced.reshape(lead + (d, d))
     return 0.5 * (reduced + reduced.conj().swapaxes(-1, -2))
-
-
-@dataclass(frozen=True)
-class Generator:
-    """Linear map L(t) = sum_k c_k(t) B_k on vectorized density matrices.
-
-    The constant d^2 x d^2 blocks B_k are stacked vertically into one
-    sparse (n_terms * d^2) x d^2 matrix, and one function returns the
-    whole coefficient vector c(t), so applying L(t) costs one sparse
-    product and one contraction over the terms.  A constant generator
-    holds its coefficient vector in place of the function, and its blocks
-    are summed into ``stacked`` once, so applying it is one sparse product.
-    """
-
-    space: HilbertSpace
-    stacked: sparse.csr_array
-    coeffs: Callable[[float], np.ndarray] | np.ndarray
-
-    def __init__(
-        self,
-        space: HilbertSpace,
-        blocks: Sequence[sparse.sparray],
-        coeffs: Callable[[float], np.ndarray] | Sequence[complex],
-    ):
-        d2 = space.dim**2
-        if any(block.shape != (d2, d2) for block in blocks):
-            raise ValidationError(f"superoperator blocks must be {d2} x {d2}")
-        if not callable(coeffs):
-            coeffs = np.array(coeffs)
-            if coeffs.shape != (len(blocks),):
-                raise ValidationError(f"{coeffs.size} coefficients for {len(blocks)} blocks")
-            coeffs.setflags(write=False)
-            blocks = [sum((c * b for c, b in zip(coeffs, blocks)), sparse.csr_array((d2, d2)))]
-        stacked = sparse.vstack(blocks, format="csr") if blocks else (0, d2)
-        stacked = sparse.csr_array(stacked, dtype=complex)
-        stacked.eliminate_zeros()
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "stacked", stacked)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        """The right-hand side L(t) y of a time-dependent generator (a
-        constant one is applied as ``stacked``).  ``y`` holds k vectorized
-        states as the columns of a d^2 x k matrix, flattened row-major as
-        the ODE solver passes it, and the result is flattened alike.
-
-        A non-finite coefficient raises: the adaptive stepper would
-        otherwise shrink its step forever."""
-        c = self.coeffs(t)
-        out = c @ (self.stacked @ y.reshape(self.stacked.shape[1], -1)).reshape(c.size, y.size)
-        # with finite states, a non-finite coefficient makes every entry of
-        # ``out`` non-finite, so the first entry screens for one
-        if not cmath.isfinite(out[0]) and not np.isfinite(c).all():
-            raise IntegrationError(f"non-finite generator coefficient at t = {t:.6g} ns")
-        return out
-
-
-def _block(*terms: tuple[complex, np.ndarray, np.ndarray]) -> sparse.csr_array:
-    """Sparse block of rho -> sum w a rho b over the (w, a, b) terms.
-
-    Each term is the Kronecker product w (a kron b^T) (row-major
-    vectorization), built from the nonzeros of a and b alone.
-    """
-    n = terms[0][1].shape[0]
-    rows, cols, vals = [], [], []
-    for w, a, b in terms:
-        bt = b.T
-        ia, ja = np.nonzero(a)
-        ib, jb = np.nonzero(bt)
-        rows.append((ia[:, None] * n + ib).ravel())
-        cols.append((ja[:, None] * n + jb).ravel())
-        vals.append((w * a[ia, ja][:, None] * bt[ib, jb]).ravel())
-    coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    return sparse.csr_array(sparse.coo_array(coo, shape=(n * n, n * n), dtype=complex))
-
-
-def commutator_superop(h: np.ndarray) -> sparse.csr_array:
-    """Block of rho -> -i [H, rho]; trace-free and Hermiticity-preserving for Hermitian H."""
-    eye = np.eye(h.shape[0])
-    return _block((-1j, h, eye), (1j, eye, h))
-
-
-def dissipator(x: np.ndarray) -> sparse.csr_array:
-    """Block of the Lindblad damping D[X] rho = X rho X^+ - 1/2 {X^+X, rho}."""
-    eye = np.eye(x.shape[0])
-    xdx = x.conj().T @ x
-    return _block((1.0, x, x.conj().T), (-0.5, xdx, eye), (-0.5, eye, xdx))
-
-
-def cross_dissipator(a: np.ndarray, b: np.ndarray) -> sparse.csr_array:
-    """Block of the interference part of D[A + B].
-
-    rho -> A rho B^+ + B rho A^+ - 1/2 {A^+B + B^+A, rho}
-    """
-    if a.shape != b.shape:
-        raise ValidationError("operator spaces differ")
-    eye = np.eye(a.shape[0])
-    anti = a.conj().T @ b + b.conj().T @ a
-    return _block(
-        (1.0, a, b.conj().T), (1.0, b, a.conj().T), (-0.5, anti, eye), (-0.5, eye, anti)
-    )

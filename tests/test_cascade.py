@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sawlink.cascade import (
     CascadeConfig,
-    QubitNoise,
     doubled_space,
     process_tomography_run,
     run_cascade,
@@ -15,6 +14,8 @@ from sawlink.cascade import (
     stage2_liouvillian,
     two_qubit_space,
 )
+from sawlink.device import QubitNoise
+from sawlink.dynamics import dissipator
 from sawlink.errors import RoleAmbiguityError, ValidationError
 from sawlink.ioshape import ChannelParams, ControlSchedule, Segment, transfer_schedule
 from sawlink.qcore import NUMBER, SIGMA_MINUS, QuantumState, check_states, embed, partial_trace
@@ -133,8 +134,6 @@ class TestGenerators:
         ke = float(cfg.schedule.kappa(1, t - TAU))
         kr = float(cfg.schedule.kappa(2, t))
         assert ke > 0 and kr > 0
-        from sawlink.qcore import dissipator
-
         sp = doubled_space()
         s_e = embed(SIGMA_MINUS, "q1e", sp)
         s_r = embed(SIGMA_MINUS, "q2", sp)

@@ -240,6 +240,9 @@ class TestExitCodes:
         ("spectroscopy", {"n_modes": 21}),
         ("vacuum_rabi", {"n_modes": 21}),
         ("vacuum_rabi", {"n_modes": 2**31}),
+        # a Werner mixture is a state only for p in [0, 1]
+        ("tomo_roundtrip", {"werner_p": 2.0}),
+        ("tomo_roundtrip", {"werner_p": -0.5}),
     ])
     def test_out_of_range_param_is_2(self, tmp_path, capsys, monkeypatch, experiment, params):
         # too many modes must be rejected before a space is built

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import sawlink
 from sawlink.device import dephasing_rate
 from sawlink.errors import ValidationError
 
@@ -17,3 +23,19 @@ class TestDephasingRate:
     def test_inconsistent_inputs_rejected(self):
         with pytest.raises(ValidationError):
             dephasing_rate(60.0, 26.1)
+
+
+def test_base_modules_load_no_scipy_and_no_lindblad_module():
+    # the imports run one way: the base modules need numpy alone, and the
+    # Lindblad side (`dynamics`, `cascade`) sits on top of them
+    script = (
+        "import sys\n"
+        "import sawlink.qcore, sawlink.device, sawlink.multimode, sawlink.tomo, sawlink.serialize\n"
+        "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')\n"
+        "              or m in ('sawlink.dynamics', 'sawlink.cascade')))\n"
+    )
+    src = str(Path(sawlink.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.split() == []

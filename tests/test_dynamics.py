@@ -18,8 +18,11 @@ from sawlink.cascade import doubled_space
 from sawlink.device import default_device
 from sawlink.dynamics import (
     POSITIVITY_CLIP,
+    Generator,
     Trajectory,
     _check_and_repair,
+    commutator_superop,
+    dissipator,
     evolve_generator,
 )
 from sawlink.errors import DiagnosticsError, ValidationError
@@ -28,12 +31,9 @@ from sawlink.qcore import (
     NUMBER,
     SIGMA_MINUS,
     SIGMA_PLUS,
-    Generator,
     HilbertSpace,
     QuantumState,
     check_states,
-    commutator_superop,
-    dissipator,
     embed,
     embed_product,
     partial_trace,
@@ -113,9 +113,9 @@ def test_non_finite_coefficient_raises_integration_error(value, start):
     # so a regression fails instead of hanging
     script = (
         "import numpy as np\n"
-        "from sawlink.dynamics import evolve_generator\n"
+        "from sawlink.dynamics import Generator, dissipator, evolve_generator\n"
         "from sawlink.errors import IntegrationError\n"
-        "from sawlink.qcore import SIGMA_MINUS, Generator, HilbertSpace, QuantumState, dissipator\n"
+        "from sawlink.qcore import SIGMA_MINUS, HilbertSpace, QuantumState\n"
         "space = HilbertSpace([2], ['q'])\n"
         f"coeffs = lambda t: np.array([{value} if t >= {start} else 0.1])\n"
         "generator = Generator(space, [dissipator(SIGMA_MINUS)], coeffs)\n"

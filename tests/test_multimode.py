@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
-from sawlink.dynamics import evolve_generator
+from sawlink.dynamics import Generator, commutator_superop, dissipator, evolve_generator
 from sawlink.errors import ValidationError
 from sawlink.multimode import (
     MultimodeParams,
@@ -20,10 +20,7 @@ from sawlink.multimode import (
 from sawlink.qcore import (
     NUMBER,
     SIGMA_MINUS,
-    Generator,
     QuantumState,
-    commutator_superop,
-    dissipator,
     embed,
 )
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sawlink.dynamics import Generator, commutator_superop, cross_dissipator, dissipator
 from sawlink.errors import ValidationError
 from sawlink.multimode import MultimodeParams, build_space, jc_hamiltonian
 from sawlink.qcore import (
@@ -13,13 +14,9 @@ from sawlink.qcore import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
-    Generator,
     HilbertSpace,
     QuantumState,
     check_states,
-    commutator_superop,
-    cross_dissipator,
-    dissipator,
     embed,
     embed_product,
     hermiticity_error,
