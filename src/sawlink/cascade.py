@@ -15,13 +15,18 @@ blocks: D[sigma-] with coefficient kappa_q + 1/T1_q, the commutator
 with n with Delta_q, and D[n] with the pure-dephasing rate.  The
 doubled space adds one block per emitter/receiver pair (q_ie, q_j)
 with sqrt(eta kappa_i(t - tau) kappa_j(t)).  The schedule, the channel
-and the qubit noise thus reach the generator only through c(t).
+and the qubit noise thus reach the generator only through c(t), and
+``stage_blocks`` is the one builder of idle-noise terms.
+
+A set of preparations travels through both stages as one (k, d, d)
+stack; ``QuantumState`` and ``Trajectory`` appear only where
+``run_cascade`` takes a caller's states in and hands trajectories out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Sequence
 
@@ -31,7 +36,6 @@ from . import tomo
 from .device import QubitNoise
 from .dynamics import (
     Generator,
-    Trajectory,
     commutator_superop,
     cross_dissipator,
     dissipator,
@@ -47,7 +51,6 @@ from .qcore import (
     QuantumState,
     embed,
     partial_trace,
-    partial_trace_stack,
 )
 
 TWO_QUBIT_LABELS = ("q1", "q2")
@@ -75,8 +78,34 @@ class CascadeConfig:
             raise ValidationError("schedule must be a ControlSchedule")
 
 
+@dataclass(frozen=True)
+class Trajectory:
+    """States ``rhos[i]`` of one initial state at ``times[i]``, with its
+    observables' series.
+
+    The stack is not re-validated here: every stack a Trajectory receives
+    is a slice of one ``evolve_generator`` has checked, or a partial trace
+    of one."""
+
+    space: HilbertSpace
+    times: np.ndarray
+    rhos: np.ndarray
+    observables: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self):
+        t = np.asarray(self.times, dtype=float)
+        if np.any(np.diff(t) <= 0):
+            raise ValidationError("trajectory times must be strictly increasing")
+        rhos = np.asarray(self.rhos, dtype=complex).view()
+        if rhos.shape != t.shape + (self.space.dim,) * 2:
+            raise ValidationError("one state per time required")
+        rhos.setflags(write=False)
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "rhos", rhos)
+
+
 @cache
-def _stage_blocks(doubled: bool) -> tuple:
+def stage_blocks(doubled: bool) -> tuple:
     """The blocks of one stage in coefficient order; they depend on the space alone."""
     space = doubled_space() if doubled else two_qubit_space()
     blocks = []
@@ -107,7 +136,7 @@ def stage1_liouvillian(cfg: CascadeConfig) -> Generator:
     noise = [(nz.relax_rate, nz.dephase_rate) for nz in cfg.noise]
     return Generator(
         two_qubit_space(),
-        _stage_blocks(False),
+        stage_blocks(False),
         lambda t: np.array(_copy_coeffs(cfg.schedule, noise, t)[0]),
     )
 
@@ -133,7 +162,7 @@ def stage2_liouvillian(cfg: CascadeConfig) -> Generator:
         pairs = [root_eta * math.sqrt(ke * kr) for ke in k_lag for kr in k_now]
         return np.array(lagged + now + pairs)
 
-    return Generator(doubled_space(), _stage_blocks(True), coeffs)
+    return Generator(doubled_space(), stage_blocks(True), coeffs)
 
 
 def run_cascade(
@@ -163,51 +192,49 @@ def run_cascade(
     preps = [rho0] if single else list(rho0)
     if any(p.space != two_qubit_space() for p in preps):
         raise ValidationError("rho0 must live on the two-qubit space")
+    rhos0 = np.stack([p.rho for p in preps])
 
     bps = [float(b) for b in cfg.schedule.breakpoints()]
     early, late = grid[grid <= tau], grid[grid > tau]
     grid1 = np.unique(np.concatenate([early, [0.0, tau]]))
     bp1 = [b for b in bps if 0.0 < b < tau]
-    traj1 = evolve_generator(stage1_liouvillian(cfg), preps, grid1, tol, breakpoints=bp1)
+    rhos1, _ = evolve_generator(stage1_liouvillian(cfg), rhos0, grid1, tol, breakpoints=bp1)
 
     # the splice is not linear in rho0, so every prep keeps its own column
-    rho_tau = np.stack([tr.rhos[-1] for tr in traj1])
-    spliced = np.stack([np.kron(r, p.rho) for r, p in zip(rho_tau, preps)])
+    rho_tau = rhos1[-1]
+    spliced = np.stack([np.kron(r, r0) for r, r0 in zip(rho_tau, rhos0)])
     if np.max(np.abs(np.trace(spliced, axis1=1, axis2=2).real - 1.0)) > 1e-8:
         raise DiagnosticsError("splice produced a non-unit-trace doubled state")
-    doubled0 = [QuantumState(doubled_space(), r) for r in spliced]
-    check = partial_trace_stack(doubled_space(), spliced, ["q1", "q2"])
+    check = partial_trace(doubled_space(), spliced, ["q1", "q2"])
     if np.max(np.abs(check - rho_tau)) > 1e-10:
         raise DiagnosticsError("splice broke the receiver-copy marginal")
 
-    traj2 = None
+    # stage 1 samples grid1 and stage 2 samples tau followed by ``late``
+    times, rhos = np.concatenate([early, late]), rhos1[np.searchsorted(grid1, early)]
     if late.size:
         t_end = float(late[-1])
         grid2 = np.unique(np.concatenate([[tau], late]))
         bp2 = sorted({b for b in bps if tau < b < t_end}
                      | {b + tau for b in bps if 0.0 < b < t_end - tau})
-        traj2 = evolve_generator(stage2_liouvillian(cfg), doubled0, grid2, tol, breakpoints=bp2)
+        rhos2, _ = evolve_generator(stage2_liouvillian(cfg), spliced, grid2, tol, breakpoints=bp2)
+        rhos = np.concatenate([rhos, partial_trace(doubled_space(), rhos2[1:], ["q1", "q2"])])
+    elif return_doubled:
+        raise ValidationError("no grid samples past tau: nothing doubled to return")
 
-    # stage 1 samples grid1 and stage 2 samples tau followed by ``late``
-    times, rows = np.concatenate([early, late]), np.searchsorted(grid1, early)
-    reduced = []
-    for j, tr in enumerate(traj1):
-        rhos = tr.rhos[rows]
-        if traj2 is not None:
-            late_rhos = partial_trace_stack(doubled_space(), traj2[j].rhos[1:], ["q1", "q2"])
-            rhos = np.concatenate([rhos, late_rhos])
-        reduced.append(Trajectory(two_qubit_space(), times, rhos, expectations(rhos, observables)))
+    series = expectations(rhos, observables)
+    reduced = [Trajectory(two_qubit_space(), times, rhos[:, j],
+                          {name: s[:, j] for name, s in series.items()})
+               for j in range(len(preps))]
     if return_doubled:
-        if traj2 is None:
-            raise ValidationError("no grid samples past tau: nothing doubled to return")
-        return (reduced[0], traj2[0]) if single else (reduced, traj2)
+        doubled = [Trajectory(doubled_space(), grid2, rhos2[:, j]) for j in range(len(preps))]
+        return (reduced[0], doubled[0]) if single else (reduced, doubled)
     return reduced[0] if single else reduced
 
 
 def process_tomography_run(
     cfg: CascadeConfig,
-    emitter: int | tuple[int, ...],
-    receiver: int | tuple[int, ...],
+    emitters: tuple[int, ...],
+    receivers: tuple[int, ...],
     t_ro: float,
     frame: np.ndarray,
     tol: float = 1e-8,
@@ -222,8 +249,6 @@ def process_tomography_run(
     fixed relative phase on the moved amplitude, and experiments
     calibrate it out by redefining the receiving qubit's frame.
     """
-    emitters = (emitter,) if isinstance(emitter, int) else tuple(emitter)
-    receivers = (receiver,) if isinstance(receiver, int) else tuple(receiver)
     n = len(emitters)
     if len(receivers) != n or n not in (1, 2):
         raise ValidationError("transfer must map one qubit to one, or two to two")
@@ -234,12 +259,9 @@ def process_tomography_run(
     keep = [f"q{q}" for q in sorted(receivers)]
 
     inputs = tomo.prep_states(n)
-    preps = []
-    for prep in inputs.values():
-        if n == 1:
-            prep = np.kron(prep, ground) if emitters[0] == 1 else np.kron(ground, prep)
-        preps.append(QuantumState(two_qubit_space(), prep))
-    trajs = run_cascade(cfg, preps, grid, tol=tol)
-    rhos = {key: partial_trace(tr.final_state(), keep).rho for key, tr in zip(inputs, trajs)}
-    outputs = {key: frame @ rho @ frame.conj().T for key, rho in rhos.items()}
-    return tomo.process_from_states(inputs, outputs)
+    preps = inputs
+    if n == 1:
+        preps = [np.kron(p, ground) if emitters[0] == 1 else np.kron(ground, p) for p in inputs]
+    trajs = run_cascade(cfg, [QuantumState(two_qubit_space(), p) for p in preps], grid, tol=tol)
+    outputs = partial_trace(two_qubit_space(), np.stack([tr.rhos[-1] for tr in trajs]), keep)
+    return tomo.process_from_states(inputs, frame @ outputs @ frame.conj().T)

@@ -72,13 +72,6 @@ def _run_bundle(cfg: ExperimentConfig, out_dir: Path) -> dict:
     return output.metrics
 
 
-def _sweep_worker(raw: dict, out_dir: str) -> dict:
-    from .config import config_from_dict
-
-    cfg = config_from_dict(raw)
-    return _run_bundle(cfg, Path(out_dir))
-
-
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -101,15 +94,13 @@ def cmd_sweep(args) -> int:
     if args.seed is not None:
         cfg = with_seed(cfg, args.seed)
     values = [_sweep_value(v) for v in args.values]
-    points = []
-    for i, value in enumerate(values):
-        cfg_i = set_by_path(cfg, args.param, value)
-        points.append((effective_dict(cfg_i), str(Path(args.out) / f"point_{i:03d}")))
+    points = [(set_by_path(cfg, args.param, value), Path(args.out) / f"point_{i:03d}")
+              for i, value in enumerate(values)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            all_metrics = list(pool.map(_sweep_worker, *zip(*points)))
+            all_metrics = list(pool.map(_run_bundle, *zip(*points)))
     else:
-        all_metrics = [_sweep_worker(raw, out) for raw, out in points]
+        all_metrics = [_run_bundle(cfg_i, out) for cfg_i, out in points]
     columns = {args.param: np.array([np.nan if v is None else float(v) for v in values])}
     for key in sorted(all_metrics[0]):
         columns[key] = np.array([m[key] for m in all_metrics])

@@ -2,8 +2,10 @@
 
 One frozen bundle of the as-calibrated numbers (coherence times,
 readout fidelities, couplings, channel efficiency and delay) plus
-helpers that turn them into the noise (``QubitNoise``), readout, and
-channel objects the simulation modules consume.
+helpers that turn them into the noise (``QubitNoise``, rates in 1/ns),
+readout, and channel objects the simulation modules consume.  A qubit's
+coherence times are checked for consistency (T2R <= 2 T1) when its
+table is built.
 """
 
 from __future__ import annotations
@@ -18,26 +20,15 @@ from .tomo import ReadoutModel
 
 @dataclass(frozen=True)
 class QubitNoise:
-    """Intrinsic lifetime (us) and pure-dephasing rate (1/us) of one qubit."""
+    """Energy-relaxation and pure-dephasing rates (1/ns) of one qubit,
+    the coefficients the cascade generators read; the default is noiseless."""
 
-    T1_int: float | None = None
-    gamma_phi: float = 0.0
+    relax_rate: float = 0.0
+    dephase_rate: float = 0.0
 
     def __post_init__(self):
-        if self.T1_int is not None and self.T1_int <= 0:
-            raise ValidationError("T1_int must be positive")
-        if self.gamma_phi < 0:
-            raise ValidationError("gamma_phi must be >= 0")
-
-    @property
-    def relax_rate(self) -> float:
-        """Energy relaxation rate, 1/ns."""
-        return 0.0 if self.T1_int is None else 1.0 / (self.T1_int * 1e3)
-
-    @property
-    def dephase_rate(self) -> float:
-        """Pure-dephasing rate, 1/ns."""
-        return self.gamma_phi * 1e-3
+        if not (self.relax_rate >= 0 and self.dephase_rate >= 0):
+            raise ValidationError("noise rates must be >= 0")
 
 
 def dephasing_rate(T2R: float, T1_int: float) -> float:
@@ -69,15 +60,14 @@ class QubitParams:
     kappa_inv_ns: float
 
     def __post_init__(self):
-        if self.T1_int_us <= 0 or self.T2R_us <= 0:
-            raise ValidationError("coherence times must be positive")
+        dephasing_rate(self.T2R_us, self.T1_int_us)
         if self.g_mhz <= 0 or self.kappa_inv_ns <= 0:
             raise ValidationError("couplings must be positive")
 
     def noise(self) -> QubitNoise:
         return QubitNoise(
-            T1_int=self.T1_int_us,
-            gamma_phi=dephasing_rate(self.T2R_us, self.T1_int_us),
+            relax_rate=1.0 / (self.T1_int_us * 1e3),
+            dephase_rate=dephasing_rate(self.T2R_us, self.T1_int_us) * 1e-3,
         )
 
 

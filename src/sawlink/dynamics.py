@@ -10,18 +10,19 @@ series with scaling and squaring, using sparse x dense products only,
 kept as a dense matrix and applied step by step as a dense product.  A
 time-dependent one is integrated with an adaptive RK45 scheme, its
 coefficients evaluated analytically at the integrator's internal times.
-A stack of k initial states evolves as the k columns of one d^2 x k
-matrix, and the sampled (n_times, k, d, d) stack is checked, repaired
-and contracted with the observables in one pass: the positivity check
-reads eigenvalues only, and only states whose lowest eigenvalue is
-below -EIG_ATOL / d are rebuilt from an eigendecomposition.
+A (k, d, d) stack of initial states is checked once and evolves as the
+k columns of one d^2 x k matrix, and the sampled (n_times, k, d, d) stack
+is checked, repaired and contracted with the observables in one pass:
+the positivity check reads eigenvalues only, and only states whose
+lowest eigenvalue is below -EIG_ATOL / d are rebuilt from an
+eigendecomposition.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .errors import DiagnosticsError, IntegrationError, ValidationError
-from .qcore import EIG_ATOL, HilbertSpace, QuantumState, hermiticity_error
+from .qcore import EIG_ATOL, HilbertSpace, check_states, hermiticity_error
 
 DEFAULT_TOL = 1e-8
 MIN_TOL, MAX_TOL = 1e-12, 1e-3
@@ -142,34 +143,6 @@ def cross_dissipator(a: np.ndarray, b: np.ndarray) -> sparse.csr_array:
     return _block(
         (1.0, a, b.conj().T), (1.0, b, a.conj().T), (-0.5, anti, eye), (-0.5, eye, anti)
     )
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """States ``rhos[i]`` of one initial state at ``times[i]``; ``final_state()``
-    builds a QuantumState when read.
-
-    The stack is not re-validated here: every stack a Trajectory receives
-    has just passed ``_check_and_repair``, or is a partial trace of one."""
-
-    space: HilbertSpace
-    times: np.ndarray
-    rhos: np.ndarray
-    observables: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if np.any(np.diff(t) <= 0):
-            raise ValidationError("trajectory times must be strictly increasing")
-        rhos = np.asarray(self.rhos, dtype=complex).view()
-        if rhos.shape != t.shape + (self.space.dim,) * 2:
-            raise ValidationError("one state per time required")
-        rhos.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "rhos", rhos)
-
-    def final_state(self) -> QuantumState:
-        return QuantumState(self.space, self.rhos[-1])
 
 
 def expectations(rhos: np.ndarray, observables: dict[str, np.ndarray] | None) -> dict:
@@ -309,17 +282,18 @@ def _integrate(generator: Generator, y: np.ndarray, grid: np.ndarray, tol: float
 
 def evolve_generator(
     generator: Generator,
-    rho0: QuantumState | Sequence[QuantumState],
+    rhos0: np.ndarray,
     grid: np.ndarray,
     tol: float = DEFAULT_TOL,
     observables: dict[str, np.ndarray] | None = None,
     breakpoints: Sequence[float] = (),
-) -> Trajectory | list[Trajectory]:
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Evolve d(vec rho)/dt = L(t) vec rho and sample it on ``grid``.
 
-    One initial state gives one Trajectory; a sequence of k states gives
-    k Trajectories, evolved as the columns of one d^2 x k matrix.  The
-    states must live on the generator's space.
+    ``rhos0`` is a (k, d, d) stack of density matrices on the generator's
+    space, evolved as the columns of one d^2 x k matrix.  Returns the
+    read-only sampled stack (n_times, k, d, d) and each observable's
+    (n_times, k) series.
 
     The generator's kind picks the route.  A constant generator is
     propagated exactly: exp(L h) is built once per distinct grid step and
@@ -335,15 +309,17 @@ def evolve_generator(
         raise ValidationError("grid must be a strictly increasing 1-d array")
     if not MIN_TOL <= tol <= MAX_TOL:  # tighter stalls RK45, looser integrates noise
         raise ValidationError(f"tol = {tol} is outside [{MIN_TOL}, {MAX_TOL}]")
-    space = generator.space
-    single = isinstance(rho0, QuantumState)
-    preps = [rho0] if single else list(rho0)
-    if not preps or any(p.space != space for p in preps):
-        raise ValidationError("initial states must live on the generator space")
+    d = generator.space.dim
+    rhos0 = np.asarray(rhos0, dtype=complex)
+    if rhos0.ndim != 3 or rhos0.shape[1:] != (d, d) or not len(rhos0):
+        raise ValidationError(
+            f"initial states must be a (k, {d}, {d}) stack on the generator space"
+        )
+    check_states(rhos0)
 
-    d, k = space.dim, len(preps)
+    k = len(rhos0)
     # column j of y is state j, and raw[i, j] holds it at grid[i]
-    y = np.stack([p.rho for p in preps], axis=-1).reshape(d * d, k)
+    y = np.moveaxis(rhos0, 0, -1).reshape(d * d, k)
     raw = np.empty((grid.size, k, d, d), dtype=complex)
     if callable(generator.coeffs):
         _integrate(generator, y, grid, tol, breakpoints, raw)
@@ -351,7 +327,5 @@ def evolve_generator(
         _propagate(generator.stacked, y, grid, raw.reshape(grid.size, k, d * d))
 
     _check_and_repair(raw, tol, grid)
-    series = expectations(raw, observables)
-    trajs = [Trajectory(space, grid, raw[:, j], {name: s[:, j] for name, s in series.items()})
-             for j in range(k)]
-    return trajs[0] if single else trajs
+    raw.setflags(write=False)
+    return raw, expectations(raw, observables)

@@ -14,7 +14,13 @@ from typing import Callable
 import numpy as np
 
 from . import multimode, sawphys, tomo
-from .cascade import CascadeConfig, process_tomography_run, run_cascade, two_qubit_space
+from .cascade import (
+    CascadeConfig,
+    process_tomography_run,
+    run_cascade,
+    stage_blocks,
+    two_qubit_space,
+)
 from .device import DeviceParams
 from .dynamics import Generator, commutator_superop, dissipator, evolve_generator
 from .errors import ValidationError
@@ -182,7 +188,8 @@ def run_swap(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     ch = device.channel(params["eta"])
     sched = transfer_schedule(kc, w, ch.tau, emitter=emitter, receiver=receiver)
     cfg = CascadeConfig(sched, ch, noise=device.noise_pair())
-    chi = process_tomography_run(cfg, emitter, receiver, ch.tau + w, Z_FRAME, tol=params["tol"])
+    chi = process_tomography_run(cfg, (emitter,), (receiver,), ch.tau + w, Z_FRAME,
+                                 tol=params["tol"])
     out = _chi_output(chi, tomo.chi_ideal(np.eye(2)), "process")
     out.metrics["reference_fidelity"] = 0.83
     return out
@@ -240,14 +247,14 @@ def run_bell(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
         tol=params["tol"],
         return_doubled=True,
     )
-    pair = partial_trace(doubled.final_state(), ["q1e", "q2"])
-    sp = pair.space
+    # the (q1e, q2) pair takes the (q1, q2) slots of the stage-1 blocks
+    # and ages under q1's relaxation and dephasing alone
+    pair = partial_trace(doubled.space, doubled.rhos[-1:], ["q1e", "q2"])
     nz = device.q1.noise()
-    blocks = [dissipator(embed(op, "q1e", sp)) for op in (SIGMA_MINUS, NUMBER)]
-    idle = Generator(sp, blocks, [nz.relax_rate, nz.dephase_rate])
-    aged = evolve_generator(idle, pair, np.array([0.0, ch.tau]), tol=params["tol"]).final_state()
+    idle = Generator(space, stage_blocks(False), [nz.relax_rate, 0, nz.dephase_rate, 0, 0, 0])
+    aged, _ = evolve_generator(idle, pair, np.array([0.0, ch.tau]), tol=params["tol"])
     frame = np.kron(np.eye(2), Z_FRAME)
-    rho = frame @ aged.rho @ frame.conj().T
+    rho = frame @ aged[-1, 0] @ frame.conj().T
     psi = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)
     target = np.outer(psi, psi)
     metrics = {
@@ -315,11 +322,11 @@ def run_vacuum_rabi(device: DeviceParams, params: dict, seed: int) -> Experiment
     generator = Generator(space, blocks, [1.0] + [ka] * p.n_a)
     grid = np.linspace(0.0, float(params["horizon_tau"]) * p.tau_ns, _integer(params, "points"))
     rho0 = QuantumState.basis_state(space, [1] + [0] * p.n_a)
-    traj = evolve_generator(
-        generator, rho0, grid, tol=params["tol"],
+    _, series = evolve_generator(
+        generator, rho0.rho[None], grid, tol=params["tol"],
         observables={"pe": embed(NUMBER, "q", space)},
     )
-    pe_lindblad = traj.observables["pe"]
+    pe_lindblad = series["pe"][:, 0]
     pe_series = np.abs(multimode.laguerre_amplitude(grid, p)) ** 2
     golden = multimode.golden_rule_kappa(q.g_mhz, p.fsr)
     return ExperimentOutput(
@@ -393,8 +400,7 @@ def run_tomo_roundtrip(device: DeviceParams, params: dict, seed: int) -> Experim
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         q, r = np.linalg.qr(a)
         u = q * (np.diag(r) / np.abs(np.diag(r)))  # Haar phase fix
-        outputs = {k: u @ rho_in @ u.conj().T for k, rho_in in inputs.items()}
-        chi = tomo.process_from_states(inputs, outputs)
+        chi = tomo.process_from_states(inputs, u @ inputs @ u.conj().T)
         worst_process = max(
             worst_process, tomo.hs_distance(chi, tomo.chi_ideal(u))
         )

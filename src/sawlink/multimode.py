@@ -124,9 +124,7 @@ def efficiency_bound(tau_ns: float, T1_saw_us: float) -> float:
 
 
 def _laguerre(n: int, x: np.ndarray) -> np.ndarray:
-    """Laguerre polynomial L_n by the three-term recurrence."""
-    if n < 0:
-        return np.zeros_like(x)
+    """Laguerre polynomial L_n, n >= 0, by the three-term recurrence."""
     lk = np.ones_like(x)
     if n == 0:
         return lk

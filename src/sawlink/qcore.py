@@ -2,10 +2,11 @@
 
 Dense states, operators, tensor embedding and partial trace, for the
 mode counts this toolkit needs (dimension <= a few hundred).  An
-operator is a plain complex (dim, dim) array; a state is a
-``QuantumState``, checked to be a density matrix when built.  The
-module needs numpy alone: the superoperators built from these operators
-live in `dynamics`.
+operator is a plain complex (dim, dim) array, and a set of states a
+(k, dim, dim) stack that ``check_states`` checks in one pass; a
+``QuantumState`` is one state checked when built, the form a caller
+hands a single state in.  The module needs numpy alone: the
+superoperators built from these operators live in `dynamics`.
 
 All values are immutable after construction (the operator arrays
 ``embed`` and ``embed_product`` return are read-only); nothing here
@@ -191,14 +192,9 @@ def embed(op: np.ndarray, target_mode: str, space: HilbertSpace) -> np.ndarray:
     return embed_product({target_mode: op}, space)
 
 
-def partial_trace(state: QuantumState, keep: Sequence[str]) -> QuantumState:
-    """Reduced density matrix on the kept modes, in keep-list order."""
-    dims = [state.space.mode_dims[state.space.mode_index(lbl)] for lbl in keep]
-    return QuantumState(HilbertSpace(dims, keep), partial_trace_stack(state.space, state.rho, keep))
-
-
-def partial_trace_stack(space: HilbertSpace, rhos: np.ndarray, keep: Sequence[str]) -> np.ndarray:
-    """Reduced matrices on the kept modes of a stack (..., d, d), Hermitian-symmetrised.
+def partial_trace(space: HilbertSpace, rhos: np.ndarray, keep: Sequence[str]) -> np.ndarray:
+    """Reduced matrices on the kept modes, in keep-list order, of a stack
+    (..., d, d), Hermitian-symmetrised.
 
     The space must be the full tensor product: a capped space is rejected."""
     keep_idx = [space.mode_index(lbl) for lbl in keep]

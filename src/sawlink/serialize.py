@@ -48,12 +48,6 @@ def write_matrix(path: Path, matrix: np.ndarray, basis: tuple[str, ...]):
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def read_matrix(path: Path) -> tuple[np.ndarray, tuple[str, ...]]:
-    payload = json.loads(Path(path).read_text())
-    flat = np.array([complex(re, im) for re, im in payload["data"]])
-    return flat.reshape(payload["shape"]), tuple(payload["basis"])
-
-
 def write_metrics(path: Path, metrics: dict[str, float]):
     path.write_text(json.dumps(metrics, sort_keys=True, indent=1) + "\n")
 

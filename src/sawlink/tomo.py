@@ -6,7 +6,10 @@ Inverse direction: linear inversion (least squares over the
 informationally complete setting list) followed by eigenvalue clipping.
 Scalar figures of merit live here too.
 
-States and process matrices are plain complex arrays.  A process matrix
+States and process matrices are plain complex arrays, and a set of
+states a (k, d, d) stack: ``prep_states`` returns one and
+``process_from_states`` takes two.  Measurement statistics are a table
+with one row per setting, in ``all_settings`` order.  A process matrix
 chi is indexed over the unnormalized Pauli basis (``pauli_basis``):
 the map acts as rho -> sum_mn chi_mn P_m rho P_n^+, with labels in
 lexicographic I, X, Y, Z order per qubit, leftmost qubit slowest.
@@ -163,60 +166,49 @@ def all_settings(n_qubits: int) -> tuple[tuple[str, ...], ...]:
     return tuple(product(SETTING_ORDER, repeat=n_qubits))
 
 
-def tomography_data(rho, readout: ReadoutModel | None = None) -> dict[tuple[str, ...], np.ndarray]:
-    """Forward-simulate the full pre-rotation measurement set."""
+def tomography_data(rho, readout: ReadoutModel | None = None) -> np.ndarray:
+    """Forward-simulate the full pre-rotation measurement set: one row of
+    basis-state probabilities per setting, in ``all_settings`` order."""
     mat = np.asarray(rho, dtype=complex)
     n = 1 if mat.shape[0] == 2 else 2
-    data = {}
-    for setting in all_settings(n):
-        u = _setting_unitary(setting)
-        data[setting] = simulate_measurement(u @ mat @ u.conj().T, readout)
-    return data
+    rows = [simulate_measurement(u @ mat @ u.conj().T, readout)
+            for u in map(_setting_unitary, all_settings(n))]
+    return np.array(rows)
 
 
-def state_tomo(
-    data: dict[tuple[str, ...], np.ndarray],
-    readout: ReadoutModel | None = None,
-) -> np.ndarray:
+def state_tomo(data: np.ndarray, readout: ReadoutModel | None = None) -> np.ndarray:
     """Reconstruct a density matrix from pre-rotation statistics.
 
-    Counts are normalized per setting; a readout model, when given, is
-    inverted before inversion of the measurement map.  The linear
-    estimate is clipped to the physical cone and retraced.
+    ``data`` holds one row of basis-state counts per setting, in
+    ``all_settings`` order, for one or two qubits.  Counts are
+    normalized per setting; a readout model, when given, is inverted
+    before inversion of the measurement map.  The linear estimate is
+    clipped to the physical cone and retraced.
     """
-    if not data:
-        raise ValidationError("no tomography data")
-    n = len(next(iter(data.keys())))
-    settings = all_settings(n)
-    missing = [s for s in settings if s not in data]
-    if missing:
-        raise ValidationError(f"missing tomography settings: {missing}")
-    dim = 2**n
-    targets = []
-    for setting in settings:
-        probs = np.asarray(data[setting], dtype=float)
-        if probs.shape != (dim,):
-            raise ValidationError("statistics vector has the wrong length")
-        total = probs.sum()
-        if total <= 0:
-            raise ValidationError("empty statistics vector")
-        probs = probs / total
-        if readout is not None:
-            probs = readout_correct(probs, readout)
-        targets.extend(probs)
-    sol, *_ = np.linalg.lstsq(_effect_rows(n), np.array(targets), rcond=None)
-    return project_psd(sol.reshape(dim, dim), trace=1.0)
+    data = np.asarray(data, dtype=float)
+    n = {(3, 2): 1, (9, 4): 2}.get(data.shape)
+    if n is None:
+        raise ValidationError(f"tomography data of shape {data.shape} is not (3^n, 2^n), n = 1, 2")
+    totals = data.sum(axis=1)
+    if not np.all(totals > 0):
+        raise ValidationError("empty statistics vector")
+    probs = data / totals[:, None]
+    if readout is not None:
+        probs = np.array([readout_correct(row, readout) for row in probs])
+    sol, *_ = np.linalg.lstsq(_effect_rows(n), probs.reshape(-1), rcond=None)
+    return project_psd(sol.reshape(data.shape[1], -1), trace=1.0)
 
 
-def prep_states(n_qubits: int) -> dict[tuple[str, ...], np.ndarray]:
-    """The spanning product preparations, as density matrices."""
-    out = {}
+def prep_states(n_qubits: int) -> np.ndarray:
+    """The spanning product preparations in ``PREP_ORDER`` product order, as
+    a (4^n, 2^n, 2^n) stack of density matrices."""
+    out = []
     for combo in product(PREP_ORDER, repeat=n_qubits):
         ket = np.array([[1.0]], dtype=complex)
         for name in combo:
             ket = np.kron(ket, PREP_KETS[name])
-        out[combo] = np.outer(ket, ket.conj())
-    return out
+        out.append(np.outer(ket, ket.conj()))
+    return np.array(out)
 
 
 @cache
@@ -228,21 +220,17 @@ def _chi_blocks(n_qubits: int) -> np.ndarray:
     return blocks
 
 
-def process_from_states(inputs: dict, outputs: dict) -> np.ndarray:
-    """Process matrix chi from matched prepared/measured state pairs.
-
-    ``inputs`` and ``outputs`` map the same keys to density matrices; the
-    inputs must span operator space (4^n states).
-    """
-    if set(inputs) != set(outputs):
-        raise ValidationError("input and output keys differ")
-    ins = [np.asarray(inputs[k], dtype=complex) for k in inputs]
-    outs = [np.asarray(outputs[k], dtype=complex) for k in inputs]
-    dim = ins[0].shape[0]
-    if dim not in (2, 4) or len(ins) != dim * dim:
-        raise ValidationError(f"need {dim*dim} spanning inputs for dimension {dim}")
-    in_mat = np.stack([m.reshape(-1) for m in ins], axis=1)
-    out_mat = np.stack([m.reshape(-1) for m in outs], axis=1)
+def process_from_states(inputs: np.ndarray, outputs: np.ndarray) -> np.ndarray:
+    """Process matrix chi from matched (k, d, d) stacks of prepared and
+    measured states; the inputs must span operator space (k = d^2)."""
+    ins = np.asarray(inputs, dtype=complex)
+    outs = np.asarray(outputs, dtype=complex)
+    dim = ins.shape[-1]
+    if dim not in (2, 4) or ins.shape != (dim * dim, dim, dim) or outs.shape != ins.shape:
+        raise ValidationError(f"need {dim*dim} spanning inputs and as many outputs "
+                              f"for dimension {dim}")
+    in_mat = ins.reshape(dim * dim, -1).T
+    out_mat = outs.reshape(dim * dim, -1).T
     if np.linalg.matrix_rank(in_mat, tol=1e-10) < dim * dim:
         raise ValidationError("input states do not span operator space")
     smap = out_mat @ np.linalg.inv(in_mat)

@@ -14,7 +14,7 @@ from sawlink.cascade import (
     stage2_liouvillian,
     two_qubit_space,
 )
-from sawlink.device import QubitNoise
+from sawlink.device import QubitNoise, QubitParams
 from sawlink.dynamics import dissipator
 from sawlink.errors import RoleAmbiguityError, ValidationError
 from sawlink.ioshape import ChannelParams, ControlSchedule, Segment, transfer_schedule
@@ -39,7 +39,10 @@ def excited(space, qubit=1):
 
 class TestQubitNoise:
     def test_rates(self):
-        nz = QubitNoise(T1_int=20.0, gamma_phi=0.5)
+        # T1 = 20 us and a pure-dephasing rate of 0.5 / us, in 1/ns
+        q = QubitParams(T1_int_us=20.0, T2R_us=1 / 0.525, F_g=0.97, F_e=0.95,
+                        g_mhz=2.0, kappa_inv_ns=8.0)
+        nz = q.noise()
         assert nz.relax_rate == pytest.approx(1 / 20e3)
         assert nz.dephase_rate == pytest.approx(0.5e-3)
 
@@ -50,9 +53,9 @@ class TestQubitNoise:
 
     def test_invalid(self):
         with pytest.raises(ValidationError):
-            QubitNoise(T1_int=-1.0)
+            QubitNoise(relax_rate=-1.0)
         with pytest.raises(ValidationError):
-            QubitNoise(gamma_phi=-0.1)
+            QubitNoise(dephase_rate=-0.1)
 
 
 def dense_generator(cfg: CascadeConfig, t: float, doubled: bool) -> np.ndarray:
@@ -156,7 +159,7 @@ class TestGenerators:
         eta=st.floats(0.0, 1.0),
         alpha=st.just(1.0) | st.floats(0.1, 1.0),
         detune=st.none() | st.tuples(st.floats(1.0, 100.0), st.floats(-40.0, 40.0)),
-        noise=st.tuples(st.none() | st.floats(5.0, 50.0), st.floats(0.0, 2.0)),
+        noise=st.tuples(st.just(0.0) | st.floats(1 / 50e3, 1 / 5e3), st.floats(0.0, 2e-3)),
         frac=st.floats(0.0, 1.0),
     )
     def test_stacked_generator_matches_dense_sum(
@@ -170,7 +173,7 @@ class TestGenerators:
         cfg = CascadeConfig(
             ControlSchedule(segs, window=sched.window),
             ChannelParams(eta=eta, tau=TAU),
-            noise=(QubitNoise(*noise), QubitNoise(T1_int=21.7, gamma_phi=0.45)),
+            noise=(QubitNoise(*noise), QubitNoise(1 / 21.7e3, 0.45e-3)),
         )
         for stage, t, doubled in ((stage1_liouvillian, frac * TAU, False),
                                   (stage2_liouvillian, TAU * (1.0 + frac), True)):
@@ -207,13 +210,13 @@ class TestRunCascade:
         finals = []
         for eta in (0.3, 0.5, 0.67, 0.9, 1.0):
             traj = run_cascade(swap_cfg(eta=eta), excited(space), grid, tol=1e-9)
-            finals.append(np.trace(n2 @ traj.final_state().rho).real)
+            finals.append(np.trace(n2 @ traj.rhos[-1]).real)
         assert all(b > a for a, b in zip(finals, finals[1:]))
         assert finals[-1] > 0.999
 
     def test_trace_preserved_along_trajectory(self):
-        cfg = swap_cfg(eta=0.5, noise=(QubitNoise(T1_int=21.7, gamma_phi=0.45),
-                                       QubitNoise(T1_int=26.1, gamma_phi=1.65)))
+        cfg = swap_cfg(eta=0.5, noise=(QubitNoise(1 / 21.7e3, 0.45e-3),
+                                       QubitNoise(1 / 26.1e3, 1.65e-3)))
         space = two_qubit_space()
         grid = np.linspace(0.0, 2 * TAU, 41)
         traj = run_cascade(cfg, excited(space), grid, tol=1e-9)
@@ -231,15 +234,15 @@ class TestRunCascade:
         traj = run_cascade(cfg, excited(space), grid, tol=1e-9)
         n1 = embed(NUMBER, "q1", space)
         n2 = embed(NUMBER, "q2", space)
-        final = traj.final_state()
-        assert np.trace(n1 @ final.rho).real < 1e-3
-        assert np.trace(n2 @ final.rho).real < 1e-12
+        final = traj.rhos[-1]
+        assert np.trace(n1 @ final).real < 1e-3
+        assert np.trace(n2 @ final).real < 1e-12
 
     def test_stage1_decay_with_imperfections(self):
         # during the release window the excited population obeys
         # p(t) = exp(-integral kappa - t/T1) exactly
         t1_us = 10.0
-        cfg = swap_cfg(eta=1.0, noise=(QubitNoise(T1_int=t1_us), QubitNoise()))
+        cfg = swap_cfg(eta=1.0, noise=(QubitNoise(relax_rate=1 / (t1_us * 1e3)), QubitNoise()))
         space = two_qubit_space()
         grid = np.linspace(0.0, WINDOW, 19)
         traj = run_cascade(cfg, excited(space), grid, tol=1e-10,
@@ -303,8 +306,8 @@ class TestDoubledView:
         )
         assert doubled.space == doubled_space()
         # emitter copies start in the initial state at the splice
-        em = partial_trace(QuantumState(doubled.space, doubled.rhos[0]), ["q1e", "q2e"])
-        assert np.allclose(em.rho, excited(space).rho, atol=1e-12)
+        em = partial_trace(doubled.space, doubled.rhos[0], ["q1e", "q2e"])
+        assert np.allclose(em, excited(space).rho, atol=1e-12)
 
     def test_lagged_copy_correlates_with_receiver(self):
         # a half release leaves the lagged emitter copy entangled with
@@ -316,15 +319,14 @@ class TestDoubledView:
         _, doubled = run_cascade(
             cfg, excited(space), np.array([0.0, t_ro]), tol=1e-9, return_doubled=True
         )
-        final = doubled.final_state()
-        pair = partial_trace(final, ["q1e", "q2"])
+        final = doubled.rhos[-1]
+        pair = partial_trace(doubled.space, final, ["q1e", "q2"])
         # coherence between |e g> and |g e> of the pair
-        sp = pair.space
-        i_eg = sp.basis_index((1, 0))
-        i_ge = sp.basis_index((0, 1))
-        assert abs(pair.rho[i_eg, i_ge]) > 0.49
-        stale = partial_trace(final, ["q1", "q2"])
-        assert abs(stale.rho[i_eg, i_ge]) < 1e-6
+        i_eg = space.basis_index((1, 0))
+        i_ge = space.basis_index((0, 1))
+        assert abs(pair[i_eg, i_ge]) > 0.49
+        stale = partial_trace(doubled.space, final, ["q1", "q2"])
+        assert abs(stale[i_eg, i_ge]) < 1e-6
 
 
 def per_prep_process(cfg, emitters, receivers, t_ro, tol, frame):
@@ -335,15 +337,15 @@ def per_prep_process(cfg, emitters, receivers, t_ro, tol, frame):
     inputs = tomo.prep_states(len(emitters))
     ground = np.diag([1.0, 0.0])
     keep = [f"q{q}" for q in sorted(receivers)]
-    outputs = {}
-    for key, prep in inputs.items():
+    outputs = []
+    for prep in inputs:
         if len(emitters) == 1:
             prep = np.kron(prep, ground) if emitters[0] == 1 else np.kron(ground, prep)
         traj = run_cascade(cfg, QuantumState(two_qubit_space(), prep), np.array([0.0, t_ro]),
                            tol=tol)
-        out = partial_trace(traj.final_state(), keep).rho
-        outputs[key] = frame @ out @ frame.conj().T
-    return tomo.process_from_states(inputs, outputs)
+        out = partial_trace(two_qubit_space(), traj.rhos[-1], keep)
+        outputs.append(frame @ out @ frame.conj().T)
+    return tomo.process_from_states(inputs, np.array(outputs))
 
 
 class TestProcessTomographyRun:
@@ -355,7 +357,7 @@ class TestProcessTomographyRun:
         from sawlink.experiments import double_swap_schedule
 
         tol = 1e-10
-        noise = (QubitNoise(T1_int=21.7, gamma_phi=0.45), QubitNoise(T1_int=26.1, gamma_phi=1.6))
+        noise = (QubitNoise(1 / 21.7e3, 0.45e-3), QubitNoise(1 / 26.1e3, 1.6e-3))
         if len(emitters) == 2:
             sched, t_ro = double_swap_schedule(0.15, 120.0, TAU), TAU + 240.0
         else:
@@ -380,7 +382,7 @@ class TestProcessTomographyRun:
         # couplers never fire: each prep sits still and the process is I
         sched = ControlSchedule([Segment("detune", 1, 0.0, 1.0)], window=(0.0, 1.0))
         cfg = CascadeConfig(sched, ChannelParams(eta=0.67, tau=TAU))
-        chi = process_tomography_run(cfg, emitter=1, receiver=1, t_ro=1.0, frame=np.eye(2))
+        chi = process_tomography_run(cfg, (1,), (1,), t_ro=1.0, frame=np.eye(2))
         assert chi[0, 0].real == pytest.approx(1.0, abs=1e-8)
         assert np.max(np.abs(chi - np.diag([1.0, 0, 0, 0]))) < 1e-8
 
@@ -389,7 +391,7 @@ class TestProcessTomographyRun:
         cfg = CascadeConfig(sched, ChannelParams(eta=1.0, tau=TAU))
         z = np.diag([1.0, -1.0])
         chi = process_tomography_run(
-            cfg, emitter=1, receiver=2, t_ro=TAU + WINDOW, frame=z, tol=1e-8
+            cfg, (1,), (2,), t_ro=TAU + WINDOW, frame=z, tol=1e-8
         )
         from sawlink import tomo
 
@@ -399,8 +401,8 @@ class TestProcessTomographyRun:
         sched = ControlSchedule([Segment("detune", 1, 0.0, 1.0)], window=(0.0, 1.0))
         cfg = CascadeConfig(sched, ChannelParams(eta=0.67, tau=TAU))
         with pytest.raises(ValidationError):
-            process_tomography_run(cfg, emitter=(1, 2), receiver=1, t_ro=1.0, frame=np.eye(2))
+            process_tomography_run(cfg, (1, 2), (1,), t_ro=1.0, frame=np.eye(2))
         with pytest.raises(ValidationError):
-            process_tomography_run(cfg, emitter=3, receiver=1, t_ro=1.0, frame=np.eye(2))
+            process_tomography_run(cfg, (3,), (1,), t_ro=1.0, frame=np.eye(2))
         with pytest.raises(ValidationError):
-            process_tomography_run(cfg, emitter=(1, 1), receiver=(2, 2), t_ro=1.0, frame=np.eye(4))
+            process_tomography_run(cfg, (1, 1), (2, 2), t_ro=1.0, frame=np.eye(4))

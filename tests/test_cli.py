@@ -215,6 +215,21 @@ class TestExitCodes:
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_coherence_beyond_two_t1_fails_validate(self, tmp_path, capsys, experiment):
+        # q2's T2R of 60 us exceeds 2 T1 = 52.2 us: the device table is
+        # inconsistent whichever experiment reads it
+        path = tmp_path / "c.yaml"
+        raw = default_config(experiment)
+        raw["device"]["q2"]["T2R_us"] = 60
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        diag = json.loads(err[0])
+        assert diag["error"] == "ValidationError"
+        assert "2*T1" in diag["message"]
+
     def test_non_string_experiment_is_2(self, tmp_path, capsys):
         path = tmp_path / "c.yaml"
         path.write_text("experiment: [bell]\n")

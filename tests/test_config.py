@@ -1,5 +1,7 @@
 """Config schema: strict merging over defaults, dotted-path overrides."""
 
+import pickle
+
 import pytest
 import yaml
 
@@ -31,6 +33,12 @@ class TestDefaults:
     def test_round_trip_is_identity(self):
         raw = default_config("swap")
         assert effective_dict(config_from_dict(raw)) == raw
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_pickles_to_an_equal_config(self, name):
+        # a parallel sweep sends each point's parsed config to a worker
+        cfg = config_from_dict(default_config(name))
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
 class TestMerging:

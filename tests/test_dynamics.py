@@ -14,12 +14,11 @@ from scipy import sparse
 
 import sawlink
 from sawlink import dynamics, experiments
-from sawlink.cascade import doubled_space
+from sawlink.cascade import Trajectory, doubled_space
 from sawlink.device import default_device
 from sawlink.dynamics import (
     POSITIVITY_CLIP,
     Generator,
-    Trajectory,
     _check_and_repair,
     commutator_superop,
     dissipator,
@@ -40,7 +39,7 @@ from sawlink.qcore import (
 )
 
 QUBIT = HilbertSpace([2], ["q"])
-EXCITED = QuantumState.basis_state(QUBIT, [1])
+EXCITED = QuantumState.basis_state(QUBIT, [1]).rho[None]
 
 
 def test_free_evolution_is_identity():
@@ -49,8 +48,8 @@ def test_free_evolution_is_identity():
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho0 = a @ a.conj().T
     rho0 /= np.trace(rho0)
-    traj = evolve_generator(free, QuantumState(QUBIT, rho0), np.linspace(0, 50, 11))
-    for rho in traj.rhos:
+    rhos, _ = evolve_generator(free, rho0[None], np.linspace(0, 50, 11))
+    for rho in rhos[:, 0]:
         assert np.allclose(rho, rho0, atol=1e-8)
 
 
@@ -58,10 +57,8 @@ def test_constant_decay_matches_exponential():
     kappa = 0.02  # 1/ns
     decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [kappa])
     grid = np.linspace(0, 200, 41)
-    traj = evolve_generator(
-        decay, EXCITED, grid, observables={"pe": NUMBER}
-    )
-    assert np.max(np.abs(traj.observables["pe"] - np.exp(-kappa * grid))) <= 1e-12
+    _, series = evolve_generator(decay, EXCITED, grid, observables={"pe": NUMBER})
+    assert np.max(np.abs(series["pe"][:, 0] - np.exp(-kappa * grid))) <= 1e-12
 
 
 def test_resonant_vacuum_rabi_oracle():
@@ -72,14 +69,15 @@ def test_resonant_vacuum_rabi_oracle():
     rabi = Generator(space, [commutator_superop(h)], [g])
     t_half = (np.pi / 2) / g
     grid = np.linspace(0, t_half, 25)
-    traj = evolve_generator(
+    _, series = evolve_generator(
         rabi,
-        QuantumState.basis_state(space, [1, 0]),
+        QuantumState.basis_state(space, [1, 0]).rho[None],
         grid,
         observables={"pe": embed(NUMBER, "q", space)},
     )
-    assert np.allclose(traj.observables["pe"], np.cos(g * grid) ** 2, atol=1e-6)
-    assert traj.observables["pe"][-1] < 1e-6
+    pe = series["pe"][:, 0]
+    assert np.allclose(pe, np.cos(g * grid) ** 2, atol=1e-6)
+    assert pe[-1] < 1e-6
 
 
 def test_trace_and_hermiticity_along_trajectory():
@@ -87,9 +85,9 @@ def test_trace_and_hermiticity_along_trajectory():
     driven = Generator(
         QUBIT, [commutator_superop(SIGMA_PLUS + SIGMA_MINUS), dissipator(SIGMA_MINUS)], [0.3, kappa]
     )
-    traj = evolve_generator(driven, EXCITED, np.linspace(0, 100, 51))
-    check_states(traj.rhos)
-    for rho in traj.rhos:
+    rhos, _ = evolve_generator(driven, EXCITED, np.linspace(0, 100, 51))
+    check_states(rhos)
+    for rho in rhos[:, 0]:
         assert abs(np.trace(rho) - 1.0) < 1e-8
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
 
@@ -99,10 +97,8 @@ def test_time_dependent_amplitude():
     rate = 0.001  # 1/ns^2
     ramp = Generator(QUBIT, [dissipator(SIGMA_MINUS)], lambda t: np.array([rate * t]))
     grid = np.linspace(0, 60, 13)
-    traj = evolve_generator(
-        ramp, EXCITED, grid, observables={"pe": NUMBER}
-    )
-    assert np.allclose(traj.observables["pe"], np.exp(-0.5 * rate * grid**2), atol=1e-7)
+    _, series = evolve_generator(ramp, EXCITED, grid, observables={"pe": NUMBER})
+    assert np.allclose(series["pe"][:, 0], np.exp(-0.5 * rate * grid**2), atol=1e-7)
 
 
 @pytest.mark.parametrize("start", [0.0, 5.0])
@@ -120,7 +116,7 @@ def test_non_finite_coefficient_raises_integration_error(value, start):
         f"coeffs = lambda t: np.array([{value} if t >= {start} else 0.1])\n"
         "generator = Generator(space, [dissipator(SIGMA_MINUS)], coeffs)\n"
         "try:\n"
-        "    evolve_generator(generator, QuantumState.basis_state(space, [1]),\n"
+        "    evolve_generator(generator, QuantumState.basis_state(space, [1]).rho[None],\n"
         "                     np.linspace(0.0, 10.0, 5))\n"
         "except IntegrationError as exc:\n"
         "    print(exc)\n"
@@ -160,28 +156,26 @@ def test_capped_space_matches_full_tensor_space():
     capped = HilbertSpace([2, 2, 2, 2], labels, excitation_cap=1)
     obs_full = {"pe": embed(NUMBER, "q", full)}
     obs_capped = {"pe": embed(NUMBER, "q", capped)}
-    traj_full = evolve_generator(
+    _, series_full = evolve_generator(
         build(full),
-        QuantumState.basis_state(full, [1, 0, 0, 0]),
+        QuantumState.basis_state(full, [1, 0, 0, 0]).rho[None],
         grid,
         tol=1e-10,
         observables=obs_full,
     )
-    traj_capped = evolve_generator(
+    _, series_capped = evolve_generator(
         build(capped),
-        QuantumState.basis_state(capped, [1, 0, 0, 0]),
+        QuantumState.basis_state(capped, [1, 0, 0, 0]).rho[None],
         grid,
         tol=1e-10,
         observables=obs_capped,
     )
-    assert np.allclose(
-        traj_full.observables["pe"], traj_capped.observables["pe"], atol=1e-8
-    )
+    assert np.allclose(series_full["pe"], series_capped["pe"], atol=1e-8)
 
 
 def test_trajectory_requires_monotonic_times():
     with pytest.raises(ValidationError):
-        Trajectory(QUBIT, np.array([0.0, 1.0, 1.0]), np.stack([EXCITED.rho] * 3))
+        Trajectory(QUBIT, np.array([0.0, 1.0, 1.0]), np.concatenate([EXCITED] * 3))
 
 
 # ---- stacked initial states and the stacked repair pass ------------------------
@@ -231,31 +225,51 @@ class TestStackedEvolution:
         grid = np.sort(rng.uniform(0.0, 60.0, size=6))
         grid[0] = 0.0
         breaks = grid[1 : 1 + n_breaks] if on_grid else rng.uniform(0.0, 60.0, size=n_breaks)
-        preps = [QuantumState(PAIR, r) for r in random_states(rng, k, 4)]
+        preps = random_states(rng, k, 4)
         number = {"n_a": embed(NUMBER, "a", PAIR)}
-        stacked = evolve_generator(generator, preps, grid, tol, number, breaks)
-        assert len(stacked) == k
-        for prep, traj in zip(preps, stacked):
-            alone = evolve_generator(generator, prep, grid, tol, number, breaks)
-            assert np.array_equal(traj.times, alone.times)
-            assert np.max(np.abs(traj.rhos - alone.rhos)) <= 10 * tol
-            assert np.max(np.abs(traj.observables["n_a"] - alone.observables["n_a"])) <= 10 * tol
+        rhos, series = evolve_generator(generator, preps, grid, tol, number, breaks)
+        assert rhos.shape == (grid.size, k, 4, 4)
+        assert series["n_a"].shape == (grid.size, k)
+        for j in range(k):
+            alone, alone_series = evolve_generator(generator, preps[j : j + 1], grid, tol,
+                                                   number, breaks)
+            assert np.max(np.abs(rhos[:, j] - alone[:, 0])) <= 10 * tol
+            assert np.max(np.abs(series["n_a"][:, j] - alone_series["n_a"][:, 0])) <= 10 * tol
 
-    def test_single_state_gives_one_trajectory(self):
-        grid = np.linspace(0, 10, 3)
+    def test_sampled_stack_is_read_only(self):
         decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [0.1])
-        traj = evolve_generator(decay, EXCITED, grid)
-        assert isinstance(traj, Trajectory)
-        (listed,) = evolve_generator(decay, [EXCITED], grid)
-        assert np.array_equal(listed.rhos, traj.rhos)
-        assert traj.final_state().space == QUBIT
-        assert len(traj.rhos) == 3
+        rhos, _ = evolve_generator(decay, EXCITED, np.linspace(0, 10, 3))
+        assert rhos.shape == (3, 1, 2, 2)
+        with pytest.raises(ValueError):
+            rhos[0, 0, 0, 0] = 0.0
 
     def test_initial_state_on_another_space_rejected(self):
         decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [0.1])
-        with pytest.raises(ValidationError):
-            evolve_generator(decay, [EXCITED, QuantumState.basis_state(PAIR, [1, 0])],
+        with pytest.raises(ValidationError, match="stack on the generator space"):
+            evolve_generator(decay, QuantumState.basis_state(PAIR, [1, 0]).rho[None],
                              np.linspace(0, 1, 2))
+
+    @pytest.mark.parametrize("shape", ["one_state", "empty", "list_of_stacks"])
+    def test_wrong_shaped_stack_rejected(self, shape):
+        decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [0.1])
+        rhos0 = {"one_state": EXCITED[0], "empty": EXCITED[:0],
+                 "list_of_stacks": [EXCITED, EXCITED]}[shape]
+        with pytest.raises(ValidationError, match="stack on the generator space"):
+            evolve_generator(decay, rhos0, np.linspace(0, 1, 2))
+
+    @pytest.mark.parametrize("fault", ["hermiticity", "trace", "eigenvalue"])
+    def test_stack_with_one_non_state_rejected(self, fault):
+        # the whole stack is checked once, with check_states' own messages
+        bad = {"hermiticity": np.array([[1.0, 0.1], [0.0, 0.0]]),
+               "trace": np.diag([0.7, 0.7]),
+               "eigenvalue": np.diag([1.5, -0.5])}[fault].astype(complex)
+        rhos0 = np.concatenate([EXCITED, bad[None], EXCITED])
+        with pytest.raises(ValidationError) as want:
+            check_states(bad)
+        decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [0.1])
+        with pytest.raises(ValidationError) as got:
+            evolve_generator(decay, rhos0, np.linspace(0, 1, 2))
+        assert str(got.value) == str(want.value)
 
 
 # ---- exact propagation of a constant generator ---------------------------------
@@ -287,11 +301,10 @@ class TestExactPropagation:
         blocks, rates = (ladder_blocks if on_ladder else pair_blocks)(rng)
         grid = np.sort(rng.uniform(0.0, 60.0, size=n_points))
         grid[0] = 0.0
-        preps = [QuantumState(space, r) for r in random_states(rng, k, space.dim)]
-        exact = evolve_generator(Generator(space, blocks, rates), preps, grid, 1e-12)
-        rk45 = evolve_generator(Generator(space, blocks, lambda t: rates), preps, grid, 1e-12)
-        for a, b in zip(exact, rk45):
-            assert np.max(np.abs(a.rhos - b.rhos)) <= 1e-9
+        preps = random_states(rng, k, space.dim)
+        exact, _ = evolve_generator(Generator(space, blocks, rates), preps, grid, 1e-12)
+        rk45, _ = evolve_generator(Generator(space, blocks, lambda t: rates), preps, grid, 1e-12)
+        assert np.max(np.abs(exact - rk45)) <= 1e-9
 
     def test_matches_per_step_matrix_exponential(self):
         rng = np.random.default_rng(21)
@@ -299,14 +312,13 @@ class TestExactPropagation:
         # the last steps are long enough that the series is scaled and squared
         grid = np.array([0.0, 0.3, 2.0, 7.5, 80.0, 400.0])
         rhos = random_states(rng, 3, 4)
-        trajs = evolve_generator(generator, [QuantumState(PAIR, r) for r in rhos], grid)
+        got, _ = evolve_generator(generator, rhos, grid)
         y = rhos.reshape(3, 16).T
         want = [y]
         for h in np.diff(grid):
             want.append(scipy.linalg.expm(generator.stacked.toarray() * h) @ want[-1])
         want = np.stack(want).transpose(0, 2, 1).reshape(grid.size, 3, 4, 4)
-        for j, traj in enumerate(trajs):
-            assert np.max(np.abs(traj.rhos - want[:, j])) <= 1e-12
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(t0=st.floats(-1e4, 1e4), span=st.floats(1e-3, 1e5))
@@ -346,7 +358,7 @@ class TestExactPropagation:
         dense = dynamics._propagator(generator.stacked, h)
         assert isinstance(dense, np.ndarray)
         csr = sparse.csr_array(dense)
-        y_dense = y_sparse = rho0.rho.reshape(-1)
+        y_dense = y_sparse = rho0[0].reshape(-1)
         worst = 0.0
         for _ in range(grid.size - 1):
             y_dense, y_sparse = dense @ y_dense, csr @ y_sparse
@@ -372,7 +384,7 @@ class TestExactPropagation:
             "experiments.evolve_generator = spy\n"
             "params = dict(experiments.EXPERIMENTS['vacuum_rabi'].defaults)\n"
             "experiments.run_experiment('vacuum_rabi', default_device(), params, 1234)\n"
-            "print(hashlib.sha256(seen[0].rhos.tobytes()).hexdigest())\n"
+            "print(hashlib.sha256(seen[0][0].tobytes()).hexdigest())\n"
         )
         src = str(Path(sawlink.__file__).parents[1])
         digests = []
@@ -519,11 +531,10 @@ class TestStackedRepair:
         rng = np.random.default_rng(seed)
         stack = edge_stack(rng, space, 8, depth, product)
         _check_and_repair(stack, 1e-8, np.arange(8.0))
-        for rho in stack[:, 0]:
-            state = QuantumState(space, rho)
-            for r in range(1, space.n_modes):
-                for keep in itertools.combinations(space.labels, r):
-                    partial_trace(state, list(keep))
+        check_states(stack)
+        for r in range(1, space.n_modes):
+            for keep in itertools.combinations(space.labels, r):
+                check_states(partial_trace(space, stack[:, 0], list(keep)))
 
     @pytest.mark.parametrize("fault", ["trace", "hermiticity", "eigenvalue"])
     def test_each_error_at_the_first_offending_time(self, fault):

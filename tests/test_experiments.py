@@ -11,10 +11,11 @@ from sawlink.cascade import (
     two_qubit_space,
 )
 from sawlink.device import default_device
+from sawlink.dynamics import Generator, dissipator, evolve_generator
 from sawlink.errors import ValidationError
-from sawlink.experiments import EXPERIMENTS, run_experiment
+from sawlink.experiments import EXPERIMENTS, Z_FRAME, run_experiment
 from sawlink.ioshape import transfer_schedule
-from sawlink.qcore import QuantumState
+from sawlink.qcore import NUMBER, SIGMA_MINUS, HilbertSpace, QuantumState, embed
 from sawlink.tomo import ReadoutModel
 
 DEV = default_device()
@@ -180,6 +181,32 @@ class TestBell:
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-9
 
+    def test_ageing_matches_the_two_block_generator(self, bell_out):
+        rho, _ = bell_out.matrices["rho_pair"]
+        assert np.array_equal(rho, two_block_bell_pair(EXPERIMENTS["bell"].defaults))
+
+
+def two_block_bell_pair(params):
+    """The Bell pair with the (q1e, q2) pair aged by its own generator: the
+    D[sigma-] and D[n] blocks of q1e on a space labelled (q1e, q2), with
+    q1's rates.  The reference for the runner, which ages the pair with
+    the stage-1 cascade blocks."""
+    ch = DEV.channel(params["eta"])
+    sched = transfer_schedule(params["kappa_c"], params["window_ns"], ch.tau, emitter=1,
+                              receiver=2, alpha=params["alpha"])
+    cfg = CascadeConfig(sched, ch, noise=DEV.noise_pair())
+    _, doubled = run_cascade(cfg, QuantumState.basis_state(two_qubit_space(), (1, 0)),
+                             np.array([0.0, ch.tau + params["window_ns"]]), tol=params["tol"],
+                             return_doubled=True)
+    pair = partial_trace(doubled.space, doubled.rhos[-1], ["q1e", "q2"])
+    sp = HilbertSpace([2, 2], ["q1e", "q2"])
+    nz = DEV.q1.noise()
+    blocks = [dissipator(embed(op, "q1e", sp)) for op in (SIGMA_MINUS, NUMBER)]
+    idle = Generator(sp, blocks, [nz.relax_rate, nz.dephase_rate])
+    aged, _ = evolve_generator(idle, pair[None], np.array([0.0, ch.tau]), tol=params["tol"])
+    frame = np.kron(np.eye(2), Z_FRAME)
+    return frame @ aged[-1, 0] @ frame.conj().T
+
 
 class TestSpectroscopy:
     def test_mode_ladder_shape(self):
@@ -241,7 +268,7 @@ def _transferred_qubit_state():
     excited = np.kron(np.diag([0.0, 1.0]), np.diag([1.0, 0.0])).astype(complex)
     grid = np.array([0.0, DEV.tau_ns + 120.0])
     traj = run_cascade(cfg, QuantumState(two_qubit_space(), excited), grid)
-    return partial_trace(traj.final_state(), ["q2"]).rho
+    return partial_trace(two_qubit_space(), traj.rhos[-1], ["q2"])
 
 
 @pytest.fixture(scope="module")

@@ -9,12 +9,18 @@ from sawlink.errors import ValidationError
 from sawlink.serialize import (
     TIMING_FILE,
     config_hash,
-    read_matrix,
     write_bundle,
     write_matrix,
     write_metrics,
     write_series,
 )
+
+
+def read_matrix(path):
+    """Inverse of ``write_matrix``: the complex array and its basis labels."""
+    payload = json.loads(path.read_text())
+    flat = np.array([complex(re, im) for re, im in payload["data"]])
+    return flat.reshape(payload["shape"]), tuple(payload["basis"])
 
 
 def bundle_bytes(root):

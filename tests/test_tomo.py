@@ -116,24 +116,34 @@ class TestStateTomo:
 
     def test_missing_setting_rejected(self):
         data = tomo.tomography_data(rand_state(2))
-        del data[("Rx90",)]
+        assert data.shape == (3, 2)
         with pytest.raises(ValidationError):
+            tomo.state_tomo(data[[0, 2]])  # no Rx90 row
+
+    @pytest.mark.parametrize("shape", [(3, 4), (9, 2), (6,), (27, 8)])
+    def test_mismatched_shape_rejected(self, shape):
+        with pytest.raises(ValidationError, match="is not"):
+            tomo.state_tomo(np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_empty_row_rejected(self, n):
+        data = tomo.tomography_data(rand_state(2**n))
+        data[1] = 0.0
+        with pytest.raises(ValidationError, match="empty"):
             tomo.state_tomo(data)
 
     def test_counts_accepted(self):
         # counts are normalized per setting: scaled probabilities invert alike
         rho = rand_state(2)
-        data = {k: 200000 * p for k, p in tomo.tomography_data(rho).items()}
-        rec = tomo.state_tomo(data)
+        rec = tomo.state_tomo(200000 * tomo.tomography_data(rho))
         assert tomo.hs_distance(rho, rec) < 0.02
 
     def test_output_physical(self):
         # probabilities perturbed as by a few dozen shots still yield a
         # unit-trace PSD matrix
         rng = np.random.default_rng(1)
-        data = {k: np.clip(p + rng.normal(0.0, 0.1, p.shape), 0.0, None)
-                for k, p in tomo.tomography_data(rand_state(4)).items()}
-        rec = tomo.state_tomo(data)
+        data = tomo.tomography_data(rand_state(4))
+        rec = tomo.state_tomo(np.clip(data + rng.normal(0.0, 0.1, data.shape), 0.0, None))
         vals = np.linalg.eigvalsh(rec)
         assert vals.min() >= -1e-12
         assert np.trace(rec).real == pytest.approx(1.0, abs=1e-12)
@@ -186,28 +196,35 @@ class TestProcessTomo:
     def test_pauli_x_process(self):
         ins = tomo.prep_states(1)
         x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        outs = {k: x @ v @ x for k, v in ins.items()}
-        chi = tomo.process_from_states(ins, outs)
+        chi = tomo.process_from_states(ins, x @ ins @ x)
         assert chi[1, 1].real == pytest.approx(1.0, abs=1e-10)
         assert abs(np.trace(chi) - 1.0) < 1e-10
 
     def test_depolarizing_process(self):
         ins = tomo.prep_states(1)
-        outs = {k: np.eye(2, dtype=complex) / 2 for k in ins}
+        outs = np.broadcast_to(np.eye(2, dtype=complex) / 2, ins.shape)
         chi = tomo.process_from_states(ins, outs)
         assert np.allclose(np.diag(chi).real, 0.25, atol=1e-10)
 
     def test_rank_deficient_inputs_rejected(self):
         g = np.diag([1.0, 0.0]).astype(complex)
-        same = {k: g for k in tomo.prep_states(1)}
+        same = np.stack([g] * 4)
         with pytest.raises(ValidationError):
             tomo.process_from_states(same, same)
+
+    @pytest.mark.parametrize("case", ["fewer_outputs", "output_dim", "fewer_inputs", "three_level"])
+    def test_mismatched_shapes_rejected(self, case):
+        ins1, ins2 = tomo.prep_states(1), tomo.prep_states(2)
+        ins, outs = {"fewer_outputs": (ins1, ins1[:3]), "output_dim": (ins1, ins2[:4]),
+                     "fewer_inputs": (ins2[:4], ins2[:4]),
+                     "three_level": (np.zeros((9, 3, 3)), np.zeros((9, 3, 3)))}[case]
+        with pytest.raises(ValidationError, match="spanning inputs"):
+            tomo.process_from_states(ins, outs)
 
     def test_two_qubit_swap_round_trip(self):
         swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
         ins = tomo.prep_states(2)
-        outs = {k: swap @ v @ swap.conj().T for k, v in ins.items()}
-        chi = tomo.process_from_states(ins, outs)
+        chi = tomo.process_from_states(ins, swap @ ins @ swap.conj().T)
         assert tomo.fidelity(chi, tomo.chi_ideal(swap)) == pytest.approx(1.0, abs=1e-9)
 
     def test_chi_ideal_unit_trace(self):
