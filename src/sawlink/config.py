@@ -3,7 +3,8 @@
 One YAML file selects an experiment, a seed, calibration overrides,
 and per-experiment parameters.  The schema is strict: any key not in
 the default tree is a hard error, so a typo in a physics parameter
-cannot silently fall back to a default.
+cannot silently fall back to a default.  A config is built only if the
+experiment's plan accepts it, so every parameter range is checked too.
 """
 
 from __future__ import annotations
@@ -123,6 +124,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         q2=QubitParams(**dev_raw["q2"]),
         **{k: dev_raw[k] for k in _DEVICE_SCALARS},
     )
+    # the plan checks every parameter through its owner: a bad one fails here, not mid-run
+    EXPERIMENTS[experiment].plan(device, params, seed)
     return ExperimentConfig(experiment=experiment, seed=seed,
                             device=device, params=params)
 

@@ -30,10 +30,9 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .errors import DiagnosticsError, IntegrationError, ValidationError
-from .qcore import EIG_ATOL, HilbertSpace, check_states, hermiticity_error
+from .qcore import EIG_ATOL, HilbertSpace, check_grid, check_states, check_tol, hermiticity_error
 
 DEFAULT_TOL = 1e-8
-MIN_TOL, MAX_TOL = 1e-12, 1e-3
 
 # A trajectory state may dip this far below positivity before we call it
 # unphysical rather than integration noise.
@@ -305,10 +304,8 @@ def evolve_generator(
     trace and Hermiticity thresholds of the repair pass.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ValidationError("grid must be a strictly increasing 1-d array")
-    if not MIN_TOL <= tol <= MAX_TOL:  # tighter stalls RK45, looser integrates noise
-        raise ValidationError(f"tol = {tol} is outside [{MIN_TOL}, {MAX_TOL}]")
+    check_grid(grid)
+    check_tol(tol)
     d = generator.space.dim
     rhos0 = np.asarray(rhos0, dtype=complex)
     if rhos0.ndim != 3 or rhos0.shape[1:] != (d, d) or not len(rhos0):

@@ -1,9 +1,13 @@
-"""Experiment runners, one per measured protocol.
+"""Experiment runners, one per measured protocol, each a plan and an execution.
 
-Each runner is a pure function of (device, params, seed) producing
-scalar metrics, named series, and named matrices for the result
-bundle.  Where the hardware has a published value, it is recorded in
-the metrics under a ``reference_`` key next to the model output.
+``plan_<name>(device, params, seed)`` builds the run's numpy-side inputs
+(channel, schedules, noise, grids, mode ladder) from the typed params
+through the owner of each rule; ``config_from_dict`` runs it, so a bad
+parameter fails where the config is built.  ``run_<name>`` is the plan
+and then the execution, a pure function of (device, params, seed) giving
+metrics, series and matrices; only failures that depend on the result
+stay at run time.  Published hardware values sit beside the model
+output under ``reference_`` metric keys.
 """
 
 from __future__ import annotations
@@ -29,17 +33,12 @@ from .ioshape import (
     NoiseSpec,
     Segment,
     interference_experiment,
+    interference_schedules,
     simulate_io,
     time_reverse,
     transfer_schedule,
 )
-from .qcore import (
-    NUMBER,
-    SIGMA_MINUS,
-    QuantumState,
-    embed,
-    partial_trace,
-)
+from .qcore import NUMBER, SIGMA_MINUS, QuantumState, check_grid, check_tol, embed, partial_trace
 
 # The cross-damping transfer imprints a pi phase on the moved amplitude;
 # the hardware absorbs it by redefining the receiving qubit's frame, and
@@ -47,13 +46,6 @@ from .qcore import (
 Z_FRAME = np.diag([1.0, -1.0]).astype(complex)
 SWAP_GATE = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 QUBIT_BASIS_2Q = ("gg", "ge", "eg", "ee")
-# Most ladder modes a runner accepts; the config contract rejects 21 with
-# exit code 2.  The capped ladder of n modes holds n + 2 kets and is built
-# ket by ket, so the cost grows as a power of n: at 20 modes spectroscopy
-# took 0.009 s and vacuum_rabi 0.15 s at a peak RSS of 101 MB, and
-# vacuum_rabi, whose dense propagator has (n + 2)^4 entries, 0.80 s at 32
-# modes (one thread of a 2-core Xeon).
-MAX_MODES = 20
 
 
 @dataclass(frozen=True)
@@ -64,17 +56,22 @@ class ExperimentOutput:
 
 
 def _integer(params: dict, key: str, least: int = 1, most: float = np.inf) -> int:
-    n = int(params[key])
+    n = params[key]
     if not least <= n <= most:
         raise ValidationError(f"{key} = {n} is outside [{least}, {most}]")
     return n
 
 
+def plan_ping_pong(device: DeviceParams, params: dict, seed: int):
+    """The channel and the release-recapture schedule on qubit 1."""
+    ch = device.channel(params["eta"])
+    return ch, transfer_schedule(params["kappa_c"], params["window_ns"], ch.tau,
+                                 emitter=1, receiver=1)
+
+
 def run_ping_pong(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     """Release a full phonon and recapture it with the same qubit."""
-    kc, w = params["kappa_c"], params["window_ns"]
-    ch = device.channel(params["eta"])
-    sched = transfer_schedule(kc, w, ch.tau, emitter=1, receiver=1)
+    ch, sched = plan_ping_pong(device, params, seed)
     trace = simulate_io(sched, ch, s0=(1.0, 0.0))
     p1 = trace.p1
     efficiency = float(p1[-1] / p1[0])
@@ -94,20 +91,27 @@ def run_ping_pong(device: DeviceParams, params: dict, seed: int) -> ExperimentOu
     )
 
 
+def plan_multi_transit(device: DeviceParams, params: dict, seed: int):
+    """The channel and one release-capture schedule per transit count."""
+    w = params["window_ns"]
+    ch = device.channel(params["eta"])
+    release = Segment("release", 1, 0.0, w, params["kappa_c"])
+    schedules = []
+    for n in range(1, _integer(params, "max_transits") + 1):
+        capture = time_reverse(replace(release, t_start=n * ch.tau))
+        schedules.append(ControlSchedule([release, capture], window=(0.0, n * ch.tau + w)))
+    return ch, schedules
+
+
 def run_multi_transit(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     """Capture after n full transits; efficiency decays geometrically."""
-    kc, w = params["kappa_c"], params["window_ns"]
-    n_max = _integer(params, "max_transits")
-    ch = device.channel(params["eta"])
-    release = Segment("release", 1, 0.0, w, kc)
+    ch, schedules = plan_multi_transit(device, params, seed)
     effs = []
-    for n in range(1, n_max + 1):
-        capture = time_reverse(replace(release, t_start=n * ch.tau))
-        sched = ControlSchedule([release, capture], window=(0.0, n * ch.tau + w))
+    for sched in schedules:
         trace = simulate_io(sched, ch, s0=(1.0, 0.0))
         effs.append(float(np.abs(trace.s1[-1]) ** 2))
     effs_arr = np.array(effs)
-    ns = np.arange(1, n_max + 1, dtype=float)
+    ns = np.arange(1, len(schedules) + 1, dtype=float)
     # one-parameter geometric fit in log space
     eta_fit = float(np.exp(np.sum(ns * np.log(effs_arr)) / np.sum(ns**2)))
     fitted = eta_fit**ns
@@ -131,24 +135,25 @@ def run_multi_transit(device: DeviceParams, params: dict, seed: int) -> Experime
     )
 
 
-def run_interference(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
-    """Half release, dialed phase, half recapture, averaged over dephasing."""
-    kc, w = params["kappa_c"], params["window_ns"]
+def plan_interference(device: DeviceParams, params: dict, seed: int):
+    """Fringe phases, channel, phase noise and rows per pass; checks the schedules."""
     ch = device.channel(params["eta"])
     # the fringe's harmonic ratio needs rfft bins beyond the fundamental
-    n_phases = _integer(params, "n_phases", least=5)
+    phases = np.linspace(0.0, 2 * np.pi, _integer(params, "n_phases", least=5))
     sigma = params["sigma_phi"]
     if sigma is None:
         # Gaussian phase spread accumulated over one emit-wait-capture cycle
         sigma = float(np.sqrt(2 * ch.tau / (device.q1.T2R_us * 1e3)))
-    noise = NoiseSpec(
-        sigma_phi=float(sigma),
-        n_realizations=int(params["realizations"]),
-        master_seed=seed,
-    )
-    phases = np.linspace(0.0, 2 * np.pi, n_phases)
-    chunk = int(params["chunk"])
-    pe = interference_experiment(phases, ch, noise, kc, w, chunk=chunk)
+    noise = NoiseSpec(sigma_phi=sigma, n_realizations=params["realizations"], master_seed=seed)
+    interference_schedules(phases, ch, params["kappa_c"], params["window_ns"])
+    return phases, ch, noise, _integer(params, "chunk")
+
+
+def run_interference(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
+    """Half release, dialed phase, half recapture, averaged over dephasing."""
+    phases, ch, noise, chunk = plan_interference(device, params, seed)
+    pe = interference_experiment(phases, ch, noise, params["kappa_c"], params["window_ns"],
+                                 chunk=chunk)
     # periodicity content from the closed loop (drop the duplicated endpoint)
     spec = np.abs(np.fft.rfft(pe[:-1]))
     fundamental_ratio = float(spec[1] / max(spec[2:].max(), 1e-30))
@@ -159,7 +164,7 @@ def run_interference(device: DeviceParams, params: dict, seed: int) -> Experimen
             "p_at_pi": float(pe[i_pi]),
             "visibility": float((pe.max() - pe.min()) / (pe.max() + pe.min())),
             "fundamental_ratio": fundamental_ratio,
-            "sigma_phi": float(sigma),
+            "sigma_phi": noise.sigma_phi,
             "reference_p_at_zero": 0.77,
             "reference_p_at_pi": 0.08,
         },
@@ -181,15 +186,20 @@ def _chi_output(chi: np.ndarray, ideal: np.ndarray, prefix: str) -> ExperimentOu
     )
 
 
+def plan_swap(device: DeviceParams, params: dict, seed: int):
+    """The channel and the transfer schedule from emitter to receiver."""
+    ch = device.channel(params["eta"])
+    check_tol(params["tol"])
+    return ch, transfer_schedule(params["kappa_c"], params["window_ns"], ch.tau,
+                                 params["emitter"], params["receiver"])
+
+
 def run_swap(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     """Single shaped transfer characterized by process tomography."""
-    kc, w = params["kappa_c"], params["window_ns"]
-    emitter, receiver = int(params["emitter"]), int(params["receiver"])
-    ch = device.channel(params["eta"])
-    sched = transfer_schedule(kc, w, ch.tau, emitter=emitter, receiver=receiver)
+    ch, sched = plan_swap(device, params, seed)
     cfg = CascadeConfig(sched, ch, noise=device.noise_pair())
-    chi = process_tomography_run(cfg, (emitter,), (receiver,), ch.tau + w, Z_FRAME,
-                                 tol=params["tol"])
+    chi = process_tomography_run(cfg, (params["emitter"],), (params["receiver"],),
+                                 ch.tau + params["window_ns"], Z_FRAME, tol=params["tol"])
     out = _chi_output(chi, tomo.chi_ideal(np.eye(2)), "process")
     out.metrics["reference_fidelity"] = 0.83
     return out
@@ -200,8 +210,9 @@ def double_swap_schedule(kc: float, w: float, tau: float) -> ControlSchedule:
 
     Emissions at [0, w] (qubit 2) and [w, 2w] (qubit 1); the packets
     return after one transit and are absorbed in arrival order.  The
-    whole exchange fits one [0, tau + 2w] window, so it stays inside
-    the model's two-interaction validity span for w <= tau / 2.
+    whole exchange fits one [0, tau + 2w] window, inside the model's
+    two-interaction validity span for w <= tau / 2; past it, qubit 1's
+    release [w, 2w] overlaps its capture [tau, tau + w].
     """
     rel2 = Segment("release", 2, 0.0, w, kc)
     rel1 = Segment("release", 1, w, w, kc)
@@ -210,19 +221,30 @@ def double_swap_schedule(kc: float, w: float, tau: float) -> ControlSchedule:
     return ControlSchedule([rel2, rel1, cap1, cap2], window=(0.0, tau + 2 * w))
 
 
+def plan_double_swap(device: DeviceParams, params: dict, seed: int):
+    """The channel and the double-swap schedule."""
+    ch = device.channel(params["eta"])
+    check_tol(params["tol"])
+    return ch, double_swap_schedule(params["kappa_c"], params["window_ns"], ch.tau)
+
+
 def run_double_swap(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     """Two counter-directed transfers exchanging the qubit states."""
-    kc, w = params["kappa_c"], params["window_ns"]
-    ch = device.channel(params["eta"])
-    if 2 * w > ch.tau:
-        raise ValidationError("double swap needs window_ns <= tau / 2")
-    cfg = CascadeConfig(double_swap_schedule(kc, w, ch.tau), ch, noise=device.noise_pair())
-    chi = process_tomography_run(
-        cfg, (1, 2), (2, 1), ch.tau + 2 * w, np.kron(Z_FRAME, Z_FRAME), tol=params["tol"]
-    )
+    ch, sched = plan_double_swap(device, params, seed)
+    cfg = CascadeConfig(sched, ch, noise=device.noise_pair())
+    chi = process_tomography_run(cfg, (1, 2), (2, 1), ch.tau + 2 * params["window_ns"],
+                                 np.kron(Z_FRAME, Z_FRAME), tol=params["tol"])
     out = _chi_output(chi, tomo.chi_ideal(SWAP_GATE), "process")
     out.metrics["reference_fidelity"] = 0.63
     return out
+
+
+def plan_bell(device: DeviceParams, params: dict, seed: int):
+    """The channel and the half-release transfer schedule from qubit 1 to 2."""
+    ch = device.channel(params["eta"])
+    check_tol(params["tol"])
+    return ch, transfer_schedule(params["kappa_c"], params["window_ns"], ch.tau, emitter=1,
+                                 receiver=2, alpha=params["alpha"])
 
 
 def run_bell(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
@@ -233,13 +255,10 @@ def run_bell(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     lab instant; the emitter marginal is therefore aged under its idle
     imperfections over tau before scoring.
     """
-    kc, w = params["kappa_c"], params["window_ns"]
-    alpha = float(params["alpha"])
-    ch = device.channel(params["eta"])
-    sched = transfer_schedule(kc, w, ch.tau, emitter=1, receiver=2, alpha=alpha)
+    ch, sched = plan_bell(device, params, seed)
     cfg = CascadeConfig(sched, ch, noise=device.noise_pair())
     space = two_qubit_space()
-    t_ro = ch.tau + w
+    t_ro = ch.tau + params["window_ns"]
     _, doubled = run_cascade(
         cfg,
         QuantumState.basis_state(space, (1, 0)),
@@ -271,14 +290,17 @@ def run_bell(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     )
 
 
+def plan_spectroscopy(device: DeviceParams, params: dict, seed: int):
+    """The qubit, the mode ladder and the qubit offsets (MHz) swept across it."""
+    q = device.qubits[_integer(params, "qubit", most=2) - 1]
+    p = multimode.MultimodeParams(g=q.g_mhz, n_a=params["n_modes"], fsr=1e3 / device.tau_ns)
+    span = params["span_mhz"]
+    return q, p, np.linspace(-span / 2, span / 2, _integer(params, "points"))
+
+
 def run_spectroscopy(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     """Single-excitation spectrum while the qubit sweeps the mode ladder."""
-    q = device.qubits[_integer(params, "qubit", most=2) - 1]
-    p = multimode.MultimodeParams(
-        g=q.g_mhz, n_a=_integer(params, "n_modes", most=MAX_MODES), fsr=1e3 / device.tau_ns
-    )
-    span = float(params["span_mhz"])
-    offsets = np.linspace(-span / 2, span / 2, _integer(params, "points"))
+    q, p, offsets = plan_spectroscopy(device, params, seed)
     eig = multimode.spectrum(p, offsets)
     series = {"offset_mhz": offsets}
     for j in range(eig.shape[1]):
@@ -298,6 +320,18 @@ def run_spectroscopy(device: DeviceParams, params: dict, seed: int) -> Experimen
     )
 
 
+def plan_vacuum_rabi(device: DeviceParams, params: dict, seed: int):
+    """The qubit, the lossy mode ladder at the reduced coupling and the time grid."""
+    q = device.qubits[_integer(params, "qubit", most=2) - 1]
+    p = multimode.MultimodeParams(g=params["g_mhz"], n_a=params["n_modes"],
+                                  fsr=1e3 / device.tau_ns, kappa_a=1.0 / device.t1_saw_us)
+    # a negative point count is the empty grid, which check_grid rejects
+    grid = np.linspace(0.0, params["horizon_tau"] * p.tau_ns, max(params["points"], 0))
+    check_grid(grid)
+    check_tol(params["tol"])
+    return q, p, grid
+
+
 def run_vacuum_rabi(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     """Qubit decay into the ladder with echo revivals, two independent routes.
 
@@ -307,20 +341,12 @@ def run_vacuum_rabi(device: DeviceParams, params: dict, seed: int) -> Experiment
     tractable truncated ladder.  The golden-rule figure is always
     quoted at the device coupling.
     """
-    q = device.qubits[_integer(params, "qubit", most=2) - 1]
-    g = float(params["g_mhz"])
-    p = multimode.MultimodeParams(
-        g=g,
-        n_a=_integer(params, "n_modes", most=MAX_MODES),
-        fsr=1e3 / device.tau_ns,
-        kappa_a=1.0 / device.t1_saw_us,
-    )
+    q, p, grid = plan_vacuum_rabi(device, params, seed)
     space = multimode.build_space(p)
     ka = p.kappa_a * 1e-3
     blocks = [commutator_superop(multimode.jc_hamiltonian(p, space))]
     blocks += [dissipator(embed(SIGMA_MINUS, lbl, space)) for lbl in p.mode_labels]
     generator = Generator(space, blocks, [1.0] + [ka] * p.n_a)
-    grid = np.linspace(0.0, float(params["horizon_tau"]) * p.tau_ns, _integer(params, "points"))
     rho0 = QuantumState.basis_state(space, [1] + [0] * p.n_a)
     _, series = evolve_generator(
         generator, rho0.rho[None], grid, tol=params["tol"],
@@ -346,11 +372,17 @@ def run_vacuum_rabi(device: DeviceParams, params: dict, seed: int) -> Experiment
     )
 
 
+def plan_saw_response(device: DeviceParams, params: dict, seed: int) -> np.ndarray:
+    """The frequency grid (GHz), inside the window the model is fit for."""
+    f = np.linspace(params["f_lo_ghz"], params["f_hi_ghz"], _integer(params, "points"))
+    sawphys.check_window(f)
+    return f
+
+
 def run_saw_response(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     """Transducer emission spectrum and mirror reflectance curves."""
+    f = plan_saw_response(device, params, seed)
     g = device.geometry
-    f = np.linspace(float(params["f_lo_ghz"]), float(params["f_hi_ghz"]),
-                    _integer(params, "points"))
     kappa_max = 1.0 / device.q1.kappa_inv_ns
     budget = sawphys.loss_budget(g, g.band_center_ghz)
     return ExperimentOutput(
@@ -374,14 +406,18 @@ def run_saw_response(device: DeviceParams, params: dict, seed: int) -> Experimen
     )
 
 
+def plan_tomo_roundtrip(device: DeviceParams, params: dict, seed: int):
+    """The state count and the readout model; a Werner mixture needs p in [0, 1]."""
+    if not 0 <= params["werner_p"] <= 1:
+        raise ValidationError(f"werner_p = {params['werner_p']} is outside [0, 1]")
+    return _integer(params, "n_states"), device.readout()
+
+
 def run_tomo_roundtrip(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     """Reconstruction fidelity audit on random states, exact and corrected."""
-    n_states = _integer(params, "n_states")
-    p_werner = float(params["werner_p"])
-    if not 0 <= p_werner <= 1:
-        raise ValidationError(f"werner_p = {p_werner} is outside [0, 1]")
+    n_states, readout = plan_tomo_roundtrip(device, params, seed)
+    p_werner = params["werner_p"]
     rng = np.random.default_rng(seed)
-    readout = device.readout()
     worst_exact = 0.0
     worst_corrected = 0.0
     for _ in range(n_states):
@@ -421,19 +457,20 @@ def run_tomo_roundtrip(device: DeviceParams, params: dict, seed: int) -> Experim
 @dataclass(frozen=True)
 class ExperimentSpec:
     runner: Callable[[DeviceParams, dict, int], ExperimentOutput]
+    plan: Callable[[DeviceParams, dict, int], object]
     defaults: dict
 
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {
     "ping_pong": ExperimentSpec(
-        run_ping_pong, {"kappa_c": 0.15, "window_ns": 150.0, "eta": None}
+        run_ping_pong, plan_ping_pong, {"kappa_c": 0.15, "window_ns": 150.0, "eta": None}
     ),
     "multi_transit": ExperimentSpec(
-        run_multi_transit,
+        run_multi_transit, plan_multi_transit,
         {"kappa_c": 0.15, "window_ns": 150.0, "eta": None, "max_transits": 4},
     ),
     "interference": ExperimentSpec(
-        run_interference,
+        run_interference, plan_interference,
         {
             "kappa_c": 0.1,
             "window_ns": 180.0,
@@ -450,7 +487,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         },
     ),
     "swap": ExperimentSpec(
-        run_swap,
+        run_swap, plan_swap,
         {
             "kappa_c": 0.15,
             "window_ns": 120.0,
@@ -461,11 +498,11 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         },
     ),
     "double_swap": ExperimentSpec(
-        run_double_swap,
+        run_double_swap, plan_double_swap,
         {"kappa_c": 0.15, "window_ns": 120.0, "eta": None, "tol": 1e-8},
     ),
     "bell": ExperimentSpec(
-        run_bell,
+        run_bell, plan_bell,
         {
             "kappa_c": 0.15,
             "window_ns": 180.0,
@@ -475,11 +512,11 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         },
     ),
     "spectroscopy": ExperimentSpec(
-        run_spectroscopy,
+        run_spectroscopy, plan_spectroscopy,
         {"qubit": 1, "n_modes": 8, "span_mhz": 12.0, "points": 241},
     ),
     "vacuum_rabi": ExperimentSpec(
-        run_vacuum_rabi,
+        run_vacuum_rabi, plan_vacuum_rabi,
         {
             "qubit": 1,
             "n_modes": 11,
@@ -492,10 +529,10 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         },
     ),
     "saw_response": ExperimentSpec(
-        run_saw_response, {"f_lo_ghz": 3.8, "f_hi_ghz": 4.2, "points": 401}
+        run_saw_response, plan_saw_response, {"f_lo_ghz": 3.8, "f_hi_ghz": 4.2, "points": 401}
     ),
     "tomo_roundtrip": ExperimentSpec(
-        run_tomo_roundtrip, {"n_states": 20, "werner_p": 0.8}
+        run_tomo_roundtrip, plan_tomo_roundtrip, {"n_states": 20, "werner_p": 0.8}
     ),
 }
 

@@ -467,31 +467,16 @@ def transfer_schedule(
     return ControlSchedule([release, capture], window=(0.0, tau + window + 0.25 * tau))
 
 
-def interference_experiment(
-    delta_phi: np.ndarray,
-    ch: ChannelParams,
-    noise: NoiseSpec,
-    kappa_c: float = 0.1,
-    window: float = 180.0,
-    dt: float = 0.25,
-    chunk: int = 128,
-) -> np.ndarray:
-    """Half release, phase twiddle, half recapture: mean final population,
-    one value per relative phase of the 1-D array ``delta_phi``.
-
-    The relative phase is dialed with a fixed 20 MHz detuning pulse of
-    duration delta_phi / (2 pi * 20 MHz), applied between the release
-    and capture windows, as in the hardware calibration.
-
-    The noise average is exact: with z = e^{i phi} the per-realization
-    phase, s1(T) = sum_m c_m z^m is a polynomial of degree n, the round
-    trips in the window.  It is integrated at the n + 1 roots of unity
-    (``chunk`` rows per pass), the c_m follow by FFT, and the mean of
-    |s1|^2 runs over the seeded phases, drawn once per call.  At
-    sigma_phi = 0 the same formula is read at phi = 0.
+def interference_schedules(
+    delta_phi: np.ndarray, ch: ChannelParams, kappa_c: float, window: float
+) -> list[ControlSchedule]:
+    """The schedule of each relative phase of the 1-D array ``delta_phi``:
+    half release, then a fixed 20 MHz detuning pulse of duration
+    delta_phi / (2 pi * 20 MHz) between the release and capture windows,
+    as in the hardware calibration, then half recapture one transit
+    later.  A pulse that runs into the capture overlaps it on qubit 1 and
+    is rejected.
     """
-    if chunk < 1:
-        raise ValidationError(f"chunk = {chunk} must be at least 1")
     dphis = np.asarray(delta_phi, dtype=float)
     if dphis.ndim != 1:
         raise ValidationError("delta_phi must be a 1-D array")
@@ -502,11 +487,31 @@ def interference_experiment(
         pulse = []
         if dphi > 0:
             pulse_len = dphi / (DETUNE_PULSE_MHZ * MHZ)
-            if pulse_len > ch.tau - window:
-                raise ValidationError("phase pulse does not fit between release and capture")
             pulse = [Segment("detune", 1, window, pulse_len, f_mhz=DETUNE_PULSE_MHZ)]
         schedules.append(ControlSchedule(segs + pulse, window=(0.0, ch.tau + window)))
+    return schedules
 
+
+def interference_experiment(
+    delta_phi: np.ndarray,
+    ch: ChannelParams,
+    noise: NoiseSpec,
+    kappa_c: float = 0.1,
+    window: float = 180.0,
+    dt: float = 0.25,
+    chunk: int = 128,
+) -> np.ndarray:
+    """Mean final population on each schedule of ``interference_schedules``,
+    one value per relative phase of the 1-D array ``delta_phi``.
+
+    The noise average is exact: with z = e^{i phi} the per-realization
+    phase, s1(T) = sum_m c_m z^m is a polynomial of degree n, the round
+    trips in the window.  It is integrated at the n + 1 roots of unity
+    (``chunk`` >= 1 rows per pass), the c_m follow by FFT, and the mean
+    of |s1|^2 runs over the seeded phases, drawn once per call.  At
+    sigma_phi = 0 the same formula is read at phi = 0.
+    """
+    schedules = interference_schedules(delta_phi, ch, kappa_c, window)
     n_sub, _, n_steps = _grid((0.0, ch.tau + window), ch.tau, dt)
     n = n_steps // n_sub
     root_phases = 2 * np.pi * np.arange(n + 1) / (n + 1)

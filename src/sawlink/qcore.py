@@ -107,6 +107,8 @@ class HilbertSpace:
 HERM_ATOL = 1e-12
 TRACE_ATOL = 1e-10
 EIG_ATOL = 1e-10
+# The range of an integration tol: a tighter one stalls RK45, a looser one integrates noise.
+MIN_TOL, MAX_TOL = 1e-12, 1e-3
 
 
 def hermiticity_error(rhos: np.ndarray) -> np.ndarray:
@@ -133,6 +135,18 @@ def check_states(rhos: np.ndarray) -> None:
         np.linalg.cholesky(rhos + EIG_ATOL * np.eye(rhos.shape[-1]))
     except np.linalg.LinAlgError:
         raise ValidationError("state has a negative eigenvalue beyond tolerance") from None
+
+
+def check_tol(tol: float) -> None:
+    """Raise unless ``tol`` lies in [MIN_TOL, MAX_TOL]."""
+    if not MIN_TOL <= tol <= MAX_TOL:
+        raise ValidationError(f"tol = {tol} is outside [{MIN_TOL}, {MAX_TOL}]")
+
+
+def check_grid(grid: np.ndarray) -> None:
+    """Raise unless ``grid`` is a strictly increasing 1-d array of two or more times."""
+    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
+        raise ValidationError("grid must be a strictly increasing 1-d array")
 
 
 @dataclass(frozen=True)

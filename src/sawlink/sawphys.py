@@ -93,7 +93,8 @@ def default_geometry() -> SawGeometry:
     )
 
 
-def _check_window(f_ghz: np.ndarray):
+def check_window(f_ghz: np.ndarray):
+    """Raise unless every frequency (GHz) of ``f_ghz`` lies in MODEL_WINDOW_GHZ."""
     lo, hi = MODEL_WINDOW_GHZ
     if np.any(f_ghz < lo) or np.any(f_ghz > hi):
         raise ValidationError(
@@ -111,7 +112,7 @@ def idt_rate_spectrum(f_ghz: np.ndarray, g: SawGeometry, kappa_max: float) -> np
     if kappa_max < 0:
         raise ValidationError("kappa_max cannot be negative")
     f = np.asarray(f_ghz, dtype=float)
-    _check_window(f)
+    check_window(f)
     f0 = g.idt_center_ghz
     x = g.idt.cells * (f - f0) / f0  # sinc argument in units of pi
     return kappa_max * np.sinc(x) ** 2
@@ -127,7 +128,7 @@ def mirror_stopband(f_ghz: np.ndarray, g: SawGeometry) -> np.ndarray:
     covers both regimes.
     """
     f = np.asarray(f_ghz, dtype=float)
-    _check_window(f)
+    check_window(f)
     r = abs(g.mirror.reflectivity)
     n = g.mirror.cells
     fc = g.band_center_ghz
@@ -170,7 +171,7 @@ def loss_budget(g: SawGeometry, f_ghz: float) -> LossBudget:
     2*alpha*v, hence T1_saw = 1/(2*alpha*v); Q = 2*pi*f*T1_saw; the
     ceiling on one-transit transfer efficiency is exp(-tau/T1_saw).
     """
-    _check_window(np.asarray(f_ghz, dtype=float))
+    check_window(np.asarray(f_ghz, dtype=float))
     alpha = g.free.loss_np_m
     if alpha <= 0:
         raise ValidationError("loss budget needs a positive propagation loss")

@@ -406,3 +406,74 @@ class TestProcessTomographyRun:
             process_tomography_run(cfg, (3,), (1,), t_ro=1.0, frame=np.eye(2))
         with pytest.raises(ValidationError):
             process_tomography_run(cfg, (1, 1), (2, 2), t_ro=1.0, frame=np.eye(4))
+
+
+# Cross-route check with the qubit noise off: one excitation is then exactly
+# what the amplitude route (`simulate_io`) models, so the two routes must give
+# the same populations at the end of the capture, tau + w.  The amplitude
+# route steps tau / 2048 and tau / 8192; a drawn w is a whole number of the
+# longer step, so both grids hold tau + w, and the route's error at the
+# shorter step is then a quarter of its change between the two (measured
+# over 60 draws).  The cascade runs at CROSS_TOL and may add
+# CASCADE_ALLOWANCE on top: over 150 draws its gap stayed under a third of
+# the bound, and at tol 1e-8 it reached 1.5e-7 beyond the route's error.
+CROSS_TOL = 1e-9
+CASCADE_ALLOWANCE = 1e-7
+IO_DT = TAU / 2048
+
+
+def route_gap(emitter, receiver, eta, phase, kappa_c, window):
+    """The largest population gap between the cascade and the amplitude route
+    at IO_DT / 4, and the amplitude route's change from IO_DT to IO_DT / 4."""
+    ch = ChannelParams(eta=eta, tau=TAU, phase=phase)
+    sched = transfer_schedule(kappa_c, window, TAU, emitter=emitter, receiver=receiver)
+    space = two_qubit_space()
+    t_end = np.array([0.0, TAU + window])
+    traj = run_cascade(CascadeConfig(sched, ch), excited(space, emitter), t_end, tol=CROSS_TOL,
+                       observables={f"p{q}": embed(NUMBER, f"q{q}", space) for q in (1, 2)})
+    cascade = np.array([traj.observables["p1"][-1], traj.observables["p2"][-1]])
+    s0 = (1.0, 0.0) if emitter == 1 else (0.0, 1.0)
+    coarse, fine = (simulate_io(sched, ch, s0=s0, grid=t_end[1:], dt=dt)
+                    for dt in (IO_DT, IO_DT / 4))
+    io = [np.array([r.p1[-1], r.p2[-1]]) for r in (coarse, fine)]
+    return np.max(np.abs(cascade - io[1])), np.max(np.abs(io[0] - io[1]))
+
+
+@st.composite
+def cross_transfers(draw):
+    """A cross pair, the line and a transfer whose coupling edges are soft
+    (kappa_c * w >= 16), so the amplitude route converges steadily."""
+    emitter = draw(st.sampled_from([1, 2]))
+    kappa_c = draw(st.floats(0.08, 0.3))
+    steps = draw(st.integers(int(np.ceil(16.0 / kappa_c / IO_DT)), int(300.0 / IO_DT)))
+    return (emitter, 3 - emitter, draw(st.floats(0.3, 1.0)),
+            draw(st.floats(0.0, 2 * np.pi, exclude_max=True)), kappa_c, steps * IO_DT)
+
+
+class TestCrossRoute:
+    @settings(max_examples=8, deadline=None)
+    @given(case=cross_transfers())
+    def test_cross_pairs_match_amplitude_route(self, case):
+        gap, io_error = route_gap(*case)
+        assert gap <= io_error + CASCADE_ALLOWANCE
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the splice kron(rho(tau), rho0) drops the coherence between the emitter's "
+        "leftover amplitude and its returning packet, and the cascade never reads ch.phase: "
+        "on the default swap schedule it misses the receiver population by +-2.0e-4 at "
+        "phase 0 and pi",
+    )
+    @pytest.mark.parametrize("phase", [0.0, np.pi])
+    def test_self_capture_matches_amplitude_route(self, phase):
+        gap, io_error = route_gap(1, 1, 0.67, phase, 0.15, 120.0)
+        assert gap <= io_error + CASCADE_ALLOWANCE
+
+    def test_self_capture_is_the_phase_average(self):
+        # the amplitude route's population goes as cos(phase), so its value at
+        # pi/2 is the phase average; the cascade sits 3.4e-7 below it as the
+        # step goes to 0 (measured down to a 1/256 ns step), against the +-2.0e-4
+        # swing.  w = 120 ns is off the step grid, so the route's error at the
+        # shorter step may come close to its change between the two
+        gap, io_error = route_gap(1, 1, 0.67, np.pi / 2, 0.15, 120.0)
+        assert gap <= io_error + 4e-7

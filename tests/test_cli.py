@@ -15,7 +15,7 @@ from sawlink import multimode
 from sawlink.cli import main
 from sawlink.config import default_config, load_config
 from sawlink.errors import IntegrationError
-from sawlink.experiments import EXPERIMENTS, MAX_MODES, ExperimentOutput
+from sawlink.experiments import EXPERIMENTS, ExperimentOutput
 
 from test_serialize import bundle_bytes
 
@@ -155,6 +155,19 @@ class TestSweep:
         eff1 = yaml.safe_load((out / "point_001" / "config.yaml").read_text())
         assert eff1["params"]["tol"] == 2e-08
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_invalid_point_writes_nothing(self, tmp_path, capsys, jobs):
+        # every point is checked before the first bundle is written
+        config = tmp_path / "tomo.yaml"
+        config.write_text(yaml.safe_dump(default_config("tomo_roundtrip")))
+        out = tmp_path / "s"
+        assert main(["sweep", "params.werner_p", "--config", str(config), "--out", str(out),
+                     "--jobs", jobs, "--", "0.5", "2.0"]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "werner_p" in json.loads(err[0])["message"]
+
     def test_bad_path_writes_nothing(self, config_path, tmp_path, capsys):
         out = tmp_path / "s"
         code = main(["sweep", "params.nope", "1", "2",
@@ -250,7 +263,7 @@ class TestExitCodes:
         ("swap", {"tol": 0}),
         ("vacuum_rabi", {"tol": 5e-324}),
         ("double_swap", {"tol": 3.0}),
-        # n_modes outside [1, MAX_MODES]
+        # n_modes outside [1, multimode.MAX_MODES]
         ("spectroscopy", {"n_modes": 0}),
         ("spectroscopy", {"n_modes": 21}),
         ("vacuum_rabi", {"n_modes": 21}),
@@ -264,7 +277,7 @@ class TestExitCodes:
         build_space = multimode.build_space
 
         def bounded_build_space(p, *args, **kwargs):
-            assert p.n_a <= MAX_MODES, "a space was built for too many modes"
+            assert p.n_a <= multimode.MAX_MODES, "a space was built for too many modes"
             return build_space(p, *args, **kwargs)
 
         monkeypatch.setattr(multimode, "build_space", bounded_build_space)
@@ -400,6 +413,74 @@ class TestExitCodes:
         monkeypatch.setattr("sawlink.cli.run_experiment", blow_up)
         with pytest.raises(RuntimeError):
             main(["run", "--config", config_path, "--out", str(tmp_path / "r")])
+
+
+# Each parameter of each experiment set to 0, then to -1, one at a time.
+PROBES = [(name, key, value) for name in sorted(EXPERIMENTS)
+          for key in EXPERIMENTS[name].defaults for value in (0, -1)]
+# the probes inside every range: a line with no transmission, no phase noise,
+# a zero or reversed spectroscopy span, a zero or negative vacuum-Rabi
+# coupling, and a Werner mixture with no Bell part
+PROBES_IN_RANGE = {(name, "eta", 0) for name in ("ping_pong", "multi_transit", "interference",
+                                                 "swap", "double_swap", "bell")} | {
+    ("interference", "sigma_phi", 0), ("spectroscopy", "span_mhz", 0),
+    ("spectroscopy", "span_mhz", -1), ("vacuum_rabi", "g_mhz", -1),
+    ("vacuum_rabi", "g_mhz", 0), ("tomo_roundtrip", "werner_p", 0),
+}
+
+
+def _validate(tmp_path, capsys, experiment, params):
+    """``validate`` on the defaults of ``experiment`` updated by ``params``:
+    the exit code and the stderr lines."""
+    path = tmp_path / "c.yaml"
+    raw = default_config(experiment)
+    raw["params"].update(params)
+    path.write_text(yaml.safe_dump(raw))
+    code = main(["validate", "--config", str(path)])
+    return code, capsys.readouterr().err.strip().splitlines()
+
+
+class TestValidateChecksRanges:
+    def test_probe_set(self):
+        assert len(PROBES) == 88
+        assert PROBES_IN_RANGE <= set(PROBES) and len(PROBES_IN_RANGE) == 12
+
+    @pytest.mark.parametrize("experiment, key, value", PROBES)
+    def test_zero_or_negative_param(self, tmp_path, capsys, experiment, key, value):
+        code, err = _validate(tmp_path, capsys, experiment, {key: value})
+        if (experiment, key, value) in PROBES_IN_RANGE:
+            assert (code, err) == (0, [])
+        else:
+            assert code == 2
+            assert len(err) == 1
+            assert json.loads(err[0])["error"] == "ValidationError"
+
+    def test_missing_revival_fails_at_run(self, tmp_path, capsys):
+        # whether the decay revives is known only from the result
+        raw = default_config("vacuum_rabi")
+        raw["params"].update({"g_mhz": 0, "n_modes": 3, "points": 40})
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["validate", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "no revival" in json.loads(err[0])["message"]
+
+    @pytest.mark.parametrize("experiment, params", [
+        # qubit 1's release [w, 2w] runs into its capture at tau = 508 ns
+        ("double_swap", {"window_ns": 300.0}),
+        # the longest phase pulse, 48 ns, runs from w into the capture at tau
+        ("interference", {"window_ns": 480.0}),
+    ])
+    def test_pulse_overlapping_capture_fails_validate(self, tmp_path, capsys, experiment,
+                                                      params):
+        code, err = _validate(tmp_path, capsys, experiment, params)
+        assert code == 2
+        assert len(err) == 1
+        diag = json.loads(err[0])
+        assert diag["error"] == "ValidationError"
+        assert "overlapping segments on qubit 1" in diag["message"]
 
 
 # The fuzz runs all ten experiments end to end (the cheap ones made
