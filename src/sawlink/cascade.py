@@ -18,9 +18,9 @@ with sqrt(eta kappa_i(t - tau) kappa_j(t)).  The schedule, the channel
 and the qubit noise thus reach the generator only through c(t), and
 ``stage_blocks`` is the one builder of idle-noise terms.
 
-A set of preparations travels through both stages as one (k, d, d)
-stack; ``QuantumState`` and ``Trajectory`` appear only where
-``run_cascade`` takes a caller's states in and hands trajectories out.
+``run_cascade`` is the one way in: one ``QuantumState`` or a (k, 4, 4)
+stack of preparations goes through both stages as one stack and comes
+out as one ``Trajectory``, the stage-2 states in its ``doubled`` field.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +48,7 @@ from .qcore import (
     SIGMA_MINUS,
     HilbertSpace,
     QuantumState,
+    check_grid,
     embed,
     partial_trace,
 )
@@ -80,28 +80,16 @@ class CascadeConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States ``rhos[i]`` of one initial state at ``times[i]``, with its
-    observables' series.
-
-    The stack is not re-validated here: every stack a Trajectory receives
-    is a slice of one ``evolve_generator`` has checked, or a partial trace
-    of one."""
+    """States ``rhos[i]`` at ``times[i]`` and their observables' series, with
+    an axis of k after the time axis when k states started; ``doubled`` is
+    the stage-2 trajectory, or None when the grid stops at tau.  Every stack
+    is a slice, or a partial trace, of one ``evolve_generator`` checked."""
 
     space: HilbertSpace
     times: np.ndarray
     rhos: np.ndarray
     observables: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if np.any(np.diff(t) <= 0):
-            raise ValidationError("trajectory times must be strictly increasing")
-        rhos = np.asarray(self.rhos, dtype=complex).view()
-        if rhos.shape != t.shape + (self.space.dim,) * 2:
-            raise ValidationError("one state per time required")
-        rhos.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "rhos", rhos)
+    doubled: Trajectory | None = None
 
 
 @cache
@@ -167,32 +155,30 @@ def stage2_liouvillian(cfg: CascadeConfig) -> Generator:
 
 def run_cascade(
     cfg: CascadeConfig,
-    rho0: QuantumState | Sequence[QuantumState],
+    rho0: QuantumState | np.ndarray,
     grid: np.ndarray,
     tol: float = 1e-8,
     observables: dict[str, np.ndarray] | None = None,
-    return_doubled: bool = False,
-):
+) -> Trajectory:
     """Reduced two-qubit trajectory of the full transfer on [0, 2*tau].
 
-    ``rho0`` is one initial state, or a sequence of states that each
-    stage integrates together as the columns of one matrix ODE; a
-    sequence gives one trajectory per state.  With ``return_doubled``
-    the stage-2 trajectory on the doubled space is returned alongside,
-    for readouts that need the lagged copies.
+    ``rho0`` is one initial state, or a (k, 4, 4) stack of them that each
+    stage integrates together as the columns of one matrix ODE; the
+    result's arrays then keep the stack axis.  Its ``doubled`` holds the
+    stage-2 states, lagged copies included, for readouts that need them.
     """
     tau = cfg.ch.tau
     grid = np.asarray(grid, dtype=float)
+    check_grid(grid)
     if grid[0] < 0 or grid[-1] > 2 * tau + 1e-9:
         raise ValidationError(
             "the cascade construction is valid on [0, 2*tau] only; "
             f"requested grid reaches {grid[-1]:.1f} ns"
         )
     single = isinstance(rho0, QuantumState)
-    preps = [rho0] if single else list(rho0)
-    if any(p.space != two_qubit_space() for p in preps):
+    if single and rho0.space != two_qubit_space():
         raise ValidationError("rho0 must live on the two-qubit space")
-    rhos0 = np.stack([p.rho for p in preps])
+    rhos0 = rho0.rho[None] if single else np.asarray(rho0, dtype=complex)
 
     bps = [float(b) for b in cfg.schedule.breakpoints()]
     early, late = grid[grid <= tau], grid[grid > tau]
@@ -210,7 +196,9 @@ def run_cascade(
         raise DiagnosticsError("splice broke the receiver-copy marginal")
 
     # stage 1 samples grid1 and stage 2 samples tau followed by ``late``
+    col = 0 if single else slice(None)
     times, rhos = np.concatenate([early, late]), rhos1[np.searchsorted(grid1, early)]
+    doubled = None
     if late.size:
         t_end = float(late[-1])
         grid2 = np.unique(np.concatenate([[tau], late]))
@@ -218,17 +206,11 @@ def run_cascade(
                      | {b + tau for b in bps if 0.0 < b < t_end - tau})
         rhos2, _ = evolve_generator(stage2_liouvillian(cfg), spliced, grid2, tol, breakpoints=bp2)
         rhos = np.concatenate([rhos, partial_trace(doubled_space(), rhos2[1:], ["q1", "q2"])])
-    elif return_doubled:
-        raise ValidationError("no grid samples past tau: nothing doubled to return")
+        doubled = Trajectory(doubled_space(), grid2, rhos2[:, col])
 
     series = expectations(rhos, observables)
-    reduced = [Trajectory(two_qubit_space(), times, rhos[:, j],
-                          {name: s[:, j] for name, s in series.items()})
-               for j in range(len(preps))]
-    if return_doubled:
-        doubled = [Trajectory(doubled_space(), grid2, rhos2[:, j]) for j in range(len(preps))]
-        return (reduced[0], doubled[0]) if single else (reduced, doubled)
-    return reduced[0] if single else reduced
+    return Trajectory(two_qubit_space(), times, rhos[:, col],
+                      {name: s[:, col] for name, s in series.items()}, doubled)
 
 
 def process_tomography_run(
@@ -262,6 +244,6 @@ def process_tomography_run(
     preps = inputs
     if n == 1:
         preps = [np.kron(p, ground) if emitters[0] == 1 else np.kron(ground, p) for p in inputs]
-    trajs = run_cascade(cfg, [QuantumState(two_qubit_space(), p) for p in preps], grid, tol=tol)
-    outputs = partial_trace(two_qubit_space(), np.stack([tr.rhos[-1] for tr in trajs]), keep)
+    traj = run_cascade(cfg, preps, grid, tol=tol)
+    outputs = partial_trace(two_qubit_space(), traj.rhos[-1], keep)
     return tomo.process_from_states(inputs, frame @ outputs @ frame.conj().T)

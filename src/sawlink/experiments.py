@@ -257,20 +257,15 @@ def run_bell(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     """
     ch, sched = plan_bell(device, params, seed)
     cfg = CascadeConfig(sched, ch, noise=device.noise_pair())
-    space = two_qubit_space()
+    eg = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)[None]
     t_ro = ch.tau + params["window_ns"]
-    _, doubled = run_cascade(
-        cfg,
-        QuantumState.basis_state(space, (1, 0)),
-        np.array([0.0, t_ro]),
-        tol=params["tol"],
-        return_doubled=True,
-    )
+    doubled = run_cascade(cfg, eg, np.array([0.0, t_ro]), tol=params["tol"]).doubled
     # the (q1e, q2) pair takes the (q1, q2) slots of the stage-1 blocks
     # and ages under q1's relaxation and dephasing alone
-    pair = partial_trace(doubled.space, doubled.rhos[-1:], ["q1e", "q2"])
+    pair = partial_trace(doubled.space, doubled.rhos[-1], ["q1e", "q2"])
     nz = device.q1.noise()
-    idle = Generator(space, stage_blocks(False), [nz.relax_rate, 0, nz.dephase_rate, 0, 0, 0])
+    idle = Generator(two_qubit_space(), stage_blocks(False),
+                     [nz.relax_rate, 0, nz.dephase_rate, 0, 0, 0])
     aged, _ = evolve_generator(idle, pair, np.array([0.0, ch.tau]), tol=params["tol"])
     frame = np.kron(np.eye(2), Z_FRAME)
     rho = frame @ aged[-1, 0] @ frame.conj().T

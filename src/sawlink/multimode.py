@@ -219,5 +219,8 @@ def revival_onset(times: np.ndarray, pe: np.ndarray) -> float:
         return u * (a + b * u)
 
     p0 = (times[i10], dev[i35] / max(edge_len, 1e-9), 0.0)
-    popt, _ = curve_fit(hinge, t_fit, d_fit, p0=p0, maxfev=10000)
+    try:
+        popt, _ = curve_fit(hinge, t_fit, d_fit, p0=p0, maxfev=10000)
+    except RuntimeError:
+        raise ValidationError("revival edge fit did not converge on the given window") from None
     return float(popt[0])

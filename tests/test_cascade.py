@@ -275,6 +275,29 @@ class TestRunCascade:
         with pytest.raises(ValidationError):
             run_cascade(cfg, rho0, np.array([0.0, TAU]))
 
+    def test_wrong_stack_shape_rejected(self):
+        rhos0 = QuantumState.basis_state(doubled_space(), (1, 0, 0, 0)).rho[None]
+        with pytest.raises(ValidationError):
+            run_cascade(swap_cfg(), rhos0, np.array([0.0, TAU]))
+        with pytest.raises(ValidationError):
+            run_cascade(swap_cfg(), excited(two_qubit_space()).rho, np.array([0.0, TAU]))
+
+    def test_stack_with_a_non_state_rejected(self):
+        rhos0 = np.stack([excited(two_qubit_space()).rho, np.diag([0.7, 0.7, 0.0, 0.0])])
+        with pytest.raises(ValidationError):
+            run_cascade(swap_cfg(), rhos0, np.array([0.0, TAU]))
+
+    @pytest.mark.parametrize("grid", [[0.0, 100.0, 100.0], [100.0, 0.0]],
+                             ids=["repeated", "decreasing"])
+    def test_trajectory_requires_monotonic_times(self, monkeypatch, grid):
+        # the grid is checked before anything integrates
+        def no_solve(*args, **kwargs):
+            raise AssertionError("evolve_generator called before the grid check")
+
+        monkeypatch.setattr("sawlink.cascade.evolve_generator", no_solve)
+        with pytest.raises(ValidationError):
+            run_cascade(swap_cfg(), excited(two_qubit_space()), np.array(grid))
+
     def test_role_ambiguity_detected(self):
         # qubit 2 starts its capture while qubit 1 is still releasing
         segs = [
@@ -301,9 +324,7 @@ class TestDoubledView:
         cfg = swap_cfg(eta=0.67)
         space = two_qubit_space()
         grid = np.array([0.0, TAU + WINDOW])
-        reduced, doubled = run_cascade(
-            cfg, excited(space), grid, tol=1e-9, return_doubled=True
-        )
+        doubled = run_cascade(cfg, excited(space), grid, tol=1e-9).doubled
         assert doubled.space == doubled_space()
         # emitter copies start in the initial state at the splice
         em = partial_trace(doubled.space, doubled.rhos[0], ["q1e", "q2e"])
@@ -316,9 +337,7 @@ class TestDoubledView:
         cfg = CascadeConfig(sched, ChannelParams(eta=1.0, tau=TAU))
         space = two_qubit_space()
         t_ro = TAU + WINDOW
-        _, doubled = run_cascade(
-            cfg, excited(space), np.array([0.0, t_ro]), tol=1e-9, return_doubled=True
-        )
+        doubled = run_cascade(cfg, excited(space), np.array([0.0, t_ro]), tol=1e-9).doubled
         final = doubled.rhos[-1]
         pair = partial_trace(doubled.space, final, ["q1e", "q2"])
         # coherence between |e g> and |g e> of the pair
@@ -369,14 +388,16 @@ class TestProcessTomographyRun:
         ref = per_prep_process(cfg, emitters, receivers, t_ro, tol, frame)
         assert np.max(np.abs(chi - ref)) <= tol
 
-    def test_batched_run_returns_one_trajectory_per_prep(self):
+    def test_stacked_run_matches_single_state_runs(self):
         grid = np.array([0.0, 100.0, TAU + WINDOW])
         preps = [excited(two_qubit_space(), q) for q in (1, 2)]
-        reduced, doubled = run_cascade(swap_cfg(eta=0.67), preps, grid, return_doubled=True)
-        assert len(reduced) == len(doubled) == 2
-        for prep, traj in zip(preps, reduced):
+        traj = run_cascade(swap_cfg(eta=0.67), np.stack([p.rho for p in preps]), grid)
+        assert traj.rhos.shape == (3, 2, 4, 4)
+        assert traj.doubled.rhos.shape == (2, 2, 16, 16)
+        for j, prep in enumerate(preps):
             alone = run_cascade(swap_cfg(eta=0.67), prep, grid)
-            assert np.max(np.abs(traj.rhos - alone.rhos)) <= 1e-7
+            assert np.max(np.abs(traj.rhos[:, j] - alone.rhos)) <= 1e-7
+            assert np.max(np.abs(traj.doubled.rhos[:, j] - alone.doubled.rhos)) <= 1e-7
 
     def test_identity_transfer(self):
         # couplers never fire: each prep sits still and the process is I

@@ -219,6 +219,27 @@ class TestExitCodes:
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "ValidationError"
 
+    @pytest.mark.parametrize("update", [
+        {"g_mhz": 0.3, "horizon_tau": 0.5, "points": 120},
+        {"g_mhz": 0.01, "horizon_tau": 1.0, "n_modes": 3, "points": 120},
+    ], ids=["short-window", "weak-coupling"])
+    def test_unconverged_revival_fit_is_2(self, tmp_path, capsys, update):
+        # the config is valid; the revival edge fit on its result does not
+        # converge, which is a run-time ValidationError, not a traceback
+        path = tmp_path / "c.yaml"
+        raw = default_config("vacuum_rabi")
+        raw["params"].update(update)
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["validate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {
+            "error": "ValidationError",
+            "message": "revival edge fit did not converge on the given window",
+        }
+
     def test_run_takes_no_jobs_flag(self, config_path, tmp_path, capsys):
         # --jobs parallelises sweep points; a single run has none to share
         out = tmp_path / "r"

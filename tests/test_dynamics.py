@@ -14,7 +14,7 @@ from scipy import sparse
 
 import sawlink
 from sawlink import dynamics, experiments
-from sawlink.cascade import Trajectory, doubled_space
+from sawlink.cascade import doubled_space
 from sawlink.device import default_device
 from sawlink.dynamics import (
     POSITIVITY_CLIP,
@@ -171,11 +171,6 @@ def test_capped_space_matches_full_tensor_space():
         observables=obs_capped,
     )
     assert np.allclose(series_full["pe"], series_capped["pe"], atol=1e-8)
-
-
-def test_trajectory_requires_monotonic_times():
-    with pytest.raises(ValidationError):
-        Trajectory(QUBIT, np.array([0.0, 1.0, 1.0]), np.concatenate([EXCITED] * 3))
 
 
 # ---- stacked initial states and the stacked repair pass ------------------------

@@ -195,9 +195,8 @@ def two_block_bell_pair(params):
     sched = transfer_schedule(params["kappa_c"], params["window_ns"], ch.tau, emitter=1,
                               receiver=2, alpha=params["alpha"])
     cfg = CascadeConfig(sched, ch, noise=DEV.noise_pair())
-    _, doubled = run_cascade(cfg, QuantumState.basis_state(two_qubit_space(), (1, 0)),
-                             np.array([0.0, ch.tau + params["window_ns"]]), tol=params["tol"],
-                             return_doubled=True)
+    doubled = run_cascade(cfg, QuantumState.basis_state(two_qubit_space(), (1, 0)),
+                          np.array([0.0, ch.tau + params["window_ns"]]), tol=params["tol"]).doubled
     pair = partial_trace(doubled.space, doubled.rhos[-1], ["q1e", "q2"])
     sp = HilbertSpace([2, 2], ["q1e", "q2"])
     nz = DEV.q1.noise()
