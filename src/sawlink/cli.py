@@ -5,9 +5,9 @@ bundle; ``sweep`` repeats it across values of one scalar config field;
 ``validate`` checks a config without integrating anything; ``defaults``
 emits the fully populated default config for an experiment.
 
-Exit codes: 0 success, 2 validation (usage, config or physics
-preconditions), 3 integration failure, 4 I/O failure.  Errors print
-one JSON line to stderr with the error class and message.
+Exit codes: 0 success, 2 validation (usage, config or physics preconditions,
+or a config that needs more memory than exists), 3 integration failure, 4 I/O
+failure.  Errors print one JSON line to stderr with the error class and message.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .config import (
     effective_dict,
     load_config,
     set_by_path,
-    with_seed,
 )
 from .errors import ConfigError, IntegrationError, ValidationError
 from .experiments import EXPERIMENTS, run_experiment
@@ -43,17 +42,14 @@ EXIT_IO = 4
 
 
 def _diagnose(exc: Exception) -> int:
-    print(
-        json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-        file=sys.stderr,
-    )
-    if isinstance(exc, ValidationError):
-        return EXIT_VALIDATION
+    # numpy raises a private subclass of MemoryError; the line names the public one
+    name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+    print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
     if isinstance(exc, IntegrationError):
         return EXIT_INTEGRATION
     if isinstance(exc, OSError):
         return EXIT_IO
-    raise exc
+    return EXIT_VALIDATION
 
 
 def _run_bundle(cfg: ExperimentConfig, out_dir: Path) -> dict:
@@ -75,7 +71,7 @@ def _run_bundle(cfg: ExperimentConfig, out_dir: Path) -> dict:
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = with_seed(cfg, args.seed)
+        cfg = set_by_path(cfg, "seed", args.seed)
     metrics = _run_bundle(cfg, Path(args.out))
     print(json.dumps({"status": "ok", "out": str(args.out), "metrics": metrics},
                      sort_keys=True))
@@ -92,7 +88,7 @@ def _sweep_value(text: str):
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = with_seed(cfg, args.seed)
+        cfg = set_by_path(cfg, "seed", args.seed)
     values = [_sweep_value(v) for v in args.values]
     points = [(set_by_path(cfg, args.param, value), Path(args.out) / f"point_{i:03d}")
               for i, value in enumerate(values)]
@@ -170,7 +166,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValidationError, IntegrationError, OSError) as exc:
+    except (ValidationError, IntegrationError, OSError, MemoryError) as exc:
         return _diagnose(exc)
 
 

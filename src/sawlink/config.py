@@ -153,10 +153,6 @@ def effective_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def with_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    return config_from_dict({**effective_dict(cfg), "seed": seed})
-
-
 def set_by_path(cfg: ExperimentConfig, path: str, value) -> ExperimentConfig:
     """New config with one scalar field addressed by a dotted path changed."""
     parts = path.split(".")

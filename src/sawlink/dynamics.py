@@ -30,7 +30,15 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .errors import DiagnosticsError, IntegrationError, ValidationError
-from .qcore import EIG_ATOL, HilbertSpace, check_grid, check_states, check_tol, hermiticity_error
+from .qcore import (
+    EIG_ATOL,
+    HilbertSpace,
+    check_grid,
+    check_states,
+    check_tol,
+    clip_negative,
+    hermiticity_error,
+)
 
 DEFAULT_TOL = 1e-8
 
@@ -189,9 +197,7 @@ def _check_and_repair(rhos: np.ndarray, tol: float, times: np.ndarray) -> None:
     ii, jj = np.nonzero(low < -EIG_ATOL / rhos.shape[-1])
     for s in range(0, ii.size, CLIP_BLOCK):
         i, j = ii[s : s + CLIP_BLOCK], jj[s : s + CLIP_BLOCK]
-        vals, vecs = np.linalg.eigh(rhos[i, j])
-        vals = np.clip(vals, 0.0, None)
-        rhos[i, j] = (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+        rhos[i, j] = clip_negative(rhos[i, j])
     rhos /= np.trace(rhos, axis1=-2, axis2=-1).real[..., None, None]
 
 

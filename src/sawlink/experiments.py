@@ -45,6 +45,9 @@ from .qcore import NUMBER, SIGMA_MINUS, QuantumState, check_grid, check_tol, emb
 # the runners do the same with a fixed Z on each receiving qubit.
 Z_FRAME = np.diag([1.0, -1.0]).astype(complex)
 SWAP_GATE = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+# |Psi+> = (|ge> + |eg>) / sqrt(2), the Bell pair the runners score against
+_PSI = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)
+PSI_PLUS = np.outer(_PSI, _PSI)
 QUBIT_BASIS_2Q = ("gg", "ge", "eg", "ee")
 
 
@@ -269,10 +272,8 @@ def run_bell(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     aged, _ = evolve_generator(idle, pair, np.array([0.0, ch.tau]), tol=params["tol"])
     frame = np.kron(np.eye(2), Z_FRAME)
     rho = frame @ aged[-1, 0] @ frame.conj().T
-    psi = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)
-    target = np.outer(psi, psi)
     metrics = {
-        "bell_fidelity": tomo.fidelity(rho, target),
+        "bell_fidelity": tomo.fidelity(rho, PSI_PLUS),
         "concurrence": tomo.concurrence(rho),
         "reference_bell_fidelity": 0.84,
         "reference_concurrence": 0.61,
@@ -435,9 +436,7 @@ def run_tomo_roundtrip(device: DeviceParams, params: dict, seed: int) -> Experim
         worst_process = max(
             worst_process, tomo.hs_distance(chi, tomo.chi_ideal(u))
         )
-    psi = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)
-    bell = np.outer(psi, psi)
-    werner = p_werner * bell + (1 - p_werner) * np.eye(4) / 4
+    werner = p_werner * PSI_PLUS + (1 - p_werner) * np.eye(4) / 4
     c_closed = max(0.0, (3 * p_werner - 1) / 2)
     return ExperimentOutput(
         metrics={

@@ -137,6 +137,12 @@ def check_states(rhos: np.ndarray) -> None:
         raise ValidationError("state has a negative eigenvalue beyond tolerance") from None
 
 
+def clip_negative(rhos: np.ndarray) -> np.ndarray:
+    """Each Hermitian matrix of a stack (..., d, d) with its negative eigenvalues zeroed."""
+    vals, vecs = np.linalg.eigh(rhos)
+    return (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
 def check_tol(tol: float) -> None:
     """Raise unless ``tol`` lies in [MIN_TOL, MAX_TOL]."""
     if not MIN_TOL <= tol <= MAX_TOL:

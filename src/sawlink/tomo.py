@@ -24,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ValidationError
-from .qcore import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .qcore import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, clip_negative
 
 PAULIS_1Q = {
     "I": IDENTITY_2,
@@ -93,10 +93,7 @@ class ReadoutModel:
 
 def project_psd(mat: np.ndarray, trace: float) -> np.ndarray:
     """Nearest positive matrix by eigenvalue clipping, rescaled to ``trace``."""
-    herm = 0.5 * (mat + mat.conj().T)
-    vals, vecs = np.linalg.eigh(herm)
-    vals = np.clip(vals, 0.0, None)
-    out = (vecs * vals) @ vecs.conj().T
+    out = clip_negative(0.5 * (mat + mat.conj().T))
     tr = np.trace(out).real
     if tr <= 0:
         raise ValidationError("projection left no positive weight")
@@ -139,8 +136,6 @@ def readout_correct(probs: np.ndarray, readout: ReadoutModel) -> np.ndarray:
 def _setting_unitary(setting: tuple[str, ...]) -> np.ndarray:
     u = np.array([[1.0]], dtype=complex)
     for name in setting:
-        if name not in TOMO_GATES:
-            raise ValidationError(f"unknown tomography gate {name!r}")
         u = np.kron(u, TOMO_GATES[name])
     u.setflags(write=False)
     return u
@@ -235,7 +230,6 @@ def process_from_states(inputs: np.ndarray, outputs: np.ndarray) -> np.ndarray:
         raise ValidationError("input states do not span operator space")
     smap = out_mat @ np.linalg.inv(in_mat)
     chi = _chi_blocks(1 if dim == 2 else 2).conj() @ smap.reshape(-1) / dim**2
-    chi = 0.5 * (chi + chi.conj().T)
     return project_psd(chi, trace=np.trace(chi).real)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sawlink import tomo
 from sawlink.cascade import (
     CascadeConfig,
     doubled_space,
@@ -263,6 +264,19 @@ class TestRunCascade:
         before, after = traj.rhos[-2], traj.rhos[-1]
         assert np.max(np.abs(before - after)) < 1e-5
 
+    def test_splice_keeps_trace_and_receiver_marginal(self):
+        # the doubled state at tau is kron(rho(tau), rho0): of unit trace, and
+        # its (q1, q2) marginal is the stage-1 state at tau
+        noise = (QubitNoise(1 / 20e3, 5e-4), QubitNoise(1 / 30e3, 2e-4))
+        cfg = swap_cfg(eta=0.67, noise=noise)
+        ground = np.diag([1.0, 0.0])
+        preps = np.stack([np.kron(p, ground) for p in tomo.prep_states(1)])
+        traj = run_cascade(cfg, preps, np.array([0.0, TAU, TAU + WINDOW]))
+        spliced = traj.doubled.rhos[0]
+        assert np.max(np.abs(np.trace(spliced, axis1=1, axis2=2) - 1.0)) < 1e-12
+        marginal = partial_trace(doubled_space(), spliced, ["q1", "q2"])
+        assert np.max(np.abs(marginal - traj.rhos[1])) < 1e-12
+
     def test_grid_beyond_validity_rejected(self):
         cfg = swap_cfg()
         space = two_qubit_space()
@@ -351,8 +365,6 @@ class TestDoubledView:
 def per_prep_process(cfg, emitters, receivers, t_ro, tol, frame):
     """The process reconstruction with one cascade run per prep: the
     reference for the batched run."""
-    from sawlink import tomo
-
     inputs = tomo.prep_states(len(emitters))
     ground = np.diag([1.0, 0.0])
     keep = [f"q{q}" for q in sorted(receivers)]

@@ -240,6 +240,40 @@ class TestExitCodes:
             "message": "revival edge fit did not converge on the given window",
         }
 
+    # 10**17 float64 elements are 711 PiB, beyond any address space, so the
+    # allocation fails at once whatever the host's memory or overcommit policy
+    @pytest.mark.parametrize("experiment", ["saw_response", "vacuum_rabi"])
+    def test_grid_too_large_for_memory_fails_validate(self, tmp_path, capsys, experiment):
+        code, err = _validate(tmp_path, capsys, experiment, {"points": 10**17})
+        assert code == 2
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "MemoryError"
+
+    def test_realizations_too_large_for_memory_fail_run(self, tmp_path, capsys):
+        path = tmp_path / "c.yaml"
+        raw = default_config("interference")
+        raw["params"]["realizations"] = 10**17
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["validate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "r"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "MemoryError"
+
+    def test_sweep_point_too_large_for_memory_writes_nothing(self, tmp_path, capsys):
+        config = tmp_path / "saw.yaml"
+        config.write_text(yaml.safe_dump(default_config("saw_response")))
+        out = tmp_path / "s"
+        assert main(["sweep", "params.points", "--config", str(config), "--out", str(out),
+                     "--", "401", str(10**17)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "MemoryError"
+
     def test_run_takes_no_jobs_flag(self, config_path, tmp_path, capsys):
         # --jobs parallelises sweep points; a single run has none to share
         out = tmp_path / "r"

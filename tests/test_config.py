@@ -12,7 +12,6 @@ from sawlink.config import (
     effective_dict,
     load_config,
     set_by_path,
-    with_seed,
 )
 from sawlink.errors import ConfigError
 from sawlink.experiments import EXPERIMENTS
@@ -142,9 +141,9 @@ class TestLoadFile:
 
 
 class TestOverrides:
-    def test_with_seed(self):
+    def test_set_by_path_seed(self):
         cfg = config_from_dict(default_config("ping_pong"))
-        assert with_seed(cfg, 99).seed == 99
+        assert set_by_path(cfg, "seed", 99).seed == 99
         assert cfg.seed == 1234  # original untouched
 
     def test_set_by_path_params(self):

@@ -17,6 +17,7 @@ from sawlink.qcore import (
     HilbertSpace,
     QuantumState,
     check_states,
+    clip_negative,
     embed,
     embed_product,
     hermiticity_error,
@@ -163,6 +164,27 @@ class TestStates:
         stack = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
         want = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
         assert np.array_equal(hermiticity_error(stack), want)
+
+
+class TestClipNegative:
+    def test_stack_equals_per_matrix_results(self):
+        rng = np.random.default_rng(23)
+        stack = np.stack([random_density(4, rng) - 0.1 * np.eye(4) for _ in range(6)])
+        stack = stack.reshape(2, 3, 4, 4)
+        got = clip_negative(stack)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(got[idx], clip_negative(stack[idx]))
+
+    def test_positive_stack_unchanged(self):
+        rng = np.random.default_rng(29)
+        stack = np.stack([random_density(4, rng) for _ in range(5)])
+        assert np.max(np.abs(clip_negative(stack) - stack)) < 1e-14
+
+    def test_no_negative_eigenvalue_left(self):
+        rng = np.random.default_rng(31)
+        stack = np.stack([random_density(4, rng) - 0.2 * np.eye(4) for _ in range(8)])
+        assert (np.linalg.eigvalsh(stack)[:, 0] < 0).all()
+        assert np.linalg.eigvalsh(clip_negative(stack)).min() >= -1e-15
 
 
 class TestEmbedding:
