@@ -414,18 +414,16 @@ def run_tomo_roundtrip(device: DeviceParams, params: dict, seed: int) -> Experim
     n_states, readout = plan_tomo_roundtrip(device, params, seed)
     p_werner = params["werner_p"]
     rng = np.random.default_rng(seed)
-    worst_exact = 0.0
-    worst_corrected = 0.0
+    rhos = []
     for _ in range(n_states):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = a @ a.conj().T
-        rho /= np.trace(rho).real
-        rec = tomo.state_tomo(tomo.tomography_data(rho))
-        worst_exact = max(worst_exact, tomo.hs_distance(rho, rec))
-        rec_c = tomo.state_tomo(
-            tomo.tomography_data(rho, readout=readout), readout=readout
-        )
-        worst_corrected = max(worst_corrected, tomo.hs_distance(rec, rec_c))
+        rhos.append(rho / np.trace(rho).real)
+    rhos = np.array(rhos)
+    rec = tomo.state_tomo(tomo.tomography_data(rhos))
+    rec_c = tomo.state_tomo(tomo.tomography_data(rhos, readout=readout), readout=readout)
+    worst_exact = max(map(tomo.hs_distance, rhos, rec))
+    worst_corrected = max(map(tomo.hs_distance, rec, rec_c))
     worst_process = 0.0
     inputs = tomo.prep_states(1)
     for _ in range(max(1, n_states // 4)):

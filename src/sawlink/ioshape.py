@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IntegrationError, RoleAmbiguityError, ValidationError
+from .errors import RoleAmbiguityError, ValidationError
 
 MHZ = 2e-3 * np.pi  # linear MHz -> rad/ns
 DETUNE_PULSE_MHZ = 20.0  # fixed detuning used to dial in a relative phase
@@ -273,9 +273,12 @@ class IOTrace:
         return np.abs(self.s2) ** 2
 
 
-def _grid(window: tuple[float, float], tau: float, dt: float) -> tuple[int, float, int]:
-    """Steps per transit, the step (an exact divisor of tau) and the steps
-    spanning the window."""
+def _grid(window: tuple[float, float], tau: float, dt: float,
+          kappa_max: float) -> tuple[int, float, int]:
+    """Steps per transit, the step (an exact divisor of tau, at most dt,
+    0.25 ns and a tenth of 1 / kappa_max) and the steps spanning the window."""
+    if kappa_max > 0:
+        dt = min(dt, 0.1 / kappa_max)
     n_sub = max(int(np.ceil(tau / min(dt, 0.25))), 1)
     h = tau / n_sub
     return n_sub, h, int(np.ceil((window[1] - window[0]) / h - 1e-9))
@@ -353,11 +356,7 @@ def _integrate(
     and end nodes as whole-block expressions.
     """
     t0 = schedule.window[0]
-    n_sub, h, n_steps = _grid(schedule.window, ch.tau, dt)
-    if schedule.max_kappa() > 0 and h > 1.0 / (10.0 * schedule.max_kappa()):
-        raise IntegrationError(
-            f"step {h:.3g} ns cannot resolve kappa_max = {schedule.max_kappa():.3g} 1/ns"
-        )
+    n_sub, h, n_steps = _grid(schedule.window, ch.tau, dt, schedule.max_kappa())
     times = t0 + h * np.arange(n_steps + 1)
     # (qubit, node) coefficients of ds/dt = decay * s + root * a_in at the
     # step nodes, then the midpoints
@@ -512,7 +511,7 @@ def interference_experiment(
     sigma_phi = 0 the same formula is read at phi = 0.
     """
     schedules = interference_schedules(delta_phi, ch, kappa_c, window)
-    n_sub, _, n_steps = _grid((0.0, ch.tau + window), ch.tau, dt)
+    n_sub, _, n_steps = _grid((0.0, ch.tau + window), ch.tau, dt, kappa_c)
     n = n_steps // n_sub
     root_phases = 2 * np.pi * np.arange(n + 1) / (n + 1)
     phases = np.zeros(1) if noise.sigma_phi == 0.0 else realization_phases(noise)

@@ -96,14 +96,11 @@ def spectrum(p: MultimodeParams, qubit_offsets_mhz: Sequence[float]) -> np.ndarr
     it; each row holds the sorted eigenvalues at one sweep point.
     """
     space = build_space(p)
-    sector = np.flatnonzero(space.basis.sum(axis=1) == 1)
-    base = jc_hamiltonian(p, space)
-    nq = embed(NUMBER, "q", space)
-    out = np.empty((len(qubit_offsets_mhz), len(sector)))
-    for k, off in enumerate(qubit_offsets_mhz):
-        h = base + off * MHZ * nq
-        out[k] = np.linalg.eigvalsh(h[np.ix_(sector, sector)]) / MHZ
-    return out
+    kets = np.flatnonzero(space.basis.sum(axis=1) == 1)  # the one-excitation sector
+    sector = np.ix_(kets, kets)
+    base, nq = jc_hamiltonian(p, space)[sector], embed(NUMBER, "q", space)[sector]
+    offsets = np.asarray(qubit_offsets_mhz, dtype=float).reshape(-1, 1, 1) * MHZ
+    return np.linalg.eigvalsh(base + offsets * nq) / MHZ
 
 
 class GoldenRule(NamedTuple):

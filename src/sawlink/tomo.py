@@ -1,16 +1,19 @@
 """State and process tomography with readout-error handling.
 
-Forward direction: exact basis-state probabilities after the standard
-pre-rotation settings, convolved with a per-qubit confusion model.
-Inverse direction: linear inversion (least squares over the
-informationally complete setting list) followed by eigenvalue clipping.
-Scalar figures of merit live here too.
+One measurement matrix per qubit count maps vec(rho) to the basis-state
+probabilities after each standard pre-rotation setting, and is read both
+ways.  Forward: the matrix times vec(rho), convolved with a per-qubit
+confusion model.  Inverse: the confusion model inverted, then least
+squares against the same matrix (the settings are informationally
+complete), then eigenvalue clipping.  Scalar figures of merit live here too.
 
 States and process matrices are plain complex arrays, and a set of
-states a (k, d, d) stack: ``prep_states`` returns one and
-``process_from_states`` takes two.  Measurement statistics are a table
-with one row per setting, in ``all_settings`` order.  A process matrix
-chi is indexed over the unnormalized Pauli basis (``pauli_basis``):
+states a (k, d, d) stack: ``prep_states`` returns one,
+``process_from_states`` takes two, and the forward model, the readout
+correction, the inversion and the projection take any stack.
+Measurement statistics are a table with one row per setting, in
+``all_settings`` order, or a (..., 3^n, 2^n) stack of tables.  A process
+matrix chi is indexed over the unnormalized Pauli basis (``pauli_basis``):
 the map acts as rho -> sum_mn chi_mn P_m rho P_n^+, with labels in
 lexicographic I, X, Y, Z order per qubit, leftmost qubit slowest.
 """
@@ -92,62 +95,45 @@ class ReadoutModel:
 
 
 def project_psd(mat: np.ndarray, trace: float) -> np.ndarray:
-    """Nearest positive matrix by eigenvalue clipping, rescaled to ``trace``."""
-    out = clip_negative(0.5 * (mat + mat.conj().T))
-    tr = np.trace(out).real
-    if tr <= 0:
+    """Nearest positive matrix by eigenvalue clipping, rescaled to ``trace``,
+    for one matrix or each of a (..., d, d) stack."""
+    out = clip_negative(0.5 * (mat + mat.conj().swapaxes(-1, -2)))
+    tr = np.trace(out, axis1=-2, axis2=-1).real
+    if np.any(tr <= 0):
         raise ValidationError("projection left no positive weight")
-    return out * (trace / tr)
-
-
-def simulate_measurement(rho, readout: ReadoutModel | None = None) -> np.ndarray:
-    """Joint basis-state probabilities of a 1- or 2-qubit state, convolved
-    with the readout model when one is given."""
-    mat = np.asarray(rho, dtype=complex)
-    dim = mat.shape[0]
-    if dim not in (2, 4):
-        raise ValidationError("measurement model covers one or two qubits")
-    probs = np.clip(np.diag(mat).real, 0.0, None)
-    probs = probs / probs.sum()
-    if readout is not None:
-        if 2 ** readout.n_qubits != dim:
-            raise ValidationError("readout model size mismatch")
-        probs = readout.confusion() @ probs
-    return probs
+    return out * (trace / tr)[..., None, None]
 
 
 def readout_correct(probs: np.ndarray, readout: ReadoutModel) -> np.ndarray:
-    """Invert the confusion model; clip and renormalize the result."""
+    """Invert the confusion model on each (..., 2^n) distribution; clip and
+    renormalize the result."""
     probs = np.asarray(probs, dtype=float)
     conf = readout.confusion()
-    if conf.shape[0] != probs.shape[0]:
+    if conf.shape[0] != probs.shape[-1]:
         raise ValidationError("distribution size does not match readout model")
     if abs(np.linalg.det(conf)) < 1e-12:
         raise ValidationError("confusion matrix is singular (F_g + F_e = 1)")
-    est = np.linalg.solve(conf, probs)
-    est = np.clip(est, 0.0, None)
-    total = est.sum()
-    if total <= 0:
+    est = np.clip(np.linalg.solve(conf, probs[..., None])[..., 0], 0.0, None)
+    total = est.sum(axis=-1, keepdims=True)
+    if not np.all(total > 0):
         raise ValidationError("correction produced an empty distribution")
     return est / total
 
 
-@cache
-def _setting_unitary(setting: tuple[str, ...]) -> np.ndarray:
-    u = np.array([[1.0]], dtype=complex)
-    for name in setting:
-        u = np.kron(u, TOMO_GATES[name])
-    u.setflags(write=False)
-    return u
+def all_settings(n_qubits: int) -> tuple[tuple[str, ...], ...]:
+    return tuple(product(SETTING_ORDER, repeat=n_qubits))
 
 
 @cache
-def _effect_rows(n_qubits: int) -> np.ndarray:
-    """Conjugated, flattened effects U^+ |b><b| U per setting U and outcome b."""
+def _measurement_matrix(n_qubits: int) -> np.ndarray:
+    """The map from vec(rho) to the outcome probabilities: one row, the
+    conjugated and flattened effect U^+ |b><b| U, per setting U and outcome b."""
     dim = 2**n_qubits
     rows = []
     for setting in all_settings(n_qubits):
-        u = _setting_unitary(setting)
+        u = np.array([[1.0]], dtype=complex)
+        for name in setting:
+            u = np.kron(u, TOMO_GATES[name])
         for b in range(dim):
             proj = np.zeros((dim, dim), dtype=complex)
             proj[b, b] = 1.0
@@ -157,41 +143,48 @@ def _effect_rows(n_qubits: int) -> np.ndarray:
     return rows
 
 
-def all_settings(n_qubits: int) -> tuple[tuple[str, ...], ...]:
-    return tuple(product(SETTING_ORDER, repeat=n_qubits))
-
-
-def tomography_data(rho, readout: ReadoutModel | None = None) -> np.ndarray:
-    """Forward-simulate the full pre-rotation measurement set: one row of
-    basis-state probabilities per setting, in ``all_settings`` order."""
-    mat = np.asarray(rho, dtype=complex)
-    n = 1 if mat.shape[0] == 2 else 2
-    rows = [simulate_measurement(u @ mat @ u.conj().T, readout)
-            for u in map(_setting_unitary, all_settings(n))]
-    return np.array(rows)
+def tomography_data(rhos, readout: ReadoutModel | None = None) -> np.ndarray:
+    """Forward-simulate the full pre-rotation measurement set of a 1- or
+    2-qubit state or (..., d, d) stack: per state one row of basis-state
+    probabilities per setting, in ``all_settings`` order, convolved with
+    the readout model when one is given."""
+    mats = np.asarray(rhos, dtype=complex)
+    dim = mats.shape[-1]
+    if dim not in (2, 4):
+        raise ValidationError("measurement model covers one or two qubits")
+    vecs = mats.reshape(*mats.shape[:-2], dim * dim, 1)
+    probs = np.clip((_measurement_matrix(1 if dim == 2 else 2) @ vecs).real, 0.0, None)
+    probs = probs.reshape(*mats.shape[:-2], -1, dim)
+    probs = probs / probs.sum(axis=-1, keepdims=True)
+    if readout is not None:
+        if 2 ** readout.n_qubits != dim:
+            raise ValidationError("readout model size mismatch")
+        probs = probs @ readout.confusion().T
+    return probs
 
 
 def state_tomo(data: np.ndarray, readout: ReadoutModel | None = None) -> np.ndarray:
     """Reconstruct a density matrix from pre-rotation statistics.
 
     ``data`` holds one row of basis-state counts per setting, in
-    ``all_settings`` order, for one or two qubits.  Counts are
-    normalized per setting; a readout model, when given, is inverted
-    before inversion of the measurement map.  The linear estimate is
-    clipped to the physical cone and retraced.
+    ``all_settings`` order, for one or two qubits, or is a (..., 3^n, 2^n)
+    stack of such tables.  Counts are normalized per setting; a readout
+    model, when given, is inverted before inversion of the measurement
+    map.  The linear estimate is clipped to the physical cone and retraced.
     """
     data = np.asarray(data, dtype=float)
-    n = {(3, 2): 1, (9, 4): 2}.get(data.shape)
+    n = {(3, 2): 1, (9, 4): 2}.get(data.shape[-2:])
     if n is None:
         raise ValidationError(f"tomography data of shape {data.shape} is not (3^n, 2^n), n = 1, 2")
-    totals = data.sum(axis=1)
+    totals = data.sum(axis=-1, keepdims=True)
     if not np.all(totals > 0):
         raise ValidationError("empty statistics vector")
-    probs = data / totals[:, None]
+    probs = data / totals
     if readout is not None:
-        probs = np.array([readout_correct(row, readout) for row in probs])
-    sol, *_ = np.linalg.lstsq(_effect_rows(n), probs.reshape(-1), rcond=None)
-    return project_psd(sol.reshape(data.shape[1], -1), trace=1.0)
+        probs = readout_correct(probs, readout)
+    rhs = probs.reshape(-1, data.shape[-2] * data.shape[-1]).T  # one column per table
+    sol, *_ = np.linalg.lstsq(_measurement_matrix(n), rhs, rcond=None)
+    return project_psd(sol.T.reshape(data.shape[:-2] + (2**n, 2**n)), trace=1.0)
 
 
 def prep_states(n_qubits: int) -> np.ndarray:

@@ -208,6 +208,19 @@ class TestExitCodes:
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "ValidationError"
 
+    @pytest.mark.parametrize("experiment", ["ping_pong", "multi_transit", "interference"])
+    def test_fast_coupling_runs(self, tmp_path, capsys, experiment):
+        # a coupling past 0.4/ns is resolved by a shorter delay-loop step
+        path = tmp_path / "c.yaml"
+        raw = default_config(experiment)
+        raw["params"]["kappa_c"] = 1.0
+        if experiment == "interference":
+            raw["params"].update({"n_phases": 5, "realizations": 8})
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["validate", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("chunk", [0, -1])
     def test_interference_chunk_below_one_is_2(self, tmp_path, capsys, chunk):
         path = tmp_path / "c.yaml"

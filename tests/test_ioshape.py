@@ -12,7 +12,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.optimize import brentq
 
 import sawlink
-from sawlink.errors import IntegrationError, ValidationError
+from sawlink.errors import ValidationError
 from sawlink.ioshape import (
     SEGMENT_KINDS,
     ChannelParams,
@@ -263,12 +263,16 @@ class TestSimulateIO:
         with pytest.raises(ValidationError):
             ControlSchedule(segs, window=(0.0, 150.0))
 
-    def test_unresolvable_rate_rejected(self):
-        sched = ControlSchedule(
-            [Segment("release", 1, 0.0, 10.0, 10.0)], window=(0.0, 10.0)
-        )
-        with pytest.raises(IntegrationError):
-            simulate_io(sched, ChannelParams(eta=1.0, tau=TAU), s0=(1.0, 0.0))
+    @pytest.mark.parametrize("kappa_c", [1.0, 3.0])
+    def test_fast_coupling_converges(self, kappa_c):
+        # a coupling past 0.4/ns shrinks the step below the default 0.25 ns,
+        # to a tenth of 1/kappa_c, rather than failing
+        sched = transfer_schedule(kappa_c, 40.0, TAU, emitter=1, receiver=1)
+        ch = ChannelParams(eta=0.67, tau=TAU)
+        p1 = simulate_io(sched, ch, s0=(1.0, 0.0)).p1[-1]
+        fine = simulate_io(sched, ch, s0=(1.0, 0.0), dt=0.01 / kappa_c).p1[-1]
+        assert p1 == pytest.approx(0.67, abs=0.01)
+        assert abs(p1 - fine) < 1e-7
 
     def test_bad_channel_rejected(self):
         with pytest.raises(ValidationError):

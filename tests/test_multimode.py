@@ -104,6 +104,18 @@ class TestSpectrum:
         down = spectrum(p, -sweep)
         assert np.allclose(up, -down[:, ::-1], atol=1e-10)
 
+    @pytest.mark.parametrize("n_a", [1, 8, 20])
+    def test_batched_equals_per_offset_loop(self, n_a):
+        p = MultimodeParams(g=2.57, n_a=n_a, fsr=1.97)
+        sweep = np.linspace(-6.0, 6.0, 41)
+        space = build_space(p)
+        sector = np.flatnonzero(space.basis.sum(axis=1) == 1)
+        base, nq = jc_hamiltonian(p, space), embed(NUMBER, "q", space)
+        mhz = 2e-3 * np.pi
+        want = [np.linalg.eigvalsh((base + off * mhz * nq)[np.ix_(sector, sector)]) / mhz
+                for off in sweep]
+        assert np.array_equal(spectrum(p, sweep), np.array(want))
+
 
 class TestGoldenRule:
     def test_first_coupling(self):

@@ -50,21 +50,32 @@ class TestReadoutModel:
             tomo.ReadoutModel(((0.9, 1.01),))
 
 
-class TestSimulateMeasurement:
-    def test_ground_state_perfect(self):
-        rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        probs = tomo.simulate_measurement(rho, perfect(2))
-        assert np.allclose(probs, [1.0, 0.0, 0.0, 0.0])
+class TestTomographyData:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_identity_setting_row_is_diagonal(self, n):
+        # all_settings puts the all-identity setting first
+        rho = rand_state(2**n)
+        data = tomo.tomography_data(rho, perfect(n))
+        assert np.allclose(data[0], np.diag(rho).real, atol=1e-14)
 
     def test_excited_state_reports_fidelity(self):
         ro = tomo.ReadoutModel(((0.969, 0.933),))
-        probs = tomo.simulate_measurement(np.diag([0.0, 1.0]).astype(complex), ro)
-        assert probs[1] == pytest.approx(0.933, abs=1e-12)
+        data = tomo.tomography_data(np.diag([0.0, 1.0]).astype(complex), ro)
+        assert data[0, 1] == pytest.approx(0.933, abs=1e-12)
 
     def test_probabilities_normalized(self):
         for _ in range(10):
-            probs = tomo.simulate_measurement(rand_state(4), TABLE_RO)
-            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+            data = tomo.tomography_data(rand_state(4), TABLE_RO)
+            assert np.allclose(data.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_unsupported_size_rejected(self, dim):
+        with pytest.raises(ValidationError, match="one or two qubits"):
+            tomo.tomography_data(np.eye(dim) / dim)
+
+    def test_readout_size_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="size mismatch"):
+            tomo.tomography_data(rand_state(2), TABLE_RO)
 
 
 class TestReadoutCorrect:
@@ -76,10 +87,8 @@ class TestReadoutCorrect:
     def test_round_trip(self):
         for _ in range(10):
             rho = rand_state(4)
-            exact = tomo.simulate_measurement(rho)
-            corrected = tomo.readout_correct(
-                tomo.simulate_measurement(rho, TABLE_RO), TABLE_RO
-            )
+            exact = tomo.tomography_data(rho)
+            corrected = tomo.readout_correct(tomo.tomography_data(rho, TABLE_RO), TABLE_RO)
             assert np.max(np.abs(corrected - exact)) < 1e-10
 
     def test_singular_confusion_rejected(self):
@@ -160,29 +169,62 @@ class TestStateTomo:
 class TestDesignCaches:
     @pytest.mark.parametrize("n", [1, 2])
     def test_cached_designs_equal_fresh_builds(self, n):
-        # the per-call constructions the caches replace, rebuilt here
+        # the explicit constructions the caches replace, rebuilt here: the
+        # measurement matrix holds conj(U^+ |b><b| U) per setting U and outcome b
         dim = 2**n
         rows = []
         for setting in tomo.all_settings(n):
             u = np.array([[1.0]], dtype=complex)
             for name in setting:
                 u = np.kron(u, tomo.TOMO_GATES[name])
-            assert np.array_equal(tomo._setting_unitary(setting), u)
             for b in range(dim):
                 proj = np.zeros((dim, dim), dtype=complex)
                 proj[b, b] = 1.0
                 rows.append((u.conj().T @ proj @ u).conj().reshape(-1))
-        assert np.array_equal(tomo._effect_rows(n), np.array(rows))
+        assert np.array_equal(tomo._measurement_matrix(n), np.array(rows))
         basis = list(tomo.pauli_basis(n).values())
         for a, pa in enumerate(basis):
             for b, pb in enumerate(basis):
                 assert np.array_equal(tomo._chi_blocks(n)[a, b], np.kron(pa, pb.conj()).reshape(-1))
 
     def test_cached_arrays_are_read_only(self):
-        cached = (tomo._setting_unitary(("I", "Rx90")), tomo._effect_rows(1), tomo._chi_blocks(1))
+        cached = (tomo._measurement_matrix(1), tomo._measurement_matrix(2), tomo._chi_blocks(1))
         for arr in cached:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+class TestStacks:
+    # a (5, d, d) stack goes through each stage in one call; the per-item
+    # calls are the reference
+    @staticmethod
+    def stack():
+        return np.array([rand_state(4) for _ in range(5)])
+
+    @pytest.mark.parametrize("readout", [None, TABLE_RO], ids=["exact", "table"])
+    def test_tomography_data_stack_equals_singles(self, readout):
+        rhos = self.stack()
+        data = tomo.tomography_data(rhos, readout)
+        assert data.shape == (5, 9, 4)
+        assert np.array_equal(data, np.array([tomo.tomography_data(r, readout) for r in rhos]))
+
+    def test_readout_correct_stack_equals_rows(self):
+        data = tomo.tomography_data(self.stack(), TABLE_RO)
+        rows = [[tomo.readout_correct(row, TABLE_RO) for row in table] for table in data]
+        assert np.max(np.abs(tomo.readout_correct(data, TABLE_RO) - np.array(rows))) <= 1e-15
+
+    @pytest.mark.parametrize("readout", [None, TABLE_RO], ids=["exact", "table"])
+    def test_state_tomo_stack_equals_tables(self, readout):
+        data = tomo.tomography_data(self.stack(), readout)
+        stacked = tomo.state_tomo(data, readout)
+        assert stacked.shape == (5, 4, 4)
+        singles = np.array([tomo.state_tomo(table, readout) for table in data])
+        assert np.max(np.abs(stacked - singles)) < 1e-14
+
+    def test_project_psd_stack_equals_singles(self):
+        mats = self.stack() - 0.1 * np.eye(4)
+        singles = np.array([tomo.project_psd(m, 1.0) for m in mats])
+        assert np.array_equal(tomo.project_psd(mats, 1.0), singles)
 
 
 class TestProcessTomo:
