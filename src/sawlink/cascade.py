@@ -180,11 +180,11 @@ def run_cascade(
         raise ValidationError("rho0 must live on the two-qubit space")
     rhos0 = rho0.rho[None] if single else np.asarray(rho0, dtype=complex)
 
-    bps = [float(b) for b in cfg.schedule.breakpoints()]
+    # each solve keeps only the breakpoints strictly inside its own span
+    bps = cfg.schedule.breakpoints()
     early, late = grid[grid <= tau], grid[grid > tau]
     grid1 = np.unique(np.concatenate([early, [0.0, tau]]))
-    bp1 = [b for b in bps if 0.0 < b < tau]
-    rhos1, _ = evolve_generator(stage1_liouvillian(cfg), rhos0, grid1, tol, breakpoints=bp1)
+    rhos1, _ = evolve_generator(stage1_liouvillian(cfg), rhos0, grid1, tol, breakpoints=bps)
 
     # the splice is not linear in rho0, so every prep keeps its own column
     spliced = np.stack([np.kron(r, r0) for r, r0 in zip(rhos1[-1], rhos0)])
@@ -194,11 +194,10 @@ def run_cascade(
     times, rhos = np.concatenate([early, late]), rhos1[np.searchsorted(grid1, early)]
     doubled = None
     if late.size:
-        t_end = float(late[-1])
         grid2 = np.unique(np.concatenate([[tau], late]))
-        bp2 = sorted({b for b in bps if tau < b < t_end}
-                     | {b + tau for b in bps if 0.0 < b < t_end - tau})
-        rhos2, _ = evolve_generator(stage2_liouvillian(cfg), spliced, grid2, tol, breakpoints=bp2)
+        # the lagged copies replay stage 1, so its kinks recur one transit later
+        rhos2, _ = evolve_generator(stage2_liouvillian(cfg), spliced, grid2, tol,
+                                    breakpoints=np.concatenate([bps, bps + tau]))
         rhos = np.concatenate([rhos, partial_trace(doubled_space(), rhos2[1:], ["q1", "q2"])])
         doubled = Trajectory(doubled_space(), grid2, rhos2[:, col])
 
@@ -217,10 +216,11 @@ def process_tomography_run(
 ):
     """Characterize a transfer as a process matrix over the spanning preps.
 
-    Each preparation in {g, +, +i, e} (the 16-element product set for
-    two-qubit transfers) is loaded onto the emitter qubit(s), any other
-    qubit in g; one cascade run evolves all of them to ``t_ro``, and
-    their receiver marginals go to the process reconstruction.  ``frame``
+    Each preparation of ``tomo.prep_states`` ({g, +, +i, e}, or its
+    16-element product set for two-qubit transfers) is loaded onto the
+    emitter qubit(s), any other qubit in g; one cascade run evolves all of
+    them to ``t_ro``, and their receiver marginals, in prep order, are
+    all the process reconstruction takes.  ``frame``
     is a unitary applied to every output state: the transfer imprints a
     fixed relative phase on the moved amplitude, and experiments
     calibrate it out by redefining the receiving qubit's frame.
@@ -234,10 +234,9 @@ def process_tomography_run(
     ground = np.diag([1.0, 0.0])
     keep = [f"q{q}" for q in sorted(receivers)]
 
-    inputs = tomo.prep_states(n)
-    preps = inputs
+    preps = tomo.prep_states(n)
     if n == 1:
-        preps = [np.kron(p, ground) if emitters[0] == 1 else np.kron(ground, p) for p in inputs]
+        preps = [np.kron(p, ground) if emitters[0] == 1 else np.kron(ground, p) for p in preps]
     traj = run_cascade(cfg, preps, grid, tol=tol)
     outputs = partial_trace(two_qubit_space(), traj.rhos[-1], keep)
-    return tomo.process_from_states(inputs, frame @ outputs @ frame.conj().T)
+    return tomo.process_from_states(frame @ outputs @ frame.conj().T)

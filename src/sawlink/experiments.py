@@ -425,12 +425,12 @@ def run_tomo_roundtrip(device: DeviceParams, params: dict, seed: int) -> Experim
     worst_exact = max(map(tomo.hs_distance, rhos, rec))
     worst_corrected = max(map(tomo.hs_distance, rec, rec_c))
     worst_process = 0.0
-    inputs = tomo.prep_states(1)
+    preps = tomo.prep_states(1)
     for _ in range(max(1, n_states // 4)):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         q, r = np.linalg.qr(a)
         u = q * (np.diag(r) / np.abs(np.diag(r)))  # Haar phase fix
-        chi = tomo.process_from_states(inputs, u @ inputs @ u.conj().T)
+        chi = tomo.process_from_states(u @ preps @ u.conj().T)
         worst_process = max(
             worst_process, tomo.hs_distance(chi, tomo.chi_ideal(u))
         )

@@ -8,9 +8,12 @@ squares against the same matrix (the settings are informationally
 complete), then eigenvalue clipping.  Scalar figures of merit live here too.
 
 States and process matrices are plain complex arrays, and a set of
-states a (k, d, d) stack: ``prep_states`` returns one,
-``process_from_states`` takes two, and the forward model, the readout
-correction, the inversion and the projection take any stack.
+states a (k, d, d) stack: ``prep_states`` returns the spanning
+preparations as one, ``process_from_states`` takes the stack of their
+outputs in that order, and the forward model, the readout correction,
+the inversion and the projection take any stack.  One rule reads the
+qubit count (one or two) off a dimension, and every n-qubit product is
+one Kronecker fold over its per-qubit factors.
 Measurement statistics are a table with one row per setting, in
 ``all_settings`` order, or a (..., 3^n, 2^n) stack of tables.  A process
 matrix chi is indexed over the unnormalized Pauli basis (``pauli_basis``):
@@ -21,7 +24,7 @@ lexicographic I, X, Y, Z order per qubit, leftmost qubit slowest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import product
 
 import numpy as np
@@ -54,18 +57,17 @@ PREP_KETS = {
 PREP_ORDER = ("g", "+", "+i", "e")
 
 
+def _n_qubits(dim: int) -> int:
+    """Qubit count of a tomography dimension: 2 or 4, else rejected."""
+    if dim not in (2, 4):
+        raise ValidationError(f"tomography covers one or two qubits, not dimension {dim}")
+    return dim // 2
+
+
 def pauli_basis(n_qubits: int) -> dict[str, np.ndarray]:
     """Unnormalized n-qubit Pauli operators keyed by label string."""
-    if n_qubits == 1:
-        return dict(PAULIS_1Q)
-    labels = ["".join(p) for p in product("IXYZ", repeat=n_qubits)]
-    out = {}
-    for lbl in labels:
-        m = np.array([[1.0]], dtype=complex)
-        for ch in lbl:
-            m = np.kron(m, PAULIS_1Q[ch])
-        out[lbl] = m
-    return out
+    return {"".join(lbl): reduce(np.kron, [PAULIS_1Q[c] for c in lbl])
+            for lbl in product("IXYZ", repeat=n_qubits)}
 
 
 @dataclass(frozen=True)
@@ -75,12 +77,10 @@ class ReadoutModel:
     fidelities: tuple[tuple[float, float], ...]  # (F_g, F_e) per qubit
 
     def __post_init__(self):
-        mat = np.array([[1.0]])
-        for fg, fe in self.fidelities:
-            for f in (fg, fe):
-                if not 0.5 < f <= 1.0:
-                    raise ValidationError("readout fidelities must lie in (0.5, 1]")
-            mat = np.kron(mat, np.array([[fg, 1.0 - fe], [1.0 - fg, fe]]))
+        if not all(0.5 < f <= 1.0 for f in np.ravel(self.fidelities)):
+            raise ValidationError("readout fidelities must lie in (0.5, 1]")
+        mat = reduce(np.kron, [np.array([[fg, 1.0 - fe], [1.0 - fg, fe]])
+                               for fg, fe in self.fidelities])
         mat.setflags(write=False)
         # built once per model: every measurement and correction reads it
         object.__setattr__(self, "_confusion", mat)
@@ -131,9 +131,7 @@ def _measurement_matrix(n_qubits: int) -> np.ndarray:
     dim = 2**n_qubits
     rows = []
     for setting in all_settings(n_qubits):
-        u = np.array([[1.0]], dtype=complex)
-        for name in setting:
-            u = np.kron(u, TOMO_GATES[name])
+        u = reduce(np.kron, [TOMO_GATES[name] for name in setting])
         for b in range(dim):
             proj = np.zeros((dim, dim), dtype=complex)
             proj[b, b] = 1.0
@@ -150,10 +148,8 @@ def tomography_data(rhos, readout: ReadoutModel | None = None) -> np.ndarray:
     the readout model when one is given."""
     mats = np.asarray(rhos, dtype=complex)
     dim = mats.shape[-1]
-    if dim not in (2, 4):
-        raise ValidationError("measurement model covers one or two qubits")
     vecs = mats.reshape(*mats.shape[:-2], dim * dim, 1)
-    probs = np.clip((_measurement_matrix(1 if dim == 2 else 2) @ vecs).real, 0.0, None)
+    probs = np.clip((_measurement_matrix(_n_qubits(dim)) @ vecs).real, 0.0, None)
     probs = probs.reshape(*mats.shape[:-2], -1, dim)
     probs = probs / probs.sum(axis=-1, keepdims=True)
     if readout is not None:
@@ -190,13 +186,9 @@ def state_tomo(data: np.ndarray, readout: ReadoutModel | None = None) -> np.ndar
 def prep_states(n_qubits: int) -> np.ndarray:
     """The spanning product preparations in ``PREP_ORDER`` product order, as
     a (4^n, 2^n, 2^n) stack of density matrices."""
-    out = []
-    for combo in product(PREP_ORDER, repeat=n_qubits):
-        ket = np.array([[1.0]], dtype=complex)
-        for name in combo:
-            ket = np.kron(ket, PREP_KETS[name])
-        out.append(np.outer(ket, ket.conj()))
-    return np.array(out)
+    kets = [reduce(np.kron, [PREP_KETS[name] for name in combo])
+            for combo in product(PREP_ORDER, repeat=n_qubits)]
+    return np.array([np.outer(ket, ket.conj()) for ket in kets])
 
 
 @cache
@@ -208,21 +200,25 @@ def _chi_blocks(n_qubits: int) -> np.ndarray:
     return blocks
 
 
-def process_from_states(inputs: np.ndarray, outputs: np.ndarray) -> np.ndarray:
-    """Process matrix chi from matched (k, d, d) stacks of prepared and
-    measured states; the inputs must span operator space (k = d^2)."""
-    ins = np.asarray(inputs, dtype=complex)
+@cache
+def _prep_inverse(n_qubits: int) -> np.ndarray:
+    """Inverse of the matrix whose columns are the flattened ``prep_states``."""
+    dim = 2**n_qubits
+    inv = np.linalg.inv(prep_states(n_qubits).reshape(dim * dim, -1).T)
+    inv.setflags(write=False)
+    return inv
+
+
+def process_from_states(outputs: np.ndarray) -> np.ndarray:
+    """Process matrix chi from the (4^n, 2^n, 2^n) stack of output states,
+    one per ``prep_states(n)`` preparation and in that order."""
     outs = np.asarray(outputs, dtype=complex)
-    dim = ins.shape[-1]
-    if dim not in (2, 4) or ins.shape != (dim * dim, dim, dim) or outs.shape != ins.shape:
-        raise ValidationError(f"need {dim*dim} spanning inputs and as many outputs "
-                              f"for dimension {dim}")
-    in_mat = ins.reshape(dim * dim, -1).T
-    out_mat = outs.reshape(dim * dim, -1).T
-    if np.linalg.matrix_rank(in_mat, tol=1e-10) < dim * dim:
-        raise ValidationError("input states do not span operator space")
-    smap = out_mat @ np.linalg.inv(in_mat)
-    chi = _chi_blocks(1 if dim == 2 else 2).conj() @ smap.reshape(-1) / dim**2
+    dim = outs.shape[-1]
+    n = _n_qubits(dim)
+    if outs.shape != (dim * dim, dim, dim):
+        raise ValidationError(f"need {dim * dim} output states, one per prep_states({n}) entry")
+    smap = outs.reshape(dim * dim, -1).T @ _prep_inverse(n)
+    chi = _chi_blocks(n).conj() @ smap.reshape(-1) / dim**2
     return project_psd(chi, trace=np.trace(chi).real)
 
 
@@ -230,12 +226,8 @@ def chi_ideal(unitary: np.ndarray) -> np.ndarray:
     """Rank-one process matrix of a unitary channel."""
     u = np.asarray(unitary, dtype=complex)
     dim = u.shape[0]
-    if dim not in (2, 4):
-        raise ValidationError("one- or two-qubit unitaries only")
-    n = 1 if dim == 2 else 2
-    coeffs = np.array(
-        [np.trace(p.conj().T @ u) / dim for p in pauli_basis(n).values()]
-    )
+    basis = pauli_basis(_n_qubits(dim)).values()
+    coeffs = np.array([np.trace(p.conj().T @ u) / dim for p in basis])
     return np.outer(coeffs, coeffs.conj())
 
 
@@ -270,8 +262,5 @@ def concurrence(rho) -> float:
 def pauli_expectations(rho) -> dict[str, float]:
     """Real expectation values over the Pauli basis of matching size."""
     mat = np.asarray(rho, dtype=complex)
-    n = 1 if mat.shape[0] == 2 else 2
-    return {
-        lbl: float(np.real(np.trace(p @ mat)))
-        for lbl, p in pauli_basis(n).items()
-    }
+    basis = pauli_basis(_n_qubits(mat.shape[0]))
+    return {lbl: float(np.real(np.trace(p @ mat))) for lbl, p in basis.items()}

@@ -365,18 +365,17 @@ class TestDoubledView:
 def per_prep_process(cfg, emitters, receivers, t_ro, tol, frame):
     """The process reconstruction with one cascade run per prep: the
     reference for the batched run."""
-    inputs = tomo.prep_states(len(emitters))
     ground = np.diag([1.0, 0.0])
     keep = [f"q{q}" for q in sorted(receivers)]
     outputs = []
-    for prep in inputs:
+    for prep in tomo.prep_states(len(emitters)):
         if len(emitters) == 1:
             prep = np.kron(prep, ground) if emitters[0] == 1 else np.kron(ground, prep)
         traj = run_cascade(cfg, QuantumState(two_qubit_space(), prep), np.array([0.0, t_ro]),
                            tol=tol)
         out = partial_trace(two_qubit_space(), traj.rhos[-1], keep)
         outputs.append(frame @ out @ frame.conj().T)
-    return tomo.process_from_states(inputs, np.array(outputs))
+    return tomo.process_from_states(np.array(outputs))
 
 
 class TestProcessTomographyRun:
