@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +92,7 @@ def cmd_sweep(args) -> int:
     points = [(set_by_path(cfg, args.param, value), Path(args.out) / f"point_{i:03d}")
               for i, value in enumerate(values)]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             all_metrics = list(pool.map(_run_bundle, *zip(*points)))
     else:

@@ -7,7 +7,9 @@ parameter fails where the config is built.  ``run_<name>`` is the plan
 and then the execution, a pure function of (device, params, seed) giving
 metrics, series and matrices; only failures that depend on the result
 stay at run time.  Published hardware values sit beside the model
-output under ``reference_`` metric keys.
+output under ``reference_`` metric keys.  Swap, double_swap, bell and
+vacuum_rabi import the Lindblad side (``cascade``, ``dynamics``, scipy)
+when they run, so the other runners and every plan need numpy alone.
 """
 
 from __future__ import annotations
@@ -18,15 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import multimode, sawphys, tomo
-from .cascade import (
-    CascadeConfig,
-    process_tomography_run,
-    run_cascade,
-    stage_blocks,
-    two_qubit_space,
-)
 from .device import DeviceParams
-from .dynamics import Generator, commutator_superop, dissipator, evolve_generator
 from .errors import ValidationError
 from .ioshape import (
     ControlSchedule,
@@ -199,6 +193,7 @@ def plan_swap(device: DeviceParams, params: dict, seed: int):
 
 def run_swap(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     """Single shaped transfer characterized by process tomography."""
+    from .cascade import CascadeConfig, process_tomography_run
     ch, sched = plan_swap(device, params, seed)
     cfg = CascadeConfig(sched, ch, noise=device.noise_pair())
     chi = process_tomography_run(cfg, (params["emitter"],), (params["receiver"],),
@@ -233,6 +228,7 @@ def plan_double_swap(device: DeviceParams, params: dict, seed: int):
 
 def run_double_swap(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     """Two counter-directed transfers exchanging the qubit states."""
+    from .cascade import CascadeConfig, process_tomography_run
     ch, sched = plan_double_swap(device, params, seed)
     cfg = CascadeConfig(sched, ch, noise=device.noise_pair())
     chi = process_tomography_run(cfg, (1, 2), (2, 1), ch.tau + 2 * params["window_ns"],
@@ -258,6 +254,8 @@ def run_bell(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     lab instant; the emitter marginal is therefore aged under its idle
     imperfections over tau before scoring.
     """
+    from .cascade import CascadeConfig, run_cascade, stage_blocks, two_qubit_space
+    from .dynamics import Generator, evolve_generator
     ch, sched = plan_bell(device, params, seed)
     cfg = CascadeConfig(sched, ch, noise=device.noise_pair())
     eg = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)[None]
@@ -337,6 +335,7 @@ def run_vacuum_rabi(device: DeviceParams, params: dict, seed: int) -> Experiment
     tractable truncated ladder.  The golden-rule figure is always
     quoted at the device coupling.
     """
+    from .dynamics import Generator, commutator_superop, dissipator, evolve_generator
     q, p, grid = plan_vacuum_rabi(device, params, seed)
     space = multimode.build_space(p)
     ka = p.kappa_a * 1e-3

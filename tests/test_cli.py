@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sawlink
 from sawlink import multimode
 from sawlink.cli import main
 from sawlink.config import default_config, load_config
@@ -711,3 +715,62 @@ class TestSweepFuzz:
                                         parallel) == code
             if code == 0:
                 assert bundle_bytes(serial) == bundle_bytes(parallel)
+
+
+def _modules_after(script: str, *args: str, cwd: Path) -> list[str]:
+    """The modules a fresh interpreter holds once ``script`` ran with ``args``."""
+    script += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    src = str(Path(sawlink.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script, *args], cwd=cwd, env=env, check=True,
+                         capture_output=True, text=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _lindblad(modules: list[str]) -> list[str]:
+    return [m for m in modules if m in ("sawlink.cascade", "sawlink.dynamics")
+            or m == "scipy" or m.startswith("scipy.")]
+
+
+# the runs whose physics needs numpy alone, interference reduced as in CI
+NUMPY_RUNS = ("ping_pong", "multi_transit", "interference", "saw_response", "spectroscopy",
+              "tomo_roundtrip")
+RUN_DEFAULTS = (
+    "import sys\n"
+    "import yaml\n"
+    "from sawlink.cli import main\n"
+    "from sawlink.config import default_config\n"
+    "for name in sys.argv[1:]:\n"
+    "    raw = default_config(name)\n"
+    "    if name == 'interference':\n"
+    "        raw['params'].update(n_phases=5, realizations=64)\n"
+    "    with open(f'{name}.yaml', 'w') as f:\n"
+    "        yaml.safe_dump(raw, f)\n"
+    "    assert main(['run', '--config', f'{name}.yaml', '--out', name]) == 0\n"
+)
+
+
+class TestImportGraph:
+    """The Lindblad side (cascade, dynamics, scipy) loads only when swap,
+    double_swap, bell or vacuum_rabi runs."""
+
+    def test_cli_import_loads_no_scipy_and_no_process_pool(self, tmp_path):
+        loaded = _modules_after("import sawlink.cli", cwd=tmp_path)
+        assert _lindblad(loaded) == []
+        assert "concurrent.futures.process" not in loaded
+
+    def test_every_default_config_builds_without_scipy(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from sawlink.config import config_from_dict, default_config\n"
+            "for name in sys.argv[1:]:\n"
+            "    config_from_dict(default_config(name))\n"
+        )
+        assert _lindblad(_modules_after(script, *sorted(EXPERIMENTS), cwd=tmp_path)) == []
+
+    def test_numpy_only_runs_load_no_scipy(self, tmp_path):
+        assert _lindblad(_modules_after(RUN_DEFAULTS, *NUMPY_RUNS, cwd=tmp_path)) == []
+
+    def test_bell_run_loads_scipy(self, tmp_path):
+        # the control: the same check sees scipy once a Lindblad runner runs
+        assert "scipy.integrate" in _modules_after(RUN_DEFAULTS, "bell", cwd=tmp_path)

@@ -343,7 +343,7 @@ class TestExactPropagation:
             seen.append((generator, rho0, grid))
             return evolve_generator(generator, rho0, grid, **kwargs)
 
-        monkeypatch.setattr(experiments, "evolve_generator", spy)
+        monkeypatch.setattr(dynamics, "evolve_generator", spy)
         params = dict(experiments.EXPERIMENTS["vacuum_rabi"].defaults)
         experiments.run_experiment("vacuum_rabi", default_device(), params, 1234)
         ((generator, rho0, grid),) = seen
@@ -370,13 +370,13 @@ class TestExactPropagation:
     def test_bit_identical_across_blas_threads(self):
         script = (
             "import hashlib\n"
-            "from sawlink import experiments\n"
+            "from sawlink import dynamics, experiments\n"
             "from sawlink.device import default_device\n"
-            "evolve, seen = experiments.evolve_generator, []\n"
+            "evolve, seen = dynamics.evolve_generator, []\n"
             "def spy(*args, **kwargs):\n"
             "    seen.append(evolve(*args, **kwargs))\n"
             "    return seen[-1]\n"
-            "experiments.evolve_generator = spy\n"
+            "dynamics.evolve_generator = spy\n"
             "params = dict(experiments.EXPERIMENTS['vacuum_rabi'].defaults)\n"
             "experiments.run_experiment('vacuum_rabi', default_device(), params, 1234)\n"
             "print(hashlib.sha256(seen[0][0].tobytes()).hexdigest())\n"
