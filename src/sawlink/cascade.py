@@ -184,7 +184,7 @@ def run_cascade(
     bps = cfg.schedule.breakpoints()
     early, late = grid[grid <= tau], grid[grid > tau]
     grid1 = np.unique(np.concatenate([early, [0.0, tau]]))
-    rhos1, _ = evolve_generator(stage1_liouvillian(cfg), rhos0, grid1, tol, breakpoints=bps)
+    rhos1 = evolve_generator(stage1_liouvillian(cfg), rhos0, grid1, tol, breakpoints=bps)
 
     # the splice is not linear in rho0, so every prep keeps its own column
     spliced = np.stack([np.kron(r, r0) for r, r0 in zip(rhos1[-1], rhos0)])
@@ -196,8 +196,8 @@ def run_cascade(
     if late.size:
         grid2 = np.unique(np.concatenate([[tau], late]))
         # the lagged copies replay stage 1, so its kinks recur one transit later
-        rhos2, _ = evolve_generator(stage2_liouvillian(cfg), spliced, grid2, tol,
-                                    breakpoints=np.concatenate([bps, bps + tau]))
+        rhos2 = evolve_generator(stage2_liouvillian(cfg), spliced, grid2, tol,
+                                 breakpoints=np.concatenate([bps, bps + tau]))
         rhos = np.concatenate([rhos, partial_trace(doubled_space(), rhos2[1:], ["q1", "q2"])])
         doubled = Trajectory(doubled_space(), grid2, rhos2[:, col])
 

@@ -93,7 +93,7 @@ def cmd_sweep(args) -> int:
               for i, value in enumerate(values)]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(points))) as pool:
             all_metrics = list(pool.map(_run_bundle, *zip(*points)))
     else:
         all_metrics = [_run_bundle(cfg_i, out) for cfg_i, out in points]

@@ -2,8 +2,9 @@
 
 The master equation acts on the density matrix vectorized row-major, so
 a sandwich A rho B turns into (A kron B^T) vec(rho); the sparse
-commutator and dissipator blocks and the ``Generator`` that stacks them
-with a coefficient vector c(t) keep that convention and scipy.sparse here.
+commutator and dissipator blocks keep that convention and scipy.sparse
+here, and so does the ``Generator``, which holds their sum weighted by a
+coefficient vector c(t) as one sparse matrix on the blocks' union pattern.
 The generator's kind picks the route.  A constant generator is propagated
 exactly: exp(L h) is built once per distinct grid step by a Taylor
 series with scaling and squaring, using sparse x dense products only,
@@ -12,10 +13,9 @@ time-dependent one is integrated with an adaptive RK45 scheme, its
 coefficients evaluated analytically at the integrator's internal times.
 A (k, d, d) stack of initial states is checked once and evolves as the
 k columns of one d^2 x k matrix, and the sampled (n_times, k, d, d) stack
-is checked, repaired and contracted with the observables in one pass:
-the positivity check reads eigenvalues only, and only states whose
-lowest eigenvalue is below -EIG_ATOL / d are rebuilt from an
-eigendecomposition.
+is checked and repaired in one pass: the positivity check reads
+eigenvalues only, and only states whose lowest eigenvalue is below
+-EIG_ATOL / d are rebuilt from an eigendecomposition.
 """
 
 from __future__ import annotations
@@ -57,16 +57,16 @@ UNIT_ROUNDOFF = 2.0**-53
 class Generator:
     """Linear map L(t) = sum_k c_k(t) B_k on vectorized density matrices.
 
-    The constant d^2 x d^2 blocks B_k are stacked vertically into one
-    sparse (n_terms * d^2) x d^2 matrix, and one function returns the
-    whole coefficient vector c(t), so applying L(t) costs one sparse
-    product and one contraction over the terms.  A constant generator
-    holds its coefficient vector in place of the function, and its blocks
-    are summed into ``stacked`` once, so applying it is one sparse product.
+    ``matrix`` is a d^2 x d^2 CSR matrix on the union of the blocks'
+    patterns, and column k of ``values`` (nnz x n_terms) holds block k's
+    entries on it, so L(c) is ``matrix`` with its data set to ``values @ c``.
+    A constant generator holds c in place of the function c(t), its data
+    filled once and the entries that sum to zero dropped.
     """
 
     space: HilbertSpace
-    stacked: sparse.csr_array
+    matrix: sparse.csr_array
+    values: np.ndarray
     coeffs: Callable[[float], np.ndarray] | np.ndarray
 
     def __init__(
@@ -78,34 +78,46 @@ class Generator:
         d2 = space.dim**2
         if any(block.shape != (d2, d2) for block in blocks):
             raise ValidationError(f"superoperator blocks must be {d2} x {d2}")
+        # one pass over the stacked blocks' COO triplets (a 0-row first block
+        # lets ``blocks`` be empty): each is keyed by its position in its block
+        stacked = sparse.vstack([sparse.csr_array((0, d2)), *blocks], format="csr")
+        stacked.eliminate_zeros()
+        terms, rows = np.divmod(stacked.tocoo().row, d2)
+        keys, at = np.unique(np.ravel_multi_index((rows, stacked.indices), (d2, d2)),
+                             return_inverse=True)
+        values = np.zeros((keys.size, len(blocks)), dtype=complex)
+        np.add.at(values, (at, terms), stacked.data)
+        data = np.zeros(keys.size, dtype=complex)
         if not callable(coeffs):
             coeffs = np.array(coeffs)
             if coeffs.shape != (len(blocks),):
                 raise ValidationError(f"{coeffs.size} coefficients for {len(blocks)} blocks")
             coeffs.setflags(write=False)
-            blocks = [sum((c * b for c, b in zip(coeffs, blocks)), sparse.csr_array((d2, d2)))]
-        stacked = sparse.vstack(blocks, format="csr") if blocks else (0, d2)
-        stacked = sparse.csr_array(stacked, dtype=complex)
-        stacked.eliminate_zeros()
+            data = values @ coeffs
+            keep = data != 0
+            keys, values, data = keys[keep], values[keep], data[keep]
+        indptr = np.searchsorted(keys // d2, np.arange(d2 + 1))
+        matrix = sparse.csr_array((data, keys % d2, indptr), shape=(d2, d2))
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "stacked", stacked)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "coeffs", coeffs)
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         """The right-hand side L(t) y of a time-dependent generator (a
-        constant one is applied as ``stacked``).  ``y`` holds k vectorized
+        constant one is applied as ``matrix``).  ``y`` holds k vectorized
         states as the columns of a d^2 x k matrix, flattened row-major as
         the ODE solver passes it, and the result is flattened alike.
 
         A non-finite coefficient raises: the adaptive stepper would
         otherwise shrink its step forever."""
         c = self.coeffs(t)
-        out = c @ (self.stacked @ y.reshape(self.stacked.shape[1], -1)).reshape(c.size, y.size)
-        # with finite states, a non-finite coefficient makes every entry of
-        # ``out`` non-finite, so the first entry screens for one
-        if not cmath.isfinite(out[0]) and not np.isfinite(c).all():
+        # refilled in place: a time-dependent generator's matrix holds L at the last evaluated t
+        data = np.matmul(self.values, c, out=self.matrix.data)
+        # a non-finite c_k makes every entry of ``data`` non-finite, so data[0] screens
+        if data.size and not cmath.isfinite(data[0]) and not np.isfinite(c).all():
             raise IntegrationError(f"non-finite generator coefficient at t = {t:.6g} ns")
-        return out
+        return (self.matrix @ y.reshape(self.matrix.shape[1], -1)).reshape(-1)
 
 
 def _block(*terms: tuple[complex, np.ndarray, np.ndarray]) -> sparse.csr_array:
@@ -290,15 +302,14 @@ def evolve_generator(
     rhos0: np.ndarray,
     grid: np.ndarray,
     tol: float = DEFAULT_TOL,
-    observables: dict[str, np.ndarray] | None = None,
     breakpoints: Sequence[float] = (),
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+) -> np.ndarray:
     """Evolve d(vec rho)/dt = L(t) vec rho and sample it on ``grid``.
 
     ``rhos0`` is a (k, d, d) stack of density matrices on the generator's
     space, evolved as the columns of one d^2 x k matrix.  Returns the
-    read-only sampled stack (n_times, k, d, d) and each observable's
-    (n_times, k) series.
+    read-only sampled stack (n_times, k, d, d); ``expectations`` reads
+    observables from it.
 
     The generator's kind picks the route.  A constant generator is
     propagated exactly: exp(L h) is built once per distinct grid step and
@@ -327,8 +338,8 @@ def evolve_generator(
     if callable(generator.coeffs):
         _integrate(generator, y, grid, tol, breakpoints, raw)
     else:
-        _propagate(generator.stacked, y, grid, raw.reshape(grid.size, k, d * d))
+        _propagate(generator.matrix, y, grid, raw.reshape(grid.size, k, d * d))
 
     _check_and_repair(raw, tol, grid)
     raw.setflags(write=False)
-    return raw, expectations(raw, observables)
+    return raw

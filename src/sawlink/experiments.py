@@ -267,7 +267,7 @@ def run_bell(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     nz = device.q1.noise()
     idle = Generator(two_qubit_space(), stage_blocks(False),
                      [nz.relax_rate, 0, nz.dephase_rate, 0, 0, 0])
-    aged, _ = evolve_generator(idle, pair, np.array([0.0, ch.tau]), tol=params["tol"])
+    aged = evolve_generator(idle, pair, np.array([0.0, ch.tau]), tol=params["tol"])
     frame = np.kron(np.eye(2), Z_FRAME)
     rho = frame @ aged[-1, 0] @ frame.conj().T
     metrics = {
@@ -335,7 +335,7 @@ def run_vacuum_rabi(device: DeviceParams, params: dict, seed: int) -> Experiment
     tractable truncated ladder.  The golden-rule figure is always
     quoted at the device coupling.
     """
-    from .dynamics import Generator, commutator_superop, dissipator, evolve_generator
+    from .dynamics import Generator, commutator_superop, dissipator, evolve_generator, expectations
     q, p, grid = plan_vacuum_rabi(device, params, seed)
     space = multimode.build_space(p)
     ka = p.kappa_a * 1e-3
@@ -343,11 +343,8 @@ def run_vacuum_rabi(device: DeviceParams, params: dict, seed: int) -> Experiment
     blocks += [dissipator(embed(SIGMA_MINUS, lbl, space)) for lbl in p.mode_labels]
     generator = Generator(space, blocks, [1.0] + [ka] * p.n_a)
     rho0 = QuantumState.basis_state(space, [1] + [0] * p.n_a)
-    _, series = evolve_generator(
-        generator, rho0.rho[None], grid, tol=params["tol"],
-        observables={"pe": embed(NUMBER, "q", space)},
-    )
-    pe_lindblad = series["pe"][:, 0]
+    rhos = evolve_generator(generator, rho0.rho[None], grid, tol=params["tol"])
+    pe_lindblad = expectations(rhos, {"pe": embed(NUMBER, "q", space)})["pe"][:, 0]
     pe_series = np.abs(multimode.laguerre_amplitude(grid, p)) ** 2
     golden = multimode.golden_rule_kappa(q.g_mhz, p.fsr)
     return ExperimentOutput(

@@ -454,11 +454,12 @@ CASCADE_ALLOWANCE = 1e-7
 IO_DT = TAU / 2048
 
 
-def route_gap(emitter, receiver, eta, phase, kappa_c, window):
+def route_gap(emitter, receiver, eta, phase, kappa_c, window, alpha=1.0):
     """The largest population gap between the cascade and the amplitude route
     at IO_DT / 4, and the amplitude route's change from IO_DT to IO_DT / 4."""
     ch = ChannelParams(eta=eta, tau=TAU, phase=phase)
-    sched = transfer_schedule(kappa_c, window, TAU, emitter=emitter, receiver=receiver)
+    sched = transfer_schedule(kappa_c, window, TAU, emitter=emitter, receiver=receiver,
+                              alpha=alpha)
     space = two_qubit_space()
     t_end = np.array([0.0, TAU + window])
     traj = run_cascade(CascadeConfig(sched, ch), excited(space, emitter), t_end, tol=CROSS_TOL,
@@ -474,12 +475,14 @@ def route_gap(emitter, receiver, eta, phase, kappa_c, window):
 @st.composite
 def cross_transfers(draw):
     """A cross pair, the line and a transfer whose coupling edges are soft
-    (kappa_c * w >= 16), so the amplitude route converges steadily."""
+    (kappa_c * w >= 16), so the amplitude route converges steadily; the
+    release is full or partial."""
     emitter = draw(st.sampled_from([1, 2]))
     kappa_c = draw(st.floats(0.08, 0.3))
     steps = draw(st.integers(int(np.ceil(16.0 / kappa_c / IO_DT)), int(300.0 / IO_DT)))
     return (emitter, 3 - emitter, draw(st.floats(0.3, 1.0)),
-            draw(st.floats(0.0, 2 * np.pi, exclude_max=True)), kappa_c, steps * IO_DT)
+            draw(st.floats(0.0, 2 * np.pi, exclude_max=True)), kappa_c, steps * IO_DT,
+            draw(st.just(1.0) | st.floats(0.1, 1.0)))
 
 
 class TestCrossRoute:

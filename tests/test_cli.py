@@ -1,5 +1,6 @@
 """Command-line interface: bundles, sweeps, exit codes."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -127,6 +128,31 @@ class TestSweep:
                   "--config", config_path]
         assert main([*kwargs, "--out", str(tmp_path / "ser")]) == 0
         assert main([*kwargs, "--out", str(tmp_path / "par"), "--jobs", "2"]) == 0
+        assert bundle_bytes(tmp_path / "ser") == bundle_bytes(tmp_path / "par")
+
+    def test_pool_has_no_more_workers_than_points(self, config_path, tmp_path, monkeypatch):
+        # the pool forks every worker at the first submit, so a few points
+        # with many jobs must not ask for more workers than there are points
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        kwargs = ["sweep", "params.window_ns", "100", "150", "--config", config_path]
+        assert main([*kwargs, "--out", str(tmp_path / "ser")]) == 0
+        assert main([*kwargs, "--out", str(tmp_path / "par"), "--jobs", "64"]) == 0
+        assert sizes == [2]
         assert bundle_bytes(tmp_path / "ser") == bundle_bytes(tmp_path / "par")
 
     def test_no_values_is_usage_error(self, config_path, tmp_path, capsys):

@@ -23,6 +23,7 @@ from sawlink.dynamics import (
     commutator_superop,
     dissipator,
     evolve_generator,
+    expectations,
 )
 from sawlink.errors import DiagnosticsError, ValidationError
 from sawlink.qcore import (
@@ -48,7 +49,7 @@ def test_free_evolution_is_identity():
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho0 = a @ a.conj().T
     rho0 /= np.trace(rho0)
-    rhos, _ = evolve_generator(free, rho0[None], np.linspace(0, 50, 11))
+    rhos = evolve_generator(free, rho0[None], np.linspace(0, 50, 11))
     for rho in rhos[:, 0]:
         assert np.allclose(rho, rho0, atol=1e-8)
 
@@ -57,7 +58,7 @@ def test_constant_decay_matches_exponential():
     kappa = 0.02  # 1/ns
     decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [kappa])
     grid = np.linspace(0, 200, 41)
-    _, series = evolve_generator(decay, EXCITED, grid, observables={"pe": NUMBER})
+    series = expectations(evolve_generator(decay, EXCITED, grid), {"pe": NUMBER})
     assert np.max(np.abs(series["pe"][:, 0] - np.exp(-kappa * grid))) <= 1e-12
 
 
@@ -69,12 +70,8 @@ def test_resonant_vacuum_rabi_oracle():
     rabi = Generator(space, [commutator_superop(h)], [g])
     t_half = (np.pi / 2) / g
     grid = np.linspace(0, t_half, 25)
-    _, series = evolve_generator(
-        rabi,
-        QuantumState.basis_state(space, [1, 0]).rho[None],
-        grid,
-        observables={"pe": embed(NUMBER, "q", space)},
-    )
+    rhos = evolve_generator(rabi, QuantumState.basis_state(space, [1, 0]).rho[None], grid)
+    series = expectations(rhos, {"pe": embed(NUMBER, "q", space)})
     pe = series["pe"][:, 0]
     assert np.allclose(pe, np.cos(g * grid) ** 2, atol=1e-6)
     assert pe[-1] < 1e-6
@@ -85,7 +82,7 @@ def test_trace_and_hermiticity_along_trajectory():
     driven = Generator(
         QUBIT, [commutator_superop(SIGMA_PLUS + SIGMA_MINUS), dissipator(SIGMA_MINUS)], [0.3, kappa]
     )
-    rhos, _ = evolve_generator(driven, EXCITED, np.linspace(0, 100, 51))
+    rhos = evolve_generator(driven, EXCITED, np.linspace(0, 100, 51))
     check_states(rhos)
     for rho in rhos[:, 0]:
         assert abs(np.trace(rho) - 1.0) < 1e-8
@@ -97,7 +94,7 @@ def test_time_dependent_amplitude():
     rate = 0.001  # 1/ns^2
     ramp = Generator(QUBIT, [dissipator(SIGMA_MINUS)], lambda t: np.array([rate * t]))
     grid = np.linspace(0, 60, 13)
-    _, series = evolve_generator(ramp, EXCITED, grid, observables={"pe": NUMBER})
+    series = expectations(evolve_generator(ramp, EXCITED, grid), {"pe": NUMBER})
     assert np.allclose(series["pe"][:, 0], np.exp(-0.5 * rate * grid**2), atol=1e-7)
 
 
@@ -156,20 +153,18 @@ def test_capped_space_matches_full_tensor_space():
     capped = HilbertSpace([2, 2, 2, 2], labels, excitation_cap=1)
     obs_full = {"pe": embed(NUMBER, "q", full)}
     obs_capped = {"pe": embed(NUMBER, "q", capped)}
-    _, series_full = evolve_generator(
+    series_full = expectations(evolve_generator(
         build(full),
         QuantumState.basis_state(full, [1, 0, 0, 0]).rho[None],
         grid,
         tol=1e-10,
-        observables=obs_full,
-    )
-    _, series_capped = evolve_generator(
+    ), obs_full)
+    series_capped = expectations(evolve_generator(
         build(capped),
         QuantumState.basis_state(capped, [1, 0, 0, 0]).rho[None],
         grid,
         tol=1e-10,
-        observables=obs_capped,
-    )
+    ), obs_capped)
     assert np.allclose(series_full["pe"], series_capped["pe"], atol=1e-8)
 
 
@@ -222,18 +217,19 @@ class TestStackedEvolution:
         breaks = grid[1 : 1 + n_breaks] if on_grid else rng.uniform(0.0, 60.0, size=n_breaks)
         preps = random_states(rng, k, 4)
         number = {"n_a": embed(NUMBER, "a", PAIR)}
-        rhos, series = evolve_generator(generator, preps, grid, tol, number, breaks)
+        rhos = evolve_generator(generator, preps, grid, tol, breaks)
+        series = expectations(rhos, number)
         assert rhos.shape == (grid.size, k, 4, 4)
         assert series["n_a"].shape == (grid.size, k)
         for j in range(k):
-            alone, alone_series = evolve_generator(generator, preps[j : j + 1], grid, tol,
-                                                   number, breaks)
+            alone = evolve_generator(generator, preps[j : j + 1], grid, tol, breaks)
+            alone_series = expectations(alone, number)
             assert np.max(np.abs(rhos[:, j] - alone[:, 0])) <= 10 * tol
             assert np.max(np.abs(series["n_a"][:, j] - alone_series["n_a"][:, 0])) <= 10 * tol
 
     def test_sampled_stack_is_read_only(self):
         decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [0.1])
-        rhos, _ = evolve_generator(decay, EXCITED, np.linspace(0, 10, 3))
+        rhos = evolve_generator(decay, EXCITED, np.linspace(0, 10, 3))
         assert rhos.shape == (3, 1, 2, 2)
         with pytest.raises(ValueError):
             rhos[0, 0, 0, 0] = 0.0
@@ -267,6 +263,78 @@ class TestStackedEvolution:
         assert str(got.value) == str(want.value)
 
 
+# ---- one sparse matrix on the blocks' union pattern -----------------------------
+
+
+def random_blocks(rng, n, pattern):
+    """n random blocks on PAIR whose patterns overlap, are disjoint or are
+    drawn independently; each stores some of its entries as explicit zeros
+    and a few twice, which then sum (a non-canonical CSR array)."""
+    d2 = PAIR.dim**2
+    shared = rng.random((d2, d2)) < 0.3
+    owner = rng.integers(0, max(n, 1), size=(d2, d2))
+    blocks = []
+    for k in range(n):
+        mask = {"overlapping": shared | (rng.random((d2, d2)) < 0.05),
+                "disjoint": shared & (owner == k),
+                "independent": rng.random((d2, d2)) < 0.3}[pattern]
+        rows, cols = np.nonzero(mask)
+        data = rng.uniform(-1, 1, rows.size) + 1j * rng.uniform(-1, 1, rows.size)
+        data[rng.random(rows.size) < 0.2] = 0.0
+        twice = rng.integers(0, max(rows.size, 1), size=min(rows.size, 3))
+        rows, cols, data = (np.concatenate([a, a[twice]]) for a in (rows, cols, data))
+        order = np.argsort(rows, kind="stable")
+        indptr = np.searchsorted(rows[order], np.arange(d2 + 1))
+        blocks.append(sparse.csr_array((data[order], cols[order], indptr), shape=(d2, d2)))
+    return blocks
+
+
+class TestUnionFormat:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(0, 6),
+        pattern=st.sampled_from(["overlapping", "disjoint", "independent"]),
+        complex_coeffs=st.booleans(),
+        k=st.integers(1, 4),
+    )
+    @example(seed=0, n=0, pattern="overlapping", complex_coeffs=False, k=2)
+    def test_applies_the_dense_sum(self, seed, n, pattern, complex_coeffs, k):
+        rng = np.random.default_rng(seed)
+        blocks = random_blocks(rng, n, pattern)
+        omega, phase = rng.uniform(0.1, 2.0, n), rng.uniform(0.0, 2 * np.pi, n)
+
+        def coeffs(t):
+            c = np.exp(1j * (omega * t + phase))
+            return c if complex_coeffs else c.real
+
+        t1, t2 = rng.uniform(0.0, 10.0, 2)
+        y = rng.uniform(-1, 1, (16, k)) + 1j * rng.uniform(-1, 1, (16, k))
+        dense = np.zeros((16, 16), dtype=complex)
+        for c, block in zip(coeffs(t2), blocks):
+            dense += c * block.toarray()
+        want = dense @ y
+
+        constant = Generator(PAIR, blocks, coeffs(t2))
+        assert (constant.matrix.data != 0).all()
+        assert np.max(np.abs(constant.matrix @ y - want)) <= 1e-14
+
+        # a call at t2 after one at t1 leaves no trace of the first refill
+        generator = Generator(PAIR, blocks, coeffs)
+        generator(t1, y.reshape(-1))
+        got = generator(t2, y.reshape(-1))
+        assert np.max(np.abs(got.reshape(16, k) - want)) <= 1e-14
+        assert np.array_equal(got, Generator(PAIR, blocks, coeffs)(t2, y.reshape(-1)))
+
+    def test_constant_generator_drops_cancelled_entries(self):
+        # the drive's pattern is disjoint from the decay's, which cancels
+        decay = dissipator(SIGMA_MINUS)
+        drive = commutator_superop(SIGMA_PLUS + SIGMA_MINUS)
+        gen = Generator(QUBIT, [decay, drive, decay], [0.3, 1.0, -0.3])
+        assert gen.matrix.nnz == np.count_nonzero(drive.toarray())
+        assert np.array_equal(gen.matrix.toarray(), drive.toarray())
+
+
 # ---- exact propagation of a constant generator ---------------------------------
 
 LADDER = HilbertSpace([2, 2, 2, 2], ["q", "m0", "m1", "m2"], excitation_cap=1)
@@ -297,8 +365,8 @@ class TestExactPropagation:
         grid = np.sort(rng.uniform(0.0, 60.0, size=n_points))
         grid[0] = 0.0
         preps = random_states(rng, k, space.dim)
-        exact, _ = evolve_generator(Generator(space, blocks, rates), preps, grid, 1e-12)
-        rk45, _ = evolve_generator(Generator(space, blocks, lambda t: rates), preps, grid, 1e-12)
+        exact = evolve_generator(Generator(space, blocks, rates), preps, grid, 1e-12)
+        rk45 = evolve_generator(Generator(space, blocks, lambda t: rates), preps, grid, 1e-12)
         assert np.max(np.abs(exact - rk45)) <= 1e-9
 
     def test_matches_per_step_matrix_exponential(self):
@@ -307,11 +375,11 @@ class TestExactPropagation:
         # the last steps are long enough that the series is scaled and squared
         grid = np.array([0.0, 0.3, 2.0, 7.5, 80.0, 400.0])
         rhos = random_states(rng, 3, 4)
-        got, _ = evolve_generator(generator, rhos, grid)
+        got = evolve_generator(generator, rhos, grid)
         y = rhos.reshape(3, 16).T
         want = [y]
         for h in np.diff(grid):
-            want.append(scipy.linalg.expm(generator.stacked.toarray() * h) @ want[-1])
+            want.append(scipy.linalg.expm(generator.matrix.toarray() * h) @ want[-1])
         want = np.stack(want).transpose(0, 2, 1).reshape(grid.size, 3, 4, 4)
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -350,7 +418,7 @@ class TestExactPropagation:
         assert grid.size == 800
         atol = 16 * np.finfo(float).eps * np.max(np.abs(grid))
         _, (h,) = dynamics._step_groups(np.diff(grid), atol)
-        dense = dynamics._propagator(generator.stacked, h)
+        dense = dynamics._propagator(generator.matrix, h)
         assert isinstance(dense, np.ndarray)
         csr = sparse.csr_array(dense)
         y_dense = y_sparse = rho0[0].reshape(-1)
@@ -379,7 +447,7 @@ class TestExactPropagation:
             "dynamics.evolve_generator = spy\n"
             "params = dict(experiments.EXPERIMENTS['vacuum_rabi'].defaults)\n"
             "experiments.run_experiment('vacuum_rabi', default_device(), params, 1234)\n"
-            "print(hashlib.sha256(seen[0][0].tobytes()).hexdigest())\n"
+            "print(hashlib.sha256(seen[0].tobytes()).hexdigest())\n"
         )
         src = str(Path(sawlink.__file__).parents[1])
         digests = []

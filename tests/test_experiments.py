@@ -202,7 +202,7 @@ def two_block_bell_pair(params):
     nz = DEV.q1.noise()
     blocks = [dissipator(embed(op, "q1e", sp)) for op in (SIGMA_MINUS, NUMBER)]
     idle = Generator(sp, blocks, [nz.relax_rate, nz.dephase_rate])
-    aged, _ = evolve_generator(idle, pair[None], np.array([0.0, ch.tau]), tol=params["tol"])
+    aged = evolve_generator(idle, pair[None], np.array([0.0, ch.tau]), tol=params["tol"])
     frame = np.kron(np.eye(2), Z_FRAME)
     return frame @ aged[-1, 0] @ frame.conj().T
 

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
-from sawlink.dynamics import Generator, commutator_superop, dissipator, evolve_generator
+from sawlink.dynamics import (
+    Generator,
+    commutator_superop,
+    dissipator,
+    evolve_generator,
+    expectations,
+)
 from sawlink.errors import ValidationError
 from sawlink.multimode import (
     MultimodeParams,
@@ -193,10 +199,8 @@ class TestOracleEquivalence:
         generator = Generator(space, blocks, [1.0] + [ka] * p.n_a)
         rho0 = QuantumState.basis_state(space, [1] + [0] * p.n_a)
         grid = np.linspace(0.0, 1.6 * p.tau_ns, 500)
-        _, series = evolve_generator(
-            generator, rho0.rho[None], grid, tol=1e-9,
-            observables={"pe": embed(NUMBER, "q", space)},
-        )
+        rhos = evolve_generator(generator, rho0.rho[None], grid, tol=1e-9)
+        series = expectations(rhos, {"pe": embed(NUMBER, "q", space)})
         pe_series = np.abs(laguerre_amplitude(grid, p)) ** 2
         assert np.max(np.abs(series["pe"][:, 0] - pe_series)) <= 1e-2
 

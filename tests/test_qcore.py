@@ -361,8 +361,8 @@ class TestSuperOperators:
         gen = Generator(space, blocks, [0.7, 0.2])
         y = np.random.default_rng(31).normal(size=(9, 2)) + 0j
         want = (0.7 * blocks[0].toarray() + 0.2 * blocks[1].toarray()) @ y
-        assert np.allclose(gen.stacked @ y, want, atol=1e-14)
-        assert np.allclose(gen.stacked @ y[:, 0], want[:, 0], atol=1e-14)
+        assert np.allclose(gen.matrix @ y, want, atol=1e-14)
+        assert np.allclose(gen.matrix @ y[:, 0], want[:, 0], atol=1e-14)
 
     def test_hermiticity_preserved_by_lindblad_generator(self):
         space = HilbertSpace([2], ["q"])
@@ -373,5 +373,5 @@ class TestSuperOperators:
         )
         rng = np.random.default_rng(23)
         rho = random_density(2, rng)
-        out = (gen.stacked @ rho.reshape(-1)).reshape(2, 2)
+        out = (gen.matrix @ rho.reshape(-1)).reshape(2, 2)
         assert np.allclose(out, out.conj().T, atol=1e-13)
