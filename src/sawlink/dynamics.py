@@ -1,28 +1,32 @@
-"""Lindblad evolution.
+"""Lindblad evolution in real coordinates of Hermitian states.
 
-The master equation acts on the density matrix vectorized row-major, so
-a sandwich A rho B turns into (A kron B^T) vec(rho); the sparse
-commutator and dissipator blocks keep that convention and scipy.sparse
-here, and so does the ``Generator``, which holds their sum weighted by a
-coefficient vector c(t) as one sparse matrix on the blocks' union pattern.
-The generator's kind picks the route.  A constant generator is propagated
-exactly: exp(L h) is built once per distinct grid step by a Taylor
-series with scaling and squaring, using sparse x dense products only,
-kept as a dense matrix and applied step by step as a dense product.  A
-time-dependent one is integrated with an adaptive RK45 scheme, its
+A density matrix is carried as d^2 real coordinates: its diagonal, then
+sqrt 2 Re and sqrt 2 Im of each upper entry.  They are T vec(rho) for one
+unitary T per dimension (``hermitian_basis``), with vec row-major, and in
+them a Hermiticity-preserving superoperator B is the real matrix
+T B T^H (Gorini, Kossakowski and Sudarshan, J. Math. Phys. 17, 821
+(1976)).  The commutator and dissipator blocks are built as such real
+scipy.sparse matrices, and the ``Generator`` holds their sum weighted by a
+real coefficient vector c(t) as one sparse matrix on the blocks' union
+pattern.  The generator's kind picks the route.  A constant generator is
+propagated exactly: exp(L h) is built once per distinct grid step by a
+Taylor series with scaling and squaring, using sparse x dense products
+only, kept as a dense matrix and applied step by step as a dense product.
+A time-dependent one is integrated with an adaptive RK45 scheme, its
 coefficients evaluated analytically at the integrator's internal times.
 A (k, d, d) stack of initial states is checked once and evolves as the
-k columns of one d^2 x k matrix, and the sampled (n_times, k, d, d) stack
-is checked and repaired in one pass: the positivity check reads
-eigenvalues only, and only states whose lowest eigenvalue is below
--EIG_ATOL / d are rebuilt from an eigendecomposition.
+k columns of one real d^2 x k matrix, and the sampled coordinates come
+back as an exactly Hermitian (n_times, k, d, d) stack, checked and
+repaired in one pass: a Cholesky factor of rho + EIG_ATOL / d I screens
+positivity, and only where it fails are eigenvalues read and the states
+whose lowest one is below -EIG_ATOL / d rebuilt from an eigendecomposition.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,23 +49,91 @@ DEFAULT_TOL = 1e-8
 # A trajectory state may dip this far below positivity before we call it
 # unphysical rather than integration noise.
 POSITIVITY_CLIP = 1e-8
+# states per Cholesky screen and per rebuild, to keep the temporaries
+# small: an 800-state 13 x 13 stack screens as fast in blocks of 64 to 512
+# states and about half as fast in one piece
+SCREEN_BLOCK = 256
 CLIP_BLOCK = 64
 
 # exp(A) is summed as a Taylor series once ||A||_1 <= TAYLOR_NORM; a
 # longer step is scaled down by a power of two and squared back up
 TAYLOR_NORM = 1.0
 UNIT_ROUNDOFF = 2.0**-53
+SQRT2 = math.sqrt(2.0)
+# a block's imaginary part, relative to its largest entry, above which it
+# is taken for a map that does not preserve Hermiticity
+REAL_BLOCK_RTOL = 1e-12
+
+
+@cache
+def _coordinates(d: int) -> tuple[np.ndarray, ...]:
+    """The upper entries (iu, ju) of a d x d matrix, row-major, and where
+    each entry p of vec(rho) lands in the real coordinates: it adds
+    w[p, s] rho_p to coordinate at[p, s] for s = 0, 1, before coordinate a
+    is scaled by scale[a].  A diagonal entry has one target, its second
+    weight 0; w[p, 0] is real and w[p, 1] imaginary."""
+    iu, ju = np.triu_indices(d, 1)
+    m, diag = iu.size, np.arange(d) * (d + 1)
+    at = np.zeros((d * d, 2), dtype=np.intp)
+    w = np.zeros((d * d, 2), dtype=complex)
+    at[diag, 0], w[diag, 0] = np.arange(d), 1.0
+    pair = np.column_stack([d + np.arange(m), d + m + np.arange(m)])
+    at[iu * d + ju], w[iu * d + ju] = pair, [1.0, -1j]
+    at[ju * d + iu], w[ju * d + iu] = pair, [1.0, 1j]
+    scale = np.concatenate([np.ones(d), np.full(2 * m, 1 / SQRT2)])
+    for a in (iu, ju, at, w, scale):
+        a.setflags(write=False)
+    return iu, ju, at, w, scale
+
+
+def hermitian_basis(d: int) -> sparse.csr_array:
+    """The unitary T with T vec(rho) the real coordinates of a Hermitian
+    d x d matrix rho: its diagonal, then sqrt 2 Re rho_ij and then
+    sqrt 2 Im rho_ij over the upper entries i < j in row-major order."""
+    _, _, at, w, scale = _coordinates(d)
+    cols = np.repeat(np.arange(d * d), 2)
+    t = sparse.coo_array((w.ravel() * scale[at.ravel()], (at.ravel(), cols)), shape=(d * d,) * 2)
+    t = t.tocsr()
+    t.eliminate_zeros()
+    return t
+
+
+def to_coords(rhos: np.ndarray) -> np.ndarray:
+    """The real coordinates (..., d^2) of a stack (..., d, d) of Hermitian
+    matrices, read from their diagonals and upper triangles."""
+    iu, ju, *_ = _coordinates(rhos.shape[-1])
+    upper = rhos[..., iu, ju]
+    diag = np.diagonal(rhos, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, SQRT2 * upper.real, SQRT2 * upper.imag], axis=-1)
+
+
+def from_coords(coords: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian stack (..., d, d) with real coordinates (..., d^2)."""
+    d = math.isqrt(coords.shape[-1])
+    _, _, at, w, scale = _coordinates(d)
+    # vec(rho) = T^H r, so rho_p sums conj(w[p, s]) scale[at[p, s]] r[at[p, s]]
+    # over s: the real term s = 0 gives Re rho_p and the imaginary s = 1 Im rho_p
+    rhos = np.empty(coords.shape[:-1] + (d, d), dtype=complex)
+    parts = rhos.view(float).reshape(coords.shape[:-1] + (2 * d * d,))
+    # every index is in range, and mode "clip" lets take write to ``parts`` unbuffered
+    np.take(coords, at.ravel(), axis=-1, out=parts, mode="clip")
+    parts *= ((w.real - w.imag) * scale[at]).ravel()
+    # a diagonal entry's zero weight times a negative coordinate is -0
+    parts[..., 1 :: 2 * (d + 1)] = 0.0
+    return rhos
 
 
 @dataclass(frozen=True)
 class Generator:
-    """Linear map L(t) = sum_k c_k(t) B_k on vectorized density matrices.
+    """Linear map L(t) = sum_k c_k(t) B_k on the real coordinates of
+    Hermitian states, with real blocks and real coefficients.
 
-    ``matrix`` is a d^2 x d^2 CSR matrix on the union of the blocks'
-    patterns, and column k of ``values`` (nnz x n_terms) holds block k's
-    entries on it, so L(c) is ``matrix`` with its data set to ``values @ c``.
-    A constant generator holds c in place of the function c(t), its data
-    filled once and the entries that sum to zero dropped.
+    ``matrix`` is a real d^2 x d^2 CSR matrix on the union of the blocks'
+    patterns, and column k of the real ``values`` (nnz x n_terms) holds
+    block k's entries on it, so L(c) is ``matrix`` with its data set to
+    ``values @ c``.  A constant generator holds c in place of the function
+    c(t), its data filled once and the entries that sum to zero dropped.
+    A complex block or coefficient raises ``ValidationError``.
     """
 
     space: HilbertSpace
@@ -73,11 +145,13 @@ class Generator:
         self,
         space: HilbertSpace,
         blocks: Sequence[sparse.sparray],
-        coeffs: Callable[[float], np.ndarray] | Sequence[complex],
+        coeffs: Callable[[float], np.ndarray] | Sequence[float],
     ):
         d2 = space.dim**2
         if any(block.shape != (d2, d2) for block in blocks):
             raise ValidationError(f"superoperator blocks must be {d2} x {d2}")
+        if any(block.dtype.kind == "c" for block in blocks):
+            raise ValidationError("superoperator blocks must be real, in Hermitian coordinates")
         # one pass over the stacked blocks' COO triplets (a 0-row first block
         # lets ``blocks`` be empty): each is keyed by its position in its block
         stacked = sparse.vstack([sparse.csr_array((0, d2)), *blocks], format="csr")
@@ -85,15 +159,20 @@ class Generator:
         terms, rows = np.divmod(stacked.tocoo().row, d2)
         keys, at = np.unique(np.ravel_multi_index((rows, stacked.indices), (d2, d2)),
                              return_inverse=True)
-        values = np.zeros((keys.size, len(blocks)), dtype=complex)
+        values = np.zeros((keys.size, len(blocks)))
         np.add.at(values, (at, terms), stacked.data)
-        data = np.zeros(keys.size, dtype=complex)
+        data = np.zeros(keys.size)
         if not callable(coeffs):
             coeffs = np.array(coeffs)
+            if coeffs.dtype.kind == "c":
+                raise ValidationError("generator coefficients must be real")
+            coeffs = coeffs.astype(float)
             if coeffs.shape != (len(blocks),):
                 raise ValidationError(f"{coeffs.size} coefficients for {len(blocks)} blocks")
             coeffs.setflags(write=False)
-            data = values @ coeffs
+            # products summed without a fused multiply-add, so terms that
+            # cancel leave an exact zero
+            data = (values * coeffs).sum(axis=1)
             keep = data != 0
             keys, values, data = keys[keep], values[keep], data[keep]
         indptr = np.searchsorted(keys // d2, np.arange(d2 + 1))
@@ -105,26 +184,32 @@ class Generator:
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         """The right-hand side L(t) y of a time-dependent generator (a
-        constant one is applied as ``matrix``).  ``y`` holds k vectorized
-        states as the columns of a d^2 x k matrix, flattened row-major as
-        the ODE solver passes it, and the result is flattened alike.
+        constant one is applied as ``matrix``).  ``y`` holds the real
+        coordinates of k states as the columns of a d^2 x k matrix,
+        flattened row-major as the ODE solver passes it, and the result is
+        flattened alike.
 
-        A non-finite coefficient raises: the adaptive stepper would
-        otherwise shrink its step forever."""
+        A complex coefficient raises, and so does a non-finite one: the
+        adaptive stepper would otherwise shrink its step forever."""
         c = self.coeffs(t)
+        if c.dtype.kind == "c":
+            raise ValidationError(f"complex generator coefficient at t = {t:.6g} ns")
         # refilled in place: a time-dependent generator's matrix holds L at the last evaluated t
         data = np.matmul(self.values, c, out=self.matrix.data)
         # a non-finite c_k makes every entry of ``data`` non-finite, so data[0] screens
-        if data.size and not cmath.isfinite(data[0]) and not np.isfinite(c).all():
+        if data.size and not math.isfinite(data[0]) and not np.isfinite(c).all():
             raise IntegrationError(f"non-finite generator coefficient at t = {t:.6g} ns")
         return (self.matrix @ y.reshape(self.matrix.shape[1], -1)).reshape(-1)
 
 
 def _block(*terms: tuple[complex, np.ndarray, np.ndarray]) -> sparse.csr_array:
-    """Sparse block of rho -> sum w a rho b over the (w, a, b) terms.
+    """Real sparse block T B T^H of B: rho -> sum w a rho b over the (w, a, b) terms.
 
-    Each term is the Kronecker product w (a kron b^T) (row-major
-    vectorization), built from the nonzeros of a and b alone.
+    Each term is the Kronecker product w (a kron b^T) on the row-major
+    vec(rho), built from the nonzeros of a and b alone.  Its entries are
+    carried to the real coordinates with the unscaled weights of T, which
+    are 1 and +-i, summed, and then scaled.  A map that does not preserve
+    Hermiticity has a complex block, and raises ``ValidationError``.
     """
     n = terms[0][1].shape[0]
     rows, cols, vals = [], [], []
@@ -135,8 +220,22 @@ def _block(*terms: tuple[complex, np.ndarray, np.ndarray]) -> sparse.csr_array:
         rows.append((ia[:, None] * n + ib).ravel())
         cols.append((ja[:, None] * n + jb).ravel())
         vals.append((w * a[ia, ja][:, None] * bt[ib, jb]).ravel())
-    coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    return sparse.csr_array(sparse.coo_array(coo, shape=(n * n, n * n), dtype=complex))
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    # entry (p, q) of B adds w[p, s] B_pq conj(w[q, r]) to entry (at[p, s], at[q, r])
+    _, _, at, weight, scale = _coordinates(n)
+    vals = (vals[:, None, None] * weight[rows][:, :, None] * weight[cols].conj()[:, None, :]).ravel()
+    keys = (at[rows][:, :, None] * n * n + at[cols][:, None, :]).ravel()
+    keys, where = np.unique(keys[vals != 0], return_inverse=True)
+    vals = vals[vals != 0]
+    rows, cols = np.divmod(keys, n * n)
+    scaled = scale[rows] * scale[cols]
+    real = np.bincount(where, vals.real, keys.size) * scaled
+    imag = np.bincount(where, vals.imag, keys.size) * scaled
+    if np.abs(imag).max(initial=0.0) > REAL_BLOCK_RTOL * np.hypot(real, imag).max(initial=0.0):
+        raise ValidationError("superoperator does not preserve Hermiticity")
+    keep = real != 0
+    indptr = np.searchsorted(rows[keep], np.arange(n * n + 1))
+    return sparse.csr_array((real[keep], cols[keep], indptr), shape=(n * n, n * n))
 
 
 def commutator_superop(h: np.ndarray) -> sparse.csr_array:
@@ -184,18 +283,34 @@ def _check_and_repair(rhos: np.ndarray, tol: float, times: np.ndarray) -> None:
     state left unrebuilt stays above -EIG_ATOL, the bound
     ``check_states`` holds every state to.  Every state is then
     retraced.  An error names the earliest time at which a state fails a
-    check."""
+    check.
+
+    Positivity is screened, as in ``check_states``, by a Cholesky factor
+    of rho + EIG_ATOL / d I, a block of states at a time; eigenvalues are
+    read only for the blocks where it fails."""
     finite = np.isfinite(rhos).all(axis=(-2, -1))
     if not finite.all():
         i = np.argwhere(~finite)[0, 0]
         raise DiagnosticsError(f"non-finite state at t = {times[i]:.6g} ns")
+    d = rhos.shape[-1]
     drift = np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0)
     herm_err = hermiticity_error(rhos)
     # (rho + rho^H) / 2 in place; numpy buffers the overlapping transposed operand
     rhos.real += rhos.real.swapaxes(-1, -2)
     rhos.imag -= rhos.imag.swapaxes(-1, -2)
     rhos *= 0.5
-    low = np.linalg.eigvalsh(rhos)[..., 0]
+    # the lowest eigenvalue of each state in a block the screen fails, and 0
+    # for a state that passes it, whose lowest eigenvalue is above -EIG_ATOL / d
+    flat = rhos.reshape(-1, d, d)
+    low = np.zeros(len(flat))
+    shift = EIG_ATOL / d * np.eye(d)
+    for s in range(0, len(flat), SCREEN_BLOCK):
+        block = flat[s : s + SCREEN_BLOCK]
+        try:
+            np.linalg.cholesky(block + shift)
+        except np.linalg.LinAlgError:
+            low[s : s + SCREEN_BLOCK] = np.linalg.eigvalsh(block)[:, 0]
+    low = low.reshape(rhos.shape[:-2])
     bad = ~(drift <= 100 * tol) | ~(herm_err <= 10 * tol) | ~(-low <= POSITIVITY_CLIP)
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -206,7 +321,7 @@ def _check_and_repair(rhos: np.ndarray, tol: float, times: np.ndarray) -> None:
             raise DiagnosticsError(f"Hermiticity violation {herm_err[i, j]:.2e} at t = {t:.6g} ns")
         raise DiagnosticsError(f"negative eigenvalue {low[i, j]:.2e} at t = {t:.6g} ns")
     # rebuilt states are decomposed a block at a time to keep the temporaries small
-    ii, jj = np.nonzero(low < -EIG_ATOL / rhos.shape[-1])
+    ii, jj = np.nonzero(low < -EIG_ATOL / d)
     for s in range(0, ii.size, CLIP_BLOCK):
         i, j = ii[s : s + CLIP_BLOCK], jj[s : s + CLIP_BLOCK]
         rhos[i, j] = clip_negative(rhos[i, j])
@@ -239,7 +354,7 @@ def _propagator(generator: sparse.csr_array, h: float) -> np.ndarray:
     norm = float(abs(a).sum(axis=0).max())
     squarings = math.ceil(math.log2(norm / TAYLOR_NORM)) if norm > TAYLOR_NORM else 0
     a, norm = a * 0.5**squarings, norm * 0.5**squarings
-    p = term = np.eye(a.shape[0], dtype=complex)
+    p = term = np.eye(a.shape[0])
     # add terms until ||a||^j / j!, a bound on the next term's norm, is
     # below the unit roundoff
     j, bound = 0, 1.0
@@ -272,10 +387,10 @@ def _propagate(generator: sparse.csr_array, y: np.ndarray, grid: np.ndarray,
 
 
 def _integrate(generator: Generator, y: np.ndarray, grid: np.ndarray, tol: float,
-               breakpoints: Sequence[float], raw: np.ndarray) -> None:
+               breakpoints: Sequence[float], flat: np.ndarray) -> None:
     """RK45 across ``grid``, restarting at each breakpoint, writing the
-    sampled (n_times, k, d, d) stack to ``raw``."""
-    _, k, d, _ = raw.shape
+    sampled (n_times, k, d^2) coordinates to ``flat``."""
+    _, k, d2 = flat.shape
     y = y.reshape(-1)
     t0, tf = grid[0], grid[-1]
     cuts = sorted({t0, tf} | {b for b in breakpoints if t0 < b < tf})
@@ -292,7 +407,7 @@ def _integrate(generator: Generator, y: np.ndarray, grid: np.ndarray, tol: float
                         atol=tol * 1e-2)
         if not sol.success:
             raise IntegrationError(f"integration failed on [{a:.6g}, {b:.6g}] ns: {sol.message}")
-        raw[lo:hi] = sol.y[:, : hi - lo].reshape(d, d, k, hi - lo).transpose(3, 2, 0, 1)
+        flat[lo:hi] = sol.y[:, : hi - lo].reshape(d2, k, hi - lo).transpose(2, 1, 0)
         y = sol.y[:, -1].copy()
         del sol
 
@@ -304,12 +419,12 @@ def evolve_generator(
     tol: float = DEFAULT_TOL,
     breakpoints: Sequence[float] = (),
 ) -> np.ndarray:
-    """Evolve d(vec rho)/dt = L(t) vec rho and sample it on ``grid``.
+    """Evolve dr/dt = L(t) r, r the real coordinates of rho, and sample it on ``grid``.
 
     ``rhos0`` is a (k, d, d) stack of density matrices on the generator's
-    space, evolved as the columns of one d^2 x k matrix.  Returns the
-    read-only sampled stack (n_times, k, d, d); ``expectations`` reads
-    observables from it.
+    space, evolved as the columns of one real d^2 x k matrix.  Returns the
+    read-only sampled stack (n_times, k, d, d), exactly Hermitian before
+    its repair; ``expectations`` reads observables from it.
 
     The generator's kind picks the route.  A constant generator is
     propagated exactly: exp(L h) is built once per distinct grid step and
@@ -332,13 +447,15 @@ def evolve_generator(
     check_states(rhos0)
 
     k = len(rhos0)
-    # column j of y is state j, and raw[i, j] holds it at grid[i]
-    y = np.moveaxis(rhos0, 0, -1).reshape(d * d, k)
-    raw = np.empty((grid.size, k, d, d), dtype=complex)
+    # column j of y is state j, and flat[i, j] holds it at grid[i]
+    y = np.ascontiguousarray(to_coords(rhos0).T)
+    flat = np.empty((grid.size, k, d * d))
     if callable(generator.coeffs):
-        _integrate(generator, y, grid, tol, breakpoints, raw)
+        _integrate(generator, y, grid, tol, breakpoints, flat)
     else:
-        _propagate(generator.matrix, y, grid, raw.reshape(grid.size, k, d * d))
+        _propagate(generator.matrix, y, grid, flat)
+    raw = from_coords(flat)
+    del flat
 
     _check_and_repair(raw, tol, grid)
     raw.setflags(write=False)

@@ -16,7 +16,7 @@ from sawlink.cascade import (
     two_qubit_space,
 )
 from sawlink.device import QubitNoise, QubitParams
-from sawlink.dynamics import dissipator
+from sawlink.dynamics import dissipator, hermitian_basis
 from sawlink.errors import RoleAmbiguityError, ValidationError
 from sawlink.ioshape import ChannelParams, ControlSchedule, Segment, transfer_schedule
 from sawlink.qcore import NUMBER, SIGMA_MINUS, QuantumState, check_states, embed, partial_trace
@@ -104,9 +104,11 @@ def dense_generator(cfg: CascadeConfig, t: float, doubled: bool) -> np.ndarray:
 
 
 def dense_matrix(liou, t: float) -> np.ndarray:
-    """L(t) as a dense d^2 x d^2 matrix, applied to the flattened identity."""
+    """L(t) as a dense d^2 x d^2 matrix on the row-major vec(rho): applied to
+    the flattened identity in the real coordinates, then mapped back by T^H L T."""
     n = liou.space.dim**2
-    return liou(t, np.eye(n).reshape(-1)).reshape(n, n)
+    basis = hermitian_basis(liou.space.dim).toarray()
+    return basis.conj().T @ liou(t, np.eye(n).reshape(-1)).reshape(n, n) @ basis
 
 
 class TestGenerators:
@@ -142,7 +144,8 @@ class TestGenerators:
         s_e = embed(SIGMA_MINUS, "q1e", sp)
         s_r = embed(SIGMA_MINUS, "q2", sp)
         coll = np.sqrt(ke) * s_e + np.sqrt(kr) * s_r
-        want = dissipator(coll).toarray()
+        basis = hermitian_basis(sp.dim).toarray()
+        want = basis.conj().T @ dissipator(coll).toarray() @ basis
         m = np.sqrt(ke) * np.sqrt(kr)
         # subtract the exchange Hamiltonian 1/2 [sE^+ sR - sE sR^+, rho]
         # to isolate the dissipator

@@ -21,9 +21,13 @@ from sawlink.dynamics import (
     Generator,
     _check_and_repair,
     commutator_superop,
+    cross_dissipator,
     dissipator,
     evolve_generator,
     expectations,
+    from_coords,
+    hermitian_basis,
+    to_coords,
 )
 from sawlink.errors import DiagnosticsError, ValidationError
 from sawlink.qcore import (
@@ -263,11 +267,94 @@ class TestStackedEvolution:
         assert str(got.value) == str(want.value)
 
 
+# ---- real coordinates of Hermitian states --------------------------------------
+
+
+def random_operator(rng, d):
+    return (rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))) / d
+
+
+def dense_superop(*terms):
+    """rho -> sum w a rho b on the row-major vec(rho), from the Kronecker formula."""
+    return sum(w * np.kron(a, b.T) for w, a, b in terms)
+
+
+def lindblad_oracles(rng, d):
+    """Each builder's block next to its dense superoperator from the Lindblad formulas."""
+    x, a, b = (random_operator(rng, d) for _ in range(3))
+    h = x + x.conj().T
+    eye = np.eye(d)
+    xd, ad, bd = x.conj().T, a.conj().T, b.conj().T
+    anti = ad @ b + bd @ a
+    return [
+        (commutator_superop(h), dense_superop((-1j, h, eye), (1j, eye, h))),
+        (dissipator(x), dense_superop((1.0, x, xd), (-0.5, xd @ x, eye), (-0.5, eye, xd @ x))),
+        (cross_dissipator(a, b),
+         dense_superop((1.0, a, bd), (1.0, b, ad), (-0.5, anti, eye), (-0.5, eye, anti))),
+    ]
+
+
+# a qubit, a pair, the doubled space and the capped ladder of a qubit and 12 modes
+COORD_DIMS = [2, 4, 16, HilbertSpace([2] * 13, [f"m{j}" for j in range(13)], excitation_cap=1).dim]
+
+
+class TestHermitianCoordinates:
+    @pytest.mark.parametrize("d", COORD_DIMS)
+    def test_basis_is_unitary(self, d):
+        t = hermitian_basis(d).toarray()
+        assert np.max(np.abs(t @ t.conj().T - np.eye(d * d))) <= 1e-15
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), d=st.sampled_from(COORD_DIMS), k=st.integers(1, 5))
+    def test_round_trip(self, seed, d, k):
+        rng = np.random.default_rng(seed)
+        rhos = random_states(rng, k, d)
+        rhos = 0.5 * (rhos + rhos.conj().swapaxes(-1, -2))
+        coords = to_coords(rhos)
+        assert coords.dtype == float and coords.shape == (k, d * d)
+        want = (hermitian_basis(d) @ rhos.reshape(k, d * d).T).T
+        assert np.max(np.abs(coords - want)) <= 1e-15
+        back = from_coords(coords)
+        # exactly Hermitian, the diagonal exact, the rest to within the
+        # rounding of a product by sqrt 2 and one by 1 / sqrt 2
+        assert np.array_equal(back, back.conj().swapaxes(-1, -2))
+        diag = np.arange(d)
+        assert np.array_equal(back[:, diag, diag], rhos[:, diag, diag])
+        assert np.all(np.abs(back - rhos) <= np.finfo(float).eps * np.abs(rhos))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), d=st.sampled_from(COORD_DIMS))
+    def test_builders_match_the_lindblad_formulas(self, seed, d):
+        rng = np.random.default_rng(seed)
+        t = hermitian_basis(d).toarray()
+        for block, dense in lindblad_oracles(rng, d):
+            assert block.dtype == float
+            assert np.max(np.abs(t.conj().T @ block.toarray() @ t - dense)) <= 1e-14
+
+    def test_map_that_breaks_hermiticity_rejected(self):
+        for h in (SIGMA_MINUS, 1j * NUMBER):
+            with pytest.raises(ValidationError, match="does not preserve Hermiticity"):
+                commutator_superop(h)
+
+    def test_complex_block_rejected(self):
+        block = dissipator(SIGMA_MINUS).astype(complex)
+        with pytest.raises(ValidationError, match="must be real"):
+            Generator(QUBIT, [block], [0.1])
+
+    @pytest.mark.parametrize("c", [0.1j, 0.1 + 0j])
+    def test_complex_coefficient_rejected(self, c):
+        with pytest.raises(ValidationError, match="coefficients must be real"):
+            Generator(QUBIT, [dissipator(SIGMA_MINUS)], [c])
+        generator = Generator(QUBIT, [dissipator(SIGMA_MINUS)], lambda t: np.array([c]))
+        with pytest.raises(ValidationError, match="complex generator coefficient at t = 1.5 ns"):
+            generator(1.5, np.zeros(4))
+
+
 # ---- one sparse matrix on the blocks' union pattern -----------------------------
 
 
 def random_blocks(rng, n, pattern):
-    """n random blocks on PAIR whose patterns overlap, are disjoint or are
+    """n random real blocks on PAIR whose patterns overlap, are disjoint or are
     drawn independently; each stores some of its entries as explicit zeros
     and a few twice, which then sum (a non-canonical CSR array)."""
     d2 = PAIR.dim**2
@@ -279,7 +366,7 @@ def random_blocks(rng, n, pattern):
                 "disjoint": shared & (owner == k),
                 "independent": rng.random((d2, d2)) < 0.3}[pattern]
         rows, cols = np.nonzero(mask)
-        data = rng.uniform(-1, 1, rows.size) + 1j * rng.uniform(-1, 1, rows.size)
+        data = rng.uniform(-1, 1, rows.size)
         data[rng.random(rows.size) < 0.2] = 0.0
         twice = rng.integers(0, max(rows.size, 1), size=min(rows.size, 3))
         rows, cols, data = (np.concatenate([a, a[twice]]) for a in (rows, cols, data))
@@ -295,22 +382,20 @@ class TestUnionFormat:
         seed=st.integers(0, 2**31 - 1),
         n=st.integers(0, 6),
         pattern=st.sampled_from(["overlapping", "disjoint", "independent"]),
-        complex_coeffs=st.booleans(),
         k=st.integers(1, 4),
     )
-    @example(seed=0, n=0, pattern="overlapping", complex_coeffs=False, k=2)
-    def test_applies_the_dense_sum(self, seed, n, pattern, complex_coeffs, k):
+    @example(seed=0, n=0, pattern="overlapping", k=2)
+    def test_applies_the_dense_sum(self, seed, n, pattern, k):
         rng = np.random.default_rng(seed)
         blocks = random_blocks(rng, n, pattern)
         omega, phase = rng.uniform(0.1, 2.0, n), rng.uniform(0.0, 2 * np.pi, n)
 
         def coeffs(t):
-            c = np.exp(1j * (omega * t + phase))
-            return c if complex_coeffs else c.real
+            return np.cos(omega * t + phase)
 
         t1, t2 = rng.uniform(0.0, 10.0, 2)
-        y = rng.uniform(-1, 1, (16, k)) + 1j * rng.uniform(-1, 1, (16, k))
-        dense = np.zeros((16, 16), dtype=complex)
+        y = rng.uniform(-1, 1, (16, k))
+        dense = np.zeros((16, 16))
         for c, block in zip(coeffs(t2), blocks):
             dense += c * block.toarray()
         want = dense @ y
@@ -378,8 +463,11 @@ class TestExactPropagation:
         got = evolve_generator(generator, rhos, grid)
         y = rhos.reshape(3, 16).T
         want = [y]
+        # the generator on vec(rho), mapped back from the real coordinates
+        t = hermitian_basis(4).toarray()
+        dense = t.conj().T @ generator.matrix.toarray() @ t
         for h in np.diff(grid):
-            want.append(scipy.linalg.expm(generator.matrix.toarray() * h) @ want[-1])
+            want.append(scipy.linalg.expm(dense * h) @ want[-1])
         want = np.stack(want).transpose(0, 2, 1).reshape(grid.size, 3, 4, 4)
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -598,6 +686,46 @@ class TestStackedRepair:
         for r in range(1, space.n_modes):
             for keep in itertools.combinations(space.labels, r):
                 check_states(partial_trace(space, stack[:, 0], list(keep)))
+
+    def eigvalsh_spy(self, monkeypatch):
+        """Record the stack size of each ``np.linalg.eigvalsh`` call."""
+        calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            calls.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        return calls
+
+    @pytest.mark.parametrize("doubled", [False, True])
+    @pytest.mark.parametrize("depth", [0.0, 0.5, 0.99])
+    def test_screened_stack_reads_no_eigenvalues(self, monkeypatch, depth, doubled):
+        # every state above -EIG_ATOL / d passes the Cholesky screen
+        space = doubled_space() if doubled else PAIR
+        rng = np.random.default_rng(6)
+        stack = edge_stack(rng, space, 600, depth, False).reshape(200, 3, space.dim, space.dim)
+        times = np.arange(200.0)
+        want = repair_loop(stack, 1e-8, times)
+        calls = self.eigvalsh_spy(monkeypatch)
+        got = stack.copy()
+        _check_and_repair(got, 1e-8, times)
+        assert calls == []
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_one_state_below_the_screen_matches_per_state_rule(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        stack = edge_stack(rng, PAIR, 600, 0.5, False).reshape(200, 3, 4, 4)
+        stack[137, 2] = edge_stack(rng, PAIR, 1, 1.01, False)[0, 0]
+        times = np.arange(200.0)
+        want = repair_loop(stack, 1e-8, times)
+        calls = self.eigvalsh_spy(monkeypatch)
+        got = stack.copy()
+        _check_and_repair(got, 1e-8, times)
+        # eigenvalues are read for the failing block alone
+        assert calls == [dynamics.SCREEN_BLOCK]
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert not np.array_equal(got[137, 2], stack[137, 2] / np.trace(stack[137, 2]).real)
 
     @pytest.mark.parametrize("fault", ["trace", "hermiticity", "eigenvalue"])
     def test_each_error_at_the_first_offending_time(self, fault):
