@@ -12,12 +12,14 @@ pattern.  The generator's kind picks the route.  A constant generator is
 propagated exactly: exp(L h) is built once per distinct grid step by a
 Taylor series with scaling and squaring, using sparse x dense products
 only, kept as a dense matrix and applied step by step as a dense product.
-A time-dependent one is integrated with an adaptive RK45 scheme, its
-coefficients evaluated analytically at the integrator's internal times.
-A (k, d, d) stack of initial states is checked once and evolves as the
-k columns of one real d^2 x k matrix, and the sampled coordinates come
-back as an exactly Hermitian (n_times, k, d, d) stack, checked and
-repaired in one pass: a Cholesky factor of rho + EIG_ATOL / d I screens
+A time-dependent one is integrated by ``solve_ivp``, an adaptive
+Dormand-Prince 5(4) stepper in numpy, its coefficients evaluated
+analytically at the stepper's stage times; scipy serves this module only
+through ``scipy.sparse``.  A (k, d, d) stack of initial states is checked
+once and evolves as the k columns of one real d^2 x k matrix, and the
+sampled coordinates come back as an exactly Hermitian (n_times, k, d, d)
+stack, so the repair pass measures no Hermiticity error.  It checks and
+repairs in one pass: a Cholesky factor of rho + EIG_ATOL / d I screens
 positivity, and only where it fails are eigenvalues read and the states
 whose lowest one is below -EIG_ATOL / d rebuilt from an eigendecomposition.
 """
@@ -27,11 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
 
 from .errors import DiagnosticsError, IntegrationError, ValidationError
 from .qcore import (
@@ -41,7 +42,6 @@ from .qcore import (
     check_states,
     check_tol,
     clip_negative,
-    hermiticity_error,
 )
 
 DEFAULT_TOL = 1e-8
@@ -189,8 +189,8 @@ class Generator:
         flattened row-major as the ODE solver passes it, and the result is
         flattened alike.
 
-        A complex coefficient raises, and so does a non-finite one: the
-        adaptive stepper would otherwise shrink its step forever."""
+        A complex coefficient raises, and so does a non-finite one, named
+        with its time rather than left to fail the stepper's error estimate."""
         c = self.coeffs(t)
         if c.dtype.kind == "c":
             raise ValidationError(f"complex generator coefficient at t = {t:.6g} ns")
@@ -272,10 +272,11 @@ def expectations(rhos: np.ndarray, observables: dict[str, np.ndarray] | None) ->
 def _check_and_repair(rhos: np.ndarray, tol: float, times: np.ndarray) -> None:
     """Check and repair a stack (n_times, k, d, d) of integrated states in place.
 
-    A non-finite state is rejected before any arithmetic on the stack.
-    Per state: trace drift up to 100 tol and Hermiticity error up to 10 tol
-    pass, and the state is symmetrised; its lowest eigenvalue must be at
-    least -POSITIVITY_CLIP.  A state whose lowest eigenvalue is below
+    The stack must be exactly Hermitian, as ``from_coords`` builds it; its
+    Hermiticity is neither measured nor restored.  A non-finite state is
+    rejected before any arithmetic on the stack.  Per state: trace drift
+    up to 100 tol passes, and the lowest eigenvalue must be at least
+    -POSITIVITY_CLIP.  A state whose lowest eigenvalue is below
     -EIG_ATOL / d is rebuilt with its negative eigenvalues clipped to zero;
     one between -EIG_ATOL / d and zero is left as it is.  The 1/d keeps
     the reduced states valid too: tracing out a factor of dimension d_B
@@ -294,11 +295,6 @@ def _check_and_repair(rhos: np.ndarray, tol: float, times: np.ndarray) -> None:
         raise DiagnosticsError(f"non-finite state at t = {times[i]:.6g} ns")
     d = rhos.shape[-1]
     drift = np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0)
-    herm_err = hermiticity_error(rhos)
-    # (rho + rho^H) / 2 in place; numpy buffers the overlapping transposed operand
-    rhos.real += rhos.real.swapaxes(-1, -2)
-    rhos.imag -= rhos.imag.swapaxes(-1, -2)
-    rhos *= 0.5
     # the lowest eigenvalue of each state in a block the screen fails, and 0
     # for a state that passes it, whose lowest eigenvalue is above -EIG_ATOL / d
     flat = rhos.reshape(-1, d, d)
@@ -311,14 +307,12 @@ def _check_and_repair(rhos: np.ndarray, tol: float, times: np.ndarray) -> None:
         except np.linalg.LinAlgError:
             low[s : s + SCREEN_BLOCK] = np.linalg.eigvalsh(block)[:, 0]
     low = low.reshape(rhos.shape[:-2])
-    bad = ~(drift <= 100 * tol) | ~(herm_err <= 10 * tol) | ~(-low <= POSITIVITY_CLIP)
+    bad = ~(drift <= 100 * tol) | ~(-low <= POSITIVITY_CLIP)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         t = times[i]
         if not drift[i, j] <= 100 * tol:
             raise DiagnosticsError(f"trace drift {drift[i, j]:.2e} at t = {t:.6g} ns")
-        if not herm_err[i, j] <= 10 * tol:
-            raise DiagnosticsError(f"Hermiticity violation {herm_err[i, j]:.2e} at t = {t:.6g} ns")
         raise DiagnosticsError(f"negative eigenvalue {low[i, j]:.2e} at t = {t:.6g} ns")
     # rebuilt states are decomposed a block at a time to keep the temporaries small
     ii, jj = np.nonzero(low < -EIG_ATOL / d)
@@ -386,9 +380,139 @@ def _propagate(generator: sparse.csr_array, y: np.ndarray, grid: np.ndarray,
         flat[i] = y.T
 
 
+# The Dormand-Prince 5(4) pair with FSAL (Dormand and Prince, J. Comput.
+# Appl. Math. 6, 19 (1980)): stage times DP_C, stage weights DP_A, the
+# fifth-order weights DP_B, the error weights DP_E (fifth minus fourth
+# order, the last on the FSAL stage) and DP_P, the coefficients of the
+# quartic dense output (Shampine, Math. Comp. 46, 135 (1986)).  They equal
+# the arrays of scipy's RK45, so the stepper below takes the same steps.
+DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+for _a in (DP_C, DP_A, DP_B, DP_E, DP_P):
+    _a.setflags(write=False)
+# step control: a step grows at most MAX_FACTOR-fold and shrinks at most
+# to MIN_FACTOR, by SAFETY (err)^(-1/5), the error being of fourth order
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+ERROR_EXPONENT = -1 / 5
+
+
+class Solution(NamedTuple):
+    """``y`` (n, len(t_eval)) holds the solution at the sample times, and
+    ``nfev`` counts the right-hand side calls."""
+
+    y: np.ndarray
+    nfev: int
+    success: bool
+    message: str
+
+
+def _rms(x: np.ndarray) -> float:
+    """The RMS norm ||x|| / sqrt(n), ||x|| read by ``np.linalg.norm`` (a BLAS dot)."""
+    return np.linalg.norm(x) / x.size**0.5
+
+
+def _first_step(fun, t0, y0, f0, t_bound, rtol, atol):
+    """Starting step of Hairer, Norsett and Wanner, Solving ODEs I,
+    Sec. II.4, from one explicit Euler step; it makes one RHS call."""
+    interval = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval)
+
+
+def solve_ivp(fun: Callable[[float, np.ndarray], np.ndarray], t_span: tuple[float, float],
+              y0: np.ndarray, t_eval: np.ndarray, rtol: float, atol: float) -> Solution:
+    """Integrate dy/dt = fun(t, y) over t_span = (t0, tf), t0 < tf, with the
+    Dormand-Prince 5(4) pair, sampling the sorted times ``t_eval`` in
+    [t0, tf] by each step's quartic dense output.
+
+    The step is accepted when the RMS norm of the error estimate, scaled
+    per component by atol + rtol max(|y|, |y_new|), is below 1.  The
+    arithmetic is that of scipy's ``solve_ivp(method="RK45")``: the same
+    ``np.dot`` stage sums, error norm, step control, starting step and
+    dense output, so both take the same steps and return the same
+    samples.  Unlike it, a stepper fed a NaN by the right-hand side takes
+    a NaN step and fails at once; scipy's shrinks a NaN step forever.
+    """
+    t, t_bound = map(float, t_span)
+    y = np.asarray(y0, dtype=float)
+    t_eval = np.asarray(t_eval)
+    f = fun(t, y)
+    h_abs = _first_step(fun, t, y, f, t_bound, rtol, atol)
+    # two calls so far, then six per attempted step
+    nfev = 2
+    k = np.empty((7, y.size))
+    samples, i_eval = [], 0
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                return Solution(np.empty((y.size, 0)), nfev, False,
+                                f"step size {h_abs:.3g} ns, below {min_step:.3g} ns, "
+                                f"at t = {t:.6g} ns")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            k[0] = f
+            for s in range(1, 6):
+                k[s] = fun(t + DP_C[s] * h, y + np.dot(k[:s].T, DP_A[s, :s]) * h)
+            y_new = y + h * np.dot(k[:-1].T, DP_B)
+            # at t + h, which may differ from t_new in the last bit
+            f_new = k[-1] = fun(t + h, y_new)
+            nfev += 6
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = _rms(np.dot(k.T, DP_E) * h / scale)
+            if error < 1:
+                factor = MAX_FACTOR if error == 0 else min(MAX_FACTOR, SAFETY * error**ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            # max(MIN_FACTOR, x) with x first, so a NaN error makes a NaN step
+            h_abs *= max(SAFETY * error**ERROR_EXPONENT, MIN_FACTOR)
+            rejected = True
+        i_new = np.searchsorted(t_eval, t_new, side="right")
+        if i_new > i_eval:
+            # y(t + x h) = y + h Q (x, x^2, x^3, x^4)
+            x = (t_eval[i_eval:i_new] - t) / h
+            powers = np.cumprod(np.tile(x, (4, 1)), axis=0)
+            sample = h * np.dot(k.T.dot(DP_P), powers)
+            sample += y[:, None]
+            samples.append(sample)
+            i_eval = i_new
+        t, y, f = t_new, y_new, f_new
+    return Solution(np.hstack(samples), nfev, True, "reached the end of the interval")
+
+
 def _integrate(generator: Generator, y: np.ndarray, grid: np.ndarray, tol: float,
                breakpoints: Sequence[float], flat: np.ndarray) -> None:
-    """RK45 across ``grid``, restarting at each breakpoint, writing the
+    """``solve_ivp`` across ``grid``, restarting at each breakpoint, writing the
     sampled (n_times, k, d^2) coordinates to ``flat``."""
     _, k, d2 = flat.shape
     y = y.reshape(-1)
@@ -403,8 +527,7 @@ def _integrate(generator: Generator, y: np.ndarray, grid: np.ndarray, tol: float
     for a, b, lo, hi in zip(cuts, cuts[1:], ends, ends[1:]):
         # always sample the segment endpoint so the next segment restarts there
         t_eval = grid[lo:hi] if hi > lo and grid[hi - 1] == b else np.append(grid[lo:hi], b)
-        sol = solve_ivp(generator, (a, b), y, method="RK45", t_eval=t_eval, rtol=tol,
-                        atol=tol * 1e-2)
+        sol = solve_ivp(generator, (a, b), y, t_eval, rtol=tol, atol=tol * 1e-2)
         if not sol.success:
             raise IntegrationError(f"integration failed on [{a:.6g}, {b:.6g}] ns: {sol.message}")
         flat[lo:hi] = sol.y[:, : hi - lo].reshape(d2, k, hi - lo).transpose(2, 1, 0)
@@ -429,11 +552,11 @@ def evolve_generator(
     The generator's kind picks the route.  A constant generator is
     propagated exactly: exp(L h) is built once per distinct grid step and
     applied to the states step by step, and ``breakpoints`` do not
-    matter.  A time-dependent one is integrated with RK45 at ``tol``;
+    matter.  A time-dependent one is integrated by ``solve_ivp`` at ``tol``;
     ``breakpoints`` mark times where its coefficients are non-smooth, and
     the window is integrated piecewise between them so the adaptive
     stepper never straddles a kink.  On either route ``tol`` sets the
-    trace and Hermiticity thresholds of the repair pass.
+    trace threshold of the repair pass.
     """
     grid = np.asarray(grid, dtype=float)
     check_grid(grid)

@@ -32,7 +32,7 @@ from .ioshape import (
     time_reverse,
     transfer_schedule,
 )
-from .qcore import NUMBER, SIGMA_MINUS, QuantumState, check_grid, check_tol, embed, partial_trace
+from .qcore import QuantumState, check_grid, check_tol, partial_trace
 
 # The cross-damping transfer imprints a pi phase on the moved amplitude;
 # the hardware absorbs it by redefining the receiving qubit's frame, and
@@ -335,16 +335,12 @@ def run_vacuum_rabi(device: DeviceParams, params: dict, seed: int) -> Experiment
     tractable truncated ladder.  The golden-rule figure is always
     quoted at the device coupling.
     """
-    from .dynamics import Generator, commutator_superop, dissipator, evolve_generator, expectations
+    from .dynamics import evolve_generator, expectations
     q, p, grid = plan_vacuum_rabi(device, params, seed)
-    space = multimode.build_space(p)
-    ka = p.kappa_a * 1e-3
-    blocks = [commutator_superop(multimode.jc_hamiltonian(p, space))]
-    blocks += [dissipator(embed(SIGMA_MINUS, lbl, space)) for lbl in p.mode_labels]
-    generator = Generator(space, blocks, [1.0] + [ka] * p.n_a)
-    rho0 = QuantumState.basis_state(space, [1] + [0] * p.n_a)
-    rhos = evolve_generator(generator, rho0.rho[None], grid, tol=params["tol"])
-    pe_lindblad = expectations(rhos, {"pe": embed(NUMBER, "q", space)})["pe"][:, 0]
+    ladder = multimode.ladder(p.n_a)
+    rho0 = QuantumState.basis_state(ladder.space, [1] + [0] * p.n_a)
+    rhos = evolve_generator(multimode.ladder_generator(p), rho0.rho[None], grid, tol=params["tol"])
+    pe_lindblad = expectations(rhos, {"pe": ladder.qubit_number})["pe"][:, 0]
     pe_series = np.abs(multimode.laguerre_amplitude(grid, p)) ** 2
     golden = multimode.golden_rule_kappa(q.g_mhz, p.fsr)
     return ExperimentOutput(

@@ -1,15 +1,19 @@
 """Qubit coupled to the ladder of resonator modes.
 
-Builds the multi-mode exchange Hamiltonian on an excitation-capped
-space, sweeps its single-excitation spectrum, and evaluates the
-analytical echo series for the qubit amplitude, which serves as the
-independent oracle for the master-equation integration.
+Builds the ladder's operators on an excitation-capped space once per mode
+count, sums them into the multi-mode exchange Hamiltonian, sweeps its
+single-excitation spectrum, and evaluates the analytical echo series for
+the qubit amplitude, which serves as the independent oracle for the
+master-equation integration.  The module needs numpy alone: the ladder's
+Lindblad blocks import ``dynamics`` (and with it scipy.sparse) and the
+revival fit imports scipy.optimize when called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from functools import cache
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +27,9 @@ from .qcore import (
     embed,
     embed_product,
 )
+
+if TYPE_CHECKING:
+    from .dynamics import Generator
 
 # Most ladder modes a model takes; 21 is rejected, so a config asking for
 # it exits with code 2.  The capped ladder of n modes holds n + 2 kets and
@@ -60,10 +67,6 @@ class MultimodeParams:
     def tau_ns(self) -> float:
         return 1e3 / self.fsr
 
-    @property
-    def mode_labels(self) -> tuple[str, ...]:
-        return tuple(f"m{j}" for j in range(self.n_a))
-
     def mode_detunings(self) -> np.ndarray:
         """Mode offsets from the qubit in rad/ns; one mode sits at delta0."""
         j0 = (self.n_a - 1) // 2
@@ -71,20 +74,72 @@ class MultimodeParams:
         return (self.delta0 + (j - j0) * self.fsr) * MHZ
 
 
-def build_space(p: MultimodeParams) -> HilbertSpace:
-    """The qubit and the ladder, capped at one excitation."""
-    return HilbertSpace([2] * (1 + p.n_a), ("q",) + p.mode_labels, excitation_cap=1)
+class Ladder(NamedTuple):
+    """The qubit and n modes, capped at one excitation, and the operators
+    on that space that the ladder's models are sums of; all read-only."""
+
+    space: HilbertSpace
+    qubit_number: np.ndarray  # sp sm
+    numbers: np.ndarray  # (n, dim, dim): n_j of each mode
+    exchange: np.ndarray  # sum_j (sp a_j + sm a_j^+)
+    lowerings: np.ndarray  # (n, dim, dim): a_j of each mode
 
 
-def jc_hamiltonian(p: MultimodeParams, space: HilbertSpace) -> np.ndarray:
+@cache
+def ladder(n_a: int) -> Ladder:
+    """The ladder of ``n_a`` modes, labelled q, m0, m1, ..., built once per
+    mode count (``MultimodeParams`` admits ``MAX_MODES`` of them)."""
+    labels = tuple(f"m{j}" for j in range(n_a))
+    space = HilbertSpace([2] * (1 + n_a), ("q",) + labels, excitation_cap=1)
+    swaps = sum(embed_product({"q": SIGMA_PLUS, label: SIGMA_MINUS}, space) for label in labels)
+    out = Ladder(
+        space,
+        embed(NUMBER, "q", space),
+        np.array([embed(NUMBER, label, space) for label in labels]),
+        swaps + swaps.conj().T,
+        np.array([embed(SIGMA_MINUS, label, space) for label in labels]),
+    )
+    for op in out[1:]:
+        op.setflags(write=False)
+    return out
+
+
+@cache
+def ladder_blocks(n_a: int) -> tuple:
+    """The Lindblad blocks of the ladder of ``n_a`` modes in coefficient
+    order: the commutator with each n_j, the commutator with the exchange
+    and each D[a_j].  They depend on the mode count alone; each is a
+    read-only real CSR matrix.  ``dynamics`` is imported when this is
+    called, so importing the module loads no scipy."""
+    from .dynamics import commutator_superop, dissipator
+    lad = ladder(n_a)
+    blocks = [commutator_superop(n) for n in lad.numbers]
+    blocks += [commutator_superop(lad.exchange)] + [dissipator(a) for a in lad.lowerings]
+    for block in blocks:
+        for a in (block.data, block.indices, block.indptr):
+            a.setflags(write=False)
+    return tuple(blocks)
+
+
+def ladder_generator(p: MultimodeParams) -> Generator:
+    """The ladder's master equation -i [H, rho] + kappa_a sum_j D[a_j] rho,
+    H as in ``jc_hamiltonian``, as a constant ``dynamics.Generator``: the
+    detunings Delta_j, the coupling g and kappa_a (1/ns) weight the cached
+    ``ladder_blocks``."""
+    from .dynamics import Generator
+    ka = p.kappa_a * 1e-3
+    coeffs = [*p.mode_detunings(), p.g * MHZ] + [ka] * p.n_a
+    return Generator(ladder(p.n_a).space, ladder_blocks(p.n_a), coeffs)
+
+
+def jc_hamiltonian(p: MultimodeParams) -> np.ndarray:
     """Exchange Hamiltonian sum_j Delta_j n_j + g (sp a_j + sm a_j^+), rad/ns,
-    on ``build_space(p)``, as a read-only array."""
-    g = p.g * MHZ
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    for label, delta in zip(p.mode_labels, p.mode_detunings()):
-        h += delta * embed(NUMBER, label, space)
-        swap = embed_product({"q": SIGMA_PLUS, label: SIGMA_MINUS}, space)
-        h += g * (swap + swap.conj().T)
+    on ``ladder(p.n_a).space``, as a read-only array."""
+    lad = ladder(p.n_a)
+    h = np.zeros(lad.exchange.shape, dtype=complex)
+    for delta, n in zip(p.mode_detunings(), lad.numbers):
+        h += delta * n
+    h += p.g * MHZ * lad.exchange
     h.setflags(write=False)
     return h
 
@@ -95,10 +150,10 @@ def spectrum(p: MultimodeParams, qubit_offsets_mhz: Sequence[float]) -> np.ndarr
     The mode ladder stays fixed while the qubit level is swept across
     it; each row holds the sorted eigenvalues at one sweep point.
     """
-    space = build_space(p)
-    kets = np.flatnonzero(space.basis.sum(axis=1) == 1)  # the one-excitation sector
+    lad = ladder(p.n_a)
+    kets = np.flatnonzero(lad.space.basis.sum(axis=1) == 1)  # the one-excitation sector
     sector = np.ix_(kets, kets)
-    base, nq = jc_hamiltonian(p, space)[sector], embed(NUMBER, "q", space)[sector]
+    base, nq = jc_hamiltonian(p)[sector], lad.qubit_number[sector]
     offsets = np.asarray(qubit_offsets_mhz, dtype=float).reshape(-1, 1, 1) * MHZ
     return np.linalg.eigvalsh(base + offsets * nq) / MHZ
 

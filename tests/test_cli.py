@@ -123,6 +123,18 @@ class TestSweep:
         assert len(lines) == 3
         assert [line.split(",")[0] for line in lines[1:]] == ["0.67", "nan"]
 
+    def test_vacuum_rabi_mode_counts_do_not_leak(self, tmp_path):
+        # the ladder is built once per mode count: an 11-mode point after a
+        # 5-mode one gives the first 11-mode point's bundle
+        path = tmp_path / "vr.yaml"
+        path.write_text(yaml.safe_dump(default_config("vacuum_rabi")))
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(path), "--out", str(out),
+                     "params.n_modes", "--", "11", "5", "11"]) == 0
+        first, other, again = (bundle_bytes(out / f"point_{i:03d}") for i in range(3))
+        assert first == again
+        assert first["metrics.json"] != other["metrics.json"]
+
     def test_parallel_matches_serial(self, config_path, tmp_path):
         kwargs = ["sweep", "params.window_ns", "100", "150",
                   "--config", config_path]
@@ -371,14 +383,14 @@ class TestExitCodes:
         ("tomo_roundtrip", {"werner_p": -0.5}),
     ])
     def test_out_of_range_param_is_2(self, tmp_path, capsys, monkeypatch, experiment, params):
-        # too many modes must be rejected before a space is built
-        build_space = multimode.build_space
+        # too many modes must be rejected before a ladder is built
+        ladder = multimode.ladder
 
-        def bounded_build_space(p, *args, **kwargs):
-            assert p.n_a <= multimode.MAX_MODES, "a space was built for too many modes"
-            return build_space(p, *args, **kwargs)
+        def bounded_ladder(n_a):
+            assert n_a <= multimode.MAX_MODES, "a ladder was built for too many modes"
+            return ladder(n_a)
 
-        monkeypatch.setattr(multimode, "build_space", bounded_build_space)
+        monkeypatch.setattr(multimode, "ladder", bounded_ladder)
         path = tmp_path / "c.yaml"
         raw = default_config(experiment)
         raw["params"].update(params)
@@ -778,7 +790,7 @@ RUN_DEFAULTS = (
 
 class TestImportGraph:
     """The Lindblad side (cascade, dynamics, scipy) loads only when swap,
-    double_swap, bell or vacuum_rabi runs."""
+    double_swap, bell or vacuum_rabi runs, and scipy.integrate never."""
 
     def test_cli_import_loads_no_scipy_and_no_process_pool(self, tmp_path):
         loaded = _modules_after("import sawlink.cli", cwd=tmp_path)
@@ -798,5 +810,12 @@ class TestImportGraph:
         assert _lindblad(_modules_after(RUN_DEFAULTS, *NUMPY_RUNS, cwd=tmp_path)) == []
 
     def test_bell_run_loads_scipy(self, tmp_path):
-        # the control: the same check sees scipy once a Lindblad runner runs
-        assert "scipy.integrate" in _modules_after(RUN_DEFAULTS, "bell", cwd=tmp_path)
+        # the control: the same check sees the Lindblad side once a Lindblad runner runs
+        loaded = _modules_after(RUN_DEFAULTS, "bell", cwd=tmp_path)
+        assert "sawlink.dynamics" in loaded and "scipy.sparse" in loaded
+
+    def test_lindblad_runs_load_no_scipy_integrate(self, tmp_path):
+        # the stepper is numpy: scipy serves the Lindblad side with sparse alone
+        loaded = _modules_after(RUN_DEFAULTS, "bell", "vacuum_rabi", cwd=tmp_path)
+        assert "sawlink.dynamics" in loaded
+        assert [m for m in loaded if m == "scipy.integrate" or m.startswith("scipy.integrate.")] == []

@@ -12,13 +12,16 @@ from sawlink.dynamics import (
     expectations,
 )
 from sawlink.errors import ValidationError
+from sawlink.ioshape import MHZ
 from sawlink.multimode import (
     MultimodeParams,
     _laguerre,
-    build_space,
     efficiency_bound,
     golden_rule_kappa,
     jc_hamiltonian,
+    ladder,
+    ladder_blocks,
+    ladder_generator,
     laguerre_amplitude,
     revival_onset,
     spectrum,
@@ -26,9 +29,27 @@ from sawlink.multimode import (
 from sawlink.qcore import (
     NUMBER,
     SIGMA_MINUS,
+    SIGMA_PLUS,
     QuantumState,
     embed,
+    embed_product,
 )
+
+
+def summed_generator(p):
+    """The ladder's generator from the commutator with the summed
+    Hamiltonian and one dissipator per mode, built on the spot: the
+    reference for the cached blocks."""
+    space = ladder(p.n_a).space
+    labels = space.labels[1:]
+    blocks = [commutator_superop(jc_hamiltonian(p))]
+    blocks += [dissipator(embed(SIGMA_MINUS, lbl, space)) for lbl in labels]
+    return Generator(space, blocks, [1.0] + [p.kappa_a * 1e-3] * p.n_a)
+
+
+def dense(generator) -> np.ndarray:
+    """The constant generator's matrix, dense."""
+    return generator.matrix.toarray()
 
 
 def excitation_number(space) -> np.ndarray:
@@ -57,15 +78,15 @@ class TestParams:
 class TestHamiltonian:
     def test_excitation_conserved(self):
         p = MultimodeParams(g=2.57, n_a=6)
-        space = build_space(p)
-        h = jc_hamiltonian(p, space)
+        space = ladder(p.n_a).space
+        h = jc_hamiltonian(p)
         n = excitation_number(space)
         assert np.max(np.abs(h @ n - n @ h)) < 1e-12
 
     def test_decoupled_limit_is_diagonal(self):
         p = MultimodeParams(g=0.0, n_a=4, fsr=1.97, delta0=0.3)
-        space = build_space(p)
-        h = jc_hamiltonian(p, space)
+        space = ladder(p.n_a).space
+        h = jc_hamiltonian(p)
         assert np.max(np.abs(h - np.diag(np.diag(h)))) < 1e-15
         sector = [i for i, occ in enumerate(space.basis) if sum(occ) == 1]
         evals = np.sort(np.diag(h)[sector].real)
@@ -74,12 +95,74 @@ class TestHamiltonian:
 
     def test_single_mode_vacuum_rabi_doublet(self):
         p = MultimodeParams(g=2.57, n_a=1, delta0=0.0)
-        space = build_space(p)
-        h = jc_hamiltonian(p, space)
+        space = ladder(p.n_a).space
+        h = jc_hamiltonian(p)
         sector = [i for i, occ in enumerate(space.basis) if sum(occ) == 1]
         evals = np.linalg.eigvalsh(h[np.ix_(sector, sector)])
         g = 2.57 * 2e-3 * np.pi
         assert np.allclose(evals, [-g, g], atol=1e-12)
+
+
+class TestLadderCache:
+    @pytest.mark.parametrize("n_a", [1, 2, 5, 11, 20])
+    def test_operators_are_the_embedded_ones(self, n_a):
+        lad = ladder(n_a)
+        space = lad.space
+        assert space.labels == ("q",) + tuple(f"m{j}" for j in range(n_a))
+        assert np.array_equal(lad.qubit_number, embed(NUMBER, "q", space))
+        swaps = [embed_product({"q": SIGMA_PLUS, f"m{j}": SIGMA_MINUS}, space)
+                 for j in range(n_a)]
+        assert np.array_equal(lad.exchange, sum(x + x.conj().T for x in swaps))
+        for j in range(n_a):
+            assert np.array_equal(lad.numbers[j], embed(NUMBER, f"m{j}", space))
+            assert np.array_equal(lad.lowerings[j], embed(SIGMA_MINUS, f"m{j}", space))
+
+    def test_built_once_per_mode_count(self):
+        assert ladder(7) is ladder(7) and ladder_blocks(7) is ladder_blocks(7)
+        assert ladder(7) is not ladder(8)
+
+    def test_operators_and_blocks_are_read_only(self):
+        lad = ladder(4)
+        for op in lad[1:]:
+            with pytest.raises(ValueError):
+                op[..., 0, 0] = 1.0
+        blocks = ladder_blocks(4)
+        assert len(blocks) == 2 * 4 + 1
+        for block in blocks:
+            for a in (block.data, block.indices, block.indptr):
+                with pytest.raises(ValueError):
+                    a[0] = a[0]
+
+    @pytest.mark.parametrize("p", [
+        MultimodeParams(g=0.18, n_a=11, fsr=1.97, kappa_a=0.0),
+        MultimodeParams(g=0.1, n_a=8, fsr=1.97, kappa_a=1 / 1.2),
+        MultimodeParams(g=2.57, n_a=20, fsr=1.97, delta0=0.4, kappa_a=3.0),
+        MultimodeParams(g=-0.5, n_a=1, fsr=0.7, delta0=-1.1, kappa_a=0.2),
+    ])
+    def test_generator_equals_the_summed_one(self, p):
+        # the blocks weighted by Delta_j, g and kappa_a against the
+        # commutator with the summed Hamiltonian plus the dissipators
+        assert np.max(np.abs(dense(ladder_generator(p)) - dense(summed_generator(p)))) <= 1e-15
+
+    @pytest.mark.parametrize("n_a", [1, 8, 20])
+    def test_spectrum_bit_for_bit_against_per_mode_build(self, n_a):
+        # the Hamiltonian summed mode by mode from fresh embeddings, as it
+        # was built before the ladder's operators were cached
+        p = MultimodeParams(g=2.57, n_a=n_a, fsr=1.97, delta0=0.2)
+        space = ladder(n_a).space
+        g = p.g * MHZ
+        h = np.zeros((space.dim, space.dim), dtype=complex)
+        for j, delta in enumerate(p.mode_detunings()):
+            h += delta * embed(NUMBER, f"m{j}", space)
+            swap = embed_product({"q": SIGMA_PLUS, f"m{j}": SIGMA_MINUS}, space)
+            h += g * (swap + swap.conj().T)
+        assert jc_hamiltonian(p).tobytes() == h.tobytes()
+        sweep = np.linspace(-6.0, 6.0, 41)
+        kets = np.flatnonzero(space.basis.sum(axis=1) == 1)
+        sector = np.ix_(kets, kets)
+        nq = embed(NUMBER, "q", space)[sector]
+        want = np.linalg.eigvalsh(h[sector] + sweep.reshape(-1, 1, 1) * MHZ * nq) / MHZ
+        assert spectrum(p, sweep).tobytes() == want.tobytes()
 
 
 class TestSpectrum:
@@ -114,9 +197,9 @@ class TestSpectrum:
     def test_batched_equals_per_offset_loop(self, n_a):
         p = MultimodeParams(g=2.57, n_a=n_a, fsr=1.97)
         sweep = np.linspace(-6.0, 6.0, 41)
-        space = build_space(p)
+        space = ladder(p.n_a).space
         sector = np.flatnonzero(space.basis.sum(axis=1) == 1)
-        base, nq = jc_hamiltonian(p, space), embed(NUMBER, "q", space)
+        base, nq = jc_hamiltonian(p), embed(NUMBER, "q", space)
         mhz = 2e-3 * np.pi
         want = [np.linalg.eigvalsh((base + off * mhz * nq)[np.ix_(sector, sector)]) / mhz
                 for off in sweep]
@@ -192,11 +275,8 @@ class TestOracleEquivalence:
         # compact version of the full cross-check: weak coupling, the
         # stated mode count, channel loss on, no qubit imperfections
         p = MultimodeParams(g=0.1, n_a=8, fsr=1.97, kappa_a=1 / 1.2)
-        space = build_space(p)
-        ka = p.kappa_a * 1e-3
-        blocks = [commutator_superop(jc_hamiltonian(p, space))]
-        blocks += [dissipator(embed(SIGMA_MINUS, lbl, space)) for lbl in p.mode_labels]
-        generator = Generator(space, blocks, [1.0] + [ka] * p.n_a)
+        space = ladder(p.n_a).space
+        generator = summed_generator(p)
         rho0 = QuantumState.basis_state(space, [1] + [0] * p.n_a)
         grid = np.linspace(0.0, 1.6 * p.tau_ns, 500)
         rhos = evolve_generator(generator, rho0.rho[None], grid, tol=1e-9)

@@ -13,7 +13,7 @@ from sawlink.dynamics import (
     hermitian_basis,
 )
 from sawlink.errors import ValidationError
-from sawlink.multimode import MultimodeParams, build_space, jc_hamiltonian
+from sawlink.multimode import MultimodeParams, jc_hamiltonian, ladder
 from sawlink.qcore import (
     EIG_ATOL,
     NUMBER,
@@ -233,10 +233,10 @@ class TestEmbedding:
 
     def test_results_are_read_only_arrays(self):
         p = MultimodeParams(g=0.5, n_a=1)
-        space = build_space(p)
+        space = ladder(p.n_a).space
         ops = (embed(SIGMA_MINUS, "m0", space),
                embed_product({"q": SIGMA_PLUS, "m0": SIGMA_MINUS}, space),
-               jc_hamiltonian(p, space))
+               jc_hamiltonian(p))
         for op in ops:
             assert type(op) is np.ndarray and op.dtype == complex
             assert op.shape == (space.dim, space.dim)
