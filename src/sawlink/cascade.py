@@ -15,8 +15,10 @@ blocks: D[sigma-] with coefficient kappa_q + 1/T1_q, the commutator
 with n with Delta_q, and D[n] with the pure-dephasing rate.  The
 doubled space adds one block per emitter/receiver pair (q_ie, q_j)
 with sqrt(eta kappa_i(t - tau) kappa_j(t)).  The schedule, the channel
-and the qubit noise thus reach the generator only through c(t), and
-``stage_blocks`` is the one builder of idle-noise terms.
+and the qubit noise thus reach the generator only through c(t).  A
+qubit that idles outside the cascade, as the Bell pair's emitter does
+before readout, is aged by ``age_idle``, the same relaxation and
+dephasing in closed form.
 
 ``run_cascade`` is the one way in: one ``QuantumState`` or a (k, 4, 4)
 stack of preparations goes through both stages as one stack and comes
@@ -109,6 +111,23 @@ def stage_blocks(doubled: bool) -> tuple:
         exchange = 0.5j * (s_e.conj().T @ s_r - s_e @ s_r.conj().T)
         blocks.append(cross_dissipator(s_e, s_r) + commutator_superop(exchange))
     return tuple(blocks)
+
+
+def age_idle(rho: np.ndarray, noise: QubitNoise, t: float) -> np.ndarray:
+    """A stack (..., 4, 4) of two-qubit states after the first qubit idles
+    for ``t`` ns under ``noise``: its D[sigma-] and D[n] blocks weighted by
+    the relaxation rate gamma_1 and the dephasing rate gamma_phi, in closed
+    form.  Its excited population decays as exp(-gamma_1 t) into its ground
+    state and its coherences as exp(-(gamma_1 + gamma_phi) t / 2)."""
+    kept = math.exp(-noise.relax_rate * t)
+    coherence = math.exp(-0.5 * (noise.relax_rate + noise.dephase_rate) * t)
+    # axes (..., q1, q2, q1', q2'), the ground state first
+    out = np.array(rho, dtype=complex).reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    out[..., 0, :, 0, :] -= math.expm1(-noise.relax_rate * t) * out[..., 1, :, 1, :]
+    out[..., 1, :, 1, :] *= kept
+    out[..., 0, :, 1, :] *= coherence
+    out[..., 1, :, 0, :] *= coherence
+    return out.reshape(rho.shape)
 
 
 def _copy_coeffs(cfg: CascadeConfig, t: float) -> tuple[list, list]:

@@ -8,20 +8,17 @@ T B T^H (Gorini, Kossakowski and Sudarshan, J. Math. Phys. 17, 821
 (1976)).  The commutator and dissipator blocks are built as such real
 scipy.sparse matrices, and the ``Generator`` holds their sum weighted by a
 real coefficient vector c(t) as one sparse matrix on the blocks' union
-pattern.  The generator's kind picks the route.  A constant generator is
-propagated exactly: exp(L h) is built once per distinct grid step by a
-Taylor series with scaling and squaring, using sparse x dense products
-only, kept as a dense matrix and applied step by step as a dense product.
-A time-dependent one is integrated by ``solve_ivp``, an adaptive
-Dormand-Prince 5(4) stepper in numpy, its coefficients evaluated
-analytically at the stepper's stage times; scipy serves this module only
-through ``scipy.sparse``.  A (k, d, d) stack of initial states is checked
-once and evolves as the k columns of one real d^2 x k matrix, and the
-sampled coordinates come back as an exactly Hermitian (n_times, k, d, d)
-stack, so the repair pass measures no Hermiticity error.  It checks and
-repairs in one pass: a Cholesky factor of rho + EIG_ATOL / d I screens
-positivity, and only where it fails are eigenvalues read and the states
-whose lowest one is below -EIG_ATOL / d rebuilt from an eigendecomposition.
+pattern.  ``evolve_generator`` integrates it with ``solve_ivp``, an
+adaptive Dormand-Prince 5(4) stepper in numpy, the coefficients
+evaluated analytically at the stepper's stage times; scipy serves this
+module only through ``scipy.sparse``.  A (k, d, d) stack of initial
+states is checked once and evolves as the k columns of one real d^2 x k
+matrix, and the sampled coordinates come back as an exactly Hermitian
+(n_times, k, d, d) stack, so the repair pass measures no Hermiticity
+error.  It checks and repairs in one pass: a Cholesky factor of
+rho + EIG_ATOL / d I screens positivity, and only where it fails are
+eigenvalues read and the states whose lowest one is below -EIG_ATOL / d
+rebuilt from an eigendecomposition.
 """
 
 from __future__ import annotations
@@ -55,10 +52,6 @@ POSITIVITY_CLIP = 1e-8
 SCREEN_BLOCK = 256
 CLIP_BLOCK = 64
 
-# exp(A) is summed as a Taylor series once ||A||_1 <= TAYLOR_NORM; a
-# longer step is scaled down by a power of two and squared back up
-TAYLOR_NORM = 1.0
-UNIT_ROUNDOFF = 2.0**-53
 SQRT2 = math.sqrt(2.0)
 # a block's imaginary part, relative to its largest entry, above which it
 # is taken for a map that does not preserve Hermiticity
@@ -131,27 +124,28 @@ class Generator:
     ``matrix`` is a real d^2 x d^2 CSR matrix on the union of the blocks'
     patterns, and column k of the real ``values`` (nnz x n_terms) holds
     block k's entries on it, so L(c) is ``matrix`` with its data set to
-    ``values @ c``.  A constant generator holds c in place of the function
-    c(t), its data filled once and the entries that sum to zero dropped.
-    A complex block or coefficient raises ``ValidationError``.
+    ``values @ c(t)``.  ``coeffs`` is the function c(t); a complex block,
+    or coefficients that are not a function of t, raise ``ValidationError``.
     """
 
     space: HilbertSpace
     matrix: sparse.csr_array
     values: np.ndarray
-    coeffs: Callable[[float], np.ndarray] | np.ndarray
+    coeffs: Callable[[float], np.ndarray]
 
     def __init__(
         self,
         space: HilbertSpace,
         blocks: Sequence[sparse.sparray],
-        coeffs: Callable[[float], np.ndarray] | Sequence[float],
+        coeffs: Callable[[float], np.ndarray],
     ):
         d2 = space.dim**2
         if any(block.shape != (d2, d2) for block in blocks):
             raise ValidationError(f"superoperator blocks must be {d2} x {d2}")
         if any(block.dtype.kind == "c" for block in blocks):
             raise ValidationError("superoperator blocks must be real, in Hermitian coordinates")
+        if not callable(coeffs):
+            raise ValidationError("generator coefficients must be a function c(t)")
         # one pass over the stacked blocks' COO triplets (a 0-row first block
         # lets ``blocks`` be empty): each is keyed by its position in its block
         stacked = sparse.vstack([sparse.csr_array((0, d2)), *blocks], format="csr")
@@ -161,40 +155,24 @@ class Generator:
                              return_inverse=True)
         values = np.zeros((keys.size, len(blocks)))
         np.add.at(values, (at, terms), stacked.data)
-        data = np.zeros(keys.size)
-        if not callable(coeffs):
-            coeffs = np.array(coeffs)
-            if coeffs.dtype.kind == "c":
-                raise ValidationError("generator coefficients must be real")
-            coeffs = coeffs.astype(float)
-            if coeffs.shape != (len(blocks),):
-                raise ValidationError(f"{coeffs.size} coefficients for {len(blocks)} blocks")
-            coeffs.setflags(write=False)
-            # products summed without a fused multiply-add, so terms that
-            # cancel leave an exact zero
-            data = (values * coeffs).sum(axis=1)
-            keep = data != 0
-            keys, values, data = keys[keep], values[keep], data[keep]
         indptr = np.searchsorted(keys // d2, np.arange(d2 + 1))
-        matrix = sparse.csr_array((data, keys % d2, indptr), shape=(d2, d2))
+        matrix = sparse.csr_array((np.zeros(keys.size), keys % d2, indptr), shape=(d2, d2))
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "coeffs", coeffs)
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        """The right-hand side L(t) y of a time-dependent generator (a
-        constant one is applied as ``matrix``).  ``y`` holds the real
-        coordinates of k states as the columns of a d^2 x k matrix,
-        flattened row-major as the ODE solver passes it, and the result is
-        flattened alike.
+        """The right-hand side L(t) y.  ``y`` holds the real coordinates
+        of k states as the columns of a d^2 x k matrix, flattened row-major
+        as the ODE solver passes it, and the result is flattened alike.
 
         A complex coefficient raises, and so does a non-finite one, named
         with its time rather than left to fail the stepper's error estimate."""
         c = self.coeffs(t)
         if c.dtype.kind == "c":
             raise ValidationError(f"complex generator coefficient at t = {t:.6g} ns")
-        # refilled in place: a time-dependent generator's matrix holds L at the last evaluated t
+        # refilled in place: ``matrix`` holds L at the last evaluated t
         data = np.matmul(self.values, c, out=self.matrix.data)
         # a non-finite c_k makes every entry of ``data`` non-finite, so data[0] screens
         if data.size and not math.isfinite(data[0]) and not np.isfinite(c).all():
@@ -320,64 +298,6 @@ def _check_and_repair(rhos: np.ndarray, tol: float, times: np.ndarray) -> None:
         i, j = ii[s : s + CLIP_BLOCK], jj[s : s + CLIP_BLOCK]
         rhos[i, j] = clip_negative(rhos[i, j])
     rhos /= np.trace(rhos, axis1=-2, axis2=-1).real[..., None, None]
-
-
-def _step_groups(steps: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Label each step with a group and give each group's mean width.
-
-    Steps within ``atol`` of their group's smallest member share a group,
-    so grid steps that differ only by rounding get one label."""
-    starts = []
-    for width in np.unique(steps):
-        if not starts or width - starts[-1] > atol:
-            starts.append(width)
-    labels = np.searchsorted(starts, steps, side="right") - 1
-    widths = np.bincount(labels, weights=steps) / np.bincount(labels)
-    return labels, widths
-
-
-def _propagator(generator: sparse.csr_array, h: float) -> np.ndarray:
-    """exp(L h) as a dense matrix, by a Taylor series with scaling and
-    squaring (Moler and Van Loan, SIAM Rev. 45, 3 (2003)).
-
-    Every product is a sparse x dense one, which runs without BLAS, so
-    the result does not depend on the BLAS thread count.  It is returned
-    dense because it mostly is: on a ladder of a qubit and 12 modes it
-    holds 21,169 nonzeros in 28,561 entries."""
-    a = generator * h
-    norm = float(abs(a).sum(axis=0).max())
-    squarings = math.ceil(math.log2(norm / TAYLOR_NORM)) if norm > TAYLOR_NORM else 0
-    a, norm = a * 0.5**squarings, norm * 0.5**squarings
-    p = term = np.eye(a.shape[0])
-    # add terms until ||a||^j / j!, a bound on the next term's norm, is
-    # below the unit roundoff
-    j, bound = 0, 1.0
-    while bound > UNIT_ROUNDOFF:
-        j += 1
-        term = a @ term / j
-        p = p + term
-        bound *= norm / j
-    for _ in range(squarings):
-        p = sparse.csr_array(p) @ p
-    return p
-
-
-def _propagate(generator: sparse.csr_array, y: np.ndarray, grid: np.ndarray,
-               flat: np.ndarray) -> None:
-    """Step y <- exp(L h) y across ``grid``, writing each state to ``flat``.
-
-    One propagator is built per distinct step width: a ``linspace`` grid,
-    whose steps differ only in the rounding of the grid points, builds one.
-    Each step is a dense BLAS product."""
-    if not np.isfinite(generator.data).all():
-        raise ValidationError("generator has a non-finite entry")
-    atol = 16 * np.finfo(float).eps * np.max(np.abs(grid))
-    labels, widths = _step_groups(np.diff(grid), atol)
-    props = [_propagator(generator, h) for h in widths]
-    flat[0] = y.T
-    for i, label in enumerate(labels, 1):
-        y = props[label] @ y
-        flat[i] = y.T
 
 
 # The Dormand-Prince 5(4) pair with FSAL (Dormand and Prince, J. Comput.
@@ -549,14 +469,11 @@ def evolve_generator(
     read-only sampled stack (n_times, k, d, d), exactly Hermitian before
     its repair; ``expectations`` reads observables from it.
 
-    The generator's kind picks the route.  A constant generator is
-    propagated exactly: exp(L h) is built once per distinct grid step and
-    applied to the states step by step, and ``breakpoints`` do not
-    matter.  A time-dependent one is integrated by ``solve_ivp`` at ``tol``;
-    ``breakpoints`` mark times where its coefficients are non-smooth, and
-    the window is integrated piecewise between them so the adaptive
-    stepper never straddles a kink.  On either route ``tol`` sets the
-    trace threshold of the repair pass.
+    The states are integrated by ``solve_ivp`` with relative tolerance
+    ``tol`` (absolute tol / 100), which also sets the trace threshold of
+    the repair pass.  ``breakpoints`` mark times where the coefficients
+    are non-smooth, and the window is integrated piecewise between them so
+    the adaptive stepper never straddles a kink.
     """
     grid = np.asarray(grid, dtype=float)
     check_grid(grid)
@@ -573,10 +490,7 @@ def evolve_generator(
     # column j of y is state j, and flat[i, j] holds it at grid[i]
     y = np.ascontiguousarray(to_coords(rhos0).T)
     flat = np.empty((grid.size, k, d * d))
-    if callable(generator.coeffs):
-        _integrate(generator, y, grid, tol, breakpoints, flat)
-    else:
-        _propagate(generator.matrix, y, grid, flat)
+    _integrate(generator, y, grid, tol, breakpoints, flat)
     raw = from_coords(flat)
     del flat
 

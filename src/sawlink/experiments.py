@@ -7,9 +7,10 @@ parameter fails where the config is built.  ``run_<name>`` is the plan
 and then the execution, a pure function of (device, params, seed) giving
 metrics, series and matrices; only failures that depend on the result
 stay at run time.  Published hardware values sit beside the model
-output under ``reference_`` metric keys.  Swap, double_swap, bell and
-vacuum_rabi import the Lindblad side (``cascade``, ``dynamics``, scipy)
-when they run, so the other runners and every plan need numpy alone.
+output under ``reference_`` metric keys.  Swap, double_swap and bell
+import the Lindblad side (``cascade``, ``dynamics``, scipy) when they run,
+and vacuum_rabi imports scipy.optimize for its revival fit, so the other
+runners and every plan need numpy alone.
 """
 
 from __future__ import annotations
@@ -254,22 +255,16 @@ def run_bell(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     lab instant; the emitter marginal is therefore aged under its idle
     imperfections over tau before scoring.
     """
-    from .cascade import CascadeConfig, run_cascade, stage_blocks, two_qubit_space
-    from .dynamics import Generator, evolve_generator
+    from .cascade import CascadeConfig, age_idle, run_cascade
     ch, sched = plan_bell(device, params, seed)
     cfg = CascadeConfig(sched, ch, noise=device.noise_pair())
     eg = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)[None]
     t_ro = ch.tau + params["window_ns"]
     doubled = run_cascade(cfg, eg, np.array([0.0, t_ro]), tol=params["tol"]).doubled
-    # the (q1e, q2) pair takes the (q1, q2) slots of the stage-1 blocks
-    # and ages under q1's relaxation and dephasing alone
-    pair = partial_trace(doubled.space, doubled.rhos[-1], ["q1e", "q2"])
-    nz = device.q1.noise()
-    idle = Generator(two_qubit_space(), stage_blocks(False),
-                     [nz.relax_rate, 0, nz.dephase_rate, 0, 0, 0])
-    aged = evolve_generator(idle, pair, np.array([0.0, ch.tau]), tol=params["tol"])
+    # the (q1e, q2) pair takes the (q1, q2) slots and ages under q1's noise
+    pair = partial_trace(doubled.space, doubled.rhos[-1, 0], ["q1e", "q2"])
     frame = np.kron(np.eye(2), Z_FRAME)
-    rho = frame @ aged[-1, 0] @ frame.conj().T
+    rho = frame @ age_idle(pair, device.q1.noise(), ch.tau) @ frame.conj().T
     metrics = {
         "bell_fidelity": tomo.fidelity(rho, PSI_PLUS),
         "concurrence": tomo.concurrence(rho),
@@ -322,7 +317,6 @@ def plan_vacuum_rabi(device: DeviceParams, params: dict, seed: int):
     # a negative point count is the empty grid, which check_grid rejects
     grid = np.linspace(0.0, params["horizon_tau"] * p.tau_ns, max(params["points"], 0))
     check_grid(grid)
-    check_tol(params["tol"])
     return q, p, grid
 
 
@@ -335,12 +329,9 @@ def run_vacuum_rabi(device: DeviceParams, params: dict, seed: int) -> Experiment
     tractable truncated ladder.  The golden-rule figure is always
     quoted at the device coupling.
     """
-    from .dynamics import evolve_generator, expectations
     q, p, grid = plan_vacuum_rabi(device, params, seed)
-    ladder = multimode.ladder(p.n_a)
-    rho0 = QuantumState.basis_state(ladder.space, [1] + [0] * p.n_a)
-    rhos = evolve_generator(multimode.ladder_generator(p), rho0.rho[None], grid, tol=params["tol"])
-    pe_lindblad = expectations(rhos, {"pe": ladder.qubit_number})["pe"][:, 0]
+    rho0 = QuantumState.basis_state(multimode.ladder(p.n_a).space, [1] + [0] * p.n_a)
+    pe_lindblad = multimode.decay_population(p, rho0.rho, grid)
     pe_series = np.abs(multimode.laguerre_amplitude(grid, p)) ** 2
     golden = multimode.golden_rule_kappa(q.g_mhz, p.fsr)
     return ExperimentOutput(
@@ -507,9 +498,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "g_mhz": 0.18,
             "horizon_tau": 2.0,
             "points": 800,
-            # the constant ladder generator is propagated exactly, so tol
-            # sets only the repair pass's trace and Hermiticity thresholds
-            "tol": 1e-9,
         },
     ),
     "saw_response": ExperimentSpec(

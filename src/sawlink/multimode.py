@@ -2,18 +2,18 @@
 
 Builds the ladder's operators on an excitation-capped space once per mode
 count, sums them into the multi-mode exchange Hamiltonian, sweeps its
-single-excitation spectrum, and evaluates the analytical echo series for
-the qubit amplitude, which serves as the independent oracle for the
-master-equation integration.  The module needs numpy alone: the ladder's
-Lindblad blocks import ``dynamics`` (and with it scipy.sparse) and the
-revival fit imports scipy.optimize when called.
+single-excitation spectrum, evolves the qubit's decay into the lossy
+ladder exactly in that sector, and evaluates the analytical echo series
+for the qubit amplitude, the independent oracle for that evolution.  The
+module needs numpy alone; the revival fit imports scipy.optimize when
+called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,15 +28,12 @@ from .qcore import (
     embed_product,
 )
 
-if TYPE_CHECKING:
-    from .dynamics import Generator
-
 # Most ladder modes a model takes; 21 is rejected, so a config asking for
 # it exits with code 2.  The capped ladder of n modes holds n + 2 kets and
-# is built ket by ket, so the cost grows as a power of n: at 20 modes
-# spectroscopy took 0.009 s and vacuum_rabi 0.15 s at a peak RSS of
-# 101 MB, and vacuum_rabi, whose dense propagator has (n + 2)^4 entries,
-# 0.80 s at 32 modes (one thread of a 2-core Xeon).
+# is built ket by ket, and its models work on the n + 1 kets of the
+# one-excitation sector: at 20 modes a fresh process ran spectroscopy in
+# 0.016 s and vacuum_rabi in 0.33 s (mostly the import of scipy.optimize;
+# 3.1 ms once warm) at a peak RSS of 82 MB (one thread of a 2-core Xeon).
 MAX_MODES = 20
 
 
@@ -82,7 +79,6 @@ class Ladder(NamedTuple):
     qubit_number: np.ndarray  # sp sm
     numbers: np.ndarray  # (n, dim, dim): n_j of each mode
     exchange: np.ndarray  # sum_j (sp a_j + sm a_j^+)
-    lowerings: np.ndarray  # (n, dim, dim): a_j of each mode
 
 
 @cache
@@ -97,39 +93,10 @@ def ladder(n_a: int) -> Ladder:
         embed(NUMBER, "q", space),
         np.array([embed(NUMBER, label, space) for label in labels]),
         swaps + swaps.conj().T,
-        np.array([embed(SIGMA_MINUS, label, space) for label in labels]),
     )
     for op in out[1:]:
         op.setflags(write=False)
     return out
-
-
-@cache
-def ladder_blocks(n_a: int) -> tuple:
-    """The Lindblad blocks of the ladder of ``n_a`` modes in coefficient
-    order: the commutator with each n_j, the commutator with the exchange
-    and each D[a_j].  They depend on the mode count alone; each is a
-    read-only real CSR matrix.  ``dynamics`` is imported when this is
-    called, so importing the module loads no scipy."""
-    from .dynamics import commutator_superop, dissipator
-    lad = ladder(n_a)
-    blocks = [commutator_superop(n) for n in lad.numbers]
-    blocks += [commutator_superop(lad.exchange)] + [dissipator(a) for a in lad.lowerings]
-    for block in blocks:
-        for a in (block.data, block.indices, block.indptr):
-            a.setflags(write=False)
-    return tuple(blocks)
-
-
-def ladder_generator(p: MultimodeParams) -> Generator:
-    """The ladder's master equation -i [H, rho] + kappa_a sum_j D[a_j] rho,
-    H as in ``jc_hamiltonian``, as a constant ``dynamics.Generator``: the
-    detunings Delta_j, the coupling g and kappa_a (1/ns) weight the cached
-    ``ladder_blocks``."""
-    from .dynamics import Generator
-    ka = p.kappa_a * 1e-3
-    coeffs = [*p.mode_detunings(), p.g * MHZ] + [ka] * p.n_a
-    return Generator(ladder(p.n_a).space, ladder_blocks(p.n_a), coeffs)
 
 
 def jc_hamiltonian(p: MultimodeParams) -> np.ndarray:
@@ -150,12 +117,39 @@ def spectrum(p: MultimodeParams, qubit_offsets_mhz: Sequence[float]) -> np.ndarr
     The mode ladder stays fixed while the qubit level is swept across
     it; each row holds the sorted eigenvalues at one sweep point.
     """
-    lad = ladder(p.n_a)
-    kets = np.flatnonzero(lad.space.basis.sum(axis=1) == 1)  # the one-excitation sector
-    sector = np.ix_(kets, kets)
-    base, nq = jc_hamiltonian(p)[sector], lad.qubit_number[sector]
+    sector = _sector(p.n_a)
+    base, nq = jc_hamiltonian(p)[sector], ladder(p.n_a).qubit_number[sector]
     offsets = np.asarray(qubit_offsets_mhz, dtype=float).reshape(-1, 1, 1) * MHZ
     return np.linalg.eigvalsh(base + offsets * nq) / MHZ
+
+
+def _sector(n_a: int) -> tuple:
+    """Index of the one-excitation block of an operator on ``ladder(n_a).space``:
+    its kets in lexicographic order, the modes' from the last to the first,
+    then the qubit's."""
+    kets = np.flatnonzero(ladder(n_a).space.basis.sum(axis=1) == 1)
+    return np.ix_(kets, kets)
+
+
+def decay_population(p: MultimodeParams, rho0: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The qubit's excited population on ``grid`` (ns) under the ladder's
+    master equation -i [H, rho] + kappa_a sum_j D[a_j] rho, H as in
+    ``jc_hamiltonian``, from the state ``rho0`` on ``ladder(p.n_a).space``.
+
+    A jump takes the one excitation to the vacuum, which H leaves alone,
+    so the one-excitation block rho_1 evolves without jumps as
+    U rho_1 U^+, U(t) = exp(-i H_eff t), H_eff = H - i kappa_a/2 sum_j n_j
+    (Dalibard, Castin and Molmer, PRL 68, 580 (1992); Plenio and Knight,
+    RMP 70, 101 (1998)), and P_e(t) = (U rho_1 U^+)_qq exactly.  One
+    eigendecomposition H_eff = V Lambda V^-1 gives the qubit's row
+    u_q(t) = V_q exp(-i Lambda t) V^-1 of U at every grid time.
+    """
+    loss = 0.5 * p.kappa_a * 1e-3 * ladder(p.n_a).numbers.sum(axis=0)  # kappa_a in 1/us
+    sector = _sector(p.n_a)
+    lam, v = np.linalg.eig((jc_hamiltonian(p) - 1j * loss)[sector])
+    # the qubit's ket is the sector's last
+    rows = (v[-1] * np.exp(-1j * np.multiply.outer(grid, lam))) @ np.linalg.inv(v)
+    return np.einsum("ti,ij,tj->t", rows, rho0[sector], rows.conj()).real
 
 
 class GoldenRule(NamedTuple):

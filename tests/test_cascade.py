@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sawlink import tomo
@@ -166,6 +166,10 @@ class TestGenerators:
         noise=st.tuples(st.just(0.0) | st.floats(1 / 50e3, 1 / 5e3), st.floats(0.0, 2e-3)),
         frac=st.floats(0.0, 1.0),
     )
+    # both stages sampled inside the detune segment [100, 150] ns, where
+    # Delta != 0: the drawn fractions seldom land in a detune segment
+    @example(pair=(1, 2), kappa_c=0.15, window=100.0, eta=0.67, alpha=1.0,
+             detune=(50.0, 20.0), noise=(0.0, 0.0), frac=125.0 / TAU)
     def test_stacked_generator_matches_dense_sum(
         self, pair, kappa_c, window, eta, alpha, detune, noise, frac
     ):

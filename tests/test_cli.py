@@ -353,6 +353,19 @@ class TestExitCodes:
         assert diag["error"] == "ValidationError"
         assert "2*T1" in diag["message"]
 
+    def test_vacuum_rabi_tol_is_an_unknown_key(self, tmp_path, capsys):
+        # its decay is solved exactly, so there is no tolerance to set
+        path = tmp_path / "c.yaml"
+        raw = default_config("vacuum_rabi")
+        raw["params"]["tol"] = 1e-9
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "ConfigError",
+                                      "message": "unknown key(s) under params: tol"}
+        assert not (tmp_path / "r").exists()
+
     def test_non_string_experiment_is_2(self, tmp_path, capsys):
         path = tmp_path / "c.yaml"
         path.write_text("experiment: [bell]\n")
@@ -368,10 +381,11 @@ class TestExitCodes:
         ("vacuum_rabi", {"qubit": 3}),
         ("saw_response", {"points": -1}),
         ("spectroscopy", {"points": 0}),
-        # a negative tol crashed inside scipy; zero or a subnormal one stalled RK45
+        # a negative tol crashed inside scipy and a zero one stalled RK45;
+        # qubits count from 1
         ("bell", {"tol": -2}),
         ("swap", {"tol": 0}),
-        ("vacuum_rabi", {"tol": 5e-324}),
+        ("vacuum_rabi", {"qubit": 0}),
         ("double_swap", {"tol": 3.0}),
         # n_modes outside [1, multimode.MAX_MODES]
         ("spectroscopy", {"n_modes": 0}),
@@ -552,7 +566,7 @@ def _validate(tmp_path, capsys, experiment, params):
 
 class TestValidateChecksRanges:
     def test_probe_set(self):
-        assert len(PROBES) == 88
+        assert len(PROBES) == 86
         assert PROBES_IN_RANGE <= set(PROBES) and len(PROBES_IN_RANGE) == 12
 
     @pytest.mark.parametrize("experiment, key, value", PROBES)
@@ -790,7 +804,8 @@ RUN_DEFAULTS = (
 
 class TestImportGraph:
     """The Lindblad side (cascade, dynamics, scipy) loads only when swap,
-    double_swap, bell or vacuum_rabi runs, and scipy.integrate never."""
+    double_swap or bell runs, and scipy.integrate never; vacuum_rabi's
+    revival fit loads scipy.optimize alone."""
 
     def test_cli_import_loads_no_scipy_and_no_process_pool(self, tmp_path):
         loaded = _modules_after("import sawlink.cli", cwd=tmp_path)
@@ -819,3 +834,9 @@ class TestImportGraph:
         loaded = _modules_after(RUN_DEFAULTS, "bell", "vacuum_rabi", cwd=tmp_path)
         assert "sawlink.dynamics" in loaded
         assert [m for m in loaded if m == "scipy.integrate" or m.startswith("scipy.integrate.")] == []
+
+    def test_vacuum_rabi_run_loads_no_lindblad_module(self, tmp_path):
+        # its decay is solved exactly in the one-excitation sector, with numpy
+        loaded = _modules_after(RUN_DEFAULTS, "vacuum_rabi", cwd=tmp_path)
+        assert "sawlink.multimode" in loaded and "scipy.optimize" in loaded
+        assert [m for m in loaded if m in ("sawlink.cascade", "sawlink.dynamics")] == []

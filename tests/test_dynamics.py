@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import sawlink
-from sawlink import dynamics, experiments
+from sawlink import dynamics
 from sawlink.cascade import doubled_space
-from sawlink.device import default_device
 from sawlink.dynamics import (
     POSITIVITY_CLIP,
     Generator,
@@ -30,6 +29,7 @@ from sawlink.dynamics import (
     to_coords,
 )
 from sawlink.errors import DiagnosticsError, IntegrationError, ValidationError
+from sawlink.multimode import MultimodeParams, decay_population, jc_hamiltonian, ladder
 from sawlink.qcore import (
     EIG_ATOL,
     MAX_TOL,
@@ -50,7 +50,7 @@ EXCITED = QuantumState.basis_state(QUBIT, [1]).rho[None]
 
 
 def test_free_evolution_is_identity():
-    free = Generator(QUBIT, [], [])
+    free = Generator(QUBIT, [], lambda t: np.zeros(0))
     rng = np.random.default_rng(5)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho0 = a @ a.conj().T
@@ -62,9 +62,10 @@ def test_free_evolution_is_identity():
 
 def test_constant_decay_matches_exponential():
     kappa = 0.02  # 1/ns
-    decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [kappa])
+    decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], lambda t: np.array([kappa]))
     grid = np.linspace(0, 200, 41)
-    series = expectations(evolve_generator(decay, EXCITED, grid), {"pe": NUMBER})
+    # at the tightest tolerance the stepper follows the exponential to 1e-13
+    series = expectations(evolve_generator(decay, EXCITED, grid, MIN_TOL), {"pe": NUMBER})
     assert np.max(np.abs(series["pe"][:, 0] - np.exp(-kappa * grid))) <= 1e-12
 
 
@@ -73,7 +74,7 @@ def test_resonant_vacuum_rabi_oracle():
     space = HilbertSpace([2, 2], ["q", "m"])
     h = (embed_product({"q": SIGMA_PLUS, "m": SIGMA_MINUS}, space)
          + embed_product({"q": SIGMA_MINUS, "m": SIGMA_PLUS}, space))
-    rabi = Generator(space, [commutator_superop(h)], [g])
+    rabi = Generator(space, [commutator_superop(h)], lambda t: np.array([g]))
     t_half = (np.pi / 2) / g
     grid = np.linspace(0, t_half, 25)
     rhos = evolve_generator(rabi, QuantumState.basis_state(space, [1, 0]).rho[None], grid)
@@ -86,7 +87,8 @@ def test_resonant_vacuum_rabi_oracle():
 def test_trace_and_hermiticity_along_trajectory():
     kappa = 0.05
     driven = Generator(
-        QUBIT, [commutator_superop(SIGMA_PLUS + SIGMA_MINUS), dissipator(SIGMA_MINUS)], [0.3, kappa]
+        QUBIT, [commutator_superop(SIGMA_PLUS + SIGMA_MINUS), dissipator(SIGMA_MINUS)],
+        lambda t: np.array([0.3, kappa]),
     )
     rhos = evolve_generator(driven, EXCITED, np.linspace(0, 100, 51))
     check_states(rhos)
@@ -231,7 +233,7 @@ def test_capped_space_matches_full_tensor_space():
             coeffs += [d, g]
         blocks.append(dissipator(embed(SIGMA_MINUS, "q", space)))
         coeffs.append(1 / 21700.0)
-        return Generator(space, blocks, coeffs)
+        return Generator(space, blocks, lambda t: np.array(coeffs))
 
     grid = np.linspace(0, 400, 81)
     full = HilbertSpace([2, 2, 2, 2], labels)
@@ -279,7 +281,7 @@ def pair_generator(rng, time_dependent):
     """The ``pair_blocks`` generator, its rates constant or modulated in time."""
     blocks, rates = pair_blocks(rng)
     if not time_dependent:
-        return Generator(PAIR, blocks, rates)
+        return Generator(PAIR, blocks, lambda t: rates)
     omega = rng.uniform(0.05, 0.3)
     return Generator(PAIR, blocks, lambda t: rates * (1.0 + np.sin(omega * t)))
 
@@ -313,21 +315,21 @@ class TestStackedEvolution:
             assert np.max(np.abs(series["n_a"][:, j] - alone_series["n_a"][:, 0])) <= 10 * tol
 
     def test_sampled_stack_is_read_only(self):
-        decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [0.1])
+        decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], lambda t: np.array([0.1]))
         rhos = evolve_generator(decay, EXCITED, np.linspace(0, 10, 3))
         assert rhos.shape == (3, 1, 2, 2)
         with pytest.raises(ValueError):
             rhos[0, 0, 0, 0] = 0.0
 
     def test_initial_state_on_another_space_rejected(self):
-        decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [0.1])
+        decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], lambda t: np.array([0.1]))
         with pytest.raises(ValidationError, match="stack on the generator space"):
             evolve_generator(decay, QuantumState.basis_state(PAIR, [1, 0]).rho[None],
                              np.linspace(0, 1, 2))
 
     @pytest.mark.parametrize("shape", ["one_state", "empty", "list_of_stacks"])
     def test_wrong_shaped_stack_rejected(self, shape):
-        decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [0.1])
+        decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], lambda t: np.array([0.1]))
         rhos0 = {"one_state": EXCITED[0], "empty": EXCITED[:0],
                  "list_of_stacks": [EXCITED, EXCITED]}[shape]
         with pytest.raises(ValidationError, match="stack on the generator space"):
@@ -342,7 +344,7 @@ class TestStackedEvolution:
         rhos0 = np.concatenate([EXCITED, bad[None], EXCITED])
         with pytest.raises(ValidationError) as want:
             check_states(bad)
-        decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [0.1])
+        decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], lambda t: np.array([0.1]))
         with pytest.raises(ValidationError) as got:
             evolve_generator(decay, rhos0, np.linspace(0, 1, 2))
         assert str(got.value) == str(want.value)
@@ -420,12 +422,14 @@ class TestHermitianCoordinates:
     def test_complex_block_rejected(self):
         block = dissipator(SIGMA_MINUS).astype(complex)
         with pytest.raises(ValidationError, match="must be real"):
-            Generator(QUBIT, [block], [0.1])
+            Generator(QUBIT, [block], lambda t: np.array([0.1]))
+
+    def test_coefficients_that_are_not_a_function_rejected(self):
+        with pytest.raises(ValidationError, match="must be a function c"):
+            Generator(QUBIT, [dissipator(SIGMA_MINUS)], [0.1])
 
     @pytest.mark.parametrize("c", [0.1j, 0.1 + 0j])
     def test_complex_coefficient_rejected(self, c):
-        with pytest.raises(ValidationError, match="coefficients must be real"):
-            Generator(QUBIT, [dissipator(SIGMA_MINUS)], [c])
         generator = Generator(QUBIT, [dissipator(SIGMA_MINUS)], lambda t: np.array([c]))
         with pytest.raises(ValidationError, match="complex generator coefficient at t = 1.5 ns"):
             generator(1.5, np.zeros(4))
@@ -481,10 +485,6 @@ class TestUnionFormat:
             dense += c * block.toarray()
         want = dense @ y
 
-        constant = Generator(PAIR, blocks, coeffs(t2))
-        assert (constant.matrix.data != 0).all()
-        assert np.max(np.abs(constant.matrix @ y - want)) <= 1e-14
-
         # a call at t2 after one at t1 leaves no trace of the first refill
         generator = Generator(PAIR, blocks, coeffs)
         generator(t1, y.reshape(-1))
@@ -492,131 +492,91 @@ class TestUnionFormat:
         assert np.max(np.abs(got.reshape(16, k) - want)) <= 1e-14
         assert np.array_equal(got, Generator(PAIR, blocks, coeffs)(t2, y.reshape(-1)))
 
-    def test_constant_generator_drops_cancelled_entries(self):
-        # the drive's pattern is disjoint from the decay's, which cancels
-        decay = dissipator(SIGMA_MINUS)
-        drive = commutator_superop(SIGMA_PLUS + SIGMA_MINUS)
-        gen = Generator(QUBIT, [decay, drive, decay], [0.3, 1.0, -0.3])
-        assert gen.matrix.nnz == np.count_nonzero(drive.toarray())
-        assert np.array_equal(gen.matrix.toarray(), drive.toarray())
+# ---- exact propagation of the ladder's one-excitation decay --------------------
 
 
-# ---- exact propagation of a constant generator ---------------------------------
+def ladder_generator(p):
+    """The ladder's master equation -i [H, rho] + kappa_a sum_j D[a_j] rho,
+    H as in ``jc_hamiltonian``, as a generator: the reference that
+    ``decay_population`` solves without it."""
+    space = ladder(p.n_a).space
+    blocks = [commutator_superop(jc_hamiltonian(p))]
+    blocks += [dissipator(embed(SIGMA_MINUS, lbl, space)) for lbl in space.labels[1:]]
+    rates = np.array([1.0] + [p.kappa_a * 1e-3] * p.n_a)
+    return Generator(space, blocks, lambda t: rates)
 
-LADDER = HilbertSpace([2, 2, 2, 2], ["q", "m0", "m1", "m2"], excitation_cap=1)
 
-
-def ladder_blocks(rng):
-    """A random Hermitian drive plus decay of every element of the capped
-    ladder, with random rates."""
-    h = rng.normal(size=(LADDER.dim,) * 2) + 1j * rng.normal(size=(LADDER.dim,) * 2)
-    blocks = [commutator_superop(0.02 * (h + h.conj().T))]
-    blocks += [dissipator(embed(SIGMA_MINUS, lbl, LADDER)) for lbl in LADDER.labels]
-    return blocks, np.concatenate([[1.0], rng.uniform(0.0, 0.05, size=len(LADDER.labels))])
+def sector_h_eff(p):
+    """H_eff = H - i kappa_a/2 sum_j n_j on the one-excitation sector, the
+    qubit's ket last, from the embedded number operators."""
+    space = ladder(p.n_a).space
+    loss = sum(embed(NUMBER, lbl, space) for lbl in space.labels[1:])
+    h_eff = jc_hamiltonian(p) - 0.5j * p.kappa_a * 1e-3 * loss
+    kets = np.flatnonzero(space.basis.sum(axis=1) == 1)
+    assert tuple(space.basis[kets[-1]]) == (1,) + (0,) * p.n_a
+    return h_eff[np.ix_(kets, kets)], kets
 
 
 class TestExactPropagation:
-    @settings(max_examples=30, deadline=None)
+    """``multimode.decay_population`` against the master equation it solves
+    and the matrix exponential, and the same at any BLAS thread count."""
+
+    @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),
-        on_ladder=st.booleans(),
-        k=st.integers(1, 16),
+        n_a=st.integers(1, 4),
+        g=st.floats(0.05, 3.0),
+        delta0=st.floats(-1.0, 1.0),
+        kappa_a=st.just(0.0) | st.floats(0.1, 5.0),
         n_points=st.integers(2, 8),
     )
-    def test_matches_rk45(self, seed, on_ladder, k, n_points):
-        # the same blocks behind a callable coefficient vector take the RK45 route
+    def test_matches_rk45(self, seed, n_a, g, delta0, kappa_a, n_points):
         rng = np.random.default_rng(seed)
-        space = LADDER if on_ladder else PAIR
-        blocks, rates = (ladder_blocks if on_ladder else pair_blocks)(rng)
-        grid = np.sort(rng.uniform(0.0, 60.0, size=n_points))
+        p = MultimodeParams(g=g, n_a=n_a, fsr=1.97, delta0=delta0, kappa_a=kappa_a)
+        space = ladder(n_a).space
+        grid = np.sort(rng.uniform(0.0, 2 * p.tau_ns, size=n_points))
         grid[0] = 0.0
-        preps = random_states(rng, k, space.dim)
-        exact = evolve_generator(Generator(space, blocks, rates), preps, grid, 1e-12)
-        rk45 = evolve_generator(Generator(space, blocks, lambda t: rates), preps, grid, 1e-12)
-        assert np.max(np.abs(exact - rk45)) <= 1e-9
+        rho0 = random_states(rng, 1, space.dim)
+        rhos = evolve_generator(ladder_generator(p), rho0, grid, 1e-10)
+        want = expectations(rhos, {"pe": embed(NUMBER, "q", space)})["pe"][:, 0]
+        assert np.max(np.abs(decay_population(p, rho0[0], grid) - want)) <= 1e-8
 
     def test_matches_per_step_matrix_exponential(self):
         rng = np.random.default_rng(21)
-        generator = pair_generator(rng, time_dependent=False)
-        # the last steps are long enough that the series is scaled and squared
-        grid = np.array([0.0, 0.3, 2.0, 7.5, 80.0, 400.0])
-        rhos = random_states(rng, 3, 4)
-        got = evolve_generator(generator, rhos, grid)
-        y = rhos.reshape(3, 16).T
-        want = [y]
-        # the generator on vec(rho), mapped back from the real coordinates
-        t = hermitian_basis(4).toarray()
-        dense = t.conj().T @ generator.matrix.toarray() @ t
+        p = MultimodeParams(g=0.18, n_a=11, fsr=1.97, kappa_a=1 / 1.8)
+        rho0 = random_states(rng, 1, ladder(p.n_a).space.dim)[0]
+        h_eff, kets = sector_h_eff(p)
+        # steps short and long, up to two transits
+        grid = np.array([0.0, 0.3, 2.0, 7.5, 80.0, 400.0, 2 * p.tau_ns])
+        rho1, want = rho0[np.ix_(kets, kets)], [rho0[kets[-1], kets[-1]].real]
         for h in np.diff(grid):
-            want.append(scipy.linalg.expm(dense * h) @ want[-1])
-        want = np.stack(want).transpose(0, 2, 1).reshape(grid.size, 3, 4, 4)
-        assert np.max(np.abs(got - want)) <= 1e-12
-
-    @settings(max_examples=20, deadline=None)
-    @given(t0=st.floats(-1e4, 1e4), span=st.floats(1e-3, 1e5))
-    @example(t0=0.0, span=2 * 508.12)  # the vacuum_rabi grid
-    def test_linspace_grid_builds_one_propagator(self, t0, span):
-        built = []
-        build = dynamics._propagator
-
-        def counting(generator, h):
-            built.append(h)
-            return build(generator, h)
-
-        decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [0.02])
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dynamics, "_propagator", counting)
-            evolve_generator(decay, EXCITED, np.linspace(t0, t0 + span, 800))
-            assert len(built) == 1
-            evolve_generator(decay, EXCITED, np.array([0.0, 1.0, 2.0, 4.0, 6.0]))
-            assert built[1:] == [1.0, 2.0]
-
-    def test_dense_step_matches_sparse_step(self, monkeypatch):
-        # the propagator is applied as a dense matrix; applying the same
-        # matrix in CSR form over the vacuum_rabi default grid agrees
-        seen = []
-
-        def spy(generator, rho0, grid, **kwargs):
-            seen.append((generator, rho0, grid))
-            return evolve_generator(generator, rho0, grid, **kwargs)
-
-        monkeypatch.setattr(dynamics, "evolve_generator", spy)
-        params = dict(experiments.EXPERIMENTS["vacuum_rabi"].defaults)
-        experiments.run_experiment("vacuum_rabi", default_device(), params, 1234)
-        ((generator, rho0, grid),) = seen
-        assert grid.size == 800
-        atol = 16 * np.finfo(float).eps * np.max(np.abs(grid))
-        _, (h,) = dynamics._step_groups(np.diff(grid), atol)
-        dense = dynamics._propagator(generator.matrix, h)
-        assert isinstance(dense, np.ndarray)
-        csr = sparse.csr_array(dense)
-        y_dense = y_sparse = rho0[0].reshape(-1)
-        worst = 0.0
-        for _ in range(grid.size - 1):
-            y_dense, y_sparse = dense @ y_dense, csr @ y_sparse
-            worst = max(worst, np.max(np.abs(y_dense - y_sparse)))
-        assert worst <= 1e-13
+            step = scipy.linalg.expm(-1j * h_eff * h)
+            rho1 = step @ rho1 @ step.conj().T
+            want.append(rho1[-1, -1].real)
+        assert np.max(np.abs(decay_population(p, rho0, grid) - want)) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("rate", [np.inf, -np.inf, np.nan])
     def test_non_finite_generator_rejected(self, rate):
-        decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], [rate])
-        with pytest.raises(ValidationError, match="non-finite"):
+        # a non-finite rate is named before the stepper takes a step
+        decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], lambda t: np.array([rate]))
+        with pytest.raises(IntegrationError, match="non-finite generator coefficient at t = 0 ns"):
             evolve_generator(decay, EXCITED, np.linspace(0, 1, 3))
 
     def test_bit_identical_across_blas_threads(self):
+        # the sector's eigensolve, inverse and row products at 11 and 20 modes
         script = (
             "import hashlib\n"
-            "from sawlink import dynamics, experiments\n"
-            "from sawlink.device import default_device\n"
-            "evolve, seen = dynamics.evolve_generator, []\n"
-            "def spy(*args, **kwargs):\n"
-            "    seen.append(evolve(*args, **kwargs))\n"
-            "    return seen[-1]\n"
-            "dynamics.evolve_generator = spy\n"
-            "params = dict(experiments.EXPERIMENTS['vacuum_rabi'].defaults)\n"
-            "experiments.run_experiment('vacuum_rabi', default_device(), params, 1234)\n"
-            "print(hashlib.sha256(seen[0].tobytes()).hexdigest())\n"
+            "import numpy as np\n"
+            "from sawlink.multimode import MultimodeParams, decay_population, ladder\n"
+            "from sawlink.qcore import QuantumState\n"
+            "digest = hashlib.sha256()\n"
+            "for n_a in (11, 20):\n"
+            "    p = MultimodeParams(g=0.18, n_a=n_a, fsr=1.97, kappa_a=1 / 1.8)\n"
+            "    rho0 = QuantumState.basis_state(ladder(n_a).space, [1] + [0] * n_a).rho\n"
+            "    grid = np.linspace(0.0, 2 * p.tau_ns, 800)\n"
+            "    digest.update(decay_population(p, rho0, grid).tobytes())\n"
+            "print(digest.hexdigest())\n"
         )
         src = str(Path(sawlink.__file__).parents[1])
         digests = []
@@ -630,8 +590,8 @@ class TestExactPropagation:
         assert digests[0] == digests[1]
 
     def test_dense_route_results_identical_across_blas_threads(self):
-        # each dense step is a BLAS product; vacuum_rabi steps a 169-dim
-        # state 799 times and bell ages a two-qubit pair in one step
+        # vacuum_rabi's sector eigensolve and dense row products, and bell's
+        # cascade, partial trace and closed-form ageing
         script = (
             "import json\n"
             "from sawlink import experiments\n"

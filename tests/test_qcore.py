@@ -366,19 +366,20 @@ class TestSuperOperators:
     def test_constant_generator_is_the_coefficient_sum(self):
         space = HilbertSpace([3], ["m"])
         blocks = [commutator_superop(lowering(3) + lowering(3).T), dissipator(lowering(3))]
-        gen = Generator(space, blocks, [0.7, 0.2])
+        gen = Generator(space, blocks, lambda t: np.array([0.7, 0.2]))
         y = np.random.default_rng(31).normal(size=(9, 2)) + 0j
         want = (0.7 * blocks[0].toarray() + 0.2 * blocks[1].toarray()) @ y
-        assert np.allclose(gen.matrix @ y, want, atol=1e-14)
-        assert np.allclose(gen.matrix @ y[:, 0], want[:, 0], atol=1e-14)
+        assert np.allclose(gen(0.0, y.reshape(-1)).reshape(9, 2), want, atol=1e-14)
+        assert np.allclose(gen(0.0, y[:, 0]), want[:, 0], atol=1e-14)
 
     def test_hermiticity_preserved_by_lindblad_generator(self):
         space = HilbertSpace([2], ["q"])
         gen = Generator(
             space,
             [commutator_superop(SIGMA_Z), dissipator(SIGMA_MINUS)],
-            [1.0, 1.0],
+            lambda t: np.array([1.0, 1.0]),
         )
+        gen(0.0, np.zeros(4))  # fills ``matrix`` with L(0)
         # in Hermitian coordinates a map preserves Hermiticity exactly when
         # its matrix is real, so the dtype is what the check below rests on
         assert gen.matrix.dtype == np.float64
