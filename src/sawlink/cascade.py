@@ -15,7 +15,10 @@ blocks: D[sigma-] with coefficient kappa_q + 1/T1_q, the commutator
 with n with Delta_q, and D[n] with the pure-dephasing rate.  The
 doubled space adds one block per emitter/receiver pair (q_ie, q_j)
 with sqrt(eta kappa_i(t - tau) kappa_j(t)).  The schedule, the channel
-and the qubit noise thus reach the generator only through c(t).  A
+and the qubit noise thus reach the generator only through c(t), which
+one function per stage reads from both qubits' coupling tables
+(``ControlSchedule.coupling_table``), built once per ``CascadeConfig``:
+one bisection per qubit and time, and the lagged copies at t - tau.  A
 qubit that idles outside the cascade, as the Bell pair's emitter does
 before readout, is aged by ``age_idle``, the same relaxation and
 dephasing in closed form.
@@ -29,7 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +49,7 @@ from .dynamics import (
     expectations,
 )
 from .errors import ValidationError
-from .ioshape import ChannelParams, ControlSchedule
+from .ioshape import ChannelParams, ControlSchedule, CouplingTable
 from .qcore import (
     NUMBER,
     SIGMA_MINUS,
@@ -79,6 +83,11 @@ class CascadeConfig:
         # unambiguous at every instant
         if not isinstance(self.schedule, ControlSchedule):
             raise ValidationError("schedule must be a ControlSchedule")
+
+    @cached_property
+    def coupling_tables(self) -> tuple[CouplingTable, CouplingTable]:
+        """Both qubits' coupling tables, built once per config."""
+        return self.schedule.coupling_table(1), self.schedule.coupling_table(2)
 
 
 @dataclass(frozen=True)
@@ -130,23 +139,34 @@ def age_idle(rho: np.ndarray, noise: QubitNoise, t: float) -> np.ndarray:
     return out.reshape(rho.shape)
 
 
-def _copy_coeffs(cfg: CascadeConfig, t: float) -> tuple[list, list]:
-    """The coefficients of q1's then q2's per-copy blocks at one time, and the
-    bare coupling rates."""
-    k1, k2 = cfg.schedule.kappa(1, t), cfg.schedule.kappa(2, t)
-    n1, n2 = cfg.noise
-    return [k1 + n1.relax_rate, cfg.schedule.delta(1, t), n1.dephase_rate,
-            k2 + n2.relax_rate, cfg.schedule.delta(2, t), n2.dephase_rate], [k1, k2]
+def _coefficients(cfg: CascadeConfig, doubled: bool) -> Callable[[float], np.ndarray]:
+    """c(t) of one stage, in ``stage_blocks`` order, from the config's
+    coupling tables: per copy kappa + 1/T1, Delta and the dephasing rate,
+    the lagged copies read at t - tau, then on the doubled space the pairs'
+    sqrt(eta kappa_i(t - tau) kappa_j(t))."""
+    at1, at2 = (table.at for table in cfg.coupling_tables)
+    (r1, p1), (r2, p2) = ((n.relax_rate, n.dephase_rate) for n in cfg.noise)
+    tau, root_eta = cfg.ch.tau, math.sqrt(cfg.ch.eta)
+
+    def coeffs(t: float) -> np.ndarray:
+        t = float(t)
+        (k1, d1), (k2, d2) = at1(t), at2(t)
+        if not doubled:
+            return np.array([k1 + r1, d1, p1, k2 + r2, d2, p2])
+        (e1, f1), (e2, f2) = at1(t - tau), at2(t - tau)
+        return np.array([
+            e1 + r1, f1, p1, e2 + r2, f2, p2, k1 + r1, d1, p1, k2 + r2, d2, p2,
+            root_eta * math.sqrt(e1 * k1), root_eta * math.sqrt(e1 * k2),
+            root_eta * math.sqrt(e2 * k1), root_eta * math.sqrt(e2 * k2),
+        ])
+
+    return coeffs
 
 
 def stage1_liouvillian(cfg: CascadeConfig) -> Generator:
     """Two-qubit generator for the emission window [0, tau]: the six
     per-copy blocks of q1 and q2, with their coefficients at t."""
-    return Generator(
-        two_qubit_space(),
-        stage_blocks(False),
-        lambda t: np.array(_copy_coeffs(cfg, t)[0]),
-    )
+    return Generator(two_qubit_space(), stage_blocks(False), _coefficients(cfg, False))
 
 
 def stage2_liouvillian(cfg: CascadeConfig) -> Generator:
@@ -160,16 +180,7 @@ def stage2_liouvillian(cfg: CascadeConfig) -> Generator:
     four emitter/receiver pairs.  Each pairing carries its own
     coefficient, so roles may switch during the window.
     """
-    tau = cfg.ch.tau
-    root_eta = math.sqrt(cfg.ch.eta)
-
-    def coeffs(t: float) -> np.ndarray:
-        lagged, k_lag = _copy_coeffs(cfg, t - tau)
-        now, k_now = _copy_coeffs(cfg, t)
-        pairs = [root_eta * math.sqrt(ke * kr) for ke in k_lag for kr in k_now]
-        return np.array(lagged + now + pairs)
-
-    return Generator(doubled_space(), stage_blocks(True), coeffs)
+    return Generator(doubled_space(), stage_blocks(True), _coefficients(cfg, True))
 
 
 def run_cascade(

@@ -10,8 +10,9 @@ scipy.sparse matrices, and the ``Generator`` holds their sum weighted by a
 real coefficient vector c(t) as one sparse matrix on the blocks' union
 pattern.  ``evolve_generator`` integrates it with ``solve_ivp``, an
 adaptive Dormand-Prince 5(4) stepper in numpy, the coefficients
-evaluated analytically at the stepper's stage times; scipy serves this
-module only through ``scipy.sparse``.  A (k, d, d) stack of initial
+evaluated analytically at the stepper's stage times, piece by piece
+between breakpoints and on each piece's side of its ends; scipy serves
+this module only through ``scipy.sparse``.  A (k, d, d) stack of initial
 states is checked once and evolves as the k columns of one real d^2 x k
 matrix, and the sampled coordinates come back as an exactly Hermitian
 (n_times, k, d, d) stack, so the repair pass measures no Hermiticity
@@ -433,7 +434,14 @@ def solve_ivp(fun: Callable[[float, np.ndarray], np.ndarray], t_span: tuple[floa
 def _integrate(generator: Generator, y: np.ndarray, grid: np.ndarray, tol: float,
                breakpoints: Sequence[float], flat: np.ndarray) -> None:
     """``solve_ivp`` across ``grid``, restarting at each breakpoint, writing the
-    sampled (n_times, k, d^2) coordinates to ``flat``."""
+    sampled (n_times, k, d^2) coordinates to ``flat``.
+
+    Each piece [a, b] integrates the restriction of L to it (Hairer,
+    Norsett and Wanner, Solving ODEs I, Sec. II.6): the generator is read
+    at min(t, b^-), b^- the float just below b.  The stages that land on b
+    thus see L's left limit there, not the next piece's value; a
+    coefficient that jumps at b would otherwise enter the error estimate
+    of every step that reaches b, and the steps would shrink toward it."""
     _, k, d2 = flat.shape
     y = y.reshape(-1)
     t0, tf = grid[0], grid[-1]
@@ -447,7 +455,9 @@ def _integrate(generator: Generator, y: np.ndarray, grid: np.ndarray, tol: float
     for a, b, lo, hi in zip(cuts, cuts[1:], ends, ends[1:]):
         # always sample the segment endpoint so the next segment restarts there
         t_eval = grid[lo:hi] if hi > lo and grid[hi - 1] == b else np.append(grid[lo:hi], b)
-        sol = solve_ivp(generator, (a, b), y, t_eval, rtol=tol, atol=tol * 1e-2)
+        last = math.nextafter(b, -math.inf)
+        sol = solve_ivp(lambda t, r, last=last: generator(min(t, last), r), (a, b), y, t_eval,
+                        rtol=tol, atol=tol * 1e-2)
         if not sol.success:
             raise IntegrationError(f"integration failed on [{a:.6g}, {b:.6g}] ns: {sol.message}")
         flat[lo:hi] = sol.y[:, : hi - lo].reshape(d2, k, hi - lo).transpose(2, 1, 0)
@@ -472,8 +482,11 @@ def evolve_generator(
     The states are integrated by ``solve_ivp`` with relative tolerance
     ``tol`` (absolute tol / 100), which also sets the trace threshold of
     the repair pass.  ``breakpoints`` mark times where the coefficients
-    are non-smooth, and the window is integrated piecewise between them so
-    the adaptive stepper never straddles a kink.
+    are non-smooth or jump, and the window is integrated piecewise between
+    them so the adaptive stepper never straddles one.  Each piece (a, b)
+    reads the generator at min(t, b^-), b^- the float just below b: a
+    coefficient's left limit at b, not its value there, which belongs to
+    the next piece.
     """
     grid = np.asarray(grid, dtype=float)
     check_grid(grid)

@@ -177,6 +177,27 @@ class Segment:
         return 0.0 * t + self.f_mhz * MHZ
 
 
+class CouplingTable(tuple):
+    """One qubit's segments in start order as seven columns, for scalar
+    lookups of kappa and Delta at one time: the starts, ends, midpoints,
+    kappa_c, alpha, capture flags and detunings (rad/ns).  A coupling has
+    detuning 0, and a detune has kappa_c 0."""
+
+    def at(self, t: float) -> tuple[float, float]:
+        """kappa (1/ns) and Delta (rad/ns) at a float t, read from the one
+        segment whose [start, end) holds t with one bisection; the same
+        floats as ``Segment.kappa`` and ``Segment.delta``."""
+        starts, ends, mids, kappa_cs, alphas, captures, deltas = self
+        i = bisect_right(starts, t) - 1
+        if i < 0 or t >= ends[i]:
+            return 0.0, 0.0
+        kc = kappa_cs[i]
+        if not kc:
+            return 0.0, deltas[i]
+        x = kc * (t - mids[i])
+        return kc * _release(-x if captures[i] else x, alphas[i]), 0.0
+
+
 def time_reverse(segment: Segment) -> Segment:
     """Reflect a segment's coupling shape about its own midpoint."""
     flip = {"release": "capture", "capture": "release"}
@@ -247,6 +268,21 @@ class ControlSchedule:
     def delta(self, qubit: int, t) -> np.ndarray | float:
         """Detuning of one qubit (rad/ns); a float for a scalar ``t``."""
         return self._lookup(self._detunes[qubit], t, Segment.delta)
+
+    def coupling_table(self, qubit: int) -> CouplingTable:
+        """One qubit's segments as a ``CouplingTable``.  Segments of one
+        qubit are disjoint, so one of them at most holds a time; inside the
+        1e-12 ns overlap allowed between neighbours the later one counts."""
+        mine = sorted((s for s in self.segments if s.qubit == qubit), key=lambda s: s.t_start)
+        return CouplingTable((
+            tuple(s.t_start for s in mine),
+            tuple(s.t_end for s in mine),
+            tuple(s.t_start + s.duration / 2.0 for s in mine),
+            tuple(s.kappa_c for s in mine),
+            tuple(s.alpha for s in mine),
+            tuple(s.kind == "capture" for s in mine),
+            tuple(s.f_mhz * MHZ for s in mine),
+        ))
 
     def max_kappa(self) -> float:
         return max((s.kappa_c for s in self.segments if s.couples), default=0.0)
@@ -425,9 +461,12 @@ def simulate_io(
 ) -> IOTrace:
     """Integrate the shaped-transfer equations for one amplitude set.
 
-    Steps are uniform so delayed lookups stay on the stored grid; a
-    hard segment edge that falls inside a step therefore incurs a
-    one-time O((rate * h)^3) kick.  Shrink ``dt`` if that matters.
+    Steps are uniform so delayed lookups stay on the stored grid, and a
+    hard segment edge that falls inside a step is not resolved: RK4
+    loses its order on that step, and the kick depends on where in the
+    step the edge falls.  The interference fringe's 20 MHz detune pulse
+    has measured final-population errors up to 2.85e-3 at dt 0.25 ns,
+    8.2e-4 at 0.125 and 1.4e-5 at 0.0625.  Shrink ``dt`` if that matters.
     """
     s0 = np.asarray(s0, dtype=complex)
     if s0.shape != (2,):

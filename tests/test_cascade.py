@@ -1,11 +1,13 @@
 """Two-stage cascade: generator structure, transfer physics, guards."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sawlink import tomo
+from sawlink import dynamics, tomo
 from sawlink.cascade import (
     CascadeConfig,
     doubled_space,
@@ -15,8 +17,9 @@ from sawlink.cascade import (
     stage2_liouvillian,
     two_qubit_space,
 )
+from sawlink.config import config_from_dict
 from sawlink.device import QubitNoise, QubitParams
-from sawlink.dynamics import dissipator, hermitian_basis
+from sawlink.dynamics import Generator, dissipator, hermitian_basis
 from sawlink.errors import RoleAmbiguityError, ValidationError
 from sawlink.ioshape import ChannelParams, ControlSchedule, Segment, transfer_schedule
 from sawlink.qcore import NUMBER, SIGMA_MINUS, QuantumState, check_states, embed, partial_trace
@@ -188,6 +191,127 @@ class TestGenerators:
             want = dense_generator(cfg, t, doubled)
             got = dense_matrix(stage(cfg), t)
             assert np.max(np.abs(got - want)) < 1e-13
+
+
+# the swap pairs, double_swap and bell at their defaults, with the device noise
+DEFAULT_RUNS = [("swap", {"emitter": e, "receiver": r}) for e in (1, 2) for r in (1, 2)]
+DEFAULT_RUNS += [("double_swap", {}), ("bell", {})]
+
+
+def default_cfg(experiment, params):
+    from sawlink.experiments import EXPERIMENTS
+
+    cfg = config_from_dict({"experiment": experiment, "params": params})
+    ch, sched = EXPERIMENTS[experiment].plan(cfg.device, cfg.params, cfg.seed)
+    return CascadeConfig(sched, ch, noise=cfg.device.noise_pair())
+
+
+def composed_coeffs(cfg, t, doubled, rates):
+    """c(t) of one stage composed from ``rates(s)``, both qubits' kappa and
+    Delta at time s: per copy kappa + 1/T1, Delta and the dephasing rate,
+    the lagged copies at t - tau first, then the pairs'
+    sqrt(eta kappa_i(t - tau) kappa_j(t))."""
+
+    def copies(s):
+        (k1, k2), (d1, d2) = rates(s)
+        n1, n2 = cfg.noise
+        return [k1 + n1.relax_rate, d1, n1.dephase_rate,
+                k2 + n2.relax_rate, d2, n2.dephase_rate], [k1, k2]
+
+    now, k_now = copies(t)
+    if not doubled:
+        return np.array(now)
+    lagged, k_lag = copies(t - cfg.ch.tau)
+    root_eta = math.sqrt(cfg.ch.eta)
+    return np.array(lagged + now + [root_eta * math.sqrt(ke * kr) for ke in k_lag for kr in k_now])
+
+
+def lookup_rates(cfg):
+    """The schedule's scalar lookups, which sum the segments holding s."""
+    sched = cfg.schedule
+    return lambda s: ([sched.kappa(q, s) for q in (1, 2)], [sched.delta(q, s) for q in (1, 2)])
+
+
+def left_limit_rates(cfg):
+    """Each qubit's kappa and Delta from the left: the formula of the segment
+    with start < s <= end, read at s."""
+
+    def rates(s):
+        k, d = [0.0, 0.0], [0.0, 0.0]
+        for seg in cfg.schedule.segments:
+            if seg.t_start < s <= seg.t_end:
+                (k if seg.couples else d)[seg.qubit - 1] += (
+                    seg.kappa(s) if seg.couples else seg.delta(s))
+        return k, d
+
+    return rates
+
+
+class TestCoefficients:
+    @pytest.mark.parametrize("experiment, params", DEFAULT_RUNS)
+    def test_piece_ends_read_the_left_limit(self, monkeypatch, experiment, params):
+        # run_cascade integrates each stage in pieces (a, b) between the
+        # breakpoints, and the generator of a piece is read at times in
+        # [a, b) only: the stages that land on b read it at b^-, the float
+        # below b.  There the coefficients, lagged copies included, are the
+        # left limit of the segment formulas at b, which differs from their
+        # value at b where a coupling switches on or off
+        cfg = default_cfg(experiment, params)
+        pieces, solve, call = [], dynamics.solve_ivp, Generator.__call__
+
+        def solve_spy(fun, t_span, *args, **kwargs):
+            pieces.append((t_span, []))
+            return solve(fun, t_span, *args, **kwargs)
+
+        def call_spy(generator, t, y):
+            pieces[-1][1].append((generator, t))
+            return call(generator, t, y)
+
+        monkeypatch.setattr(dynamics, "solve_ivp", solve_spy)
+        monkeypatch.setattr(Generator, "__call__", call_spy)
+        ground = np.diag([1.0, 0.0])
+        preps = np.stack([np.kron(p, ground) for p in tomo.prep_states(1)])
+        run_cascade(cfg, preps, np.array([0.0, min(cfg.schedule.window[1], 2 * cfg.ch.tau)]))
+        assert {t_span[0] for t_span, _ in pieces} >= {0.0, cfg.ch.tau}
+        jumps = 0
+        for (a, b), calls in pieces:
+            end = math.nextafter(b, -math.inf)
+            assert all(a <= t <= end for _, t in calls), (a, b)
+            generator = calls[0][0]
+            assert all(g is generator for g, _ in calls) and (generator, end) in calls
+            doubled = generator.space == doubled_space()
+            want = composed_coeffs(cfg, b, doubled, left_limit_rates(cfg))
+            assert np.allclose(generator.coeffs(end), want, rtol=1e-12, atol=1e-15), (a, b)
+            jumps += not np.allclose(generator.coeffs(b), want, rtol=1e-6, atol=0.0)
+        assert jumps > 0
+
+    @pytest.mark.parametrize("experiment, params", DEFAULT_RUNS)
+    def test_coupling_tables_match_the_schedule_lookups(self, experiment, params):
+        # bit for bit, at 4,001 times on [0, 2 tau] and at every breakpoint
+        # and its tau-shift, on both stages
+        cfg = default_cfg(experiment, params)
+        tau, bps = cfg.ch.tau, cfg.schedule.breakpoints()
+        times = np.concatenate([np.linspace(0.0, 2 * tau, 4001), bps, bps + tau])
+        for stage, doubled in ((stage1_liouvillian, False), (stage2_liouvillian, True)):
+            coeffs = stage(cfg).coeffs
+            for t in times.tolist():
+                want = composed_coeffs(cfg, t, doubled, lookup_rates(cfg))
+                assert np.array_equal(coeffs(t), want), (doubled, t)
+
+    def test_tables_read_detunes_and_are_built_once(self):
+        sched = transfer_schedule(KC, WINDOW, TAU, emitter=1, receiver=2)
+        segs = [*sched.segments, Segment("detune", 1, WINDOW, 50.0, f_mhz=20.0),
+                Segment("detune", 2, 0.0, 30.0, f_mhz=-5.0)]
+        cfg = CascadeConfig(ControlSchedule(segs, window=sched.window),
+                            ChannelParams(eta=0.67, tau=TAU))
+        tables = cfg.coupling_tables
+        assert tables is cfg.coupling_tables
+        assert tables == (cfg.schedule.coupling_table(1), cfg.schedule.coupling_table(2))
+        times = [0.0, 10.0, 30.0, WINDOW, WINDOW + 25.0, WINDOW + 50.0, TAU + 40.0]
+        for t in times + [s + TAU for s in times]:
+            for stage, doubled in ((stage1_liouvillian, False), (stage2_liouvillian, True)):
+                want = composed_coeffs(cfg, t, doubled, lookup_rates(cfg))
+                assert np.array_equal(stage(cfg).coeffs(t), want)
 
 
 class TestRunCascade:
@@ -432,7 +556,7 @@ class TestProcessTomographyRun:
         chi = process_tomography_run(
             cfg, (1,), (2,), t_ro=TAU + WINDOW, frame=z, tol=1e-8
         )
-        from sawlink import tomo
+        from sawlink import dynamics, tomo
 
         assert tomo.fidelity(chi, tomo.chi_ideal(np.eye(2))) > 0.999
 

@@ -106,6 +106,28 @@ def test_time_dependent_amplitude():
     assert np.allclose(series["pe"][:, 0], np.exp(-0.5 * rate * grid**2), atol=1e-7)
 
 
+def test_rate_jump_at_a_breakpoint_is_read_from_the_left(monkeypatch):
+    # a decay rate of 0.1/ns that jumps to 10/ns at t = 5: the piece [0, 5]
+    # integrates the 0.1/ns generator alone, so it ends on e^{-0.5} in the
+    # steps of the constant rate, without shrinking them toward the jump
+    nfev, solve = {}, dynamics.solve_ivp
+
+    def spy(fun, t_span, *args, **kwargs):
+        sol = solve(fun, t_span, *args, **kwargs)
+        nfev[t_span] = sol.nfev
+        return sol
+
+    monkeypatch.setattr(dynamics, "solve_ivp", spy)
+    grid = np.array([0.0, 5.0, 10.0])
+    jump = Generator(QUBIT, [dissipator(SIGMA_MINUS)], lambda t: np.array([0.1 if t < 5 else 10.0]))
+    pe = expectations(evolve_generator(jump, EXCITED, grid, breakpoints=[5.0]), {"pe": NUMBER})
+    jumped = nfev.pop((0.0, 5.0))
+    assert pe["pe"][1, 0] == pytest.approx(np.exp(-0.5), rel=1e-8, abs=0.0)
+    constant = Generator(QUBIT, [dissipator(SIGMA_MINUS)], lambda t: np.array([0.1]))
+    evolve_generator(constant, EXCITED, grid, breakpoints=[5.0])
+    assert jumped == nfev[(0.0, 5.0)]
+
+
 @pytest.mark.parametrize("start", [0.0, 5.0])
 @pytest.mark.parametrize("value", ["np.nan", "np.inf"])
 def test_non_finite_coefficient_raises_integration_error(value, start):

@@ -164,6 +164,16 @@ class TestSwap:
         assert np.trace(chi).real == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("name, over", [("swap", {}), ("swap", {"receiver": 2}), ("bell", {})])
+def test_default_tol_is_within_5e8_of_a_tight_run(name, over):
+    # each piece between breakpoints integrates its own coefficients, so the
+    # step control holds the default tol 1e-8; a stepper that read the next
+    # piece's coupling at a piece's end left bell's pauli_ZI 3.7e-7 off
+    default = run(name, **over).metrics
+    tight = run(name, tol=1e-11, **over).metrics
+    assert max(abs(default[k] - tight[k]) for k in tight) <= 5e-8
+
+
 class TestBell:
     def test_entanglement_metrics(self, bell_out):
         m = bell_out.metrics
