@@ -32,7 +32,7 @@ from .config import (
 )
 from .errors import ConfigError, IntegrationError, ValidationError
 from .experiments import EXPERIMENTS, run_experiment
-from .serialize import write_bundle, write_series
+from .serialize import config_yaml, write_bundle, write_series
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -113,7 +113,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_defaults(args) -> int:
-    text = yaml.safe_dump(default_config(args.experiment), sort_keys=True)
+    text = config_yaml(default_config(args.experiment))
     if args.out:
         Path(args.out).write_text(text)
     else:

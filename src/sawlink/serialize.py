@@ -1,10 +1,17 @@
 """Deterministic result-bundle writers.
 
-Series go to CSV with a header row, matrices to a JSON object format
-with explicit shape, basis labels, and row-major [re, im] pairs,
-scalar metrics to a sorted JSON map.  Every byte written is a pure
-function of the experiment output; wall-clock timing goes to its own
-file so the rest of the bundle can be compared bit for bit.
+Series go to CSV: a header row of the column names, then one row per
+sample with each value as the shortest ``repr`` that round-trips its
+float64, every line ended by CRLF (the ``csv`` module's default
+terminator).  Matrices go to a JSON object format with explicit shape,
+basis labels, and row-major [re, im] pairs, scalar metrics to a sorted
+JSON map, and the effective config to sorted-key YAML.  The YAML is
+emitted by libyaml where PyYAML was built with it and by PyYAML's
+pure-Python emitter otherwise; on what a config holds (identifier keys,
+numbers, None and the experiment's name) both write the bytes of
+``yaml.safe_dump``.  Every byte written is a pure function of the
+experiment output; wall-clock timing goes to its own file so the rest
+of the bundle can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -20,19 +27,34 @@ import yaml
 from .errors import ValidationError
 
 TIMING_FILE = "timing.txt"  # the one file excluded from determinism checks
+# libyaml's emitter is a compiled build option of PyYAML, not always present
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+_ROWS_PER_WRITE = 4096  # bounds the text a long series holds at once
+
+
+def config_yaml(effective: dict) -> str:
+    """The config as sorted-key YAML, as ``yaml.safe_dump`` writes it."""
+    return yaml.dump(effective, Dumper=_DUMPER, sort_keys=True)
 
 
 def write_series(path: Path, columns: dict[str, np.ndarray]):
-    """CSV with one named column per entry; all columns equal length."""
+    """CSV with one named column per entry; all columns 1-d, real and of
+    equal length."""
     cols = {k: np.asarray(v) for k, v in columns.items()}
-    lengths = {v.shape[0] for v in cols.values()}
-    if not cols or len(lengths) != 1:
+    for name, col in cols.items():
+        if col.ndim != 1 or col.dtype.kind not in "biuf":
+            raise ValidationError(
+                f"series column {name!r} must be 1-d and real, "
+                f"got shape {col.shape} of {col.dtype}"
+            )
+    if not cols or len({len(v) for v in cols.values()}) != 1:
         raise ValidationError("series needs equal-length named columns")
+    block = np.column_stack([c.astype(np.float64) for c in cols.values()])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols.keys())
-        for row in zip(*cols.values()):
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(cols.keys())
+        for start in range(0, len(block), _ROWS_PER_WRITE):
+            rows = block[start:start + _ROWS_PER_WRITE].tolist()
+            fh.write("\r\n".join([",".join(map(repr, row)) for row in rows]) + "\r\n")
 
 
 def write_matrix(path: Path, matrix: np.ndarray, basis: tuple[str, ...]):
@@ -70,7 +92,7 @@ def write_bundle(
     """Write one experiment's result bundle under ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.yaml").write_text(yaml.safe_dump(effective, sort_keys=True))
+    (out / "config.yaml").write_text(config_yaml(effective))
     write_metrics(out / "metrics.json", metrics)
     names = {"series": sorted(series), "matrices": sorted(matrices)}
     if series:

@@ -165,14 +165,17 @@ class TestGenerators:
         window=st.floats(60.0, 200.0),
         eta=st.floats(0.0, 1.0),
         alpha=st.just(1.0) | st.floats(0.1, 1.0),
-        detune=st.none() | st.tuples(st.floats(1.0, 100.0), st.floats(-40.0, 40.0)),
+        # (duration, frequency, where in the segment t falls or None for
+        # anywhere): a free fraction seldom lands in the detune segment
+        detune=st.none() | st.tuples(st.floats(1.0, 100.0), st.floats(-40.0, 40.0),
+                                     st.none() | st.floats(0.0, 0.999)),
         noise=st.tuples(st.just(0.0) | st.floats(1 / 50e3, 1 / 5e3), st.floats(0.0, 2e-3)),
         frac=st.floats(0.0, 1.0),
     )
     # both stages sampled inside the detune segment [100, 150] ns, where
-    # Delta != 0: the drawn fractions seldom land in a detune segment
+    # Delta != 0 (stage 2 through its lagged copies at t - tau)
     @example(pair=(1, 2), kappa_c=0.15, window=100.0, eta=0.67, alpha=1.0,
-             detune=(50.0, 20.0), noise=(0.0, 0.0), frac=125.0 / TAU)
+             detune=(50.0, 20.0, None), noise=(0.0, 0.0), frac=125.0 / TAU)
     def test_stacked_generator_matches_dense_sum(
         self, pair, kappa_c, window, eta, alpha, detune, noise, frac
     ):
@@ -180,7 +183,10 @@ class TestGenerators:
         sched = transfer_schedule(kappa_c, window, TAU, emitter, receiver, alpha=alpha)
         segs = list(sched.segments)
         if detune is not None:
-            segs.append(Segment("detune", emitter, window, detune[0], f_mhz=detune[1]))
+            duration, f_mhz, inside = detune
+            segs.append(Segment("detune", emitter, window, duration, f_mhz=f_mhz))
+            if inside is not None:
+                frac = (window + inside * duration) / TAU
         cfg = CascadeConfig(
             ControlSchedule(segs, window=sched.window),
             ChannelParams(eta=eta, tau=TAU),

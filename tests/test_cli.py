@@ -38,6 +38,12 @@ class TestDefaults:
         raw = yaml.safe_load(capsys.readouterr().out)
         assert raw == default_config("swap")
 
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_stdout_bytes_match_safe_dump(self, experiment, capsysbinary):
+        assert main(["defaults", experiment]) == 0
+        want = yaml.safe_dump(default_config(experiment), sort_keys=True)
+        assert capsysbinary.readouterr().out == want.encode()
+
     def test_written_file_validates(self, tmp_path, capsys):
         out = tmp_path / "c.yaml"
         assert main(["defaults", "bell", "--out", str(out)]) == 0
