@@ -10,18 +10,18 @@ channel interactions per packet, hence the hard 2*tau window limit.
 
 Each stage generator is L(t) = sum_k c_k(t) B_k with blocks B_k that
 depend on the space alone, built once per process.  Every copy of a
-qubit (q1, q2, and on the doubled space the lagged q1e, q2e) owns three
-blocks: D[sigma-] with coefficient kappa_q + 1/T1_q, the commutator
-with n with Delta_q, and D[n] with the pure-dephasing rate.  The
-doubled space adds one block per emitter/receiver pair (q_ie, q_j)
-with sqrt(eta kappa_i(t - tau) kappa_j(t)).  The schedule, the channel
-and the qubit noise thus reach the generator only through c(t), which
-one function per stage reads from both qubits' coupling tables
-(``ControlSchedule.coupling_table``), built once per ``CascadeConfig``:
-one bisection per qubit and time, and the lagged copies at t - tau.  A
-qubit that idles outside the cascade, as the Bell pair's emitter does
-before readout, is aged by ``age_idle``, the same relaxation and
-dephasing in closed form.
+qubit (q1, q2, and on the doubled space the lagged q1e, q2e) owns two
+blocks: D[sigma-] with coefficient kappa_q + 1/T1_q, and D[n] with the
+pure-dephasing rate.  The doubled space adds one block per
+emitter/receiver pair (q_ie, q_j) with sqrt(eta kappa_i(t - tau)
+kappa_j(t)).  The schedule, the channel and the qubit noise thus reach
+the generator only through c(t), which one function per stage reads
+from both qubits' coupling tables (``ControlSchedule.tables``): one
+bisection per qubit and time, and the lagged copies at t - tau.  The
+cascade models shaped couplings alone, so a schedule that detunes a
+qubit is rejected.  A qubit that idles outside the cascade, as the Bell
+pair's emitter does before readout, is aged by ``age_idle``, the same
+relaxation and dephasing in closed form.
 
 ``run_cascade`` is the one way in: one ``QuantumState`` or a (k, 4, 4)
 stack of preparations goes through both stages as one stack and comes
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -49,7 +49,7 @@ from .dynamics import (
     expectations,
 )
 from .errors import ValidationError
-from .ioshape import ChannelParams, ControlSchedule, CouplingTable
+from .ioshape import ChannelParams, ControlSchedule
 from .qcore import (
     NUMBER,
     SIGMA_MINUS,
@@ -79,15 +79,12 @@ class CascadeConfig:
     noise: tuple[QubitNoise, QubitNoise] = (QubitNoise(), QubitNoise())
 
     def __post_init__(self):
-        # the schedule's exclusivity rule makes the emitter role
-        # unambiguous at every instant
         if not isinstance(self.schedule, ControlSchedule):
             raise ValidationError("schedule must be a ControlSchedule")
-
-    @cached_property
-    def coupling_tables(self) -> tuple[CouplingTable, CouplingTable]:
-        """Both qubits' coupling tables, built once per config."""
-        return self.schedule.coupling_table(1), self.schedule.coupling_table(2)
+        for s in self.schedule.segments:
+            if s.f_mhz != 0.0:
+                raise ValidationError(f"the cascade models couplings alone, but qubit "
+                                      f"{s.qubit} is detuned by {s.f_mhz} MHz")
 
 
 @dataclass(frozen=True)
@@ -111,7 +108,7 @@ def stage_blocks(doubled: bool) -> tuple:
     blocks = []
     for lbl in ("q1e", "q2e", *TWO_QUBIT_LABELS) if doubled else TWO_QUBIT_LABELS:
         sm, num = embed(SIGMA_MINUS, lbl, space), embed(NUMBER, lbl, space)
-        blocks += [dissipator(sm), commutator_superop(num), dissipator(num)]
+        blocks += [dissipator(sm), dissipator(num)]
     for i, j in [(1, 1), (1, 2), (2, 1), (2, 2)] if doubled else []:
         s_e = embed(SIGMA_MINUS, f"q{i}e", space)
         s_r = embed(SIGMA_MINUS, f"q{j}", space)
@@ -140,22 +137,22 @@ def age_idle(rho: np.ndarray, noise: QubitNoise, t: float) -> np.ndarray:
 
 
 def _coefficients(cfg: CascadeConfig, doubled: bool) -> Callable[[float], np.ndarray]:
-    """c(t) of one stage, in ``stage_blocks`` order, from the config's
-    coupling tables: per copy kappa + 1/T1, Delta and the dephasing rate,
-    the lagged copies read at t - tau, then on the doubled space the pairs'
+    """c(t) of one stage, in ``stage_blocks`` order, from the schedule's
+    coupling tables: per copy kappa + 1/T1 and the dephasing rate, the
+    lagged copies read at t - tau, then on the doubled space the pairs'
     sqrt(eta kappa_i(t - tau) kappa_j(t))."""
-    at1, at2 = (table.at for table in cfg.coupling_tables)
+    kappa1, kappa2 = (cfg.schedule.tables[q].kappa for q in (1, 2))
     (r1, p1), (r2, p2) = ((n.relax_rate, n.dephase_rate) for n in cfg.noise)
     tau, root_eta = cfg.ch.tau, math.sqrt(cfg.ch.eta)
 
     def coeffs(t: float) -> np.ndarray:
         t = float(t)
-        (k1, d1), (k2, d2) = at1(t), at2(t)
+        k1, k2 = kappa1(t), kappa2(t)
         if not doubled:
-            return np.array([k1 + r1, d1, p1, k2 + r2, d2, p2])
-        (e1, f1), (e2, f2) = at1(t - tau), at2(t - tau)
+            return np.array([k1 + r1, p1, k2 + r2, p2])
+        e1, e2 = kappa1(t - tau), kappa2(t - tau)
         return np.array([
-            e1 + r1, f1, p1, e2 + r2, f2, p2, k1 + r1, d1, p1, k2 + r2, d2, p2,
+            e1 + r1, p1, e2 + r2, p2, k1 + r1, p1, k2 + r2, p2,
             root_eta * math.sqrt(e1 * k1), root_eta * math.sqrt(e1 * k2),
             root_eta * math.sqrt(e2 * k1), root_eta * math.sqrt(e2 * k2),
         ])
@@ -164,7 +161,7 @@ def _coefficients(cfg: CascadeConfig, doubled: bool) -> Callable[[float], np.nda
 
 
 def stage1_liouvillian(cfg: CascadeConfig) -> Generator:
-    """Two-qubit generator for the emission window [0, tau]: the six
+    """Two-qubit generator for the emission window [0, tau]: the four
     per-copy blocks of q1 and q2, with their coefficients at t."""
     return Generator(two_qubit_space(), stage_blocks(False), _coefficients(cfg, False))
 
@@ -175,7 +172,7 @@ def stage2_liouvillian(cfg: CascadeConfig) -> Generator:
     The lagged copies re-run the emission under the time-shifted
     controls; their output drives the current-time qubits through the
     collective dissipator and the exchange Hamiltonian, attenuated by
-    the channel transmission.  Sixteen blocks: the per-copy blocks of
+    the channel transmission.  Twelve blocks: the per-copy blocks of
     q1e, q2e (coefficients at t - tau) and of q1, q2 (at t), then the
     four emitter/receiver pairs.  Each pairing carries its own
     coefficient, so roles may switch during the window.

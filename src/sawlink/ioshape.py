@@ -178,24 +178,48 @@ class Segment:
 
 
 class CouplingTable(tuple):
-    """One qubit's segments in start order as seven columns, for scalar
-    lookups of kappa and Delta at one time: the starts, ends, midpoints,
-    kappa_c, alpha, capture flags and detunings (rad/ns).  A coupling has
-    detuning 0, and a detune has kappa_c 0."""
+    """One qubit's segments in start order as seven columns: the starts,
+    ends, midpoints, kappa_c, alpha, capture flags and detunings (rad/ns),
+    after row 0, an empty segment at -inf.  A time is read from the one
+    segment whose [start, end) holds it, the later one inside the 1e-12 ns
+    overlap allowed between neighbours: the floats of ``Segment.kappa``
+    and ``Segment.delta``, and 0 where no segment holds it."""
 
-    def at(self, t: float) -> tuple[float, float]:
-        """kappa (1/ns) and Delta (rad/ns) at a float t, read from the one
-        segment whose [start, end) holds t with one bisection; the same
-        floats as ``Segment.kappa`` and ``Segment.delta``."""
-        starts, ends, mids, kappa_cs, alphas, captures, deltas = self
-        i = bisect_right(starts, t) - 1
-        if i < 0 or t >= ends[i]:
-            return 0.0, 0.0
-        kc = kappa_cs[i]
-        if not kc:
-            return 0.0, deltas[i]
-        x = kc * (t - mids[i])
-        return kc * _release(-x if captures[i] else x, alphas[i]), 0.0
+    @classmethod
+    def of(cls, segments: Sequence[Segment]) -> CouplingTable:
+        """The table of one qubit's segments, given in start order."""
+        rows = [(-math.inf, -math.inf, 0.0, 0.0, 1.0, False, 0.0)]
+        rows += [(s.t_start, s.t_end, s.t_start + s.duration / 2.0, s.kappa_c, s.alpha,
+                  s.kind == "capture", s.f_mhz * MHZ) for s in segments]
+        return cls(zip(*rows))
+
+    def kappa(self, t):
+        """Coupling rate (1/ns): a float for a float t, read with one
+        bisection, else an array, each row written over the rows before."""
+        starts, ends, mids, kappa_cs, alphas, captures, _ = self
+        if isinstance(t, float):
+            i = bisect_right(starts, t) - 1
+            kc = kappa_cs[i]
+            if t >= ends[i] or not kc:
+                return 0.0
+            x = kc * (t - mids[i])
+            return kc * _release(-x if captures[i] else x, alphas[i])
+        t = np.asarray(t, dtype=float)
+        out = np.zeros_like(t)
+        for start, end, mid, kc, alpha, capture in zip(*self[:6]):
+            if kc:
+                held = (t >= start) & (t < end)
+                x = kc * (t[held] - mid)
+                out[held] = kc * _release(-x if capture else x, alpha)
+        return out
+
+    def delta(self, t: np.ndarray) -> np.ndarray:
+        """Detuning (rad/ns) at an array of times, each row written over the rows before."""
+        t = np.asarray(t, dtype=float)
+        out = np.zeros_like(t)
+        for start, end, delta in zip(self[0], self[1], self[6]):
+            out[(t >= start) & (t < end)] = delta
+        return out
 
 
 def time_reverse(segment: Segment) -> Segment:
@@ -206,6 +230,9 @@ def time_reverse(segment: Segment) -> Segment:
 
 @dataclass(frozen=True)
 class ControlSchedule:
+    """Segments on both qubits over a window; ``tables[q]`` is qubit q's
+    ``CouplingTable``, built once, and the one place kappa and Delta are read."""
+
     segments: tuple[Segment, ...]
     window: tuple[float, float]
 
@@ -225,64 +252,24 @@ class ControlSchedule:
                         f"{b.kind} on qubit {b.qubit}"
                     )
         # no overlapping segments of any kind on one qubit
-        couplings, detunes = {}, {}
+        tables = {}
         for q in (1, 2):
             mine = sorted((s for s in segs if s.qubit == q), key=lambda s: s.t_start)
             for a, b in zip(mine[:-1], mine[1:]):
                 if b.t_start < a.t_end - 1e-12:
                     raise ValidationError(f"overlapping segments on qubit {q}")
-            for table, c in ((couplings, True), (detunes, False)):
-                part = tuple(s for s in mine if s.couples == c)
-                table[q] = (tuple(s.t_start for s in part), tuple(s.t_end for s in part), part)
+            tables[q] = CouplingTable.of(mine)
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "window", (float(window[0]), float(window[1])))
-        object.__setattr__(self, "_couplings", couplings)
-        object.__setattr__(self, "_detunes", detunes)
-
-    @staticmethod
-    def _lookup(ordered: tuple, t, value):
-        """Sum of ``value(segment, t)`` over the segments holding t; a float for a scalar t."""
-        starts, ends, found = ordered
-        if isinstance(t, float) or np.ndim(t) == 0:
-            t = float(t)
-            i = bisect_right(starts, t)
-            out = 0.0
-            # segments are disjoint up to the 1e-12 ns slack allowed above;
-            # inside such a sliver both count, as on the array form
-            while i and t < ends[i - 1]:
-                i -= 1
-                out += value(found[i], t)
-            return out
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for s in found:
-            mask = (t >= s.t_start) & (t < s.t_end)
-            if mask.any():
-                out[mask] += value(s, t[mask])
-        return out
+        object.__setattr__(self, "tables", tables)
 
     def kappa(self, qubit: int, t) -> np.ndarray | float:
-        """Coupling rate of one qubit (1/ns); a float for a scalar ``t``."""
-        return self._lookup(self._couplings[qubit], t, Segment.kappa)
+        """Coupling rate of one qubit (1/ns); a float for a float ``t``."""
+        return self.tables[qubit].kappa(t)
 
-    def delta(self, qubit: int, t) -> np.ndarray | float:
-        """Detuning of one qubit (rad/ns); a float for a scalar ``t``."""
-        return self._lookup(self._detunes[qubit], t, Segment.delta)
-
-    def coupling_table(self, qubit: int) -> CouplingTable:
-        """One qubit's segments as a ``CouplingTable``.  Segments of one
-        qubit are disjoint, so one of them at most holds a time; inside the
-        1e-12 ns overlap allowed between neighbours the later one counts."""
-        mine = sorted((s for s in self.segments if s.qubit == qubit), key=lambda s: s.t_start)
-        return CouplingTable((
-            tuple(s.t_start for s in mine),
-            tuple(s.t_end for s in mine),
-            tuple(s.t_start + s.duration / 2.0 for s in mine),
-            tuple(s.kappa_c for s in mine),
-            tuple(s.alpha for s in mine),
-            tuple(s.kind == "capture" for s in mine),
-            tuple(s.f_mhz * MHZ for s in mine),
-        ))
+    def delta(self, qubit: int, t: np.ndarray) -> np.ndarray:
+        """Detuning of one qubit (rad/ns) at an array of times."""
+        return self.tables[qubit].delta(t)
 
     def max_kappa(self) -> float:
         return max((s.kappa_c for s in self.segments if s.couples), default=0.0)

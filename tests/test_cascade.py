@@ -1,10 +1,11 @@
 """Two-stage cascade: generator structure, transfer physics, guards."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sawlink import dynamics, tomo
@@ -73,13 +74,9 @@ def dense_generator(cfg: CascadeConfig, t: float, doubled: bool) -> np.ndarray:
         xdx = x.conj().T @ x
         return kron(x, x.conj().T) - 0.5 * (kron(xdx, eye) + kron(eye, xdx))
 
-    def comm(h):
-        return -1j * (kron(h, eye) - kron(eye, h))
-
     def rates(s):
         ts = np.array([s])
-        return ([cfg.schedule.kappa(q, ts)[0] for q in (1, 2)],
-                [cfg.schedule.delta(q, ts)[0] for q in (1, 2)])
+        return [cfg.schedule.kappa(q, ts)[0] for q in (1, 2)]
 
     sp = doubled_space() if doubled else two_qubit_space()
     eye = np.eye(sp.dim)
@@ -88,14 +85,12 @@ def dense_generator(cfg: CascadeConfig, t: float, doubled: bool) -> np.ndarray:
     copies = [("q1", "q2", t)] + ([("q1e", "q2e", t - TAU)] if doubled else [])
     out = np.zeros((sp.dim**2, sp.dim**2), dtype=complex)
     for labels, when in ((c[:2], c[2]) for c in copies):
-        kappa, delta = rates(when)
+        kappa = rates(when)
         for q, lbl in enumerate(labels):
             nz = cfg.noise[q]
-            out += kappa[q] * diss(sm[lbl]) + delta[q] * comm(num[lbl])
-            out += nz.relax_rate * diss(sm[lbl]) + nz.dephase_rate * diss(num[lbl])
+            out += (kappa[q] + nz.relax_rate) * diss(sm[lbl]) + nz.dephase_rate * diss(num[lbl])
     if doubled:
-        ke, _ = rates(t - TAU)
-        kr, _ = rates(t)
+        ke, kr = rates(t - TAU), rates(t)
         for i in (1, 2):
             for j in (1, 2):
                 a, b = sm[f"q{i}e"], sm[f"q{j}"]
@@ -165,30 +160,14 @@ class TestGenerators:
         window=st.floats(60.0, 200.0),
         eta=st.floats(0.0, 1.0),
         alpha=st.just(1.0) | st.floats(0.1, 1.0),
-        # (duration, frequency, where in the segment t falls or None for
-        # anywhere): a free fraction seldom lands in the detune segment
-        detune=st.none() | st.tuples(st.floats(1.0, 100.0), st.floats(-40.0, 40.0),
-                                     st.none() | st.floats(0.0, 0.999)),
         noise=st.tuples(st.just(0.0) | st.floats(1 / 50e3, 1 / 5e3), st.floats(0.0, 2e-3)),
         frac=st.floats(0.0, 1.0),
     )
-    # both stages sampled inside the detune segment [100, 150] ns, where
-    # Delta != 0 (stage 2 through its lagged copies at t - tau)
-    @example(pair=(1, 2), kappa_c=0.15, window=100.0, eta=0.67, alpha=1.0,
-             detune=(50.0, 20.0, None), noise=(0.0, 0.0), frac=125.0 / TAU)
-    def test_stacked_generator_matches_dense_sum(
-        self, pair, kappa_c, window, eta, alpha, detune, noise, frac
-    ):
+    def test_stacked_generator_matches_dense_sum(self, pair, kappa_c, window, eta, alpha,
+                                                 noise, frac):
         emitter, receiver = pair
-        sched = transfer_schedule(kappa_c, window, TAU, emitter, receiver, alpha=alpha)
-        segs = list(sched.segments)
-        if detune is not None:
-            duration, f_mhz, inside = detune
-            segs.append(Segment("detune", emitter, window, duration, f_mhz=f_mhz))
-            if inside is not None:
-                frac = (window + inside * duration) / TAU
         cfg = CascadeConfig(
-            ControlSchedule(segs, window=sched.window),
+            transfer_schedule(kappa_c, window, TAU, emitter, receiver, alpha=alpha),
             ChannelParams(eta=eta, tau=TAU),
             noise=(QubitNoise(*noise), QubitNoise(1 / 21.7e3, 0.45e-3)),
         )
@@ -213,16 +192,14 @@ def default_cfg(experiment, params):
 
 
 def composed_coeffs(cfg, t, doubled, rates):
-    """c(t) of one stage composed from ``rates(s)``, both qubits' kappa and
-    Delta at time s: per copy kappa + 1/T1, Delta and the dephasing rate,
-    the lagged copies at t - tau first, then the pairs'
-    sqrt(eta kappa_i(t - tau) kappa_j(t))."""
+    """c(t) of one stage composed from ``rates(s)``, both qubits' kappa at
+    time s: per copy kappa + 1/T1 and the dephasing rate, the lagged copies
+    at t - tau first, then the pairs' sqrt(eta kappa_i(t - tau) kappa_j(t))."""
 
     def copies(s):
-        (k1, k2), (d1, d2) = rates(s)
+        k1, k2 = rates(s)
         n1, n2 = cfg.noise
-        return [k1 + n1.relax_rate, d1, n1.dephase_rate,
-                k2 + n2.relax_rate, d2, n2.dephase_rate], [k1, k2]
+        return [k1 + n1.relax_rate, n1.dephase_rate, k2 + n2.relax_rate, n2.dephase_rate], [k1, k2]
 
     now, k_now = copies(t)
     if not doubled:
@@ -232,23 +209,18 @@ def composed_coeffs(cfg, t, doubled, rates):
     return np.array(lagged + now + [root_eta * math.sqrt(ke * kr) for ke in k_lag for kr in k_now])
 
 
-def lookup_rates(cfg):
-    """The schedule's scalar lookups, which sum the segments holding s."""
-    sched = cfg.schedule
-    return lambda s: ([sched.kappa(q, s) for q in (1, 2)], [sched.delta(q, s) for q in (1, 2)])
-
-
-def left_limit_rates(cfg):
-    """Each qubit's kappa and Delta from the left: the formula of the segment
-    with start < s <= end, read at s."""
+def segment_rates(cfg, left=False):
+    """Each qubit's kappa at s by brute force: the formula of the coupling
+    whose [start, end) holds s, or with ``left`` whose (start, end] does,
+    the left limit."""
 
     def rates(s):
-        k, d = [0.0, 0.0], [0.0, 0.0]
+        k = [0.0, 0.0]
         for seg in cfg.schedule.segments:
-            if seg.t_start < s <= seg.t_end:
-                (k if seg.couples else d)[seg.qubit - 1] += (
-                    seg.kappa(s) if seg.couples else seg.delta(s))
-        return k, d
+            if seg.couples and (seg.t_start < s <= seg.t_end if left
+                                else seg.t_start <= s < seg.t_end):
+                k[seg.qubit - 1] = seg.kappa(s)
+        return k
 
     return rates
 
@@ -286,38 +258,24 @@ class TestCoefficients:
             generator = calls[0][0]
             assert all(g is generator for g, _ in calls) and (generator, end) in calls
             doubled = generator.space == doubled_space()
-            want = composed_coeffs(cfg, b, doubled, left_limit_rates(cfg))
+            want = composed_coeffs(cfg, b, doubled, segment_rates(cfg, left=True))
             assert np.allclose(generator.coeffs(end), want, rtol=1e-12, atol=1e-15), (a, b)
             jumps += not np.allclose(generator.coeffs(b), want, rtol=1e-6, atol=0.0)
         assert jumps > 0
 
     @pytest.mark.parametrize("experiment, params", DEFAULT_RUNS)
     def test_coupling_tables_match_the_schedule_lookups(self, experiment, params):
-        # bit for bit, at 4,001 times on [0, 2 tau] and at every breakpoint
-        # and its tau-shift, on both stages
+        # c(t), read from the schedule's coupling tables, against the formula
+        # of the segment holding t, bit for bit, at 4,001 times on [0, 2 tau]
+        # and at every breakpoint and its tau-shift, on both stages
         cfg = default_cfg(experiment, params)
         tau, bps = cfg.ch.tau, cfg.schedule.breakpoints()
         times = np.concatenate([np.linspace(0.0, 2 * tau, 4001), bps, bps + tau])
         for stage, doubled in ((stage1_liouvillian, False), (stage2_liouvillian, True)):
             coeffs = stage(cfg).coeffs
             for t in times.tolist():
-                want = composed_coeffs(cfg, t, doubled, lookup_rates(cfg))
+                want = composed_coeffs(cfg, t, doubled, segment_rates(cfg))
                 assert np.array_equal(coeffs(t), want), (doubled, t)
-
-    def test_tables_read_detunes_and_are_built_once(self):
-        sched = transfer_schedule(KC, WINDOW, TAU, emitter=1, receiver=2)
-        segs = [*sched.segments, Segment("detune", 1, WINDOW, 50.0, f_mhz=20.0),
-                Segment("detune", 2, 0.0, 30.0, f_mhz=-5.0)]
-        cfg = CascadeConfig(ControlSchedule(segs, window=sched.window),
-                            ChannelParams(eta=0.67, tau=TAU))
-        tables = cfg.coupling_tables
-        assert tables is cfg.coupling_tables
-        assert tables == (cfg.schedule.coupling_table(1), cfg.schedule.coupling_table(2))
-        times = [0.0, 10.0, 30.0, WINDOW, WINDOW + 25.0, WINDOW + 50.0, TAU + 40.0]
-        for t in times + [s + TAU for s in times]:
-            for stage, doubled in ((stage1_liouvillian, False), (stage2_liouvillian, True)):
-                want = composed_coeffs(cfg, t, doubled, lookup_rates(cfg))
-                assert np.array_equal(stage(cfg).coeffs(t), want)
 
 
 class TestRunCascade:
@@ -468,6 +426,18 @@ class TestRunCascade:
 
         with pytest.raises(ValidationError):
             CascadeConfig(BothOn(), ChannelParams(eta=1.0, tau=TAU))
+
+    def test_detuned_schedule_rejected(self):
+        # the cascade models shaped couplings alone: a detune segment would
+        # otherwise be dropped without a word; at 0 MHz it idles and passes
+        sched = transfer_schedule(KC, WINDOW, TAU, emitter=1, receiver=2)
+        ch = ChannelParams(eta=0.67, tau=TAU)
+        idle = Segment("detune", 1, WINDOW, 50.0)
+        CascadeConfig(ControlSchedule([*sched.segments, idle], window=sched.window), ch)
+        for qubit, f_mhz in ((1, 20.0), (2, -5.0), (1, 1e-9)):
+            segs = [*sched.segments, replace(idle, qubit=qubit, f_mhz=f_mhz)]
+            with pytest.raises(ValidationError, match="detuned"):
+                CascadeConfig(ControlSchedule(segs, window=sched.window), ch)
 
 
 class TestDoubledView:

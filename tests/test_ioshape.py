@@ -131,30 +131,42 @@ class TestScheduleLookup:
         lo, hi = sched.window
         t = data.draw(st.sampled_from(edges) | st.floats(lo - 10.0, hi + 10.0))
         for qubit in (1, 2):
-            for lookup in (sched.kappa, sched.delta):
-                scalar = lookup(qubit, t)
-                assert isinstance(scalar, float)
-                want = lookup(qubit, np.array([t]))[0]
-                assert np.isclose(scalar, want, rtol=1e-13, atol=0.0)
+            scalar = sched.kappa(qubit, t)
+            assert isinstance(scalar, float)
+            want = sched.kappa(qubit, np.array([t]))[0]
+            assert np.isclose(scalar, want, rtol=1e-13, atol=0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(sched=schedules(), data=st.data())
-    def test_lookup_sums_the_segments_holding_t(self, sched, data):
-        # brute force: every segment of the qubit whose [start, end) holds
-        # t, couplings adding to kappa and detunes to delta
+    def test_lookup_reads_the_one_segment_holding_t(self, sched, data):
+        # brute force: the segment of the qubit whose [start, end) holds t,
+        # a coupling giving kappa and a detune delta
         edges = [x for s in sched.segments for x in (s.t_start, s.t_end)]
         lo, hi = sched.window
         ts = data.draw(st.lists(st.sampled_from(edges) | st.floats(lo - 10.0, hi + 10.0),
                                 min_size=1, max_size=8))
         for qubit in (1, 2):
-            for lookup, value, couples in ((sched.kappa, Segment.kappa, True),
-                                           (sched.delta, Segment.delta, False)):
-                holding = [[s for s in sched.segments if s.qubit == qubit
-                            and s.couples == couples and s.t_start <= t < s.t_end] for t in ts]
-                want = [sum(value(s, t) for s in segs) for t, segs in zip(ts, holding)]
-                assert [lookup(qubit, t) for t in ts] == want
-                got = lookup(qubit, np.array(ts))
-                assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+            holding = [[s for s in sched.segments if s.qubit == qubit
+                        and s.t_start <= t < s.t_end] for t in ts]
+            assert all(len(segs) <= 1 for segs in holding)
+            kappa = [sum(s.kappa(t) for s in segs if s.couples) for t, segs in zip(ts, holding)]
+            delta = [sum(s.delta(t) for s in segs if not s.couples)
+                     for t, segs in zip(ts, holding)]
+            assert [sched.kappa(qubit, t) for t in ts] == kappa
+            assert np.allclose(sched.kappa(qubit, np.array(ts)), kappa, rtol=1e-13, atol=0.0)
+            assert np.array_equal(sched.delta(qubit, np.array(ts)), delta)
+
+    def test_overlap_sliver_reads_the_later_segment(self):
+        # neighbours on one qubit may overlap by up to 1e-12 ns; inside that
+        # sliver the later segment alone holds t, in the float form that the
+        # cascade reads and in the array form that the delay loop reads
+        release = Segment("release", 1, 0.0, 100.0, KC)
+        capture = Segment("capture", 1, 100.0 - 5e-13, 100.0, KC)
+        sched = ControlSchedule([release, capture], window=(0.0, 200.0))
+        t = 100.0 - 2.5e-13
+        assert release.t_start <= t < release.t_end and capture.t_start <= t < capture.t_end
+        assert sched.kappa(1, t) == capture.kappa(t)
+        assert sched.kappa(1, np.array([t]))[0] == pytest.approx(capture.kappa(t), rel=1e-13)
 
 
 class TestRelease:
