@@ -1,11 +1,13 @@
 """Lindblad evolution in real coordinates of Hermitian states.
 
 A density matrix is carried as d^2 real coordinates: its diagonal, then
-sqrt 2 Re and sqrt 2 Im of each upper entry.  They are T vec(rho) for one
-unitary T per dimension (``hermitian_basis``), with vec row-major, and in
-them a Hermiticity-preserving superoperator B is the real matrix
-T B T^H (Gorini, Kossakowski and Sudarshan, J. Math. Phys. 17, 821
-(1976)).  The commutator and dissipator blocks are built as such real
+sqrt 2 Re and sqrt 2 Im of each upper entry, in row-major order.  They
+are T vec(rho), vec row-major, for the unitary T whose rows pick the
+diagonal entries and form (rho_ij + rho_ji) / sqrt 2 and
+(rho_ij - rho_ji) / (sqrt 2 i) for i < j.  In them a
+Hermiticity-preserving superoperator B is the real matrix T B T^H
+(Gorini, Kossakowski and Sudarshan, J. Math. Phys. 17, 821 (1976)).
+The commutator and dissipator blocks are built as such real
 scipy.sparse matrices, and the ``Generator`` holds their sum weighted by a
 real coefficient vector c(t) as one sparse matrix on the blocks' union
 pattern.  ``evolve_generator`` integrates it with ``solve_ivp``, an
@@ -78,18 +80,6 @@ def _coordinates(d: int) -> tuple[np.ndarray, ...]:
     for a in (iu, ju, at, w, scale):
         a.setflags(write=False)
     return iu, ju, at, w, scale
-
-
-def hermitian_basis(d: int) -> sparse.csr_array:
-    """The unitary T with T vec(rho) the real coordinates of a Hermitian
-    d x d matrix rho: its diagonal, then sqrt 2 Re rho_ij and then
-    sqrt 2 Im rho_ij over the upper entries i < j in row-major order."""
-    _, _, at, w, scale = _coordinates(d)
-    cols = np.repeat(np.arange(d * d), 2)
-    t = sparse.coo_array((w.ravel() * scale[at.ravel()], (at.ravel(), cols)), shape=(d * d,) * 2)
-    t = t.tocsr()
-    t.eliminate_zeros()
-    return t
 
 
 def to_coords(rhos: np.ndarray) -> np.ndarray:

@@ -14,10 +14,12 @@ written once, with a float form (``math``) for the cascade's per-call
 schedule lookups and an array form (numpy) for the delay loop's grid.
 
 The delay loop is fixed-step RK4 with the step nodes and the step
-midpoints in separate contiguous arrays.  The step maps, which depend
-on the schedule alone, are built once per call; each round trip then
-only forms its input offsets, composes its steps with a log-depth scan
-and evaluates its outputs.
+midpoints in separate contiguous arrays.  It integrates only the qubits
+that hold a segment: a qubit without one is uncoupled and undetuned, so
+it is carried, keeping its initial amplitude, and adds nothing to the
+output field.  The step maps, which depend on the schedule alone, are
+built once per call; each round trip then only forms its input offsets,
+composes its steps with a log-depth scan and evaluates its outputs.
 
 Classical phase noise is drawn per realization from the Philox stream
 keyed by (master seed, realization index); being counter-based, a stream
@@ -300,6 +302,8 @@ def _grid(window: tuple[float, float], tau: float, dt: float,
           kappa_max: float) -> tuple[int, float, int]:
     """Steps per transit, the step (an exact divisor of tau, at most dt,
     0.25 ns and a tenth of 1 / kappa_max) and the steps spanning the window."""
+    if not dt > 0:  # also rejects NaN
+        raise ValidationError(f"dt must be positive, got {dt}")
     if kappa_max > 0:
         dt = min(dt, 0.1 / kappa_max)
     n_sub = max(int(np.ceil(tau / min(dt, 0.25))), 1)
@@ -370,6 +374,11 @@ def _integrate(
     divides tau exactly, so the fed-back input is a plain offset of n_sub
     nodes, and zero before the first transit has arrived.
 
+    Only the qubits that hold a segment have coefficient rows and are
+    integrated.  A qubit without one is carried, not integrated: its
+    states are its ``s0`` amplitude at every node, and it adds nothing to
+    the output field.
+
     The step maps of ``_step_maps`` depend on the schedule alone and are
     built once per call.  The loop then runs once per round trip: inside
     a block of n_sub steps the input is the fed-back output of the
@@ -381,15 +390,19 @@ def _integrate(
     t0 = schedule.window[0]
     n_sub, h, n_steps = _grid(schedule.window, ch.tau, dt, schedule.max_kappa())
     times = t0 + h * np.arange(n_steps + 1)
+    # the qubits that hold a segment (a table's row 0 is none); with two
+    # qubits they are one slice of the qubit axis
+    busy = [q for q in (1, 2) if len(schedule.tables[q][0]) > 1]
+    rows = slice(busy[0] - 1, busy[-1])
     # (qubit, node) coefficients of ds/dt = decay * s + root * a_in at the
     # step nodes, then the midpoints
     nodes = np.concatenate([times, times[:-1] + h / 2.0])
-    kappa = np.stack([schedule.kappa(q, nodes) for q in (1, 2)])
+    kappa = np.stack([schedule.kappa(q, nodes) for q in busy])
     # decay = -(kappa / 2 + i Delta), written part by part: arithmetic
     # that mixes float and complex operands runs at half speed
     decay = np.empty(kappa.shape, dtype=complex)
     decay.real = -0.5 * kappa
-    decay.imag = -np.stack([schedule.delta(q, nodes) for q in (1, 2)])
+    decay.imag = -np.stack([schedule.delta(q, nodes) for q in busy])
     root = np.sqrt(kappa).astype(complex)
     A, Ca, Cm, Ha, Hb = _step_maps(decay, root, h, n_steps)
     del nodes, kappa, decay  # only root is read past the maps
@@ -404,13 +417,10 @@ def _integrate(
     ain, aout = (np.zeros((batch, n_steps + 1), dtype=complex) for _ in range(2))
     ain_m, aout_m = (np.zeros((batch, n_steps), dtype=complex) for _ in range(2))
     states = np.empty((2, batch, n_steps + 1), dtype=complex)
-    states[:, :, 0] = s.T
+    states[...] = s.T[:, :, None]
+    live = states[rows]  # a view: the loop writes the busy qubits' rows in place
 
-    def project(weights, v):
-        """(batch, step) sum over the qubits of weights * v."""
-        return weights[0] * v[0] + weights[1] * v[1]
-
-    aout[:, :1] = project(root[:, None, :1], states[:, :, :1])  # no input yet
+    aout[:, :1] = (root[:, None, :1] * live[..., :1]).sum(axis=0)  # no input yet
     for first in range(0, n_steps, n_sub):
         n = min(n_sub, n_steps - first)
         blk, nxt = slice(first, first + n), slice(first + 1, first + n + 1)
@@ -429,12 +439,12 @@ def _integrate(
             B[..., d:] += An[..., d:] * B[..., :-d]
             An[..., d:] *= An[..., :-d]
             d *= 2
-        states[..., nxt] = An * states[..., first : first + 1] + B
-        s_old, s_new = states[..., blk], states[..., nxt]
+        live[..., nxt] = An * live[..., first : first + 1] + B
+        s_old, s_new = live[..., blk], live[..., nxt]
         s_mid = (Ha[..., blk] * s_old + Hb[..., blk] * s_new + (h / 8.0) * r_a[..., blk] * u_a
                  + (-h / 8.0) * r_b[..., blk] * u_b)
-        aout_m[:, blk] = project(r_m[..., blk], s_mid) - u_m
-        aout[:, nxt] = project(r_b[..., blk], s_new) - u_b
+        aout_m[:, blk] = (r_m[..., blk] * s_mid).sum(axis=0) - u_m
+        aout[:, nxt] = (r_b[..., blk] * s_new).sum(axis=0) - u_b
 
     return times, states.transpose(1, 2, 0), ain, aout
 

@@ -20,11 +20,13 @@ from sawlink.cascade import (
 )
 from sawlink.config import config_from_dict
 from sawlink.device import QubitNoise, QubitParams
-from sawlink.dynamics import Generator, dissipator, hermitian_basis
+from sawlink.dynamics import Generator, dissipator
 from sawlink.errors import RoleAmbiguityError, ValidationError
 from sawlink.ioshape import ChannelParams, ControlSchedule, Segment, transfer_schedule
 from sawlink.qcore import NUMBER, SIGMA_MINUS, QuantumState, check_states, embed, partial_trace
 from sawlink.ioshape import simulate_io
+
+from hermitian_oracle import hermitian_basis
 
 TAU = 508.12
 KC = 0.1
@@ -105,7 +107,7 @@ def dense_matrix(liou, t: float) -> np.ndarray:
     """L(t) as a dense d^2 x d^2 matrix on the row-major vec(rho): applied to
     the flattened identity in the real coordinates, then mapped back by T^H L T."""
     n = liou.space.dim**2
-    basis = hermitian_basis(liou.space.dim).toarray()
+    basis = hermitian_basis(liou.space.dim)
     return basis.conj().T @ liou(t, np.eye(n).reshape(-1)).reshape(n, n) @ basis
 
 
@@ -142,7 +144,7 @@ class TestGenerators:
         s_e = embed(SIGMA_MINUS, "q1e", sp)
         s_r = embed(SIGMA_MINUS, "q2", sp)
         coll = np.sqrt(ke) * s_e + np.sqrt(kr) * s_r
-        basis = hermitian_basis(sp.dim).toarray()
+        basis = hermitian_basis(sp.dim)
         want = basis.conj().T @ dissipator(coll).toarray() @ basis
         m = np.sqrt(ke) * np.sqrt(kr)
         # subtract the exchange Hamiltonian 1/2 [sE^+ sR - sE sR^+, rho]

