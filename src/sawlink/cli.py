@@ -8,11 +8,18 @@ emits the fully populated default config for an experiment.
 Exit codes: 0 success, 2 validation (usage, config or physics preconditions,
 or a config that needs more memory than exists), 3 integration failure, 4 I/O
 failure.  Errors print one JSON line to stderr with the error class and message.
+A config or sweep value that does not parse (malformed YAML, a key repeated in
+one mapping, bytes that are not UTF-8) is a config error, exit 2.
+
+The argument parser is built once per process; ``main`` looks up the
+``cmd_*`` function for a command by name when it is called, so a function
+replaced on the module after the first call is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -134,13 +141,14 @@ def _add_common(parser, out_required: bool):
     parser.add_argument("--seed", type=int, default=None, help="override master seed")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; each call returns the same object."""
     parser = _Parser(prog="sawlink", description="phonon-channel experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment, write a result bundle")
     _add_common(p_run, out_required=True)
-    p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run one experiment across field values")
     p_sweep.add_argument("param", help="dotted config path, e.g. params.window_ns")
@@ -148,24 +156,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep, out_required=True)
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="parallel workers for independent sweep points")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="check a config without running")
     p_val.add_argument("--config", required=True)
-    p_val.set_defaults(func=cmd_validate)
 
     p_def = sub.add_parser("defaults", help="emit the default config")
     p_def.add_argument("experiment", nargs="?", default="ping_pong",
                        choices=sorted(EXPERIMENTS))
     p_def.add_argument("--out", default=None, help="write to file instead of stdout")
-    p_def.set_defaults(func=cmd_defaults)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ValidationError, IntegrationError, OSError, MemoryError) as exc:
         return _diagnose(exc)
 

@@ -5,6 +5,14 @@ and per-experiment parameters.  The schema is strict: any key not in
 the default tree is a hard error, so a typo in a physics parameter
 cannot silently fall back to a default.  A config is built only if the
 experiment's plan accepts it, so every parameter range is checked too.
+
+Configs and sweep values are read through ``YamlLoader``: libyaml's
+parser where PyYAML has it and the pure-Python one otherwise, with the
+same result, since both share the Python-side resolver and constructor.
+A key repeated in one mapping, at any depth, is rejected rather than
+letting the later section replace the earlier one, and a file that is
+not UTF-8 fails to parse like any other malformed YAML: either is a
+``ConfigError``, which the CLI reports with exit code 2.
 """
 
 from __future__ import annotations
@@ -25,12 +33,34 @@ _QUBIT_KEYS = ("T1_int_us", "T2R_us", "F_g", "F_e", "g_mhz", "kappa_inv_ns")
 _DEVICE_SCALARS = ("eta", "tau_ns", "t1_saw_us")
 
 
-class YamlLoader(yaml.SafeLoader):
-    """The safe loader, also reading 1e-7 as a float (YAML 1.1 wants 1.0e-7)."""
+def _loader(base: type) -> type:
+    """``base``, a safe loader, also reading 1e-7 as a float (YAML 1.1
+    wants 1.0e-7) and rejecting a key repeated in one mapping."""
+
+    class Loader(base):
+        def construct_mapping(self, node, deep=False):
+            first = {}
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue  # keys a merge brings in may be overridden
+                key = self.construct_object(key_node, deep=deep)
+                try:
+                    seen = first.setdefault(key, key_node)
+                except TypeError:
+                    continue  # the base class reports an unhashable key
+                if seen is not key_node:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark)
+            return super().construct_mapping(node, deep=deep)
+
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"), list("-+0123456789"))
+    return Loader
 
 
-YamlLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
-    r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"), list("-+0123456789"))
+# libyaml's parser where PyYAML has it, as serialize._DUMPER does for writing
+YamlLoader = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 @dataclass(frozen=True)
@@ -135,7 +165,7 @@ def load_config(path) -> ExperimentConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        raw = yaml.load(p.read_text(), Loader=YamlLoader)
+        raw = yaml.load(p.read_bytes(), Loader=YamlLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config does not parse: {exc}") from exc
     if raw is None:

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sawlink
-from sawlink import multimode
+from sawlink import cli, multimode
 from sawlink.cli import main
 from sawlink.config import default_config, load_config
 from sawlink.errors import IntegrationError
@@ -433,6 +433,45 @@ class TestExitCodes:
         assert diag["error"] == "ConfigError"
         assert repr(value) in diag["message"]
 
+    def test_sweep_value_with_duplicate_key_is_2(self, config_path, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", config_path, "--out", str(out),
+                     "params.window_ns", "--", "150", "{a: 1, a: 2}"]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        diag = json.loads(err[0])
+        assert diag["error"] == "ConfigError"
+        assert "duplicate key 'a'" in diag["message"]
+
+    def test_config_that_is_not_utf8_is_2(self, tmp_path, capsys):
+        path = tmp_path / "c.yaml"
+        path.write_bytes(b"experiment: ping_pong\nparams:\n  eta: 0.5 # \xff\n")
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        diag = json.loads(err[0])
+        assert diag["error"] == "ConfigError"
+        assert "does not parse" in diag["message"]
+
+    @pytest.mark.parametrize("text, key, line", [
+        ("experiment: ping_pong\nparams:\n  eta: 0.5\nparams:\n  window_ns: 150\n",
+         "params", 4),
+        ("experiment: ping_pong\ndevice:\n  q1:\n    g_mhz: 2.0\n    T1_int_us: 30.0\n"
+         "    g_mhz: 3.0\n", "g_mhz", 6),
+    ], ids=["top-level", "device.q1"])
+    def test_duplicate_key_is_2(self, tmp_path, capsys, text, key, line):
+        # the later section must not silently replace the earlier one
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        diag = json.loads(err[0])
+        assert diag["error"] == "ConfigError"
+        assert f"duplicate key {key!r}" in diag["message"]
+        assert f"line {line}," in diag["message"]
+
     @pytest.mark.parametrize("experiment, key, value", [
         ("multi_transit", "max_transits", 2.7),
         ("interference", "realizations", 2.5),
@@ -543,6 +582,32 @@ class TestExitCodes:
         monkeypatch.setattr("sawlink.cli.run_experiment", blow_up)
         with pytest.raises(RuntimeError):
             main(["run", "--config", config_path, "--out", str(tmp_path / "r")])
+
+
+class TestParserCache:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_state_between_calls(self, config_path, tmp_path, capsys):
+        sweep = ["sweep", "params.window_ns", "150", "--config", config_path]
+        assert main([*sweep, "--out", str(tmp_path / "a")]) == 0
+        # a usage error after options that the sweeps below do not give
+        assert main(["sweep", "params.window_ns", "--config", config_path, "--seed", "7",
+                     "--jobs", "2", "--out", str(tmp_path / "x")]) == 2
+        assert main([*sweep, "--out", str(tmp_path / "b")]) == 0
+        assert not (tmp_path / "x").exists()
+        assert bundle_bytes(tmp_path / "a") == bundle_bytes(tmp_path / "b")
+
+    def test_command_looked_up_when_called(self, config_path, tmp_path, monkeypatch, capsys):
+        # a function replaced on the module after the parser exists is the one that runs
+        assert main(["validate", "--config", config_path]) == 0
+        calls = []
+        monkeypatch.setattr("sawlink.cli.cmd_sweep", lambda args: calls.append(args) or 0)
+        out = tmp_path / "s"
+        assert main(["sweep", "params.window_ns", "150", "--config", config_path,
+                     "--out", str(out)]) == 0
+        assert [(args.param, args.values) for args in calls] == [("params.window_ns", ["150"])]
+        assert not out.exists()
 
 
 # Each parameter of each experiment set to 0, then to -1, one at a time.

@@ -4,7 +4,10 @@ import pickle
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sawlink import config
 from sawlink.config import (
     YamlLoader,
     config_from_dict,
@@ -15,6 +18,12 @@ from sawlink.config import (
 )
 from sawlink.errors import ConfigError
 from sawlink.experiments import EXPERIMENTS
+from sawlink.serialize import config_yaml
+
+from test_serialize import CONFIG_KEYS, CONFIG_TREES
+
+# YamlLoader on PyYAML's pure-Python parser, the reader used without libyaml
+PURE_PYTHON_LOADER = config._loader(yaml.SafeLoader)
 
 
 class TestDefaults:
@@ -138,6 +147,86 @@ class TestLoadFile:
 
     def test_safe_loader_left_as_is(self):
         assert yaml.safe_load("1e-7") == "1e-7"
+
+
+@pytest.fixture(params=["YamlLoader", "pure-Python"])
+def either_loader(request, monkeypatch):
+    """Runs a test with ``load_config`` reading through each parser backend."""
+    if request.param == "pure-Python":
+        monkeypatch.setattr(config, "YamlLoader", PURE_PYTHON_LOADER)
+
+
+class TestStrictReading:
+    @pytest.mark.parametrize("text, key, line", [
+        ("experiment: ping_pong\nparams:\n  eta: 0.5\nparams:\n  window_ns: 150\n",
+         "params", 4),
+        ("experiment: ping_pong\ndevice:\n  q1:\n    g_mhz: 2.0\n    T1_int_us: 30.0\n"
+         "    g_mhz: 3.0\n", "g_mhz", 6),
+        ("experiment: ping_pong\nseed: 1\nseed: 1\n", "seed", 3),
+    ], ids=["top-level", "device.q1", "same-value"])
+    def test_duplicate_key_rejected(self, tmp_path, either_loader, text, key, line):
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"(?s)duplicate key '{key}'.* line {line},"):
+            load_config(path)
+
+    def test_merge_key_may_be_overridden(self, tmp_path, either_loader):
+        # a key brought in by a merge is not a duplicate of one written out
+        path = tmp_path / "c.yaml"
+        path.write_text("experiment: ping_pong\ndevice:\n"
+                        "  q1: &q {g_mhz: 2.0, T1_int_us: 30.0}\n"
+                        "  q2:\n    <<: *q\n    g_mhz: 3.0\n")
+        cfg = load_config(path)
+        assert (cfg.device.q2.g_mhz, cfg.device.q2.T1_int_us) == (3.0, 30.0)
+        assert cfg.device.q1.g_mhz == 2.0
+
+    @pytest.mark.parametrize("data", [b"experiment: ping\xffpong\n", b"seed: 1 # \xc3\n"])
+    def test_bytes_that_are_not_utf8_do_not_parse(self, tmp_path, either_loader, data):
+        path = tmp_path / "c.yaml"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match="does not parse"):
+            load_config(path)
+
+
+needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                                   reason="PyYAML built without libyaml")
+
+
+def read_both(text):
+    """The value of ``text`` through YamlLoader and through its pure-Python
+    twin, each as its repr: types, key order and the sign of zero count."""
+    return (repr(yaml.load(text, Loader=YamlLoader)),
+            repr(yaml.load(text, Loader=PURE_PYTHON_LOADER)))
+
+
+@needs_libyaml
+class TestLoadersAgree:
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_on_default_configs(self, experiment):
+        text = config_yaml(default_config(experiment))
+        c_side, python_side = read_both(text)
+        assert c_side == python_side
+        assert yaml.load(text, Loader=YamlLoader) == default_config(experiment)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree=st.dictionaries(CONFIG_KEYS, CONFIG_TREES, max_size=5))
+    def test_on_config_shaped_trees(self, tree):
+        c_side, python_side = read_both(yaml.dump(tree, Dumper=yaml.SafeDumper, sort_keys=True))
+        assert c_side == python_side
+
+    @pytest.mark.parametrize("text, want", [
+        ("1e-7", 1e-7), ("-0.0", -0.0), ("null", None), ("~", None),
+        (".inf", float("inf")), ("0x1A", 26), ("1_000", 1000), ("2.", 2.0),
+    ])
+    def test_on_sweep_values(self, text, want):
+        assert read_both(text) == (repr(want), repr(want))
+
+    @pytest.mark.parametrize("text", ["[1", "a:\n\tb: 1\n", "{[1]: 2}"],
+                             ids=["unclosed", "tab-indent", "unhashable-key"])
+    def test_malformed_text_fails_both(self, text):
+        for loader in (YamlLoader, PURE_PYTHON_LOADER):
+            with pytest.raises(yaml.YAMLError):
+                yaml.load(text, Loader=loader)
 
 
 class TestOverrides:
