@@ -164,8 +164,10 @@ def load_config(path) -> ExperimentConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
+    # a loader handed the open file names its path in a parse error
     try:
-        raw = yaml.load(p.read_bytes(), Loader=YamlLoader)
+        with p.open("rb") as f:
+            raw = yaml.load(f, Loader=YamlLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config does not parse: {exc}") from exc
     if raw is None:

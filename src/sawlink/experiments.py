@@ -255,14 +255,14 @@ def run_bell(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
     lab instant; the emitter marginal is therefore aged under its idle
     imperfections over tau before scoring.
     """
-    from .cascade import CascadeConfig, age_idle, run_cascade
+    from .cascade import CascadeConfig, age_idle, run_cascade, two_qubit_space
     ch, sched = plan_bell(device, params, seed)
     cfg = CascadeConfig(sched, ch, noise=device.noise_pair())
-    eg = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)[None]
+    eg = QuantumState.basis_state(two_qubit_space(), (1, 0))
     t_ro = ch.tau + params["window_ns"]
     doubled = run_cascade(cfg, eg, np.array([0.0, t_ro]), tol=params["tol"]).doubled
     # the (q1e, q2) pair takes the (q1, q2) slots and ages under q1's noise
-    pair = partial_trace(doubled.space, doubled.rhos[-1, 0], ["q1e", "q2"])
+    pair = partial_trace(doubled.space, doubled.rhos[-1], ["q1e", "q2"])
     frame = np.kron(np.eye(2), Z_FRAME)
     rho = frame @ age_idle(pair, device.q1.noise(), ch.tau) @ frame.conj().T
     metrics = {
@@ -330,8 +330,10 @@ def run_vacuum_rabi(device: DeviceParams, params: dict, seed: int) -> Experiment
     quoted at the device coupling.
     """
     q, p, grid = plan_vacuum_rabi(device, params, seed)
-    rho0 = QuantumState.basis_state(multimode.ladder(p.n_a).space, [1] + [0] * p.n_a)
-    pe_lindblad = multimode.decay_population(p, rho0.rho, grid)
+    # the qubit excited: the projector onto the sector's last ket
+    rho0 = np.zeros((p.n_a + 1, p.n_a + 1), dtype=complex)
+    rho0[-1, -1] = 1.0
+    pe_lindblad = multimode.decay_population(p, rho0, grid)
     pe_series = np.abs(multimode.laguerre_amplitude(grid, p)) ** 2
     golden = multimode.golden_rule_kappa(q.g_mhz, p.fsr)
     return ExperimentOutput(

@@ -1,9 +1,8 @@
 """Qubit coupled to the ladder of resonator modes.
 
-Builds the ladder's operators on an excitation-capped space once per mode
-count, sums them into the multi-mode exchange Hamiltonian, sweeps its
-single-excitation spectrum, evolves the qubit's decay into the lossy
-ladder exactly in that sector, and evaluates the analytical echo series
+Builds the one-excitation block of the multi-mode exchange Hamiltonian
+directly, sweeps its spectrum, evolves the qubit's decay into the lossy
+ladder exactly in that block, and evaluates the analytical echo series
 for the qubit amplitude, the independent oracle for that evolution.  The
 module needs numpy alone; the revival fit imports scipy.optimize when
 called.
@@ -12,28 +11,15 @@ called.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .ioshape import MHZ
-from .qcore import (
-    NUMBER,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    HilbertSpace,
-    embed,
-    embed_product,
-)
 
 # Most ladder modes a model takes; 21 is rejected, so a config asking for
-# it exits with code 2.  The capped ladder of n modes holds n + 2 kets and
-# is built ket by ket, and its models work on the n + 1 kets of the
-# one-excitation sector: at 20 modes a fresh process ran spectroscopy in
-# 0.016 s and vacuum_rabi in 0.33 s (mostly the import of scipy.optimize;
-# 3.1 ms once warm) at a peak RSS of 82 MB (one thread of a 2-core Xeon).
+# it exits with code 2.
 MAX_MODES = 20
 
 
@@ -71,43 +57,17 @@ class MultimodeParams:
         return (self.delta0 + (j - j0) * self.fsr) * MHZ
 
 
-class Ladder(NamedTuple):
-    """The qubit and n modes, capped at one excitation, and the operators
-    on that space that the ladder's models are sums of; all read-only."""
+def sector_hamiltonian(p: MultimodeParams) -> np.ndarray:
+    """The exchange Hamiltonian sum_j Delta_j n_j + g (sp a_j + sm a_j^+),
+    rad/ns, on its one-excitation sector, as an (n_a + 1, n_a + 1) array.
 
-    space: HilbertSpace
-    qubit_number: np.ndarray  # sp sm
-    numbers: np.ndarray  # (n, dim, dim): n_j of each mode
-    exchange: np.ndarray  # sum_j (sp a_j + sm a_j^+)
-
-
-@cache
-def ladder(n_a: int) -> Ladder:
-    """The ladder of ``n_a`` modes, labelled q, m0, m1, ..., built once per
-    mode count (``MultimodeParams`` admits ``MAX_MODES`` of them)."""
-    labels = tuple(f"m{j}" for j in range(n_a))
-    space = HilbertSpace([2] * (1 + n_a), ("q",) + labels, excitation_cap=1)
-    swaps = sum(embed_product({"q": SIGMA_PLUS, label: SIGMA_MINUS}, space) for label in labels)
-    out = Ladder(
-        space,
-        embed(NUMBER, "q", space),
-        np.array([embed(NUMBER, label, space) for label in labels]),
-        swaps + swaps.conj().T,
-    )
-    for op in out[1:]:
-        op.setflags(write=False)
-    return out
-
-
-def jc_hamiltonian(p: MultimodeParams) -> np.ndarray:
-    """Exchange Hamiltonian sum_j Delta_j n_j + g (sp a_j + sm a_j^+), rad/ns,
-    on ``ladder(p.n_a).space``, as a read-only array."""
-    lad = ladder(p.n_a)
-    h = np.zeros(lad.exchange.shape, dtype=complex)
-    for delta, n in zip(p.mode_detunings(), lad.numbers):
-        h += delta * n
-    h += p.g * MHZ * lad.exchange
-    h.setflags(write=False)
+    The sector's kets hold the excitation in one mode, from the last mode
+    to the first, and then in the qubit.  There the Hamiltonian is an
+    arrow matrix: the mode detunings on the diagonal, 0 for the qubit,
+    and g on the qubit's row and column.
+    """
+    h = np.diag(np.append(p.mode_detunings()[::-1], 0.0)).astype(complex)
+    h[-1, :-1] = h[:-1, -1] = p.g * MHZ
     return h
 
 
@@ -117,24 +77,17 @@ def spectrum(p: MultimodeParams, qubit_offsets_mhz: Sequence[float]) -> np.ndarr
     The mode ladder stays fixed while the qubit level is swept across
     it; each row holds the sorted eigenvalues at one sweep point.
     """
-    sector = _sector(p.n_a)
-    base, nq = jc_hamiltonian(p)[sector], ladder(p.n_a).qubit_number[sector]
-    offsets = np.asarray(qubit_offsets_mhz, dtype=float).reshape(-1, 1, 1) * MHZ
-    return np.linalg.eigvalsh(base + offsets * nq) / MHZ
-
-
-def _sector(n_a: int) -> tuple:
-    """Index of the one-excitation block of an operator on ``ladder(n_a).space``:
-    its kets in lexicographic order, the modes' from the last to the first,
-    then the qubit's."""
-    kets = np.flatnonzero(ladder(n_a).space.basis.sum(axis=1) == 1)
-    return np.ix_(kets, kets)
+    offsets = np.asarray(qubit_offsets_mhz, dtype=float).reshape(-1) * MHZ
+    h = np.repeat(sector_hamiltonian(p)[None], offsets.size, axis=0)
+    h[:, -1, -1] = offsets  # the qubit's ket is the sector's last
+    return np.linalg.eigvalsh(h) / MHZ
 
 
 def decay_population(p: MultimodeParams, rho0: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """The qubit's excited population on ``grid`` (ns) under the ladder's
     master equation -i [H, rho] + kappa_a sum_j D[a_j] rho, H as in
-    ``jc_hamiltonian``, from the state ``rho0`` on ``ladder(p.n_a).space``.
+    ``sector_hamiltonian``, from the state ``rho0`` on the one-excitation
+    sector, in that function's ket order.
 
     A jump takes the one excitation to the vacuum, which H leaves alone,
     so the one-excitation block rho_1 evolves without jumps as
@@ -144,12 +97,13 @@ def decay_population(p: MultimodeParams, rho0: np.ndarray, grid: np.ndarray) -> 
     eigendecomposition H_eff = V Lambda V^-1 gives the qubit's row
     u_q(t) = V_q exp(-i Lambda t) V^-1 of U at every grid time.
     """
-    loss = 0.5 * p.kappa_a * 1e-3 * ladder(p.n_a).numbers.sum(axis=0)  # kappa_a in 1/us
-    sector = _sector(p.n_a)
-    lam, v = np.linalg.eig((jc_hamiltonian(p) - 1j * loss)[sector])
+    h_eff = sector_hamiltonian(p)
+    modes = np.arange(p.n_a)
+    h_eff[modes, modes] -= 1j * (0.5 * p.kappa_a * 1e-3)  # kappa_a in 1/us
+    lam, v = np.linalg.eig(h_eff)
     # the qubit's ket is the sector's last
     rows = (v[-1] * np.exp(-1j * np.multiply.outer(grid, lam))) @ np.linalg.inv(v)
-    return np.einsum("ti,ij,tj->t", rows, rho0[sector], rows.conj()).real
+    return np.einsum("ti,ij,tj->t", rows, rho0, rows.conj()).real
 
 
 class GoldenRule(NamedTuple):

@@ -9,14 +9,14 @@ hands a single state in.  The module needs numpy alone: the
 superoperators built from these operators live in `dynamics`.
 
 All values are immutable after construction (the operator arrays
-``embed`` and ``embed_product`` return are read-only); nothing here
-keeps shared mutable state.
+``embed`` returns are read-only); nothing here keeps shared mutable
+state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,26 +36,16 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 @dataclass(frozen=True)
 class HilbertSpace:
-    """Composite space of labelled modes, optionally excitation-capped.
+    """Tensor product of labelled modes.
 
     Basis kets are occupation vectors in lexicographic order (leftmost
-    mode most significant), which coincides with the usual Kronecker
-    ordering for uncapped spaces.  With ``excitation_cap`` set, only
-    kets with total occupation <= cap are built, in the same order.
-    ``basis`` holds them as the rows of a read-only (dim, n_modes) array.
+    mode most significant), the usual Kronecker ordering.
     """
 
     mode_dims: tuple[int, ...]
     labels: tuple[str, ...]
-    excitation_cap: int | None = None
-    basis: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __init__(
-        self,
-        mode_dims: Sequence[int],
-        labels: Sequence[str],
-        excitation_cap: int | None = None,
-    ):
+    def __init__(self, mode_dims: Sequence[int], labels: Sequence[str]):
         dims = tuple(int(d) for d in mode_dims)
         labs = tuple(str(x) for x in labels)
         if len(dims) != len(labs):
@@ -64,25 +54,12 @@ class HilbertSpace:
             raise ValidationError("every mode dimension must be >= 2")
         if len(set(labs)) != len(labs):
             raise ValidationError(f"labels must be unique, got {labs}")
-        if excitation_cap is not None and excitation_cap < 0:
-            raise ValidationError("excitation_cap must be >= 0")
         object.__setattr__(self, "mode_dims", dims)
         object.__setattr__(self, "labels", labs)
-        object.__setattr__(self, "excitation_cap", excitation_cap)
-        cap = sum(dims) if excitation_cap is None else excitation_cap
-        # extend every prefix within the cap by each allowed occupation of
-        # the next mode; nonzero() walks (prefix, occupation) row-major,
-        # which keeps the kets in lexicographic order
-        kets, load = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
-        for d in dims:
-            prefix, occ = np.nonzero(load[:, None] + np.arange(d) <= cap)
-            kets, load = np.column_stack([kets[prefix], occ]), load[prefix] + occ
-        kets.setflags(write=False)
-        object.__setattr__(self, "basis", kets)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return math.prod(self.mode_dims)
 
     @property
     def n_modes(self) -> int:
@@ -96,11 +73,9 @@ class HilbertSpace:
 
     def basis_index(self, occupation: Sequence[int]) -> int:
         occ = tuple(occupation)
-        if len(occ) == self.n_modes:
-            hit = np.flatnonzero((self.basis == occ).all(axis=1))
-            if hit.size:
-                return int(hit[0])
-        raise ValidationError(f"occupation {occ} not in basis")
+        if len(occ) != self.n_modes or not all(0 <= n < d for n, d in zip(occ, self.mode_dims)):
+            raise ValidationError(f"occupation {occ} not in basis")
+        return int(np.ravel_multi_index(occ, self.mode_dims))
 
 
 # Validation tolerances for physical density matrices.
@@ -178,49 +153,27 @@ class QuantumState:
         return cls(space, np.outer(v, v.conj()))
 
 
-def embed_product(ops: dict[str, np.ndarray], space: HilbertSpace) -> np.ndarray:
-    """Tensor product of single-mode operators, identity elsewhere, as a
-    read-only (dim, dim) array.
-
-    Matrix elements are taken directly between capped-basis kets, which
-    equals building the full Kronecker product and projecting onto the
-    retained subspace.
-    """
-    basis = space.basis
-    dim = space.dim
-    mat = np.ones((dim, dim), dtype=complex)
-    seen = set()
-    for label, op in ops.items():
-        k = space.mode_index(label)
-        seen.add(k)
-        op = np.asarray(op, dtype=complex)
-        d = space.mode_dims[k]
-        if op.shape != (d, d):
-            raise ValidationError(
-                f"operator for mode {label!r} has shape {op.shape}, mode dim is {d}"
-            )
-        mat *= op[basis[:, k][:, None], basis[None, :, k]]
-    for k in range(space.n_modes):
-        if k not in seen:
-            mat *= basis[:, k][:, None] == basis[None, :, k]
+def embed(op: np.ndarray, target_mode: str, space: HilbertSpace) -> np.ndarray:
+    """Lift a single-mode operator onto the composite space, identity on
+    every other mode, as a read-only (dim, dim) array."""
+    k = space.mode_index(target_mode)
+    op = np.asarray(op, dtype=complex)
+    d = space.mode_dims[k]
+    if op.shape != (d, d):
+        raise ValidationError(
+            f"operator for mode {target_mode!r} has shape {op.shape}, mode dim is {d}"
+        )
+    left, right = math.prod(space.mode_dims[:k]), math.prod(space.mode_dims[k + 1 :])
+    mat = np.kron(np.kron(np.eye(left), op), np.eye(right))
     mat.setflags(write=False)
     return mat
 
 
-def embed(op: np.ndarray, target_mode: str, space: HilbertSpace) -> np.ndarray:
-    """Lift a single-mode operator onto the composite space (read-only)."""
-    return embed_product({target_mode: op}, space)
-
-
 def partial_trace(space: HilbertSpace, rhos: np.ndarray, keep: Sequence[str]) -> np.ndarray:
     """Reduced matrices on the kept modes, in keep-list order, of a stack
-    (..., d, d), Hermitian-symmetrised.
-
-    The space must be the full tensor product: a capped space is rejected."""
+    (..., d, d), Hermitian-symmetrised."""
     keep_idx = [space.mode_index(lbl) for lbl in keep]
     lead = rhos.shape[:-2]
-    if space.dim != math.prod(space.mode_dims):
-        raise ValidationError("partial trace needs an uncapped space")
     n = space.n_modes
     tensor = rhos.reshape(lead + space.mode_dims + space.mode_dims)
     letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"

@@ -471,6 +471,19 @@ class TestDoubledView:
         assert abs(stale[i_eg, i_ge]) < 1e-6
 
 
+    def test_single_state_matches_its_stack_bit_for_bit(self):
+        # bell hands run_cascade one state, |e g>; as a (1, 4, 4) stack the
+        # same state gives the same bytes, lagged copies included
+        cfg = default_cfg("bell", {})
+        eg = excited(two_qubit_space())
+        assert np.array_equal(eg.rho, np.diag([0.0, 0.0, 1.0, 0.0]))
+        grid = np.array([0.0, cfg.ch.tau + WINDOW])
+        single = run_cascade(cfg, eg, grid)
+        stacked = run_cascade(cfg, eg.rho[None], grid)
+        assert np.array_equal(single.rhos, stacked.rhos[:, 0])
+        assert np.array_equal(single.doubled.rhos, stacked.doubled.rhos[:, 0])
+
+
 def per_prep_process(cfg, emitters, receivers, t_ro, tol, frame):
     """The process reconstruction with one cascade run per prep: the
     reference for the batched run."""

@@ -403,14 +403,14 @@ class TestExitCodes:
         ("tomo_roundtrip", {"werner_p": -0.5}),
     ])
     def test_out_of_range_param_is_2(self, tmp_path, capsys, monkeypatch, experiment, params):
-        # too many modes must be rejected before a ladder is built
-        ladder = multimode.ladder
+        # too many modes must be rejected before a sector is built
+        sector_hamiltonian = multimode.sector_hamiltonian
 
-        def bounded_ladder(n_a):
-            assert n_a <= multimode.MAX_MODES, "a ladder was built for too many modes"
-            return ladder(n_a)
+        def bounded_sector(p):
+            assert p.n_a <= multimode.MAX_MODES, "a sector was built for too many modes"
+            return sector_hamiltonian(p)
 
-        monkeypatch.setattr(multimode, "ladder", bounded_ladder)
+        monkeypatch.setattr(multimode, "sector_hamiltonian", bounded_sector)
         path = tmp_path / "c.yaml"
         raw = default_config(experiment)
         raw["params"].update(params)

@@ -1,6 +1,7 @@
 """Config schema: strict merging over defaults, dotted-path overrides."""
 
 import pickle
+import re
 
 import pytest
 import yaml
@@ -185,6 +186,13 @@ class TestStrictReading:
         path = tmp_path / "c.yaml"
         path.write_bytes(data)
         with pytest.raises(ConfigError, match="does not parse"):
+            load_config(path)
+
+    @pytest.mark.parametrize("data", [b"seed: 1\nseed: 1\n", b"seed: 1 # \xff\n"])
+    def test_parse_error_names_the_file(self, tmp_path, either_loader, data):
+        path = tmp_path / "named.yaml"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=re.escape(f'in "{path}"')):
             load_config(path)
 
 

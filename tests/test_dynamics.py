@@ -28,7 +28,7 @@ from sawlink.dynamics import (
     to_coords,
 )
 from sawlink.errors import DiagnosticsError, IntegrationError, ValidationError
-from sawlink.multimode import MultimodeParams, decay_population, jc_hamiltonian, ladder
+from sawlink.multimode import MultimodeParams, decay_population
 from sawlink.qcore import (
     EIG_ATOL,
     MAX_TOL,
@@ -40,11 +40,11 @@ from sawlink.qcore import (
     QuantumState,
     check_states,
     embed,
-    embed_product,
     partial_trace,
 )
 
 from hermitian_oracle import hermitian_basis
+from ladder_oracle import ladder_generator, ladder_hamiltonian, lowering_operators
 
 QUBIT = HilbertSpace([2], ["q"])
 EXCITED = QuantumState.basis_state(QUBIT, [1]).rho[None]
@@ -73,8 +73,8 @@ def test_constant_decay_matches_exponential():
 def test_resonant_vacuum_rabi_oracle():
     g = 2 * np.pi * 0.005  # rad/ns
     space = HilbertSpace([2, 2], ["q", "m"])
-    h = (embed_product({"q": SIGMA_PLUS, "m": SIGMA_MINUS}, space)
-         + embed_product({"q": SIGMA_MINUS, "m": SIGMA_PLUS}, space))
+    swap = embed(SIGMA_PLUS, "q", space) @ embed(SIGMA_MINUS, "m", space)
+    h = swap + swap.conj().T
     rabi = Generator(space, [commutator_superop(h)], lambda t: np.array([g]))
     t_half = (np.pi / 2) / g
     grid = np.linspace(0, t_half, 25)
@@ -237,47 +237,6 @@ class TestStepper:
         assert nfev == [2]
 
 
-def test_capped_space_matches_full_tensor_space():
-    # One excitation shared between a qubit and 3 detuned modes: the
-    # interaction conserves excitation number, so the cap-1 space must
-    # reproduce the full tensor-product evolution.
-    g = 2 * np.pi * 0.0026
-    detunings = [-0.01, 0.0, 0.01]  # rad/ns
-    labels = ["q", "m0", "m1", "m2"]
-
-    def build(space):
-        blocks, coeffs = [], []
-        for j, d in enumerate(detunings):
-            swap = (
-                embed_product({"q": SIGMA_PLUS, f"m{j}": SIGMA_MINUS}, space)
-                + embed_product({"q": SIGMA_MINUS, f"m{j}": SIGMA_PLUS}, space)
-            )
-            blocks += [commutator_superop(embed(NUMBER, f"m{j}", space)), commutator_superop(swap)]
-            coeffs += [d, g]
-        blocks.append(dissipator(embed(SIGMA_MINUS, "q", space)))
-        coeffs.append(1 / 21700.0)
-        return Generator(space, blocks, lambda t: np.array(coeffs))
-
-    grid = np.linspace(0, 400, 81)
-    full = HilbertSpace([2, 2, 2, 2], labels)
-    capped = HilbertSpace([2, 2, 2, 2], labels, excitation_cap=1)
-    obs_full = {"pe": embed(NUMBER, "q", full)}
-    obs_capped = {"pe": embed(NUMBER, "q", capped)}
-    series_full = expectations(evolve_generator(
-        build(full),
-        QuantumState.basis_state(full, [1, 0, 0, 0]).rho[None],
-        grid,
-        tol=1e-10,
-    ), obs_full)
-    series_capped = expectations(evolve_generator(
-        build(capped),
-        QuantumState.basis_state(capped, [1, 0, 0, 0]).rho[None],
-        grid,
-        tol=1e-10,
-    ), obs_capped)
-    assert np.allclose(series_full["pe"], series_capped["pe"], atol=1e-8)
-
-
 # ---- stacked initial states and the stacked repair pass ------------------------
 
 PAIR = HilbertSpace([2, 2], ["a", "b"])
@@ -400,8 +359,9 @@ def lindblad_oracles(rng, d):
     ]
 
 
-# a qubit, a pair, the doubled space and the capped ladder of a qubit and 12 modes
-COORD_DIMS = [2, 4, 16, HilbertSpace([2] * 13, [f"m{j}" for j in range(13)], excitation_cap=1).dim]
+# a qubit, a pair, the doubled space, and the vacuum and one-excitation sector
+# of a qubit and 12 modes
+COORD_DIMS = [2, 4, 16, 14]
 
 
 class TestHermitianCoordinates:
@@ -518,26 +478,12 @@ class TestUnionFormat:
 # ---- exact propagation of the ladder's one-excitation decay --------------------
 
 
-def ladder_generator(p):
-    """The ladder's master equation -i [H, rho] + kappa_a sum_j D[a_j] rho,
-    H as in ``jc_hamiltonian``, as a generator: the reference that
-    ``decay_population`` solves without it."""
-    space = ladder(p.n_a).space
-    blocks = [commutator_superop(jc_hamiltonian(p))]
-    blocks += [dissipator(embed(SIGMA_MINUS, lbl, space)) for lbl in space.labels[1:]]
-    rates = np.array([1.0] + [p.kappa_a * 1e-3] * p.n_a)
-    return Generator(space, blocks, lambda t: rates)
-
-
 def sector_h_eff(p):
     """H_eff = H - i kappa_a/2 sum_j n_j on the one-excitation sector, the
-    qubit's ket last, from the embedded number operators."""
-    space = ladder(p.n_a).space
-    loss = sum(embed(NUMBER, lbl, space) for lbl in space.labels[1:])
-    h_eff = jc_hamiltonian(p) - 0.5j * p.kappa_a * 1e-3 * loss
-    kets = np.flatnonzero(space.basis.sum(axis=1) == 1)
-    assert tuple(space.basis[kets[-1]]) == (1,) + (0,) * p.n_a
-    return h_eff[np.ix_(kets, kets)], kets
+    qubit's ket last, from the ladder's operators on vacuum + sector."""
+    _, modes = lowering_operators(p.n_a)
+    loss = sum(a.conj().T @ a for a in modes)
+    return (ladder_hamiltonian(p) - 0.5j * p.kappa_a * 1e-3 * loss)[1:, 1:]
 
 
 class TestExactPropagation:
@@ -556,22 +502,22 @@ class TestExactPropagation:
     def test_matches_rk45(self, seed, n_a, g, delta0, kappa_a, n_points):
         rng = np.random.default_rng(seed)
         p = MultimodeParams(g=g, n_a=n_a, fsr=1.97, delta0=delta0, kappa_a=kappa_a)
-        space = ladder(n_a).space
+        sm, _ = lowering_operators(n_a)
         grid = np.sort(rng.uniform(0.0, 2 * p.tau_ns, size=n_points))
         grid[0] = 0.0
-        rho0 = random_states(rng, 1, space.dim)
+        rho0 = random_states(rng, 1, n_a + 2)
         rhos = evolve_generator(ladder_generator(p), rho0, grid, 1e-10)
-        want = expectations(rhos, {"pe": embed(NUMBER, "q", space)})["pe"][:, 0]
-        assert np.max(np.abs(decay_population(p, rho0[0], grid) - want)) <= 1e-8
+        want = expectations(rhos, {"pe": sm.conj().T @ sm})["pe"][:, 0]
+        assert np.max(np.abs(decay_population(p, rho0[0, 1:, 1:], grid) - want)) <= 1e-8
 
     def test_matches_per_step_matrix_exponential(self):
         rng = np.random.default_rng(21)
         p = MultimodeParams(g=0.18, n_a=11, fsr=1.97, kappa_a=1 / 1.8)
-        rho0 = random_states(rng, 1, ladder(p.n_a).space.dim)[0]
-        h_eff, kets = sector_h_eff(p)
+        rho0 = random_states(rng, 1, p.n_a + 2)[0, 1:, 1:]  # a sector block
+        h_eff = sector_h_eff(p)
         # steps short and long, up to two transits
         grid = np.array([0.0, 0.3, 2.0, 7.5, 80.0, 400.0, 2 * p.tau_ns])
-        rho1, want = rho0[np.ix_(kets, kets)], [rho0[kets[-1], kets[-1]].real]
+        rho1, want = rho0, [rho0[-1, -1].real]
         for h in np.diff(grid):
             step = scipy.linalg.expm(-1j * h_eff * h)
             rho1 = step @ rho1 @ step.conj().T
@@ -591,12 +537,12 @@ class TestExactPropagation:
         script = (
             "import hashlib\n"
             "import numpy as np\n"
-            "from sawlink.multimode import MultimodeParams, decay_population, ladder\n"
-            "from sawlink.qcore import QuantumState\n"
+            "from sawlink.multimode import MultimodeParams, decay_population\n"
             "digest = hashlib.sha256()\n"
             "for n_a in (11, 20):\n"
             "    p = MultimodeParams(g=0.18, n_a=n_a, fsr=1.97, kappa_a=1 / 1.8)\n"
-            "    rho0 = QuantumState.basis_state(ladder(n_a).space, [1] + [0] * n_a).rho\n"
+            "    rho0 = np.zeros((n_a + 1, n_a + 1), dtype=complex)\n"
+            "    rho0[-1, -1] = 1.0\n"
             "    grid = np.linspace(0.0, 2 * p.tau_ns, 800)\n"
             "    digest.update(decay_population(p, rho0, grid).tobytes())\n"
             "print(digest.hexdigest())\n"

@@ -4,13 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
-from sawlink.dynamics import (
-    Generator,
-    commutator_superop,
-    dissipator,
-    evolve_generator,
-    expectations,
-)
+from sawlink.dynamics import evolve_generator, expectations
 from sawlink.errors import ValidationError
 from sawlink.ioshape import MHZ
 from sawlink.multimode import (
@@ -19,25 +13,34 @@ from sawlink.multimode import (
     decay_population,
     efficiency_bound,
     golden_rule_kappa,
-    jc_hamiltonian,
-    ladder,
     laguerre_amplitude,
     revival_onset,
+    sector_hamiltonian,
     spectrum,
 )
-from sawlink.qcore import (
-    NUMBER,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    QuantumState,
-    embed,
-    embed_product,
-)
+from sawlink.qcore import NUMBER, SIGMA_MINUS, SIGMA_PLUS, HilbertSpace, embed
+
+from ladder_oracle import ladder_generator, ladder_hamiltonian, lowering_operators
 
 
-def excitation_number(space) -> np.ndarray:
-    """Total occupation of each basis ket, as a diagonal matrix."""
-    return np.diag([float(sum(occ)) for occ in space.basis])
+def full_hamiltonian(p: MultimodeParams) -> tuple[HilbertSpace, np.ndarray]:
+    """The exchange Hamiltonian sum_j Delta_j n_j + g (sp a_j + sm a_j^+) on
+    the full tensor space of the qubit and its modes (labelled q, m0, m1,
+    ...), summed mode by mode from embedded single-mode operators."""
+    space = HilbertSpace([2] * (1 + p.n_a), ["q"] + [f"m{j}" for j in range(p.n_a)])
+    sp, sm = embed(SIGMA_PLUS, "q", space), embed(SIGMA_MINUS, "q", space)
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    for j, delta in enumerate(p.mode_detunings()):
+        a = embed(SIGMA_MINUS, f"m{j}", space)
+        h += delta * embed(NUMBER, f"m{j}", space) + p.g * MHZ * (sp @ a + sm @ a.conj().T)
+    return space, h
+
+
+def qubit_excited(n_a: int) -> np.ndarray:
+    """The projector onto the sector's last ket, the qubit's."""
+    rho = np.zeros((n_a + 1, n_a + 1), dtype=complex)
+    rho[-1, -1] = 1.0
+    return rho
 
 
 class TestParams:
@@ -60,53 +63,51 @@ class TestParams:
 
 class TestHamiltonian:
     def test_excitation_conserved(self):
+        # what makes the one-excitation sector a closed block
         p = MultimodeParams(g=2.57, n_a=6)
-        space = ladder(p.n_a).space
-        h = jc_hamiltonian(p)
-        n = excitation_number(space)
+        space, h = full_hamiltonian(p)
+        n = sum(embed(NUMBER, label, space) for label in space.labels)
         assert np.max(np.abs(h @ n - n @ h)) < 1e-12
 
     def test_decoupled_limit_is_diagonal(self):
         p = MultimodeParams(g=0.0, n_a=4, fsr=1.97, delta0=0.3)
-        space = ladder(p.n_a).space
-        h = jc_hamiltonian(p)
+        h = sector_hamiltonian(p)
         assert np.max(np.abs(h - np.diag(np.diag(h)))) < 1e-15
-        sector = [i for i, occ in enumerate(space.basis) if sum(occ) == 1]
-        evals = np.sort(np.diag(h)[sector].real)
+        evals = np.sort(np.diag(h).real)
         expected = np.sort(np.append(p.mode_detunings(), 0.0))
         assert np.allclose(evals, expected, atol=1e-15)
 
     def test_single_mode_vacuum_rabi_doublet(self):
         p = MultimodeParams(g=2.57, n_a=1, delta0=0.0)
-        space = ladder(p.n_a).space
-        h = jc_hamiltonian(p)
-        sector = [i for i, occ in enumerate(space.basis) if sum(occ) == 1]
-        evals = np.linalg.eigvalsh(h[np.ix_(sector, sector)])
+        evals = np.linalg.eigvalsh(sector_hamiltonian(p))
         g = 2.57 * 2e-3 * np.pi
         assert np.allclose(evals, [-g, g], atol=1e-12)
 
 
-class TestLadderCache:
+class TestSector:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_a=st.integers(1, 6),
+        g=st.floats(-3.0, 3.0),
+        fsr=st.floats(0.1, 5.0),
+        delta0=st.floats(-2.0, 2.0),
+    )
+    def test_is_the_one_excitation_block(self, n_a, g, fsr, delta0):
+        p = MultimodeParams(g=g, n_a=n_a, fsr=fsr, delta0=delta0)
+        space, h = full_hamiltonian(p)
+        # the sector's kets: one excitation in m_{n-1}, ..., m_0, then in q
+        kets = [space.basis_index(np.eye(1 + n_a, dtype=int)[k]) for k in range(n_a, -1, -1)]
+        assert kets == sorted(kets)  # lexicographic order on the full space
+        rest = np.setdiff1d(np.arange(space.dim), kets)
+        assert not np.any(h[np.ix_(kets, rest)])
+        assert np.array_equal(sector_hamiltonian(p), h[np.ix_(kets, kets)])
+
     @pytest.mark.parametrize("n_a", [1, 2, 5, 11, 20])
-    def test_operators_are_the_embedded_ones(self, n_a):
-        lad = ladder(n_a)
-        space = lad.space
-        assert space.labels == ("q",) + tuple(f"m{j}" for j in range(n_a))
-        assert np.array_equal(lad.qubit_number, embed(NUMBER, "q", space))
-        swaps = [embed_product({"q": SIGMA_PLUS, f"m{j}": SIGMA_MINUS}, space)
-                 for j in range(n_a)]
-        assert np.array_equal(lad.exchange, sum(x + x.conj().T for x in swaps))
-        for j in range(n_a):
-            assert np.array_equal(lad.numbers[j], embed(NUMBER, f"m{j}", space))
-
-    def test_built_once_per_mode_count(self):
-        assert ladder(7) is ladder(7)
-        assert ladder(7) is not ladder(8)
-
-    def test_operators_are_read_only(self):
-        for op in ladder(4)[1:]:
-            with pytest.raises(ValueError):
-                op[..., 0, 0] = 1.0
+    def test_is_the_summed_definition(self, n_a):
+        # the mode counts the experiments use, past the full space's reach:
+        # the ladder's operators summed on vacuum + sector, the vacuum dropped
+        p = MultimodeParams(g=2.57, n_a=n_a, fsr=1.97, delta0=0.2)
+        assert np.array_equal(sector_hamiltonian(p), ladder_hamiltonian(p)[1:, 1:])
 
     @pytest.mark.parametrize("p", [
         MultimodeParams(g=0.18, n_a=11, fsr=1.97, kappa_a=0.0),
@@ -116,39 +117,16 @@ class TestLadderCache:
     ])
     def test_generator_equals_the_summed_one(self, p):
         # the sector's no-jump generator H_eff, which decay_population
-        # exponentiates, against the commutator with the summed Hamiltonian
-        # plus the dissipators, integrated from a random state
-        space = ladder(p.n_a).space
-        blocks = [commutator_superop(jc_hamiltonian(p))]
-        blocks += [dissipator(embed(SIGMA_MINUS, lbl, space)) for lbl in space.labels[1:]]
-        rates = np.array([1.0] + [p.kappa_a * 1e-3] * p.n_a)
-        a = np.random.default_rng(p.n_a).normal(size=(2, space.dim, space.dim))
+        # exponentiates, against the master equation on vacuum + sector,
+        # integrated from a random state
+        sm, _ = lowering_operators(p.n_a)
+        a = np.random.default_rng(p.n_a).normal(size=(2, p.n_a + 2, p.n_a + 2))
         rho0 = (a[0] + 1j * a[1]) @ (a[0] + 1j * a[1]).conj().T
         rho0 /= np.trace(rho0)
         grid = np.linspace(0.0, 2 * p.tau_ns, 21)  # through the first echo
-        rhos = evolve_generator(Generator(space, blocks, lambda t: rates), rho0[None], grid, 1e-10)
-        want = expectations(rhos, {"pe": ladder(p.n_a).qubit_number})["pe"][:, 0]
-        assert np.max(np.abs(decay_population(p, rho0, grid) - want)) <= 1e-8
-
-    @pytest.mark.parametrize("n_a", [1, 8, 20])
-    def test_spectrum_bit_for_bit_against_per_mode_build(self, n_a):
-        # the Hamiltonian summed mode by mode from fresh embeddings, as it
-        # was built before the ladder's operators were cached
-        p = MultimodeParams(g=2.57, n_a=n_a, fsr=1.97, delta0=0.2)
-        space = ladder(n_a).space
-        g = p.g * MHZ
-        h = np.zeros((space.dim, space.dim), dtype=complex)
-        for j, delta in enumerate(p.mode_detunings()):
-            h += delta * embed(NUMBER, f"m{j}", space)
-            swap = embed_product({"q": SIGMA_PLUS, f"m{j}": SIGMA_MINUS}, space)
-            h += g * (swap + swap.conj().T)
-        assert jc_hamiltonian(p).tobytes() == h.tobytes()
-        sweep = np.linspace(-6.0, 6.0, 41)
-        kets = np.flatnonzero(space.basis.sum(axis=1) == 1)
-        sector = np.ix_(kets, kets)
-        nq = embed(NUMBER, "q", space)[sector]
-        want = np.linalg.eigvalsh(h[sector] + sweep.reshape(-1, 1, 1) * MHZ * nq) / MHZ
-        assert spectrum(p, sweep).tobytes() == want.tobytes()
+        rhos = evolve_generator(ladder_generator(p), rho0[None], grid, 1e-10)
+        want = expectations(rhos, {"pe": sm.conj().T @ sm})["pe"][:, 0]
+        assert np.max(np.abs(decay_population(p, rho0[1:, 1:], grid) - want)) <= 1e-8
 
 
 class TestSpectrum:
@@ -183,12 +161,9 @@ class TestSpectrum:
     def test_batched_equals_per_offset_loop(self, n_a):
         p = MultimodeParams(g=2.57, n_a=n_a, fsr=1.97)
         sweep = np.linspace(-6.0, 6.0, 41)
-        space = ladder(p.n_a).space
-        sector = np.flatnonzero(space.basis.sum(axis=1) == 1)
-        base, nq = jc_hamiltonian(p), embed(NUMBER, "q", space)
+        base, nq = sector_hamiltonian(p), qubit_excited(p.n_a)
         mhz = 2e-3 * np.pi
-        want = [np.linalg.eigvalsh((base + off * mhz * nq)[np.ix_(sector, sector)]) / mhz
-                for off in sweep]
+        want = [np.linalg.eigvalsh(base + off * mhz * nq) / mhz for off in sweep]
         assert np.array_equal(spectrum(p, sweep), np.array(want))
 
 
@@ -261,10 +236,10 @@ class TestOracleEquivalence:
         # compact version of the full cross-check: weak coupling, the
         # stated mode count, channel loss on, no qubit imperfections
         p = MultimodeParams(g=0.1, n_a=8, fsr=1.97, kappa_a=1 / 1.2)
-        rho0 = QuantumState.basis_state(ladder(p.n_a).space, [1] + [0] * p.n_a)
         grid = np.linspace(0.0, 1.6 * p.tau_ns, 500)
         pe_series = np.abs(laguerre_amplitude(grid, p)) ** 2
-        assert np.max(np.abs(decay_population(p, rho0.rho, grid) - pe_series)) <= 1e-2
+        pe = decay_population(p, qubit_excited(p.n_a), grid)
+        assert np.max(np.abs(pe - pe_series)) <= 1e-2
 
     def test_onset_detector_on_analytic_curve(self):
         p = MultimodeParams(g=0.18, n_a=9, fsr=1.97, kappa_a=1 / 1.2)

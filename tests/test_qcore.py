@@ -12,7 +12,6 @@ from sawlink.dynamics import (
     dissipator,
 )
 from sawlink.errors import ValidationError
-from sawlink.multimode import MultimodeParams, jc_hamiltonian, ladder
 from sawlink.qcore import (
     EIG_ATOL,
     NUMBER,
@@ -24,7 +23,6 @@ from sawlink.qcore import (
     check_states,
     clip_negative,
     embed,
-    embed_product,
     hermiticity_error,
     partial_trace,
 )
@@ -43,48 +41,26 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-def full_indices(space: HilbertSpace) -> np.ndarray:
-    """Index of each basis ket inside the uncapped tensor space."""
-    strides = np.cumprod((1,) + space.mode_dims[::-1][:-1])[::-1]
-    return space.basis @ strides
-
-
 class TestHilbertSpace:
     def test_uncapped_basis_matches_kron_order(self):
         space = HilbertSpace([2, 3], ["q", "m"])
         assert space.dim == 6
-        assert space.basis.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]]
-
-    def test_capped_basis_filters_total_occupation(self):
-        space = HilbertSpace([2, 2, 2], ["a", "b", "c"], excitation_cap=1)
-        assert space.basis.tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]]
-        assert space.dim == 4
+        kets = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+        assert [space.basis_index(k) for k in kets] == list(range(6))
 
     @settings(max_examples=60, deadline=None)
-    @given(dims=st.lists(st.integers(2, 4), min_size=1, max_size=6),
-           cap=st.none() | st.integers(0, 8))
-    def test_basis_is_the_filtered_product(self, dims, cap):
-        # oracle: every ket of the full product, in its order, kept when
-        # its total occupation is within the cap
-        want = [k for k in itertools.product(*(range(d) for d in dims))
-                if cap is None or sum(k) <= cap]
-        space = HilbertSpace(dims, [f"m{j}" for j in range(len(dims))], excitation_cap=cap)
-        assert space.basis.shape == (len(want), len(dims))
-        assert [tuple(k) for k in space.basis.tolist()] == want
-        assert not space.basis.flags.writeable
+    @given(dims=st.lists(st.integers(2, 4), min_size=1, max_size=6))
+    def test_basis_index_is_the_product_order(self, dims):
+        # oracle: the position of each ket in the full product, in its order
+        want = list(itertools.product(*(range(d) for d in dims)))
+        space = HilbertSpace(dims, [f"m{j}" for j in range(len(dims))])
+        assert space.dim == len(want)
         for occ in want[:: max(1, len(want) // 7)]:
             assert space.basis_index(occ) == want.index(occ)
 
-    def test_long_capped_ladder_builds_only_its_kets(self):
-        # 40 two-level modes at one excitation: 41 kets of 2^40
-        space = HilbertSpace([2] * 40, [f"m{j}" for j in range(40)], excitation_cap=1)
-        assert space.dim == 41
-        assert space.basis_index([0] * 39 + [1]) == 1
-        assert space.basis_index([1] + [0] * 39) == 40
-
     def test_occupation_outside_basis_rejected(self):
-        space = HilbertSpace([2, 2], ["q", "m"], excitation_cap=1)
-        for occ in ((1, 1), (0,), (0, 0, 0)):
+        space = HilbertSpace([2, 2], ["q", "m"])
+        for occ in ((2, 0), (-1, 0), (0,), (0, 0, 0)):
             with pytest.raises(ValidationError):
                 space.basis_index(occ)
 
@@ -96,13 +72,6 @@ class TestHilbertSpace:
         space = HilbertSpace([2, 2], ["a", "b"])
         with pytest.raises(ValidationError):
             space.mode_index("c")
-
-    def test_full_indices_roundtrip(self):
-        space = HilbertSpace([2, 3, 2], ["a", "b", "c"], excitation_cap=2)
-        full = full_indices(space)
-        # index in uncapped kron order: i*6 + j*2 + k
-        for pos, occ in enumerate(space.basis):
-            assert full[pos] == occ[0] * 6 + occ[1] * 2 + occ[2]
 
 
 class TestStates:
@@ -208,22 +177,13 @@ class TestEmbedding:
         got_q = embed(SIGMA_MINUS, "q", space)
         assert np.allclose(got_q, np.kron(SIGMA_MINUS, np.eye(3)))
 
-    def test_embed_capped_equals_projected_kron(self):
-        space = HilbertSpace([2, 2, 2], ["q", "m1", "m2"], excitation_cap=1)
-        full = np.kron(np.eye(2), np.kron(SIGMA_MINUS, np.eye(2)))
-        idx = full_indices(space)
-        assert np.allclose(embed(SIGMA_MINUS, "m1", space), full[np.ix_(idx, idx)])
-
     def test_embed_product_transfers_excitation(self):
-        # sigma+ on q times sigma- on m keeps total occupation, so the
-        # capped space supports it exactly.
-        space = HilbertSpace([2, 2], ["q", "m"], excitation_cap=1)
-        op = embed_product({"q": SIGMA_PLUS, "m": SIGMA_MINUS}, space)
-        src = space.basis_index((0, 1))
-        dst = space.basis_index((1, 0))
-        expected = np.zeros((3, 3))
-        expected[dst, src] = 1.0
-        assert np.allclose(op, expected)
+        # sigma+ on q times sigma- on m moves one excitation from m to q
+        space = HilbertSpace([2, 2], ["q", "m"])
+        op = embed(SIGMA_PLUS, "q", space) @ embed(SIGMA_MINUS, "m", space)
+        expected = np.zeros((4, 4))
+        expected[space.basis_index((1, 0)), space.basis_index((0, 1))] = 1.0
+        assert np.array_equal(op, expected)
 
     def test_embed_composition_within_mode(self):
         space = HilbertSpace([2, 4], ["q", "m"])
@@ -233,12 +193,9 @@ class TestEmbedding:
         assert np.allclose(left, right, atol=1e-12)
 
     def test_results_are_read_only_arrays(self):
-        p = MultimodeParams(g=0.5, n_a=1)
-        space = ladder(p.n_a).space
-        ops = (embed(SIGMA_MINUS, "m0", space),
-               embed_product({"q": SIGMA_PLUS, "m0": SIGMA_MINUS}, space),
-               jc_hamiltonian(p))
-        for op in ops:
+        space = HilbertSpace([2, 3, 2], ["q", "m", "r"])
+        for op in (embed(SIGMA_MINUS, "q", space), embed(lowering(3), "m", space),
+                   embed(NUMBER, "r", space)):
             assert type(op) is np.ndarray and op.dtype == complex
             assert op.shape == (space.dim, space.dim)
             with pytest.raises(ValueError):
@@ -275,18 +232,8 @@ class TestPartialTrace:
         swapped = partial_trace(space, np.kron(ra, rb), ["b", "a"])
         assert np.allclose(swapped, np.kron(rb, ra), atol=1e-12)
 
-    def test_capped_space_rejected(self):
-        space = HilbertSpace([2, 2, 2], ["q", "m1", "m2"], excitation_cap=1)
-        state = QuantumState.basis_state(space, (1, 0, 0))
-        with pytest.raises(ValidationError):
-            partial_trace(space, state.rho, ["q"])
-        with pytest.raises(ValidationError):
-            partial_trace(space, state.rho[None], ["q"])
-
-    # a cap of 3 removes no ket of three qubits: the space is the full product
-    @pytest.mark.parametrize("cap", [None, 3])
-    def test_stack_matches_single_states(self, cap):
-        space = HilbertSpace([2, 2, 2], ["q", "m1", "m2"], excitation_cap=cap)
+    def test_stack_matches_single_states(self):
+        space = HilbertSpace([2, 2, 2], ["q", "m1", "m2"])
         rng = np.random.default_rng(29)
         stack = np.stack([random_density(space.dim, rng) for _ in range(6)])
         stack = stack.reshape(3, 2, space.dim, space.dim)
