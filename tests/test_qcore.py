@@ -232,8 +232,11 @@ class TestPartialTrace:
         swapped = partial_trace(space, np.kron(ra, rb), ["b", "a"])
         assert np.allclose(swapped, np.kron(rb, ra), atol=1e-12)
 
-    def test_stack_matches_single_states(self):
-        space = HilbertSpace([2, 2, 2], ["q", "m1", "m2"])
+    # None leaves three qubits; 3 makes m1 a three-level mode, so the
+    # stacked trace also meets unequal mode dims
+    @pytest.mark.parametrize("m1_levels", [None, 3])
+    def test_stack_matches_single_states(self, m1_levels):
+        space = HilbertSpace([2, m1_levels or 2, 2], ["q", "m1", "m2"])
         rng = np.random.default_rng(29)
         stack = np.stack([random_density(space.dim, rng) for _ in range(6)])
         stack = stack.reshape(3, 2, space.dim, space.dim)
