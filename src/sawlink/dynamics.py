@@ -11,21 +11,26 @@ The commutator and dissipator blocks are built as such real
 scipy.sparse matrices, and the ``Generator`` holds their sum weighted by a
 real coefficient vector c(t) as one sparse matrix on the blocks' union
 pattern.  ``evolve_generator`` integrates it with ``solve_ivp``, an
-adaptive Dormand-Prince 5(4) stepper in numpy, the coefficients
-evaluated analytically at the stepper's stage times, piece by piece
-between breakpoints and on each piece's side of its ends; scipy serves
-this module only through ``scipy.sparse``.  A (k, d, d) stack of initial
-states is checked once and evolves as the k columns of one real d^2 x k
-matrix, and the sampled coordinates come back as an exactly Hermitian
-(n_times, k, d, d) stack, so the repair pass measures no Hermiticity
-error.  It checks and repairs in one pass: a Cholesky factor of
-rho + EIG_ATOL / d I screens positivity, and only where it fails are
-eigenvalues read and the states whose lowest one is below -EIG_ATOL / d
-rebuilt from an eigendecomposition.
+adaptive Dormand-Prince 5(4) stepper in numpy whose scalar bookkeeping
+is done in Python floats, the coefficients evaluated analytically at
+the stepper's stage times, piece by piece between breakpoints and on
+each piece's side of its ends.  The matrix is refilled once per
+distinct stage time, since a step's last stage and its
+first-same-as-last call share one, and applied by scipy's compiled CSR
+kernel ``csr_matvecs`` without the Python dispatch of ``csr_array @``;
+scipy serves this module only through ``scipy.sparse``.  A (k, d, d)
+stack of initial states is checked once and evolves as the k columns of
+one real d^2 x k matrix, and the sampled coordinates come back as an
+exactly Hermitian (n_times, k, d, d) stack, so the repair pass measures
+no Hermiticity error.  It checks and repairs in one pass: a Cholesky
+factor of rho + EIG_ATOL / d I screens positivity, and only where it
+fails are eigenvalues read and the states whose lowest one is below
+-EIG_ATOL / d rebuilt from an eigendecomposition.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -33,6 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .errors import DiagnosticsError, IntegrationError, ValidationError
 from .qcore import (
@@ -117,6 +123,7 @@ class Generator:
     block k's entries on it, so L(c) is ``matrix`` with its data set to
     ``values @ c(t)``.  ``coeffs`` is the function c(t); a complex block,
     or coefficients that are not a function of t, raise ``ValidationError``.
+    ``matrix`` holds L at the last time a call refilled it.
     """
 
     space: HilbertSpace
@@ -152,23 +159,44 @@ class Generator:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_filled_at", None)
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         """The right-hand side L(t) y.  ``y`` holds the real coordinates
         of k states as the columns of a d^2 x k matrix, flattened row-major
         as the ODE solver passes it, and the result is flattened alike.
 
+        ``matrix`` is refilled from c(t) only when t differs from the last
+        time whose refill succeeded: the stepper's last stage and the next
+        step's first-same-as-last call share a time.  The product is
+        scipy's compiled CSR kernel ``csr_matvecs``, the one
+        ``csr_array @`` ends in, called without scipy's dispatch; it checks
+        no bounds, so a ``y`` whose size is not a multiple of d^2 raises
+        ``ValidationError`` first.  Each call returns a new array.
+
         A complex coefficient raises, and so does a non-finite one, named
-        with its time rather than left to fail the stepper's error estimate."""
-        c = self.coeffs(t)
-        if c.dtype.kind == "c":
-            raise ValidationError(f"complex generator coefficient at t = {t:.6g} ns")
-        # refilled in place: ``matrix`` holds L at the last evaluated t
-        data = np.matmul(self.values, c, out=self.matrix.data)
-        # a non-finite c_k makes every entry of ``data`` non-finite, so data[0] screens
-        if data.size and not math.isfinite(data[0]) and not np.isfinite(c).all():
-            raise IntegrationError(f"non-finite generator coefficient at t = {t:.6g} ns")
-        return (self.matrix @ y.reshape(self.matrix.shape[1], -1)).reshape(-1)
+        with its time rather than left to fail the stepper's error estimate;
+        a failed refill leaves no time behind, so a second call at t raises
+        again."""
+        matrix = self.matrix
+        n = matrix.shape[1]
+        if y.size % n:
+            raise ValidationError(f"{y.size} coordinates do not form columns of length {n}")
+        if t != self._filled_at:
+            object.__setattr__(self, "_filled_at", None)
+            c = self.coeffs(t)
+            if c.dtype.kind == "c":
+                raise ValidationError(f"complex generator coefficient at t = {t:.6g} ns")
+            # refilled in place: ``matrix`` holds L at ``_filled_at``
+            data = np.matmul(self.values, c, out=matrix.data)
+            # a non-finite c_k makes every entry of ``data`` non-finite, so data[0] screens
+            if data.size and not math.isfinite(data[0]) and not np.isfinite(c).all():
+                raise IntegrationError(f"non-finite generator coefficient at t = {t:.6g} ns")
+            object.__setattr__(self, "_filled_at", t)
+        # a fresh output: the stepper keeps the returned array as its next f
+        out = np.zeros(y.size, dtype=np.result_type(matrix.data, y))
+        csr_matvecs(n, n, y.size // n, matrix.indptr, matrix.indices, matrix.data, y.ravel(), out)
+        return out
 
 
 def _block(*terms: tuple[complex, np.ndarray, np.ndarray]) -> sparse.csr_array:
@@ -319,6 +347,8 @@ DP_P = np.array([
 ])
 for _a in (DP_C, DP_A, DP_B, DP_E, DP_P):
     _a.setflags(write=False)
+# stages 1 to 5 as (c_s, row s of DP_A up to the diagonal), c_s a float
+DP_STAGES = tuple(zip(DP_C[1:].tolist(), (DP_A[s, :s] for s in range(1, 6))))
 # step control: a step grows at most MAX_FACTOR-fold and shrinks at most
 # to MIN_FACTOR, by SAFETY (err)^(-1/5), the error being of fourth order
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
@@ -370,18 +400,24 @@ def solve_ivp(fun: Callable[[float, np.ndarray], np.ndarray], t_span: tuple[floa
     dense output, so both take the same steps and return the same
     samples.  Unlike it, a stepper fed a NaN by the right-hand side takes
     a NaN step and fails at once; scipy's shrinks a NaN step forever.
+
+    The arrays are numpy's; the scalars (times, step sizes, the error
+    norm and the step factor) are Python floats, with the same values
+    numpy's float64 scalars would hold, and the next sample time is found
+    by ``bisect`` on a list of ``t_eval``.
     """
     t, t_bound = map(float, t_span)
     y = np.asarray(y0, dtype=float)
     t_eval = np.asarray(t_eval)
+    times = t_eval.tolist()
     f = fun(t, y)
-    h_abs = _first_step(fun, t, y, f, t_bound, rtol, atol)
+    h_abs = float(_first_step(fun, t, y, f, t_bound, rtol, atol))
     # two calls so far, then six per attempted step
     nfev = 2
     k = np.empty((7, y.size))
     samples, i_eval = [], 0
     while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -391,16 +427,16 @@ def solve_ivp(fun: Callable[[float, np.ndarray], np.ndarray], t_span: tuple[floa
                                 f"at t = {t:.6g} ns")
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             k[0] = f
-            for s in range(1, 6):
-                k[s] = fun(t + DP_C[s] * h, y + np.dot(k[:s].T, DP_A[s, :s]) * h)
+            for s, (c, a) in enumerate(DP_STAGES, 1):
+                k[s] = fun(t + c * h, y + np.dot(k[:s].T, a) * h)
             y_new = y + h * np.dot(k[:-1].T, DP_B)
             # at t + h, which may differ from t_new in the last bit
             f_new = k[-1] = fun(t + h, y_new)
             nfev += 6
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error = _rms(np.dot(k.T, DP_E) * h / scale)
+            error = float(_rms(np.dot(k.T, DP_E) * h / scale))
             if error < 1:
                 factor = MAX_FACTOR if error == 0 else min(MAX_FACTOR, SAFETY * error**ERROR_EXPONENT)
                 h_abs *= min(1, factor) if rejected else factor
@@ -408,7 +444,7 @@ def solve_ivp(fun: Callable[[float, np.ndarray], np.ndarray], t_span: tuple[floa
             # max(MIN_FACTOR, x) with x first, so a NaN error makes a NaN step
             h_abs *= max(SAFETY * error**ERROR_EXPONENT, MIN_FACTOR)
             rejected = True
-        i_new = np.searchsorted(t_eval, t_new, side="right")
+        i_new = bisect.bisect_right(times, t_new)
         if i_new > i_eval:
             # y(t + x h) = y + h Q (x, x^2, x^3, x^4)
             x = (t_eval[i_eval:i_new] - t) / h

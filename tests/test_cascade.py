@@ -27,6 +27,7 @@ from sawlink.qcore import NUMBER, SIGMA_MINUS, QuantumState, check_states, embed
 from sawlink.ioshape import simulate_io
 
 from hermitian_oracle import hermitian_basis
+from rhs_oracle import scipy_product
 
 TAU = 508.12
 KC = 0.1
@@ -103,6 +104,24 @@ def dense_generator(cfg: CascadeConfig, t: float, doubled: bool) -> np.ndarray:
     return out
 
 
+@st.composite
+def cascades(draw):
+    """A cascade of either qubit to either, over the ranges of its schedule,
+    channel and noise, the receiver's noise the device's."""
+    emitter, receiver = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+    kappa_c, window = draw(st.floats(0.05, 0.3)), draw(st.floats(60.0, 200.0))
+    eta, alpha = draw(st.floats(0.0, 1.0)), draw(st.just(1.0) | st.floats(0.1, 1.0))
+    noise = draw(st.tuples(st.just(0.0) | st.floats(1 / 50e3, 1 / 5e3), st.floats(0.0, 2e-3)))
+    return CascadeConfig(
+        transfer_schedule(kappa_c, window, TAU, emitter, receiver, alpha=alpha),
+        ChannelParams(eta=eta, tau=TAU),
+        noise=(QubitNoise(*noise), QubitNoise(1 / 21.7e3, 0.45e-3)),
+    )
+
+
+CASCADES = cascades()
+
+
 def dense_matrix(liou, t: float) -> np.ndarray:
     """L(t) as a dense d^2 x d^2 matrix on the row-major vec(rho): applied to
     the flattened identity in the real coordinates, then mapped back by T^H L T."""
@@ -156,28 +175,29 @@ class TestGenerators:
         assert np.allclose(got, want, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        pair=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
-        kappa_c=st.floats(0.05, 0.3),
-        window=st.floats(60.0, 200.0),
-        eta=st.floats(0.0, 1.0),
-        alpha=st.just(1.0) | st.floats(0.1, 1.0),
-        noise=st.tuples(st.just(0.0) | st.floats(1 / 50e3, 1 / 5e3), st.floats(0.0, 2e-3)),
-        frac=st.floats(0.0, 1.0),
-    )
-    def test_stacked_generator_matches_dense_sum(self, pair, kappa_c, window, eta, alpha,
-                                                 noise, frac):
-        emitter, receiver = pair
-        cfg = CascadeConfig(
-            transfer_schedule(kappa_c, window, TAU, emitter, receiver, alpha=alpha),
-            ChannelParams(eta=eta, tau=TAU),
-            noise=(QubitNoise(*noise), QubitNoise(1 / 21.7e3, 0.45e-3)),
-        )
+    @given(cfg=CASCADES, frac=st.floats(0.0, 1.0))
+    def test_stacked_generator_matches_dense_sum(self, cfg, frac):
         for stage, t, doubled in ((stage1_liouvillian, frac * TAU, False),
                                   (stage2_liouvillian, TAU * (1.0 + frac), True)):
             want = dense_generator(cfg, t, doubled)
             got = dense_matrix(stage(cfg), t)
             assert np.max(np.abs(got - want)) < 1e-13
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=CASCADES, frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_product_is_scipys_bit_for_bit(self, cfg, frac, seed):
+        # the compiled kernel against ``csr_array @`` on the matrix the call
+        # filled, for k stacked columns, real and complex
+        rng = np.random.default_rng(seed)
+        for stage, t in ((stage1_liouvillian, frac * TAU), (stage2_liouvillian, TAU * (1.0 + frac))):
+            generator = stage(cfg)
+            n = generator.matrix.shape[1]
+            for k in (1, 4, 16):
+                real = rng.normal(size=n * k)
+                for y in (real, real + 1j * rng.normal(size=n * k)):
+                    got = generator(t, y)
+                    assert got.dtype == y.dtype
+                    assert np.array_equal(got, scipy_product(generator.matrix, y))
 
 
 # the swap pairs, double_swap and bell at their defaults, with the device noise

@@ -45,6 +45,7 @@ from sawlink.qcore import (
 
 from hermitian_oracle import hermitian_basis
 from ladder_oracle import ladder_generator, ladder_hamiltonian, lowering_operators
+from rhs_oracle import RefillingGenerator
 
 QUBIT = HilbertSpace([2], ["q"])
 EXCITED = QuantumState.basis_state(QUBIT, [1]).rho[None]
@@ -474,6 +475,68 @@ class TestUnionFormat:
         got = generator(t2, y.reshape(-1))
         assert np.max(np.abs(got.reshape(16, k) - want)) <= 1e-14
         assert np.array_equal(got, Generator(PAIR, blocks, coeffs)(t2, y.reshape(-1)))
+
+
+# ---- the right-hand side: the compiled product, L reused at a repeated time -----
+
+
+class TestRightHandSide:
+    @pytest.mark.parametrize("size", [8, 20])
+    def test_size_not_a_multiple_of_d2_rejected(self, size):
+        # the compiled kernel checks no bounds: it would read 8 coordinates
+        # past their end, and take 20 as one column of 16
+        generator = pair_generator(np.random.default_rng(5), True)
+        with pytest.raises(ValidationError, match=f"^{size} coordinates .* of length 16$"):
+            generator(1.0, np.ones(size))
+
+    @pytest.mark.parametrize("breaks", [(), (20.0,), (13.7, 40.0)])
+    def test_coefficients_read_once_per_distinct_time(self, monkeypatch, breaks):
+        rng = np.random.default_rng(17)
+        blocks, rates = pair_blocks(rng)
+        reads, rhs_times, nfev = [], [], []
+
+        def coeffs(t):
+            reads.append(t)
+            return rates * (1.0 + np.sin(0.2 * t))
+
+        class Logged(Generator):
+            def __call__(self, t, y):
+                rhs_times.append(t)
+                return super().__call__(t, y)
+
+        solve = dynamics.solve_ivp
+
+        def spy(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(dynamics, "solve_ivp", spy)
+        preps = random_states(rng, 3, 4)
+        grid = np.linspace(0.0, 60.0, 7)
+        rhos = evolve_generator(Logged(PAIR, blocks, coeffs), preps, grid, 1e-8, breaks)
+        # the last stage of a step and the first-same-as-last call share a time
+        distinct = [t for i, t in enumerate(rhs_times) if i == 0 or t != rhs_times[i - 1]]
+        assert len(rhs_times) == sum(nfev)
+        assert reads == distinct and len(reads) < sum(nfev)
+        refilled = evolve_generator(RefillingGenerator(PAIR, blocks, coeffs), preps, grid, 1e-8,
+                                    breaks)
+        assert np.array_equal(rhos, refilled)
+
+    @pytest.mark.parametrize("bad, error", [(0.1j, ValidationError), (np.nan, IntegrationError),
+                                            (np.inf, IntegrationError)])
+    def test_failed_refill_leaves_no_stale_matrix(self, bad, error):
+        # a coefficient that fails at t = 1 raises at every call there, and a
+        # call at t = 0 after it refills rather than reading the failed fill
+        generator = Generator(QUBIT, [dissipator(SIGMA_MINUS)],
+                              lambda t: np.array([bad if t == 1.0 else 0.1]))
+        y = np.ones(4)
+        before = generator(0.0, y)
+        for _ in range(2):
+            with pytest.raises(error, match="generator coefficient at t = 1 ns"):
+                generator(1.0, y)
+        assert np.array_equal(generator(0.0, y), before)
+
 
 # ---- exact propagation of the ladder's one-excitation decay --------------------
 
