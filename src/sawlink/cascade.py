@@ -9,12 +9,12 @@ generator on [tau, 2*tau].  The construction is valid for at most two
 channel interactions per packet, hence the hard 2*tau window limit.
 
 Each stage generator is L(t) = sum_k c_k(t) B_k with blocks B_k that
-depend on the space alone, built once per process.  Every copy of a
-qubit (q1, q2, and on the doubled space the lagged q1e, q2e) owns two
-blocks: D[sigma-] with coefficient kappa_q + 1/T1_q, and D[n] with the
-pure-dephasing rate.  The doubled space adds one block per
-emitter/receiver pair (q_ie, q_j) with sqrt(eta kappa_i(t - tau)
-kappa_j(t)).  The schedule, the channel and the qubit noise thus reach
+depend on the space alone, built and assembled on their union pattern
+once per process.  Every copy of a qubit (q1, q2, and on the doubled
+space the lagged q1e, q2e) owns two blocks: D[sigma-] with coefficient
+kappa_q + 1/T1_q, and D[n] with the pure-dephasing rate.  The doubled
+space adds one block per emitter/receiver pair (q_ie, q_j) with
+sqrt(eta kappa_i(t - tau) kappa_j(t)).  The schedule, the channel and the qubit noise thus reach
 the generator only through c(t), which one function per stage reads
 from both qubits' coupling tables (``ControlSchedule.tables``): one
 bisection per qubit and time, and the lagged copies at t - tau.  The
@@ -41,6 +41,7 @@ from . import tomo
 from .device import QubitNoise
 from .dynamics import (
     DEFAULT_TOL,
+    BlockSet,
     Generator,
     commutator_superop,
     cross_dissipator,
@@ -102,8 +103,10 @@ class Trajectory:
 
 
 @cache
-def stage_blocks(doubled: bool) -> tuple:
-    """The blocks of one stage in coefficient order; they depend on the space alone."""
+def stage_blocks(doubled: bool) -> BlockSet:
+    """The blocks of one stage in coefficient order, assembled on their
+    union pattern; they depend on the space alone, so each stage's block
+    set is built once per process and its generators share it."""
     space = doubled_space() if doubled else two_qubit_space()
     blocks = []
     for lbl in ("q1e", "q2e", *TWO_QUBIT_LABELS) if doubled else TWO_QUBIT_LABELS:
@@ -116,7 +119,7 @@ def stage_blocks(doubled: bool) -> tuple:
         # 1/2 i (sE^+ sR - sE sR^+), which share one coefficient
         exchange = 0.5j * (s_e.conj().T @ s_r - s_e @ s_r.conj().T)
         blocks.append(cross_dissipator(s_e, s_r) + commutator_superop(exchange))
-    return tuple(blocks)
+    return BlockSet(space.dim**2, blocks)
 
 
 def age_idle(rho: np.ndarray, noise: QubitNoise, t: float) -> np.ndarray:

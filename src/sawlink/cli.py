@@ -135,6 +135,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def _worker_count(text: str) -> int:
+    """A ``--jobs`` value: an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be at least 1, not {jobs}")
+    return jobs
+
+
 def _add_common(parser, out_required: bool):
     parser.add_argument("--config", required=True, help="config file path")
     parser.add_argument("--out", required=out_required, help="output directory")
@@ -154,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("param", help="dotted config path, e.g. params.window_ns")
     p_sweep.add_argument("values", nargs="+", help="one or more values to sweep")
     _add_common(p_sweep, out_required=True)
-    p_sweep.add_argument("--jobs", type=int, default=1,
+    p_sweep.add_argument("--jobs", type=_worker_count, default=1,
                          help="parallel workers for independent sweep points")
 
     p_val = sub.add_parser("validate", help="check a config without running")

@@ -8,19 +8,23 @@ diagonal entries and form (rho_ij + rho_ji) / sqrt 2 and
 Hermiticity-preserving superoperator B is the real matrix T B T^H
 (Gorini, Kossakowski and Sudarshan, J. Math. Phys. 17, 821 (1976)).
 The commutator and dissipator blocks are built as such real
-scipy.sparse matrices, and the ``Generator`` holds their sum weighted by a
-real coefficient vector c(t) as one sparse matrix on the blocks' union
-pattern.  ``evolve_generator`` integrates it with ``solve_ivp``, an
+scipy.sparse matrices and assembled once on their union pattern as a
+``BlockSet``, and the ``Generator`` weights them by a real coefficient
+vector c(t).  ``evolve_generator`` integrates it with ``solve_ivp``, an
 adaptive Dormand-Prince 5(4) stepper in numpy whose scalar bookkeeping
 is done in Python floats, the coefficients evaluated analytically at
 the stepper's stage times, piece by piece between breakpoints and on
-each piece's side of its ends.  The matrix is refilled once per
-distinct stage time, since a step's last stage and its
-first-same-as-last call share one, and applied by scipy's compiled CSR
-kernel ``csr_matvecs`` without the Python dispatch of ``csr_array @``;
-scipy serves this module only through ``scipy.sparse``.  A (k, d, d)
-stack of initial states is checked once and evolves as the k columns of
-one real d^2 x k matrix, and the sampled coordinates come back as an
+each piece's side of its ends.  The stepper hands each attempted step's
+five distinct stage times to the right-hand side before its stages run,
+and L is filled for all of them at once: c is read at each time, and
+one product of the (5 x n_terms) coefficient block with the block set's
+(n_terms x nnz) entries forms the five data rows.  The step's six
+calls, its five stages and its first-same-as-last call, then only apply
+their row by scipy's compiled CSR kernel ``csr_matvecs``, without the
+Python dispatch of ``csr_array @``; scipy serves this module only
+through ``scipy.sparse``.  A (k, d, d) stack of initial states is
+checked once and evolves as the k columns of one real d^2 x k matrix,
+and the sampled coordinates come back as an
 exactly Hermitian (n_times, k, d, d) stack, so the repair pass measures
 no Hermiticity error.  It checks and repairs in one pass: a Cholesky
 factor of rho + EIG_ATOL / d I screens positivity, and only where it
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -113,89 +116,128 @@ def from_coords(coords: np.ndarray) -> np.ndarray:
     return rhos
 
 
-@dataclass(frozen=True)
+class BlockSet:
+    """Real superoperator blocks B_k on the real coordinates of Hermitian
+    states, assembled once on their union pattern.
+
+    The union is one ``size`` x ``size`` CSR pattern, ``indptr`` and
+    ``indices``, and row k of the contiguous (n_terms x nnz) ``terms``
+    holds block k's entries on it, so sum_k c_k B_k is the pattern with the
+    data c @ ``terms``.  Every array is read-only, so generators share one
+    block set.  A block of another shape, or a complex one, raises
+    ``ValidationError``.
+    """
+
+    __slots__ = ("size", "indptr", "indices", "terms")
+
+    def __init__(self, size: int, blocks: Sequence[sparse.sparray]):
+        if any(block.shape != (size, size) for block in blocks):
+            raise ValidationError(f"superoperator blocks must be {size} x {size}")
+        if any(block.dtype.kind == "c" for block in blocks):
+            raise ValidationError("superoperator blocks must be real, in Hermitian coordinates")
+        # one pass over the stacked blocks' COO triplets (a 0-row first block
+        # lets ``blocks`` be empty): each is keyed by its position in its block
+        stacked = sparse.vstack([sparse.csr_array((0, size)), *blocks], format="csr")
+        stacked.eliminate_zeros()
+        term, rows = np.divmod(stacked.tocoo().row, size)
+        keys, at = np.unique(np.ravel_multi_index((rows, stacked.indices), (size, size)),
+                             return_inverse=True)
+        terms = np.zeros((len(blocks), keys.size))
+        np.add.at(terms, (term, at), stacked.data)
+        indptr = np.searchsorted(keys // size, np.arange(size + 1))
+        # scipy picks the index dtype that its CSR kernels take
+        pattern = sparse.csr_array((np.zeros(keys.size), keys % size, indptr), shape=(size, size))
+        for a in (pattern.indptr, pattern.indices, terms):
+            a.setflags(write=False)
+        self.size, self.indptr, self.indices, self.terms = (size, pattern.indptr,
+                                                            pattern.indices, terms)
+
+
 class Generator:
     """Linear map L(t) = sum_k c_k(t) B_k on the real coordinates of
     Hermitian states, with real blocks and real coefficients.
 
-    ``matrix`` is a real d^2 x d^2 CSR matrix on the union of the blocks'
-    patterns, and column k of the real ``values`` (nnz x n_terms) holds
-    block k's entries on it, so L(c) is ``matrix`` with its data set to
-    ``values @ c(t)``.  ``coeffs`` is the function c(t); a complex block,
-    or coefficients that are not a function of t, raise ``ValidationError``.
-    ``matrix`` holds L at the last time a call refilled it.
+    ``blocks`` is the ``BlockSet`` of the B_k, passed assembled or as a
+    sequence of sparse blocks to assemble, and ``coeffs`` the function
+    c(t); a complex block, blocks that do not fit ``space``, or
+    coefficients that are not a function of t raise ``ValidationError``.
+
+    The generator holds L at the times of its last ``fill``, each as a row
+    of its own data buffer, which no other generator shares: the stepper
+    fills a step's stage times at once, one coefficient block and one
+    product for all of them, and every call at one of those times only
+    applies its row.  A call at any other time fills that time alone.
     """
 
-    space: HilbertSpace
-    matrix: sparse.csr_array
-    values: np.ndarray
-    coeffs: Callable[[float], np.ndarray]
+    __slots__ = ("space", "blocks", "coeffs", "_data", "_rows", "_filled")
 
     def __init__(
         self,
         space: HilbertSpace,
-        blocks: Sequence[sparse.sparray],
+        blocks: BlockSet | Sequence[sparse.sparray],
         coeffs: Callable[[float], np.ndarray],
     ):
         d2 = space.dim**2
-        if any(block.shape != (d2, d2) for block in blocks):
+        if not isinstance(blocks, BlockSet):
+            blocks = BlockSet(d2, blocks)
+        elif blocks.size != d2:
             raise ValidationError(f"superoperator blocks must be {d2} x {d2}")
-        if any(block.dtype.kind == "c" for block in blocks):
-            raise ValidationError("superoperator blocks must be real, in Hermitian coordinates")
         if not callable(coeffs):
             raise ValidationError("generator coefficients must be a function c(t)")
-        # one pass over the stacked blocks' COO triplets (a 0-row first block
-        # lets ``blocks`` be empty): each is keyed by its position in its block
-        stacked = sparse.vstack([sparse.csr_array((0, d2)), *blocks], format="csr")
-        stacked.eliminate_zeros()
-        terms, rows = np.divmod(stacked.tocoo().row, d2)
-        keys, at = np.unique(np.ravel_multi_index((rows, stacked.indices), (d2, d2)),
-                             return_inverse=True)
-        values = np.zeros((keys.size, len(blocks)))
-        np.add.at(values, (at, terms), stacked.data)
-        indptr = np.searchsorted(keys // d2, np.arange(d2 + 1))
-        matrix = sparse.csr_array((np.zeros(keys.size), keys % d2, indptr), shape=(d2, d2))
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_filled_at", None)
+        self.space, self.blocks, self.coeffs = space, blocks, coeffs
+        # the data buffer, its rows as views, and time -> the row holding L there
+        self._data = np.empty((0, blocks.terms.shape[1]))
+        self._rows = ()
+        self._filled = {}
+
+    def fill(self, times: Sequence[float]) -> None:
+        """Hold L at each distinct time of ``times``: c is read once per
+        time, in order, the reads are stacked into one (m x n_terms)
+        block, and its product with ``blocks.terms`` gives the m data rows.
+
+        A complex coefficient raises ``ValidationError``, and a non-finite
+        one ``IntegrationError`` rather than failing the stepper's error
+        estimate; either names the first time it was read at.  The held
+        times are dropped before the reads, so a fill that raises leaves no
+        stale L behind and a call at one of its times raises again."""
+        self._filled = {}
+        times = dict.fromkeys(times)
+        reads = [self.coeffs(t) for t in times]
+        block = np.array(reads)
+        if block.dtype.kind == "c":
+            t = next(t for t, c in zip(times, reads) if np.asarray(c).dtype.kind == "c")
+            raise ValidationError(f"complex generator coefficient at t = {t:.6g} ns")
+        if not np.isfinite(block).all():
+            t = list(times)[np.argmin(np.isfinite(block).all(axis=1))]
+            raise IntegrationError(f"non-finite generator coefficient at t = {t:.6g} ns")
+        if len(times) > len(self._rows):
+            self._data = np.empty((len(times), self._data.shape[1]))
+            self._rows = tuple(self._data)
+        np.matmul(block, self.blocks.terms, out=self._data[: len(times)])
+        self._filled = dict(zip(times, self._rows))
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         """The right-hand side L(t) y.  ``y`` holds the real coordinates
         of k states as the columns of a d^2 x k matrix, flattened row-major
         as the ODE solver passes it, and the result is flattened alike.
 
-        ``matrix`` is refilled from c(t) only when t differs from the last
-        time whose refill succeeded: the stepper's last stage and the next
-        step's first-same-as-last call share a time.  The product is
-        scipy's compiled CSR kernel ``csr_matvecs``, the one
-        ``csr_array @`` ends in, called without scipy's dispatch; it checks
-        no bounds, so a ``y`` whose size is not a multiple of d^2 raises
-        ``ValidationError`` first.  Each call returns a new array.
-
-        A complex coefficient raises, and so does a non-finite one, named
-        with its time rather than left to fail the stepper's error estimate;
-        a failed refill leaves no time behind, so a second call at t raises
-        again."""
-        matrix = self.matrix
-        n = matrix.shape[1]
+        L(t) is read from the last fill when it holds t, and filled at t
+        alone otherwise.  The product is scipy's compiled CSR kernel
+        ``csr_matvecs``, the one ``csr_array @`` ends in, called without
+        scipy's dispatch; it checks no bounds, so a ``y`` whose size is not
+        a multiple of d^2 raises ``ValidationError`` first.  Each call
+        returns a new array."""
+        blocks = self.blocks
+        n = blocks.size
         if y.size % n:
             raise ValidationError(f"{y.size} coordinates do not form columns of length {n}")
-        if t != self._filled_at:
-            object.__setattr__(self, "_filled_at", None)
-            c = self.coeffs(t)
-            if c.dtype.kind == "c":
-                raise ValidationError(f"complex generator coefficient at t = {t:.6g} ns")
-            # refilled in place: ``matrix`` holds L at ``_filled_at``
-            data = np.matmul(self.values, c, out=matrix.data)
-            # a non-finite c_k makes every entry of ``data`` non-finite, so data[0] screens
-            if data.size and not math.isfinite(data[0]) and not np.isfinite(c).all():
-                raise IntegrationError(f"non-finite generator coefficient at t = {t:.6g} ns")
-            object.__setattr__(self, "_filled_at", t)
+        data = self._filled.get(t)
+        if data is None:
+            self.fill((t,))
+            data = self._filled[t]
         # a fresh output: the stepper keeps the returned array as its next f
-        out = np.zeros(y.size, dtype=np.result_type(matrix.data, y))
-        csr_matvecs(n, n, y.size // n, matrix.indptr, matrix.indices, matrix.data, y.ravel(), out)
+        out = np.zeros(y.size, dtype=np.result_type(data, y))
+        csr_matvecs(n, n, y.size // n, blocks.indptr, blocks.indices, data, y.ravel(), out)
         return out
 
 
@@ -347,8 +389,9 @@ DP_P = np.array([
 ])
 for _a in (DP_C, DP_A, DP_B, DP_E, DP_P):
     _a.setflags(write=False)
-# stages 1 to 5 as (c_s, row s of DP_A up to the diagonal), c_s a float
-DP_STAGES = tuple(zip(DP_C[1:].tolist(), (DP_A[s, :s] for s in range(1, 6))))
+# stages 1 to 5: their times c_s as floats, and row s of DP_A up to the diagonal
+DP_STAGE_C = DP_C[1:].tolist()
+DP_STAGE_A = tuple(DP_A[s, :s] for s in range(1, 6))
 # step control: a step grows at most MAX_FACTOR-fold and shrinks at most
 # to MIN_FACTOR, by SAFETY (err)^(-1/5), the error being of fourth order
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
@@ -366,8 +409,9 @@ class Solution(NamedTuple):
 
 
 def _rms(x: np.ndarray) -> float:
-    """The RMS norm ||x|| / sqrt(n), ||x|| read by ``np.linalg.norm`` (a BLAS dot)."""
-    return np.linalg.norm(x) / x.size**0.5
+    """The RMS norm ||x|| / sqrt(n) of a real 1-D array, ||x|| the square
+    root of the BLAS dot x.x, the bits ``np.linalg.norm`` gives."""
+    return math.sqrt(x.dot(x)) / x.size**0.5
 
 
 def _first_step(fun, t0, y0, f0, t_bound, rtol, atol):
@@ -404,18 +448,30 @@ def solve_ivp(fun: Callable[[float, np.ndarray], np.ndarray], t_span: tuple[floa
     The arrays are numpy's; the scalars (times, step sizes, the error
     norm and the step factor) are Python floats, with the same values
     numpy's float64 scalars would hold, and the next sample time is found
-    by ``bisect`` on a list of ``t_eval``.
+    by ``bisect`` on a list of ``t_eval``.  The error norm of the real y
+    is sqrt(e.e), the bits ``np.linalg.norm`` gives, the scale is built
+    in place, and an accepted step's |y_new| is the next step's |y|.
+    ``nfev`` counts the calls of ``fun``: two to start, six per
+    attempted step.
+
+    A ``fun`` with a ``begin_step`` method is given each attempted step's
+    five distinct stage times t + c_s h, as a list, before its stages are
+    evaluated, and is then called at exactly those times: stages 1 to 5
+    and the first-same-as-last call, which shares the last stage's time.
+    The two starting calls come outside any step.
     """
     t, t_bound = map(float, t_span)
     y = np.asarray(y0, dtype=float)
     t_eval = np.asarray(t_eval)
     times = t_eval.tolist()
+    begin_step = getattr(fun, "begin_step", None)
     f = fun(t, y)
     h_abs = float(_first_step(fun, t, y, f, t_bound, rtol, atol))
     # two calls so far, then six per attempted step
     nfev = 2
     k = np.empty((7, y.size))
     samples, i_eval = [], 0
+    abs_y = np.abs(y)
     while t < t_bound:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -428,15 +484,26 @@ def solve_ivp(fun: Callable[[float, np.ndarray], np.ndarray], t_span: tuple[floa
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
+            stage_times = [t + c * h for c in DP_STAGE_C]
+            if begin_step is not None:
+                begin_step(stage_times)
             k[0] = f
-            for s, (c, a) in enumerate(DP_STAGES, 1):
-                k[s] = fun(t + c * h, y + np.dot(k[:s].T, a) * h)
+            for s, (ts, a) in enumerate(zip(stage_times, DP_STAGE_A), 1):
+                k[s] = fun(ts, y + np.dot(k[:s].T, a) * h)
             y_new = y + h * np.dot(k[:-1].T, DP_B)
-            # at t + h, which may differ from t_new in the last bit
+            # at t + h, the last stage's time, which may differ from t_new
+            # in the last bit
             f_new = k[-1] = fun(t + h, y_new)
             nfev += 6
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error = float(_rms(np.dot(k.T, DP_E) * h / scale))
+            abs_y_new = np.abs(y_new)
+            # atol + max(|y|, |y_new|) rtol and the scaled error, in place
+            scale = np.maximum(abs_y, abs_y_new)
+            scale *= rtol
+            scale += atol
+            err = np.dot(k.T, DP_E)
+            err *= h
+            err /= scale
+            error = _rms(err)
             if error < 1:
                 factor = MAX_FACTOR if error == 0 else min(MAX_FACTOR, SAFETY * error**ERROR_EXPONENT)
                 h_abs *= min(1, factor) if rejected else factor
@@ -453,8 +520,25 @@ def solve_ivp(fun: Callable[[float, np.ndarray], np.ndarray], t_span: tuple[floa
             sample += y[:, None]
             samples.append(sample)
             i_eval = i_new
-        t, y, f = t_new, y_new, f_new
+        t, y, f, abs_y = t_new, y_new, f_new, abs_y_new
     return Solution(np.hstack(samples), nfev, True, "reached the end of the interval")
+
+
+class _Piece:
+    """The right-hand side of one piece [a, b]: L(min(t, last)) y, ``last``
+    being b^-, with each step's stage times filled at once."""
+
+    __slots__ = ("generator", "last")
+
+    def __init__(self, generator: Generator, last: float):
+        self.generator, self.last = generator, last
+
+    def begin_step(self, times: list[float]) -> None:
+        last = self.last
+        self.generator.fill([min(t, last) for t in times])
+
+    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
+        return self.generator(min(t, self.last), y)
 
 
 def _integrate(generator: Generator, y: np.ndarray, grid: np.ndarray, tol: float,
@@ -481,8 +565,7 @@ def _integrate(generator: Generator, y: np.ndarray, grid: np.ndarray, tol: float
     for a, b, lo, hi in zip(cuts, cuts[1:], ends, ends[1:]):
         # always sample the segment endpoint so the next segment restarts there
         t_eval = grid[lo:hi] if hi > lo and grid[hi - 1] == b else np.append(grid[lo:hi], b)
-        last = math.nextafter(b, -math.inf)
-        sol = solve_ivp(lambda t, r, last=last: generator(min(t, last), r), (a, b), y, t_eval,
+        sol = solve_ivp(_Piece(generator, math.nextafter(b, -math.inf)), (a, b), y, t_eval,
                         rtol=tol, atol=tol * 1e-2)
         if not sol.success:
             raise IntegrationError(f"integration failed on [{a:.6g}, {b:.6g}] ns: {sol.message}")

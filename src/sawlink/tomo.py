@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import product
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -64,10 +66,15 @@ def _n_qubits(dim: int) -> int:
     return dim // 2
 
 
-def pauli_basis(n_qubits: int) -> dict[str, np.ndarray]:
-    """Unnormalized n-qubit Pauli operators keyed by label string."""
-    return {"".join(lbl): reduce(np.kron, [PAULIS_1Q[c] for c in lbl])
-            for lbl in product("IXYZ", repeat=n_qubits)}
+@cache
+def pauli_basis(n_qubits: int) -> Mapping[str, np.ndarray]:
+    """Unnormalized n-qubit Pauli operators keyed by label string, built
+    once per qubit count: a read-only mapping of read-only arrays."""
+    basis = {"".join(lbl): np.array(reduce(np.kron, [PAULIS_1Q[c] for c in lbl]))
+             for lbl in product("IXYZ", repeat=n_qubits)}
+    for op in basis.values():
+        op.setflags(write=False)
+    return MappingProxyType(basis)
 
 
 @dataclass(frozen=True)
@@ -247,13 +254,17 @@ def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(abs(np.real(np.trace(diff @ diff)))))
 
 
+# the spin flip of two qubits
+_YY = np.kron(SIGMA_Y, SIGMA_Y)
+_YY.setflags(write=False)
+
+
 def concurrence(rho) -> float:
     """Two-qubit entanglement monotone via the spin-flip construction."""
     mat = np.asarray(rho, dtype=complex)
     if mat.shape != (4, 4):
         raise ValidationError("concurrence is defined for two qubits")
-    yy = np.kron(SIGMA_Y, SIGMA_Y)
-    tilde = yy @ mat.conj() @ yy
+    tilde = _YY @ mat.conj() @ _YY
     vals = np.linalg.eigvals(mat @ tilde)
     lam = np.sort(np.sqrt(np.clip(vals.real, 0.0, None)))[::-1]
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sawlink import dynamics, tomo
+from sawlink import cascade, dynamics, tomo
 from sawlink.cascade import (
     CascadeConfig,
     doubled_space,
@@ -20,14 +20,14 @@ from sawlink.cascade import (
 )
 from sawlink.config import config_from_dict
 from sawlink.device import QubitNoise, QubitParams
-from sawlink.dynamics import Generator, dissipator
+from sawlink.dynamics import dissipator
 from sawlink.errors import RoleAmbiguityError, ValidationError
 from sawlink.ioshape import ChannelParams, ControlSchedule, Segment, transfer_schedule
 from sawlink.qcore import NUMBER, SIGMA_MINUS, QuantumState, check_states, embed, partial_trace
 from sawlink.ioshape import simulate_io
 
 from hermitian_oracle import hermitian_basis
-from rhs_oracle import scipy_product
+from rhs_oracle import matrix_at, scipy_product
 
 TAU = 508.12
 KC = 0.1
@@ -187,17 +187,18 @@ class TestGenerators:
     @given(cfg=CASCADES, frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
     def test_product_is_scipys_bit_for_bit(self, cfg, frac, seed):
         # the compiled kernel against ``csr_array @`` on the matrix the call
-        # filled, for k stacked columns, real and complex
+        # applies, for k stacked columns, real and complex
         rng = np.random.default_rng(seed)
         for stage, t in ((stage1_liouvillian, frac * TAU), (stage2_liouvillian, TAU * (1.0 + frac))):
             generator = stage(cfg)
-            n = generator.matrix.shape[1]
+            matrix = matrix_at(generator, t)
+            n = matrix.shape[1]
             for k in (1, 4, 16):
                 real = rng.normal(size=n * k)
                 for y in (real, real + 1j * rng.normal(size=n * k)):
                     got = generator(t, y)
                     assert got.dtype == y.dtype
-                    assert np.array_equal(got, scipy_product(generator.matrix, y))
+                    assert np.array_equal(got, scipy_product(matrix, y))
 
 
 # the swap pairs, double_swap and bell at their defaults, with the device noise
@@ -251,38 +252,42 @@ class TestCoefficients:
     @pytest.mark.parametrize("experiment, params", DEFAULT_RUNS)
     def test_piece_ends_read_the_left_limit(self, monkeypatch, experiment, params):
         # run_cascade integrates each stage in pieces (a, b) between the
-        # breakpoints, and the generator of a piece is read at times in
-        # [a, b) only: the stages that land on b read it at b^-, the float
+        # breakpoints, and the coefficients of a piece are read at times in
+        # [a, b) only: the stages that land on b read them at b^-, the float
         # below b.  There the coefficients, lagged copies included, are the
         # left limit of the segment formulas at b, which differs from their
         # value at b where a coupling switches on or off
         cfg = default_cfg(experiment, params)
-        pieces, solve, call = [], dynamics.solve_ivp, Generator.__call__
+        pieces, solve, coefficients = [], dynamics.solve_ivp, cascade._coefficients
 
         def solve_spy(fun, t_span, *args, **kwargs):
             pieces.append((t_span, []))
             return solve(fun, t_span, *args, **kwargs)
 
-        def call_spy(generator, t, y):
-            pieces[-1][1].append((generator, t))
-            return call(generator, t, y)
+        def logged_coefficients(cfg, doubled):
+            coeffs = coefficients(cfg, doubled)
+
+            def read(t):
+                pieces[-1][1].append((coeffs, doubled, t))
+                return coeffs(t)
+
+            return read
 
         monkeypatch.setattr(dynamics, "solve_ivp", solve_spy)
-        monkeypatch.setattr(Generator, "__call__", call_spy)
+        monkeypatch.setattr(cascade, "_coefficients", logged_coefficients)
         ground = np.diag([1.0, 0.0])
         preps = np.stack([np.kron(p, ground) for p in tomo.prep_states(1)])
         run_cascade(cfg, preps, np.array([0.0, min(cfg.schedule.window[1], 2 * cfg.ch.tau)]))
         assert {t_span[0] for t_span, _ in pieces} >= {0.0, cfg.ch.tau}
         jumps = 0
-        for (a, b), calls in pieces:
+        for (a, b), reads in pieces:
             end = math.nextafter(b, -math.inf)
-            assert all(a <= t <= end for _, t in calls), (a, b)
-            generator = calls[0][0]
-            assert all(g is generator for g, _ in calls) and (generator, end) in calls
-            doubled = generator.space == doubled_space()
+            assert all(a <= t <= end for _, _, t in reads), (a, b)
+            coeffs, doubled, _ = reads[0]
+            assert all(c is coeffs for c, _, _ in reads) and (coeffs, doubled, end) in reads
             want = composed_coeffs(cfg, b, doubled, segment_rates(cfg, left=True))
-            assert np.allclose(generator.coeffs(end), want, rtol=1e-12, atol=1e-15), (a, b)
-            jumps += not np.allclose(generator.coeffs(b), want, rtol=1e-6, atol=0.0)
+            assert np.allclose(coeffs(end), want, rtol=1e-12, atol=1e-15), (a, b)
+            jumps += not np.allclose(coeffs(b), want, rtol=1e-6, atol=0.0)
         assert jumps > 0
 
     @pytest.mark.parametrize("experiment, params", DEFAULT_RUNS)

@@ -173,6 +173,20 @@ class TestSweep:
         assert sizes == [2]
         assert bundle_bytes(tmp_path / "ser") == bundle_bytes(tmp_path / "par")
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_worker_count_below_one_is_usage_error(self, config_path, tmp_path, capsys, jobs):
+        # a sweep asked for no workers, or a negative count, runs nothing
+        out = tmp_path / "s"
+        assert main(["sweep", "params.window_ns", "100", "--config", config_path,
+                     "--out", str(out), "--jobs", jobs]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {
+            "error": "ConfigError",
+            "message": f"sawlink sweep: argument --jobs: worker count must be at least 1, "
+                       f"not {jobs}"}
+
     def test_no_values_is_usage_error(self, config_path, tmp_path, capsys):
         out = tmp_path / "s"
         assert main(["sweep", "device.eta", "--config", config_path,
@@ -834,9 +848,10 @@ class TestSweepFuzz:
             serial.parent.mkdir()
             parallel.parent.mkdir()
             code = _sweep_exits_cleanly(raw, path, swept, extra, serial)
+            # a worker count below 1 is a usage error, whatever the sweep
             assert _sweep_exits_cleanly(raw, path, swept, [*extra, "--jobs", str(jobs)],
-                                        parallel) == code
-            if code == 0:
+                                        parallel) == (code if jobs >= 1 else 2)
+            if code == 0 and jobs >= 1:
                 assert bundle_bytes(serial) == bundle_bytes(parallel)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -477,7 +478,19 @@ class TestUnionFormat:
         assert np.array_equal(got, Generator(PAIR, blocks, coeffs)(t2, y.reshape(-1)))
 
 
-# ---- the right-hand side: the compiled product, L reused at a repeated time -----
+# ---- the right-hand side: the compiled product, L filled a step at a time -------
+
+
+class FillLog(Generator):
+    """A ``Generator`` that logs the times of each fill."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.fills = []
+
+    def fill(self, times):
+        self.fills.append(list(times))
+        return super().fill(times)
 
 
 class TestRightHandSide:
@@ -491,18 +504,16 @@ class TestRightHandSide:
 
     @pytest.mark.parametrize("breaks", [(), (20.0,), (13.7, 40.0)])
     def test_coefficients_read_once_per_distinct_time(self, monkeypatch, breaks):
+        # each piece reads c at its two starting calls' times, one fill each,
+        # then once at each of an attempted step's five distinct stage times,
+        # in one fill per step; the six RHS calls of a step read nothing more
         rng = np.random.default_rng(17)
         blocks, rates = pair_blocks(rng)
-        reads, rhs_times, nfev = [], [], []
+        reads, nfev = [], []
 
         def coeffs(t):
             reads.append(t)
             return rates * (1.0 + np.sin(0.2 * t))
-
-        class Logged(Generator):
-            def __call__(self, t, y):
-                rhs_times.append(t)
-                return super().__call__(t, y)
 
         solve = dynamics.solve_ivp
 
@@ -512,16 +523,65 @@ class TestRightHandSide:
             return sol
 
         monkeypatch.setattr(dynamics, "solve_ivp", spy)
-        preps = random_states(rng, 3, 4)
-        grid = np.linspace(0.0, 60.0, 7)
-        rhos = evolve_generator(Logged(PAIR, blocks, coeffs), preps, grid, 1e-8, breaks)
-        # the last stage of a step and the first-same-as-last call share a time
-        distinct = [t for i, t in enumerate(rhs_times) if i == 0 or t != rhs_times[i - 1]]
-        assert len(rhs_times) == sum(nfev)
-        assert reads == distinct and len(reads) < sum(nfev)
-        refilled = evolve_generator(RefillingGenerator(PAIR, blocks, coeffs), preps, grid, 1e-8,
-                                    breaks)
-        assert np.array_equal(rhos, refilled)
+        generator = FillLog(PAIR, blocks, coeffs)
+        evolve_generator(generator, random_states(rng, 3, 4), np.linspace(0.0, 60.0, 7), 1e-8,
+                         breaks)
+        assert len(nfev) == len(breaks) + 1
+        # a piece makes two starting calls and six per attempted step
+        sizes = [n for calls in nfev for n in [1, 1] + [5] * ((calls - 2) // 6)]
+        assert [len(times) for times in generator.fills] == sizes
+        assert all(len(set(times)) == len(times) for times in generator.fills)
+        assert reads == [t for times in generator.fills for t in times]
+        assert len(reads) < sum(nfev)
+
+    def test_block_rows_are_the_per_time_products(self):
+        # the rows of one five-time fill, read back exactly by applying them
+        # to the identity columns, against v @ c(t) per time, v = terms^T.  Both sum
+        # the same n products, in orders that may differ, and each lies
+        # within gamma_n sum_k |v_k c_k| of the exact sum, gamma_n =
+        # n u / (1 - n u) and u = eps / 2 (Higham, Accuracy and Stability of
+        # Numerical Algorithms, Sec. 3.1): they differ by at most
+        # n eps sum_k |v_k c_k|, a few ulps of that sum
+        rng = np.random.default_rng(41)
+        blocks = random_blocks(rng, 6, "overlapping") + pair_blocks(rng)[0]
+        n = len(blocks)
+        omega, phase = rng.uniform(0.1, 2.0, n), rng.uniform(0.0, 2 * np.pi, n)
+        scale = 10.0 ** rng.uniform(-3.0, 1.0, n)
+        reads = []
+
+        def coeffs(t):
+            reads.append(t)
+            return scale * np.cos(omega * t + phase)
+
+        generator = Generator(PAIR, blocks, coeffs)
+        times = np.sort(rng.uniform(0.0, 20.0, 5)).tolist()
+        generator.fill(times)
+        assert reads == times
+        pattern, v = generator.blocks, generator.blocks.terms.T
+        rows = np.repeat(np.arange(16), np.diff(pattern.indptr))
+        eye = np.eye(16).reshape(-1)
+        for t in times:
+            got = generator(t, eye).reshape(16, 16)[rows, pattern.indices]
+            c = scale * np.cos(omega * t + phase)
+            bound = n * np.finfo(float).eps * (np.abs(v) @ np.abs(c))
+            assert np.all(np.abs(got - v @ c) <= bound), t
+        # the calls applied the fill's rows, reading c no more
+        assert reads == times
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_evolution_matches_the_refilling_generator(self, k):
+        # the per-step fill against L(t) refilled from terms^T @ c(t) at every
+        # call and applied by csr_array @: the data differ in the last bits
+        rng = np.random.default_rng(29)
+        blocks, rates = pair_blocks(rng)
+
+        def coeffs(t):
+            return rates * (1.0 + np.sin(0.2 * t))
+
+        preps, grid = random_states(rng, k, 4), np.linspace(0.0, 60.0, 7)
+        got, want = (evolve_generator(cls(PAIR, blocks, coeffs), preps, grid, 1e-8, (13.7, 40.0))
+                     for cls in (Generator, RefillingGenerator))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("bad, error", [(0.1j, ValidationError), (np.nan, IntegrationError),
                                             (np.inf, IntegrationError)])
@@ -536,6 +596,22 @@ class TestRightHandSide:
             with pytest.raises(error, match="generator coefficient at t = 1 ns"):
                 generator(1.0, y)
         assert np.array_equal(generator(0.0, y), before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_at_an_interior_stage_named(self, bad):
+        # a coefficient that is non-finite at the third stage time of a step
+        # alone raises at the step's fill, naming that time, and the stages
+        # before it are never applied
+        grid = np.linspace(0.0, 10.0, 5)
+        finite = FillLog(QUBIT, [dissipator(SIGMA_MINUS)], lambda t: np.array([0.1]))
+        evolve_generator(finite, EXCITED, grid)
+        stage = [times for times in finite.fills if len(times) == 5][3][2]
+        generator = FillLog(QUBIT, [dissipator(SIGMA_MINUS)],
+                            lambda t: np.array([bad if t == stage else 0.1]))
+        message = f"non-finite generator coefficient at t = {stage:.6g} ns"
+        with pytest.raises(IntegrationError, match=f"^{re.escape(message)}$"):
+            evolve_generator(generator, EXCITED, grid)
+        assert generator.fills[-1][2] == stage
 
 
 # ---- exact propagation of the ladder's one-excitation decay --------------------

@@ -1,5 +1,8 @@
 """Tomography forward/inverse consistency and metric definitions."""
 
+from functools import reduce
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -210,6 +213,22 @@ class TestDesignCaches:
         for arr in cached:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_pauli_basis_built_once_and_read_only(self, n):
+        # one mapping per qubit count, equal to the Kronecker-fold definition;
+        # neither it nor its arrays take writes, and the one-qubit operators
+        # it is folded from stay the writable arrays they were
+        basis = tomo.pauli_basis(n)
+        assert tomo.pauli_basis(n) is basis
+        for lbl in product("IXYZ", repeat=n):
+            op = basis["".join(lbl)]
+            assert np.array_equal(op, reduce(np.kron, [tomo.PAULIS_1Q[c] for c in lbl]))
+            with pytest.raises(ValueError):
+                op[0, 0] = 0.0
+        with pytest.raises(TypeError):
+            basis["I" * n] = np.eye(2**n)
+        assert all(p.flags.writeable for p in tomo.PAULIS_1Q.values())
 
 
 class TestStacks:
