@@ -23,13 +23,13 @@ calls, its five stages and its first-same-as-last call, then only apply
 their row by scipy's compiled CSR kernel ``csr_matvecs``, without the
 Python dispatch of ``csr_array @``; scipy serves this module only
 through ``scipy.sparse``.  A (k, d, d) stack of initial states is
-checked once and evolves as the k columns of one real d^2 x k matrix,
-and the sampled coordinates come back as an
-exactly Hermitian (n_times, k, d, d) stack, so the repair pass measures
-no Hermiticity error.  It checks and repairs in one pass: a Cholesky
-factor of rho + EIG_ATOL / d I screens positivity, and only where it
-fails are eigenvalues read and the states whose lowest one is below
--EIG_ATOL / d rebuilt from an eigendecomposition.
+checked once and evolves as the k columns of one real d^2 x k matrix.
+The pieces' samples are joined and come back as an exactly Hermitian
+(n_times, k, d, d) stack, so the repair pass measures no Hermiticity
+error.  It checks and repairs the whole stack in one pass: one Cholesky
+factorisation of rho + EIG_ATOL / d I screens positivity, and only when
+it fails are the stack's eigenvalues read, and the states whose lowest
+one is below -EIG_ATOL / d rebuilt by one ``clip_negative`` call.
 """
 
 from __future__ import annotations
@@ -58,11 +58,6 @@ DEFAULT_TOL = 1e-8
 # A trajectory state may dip this far below positivity before we call it
 # unphysical rather than integration noise.
 POSITIVITY_CLIP = 1e-8
-# states per Cholesky screen and per rebuild, to keep the temporaries
-# small: an 800-state 13 x 13 stack screens as fast in blocks of 64 to 512
-# states and about half as fast in one piece
-SCREEN_BLOCK = 256
-CLIP_BLOCK = 64
 
 SQRT2 = math.sqrt(2.0)
 # a block's imaginary part, relative to its largest entry, above which it
@@ -325,27 +320,22 @@ def _check_and_repair(rhos: np.ndarray, tol: float, times: np.ndarray) -> None:
     retraced.  An error names the earliest time at which a state fails a
     check.
 
-    Positivity is screened, as in ``check_states``, by a Cholesky factor
-    of rho + EIG_ATOL / d I, a block of states at a time; eigenvalues are
-    read only for the blocks where it fails."""
+    Positivity is screened, as in ``check_states``, by one Cholesky
+    factor of rho + EIG_ATOL / d I over the whole stack; eigenvalues are
+    read, again over the whole stack, only where it fails."""
     finite = np.isfinite(rhos).all(axis=(-2, -1))
     if not finite.all():
         i = np.argwhere(~finite)[0, 0]
         raise DiagnosticsError(f"non-finite state at t = {times[i]:.6g} ns")
     d = rhos.shape[-1]
     drift = np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0)
-    # the lowest eigenvalue of each state in a block the screen fails, and 0
-    # for a state that passes it, whose lowest eigenvalue is above -EIG_ATOL / d
-    flat = rhos.reshape(-1, d, d)
-    low = np.zeros(len(flat))
-    shift = EIG_ATOL / d * np.eye(d)
-    for s in range(0, len(flat), SCREEN_BLOCK):
-        block = flat[s : s + SCREEN_BLOCK]
-        try:
-            np.linalg.cholesky(block + shift)
-        except np.linalg.LinAlgError:
-            low[s : s + SCREEN_BLOCK] = np.linalg.eigvalsh(block)[:, 0]
-    low = low.reshape(rhos.shape[:-2])
+    # each state's lowest eigenvalue when the screen fails, and 0 when every
+    # state passes it, each lowest eigenvalue then being above -EIG_ATOL / d
+    try:
+        np.linalg.cholesky(rhos + EIG_ATOL / d * np.eye(d))
+        low = np.zeros(rhos.shape[:-2])
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(rhos)[..., 0]
     bad = ~(drift <= 100 * tol) | ~(-low <= POSITIVITY_CLIP)
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -353,11 +343,8 @@ def _check_and_repair(rhos: np.ndarray, tol: float, times: np.ndarray) -> None:
         if not drift[i, j] <= 100 * tol:
             raise DiagnosticsError(f"trace drift {drift[i, j]:.2e} at t = {t:.6g} ns")
         raise DiagnosticsError(f"negative eigenvalue {low[i, j]:.2e} at t = {t:.6g} ns")
-    # rebuilt states are decomposed a block at a time to keep the temporaries small
-    ii, jj = np.nonzero(low < -EIG_ATOL / d)
-    for s in range(0, ii.size, CLIP_BLOCK):
-        i, j = ii[s : s + CLIP_BLOCK], jj[s : s + CLIP_BLOCK]
-        rhos[i, j] = clip_negative(rhos[i, j])
+    rebuild = low < -EIG_ATOL / d
+    rhos[rebuild] = clip_negative(rhos[rebuild])
     rhos /= np.trace(rhos, axis1=-2, axis2=-1).real[..., None, None]
 
 
@@ -542,9 +529,10 @@ class _Piece:
 
 
 def _integrate(generator: Generator, y: np.ndarray, grid: np.ndarray, tol: float,
-               breakpoints: Sequence[float], flat: np.ndarray) -> None:
-    """``solve_ivp`` across ``grid``, restarting at each breakpoint, writing the
-    sampled (n_times, k, d^2) coordinates to ``flat``.
+               breakpoints: Sequence[float]) -> np.ndarray:
+    """``solve_ivp`` across ``grid``, restarting at each breakpoint, from the
+    (d^2, k) coordinates ``y``; returns the sampled (d^2 k, n_times) coordinates,
+    row-major in (d^2, k).
 
     Each piece [a, b] integrates the restriction of L to it (Hairer,
     Norsett and Wanner, Solving ODEs I, Sec. II.6): the generator is read
@@ -552,7 +540,6 @@ def _integrate(generator: Generator, y: np.ndarray, grid: np.ndarray, tol: float
     thus see L's left limit there, not the next piece's value; a
     coefficient that jumps at b would otherwise enter the error estimate
     of every step that reaches b, and the steps would shrink toward it."""
-    _, k, d2 = flat.shape
     y = y.reshape(-1)
     t0, tf = grid[0], grid[-1]
     cuts = sorted({t0, tf} | {b for b in breakpoints if t0 < b < tf})
@@ -560,8 +547,7 @@ def _integrate(generator: Generator, y: np.ndarray, grid: np.ndarray, tol: float
     # (cuts[i], cuts[i + 1]], and the first segment t0 as well
     ends = np.searchsorted(grid, cuts, side="right")
     ends[0] = 0
-    # each segment's samples are copied in once, so the solver's output
-    # is freed segment by segment
+    samples = []
     for a, b, lo, hi in zip(cuts, cuts[1:], ends, ends[1:]):
         # always sample the segment endpoint so the next segment restarts there
         t_eval = grid[lo:hi] if hi > lo and grid[hi - 1] == b else np.append(grid[lo:hi], b)
@@ -569,9 +555,9 @@ def _integrate(generator: Generator, y: np.ndarray, grid: np.ndarray, tol: float
                         rtol=tol, atol=tol * 1e-2)
         if not sol.success:
             raise IntegrationError(f"integration failed on [{a:.6g}, {b:.6g}] ns: {sol.message}")
-        flat[lo:hi] = sol.y[:, : hi - lo].reshape(d2, k, hi - lo).transpose(2, 1, 0)
+        samples.append(sol.y[:, : hi - lo])
         y = sol.y[:, -1].copy()
-        del sol
+    return np.hstack(samples)
 
 
 def evolve_generator(
@@ -608,13 +594,10 @@ def evolve_generator(
         )
     check_states(rhos0)
 
-    k = len(rhos0)
-    # column j of y is state j, and flat[i, j] holds it at grid[i]
+    # column j of y is state j
     y = np.ascontiguousarray(to_coords(rhos0).T)
-    flat = np.empty((grid.size, k, d * d))
-    _integrate(generator, y, grid, tol, breakpoints, flat)
-    raw = from_coords(flat)
-    del flat
+    samples = _integrate(generator, y, grid, tol, breakpoints)
+    raw = from_coords(samples.reshape(d * d, len(rhos0), grid.size).T)
 
     _check_and_repair(raw, tol, grid)
     raw.setflags(write=False)

@@ -27,7 +27,7 @@ MAX_MODES = 20
 class MultimodeParams:
     """Qubit + mode-ladder parameters.
 
-    Frequencies (g, fsr, delta0) are linear MHz; kappa_a is the mode
+    Frequencies (g, fsr) are linear MHz; kappa_a is the mode
     energy decay rate in 1/us.  The transit time is the inverse free
     spectral range and is always derived, never stored separately.
     """
@@ -35,7 +35,6 @@ class MultimodeParams:
     g: float
     n_a: int = 8
     fsr: float = 1.97
-    delta0: float = 0.0
     kappa_a: float = 0.0
 
     def __post_init__(self):
@@ -51,10 +50,10 @@ class MultimodeParams:
         return 1e3 / self.fsr
 
     def mode_detunings(self) -> np.ndarray:
-        """Mode offsets from the qubit in rad/ns; one mode sits at delta0."""
+        """Mode offsets from the qubit in rad/ns; one mode sits on the qubit."""
         j0 = (self.n_a - 1) // 2
         j = np.arange(self.n_a)
-        return (self.delta0 + (j - j0) * self.fsr) * MHZ
+        return (j - j0) * self.fsr * MHZ
 
 
 def sector_hamiltonian(p: MultimodeParams) -> np.ndarray:
@@ -157,7 +156,6 @@ def laguerre_amplitude(t: np.ndarray, p: MultimodeParams) -> np.ndarray:
     kappa = golden_rule_kappa(p.g, p.fsr).rate
     tau = p.tau_ns
     ka = p.kappa_a * 1e-3  # 1/ns
-    phase = p.delta0 * MHZ * tau
     out = np.zeros(t_arr.shape, dtype=complex)
     n_max = int(np.floor(t_arr.max() / tau + 1e-12))
     for n in range(n_max + 1):
@@ -165,12 +163,7 @@ def laguerre_amplitude(t: np.ndarray, p: MultimodeParams) -> np.ndarray:
         mask = s >= 0
         x = kappa * s[mask]
         script = _laguerre(n, x) - _laguerre(n - 1, x) if n else _laguerre(0, x)
-        out[mask] += (
-            np.exp(-1j * n * phase)
-            * np.exp(-n * tau * ka / 2.0)
-            * np.exp(-x / 2.0)
-            * script
-        )
+        out[mask] += np.exp(-n * tau * ka / 2.0) * np.exp(-x / 2.0) * script
     return out
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .multimode import efficiency_bound
 
 MODEL_WINDOW_GHZ = (3.5, 4.5)
 
@@ -161,15 +160,13 @@ def fsr_mhz(g: SawGeometry) -> float:
 class LossBudget:
     t1_saw_us: float
     q_factor: float
-    eta_bound: float
 
 
 def loss_budget(g: SawGeometry, f_ghz: float) -> LossBudget:
     """Propagation-loss figures at a given frequency.
 
     Amplitude loss alpha (Np/m) gives the energy decay rate
-    2*alpha*v, hence T1_saw = 1/(2*alpha*v); Q = 2*pi*f*T1_saw; the
-    ceiling on one-transit transfer efficiency is exp(-tau/T1_saw).
+    2*alpha*v, hence T1_saw = 1/(2*alpha*v); Q = 2*pi*f*T1_saw.
     """
     check_window(np.asarray(f_ghz, dtype=float))
     alpha = g.free.loss_np_m
@@ -178,8 +175,4 @@ def loss_budget(g: SawGeometry, f_ghz: float) -> LossBudget:
     speed_m_s = g.free.speed_km_s * 1e3
     t1_us = 1e6 / (2 * alpha * speed_m_s)
     q = 2 * np.pi * f_ghz * 1e9 * t1_us * 1e-6
-    return LossBudget(
-        t1_saw_us=t1_us,
-        q_factor=float(q),
-        eta_bound=efficiency_bound(transit_time(g), t1_us),
-    )
+    return LossBudget(t1_saw_us=t1_us, q_factor=float(q))

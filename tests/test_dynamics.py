@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -297,6 +298,36 @@ class TestStackedEvolution:
             alone_series = expectations(alone, number)
             assert np.max(np.abs(rhos[:, j] - alone[:, 0])) <= 10 * tol
             assert np.max(np.abs(series["n_a"][:, j] - alone_series["n_a"][:, 0])) <= 10 * tol
+
+    @pytest.mark.parametrize("breaks", [(), (20.0,), (12.5, 20.0, 47.0), (0.0, 3.0, 60.0, 75.0)])
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    def test_stack_is_the_per_piece_solves(self, breaks, time_dependent):
+        # the grid has points on the breakpoints 20 and 60 and none on 12.5,
+        # 3 or 47, and 75 lies past its end; every sample is the one solve_ivp
+        # gives on its own piece, from the state the previous piece ended in
+        rng = np.random.default_rng(17)
+        tol = 1e-8
+        generator = pair_generator(rng, time_dependent)
+        grid = np.array([0.0, 5.0, 20.0, 31.0, 44.0, 52.0, 60.0])
+        preps = random_states(rng, 5, 4)
+        got = evolve_generator(generator, preps, grid, tol, breaks)
+
+        cuts = sorted({0.0, 60.0} | {b for b in breaks if 0.0 < b < 60.0})
+        coords = np.empty((grid.size, 5, 16))
+        y = np.ascontiguousarray(to_coords(preps).T).ravel()
+        for a, b in zip(cuts, cuts[1:]):
+            mine = [i for i, t in enumerate(grid) if a < t <= b or (a == t == 0.0)]
+            t_eval = np.array(sorted({*grid[mine], b}))
+            piece = dynamics._Piece(generator, math.nextafter(b, -math.inf))
+            sol = dynamics.solve_ivp(piece, (a, b), y, t_eval, rtol=tol, atol=tol * 1e-2)
+            assert sol.success
+            for col, i in enumerate(mine):
+                for j in range(5):
+                    coords[i, j] = sol.y[:, col].reshape(16, 5)[:, j]
+            y = sol.y[:, -1].copy()
+        want = from_coords(coords)
+        _check_and_repair(want, tol, grid)
+        assert np.array_equal(got, want)
 
     def test_sampled_stack_is_read_only(self):
         decay = Generator(QUBIT, [dissipator(SIGMA_MINUS)], lambda t: np.array([0.1]))
@@ -634,13 +665,12 @@ class TestExactPropagation:
         seed=st.integers(0, 2**31 - 1),
         n_a=st.integers(1, 4),
         g=st.floats(0.05, 3.0),
-        delta0=st.floats(-1.0, 1.0),
         kappa_a=st.just(0.0) | st.floats(0.1, 5.0),
         n_points=st.integers(2, 8),
     )
-    def test_matches_rk45(self, seed, n_a, g, delta0, kappa_a, n_points):
+    def test_matches_rk45(self, seed, n_a, g, kappa_a, n_points):
         rng = np.random.default_rng(seed)
-        p = MultimodeParams(g=g, n_a=n_a, fsr=1.97, delta0=delta0, kappa_a=kappa_a)
+        p = MultimodeParams(g=g, n_a=n_a, fsr=1.97, kappa_a=kappa_a)
         sm, _ = lowering_operators(n_a)
         grid = np.sort(rng.uniform(0.0, 2 * p.tau_ns, size=n_points))
         grid[0] = 0.0
@@ -843,15 +873,15 @@ class TestStackedRepair:
             for keep in itertools.combinations(space.labels, r):
                 check_states(partial_trace(space, stack[:, 0], list(keep)))
 
-    def eigvalsh_spy(self, monkeypatch):
-        """Record the stack size of each ``np.linalg.eigvalsh`` call."""
-        calls, eigvalsh = [], np.linalg.eigvalsh
+    def spy(self, monkeypatch, name):
+        """Record the stack shape of each call of ``np.linalg.<name>``."""
+        calls, function = [], getattr(np.linalg, name)
 
         def spy(a, *args, **kwargs):
-            calls.append(len(a))
-            return eigvalsh(a, *args, **kwargs)
+            calls.append(a.shape[:-2])
+            return function(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        monkeypatch.setattr(np.linalg, name, spy)
         return calls
 
     @pytest.mark.parametrize("doubled", [False, True])
@@ -863,7 +893,7 @@ class TestStackedRepair:
         stack = edge_stack(rng, space, 600, depth, False).reshape(200, 3, space.dim, space.dim)
         times = np.arange(200.0)
         want = repair_loop(stack, 1e-8, times)
-        calls = self.eigvalsh_spy(monkeypatch)
+        calls = self.spy(monkeypatch, "eigvalsh")
         got = stack.copy()
         _check_and_repair(got, 1e-8, times)
         assert calls == []
@@ -875,13 +905,28 @@ class TestStackedRepair:
         stack[137, 2] = edge_stack(rng, PAIR, 1, 1.01, False)[0, 0]
         times = np.arange(200.0)
         want = repair_loop(stack, 1e-8, times)
-        calls = self.eigvalsh_spy(monkeypatch)
+        calls = self.spy(monkeypatch, "eigvalsh")
         got = stack.copy()
         _check_and_repair(got, 1e-8, times)
-        # eigenvalues are read for the failing block alone
-        assert calls == [dynamics.SCREEN_BLOCK]
+        # eigenvalues are read once, over the whole stack
+        assert calls == [(200, 3)]
         assert np.max(np.abs(got - want)) <= 1e-15
         assert not np.array_equal(got[137, 2], stack[137, 2] / np.trace(stack[137, 2]).real)
+
+    @pytest.mark.parametrize("doubled", [False, True])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 16), (200, 3)])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_one_cholesky_per_stack(self, monkeypatch, shape, doubled, below):
+        # one factorisation screens the whole stack, whether it passes or not
+        space = doubled_space() if doubled else PAIR
+        d, n = space.dim, shape[0] * shape[1]
+        rng = np.random.default_rng(9)
+        stack = edge_stack(rng, space, n, 0.5, False).reshape(*shape, d, d)
+        if below:
+            stack[-1, -1] = edge_stack(rng, space, 1, 1.01, False)[0, 0]
+        calls = self.spy(monkeypatch, "cholesky")
+        _check_and_repair(stack, 1e-8, np.arange(float(shape[0])))
+        assert calls == [shape]
 
     @pytest.mark.parametrize("fault", ["trace", "eigenvalue"])
     def test_each_error_at_the_first_offending_time(self, fault):

@@ -55,10 +55,13 @@ class TestParams:
         with pytest.raises(ValidationError):
             MultimodeParams(g=1.0, fsr=-1.0)
 
-    def test_one_mode_sits_at_delta0(self):
-        p = MultimodeParams(g=1.0, n_a=8, fsr=1.97, delta0=0.5)
-        det = p.mode_detunings() / (2e-3 * np.pi)
-        assert np.isclose(det, 0.5).any()
+    def test_one_mode_sits_on_the_qubit(self):
+        # for odd and even mode counts, the ladder's middle mode (the lower
+        # of the two middle ones) is resonant and the rest are fsr apart
+        for n_a in (1, 2, 8, 11, 20):
+            det = MultimodeParams(g=1.0, n_a=n_a, fsr=1.97).mode_detunings()
+            assert np.flatnonzero(det == 0.0).tolist() == [(n_a - 1) // 2]
+            assert np.allclose(np.diff(det), 1.97 * MHZ, rtol=1e-12, atol=0.0)
 
 
 class TestHamiltonian:
@@ -70,7 +73,7 @@ class TestHamiltonian:
         assert np.max(np.abs(h @ n - n @ h)) < 1e-12
 
     def test_decoupled_limit_is_diagonal(self):
-        p = MultimodeParams(g=0.0, n_a=4, fsr=1.97, delta0=0.3)
+        p = MultimodeParams(g=0.0, n_a=4, fsr=1.97)
         h = sector_hamiltonian(p)
         assert np.max(np.abs(h - np.diag(np.diag(h)))) < 1e-15
         evals = np.sort(np.diag(h).real)
@@ -78,7 +81,7 @@ class TestHamiltonian:
         assert np.allclose(evals, expected, atol=1e-15)
 
     def test_single_mode_vacuum_rabi_doublet(self):
-        p = MultimodeParams(g=2.57, n_a=1, delta0=0.0)
+        p = MultimodeParams(g=2.57, n_a=1)
         evals = np.linalg.eigvalsh(sector_hamiltonian(p))
         g = 2.57 * 2e-3 * np.pi
         assert np.allclose(evals, [-g, g], atol=1e-12)
@@ -90,10 +93,9 @@ class TestSector:
         n_a=st.integers(1, 6),
         g=st.floats(-3.0, 3.0),
         fsr=st.floats(0.1, 5.0),
-        delta0=st.floats(-2.0, 2.0),
     )
-    def test_is_the_one_excitation_block(self, n_a, g, fsr, delta0):
-        p = MultimodeParams(g=g, n_a=n_a, fsr=fsr, delta0=delta0)
+    def test_is_the_one_excitation_block(self, n_a, g, fsr):
+        p = MultimodeParams(g=g, n_a=n_a, fsr=fsr)
         space, h = full_hamiltonian(p)
         # the sector's kets: one excitation in m_{n-1}, ..., m_0, then in q
         kets = [space.basis_index(np.eye(1 + n_a, dtype=int)[k]) for k in range(n_a, -1, -1)]
@@ -106,14 +108,14 @@ class TestSector:
     def test_is_the_summed_definition(self, n_a):
         # the mode counts the experiments use, past the full space's reach:
         # the ladder's operators summed on vacuum + sector, the vacuum dropped
-        p = MultimodeParams(g=2.57, n_a=n_a, fsr=1.97, delta0=0.2)
+        p = MultimodeParams(g=2.57, n_a=n_a, fsr=1.97)
         assert np.array_equal(sector_hamiltonian(p), ladder_hamiltonian(p)[1:, 1:])
 
     @pytest.mark.parametrize("p", [
         MultimodeParams(g=0.18, n_a=11, fsr=1.97, kappa_a=0.0),
         MultimodeParams(g=0.1, n_a=8, fsr=1.97, kappa_a=1 / 1.2),
-        MultimodeParams(g=2.57, n_a=20, fsr=1.97, delta0=0.4, kappa_a=3.0),
-        MultimodeParams(g=-0.5, n_a=1, fsr=0.7, delta0=-1.1, kappa_a=0.2),
+        MultimodeParams(g=2.57, n_a=20, fsr=1.97, kappa_a=3.0),
+        MultimodeParams(g=-0.5, n_a=1, fsr=0.7, kappa_a=0.2),
     ])
     def test_generator_equals_the_summed_one(self, p):
         # the sector's no-jump generator H_eff, which decay_population
@@ -213,7 +215,7 @@ class TestLaguerre:
         assert np.allclose(np.abs(amp) ** 2, np.exp(-kappa * t), atol=1e-12)
 
     def test_amplitude_bounded_without_loss(self):
-        p = MultimodeParams(g=0.8, fsr=1.97, kappa_a=0.0, delta0=0.0)
+        p = MultimodeParams(g=0.8, fsr=1.97, kappa_a=0.0)
         t = np.linspace(0, 4 * p.tau_ns, 4000)
         assert np.max(np.abs(laguerre_amplitude(t, p))) <= 1.0 + 1e-12
 

@@ -1,15 +1,32 @@
 """Acoustic hardware closed forms against measured device numbers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sawlink
 from sawlink import sawphys
 from sawlink.errors import ValidationError
 from sawlink.sawphys import FreeSpace, Grating, SawGeometry
 
 GEOM = sawphys.default_geometry()
+
+
+def test_is_a_leaf_module():
+    # the hardware closed forms sit below every model: importing them
+    # loads no other sawlink module but errors
+    script = "import sys, sawlink.sawphys; print(*sorted(m for m in sys.modules if 'sawlink' in m))"
+    src = str(Path(sawlink.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.split() == ["sawlink", "sawlink.errors", "sawlink.sawphys"]
 
 
 class TestGeometryValidation:
@@ -133,18 +150,12 @@ class TestLossBudget:
             2 * np.pi * 4.1e9 * lb.t1_saw_us * 1e-6, rel=1e-12
         )
 
-    def test_eta_bound_consistent(self):
-        lb = sawphys.loss_budget(GEOM, 3.97)
-        tau = sawphys.transit_time(GEOM)
-        assert lb.eta_bound == pytest.approx(np.exp(-tau / (lb.t1_saw_us * 1e3)))
-
     def test_lossless_limit(self):
         import dataclasses
 
         nearly = dataclasses.replace(GEOM, free=FreeSpace(4.034, 1e-9))
         lb = sawphys.loss_budget(nearly, 3.97)
         assert lb.t1_saw_us > 1e9
-        assert lb.eta_bound == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_loss_rejected(self):
         import dataclasses
