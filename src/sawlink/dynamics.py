@@ -190,18 +190,29 @@ class Generator:
         time, in order, the reads are stacked into one (m x n_terms)
         block, and its product with ``blocks.terms`` gives the m data rows.
 
-        A complex coefficient raises ``ValidationError``, and a non-finite
-        one ``IntegrationError`` rather than failing the stepper's error
-        estimate; either names the first time it was read at.  The held
-        times are dropped before the reads, so a fill that raises leaves no
-        stale L behind and a call at one of its times raises again."""
+        A read that is not n_terms numbers or a complex coefficient raises
+        ``ValidationError``, a non-finite one ``IntegrationError`` rather than
+        failing the stepper's error estimate; each names the earliest time it
+        occurs at.  The held times are dropped before the reads, so a fill
+        that raises leaves no stale L behind and a call there raises again."""
         self._filled = {}
         times = dict.fromkeys(times)
         reads = [self.coeffs(t) for t in times]
-        block = np.array(reads)
-        if block.dtype.kind == "c":
-            t = next(t for t, c in zip(times, reads) if np.asarray(c).dtype.kind == "c")
-            raise ValidationError(f"complex generator coefficient at t = {t:.6g} ns")
+        n = len(self.blocks.terms)
+        try:
+            block = np.array(reads)
+        except ValueError:  # a ragged read
+            block = None
+        if block is None or block.shape != (len(times), n) or block.dtype.kind == "c":
+            for t, c in zip(times, reads):
+                try:
+                    c = np.asarray(c)
+                except ValueError:  # ragged
+                    c = None
+                if c is None or c.shape != (n,):
+                    raise ValidationError(f"not {n} generator coefficients at t = {t:.6g} ns")
+                if c.dtype.kind == "c":
+                    raise ValidationError(f"complex generator coefficient at t = {t:.6g} ns")
         if not np.isfinite(block).all():
             t = list(times)[np.argmin(np.isfinite(block).all(axis=1))]
             raise IntegrationError(f"non-finite generator coefficient at t = {t:.6g} ns")

@@ -134,7 +134,7 @@ def run_multi_transit(device: DeviceParams, params: dict, seed: int) -> Experime
 
 
 def plan_interference(device: DeviceParams, params: dict, seed: int):
-    """Fringe phases, channel, phase noise and rows per pass; checks the schedules."""
+    """Fringe phases, channel, phase noise and rows per pass; checks the longest pulse."""
     ch = device.channel(params["eta"])
     # the fringe's harmonic ratio needs rfft bins beyond the fundamental
     phases = np.linspace(0.0, 2 * np.pi, _integer(params, "n_phases", least=5))
@@ -143,7 +143,9 @@ def plan_interference(device: DeviceParams, params: dict, seed: int):
         # Gaussian phase spread accumulated over one emit-wait-capture cycle
         sigma = float(np.sqrt(2 * ch.tau / (device.q1.T2R_us * 1e3)))
     noise = NoiseSpec(sigma_phi=sigma, n_realizations=params["realizations"], master_seed=seed)
-    interference_schedules(phases, ch, params["kappa_c"], params["window_ns"])
+    # a schedule check fails for every phase or first for the longest pulse
+    longest = phases[[np.argmax(phases % (2 * np.pi))]]
+    interference_schedules(longest, ch, params["kappa_c"], params["window_ns"])
     return phases, ch, noise, _integer(params, "chunk")
 
 

@@ -86,14 +86,14 @@ def realization_phases(noise: NoiseSpec) -> np.ndarray:
 
     Realization i draws from the Philox stream keyed (master_seed, i) with
     its counter at zero.  Philox is counter-based, so a stream is fixed by
-    its key alone: one generator is re-keyed through its ``state`` for
-    each realization instead of being built anew.
+    its key alone: one generator is re-keyed for each realization through
+    a ``state`` of plain ints, which sets faster than the getter's arrays.
     """
     bits = np.random.Philox(key=0)
     rng = np.random.Generator(bits)
-    state = bits.state  # a fresh stream's: counter at zero, nothing buffered
-    key = state["state"]["key"]  # (index, seed), the low word first
-    key[1] = noise.master_seed
+    key = [0, int(noise.master_seed)]  # (index, seed), the low word first
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}  # nothing buffered
     phases = np.empty(noise.n_realizations)
     for i in range(noise.n_realizations):
         key[0] = i
@@ -311,7 +311,7 @@ def _grid(window: tuple[float, float], tau: float, dt: float,
     return n_sub, h, int(np.ceil((window[1] - window[0]) / h - 1e-9))
 
 
-def _step_maps(decay: np.ndarray, root: np.ndarray, h: float, n: int) -> tuple:
+def _step_maps(decay: np.ndarray, root: np.ndarray, h: float, n: int, fed: int) -> tuple:
     """The (qubit, 1, step) maps of n RK4 steps, from decay and root at the
     step nodes (columns 0..n) followed by the midpoints (columns n+1..2n).
 
@@ -320,11 +320,10 @@ def _step_maps(decay: np.ndarray, root: np.ndarray, h: float, n: int) -> tuple:
     s -> A s + Ca u_a + Cm u_m + Cb u_b.  The cubic Hermite midpoint
     s_a / 2 + s_b / 2 + (h / 8) (f_a - f_b), f the right-hand side at the
     step's ends, is Ha s_a + Hb s_b + Ga u_a + Gb u_b; Cb, Ga and Gb are
-    multiples of root, left to the caller.  The sums accumulate in place
-    to keep the memory of long windows small.
+    multiples of root, left to the caller; Ca and Cm cover steps fed.. only.
+    The sums accumulate in place to keep the memory of long windows small.
     """
     d_a, d_b, d_m = decay[:, :n], decay[:, 1 : n + 1], decay[:, n + 1 :]
-    r_a, r_m = root[:, :n], root[:, n + 1 :]
     al2 = d_m * (1 + 0.5 * h * d_a)
     al3 = d_m * (1 + 0.5 * h * al2)
     A = d_a + 2 * al2
@@ -334,7 +333,8 @@ def _step_maps(decay: np.ndarray, root: np.ndarray, h: float, n: int) -> tuple:
     A += 1
     del al2, al3
     # weights of be_2 and be_3 on u_a and of be_3 on u_m; be_4 = c_b be_3 + r_b u_b
-    c_m, c_b = d_m * (0.5 * h), d_b * h
+    r_a, r_m = root[:, fed:n], root[:, n + 1 + fed :]
+    c_m, c_b = d_m[:, fed:] * (0.5 * h), d_b[:, fed:] * h
     be2a = c_m * r_a
     be3a = c_m * be2a
     Ca = r_a + 2 * be2a
@@ -372,7 +372,7 @@ def _integrate(
     last: the coefficients per (qubit, node), the input and output fields
     per (batch, node), the states per (qubit, batch, node).  The step
     divides tau exactly, so the fed-back input is a plain offset of n_sub
-    nodes, and zero before the first transit has arrived.
+    nodes; it first reaches step n_sub - 1, and its terms start there.
 
     Only the qubits that hold a segment have coefficient rows and are
     integrated.  A qubit without one is carried, not integrated: its
@@ -404,7 +404,8 @@ def _integrate(
     decay.real = -0.5 * kappa
     decay.imag = -np.stack([schedule.delta(q, nodes) for q in busy])
     root = np.sqrt(kappa).astype(complex)
-    A, Ca, Cm, Ha, Hb = _step_maps(decay, root, h, n_steps)
+    fed = min(n_sub - 1, n_steps)  # the first step the input reaches
+    A, Ca, Cm, Ha, Hb = _step_maps(decay, root, h, n_steps, fed)
     del nodes, kappa, decay  # only root is read past the maps
     r_a, r_b = root[:, None, :n_steps], root[:, None, 1 : n_steps + 1]
     r_m = root[:, None, n_steps + 1 :]
@@ -430,21 +431,27 @@ def _integrate(
         if lo <= first + n:
             ain[:, lo : first + n + 1] = feedback * aout[:, lo - n_sub : first + n + 1 - n_sub]
             ain_m[:, lo : first + n] = feedback * aout_m[:, lo - n_sub : first + n - n_sub]
-        u_a, u_m, u_b = ain[:, blk], ain_m[:, blk], ain[:, nxt]
-        B = Ca[..., blk] * u_a + Cm[..., blk] * u_m + (h / 6.0) * r_b[..., blk] * u_b
+        k0 = max(fed - first, 0)  # the input is zero before step k0
+        fa, fb = slice(first + k0, first + n), slice(first + k0 + 1, first + n + 1)
+        u_a, u_m, u_b = ain[:, fa], ain_m[:, fa], ain[:, fb]
+        c = slice(fa.start - fed, fa.stop - fed)  # Ca and Cm start at step fed
+        B = Ca[..., c] * u_a + Cm[..., c] * u_m + (h / 6.0) * r_b[..., fa] * u_b
         # Hillis-Steele inclusive scan: step k's map becomes steps 0..k composed
         An = A[..., blk].copy()
         d = 1
         while d < n:
-            B[..., d:] += An[..., d:] * B[..., :-d]
+            B[..., d:] += An[..., k0 + d :] * B[..., :-d]
             An[..., d:] *= An[..., :-d]
             d *= 2
-        live[..., nxt] = An * live[..., first : first + 1] + B
-        s_old, s_new = live[..., blk], live[..., nxt]
-        s_mid = (Ha[..., blk] * s_old + Hb[..., blk] * s_new + (h / 8.0) * r_a[..., blk] * u_a
-                 + (-h / 8.0) * r_b[..., blk] * u_b)
-        aout_m[:, blk] = (r_m[..., blk] * s_mid).sum(axis=0) - u_m
-        aout[:, nxt] = (r_b[..., blk] * s_new).sum(axis=0) - u_b
+        live[..., nxt] = An * live[..., first : first + 1]
+        live[..., fb] += B
+        s_mid = Ha[..., blk] * live[..., blk] + Hb[..., blk] * live[..., nxt]
+        s_mid[..., k0:] += (h / 8.0) * r_a[..., fa] * u_a
+        s_mid[..., k0:] += (-h / 8.0) * r_b[..., fa] * u_b
+        aout_m[:, blk] = (r_m[..., blk] * s_mid).sum(axis=0)
+        aout_m[:, fa] -= u_m
+        aout[:, nxt] = (r_b[..., blk] * live[..., nxt]).sum(axis=0)
+        aout[:, fb] -= u_b
 
     return times, states.transpose(1, 2, 0), ain, aout
 

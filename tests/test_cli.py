@@ -681,6 +681,9 @@ class TestValidateChecksRanges:
         ("double_swap", {"window_ns": 300.0}),
         # the longest phase pulse, 48 ns, runs from w into the capture at tau
         ("interference", {"window_ns": 480.0}),
+        # of the pulses 0, 12.5, 25, 37.5 and 0 ns only the fourth, the
+        # longest and not the last, reaches the capture
+        ("interference", {"window_ns": 475.0, "n_phases": 5}),
     ])
     def test_pulse_overlapping_capture_fails_validate(self, tmp_path, capsys, experiment,
                                                       params):

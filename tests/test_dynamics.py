@@ -450,6 +450,20 @@ class TestHermitianCoordinates:
         with pytest.raises(ValidationError, match="complex generator coefficient at t = 1.5 ns"):
             generator(1.5, np.zeros(4))
 
+    @pytest.mark.parametrize("c", [[0.1], [0.1, 0.2, 0.3], 0.1, [[0.1, 0.2]], [0.1, [0.2]]],
+                             ids=["short", "long", "scalar", "2-D", "ragged"])
+    @pytest.mark.parametrize("bad_from", [1.5, 2.5])
+    def test_coefficients_not_one_per_block_rejected(self, c, bad_from):
+        # two blocks; the reads from ``bad_from`` on are bad, at every time
+        # of the fill or from its second one
+        generator = Generator(QUBIT, [dissipator(SIGMA_MINUS), dissipator(NUMBER)],
+                              lambda t: c if t >= bad_from else [0.1, 0.2])
+        message = f"not 2 generator coefficients at t = {bad_from} ns"
+        with pytest.raises(ValidationError, match=message):
+            generator.fill((1.5, 2.5, 3.5))
+        with pytest.raises(ValidationError, match=message):
+            generator(bad_from, np.zeros(4))
+
 
 # ---- one sparse matrix on the blocks' union pattern -----------------------------
 

@@ -20,7 +20,9 @@ from sawlink.ioshape import (
     IOTrace,
     NoiseSpec,
     Segment,
+    _grid,
     _integrate,
+    _step_maps,
     interference_experiment,
     realization_phases,
     simulate_io,
@@ -340,6 +342,17 @@ def fixed_line(receiver: int, trips: float):
     return ControlSchedule(segs, window=(1.0, 1.0 + trips * tau)), ch, 0.2
 
 
+def one_step_line(trips: float):
+    """A 0.2 ns line stepped in 0.2 ns, one step per round trip: qubit 1
+    releases over 20 round trips, fed its own output all along, while
+    qubit 2 is detuned."""
+    tau = 0.2
+    segs = [Segment("release", 1, 1.0, 20 * tau, 0.3, alpha=0.6),
+            Segment("detune", 2, 1.5, 5 * tau, f_mhz=12.0)]
+    ch = ChannelParams(eta=0.8, tau=tau, phase=0.4)
+    return ControlSchedule(segs, window=(1.0, 1.0 + trips * tau)), ch, 0.2
+
+
 def stepwise_integrate(schedule, ch, s0, dt, extra_phases=None):
     """Reference: the delay loop stepped one RK4 step at a time in Python,
     on the same half-step grid, input offset and Hermite midpoint."""
@@ -388,6 +401,61 @@ def stepwise_integrate(schedule, ch, s0, dt, extra_phases=None):
     return times, np.stack(states, axis=1), np.stack(inputs, axis=1), out[:, ::2]
 
 
+def full_block_integrate(schedule, ch, s0, dt, extra_phases=None):
+    """Reference: the block loop with the input work done on every step of
+    every block, also before the first transit has arrived; ``_step_maps``
+    from step 0 gives the input weights of every step."""
+    t0 = schedule.window[0]
+    n_sub, h, n_steps = _grid(schedule.window, ch.tau, dt, schedule.max_kappa())
+    times = t0 + h * np.arange(n_steps + 1)
+    busy = [q for q in (1, 2) if len(schedule.tables[q][0]) > 1]
+    rows = slice(busy[0] - 1, busy[-1])
+    nodes = np.concatenate([times, times[:-1] + h / 2.0])
+    kappa = np.stack([schedule.kappa(q, nodes) for q in busy])
+    decay = np.empty(kappa.shape, dtype=complex)
+    decay.real = -0.5 * kappa
+    decay.imag = -np.stack([schedule.delta(q, nodes) for q in busy])
+    root = np.sqrt(kappa).astype(complex)
+    A, Ca, Cm, Ha, Hb = _step_maps(decay, root, h, n_steps, 0)
+    r_a, r_b = root[:, None, :n_steps], root[:, None, 1 : n_steps + 1]
+    r_m = root[:, None, n_steps + 1 :]
+
+    s = np.asarray(s0, dtype=complex)
+    batch = s.shape[0]
+    phases = np.zeros(batch) if extra_phases is None else np.asarray(extra_phases, dtype=float)
+    feedback = (np.sqrt(ch.eta) * np.exp(1j * (ch.phase + phases)))[:, None]
+    ain, aout = (np.zeros((batch, n_steps + 1), dtype=complex) for _ in range(2))
+    ain_m, aout_m = (np.zeros((batch, n_steps), dtype=complex) for _ in range(2))
+    states = np.empty((2, batch, n_steps + 1), dtype=complex)
+    states[...] = s.T[:, :, None]
+    live = states[rows]
+
+    aout[:, :1] = (root[:, None, :1] * live[..., :1]).sum(axis=0)
+    for first in range(0, n_steps, n_sub):
+        n = min(n_sub, n_steps - first)
+        blk, nxt = slice(first, first + n), slice(first + 1, first + n + 1)
+        lo = max(first, n_sub)
+        if lo <= first + n:
+            ain[:, lo : first + n + 1] = feedback * aout[:, lo - n_sub : first + n + 1 - n_sub]
+            ain_m[:, lo : first + n] = feedback * aout_m[:, lo - n_sub : first + n - n_sub]
+        u_a, u_m, u_b = ain[:, blk], ain_m[:, blk], ain[:, nxt]
+        B = Ca[..., blk] * u_a + Cm[..., blk] * u_m + (h / 6.0) * r_b[..., blk] * u_b
+        An = A[..., blk].copy()
+        d = 1
+        while d < n:
+            B[..., d:] += An[..., d:] * B[..., :-d]
+            An[..., d:] *= An[..., :-d]
+            d *= 2
+        live[..., nxt] = An * live[..., first : first + 1] + B
+        s_old, s_new = live[..., blk], live[..., nxt]
+        s_mid = (Ha[..., blk] * s_old + Hb[..., blk] * s_new + (h / 8.0) * r_a[..., blk] * u_a
+                 + (-h / 8.0) * r_b[..., blk] * u_b)
+        aout_m[:, blk] = (r_m[..., blk] * s_mid).sum(axis=0) - u_m
+        aout[:, nxt] = (r_b[..., blk] * s_new).sum(axis=0) - u_b
+
+    return times, states.transpose(1, 2, 0), ain, aout
+
+
 class TestDelayLine:
     @settings(max_examples=25, deadline=None)
     @given(line=delay_lines())
@@ -432,6 +500,30 @@ class TestDelayLine:
         for g, w in zip(got[1:], want[1:]):
             assert g.shape == w.shape
             assert np.max(np.abs(g - w)) <= 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(line=delay_lines(),
+           rows=st.lists(st.tuples(st.floats(-np.pi, np.pi), st.complex_numbers(max_magnitude=1.0),
+                                   st.complex_numbers(max_magnitude=1.0)),
+                         min_size=1, max_size=3))
+    @example(line=fixed_line(receiver=2, trips=0.6), rows=[(0.3, 1.0, 0.2j)])
+    @example(line=fixed_line(receiver=1, trips=0.97), rows=[(0.0, 1.0, 0.0), (1.1, 0.3j, 0.5)])
+    @example(line=fixed_line(receiver=2, trips=1.0), rows=[(0.4, 0.8, 0.1j)])
+    @example(line=one_step_line(trips=37.5), rows=[(0.4, 0.8, 0.1j)])
+    @example(line=one_step_line(trips=24.0), rows=[(0.0, 1.0, 0.0), (-2.0, 0.6, 0.3)])
+    def test_fed_steps_alone_match_full_blocks(self, line, rows):
+        # differential, exact: the input work done only on the steps the
+        # input reaches against the same loop doing it on every step; the
+        # examples are windows shorter than tau and lines whose step is one
+        # round trip (n_sub = 1)
+        sched, ch, dt = line
+        extra = np.array([phi for phi, _, _ in rows])
+        s0 = np.array([[s1, s2] for _, s1, s2 in rows])
+        got = _integrate(sched, ch, s0, dt, extra_phases=extra)
+        want = full_block_integrate(sched, ch, s0, dt, extra_phases=extra)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w)
 
     @settings(max_examples=30, deadline=None)
     @given(line=delay_lines(pairs=[(1, 1), (2, 2)]),
