@@ -190,11 +190,13 @@ class Generator:
         time, in order, the reads are stacked into one (m x n_terms)
         block, and its product with ``blocks.terms`` gives the m data rows.
 
-        A read that is not n_terms numbers or a complex coefficient raises
-        ``ValidationError``, a non-finite one ``IntegrationError`` rather than
-        failing the stepper's error estimate; each names the earliest time it
-        occurs at.  The held times are dropped before the reads, so a fill
-        that raises leaves no stale L behind and a call there raises again."""
+        A read that is not n_terms values, a complex coefficient or a value
+        that is not a number (a dtype kind outside ``biuf``, the rule
+        ``serialize.write_series`` applies) raises ``ValidationError``, a
+        non-finite one ``IntegrationError`` rather than failing the
+        stepper's error estimate; each names the earliest time it occurs
+        at.  The held times are dropped before the reads, so a fill that
+        raises leaves no stale L behind and a call there raises again."""
         self._filled = {}
         times = dict.fromkeys(times)
         reads = [self.coeffs(t) for t in times]
@@ -203,7 +205,7 @@ class Generator:
             block = np.array(reads)
         except ValueError:  # a ragged read
             block = None
-        if block is None or block.shape != (len(times), n) or block.dtype.kind == "c":
+        if block is None or block.shape != (len(times), n) or block.dtype.kind not in "biuf":
             for t, c in zip(times, reads):
                 try:
                     c = np.asarray(c)
@@ -213,6 +215,9 @@ class Generator:
                     raise ValidationError(f"not {n} generator coefficients at t = {t:.6g} ns")
                 if c.dtype.kind == "c":
                     raise ValidationError(f"complex generator coefficient at t = {t:.6g} ns")
+                if c.dtype.kind not in "biuf":
+                    raise ValidationError(
+                        f"generator coefficient that is not a number at t = {t:.6g} ns")
         if not np.isfinite(block).all():
             t = list(times)[np.argmin(np.isfinite(block).all(axis=1))]
             raise IntegrationError(f"non-finite generator coefficient at t = {t:.6g} ns")

@@ -18,8 +18,13 @@ midpoints in separate contiguous arrays.  It integrates only the qubits
 that hold a segment: a qubit without one is uncoupled and undetuned, so
 it is carried, keeping its initial amplitude, and adds nothing to the
 output field.  The step maps, which depend on the schedule alone, are
-built once per call; each round trip then only forms its input offsets,
-composes its steps with a log-depth scan and evaluates its outputs.
+built once per call, in float64 when no qubit detunes; each round trip
+then only forms its input offsets, composes its steps with one running
+product and one running sum (no log-depth scan) and evaluates its
+outputs.  The running sum divides by the running product, which stays
+far from zero: the step is capped by the detuning as well as by the
+coupling, so each step's map has modulus at least about 0.95, and one
+product spans at most 4,096 steps.
 
 Classical phase noise is drawn per realization from the Philox stream
 keyed by (master seed, realization index); being counter-based, a stream
@@ -276,6 +281,10 @@ class ControlSchedule:
     def max_kappa(self) -> float:
         return max((s.kappa_c for s in self.segments if s.couples), default=0.0)
 
+    def max_delta(self) -> float:
+        """The largest |Delta| (rad/ns) of any segment; 0 when nothing detunes."""
+        return max(abs(s.f_mhz) * MHZ for s in self.segments)
+
     def breakpoints(self) -> np.ndarray:
         pts = sorted({s.t_start for s in self.segments} | {s.t_end for s in self.segments})
         return np.array(pts)
@@ -299,16 +308,23 @@ class IOTrace:
 
 
 def _grid(window: tuple[float, float], tau: float, dt: float,
-          kappa_max: float) -> tuple[int, float, int]:
+          kappa_max: float, delta_max: float) -> tuple[int, float, int]:
     """Steps per transit, the step (an exact divisor of tau, at most dt,
-    0.25 ns and a tenth of 1 / kappa_max) and the steps spanning the window."""
+    0.25 ns and a tenth of both 1 / kappa_max and 1 / |Delta|max) and the
+    steps spanning the window."""
     if not dt > 0:  # also rejects NaN
         raise ValidationError(f"dt must be positive, got {dt}")
-    if kappa_max > 0:
-        dt = min(dt, 0.1 / kappa_max)
+    for rate in (kappa_max, delta_max):
+        if rate > 0:
+            dt = min(dt, 0.1 / rate)
     n_sub = max(int(np.ceil(tau / min(dt, 0.25))), 1)
     h = tau / n_sub
     return n_sub, h, int(np.ceil((window[1] - window[0]) / h - 1e-9))
+
+
+# steps one running product composes: each step's map has modulus at least
+# about e^{-0.05}, so the product stays above about 1e-89, far from underflow
+_SPAN = 4096
 
 
 def _step_maps(decay: np.ndarray, root: np.ndarray, h: float, n: int, fed: int) -> tuple:
@@ -321,7 +337,9 @@ def _step_maps(decay: np.ndarray, root: np.ndarray, h: float, n: int, fed: int) 
     s_a / 2 + s_b / 2 + (h / 8) (f_a - f_b), f the right-hand side at the
     step's ends, is Ha s_a + Hb s_b + Ga u_a + Gb u_b; Cb, Ga and Gb are
     multiples of root, left to the caller; Ca and Cm cover steps fed.. only.
-    The sums accumulate in place to keep the memory of long windows small.
+    The maps take the dtype of decay and root, float64 or complex, with the
+    same arithmetic.  The sums accumulate in place to keep the memory of
+    long windows small.
     """
     d_a, d_b, d_m = decay[:, :n], decay[:, 1 : n + 1], decay[:, n + 1 :]
     al2 = d_m * (1 + 0.5 * h * d_a)
@@ -380,15 +398,23 @@ def _integrate(
     the output field.
 
     The step maps of ``_step_maps`` depend on the schedule alone and are
-    built once per call.  The loop then runs once per round trip: inside
-    a block of n_sub steps the input is the fed-back output of the
-    previous block, so the loop forms the block's offsets
-    B = Ca u_a + Cm u_m + Cb u_b, composes the block's steps with an
-    inclusive scan, and evaluates the outputs at the block's midpoints
-    and end nodes as whole-block expressions.
+    built once per call; when no qubit detunes they are real and built in
+    float64, then cast to complex once.  The loop then runs once per round
+    trip: inside a block of n_sub steps the input is the fed-back output
+    of the previous block, so the loop forms the block's offsets
+    B = Ca u_a + Cm u_m + Cb u_b and composes the block's steps
+    s -> A_k s + B_k with one running product P = cumprod(A) and one
+    running sum, s_{k+1} = P_k (s_first + sum_{j<=k} B_j / P_j), with no
+    log-depth scan; it then evaluates the outputs at the block's midpoints
+    and end nodes as whole-block expressions.  The division is safe by
+    construction: the step is at most a tenth of 1 / kappa_max and of
+    1 / |Delta|max, so |A_k| is at least about 0.95, and one product spans
+    at most ``_SPAN`` = 4,096 steps, so |P| stays above about 1e-89; a
+    longer block is composed span after span.
     """
     t0 = schedule.window[0]
-    n_sub, h, n_steps = _grid(schedule.window, ch.tau, dt, schedule.max_kappa())
+    delta_max = schedule.max_delta()
+    n_sub, h, n_steps = _grid(schedule.window, ch.tau, dt, schedule.max_kappa(), delta_max)
     times = t0 + h * np.arange(n_steps + 1)
     # the qubits that hold a segment (a table's row 0 is none); with two
     # qubits they are one slice of the qubit axis
@@ -398,14 +424,19 @@ def _integrate(
     # step nodes, then the midpoints
     nodes = np.concatenate([times, times[:-1] + h / 2.0])
     kappa = np.stack([schedule.kappa(q, nodes) for q in busy])
-    # decay = -(kappa / 2 + i Delta), written part by part: arithmetic
-    # that mixes float and complex operands runs at half speed
-    decay = np.empty(kappa.shape, dtype=complex)
-    decay.real = -0.5 * kappa
-    decay.imag = -np.stack([schedule.delta(q, nodes) for q in busy])
-    root = np.sqrt(kappa).astype(complex)
+    if delta_max > 0:
+        # decay = -(kappa / 2 + i Delta), written part by part: arithmetic
+        # that mixes float and complex operands runs at half speed
+        decay = np.empty(kappa.shape, dtype=complex)
+        decay.real = -0.5 * kappa
+        decay.imag = -np.stack([schedule.delta(q, nodes) for q in busy])
+        root = np.sqrt(kappa).astype(complex)
+    else:  # real coefficients: the same maps, with the same bits, in float64
+        decay, root = -0.5 * kappa, np.sqrt(kappa)
     fed = min(n_sub - 1, n_steps)  # the first step the input reaches
-    A, Ca, Cm, Ha, Hb = _step_maps(decay, root, h, n_steps, fed)
+    A, Ca, Cm, Ha, Hb = (m.astype(complex, copy=False)
+                         for m in _step_maps(decay, root, h, n_steps, fed))
+    root = root.astype(complex, copy=False)
     del nodes, kappa, decay  # only root is read past the maps
     r_a, r_b = root[:, None, :n_steps], root[:, None, 1 : n_steps + 1]
     r_m = root[:, None, n_steps + 1 :]
@@ -436,15 +467,17 @@ def _integrate(
         u_a, u_m, u_b = ain[:, fa], ain_m[:, fa], ain[:, fb]
         c = slice(fa.start - fed, fa.stop - fed)  # Ca and Cm start at step fed
         B = Ca[..., c] * u_a + Cm[..., c] * u_m + (h / 6.0) * r_b[..., fa] * u_b
-        # Hillis-Steele inclusive scan: step k's map becomes steps 0..k composed
-        An = A[..., blk].copy()
-        d = 1
-        while d < n:
-            B[..., d:] += An[..., k0 + d :] * B[..., :-d]
-            An[..., d:] *= An[..., :-d]
-            d *= 2
-        live[..., nxt] = An * live[..., first : first + 1]
-        live[..., fb] += B
+        # span by span from a: s_{k+1} = P_k (s_a + sum_{j<=k} B_j / P_j)
+        for a in range(first, first + n, _SPAN):
+            b = min(a + _SPAN, first + n)
+            P = np.cumprod(A[..., a:b], axis=-1)
+            j = min(max(a, fa.start), b)  # the span's first fed step, or its end
+            np.multiply(P[..., : j - a], live[..., a : a + 1], out=live[..., a + 1 : j + 1])
+            if j < b:
+                run = B[..., j - fa.start : b - fa.start] / P[..., j - a :]
+                np.cumsum(run, axis=-1, out=run)
+                run += live[..., a : a + 1]
+                np.multiply(P[..., j - a :], run, out=live[..., j + 1 : b + 1])
         s_mid = Ha[..., blk] * live[..., blk] + Hb[..., blk] * live[..., nxt]
         s_mid[..., k0:] += (h / 8.0) * r_a[..., fa] * u_a
         s_mid[..., k0:] += (-h / 8.0) * r_b[..., fa] * u_b
@@ -554,18 +587,22 @@ def interference_experiment(
     sigma_phi = 0 the same formula is read at phi = 0.
     """
     schedules = interference_schedules(delta_phi, ch, kappa_c, window)
-    n_sub, _, n_steps = _grid((0.0, ch.tau + window), ch.tau, dt, kappa_c)
-    n = n_steps // n_sub
-    root_phases = 2 * np.pi * np.arange(n + 1) / (n + 1)
     phases = np.zeros(1) if noise.sigma_phi == 0.0 else realization_phases(noise)
-    powers = np.exp(1j * np.outer(phases, np.arange(n + 1)))  # (realization, m)
+    powers = {}  # (realization, m) phase powers per round-trip count n
     pe = np.empty(len(schedules))
     for k, schedule in enumerate(schedules):
+        # n from the schedule's own step, which its detuning may shorten
+        n_sub, _, n_steps = _grid(schedule.window, ch.tau, dt, schedule.max_kappa(),
+                                  schedule.max_delta())
+        n = n_steps // n_sub
+        if n not in powers:
+            powers[n] = np.exp(1j * np.outer(phases, np.arange(n + 1)))
+        root_phases = 2 * np.pi * np.arange(n + 1) / (n + 1)
         s1 = np.concatenate([
             _integrate(schedule, ch, np.tile([1.0 + 0j, 0.0], (len(rows), 1)), dt,
                        extra_phases=rows)[1][:, -1, 0]
             for rows in (root_phases[i : i + chunk] for i in range(0, n + 1, chunk))
         ])
         coeffs = np.fft.fft(s1) / (n + 1)
-        pe[k] = np.mean(np.abs(powers @ coeffs) ** 2)
+        pe[k] = np.mean(np.abs(powers[n] @ coeffs) ** 2)
     return pe

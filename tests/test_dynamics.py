@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -449,6 +450,20 @@ class TestHermitianCoordinates:
         generator = Generator(QUBIT, [dissipator(SIGMA_MINUS)], lambda t: np.array([c]))
         with pytest.raises(ValidationError, match="complex generator coefficient at t = 1.5 ns"):
             generator(1.5, np.zeros(4))
+
+    @pytest.mark.parametrize("c", [["0.1"], [None], [b"0.1"], [Fraction(1, 10)]],
+                             ids=["str", "None", "bytes", "object"])
+    @pytest.mark.parametrize("bad_from", [1.5, 2.5])
+    def test_coefficient_that_is_not_a_number_rejected(self, c, bad_from):
+        # one block; the reads from ``bad_from`` on have the right length
+        # but a dtype kind outside "biuf"
+        generator = Generator(QUBIT, [dissipator(SIGMA_MINUS)],
+                              lambda t: c if t >= bad_from else [0.1])
+        message = f"generator coefficient that is not a number at t = {bad_from} ns"
+        with pytest.raises(ValidationError, match=message):
+            generator.fill((1.5, 2.5, 3.5))
+        with pytest.raises(ValidationError, match=message):
+            generator(bad_from, np.zeros(4))
 
     @pytest.mark.parametrize("c", [[0.1], [0.1, 0.2, 0.3], 0.1, [[0.1, 0.2]], [0.1, [0.2]]],
                              ids=["short", "long", "scalar", "2-D", "ragged"])

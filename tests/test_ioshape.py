@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 import sawlink
 from sawlink.errors import ValidationError
 from sawlink.ioshape import (
+    _SPAN,
     SEGMENT_KINDS,
     ChannelParams,
     ControlSchedule,
@@ -404,9 +405,10 @@ def stepwise_integrate(schedule, ch, s0, dt, extra_phases=None):
 def full_block_integrate(schedule, ch, s0, dt, extra_phases=None):
     """Reference: the block loop with the input work done on every step of
     every block, also before the first transit has arrived; ``_step_maps``
-    from step 0 gives the input weights of every step."""
+    from step 0 gives the input weights of every step, always complex."""
     t0 = schedule.window[0]
-    n_sub, h, n_steps = _grid(schedule.window, ch.tau, dt, schedule.max_kappa())
+    n_sub, h, n_steps = _grid(schedule.window, ch.tau, dt, schedule.max_kappa(),
+                              schedule.max_delta())
     times = t0 + h * np.arange(n_steps + 1)
     busy = [q for q in (1, 2) if len(schedule.tables[q][0]) > 1]
     rows = slice(busy[0] - 1, busy[-1])
@@ -440,13 +442,12 @@ def full_block_integrate(schedule, ch, s0, dt, extra_phases=None):
             ain_m[:, lo : first + n] = feedback * aout_m[:, lo - n_sub : first + n - n_sub]
         u_a, u_m, u_b = ain[:, blk], ain_m[:, blk], ain[:, nxt]
         B = Ca[..., blk] * u_a + Cm[..., blk] * u_m + (h / 6.0) * r_b[..., blk] * u_b
-        An = A[..., blk].copy()
-        d = 1
-        while d < n:
-            B[..., d:] += An[..., d:] * B[..., :-d]
-            An[..., d:] *= An[..., :-d]
-            d *= 2
-        live[..., nxt] = An * live[..., first : first + 1] + B
+        # s_{k+1} = P_k (s_a + sum_{j<=k} B_j / P_j) over each span from a
+        for a in range(first, first + n, _SPAN):
+            b = min(a + _SPAN, first + n)
+            P = np.cumprod(A[..., a:b], axis=-1)
+            run = np.cumsum(B[..., a - first : b - first] / P, axis=-1) + live[..., a : a + 1]
+            live[..., a + 1 : b + 1] = P * run
         s_old, s_new = live[..., blk], live[..., nxt]
         s_mid = (Ha[..., blk] * s_old + Hb[..., blk] * s_new + (h / 8.0) * r_a[..., blk] * u_a
                  + (-h / 8.0) * r_b[..., blk] * u_b)
@@ -524,6 +525,66 @@ class TestDelayLine:
         for g, w in zip(got, want):
             assert g.shape == w.shape
             assert np.array_equal(g, w)
+
+    def test_round_trip_longer_than_one_span(self):
+        # kappa_c 1.0/ns at dt 0.1 gives 5,082 steps a round trip, composed
+        # in two spans; each qubit couples in one span of each round trip,
+        # and in the second round trip both spans are fed
+        tau = 508.12
+        segs = [Segment("release", 2, 100.0, 40.0, 1.0),
+                Segment("release", 1, 450.0, 40.0, 1.0, alpha=0.6),
+                Segment("capture", 1, 100.0 + tau, 40.0, 1.0),
+                Segment("capture", 2, 450.0 + tau, 40.0, 1.0)]
+        sched = ControlSchedule(segs, window=(0.0, 2.2 * tau))
+        ch = ChannelParams(eta=0.67, tau=tau, phase=0.4)
+        n_sub, _, n_steps = _grid(sched.window, tau, 0.1, sched.max_kappa(), sched.max_delta())
+        assert n_sub == 5082 and n_sub > _SPAN
+        s0 = np.array([[1.0, 0.0], [0.6, 0.8j]])
+        extra = np.array([0.0, 1.3])
+        got = _integrate(sched, ch, s0, 0.1, extra_phases=extra)
+        want = stepwise_integrate(sched, ch, s0, 0.1, extra_phases=extra)
+        assert np.array_equal(got[0], want[0])
+        for g, w in zip(got[1:], want[1:]):
+            assert np.all(np.isfinite(g))
+            assert np.max(np.abs(g - w)) <= 1e-13
+
+    def test_fast_detuning_shortens_the_step(self):
+        # 2 GHz would put h |Delta| near 3 at dt 0.25; the step is cut to a
+        # tenth of 1 / |Delta| instead, so no step map nears zero
+        tau = 2.0
+        segs = [Segment("release", 1, 0.0, tau, 0.3, alpha=0.6),
+                Segment("capture", 2, tau, tau, 0.3),
+                Segment("detune", 1, tau, 0.5 * tau, f_mhz=2000.0)]
+        sched = ControlSchedule(segs, window=(0.0, 3.7 * tau))
+        ch = ChannelParams(eta=0.8, tau=tau, phase=0.4)
+        _, h, _ = _grid(sched.window, tau, 0.25, sched.max_kappa(), sched.max_delta())
+        assert h * sched.max_delta() <= 0.1
+        s0 = np.array([[1.0, 0.0], [0.3j, 0.5]])
+        extra = np.array([0.0, -2.1])
+        got = _integrate(sched, ch, s0, 0.25, extra_phases=extra)
+        want = stepwise_integrate(sched, ch, s0, h, extra_phases=extra)
+        assert np.array_equal(got[0], want[0])
+        for g, w in zip(got[1:], want[1:]):
+            assert np.all(np.isfinite(g))
+            assert np.max(np.abs(g - w)) <= 1e-13
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), fed=st.integers(0, 40),
+           h=st.floats(0.01, 0.25))
+    def test_real_maps_equal_complex_maps(self, seed, n, fed, h):
+        # an undetuned schedule builds its maps in float64: cast to complex
+        # they are the maps of the same coefficients given as complex
+        rng = np.random.default_rng(seed)
+        kappa = rng.uniform(0.0, 0.4, size=(2, 2 * n + 1))
+        kappa[:, rng.random(2 * n + 1) < 0.3] = 0.0  # uncoupled nodes
+        decay, root = -0.5 * kappa, np.sqrt(kappa)
+        fed = min(fed, n)
+        real = _step_maps(decay, root, h, n, fed)
+        cplx = _step_maps(decay.astype(complex), root.astype(complex), h, n, fed)
+        for r, c in zip(real, cplx):
+            assert r.dtype == np.float64 and c.dtype == np.complex128
+            assert r.shape == c.shape
+            assert r.astype(complex).tobytes() == c.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(line=delay_lines(pairs=[(1, 1), (2, 2)]),
