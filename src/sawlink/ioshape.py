@@ -307,19 +307,19 @@ class IOTrace:
         return np.abs(self.s2) ** 2
 
 
-def _grid(window: tuple[float, float], tau: float, dt: float,
-          kappa_max: float, delta_max: float) -> tuple[int, float, int]:
+def _grid(schedule: ControlSchedule, tau: float, dt: float) -> tuple[int, float, int]:
     """Steps per transit, the step (an exact divisor of tau, at most dt,
-    0.25 ns and a tenth of both 1 / kappa_max and 1 / |Delta|max) and the
-    steps spanning the window."""
+    0.25 ns and a tenth of both 1 / kappa_max and 1 / |Delta|max of the
+    schedule) and the steps spanning the schedule's window."""
     if not dt > 0:  # also rejects NaN
         raise ValidationError(f"dt must be positive, got {dt}")
-    for rate in (kappa_max, delta_max):
+    for rate in (schedule.max_kappa(), schedule.max_delta()):
         if rate > 0:
             dt = min(dt, 0.1 / rate)
     n_sub = max(int(np.ceil(tau / min(dt, 0.25))), 1)
     h = tau / n_sub
-    return n_sub, h, int(np.ceil((window[1] - window[0]) / h - 1e-9))
+    t0, t1 = schedule.window
+    return n_sub, h, int(np.ceil((t1 - t0) / h - 1e-9))
 
 
 # steps one running product composes: each step's map has modulus at least
@@ -413,8 +413,7 @@ def _integrate(
     longer block is composed span after span.
     """
     t0 = schedule.window[0]
-    delta_max = schedule.max_delta()
-    n_sub, h, n_steps = _grid(schedule.window, ch.tau, dt, schedule.max_kappa(), delta_max)
+    n_sub, h, n_steps = _grid(schedule, ch.tau, dt)
     times = t0 + h * np.arange(n_steps + 1)
     # the qubits that hold a segment (a table's row 0 is none); with two
     # qubits they are one slice of the qubit axis
@@ -424,7 +423,7 @@ def _integrate(
     # step nodes, then the midpoints
     nodes = np.concatenate([times, times[:-1] + h / 2.0])
     kappa = np.stack([schedule.kappa(q, nodes) for q in busy])
-    if delta_max > 0:
+    if schedule.max_delta() > 0:
         # decay = -(kappa / 2 + i Delta), written part by part: arithmetic
         # that mixes float and complex operands runs at half speed
         decay = np.empty(kappa.shape, dtype=complex)
@@ -588,21 +587,21 @@ def interference_experiment(
     """
     schedules = interference_schedules(delta_phi, ch, kappa_c, window)
     phases = np.zeros(1) if noise.sigma_phi == 0.0 else realization_phases(noise)
-    powers = {}  # (realization, m) phase powers per round-trip count n
     pe = np.empty(len(schedules))
+    if not schedules:
+        return pe
+    # one grid serves every schedule: they share the window and kappa_c, and
+    # the pulse's 20 MHz caps the step at 0.8 ns, above the 0.25 ns cap
+    n_sub, _, n_steps = _grid(schedules[0], ch.tau, dt)
+    n = n_steps // n_sub
+    root_phases = 2 * np.pi * np.arange(n + 1) / (n + 1)
+    powers = np.exp(1j * np.outer(phases, np.arange(n + 1)))  # (realization, m)
     for k, schedule in enumerate(schedules):
-        # n from the schedule's own step, which its detuning may shorten
-        n_sub, _, n_steps = _grid(schedule.window, ch.tau, dt, schedule.max_kappa(),
-                                  schedule.max_delta())
-        n = n_steps // n_sub
-        if n not in powers:
-            powers[n] = np.exp(1j * np.outer(phases, np.arange(n + 1)))
-        root_phases = 2 * np.pi * np.arange(n + 1) / (n + 1)
         s1 = np.concatenate([
             _integrate(schedule, ch, np.tile([1.0 + 0j, 0.0], (len(rows), 1)), dt,
                        extra_phases=rows)[1][:, -1, 0]
             for rows in (root_phases[i : i + chunk] for i in range(0, n + 1, chunk))
         ])
         coeffs = np.fft.fft(s1) / (n + 1)
-        pe[k] = np.mean(np.abs(powers[n] @ coeffs) ** 2)
+        pe[k] = np.mean(np.abs(powers @ coeffs) ** 2)
     return pe

@@ -407,8 +407,7 @@ def full_block_integrate(schedule, ch, s0, dt, extra_phases=None):
     every block, also before the first transit has arrived; ``_step_maps``
     from step 0 gives the input weights of every step, always complex."""
     t0 = schedule.window[0]
-    n_sub, h, n_steps = _grid(schedule.window, ch.tau, dt, schedule.max_kappa(),
-                              schedule.max_delta())
+    n_sub, h, n_steps = _grid(schedule, ch.tau, dt)
     times = t0 + h * np.arange(n_steps + 1)
     busy = [q for q in (1, 2) if len(schedule.tables[q][0]) > 1]
     rows = slice(busy[0] - 1, busy[-1])
@@ -537,7 +536,7 @@ class TestDelayLine:
                 Segment("capture", 2, 450.0 + tau, 40.0, 1.0)]
         sched = ControlSchedule(segs, window=(0.0, 2.2 * tau))
         ch = ChannelParams(eta=0.67, tau=tau, phase=0.4)
-        n_sub, _, n_steps = _grid(sched.window, tau, 0.1, sched.max_kappa(), sched.max_delta())
+        n_sub, _, n_steps = _grid(sched, tau, 0.1)
         assert n_sub == 5082 and n_sub > _SPAN
         s0 = np.array([[1.0, 0.0], [0.6, 0.8j]])
         extra = np.array([0.0, 1.3])
@@ -557,7 +556,7 @@ class TestDelayLine:
                 Segment("detune", 1, tau, 0.5 * tau, f_mhz=2000.0)]
         sched = ControlSchedule(segs, window=(0.0, 3.7 * tau))
         ch = ChannelParams(eta=0.8, tau=tau, phase=0.4)
-        _, h, _ = _grid(sched.window, tau, 0.25, sched.max_kappa(), sched.max_delta())
+        _, h, _ = _grid(sched, tau, 0.25)
         assert h * sched.max_delta() <= 0.1
         s0 = np.array([[1.0, 0.0], [0.3j, 0.5]])
         extra = np.array([0.0, -2.1])
