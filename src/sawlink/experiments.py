@@ -27,6 +27,7 @@ from .ioshape import (
     ControlSchedule,
     NoiseSpec,
     Segment,
+    check_loop_memory,
     interference_experiment,
     interference_schedules,
     simulate_io,
@@ -63,8 +64,9 @@ def _integer(params: dict, key: str, least: int = 1, most: float = np.inf) -> in
 def plan_ping_pong(device: DeviceParams, params: dict, seed: int):
     """The channel and the release-recapture schedule on qubit 1."""
     ch = device.channel(params["eta"])
-    return ch, transfer_schedule(params["kappa_c"], params["window_ns"], ch.tau,
-                                 emitter=1, receiver=1)
+    sched = transfer_schedule(params["kappa_c"], params["window_ns"], ch.tau, 1, 1)
+    check_loop_memory(sched, ch)
+    return ch, sched
 
 
 def run_ping_pong(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
@@ -94,11 +96,14 @@ def plan_multi_transit(device: DeviceParams, params: dict, seed: int):
     w = params["window_ns"]
     ch = device.channel(params["eta"])
     release = Segment("release", 1, 0.0, w, params["kappa_c"])
-    schedules = []
-    for n in range(1, _integer(params, "max_transits") + 1):
+
+    def schedule(n):
         capture = time_reverse(replace(release, t_start=n * ch.tau))
-        schedules.append(ControlSchedule([release, capture], window=(0.0, n * ch.tau + w)))
-    return ch, schedules
+        return ControlSchedule([release, capture], window=(0.0, n * ch.tau + w))
+
+    n_max = _integer(params, "max_transits")
+    check_loop_memory(schedule(n_max), ch)  # the longest loop, before the others are built
+    return ch, [schedule(n) for n in range(1, n_max + 1)]
 
 
 def run_multi_transit(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
@@ -145,8 +150,10 @@ def plan_interference(device: DeviceParams, params: dict, seed: int):
     noise = NoiseSpec(sigma_phi=sigma, n_realizations=params["realizations"], master_seed=seed)
     # a schedule check fails for every phase or first for the longest pulse
     longest = phases[[np.argmax(phases % (2 * np.pi))]]
-    interference_schedules(longest, ch, params["kappa_c"], params["window_ns"])
-    return phases, ch, noise, _integer(params, "chunk")
+    (sched,) = interference_schedules(longest, ch, params["kappa_c"], params["window_ns"])
+    chunk = _integer(params, "chunk")
+    check_loop_memory(sched, ch, rows=chunk)
+    return phases, ch, noise, chunk
 
 
 def run_interference(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:

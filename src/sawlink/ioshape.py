@@ -18,13 +18,14 @@ midpoints in separate contiguous arrays.  It integrates only the qubits
 that hold a segment: a qubit without one is uncoupled and undetuned, so
 it is carried, keeping its initial amplitude, and adds nothing to the
 output field.  The step maps, which depend on the schedule alone, are
-built once per call, in float64 when no qubit detunes; each round trip
-then only forms its input offsets, composes its steps with one running
-product and one running sum (no log-depth scan) and evaluates its
-outputs.  The running sum divides by the running product, which stays
-far from zero: the step is capped by the detuning as well as by the
-coupling, so each step's map has modulus at least about 0.95, and one
-product spans at most 4,096 steps.
+built once per call, in float64 when no qubit detunes, and the whole
+loop runs in float64 when every feedback factor and amplitude is real as
+well.  Each round trip then only forms its input offsets, composes its
+steps with one running product and one running sum (no log-depth scan)
+and evaluates its outputs.  The running sum divides by the running
+product, which stays far from zero: the step is capped by the detuning
+as well as by the coupling, so each step's map has modulus at least
+about 0.95, and one product spans at most 4,096 steps.
 
 Classical phase noise is drawn per realization from the Philox stream
 keyed by (master seed, realization index); being counter-based, a stream
@@ -37,6 +38,7 @@ exact mean of the final population over them.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from numbers import Integral
@@ -292,6 +294,7 @@ class ControlSchedule:
 
 @dataclass(frozen=True)
 class IOTrace:
+    """Amplitudes and fields at ``times``: float64 for a real transfer (``_integrate``)."""
     times: np.ndarray
     s1: np.ndarray
     s2: np.ndarray
@@ -320,6 +323,18 @@ def _grid(schedule: ControlSchedule, tau: float, dt: float) -> tuple[int, float,
     h = tau / n_sub
     t0, t1 = schedule.window
     return n_sub, h, int(np.ceil((t1 - t0) / h - 1e-9))
+
+
+def check_loop_memory(schedule: ControlSchedule, ch: ChannelParams, rows: int = 1) -> None:
+    """Reject, allocating nothing, a delay loop at the default step on ``rows`` (at most n + 1)
+    batch rows that needs more than physical memory: as complex, 16 bytes a step for 9 arrays a
+    row and 16 more (measured peaks: 242 bytes a step for one qubit and row, 131 more a row)."""
+    n_sub, _, n_steps = _grid(schedule, ch.tau, 0.25)
+    need = 16 * n_steps * (9 * min(rows, n_steps // n_sub + 1) + 16)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValidationError(f"the delay loop takes {n_steps} steps and about {need} bytes, "
+                              f"more than the {have} bytes of physical memory")
 
 
 # steps one running product composes: each step's map has modulus at least
@@ -381,9 +396,10 @@ def _integrate(
 ):
     """Fixed-step RK4 for the delayed feedback loop, batched over phases.
 
-    ``s0`` holds one amplitude pair per batch row.  Returns the step
-    nodes, the amplitudes per (batch, node, qubit) and the input and
-    output fields per (batch, node).
+    ``s0`` holds one amplitude pair per batch row.  Returns the step nodes,
+    the amplitudes per (batch, node, qubit) and the input and output fields
+    per (batch, node), in float64 when no qubit detunes and every row's
+    sqrt(eta) e^{i (phase + row phase)} and amplitude is real, else complex.
 
     The step nodes ``times`` (n_steps + 1) and the step midpoints
     (n_steps) are kept apart, each in contiguous arrays with the node
@@ -399,7 +415,7 @@ def _integrate(
 
     The step maps of ``_step_maps`` depend on the schedule alone and are
     built once per call; when no qubit detunes they are real and built in
-    float64, then cast to complex once.  The loop then runs once per round
+    float64, cast to complex if the loop is.  The loop then runs once per round
     trip: inside a block of n_sub steps the input is the fed-back output
     of the previous block, so the loop forms the block's offsets
     B = Ca u_a + Cm u_m + Cb u_b and composes the block's steps
@@ -432,22 +448,27 @@ def _integrate(
         root = np.sqrt(kappa).astype(complex)
     else:  # real coefficients: the same maps, with the same bits, in float64
         decay, root = -0.5 * kappa, np.sqrt(kappa)
+    s = np.asarray(s0)
+    batch = s.shape[0]
+    phases = np.zeros(batch) if extra_phases is None else np.asarray(extra_phases, dtype=float)
+    feedback = (np.sqrt(ch.eta) * np.exp(1j * (ch.phase + phases)))[:, None]  # (batch, 1)
+    # the whole loop runs in float64 when nothing in it is complex: no
+    # detuning, a real feedback factor on every row and real amplitudes
+    real = root.dtype == float and not (feedback.imag.any() or np.imag(s).any())
+    dtype = float if real else complex
+    feedback, s = (feedback.real, s.real) if real else (feedback, s)
     fed = min(n_sub - 1, n_steps)  # the first step the input reaches
-    A, Ca, Cm, Ha, Hb = (m.astype(complex, copy=False)
+    A, Ca, Cm, Ha, Hb = (m.astype(dtype, copy=False)
                          for m in _step_maps(decay, root, h, n_steps, fed))
-    root = root.astype(complex, copy=False)
+    root = root.astype(dtype, copy=False)
     del nodes, kappa, decay  # only root is read past the maps
     r_a, r_b = root[:, None, :n_steps], root[:, None, 1 : n_steps + 1]
     r_m = root[:, None, n_steps + 1 :]
 
-    s = np.asarray(s0, dtype=complex)
-    batch = s.shape[0]
-    phases = np.zeros(batch) if extra_phases is None else np.asarray(extra_phases, dtype=float)
-    feedback = (np.sqrt(ch.eta) * np.exp(1j * (ch.phase + phases)))[:, None]  # (batch, 1)
     # (batch, node) input and output fields at the step nodes and midpoints
-    ain, aout = (np.zeros((batch, n_steps + 1), dtype=complex) for _ in range(2))
-    ain_m, aout_m = (np.zeros((batch, n_steps), dtype=complex) for _ in range(2))
-    states = np.empty((2, batch, n_steps + 1), dtype=complex)
+    ain, aout = (np.zeros((batch, n_steps + 1), dtype=dtype) for _ in range(2))
+    ain_m, aout_m = (np.zeros((batch, n_steps), dtype=dtype) for _ in range(2))
+    states = np.empty((2, batch, n_steps + 1), dtype=dtype)
     states[...] = s.T[:, :, None]
     live = states[rows]  # a view: the loop writes the busy qubits' rows in place
 
@@ -503,6 +524,7 @@ def simulate_io(
     step the edge falls.  The interference fringe's 20 MHz detune pulse
     has measured final-population errors up to 2.85e-3 at dt 0.25 ns,
     8.2e-4 at 0.125 and 1.4e-5 at 0.0625.  Shrink ``dt`` if that matters.
+    A real transfer's trace (``_integrate``) is float64, on a ``grid`` too.
     """
     s0 = np.asarray(s0, dtype=complex)
     if s0.shape != (2,):
@@ -515,8 +537,9 @@ def simulate_io(
         if grid[0] < times[0] - 1e-9 or grid[-1] > times[-1] + 1e-9:
             raise ValidationError("grid extends beyond the schedule window")
 
-        def onto(v):
-            return np.interp(grid, times, v.real) + 1j * np.interp(grid, times, v.imag)
+        def onto(v):  # a real trace is interpolated once and stays real
+            on = np.interp(grid, times, v.real)
+            return on + 1j * np.interp(grid, times, v.imag) if np.iscomplexobj(v) else on
 
         return IOTrace(grid, onto(s1), onto(s2), onto(ain), onto(aout))
     return IOTrace(times, s1, s2, ain, aout)

@@ -324,6 +324,25 @@ class TestExitCodes:
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "MemoryError"
 
+    # the delay loop is sized from its grid before anything is allocated:
+    # against 8 GiB, ping_pong at kappa_c 1e4/ns (78.5M steps) and the
+    # millionth transit of multi_transit (2.0e9 steps) fail `validate`
+    @pytest.mark.parametrize("experiment, params, steps", [
+        ("ping_pong", {"kappa_c": 10000.0}, 78515000),
+        ("multi_transit", {"max_transits": 1000000}, 2033000601),
+    ])
+    def test_delay_loop_too_large_for_memory_fails_validate(self, tmp_path, capsys, monkeypatch,
+                                                            experiment, params, steps):
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        code, err = _validate(tmp_path, capsys, experiment, params)
+        assert code == 2
+        assert len(err) == 1
+        diag = json.loads(err[0])
+        assert diag["error"] == "ValidationError"
+        assert f"the delay loop takes {steps} steps" in diag["message"]
+        assert f"the {2**33} bytes of physical memory" in diag["message"]
+
     def test_realizations_too_large_for_memory_fail_run(self, tmp_path, capsys):
         path = tmp_path / "c.yaml"
         raw = default_config("interference")

@@ -270,6 +270,22 @@ class TestSimulateIO:
         tr = simulate_io(sched, ChannelParams(eta=1.0, tau=TAU), s0=(1.0, 0.0))
         assert np.max(np.abs(tr.a_out.imag)) < 1e-10
 
+    def test_grid_keeps_a_real_trace_real(self):
+        # a real transfer is interpolated once onto the grid and stays
+        # float64; a complex one is interpolated part by part
+        sched = transfer_schedule(KC, 180.0, TAU)
+        ch = ChannelParams(eta=0.67, tau=TAU)
+        full = simulate_io(sched, ch, s0=(1.0, 0.0))
+        grid = np.linspace(0.0, full.times[-1], 101)
+        real = simulate_io(sched, ch, s0=(1.0, 0.0), grid=grid)
+        turned = simulate_io(sched, ch, s0=(1.0j, 0.0), grid=grid)
+        for name in ("s1", "s2", "a_in", "a_out"):
+            r, c = getattr(real, name), getattr(turned, name)
+            assert getattr(full, name).dtype == r.dtype == np.float64
+            assert c.dtype == np.complex128
+            assert np.array_equal(r, np.interp(grid, full.times, getattr(full, name)))
+            assert np.max(np.abs(c - 1j * r)) <= 1e-15
+
     def test_overlapping_couplings_rejected(self):
         segs = [
             Segment("release", 1, 0.0, 100.0, KC),
@@ -354,6 +370,19 @@ def one_step_line(trips: float):
     return ControlSchedule(segs, window=(1.0, 1.0 + trips * tau)), ch, 0.2
 
 
+def resonant(line):
+    """A line without its detune pulse and at channel phase 0: a release
+    and capture on resonance, a real transfer."""
+    sched, ch, dt = line
+    couplings = [s for s in sched.segments if s.couples]
+    return ControlSchedule(couplings, sched.window), replace(ch, phase=0.0), dt
+
+
+def real_line(trips: float):
+    """``fixed_line(receiver=1)`` made resonant: qubit 1 alone."""
+    return resonant(fixed_line(receiver=1, trips=trips))
+
+
 def stepwise_integrate(schedule, ch, s0, dt, extra_phases=None):
     """Reference: the delay loop stepped one RK4 step at a time in Python,
     on the same half-step grid, input offset and Hermite midpoint."""
@@ -402,10 +431,12 @@ def stepwise_integrate(schedule, ch, s0, dt, extra_phases=None):
     return times, np.stack(states, axis=1), np.stack(inputs, axis=1), out[:, ::2]
 
 
-def full_block_integrate(schedule, ch, s0, dt, extra_phases=None):
+def full_block_integrate(schedule, ch, s0, dt, extra_phases=None, dtype=None):
     """Reference: the block loop with the input work done on every step of
     every block, also before the first transit has arrived; ``_step_maps``
-    from step 0 gives the input weights of every step, always complex."""
+    from step 0 gives the input weights of every step.  It runs in the
+    dtype given, or by default in the one ``_integrate`` picks: float64
+    when nothing detunes and every feedback factor and amplitude is real."""
     t0 = schedule.window[0]
     n_sub, h, n_steps = _grid(schedule, ch.tau, dt)
     times = t0 + h * np.arange(n_steps + 1)
@@ -413,21 +444,27 @@ def full_block_integrate(schedule, ch, s0, dt, extra_phases=None):
     rows = slice(busy[0] - 1, busy[-1])
     nodes = np.concatenate([times, times[:-1] + h / 2.0])
     kappa = np.stack([schedule.kappa(q, nodes) for q in busy])
-    decay = np.empty(kappa.shape, dtype=complex)
+    s = np.asarray(s0)
+    batch = s.shape[0]
+    phases = np.zeros(batch) if extra_phases is None else np.asarray(extra_phases, dtype=float)
+    feedback = (np.sqrt(ch.eta) * np.exp(1j * (ch.phase + phases)))[:, None]
+    if dtype is None:
+        real = schedule.max_delta() == 0 and not feedback.imag.any() and not np.imag(s).any()
+        dtype = float if real else complex
+    if dtype == float:
+        feedback, s = feedback.real, s.real
+    decay = np.empty(kappa.shape, dtype=dtype)
     decay.real = -0.5 * kappa
-    decay.imag = -np.stack([schedule.delta(q, nodes) for q in busy])
-    root = np.sqrt(kappa).astype(complex)
+    if dtype == complex:
+        decay.imag = -np.stack([schedule.delta(q, nodes) for q in busy])
+    root = np.sqrt(kappa).astype(dtype)
     A, Ca, Cm, Ha, Hb = _step_maps(decay, root, h, n_steps, 0)
     r_a, r_b = root[:, None, :n_steps], root[:, None, 1 : n_steps + 1]
     r_m = root[:, None, n_steps + 1 :]
 
-    s = np.asarray(s0, dtype=complex)
-    batch = s.shape[0]
-    phases = np.zeros(batch) if extra_phases is None else np.asarray(extra_phases, dtype=float)
-    feedback = (np.sqrt(ch.eta) * np.exp(1j * (ch.phase + phases)))[:, None]
-    ain, aout = (np.zeros((batch, n_steps + 1), dtype=complex) for _ in range(2))
-    ain_m, aout_m = (np.zeros((batch, n_steps), dtype=complex) for _ in range(2))
-    states = np.empty((2, batch, n_steps + 1), dtype=complex)
+    ain, aout = (np.zeros((batch, n_steps + 1), dtype=dtype) for _ in range(2))
+    ain_m, aout_m = (np.zeros((batch, n_steps), dtype=dtype) for _ in range(2))
+    states = np.empty((2, batch, n_steps + 1), dtype=dtype)
     states[...] = s.T[:, :, None]
     live = states[rows]
 
@@ -488,6 +525,7 @@ class TestDelayLine:
     @example(line=fixed_line(receiver=1, trips=3.7),
              rows=[(0.0, 1.0, 0.0), (1.1, 0.3j, 0.5), (-2.5, 0.6, -0.2 + 0.1j)])
     @example(line=fixed_line(receiver=2, trips=4.0), rows=[(0.4, 0.8, 0.1j)])
+    @example(line=real_line(trips=3.7), rows=[(0.0, 1.0, 0.0), (1.3, 0.6, -0.8)])
     def test_block_scan_matches_stepwise_loop(self, line, rows):
         # differential: the step maps and block scan against the oracle that
         # takes one RK4 step at a time, on states, a_in and a_out
@@ -511,6 +549,7 @@ class TestDelayLine:
     @example(line=fixed_line(receiver=2, trips=1.0), rows=[(0.4, 0.8, 0.1j)])
     @example(line=one_step_line(trips=37.5), rows=[(0.4, 0.8, 0.1j)])
     @example(line=one_step_line(trips=24.0), rows=[(0.0, 1.0, 0.0), (-2.0, 0.6, 0.3)])
+    @example(line=real_line(trips=3.7), rows=[(0.0, 1.0, 0.0)])
     def test_fed_steps_alone_match_full_blocks(self, line, rows):
         # differential, exact: the input work done only on the steps the
         # input reaches against the same loop doing it on every step; the
@@ -524,6 +563,45 @@ class TestDelayLine:
         for g, w in zip(got, want):
             assert g.shape == w.shape
             assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("change, dtype", [
+        ({}, np.float64),
+        ({"s0": np.array([[1.0 + 0j, 0.0], [0.6, -0.8]])}, np.float64),  # complex, zero imag
+        ({"eta": 0.0}, np.float64),
+        ({"segments": [Segment("detune", 2, 3.0, 2.0)]}, np.float64),  # 0 MHz idles
+        ({"segments": [Segment("detune", 2, 3.0, 2.0, f_mhz=12.0)]}, np.complex128),
+        ({"phase": 0.4}, np.complex128),
+        ({"extra": np.array([0.0, 1.3])}, np.complex128),
+        ({"s0": np.array([[1.0, 0.0], [0.6, 0.8j]])}, np.complex128),
+    ])
+    def test_loop_is_real_exactly_when_the_transfer_is(self, change, dtype):
+        # float64 needs no detuning, a real feedback factor on every row
+        # and real amplitudes; any one complex term makes the loop complex
+        sched, ch, dt = real_line(trips=2.5)
+        sched = ControlSchedule(list(sched.segments) + change.get("segments", []), sched.window)
+        ch = replace(ch, eta=change.get("eta", ch.eta), phase=change.get("phase", ch.phase))
+        s0 = change.get("s0", np.array([[1.0, 0.0], [0.6, -0.8]]))
+        extra = change.get("extra", np.zeros(2))
+        _, states, ain, aout = _integrate(sched, ch, s0, dt, extra_phases=extra)
+        assert states.dtype == ain.dtype == aout.dtype == dtype
+
+    @settings(max_examples=40, deadline=None)
+    @given(line=delay_lines().map(resonant),
+           amps=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                         min_size=1, max_size=3))
+    @example(line=real_line(trips=3.7), amps=[(1.0, 0.0), (0.6, -0.8)])
+    def test_real_loop_matches_complex_oracle(self, line, amps):
+        # differential: the float64 loop against the same loop forced complex
+        sched, ch, dt = line
+        s0 = np.array(amps)
+        extra = np.zeros(len(amps))
+        got = _integrate(sched, ch, s0, dt, extra_phases=extra)
+        want = full_block_integrate(sched, ch, s0, dt, extra_phases=extra, dtype=complex)
+        assert np.array_equal(got[0], want[0])
+        for g, w in zip(got[1:], want[1:]):
+            assert g.dtype == np.float64 and w.dtype == np.complex128
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-15
 
     def test_round_trip_longer_than_one_span(self):
         # kappa_c 1.0/ns at dt 0.1 gives 5,082 steps a round trip, composed
@@ -678,6 +756,18 @@ class TestInterference:
         assert np.array_equal(fringe, np.concatenate(singles))
         with pytest.raises(ValidationError):
             interference_experiment(1.0, ch, noise)
+
+    def test_real_first_pass_matches_one_pass(self):
+        # with chunk 1 the first pass of the unpulsed phase is the phase-0
+        # row alone, a real loop; in one pass it shares a complex loop
+        ch = ChannelParams(eta=0.67, tau=60.0)
+        noise = NoiseSpec(sigma_phi=0.7, n_realizations=16, master_seed=11)
+        dphis = np.array([0.0, 1.0, np.pi])
+        n_sub, _, n_steps = _grid(interference_schedule(0.0, ch.tau, 0.2, 20.0), ch.tau, 0.25)
+        one_row = interference_experiment(dphis, ch, noise, 0.2, 20.0, chunk=1)
+        one_pass = interference_experiment(dphis, ch, noise, 0.2, 20.0,
+                                           chunk=n_steps // n_sub + 1)
+        assert np.max(np.abs(one_row - one_pass)) <= 1e-15
 
     def test_lossless_rephasing_is_complete(self):
         (pe,) = interference_experiment(np.array([0.0]), ChannelParams(eta=1.0, tau=TAU), NOISELESS)
