@@ -8,9 +8,9 @@ and then the execution, a pure function of (device, params, seed) giving
 metrics, series and matrices; only failures that depend on the result
 stay at run time.  Published hardware values sit beside the model
 output under ``reference_`` metric keys.  Swap, double_swap and bell
-import the Lindblad side (``cascade``, ``dynamics``, scipy) when they run,
-and vacuum_rabi imports scipy.optimize for its revival fit, so the other
-runners and every plan need numpy alone.
+import the Lindblad side (``cascade``, ``dynamics``, scipy) when they run;
+the other runners, vacuum_rabi's revival fit among them, and every plan
+need numpy alone.
 """
 
 from __future__ import annotations

@@ -1,15 +1,25 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeWarning, curve_fit, leastsq
 from scipy.special import eval_laguerre
 
+from sawlink import multimode
+from sawlink.device import default_device
 from sawlink.dynamics import evolve_generator, expectations
 from sawlink.errors import ValidationError
+from sawlink.experiments import EXPERIMENTS, run_experiment
 from sawlink.ioshape import MHZ
 from sawlink.multimode import (
     MultimodeParams,
+    _fdjac,
     _laguerre,
+    _lmdif,
+    _qrfac,
     decay_population,
     efficiency_bound,
     golden_rule_kappa,
@@ -34,6 +44,17 @@ def full_hamiltonian(p: MultimodeParams) -> tuple[HilbertSpace, np.ndarray]:
         a = embed(SIGMA_MINUS, f"m{j}", space)
         h += delta * embed(NUMBER, f"m{j}", space) + p.g * MHZ * (sp @ a + sm @ a.conj().T)
     return space, h
+
+
+def einsum_population(p: MultimodeParams, rho0: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """decay_population as first written: the qubit's row of U(t) at each
+    grid time, contracted with rho0 by one three-operand einsum."""
+    h_eff = sector_hamiltonian(p)
+    modes = np.arange(p.n_a)
+    h_eff[modes, modes] -= 1j * (0.5 * p.kappa_a * 1e-3)
+    lam, v = np.linalg.eig(h_eff)
+    rows = (v[-1] * np.exp(-1j * np.multiply.outer(grid, lam))) @ np.linalg.inv(v)
+    return np.einsum("ti,ij,tj->t", rows, rho0, rows.conj()).real
 
 
 def qubit_excited(n_a: int) -> np.ndarray:
@@ -129,6 +150,32 @@ class TestSector:
         rhos = evolve_generator(ladder_generator(p), rho0[None], grid, 1e-10)
         want = expectations(rhos, {"pe": sm.conj().T @ sm})["pe"][:, 0]
         assert np.max(np.abs(decay_population(p, rho0[1:, 1:], grid) - want)) <= 1e-8
+
+
+class TestContraction:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_a=st.integers(1, 20),
+        g=st.floats(0.01, 3.0),
+        kappa_a=st.floats(0.0, 3.0),
+        points=st.integers(2, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_einsum(self, n_a, g, kappa_a, points, seed):
+        # a random Hermitian rho0 of unit spectral norm, through the first echo
+        p = MultimodeParams(g=g, n_a=n_a, fsr=1.97, kappa_a=kappa_a)
+        a = np.random.default_rng(seed).normal(size=(2, n_a + 1, n_a + 1))
+        rho0 = (a[0] + 1j * a[1]) + (a[0] + 1j * a[1]).conj().T
+        rho0 /= np.linalg.norm(rho0, 2)
+        grid = np.linspace(0.0, 2 * p.tau_ns, points)
+        assert np.max(np.abs(decay_population(p, rho0, grid) - einsum_population(p, rho0, grid))) <= 1e-15
+
+    def test_identical_at_the_excited_qubit(self):
+        # the state vacuum_rabi runs from gives the einsum's bits
+        p = MultimodeParams(g=0.18, n_a=11, fsr=1.97, kappa_a=1 / 1.2)
+        grid = np.linspace(0.0, 2 * p.tau_ns, 800)
+        rho0 = qubit_excited(p.n_a)
+        assert np.array_equal(decay_population(p, rho0, grid), einsum_population(p, rho0, grid))
 
 
 class TestSpectrum:
@@ -249,3 +296,150 @@ class TestOracleEquivalence:
         pe = np.abs(laguerre_amplitude(grid, p)) ** 2
         kappa = golden_rule_kappa(p.g, p.fsr).rate
         assert revival_onset(grid, pe) == pytest.approx(p.tau_ns, abs=5.0)
+
+
+def hinge_residuals(t, d):
+    """revival_onset's residuals max(0, t - t0) (a + b (t - t0)) - d."""
+    def fcn(t0, a, b):
+        u = np.maximum(t - t0, 0.0)
+        return u * (a + b * u) - d
+    return fcn
+
+
+def curve_fit_onset(fcn, x0):
+    """The hinge position scipy's curve_fit finds for the residuals ``fcn``
+    from ``x0``: the fit revival_onset ran before it had its own."""
+    zeros = np.zeros(fcn(*x0).size)
+    with warnings.catch_warnings():
+        # its covariance, which nothing reads, is undefined on an exact fit
+        warnings.simplefilter("ignore", OptimizeWarning)
+        return curve_fit(lambda _t, t0, a, b: fcn(t0, a, b), zeros, zeros, p0=x0, maxfev=10000)[0][0]
+
+
+def minpack_nfev(fcn, x0):
+    """The residual evaluations scipy's leastsq, MINPACK's lmdif, makes."""
+    return leastsq(lambda q: fcn(*q), x0, full_output=True, maxfev=10000)[2]["nfev"]
+
+
+def run_vacuum_rabi_fit(monkeypatch, fits, **over):
+    """vacuum_rabi's revival onset at the defaults with ``over``; each edge
+    fit it makes goes to ``fits`` as (residuals, start, (x, info, nfev))."""
+    def spy(fcn, x0):
+        fits.append((fcn, x0, _lmdif(fcn, x0)))
+        return fits[-1][2]
+
+    monkeypatch.setattr(multimode, "_lmdif", spy)
+    params = {**EXPERIMENTS["vacuum_rabi"].defaults, **over}
+    return run_experiment("vacuum_rabi", default_device(), params, 1234).metrics["revival_onset_ns"]
+
+
+# the benchmark's twelve sweep_vacuum_rabi entries (qubit, g_mhz), among
+# them two where curve_fit stops at a local optimum: q2 at 0.1708 and q1 at
+# 0.1759
+POOL = [(1, 0.159), (1, 0.16), (2, 0.2064), (1, 0.2037), (2, 0.1879), (1, 0.1599),
+        (2, 0.1708), (1, 0.2042), (1, 0.1647), (2, 0.1513), (2, 0.201), (1, 0.1759)]
+
+
+class TestRevivalFit:
+    """multimode's Levenberg-Marquardt against scipy's, which runs MINPACK."""
+
+    @pytest.mark.parametrize("qubit, g", POOL + [(q, g) for q in (1, 2) for g in (0.10, 0.14, 0.18)])
+    def test_onset_matches_curve_fit(self, monkeypatch, qubit, g):
+        fits = []
+        onset = run_vacuum_rabi_fit(monkeypatch, fits, qubit=qubit, g_mhz=g)
+        ((fcn, x0, (x, info, nfev)),) = fits
+        assert info in (1, 2, 3, 4) and onset == x[0]
+        want = curve_fit_onset(fcn, x0)
+        assert abs(onset - want) <= 2e-9 * abs(want)
+        # the same path: as many residual evaluations as MINPACK's
+        assert nfev == minpack_nfev(fcn, x0)
+
+    @pytest.mark.parametrize("update", [
+        {"g_mhz": 0.3, "horizon_tau": 0.5, "points": 120},
+        {"g_mhz": 0.01, "horizon_tau": 1.0, "n_modes": 3, "points": 120},
+    ], ids=["short-window", "weak-coupling"])
+    def test_unconverged_fit_raises(self, monkeypatch, update):
+        # both fits spend maxfev (info 5), here and in MINPACK
+        fits = []
+        with pytest.raises(ValidationError, match="did not converge"):
+            run_vacuum_rabi_fit(monkeypatch, fits, **update)
+        ((fcn, x0, (x, info, nfev)),) = fits
+        assert info == 5 and nfev >= 10000
+        assert leastsq(lambda q: fcn(*q), x0, full_output=True, maxfev=10000)[4] == 5
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(40, 200),
+        span=st.floats(5.0, 100.0),
+        frac=st.floats(0.2, 0.7),
+        a=st.floats(1e-3, 1.0),
+        curvature=st.floats(-0.3, 1.0),
+        noise=st.floats(1e-3, 1e-2),
+        start=st.tuples(st.floats(0.8, 1.2), st.floats(0.3, 3.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # two fits whose path depends on D keeping the running max of the
+    # column norms: with the current norms alone they take 59 and 43
+    # evaluations, not 57 and 56, and end 3e-7 away
+    @example(m=135, span=28.6, frac=0.48, a=0.673, curvature=-0.05, noise=0.0099,
+             start=(1.1, 2.88), seed=615)
+    @example(m=162, span=31.3, frac=0.31, a=0.063, curvature=0.4, noise=0.0044,
+             start=(0.81, 0.72), seed=59)
+    def test_synthetic_hinge_matches_curve_fit(self, m, span, frac, a, curvature, noise, start, seed):
+        # a noisy hinge with t0 inside the window, a > 0 and at least 20
+        # samples past it, fitted from a start off the truth; the noise keeps
+        # the final residual, and so the stopping tests, above rounding
+        t, t0 = np.linspace(0.0, span, m), frac * span
+        assume(np.count_nonzero(t > t0) >= 20)
+        rng = np.random.default_rng(seed)
+        u = np.maximum(t - t0, 0.0)
+        d = u * (a + curvature * a / (span - t0) * u) + rng.normal(0.0, noise * a * (span - t0), m)
+        x0 = (t0 * start[0], a * start[1], 0.0)
+        want = curve_fit_onset(hinge_residuals(t, d), x0)
+        want_nfev = minpack_nfev(hinge_residuals(t, d), x0)
+        # well conditioned: moving every sample by one ulp, six times at
+        # random, moves curve_fit's onset by at most 1e-9 and leaves MINPACK's
+        # path, its count of evaluations, as it was
+        for _ in range(6):
+            nudged = hinge_residuals(t, np.nextafter(d, rng.choice([-np.inf, np.inf], m)))
+            assume(abs(curve_fit_onset(nudged, x0) - want) <= 1e-9 * abs(want))
+            assume(minpack_nfev(nudged, x0) == want_nfev)
+        x, info, nfev = _lmdif(hinge_residuals(t, d), x0)
+        assert info in (1, 2, 3, 4)
+        assert abs(x[0] - want) <= 1e-8 * abs(want)
+        assert nfev == want_nfev
+
+
+class TestMinpackSteps:
+    def test_forward_differences(self):
+        # fdjac2's step sqrt(eps) |x_j|, and sqrt(eps) where x_j = 0 (b starts
+        # at 0 in every revival fit); the batch gives each column's own bits
+        t = np.linspace(0.0, 40.0, 120)
+        fcn = hinge_residuals(t, np.sin(t) * 1e-3)
+        x = [12.3, 2.5e-4, 0.0]
+        fvec = fcn(*x)
+        want = []
+        for j, v in enumerate(x):
+            h = np.sqrt(np.finfo(float).eps) * abs(v) or np.sqrt(np.finfo(float).eps)
+            want.append((fcn(*[w + h if i == j else w for i, w in enumerate(x)]) - fvec) / h)
+        assert np.array_equal(_fdjac(fcn, x, fvec), np.array(want))
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0), (2, 1, 0)])
+    def test_qrfac_pivots_on_column_norms(self, order):
+        # columns of very different norms, as in the hinge fit (t0, a, b);
+        # LAPACK's dgeqp3 pivots by the same rule
+        rng = np.random.default_rng(sum(order))
+        jac = rng.normal(size=(3, 60)) * np.array([1e-2, 1e1, 1e4])[list(order)][:, None]
+        jac[2] += 0.5 * jac[1]  # correlated columns, so the order after the first is not by norm alone
+        fvec = rng.normal(size=60)
+        r, qtf, ipvt, acnorm = _qrfac(jac, fvec)
+        _, r_lapack, piv = scipy.linalg.qr(jac.T, pivoting=True, mode="economic")
+        assert ipvt == piv.tolist()
+        r = np.array(r)
+        assert np.allclose(np.abs(np.diag(r)), np.abs(np.diag(r_lapack)), rtol=1e-12, atol=0.0)
+        assert np.array_equal(r, np.triu(r))
+        # R is the triangle of J P, and qtf the first n entries of Q^T fvec
+        jp = jac[ipvt].T
+        assert np.allclose(r.T @ r, jp.T @ jp, rtol=1e-12, atol=1e-12 * np.max(acnorm) ** 2)
+        assert np.allclose(r.T @ np.array(qtf), jp.T @ fvec, rtol=1e-12, atol=1e-9)
+        assert np.allclose(acnorm, np.linalg.norm(jac, axis=1), rtol=1e-14, atol=0.0)
