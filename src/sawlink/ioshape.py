@@ -78,8 +78,8 @@ class NoiseSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_phi < 0:
-            raise ValidationError("sigma_phi must be >= 0")
+        if not 0 <= self.sigma_phi < math.inf:
+            raise ValidationError("sigma_phi must be finite and >= 0")
         if self.n_realizations < 1:
             raise ValidationError("n_realizations must be >= 1")
         seed = self.master_seed

@@ -4,13 +4,12 @@ Builds the one-excitation block of the multi-mode exchange Hamiltonian
 directly, sweeps its spectrum, evolves the qubit's decay into the lossy
 ladder exactly in that block, and evaluates the analytical echo series
 for the qubit amplitude, the independent oracle for that evolution.  The
-revival edge is fitted by the module's own port of MINPACK's
-Levenberg-Marquardt routine, so the module needs numpy alone.
+revival edge's hinge fit solves its two linear parameters in closed form
+and searches the hinge position alone, so the module needs numpy alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -168,151 +167,63 @@ def laguerre_amplitude(t: np.ndarray, p: MultimodeParams) -> np.ndarray:
     return out
 
 
-_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)  # MINPACK's dpmpar
-_TOL, _MAXFEV = 1.49012e-8, 10000  # leastsq's ftol = xtol, and the fit's maxfev
+def _hinge_onset(t: np.ndarray, d: np.ndarray, k: int) -> float:
+    """The hinge position t0 of the least-squares fit of
+    max(0, t - t0) (a + b (t - t0)) to ``d``, from the sample t[k].
 
+    The hinge is linear in (a, b), so only t0 is searched (variable
+    projection: Golub and Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)):
+    at each trial t0, (a, b) solve the 2x2 normal equations over the samples
+    past t0, and sse(t0) is the residual sum of squares there.  The search
+    walks the samples downhill from t[k] to the first one whose next
+    neighbour is not lower.  Then it looks for a minimum on the sample
+    interval beside it that faces the start and, if sse falls all the way
+    to the sample there, on the interval on the far side.  An interval
+    holds one where d sse / d t0 = -2 a sum(r), r the residuals past t0
+    (they are orthogonal to u and u**2), is negative at its left end and
+    positive at its right; its root is found by Illinois regula falsi.  If
+    neither interval holds one, the onset is the sample.
+    """
+    d2 = np.cumsum(d * d)
 
-def _fdjac(fcn, x, fvec):
-    """fdjac2's forward differences, J's columns as rows: row j is
-    (fcn(x + h_j e_j) - fvec) / h_j, h_j = sqrt(eps) |x_j|, or sqrt(eps) at
-    x_j = 0.  The n points go to ``fcn`` as one batch, each parameter an
-    (n, 1) column, with the same elementwise arithmetic."""
-    n = len(x)
-    h = [math.sqrt(_EPS) * abs(v) or math.sqrt(_EPS) for v in x]
-    pts = np.array([[v + h[i] if i == j else v for j in range(n)] for i, v in enumerate(x)] + [h])
-    return (fcn(*pts[:n, :, None]) - fvec) / pts[n][:, None]
+    def fit(t0, j):
+        """sse and a sum(r) at the hinge t0, with the samples t[j:] past it."""
+        if len(t) - j < 3:  # (a, b) is not determined
+            raise ValidationError("revival edge fit did not converge on the given window")
+        u, dj = t[j:] - t0, d[j:]
+        u2 = u * u
+        s2, s3, s4, p1, p2 = u @ u, u2 @ u, u2 @ u2, u @ dj, u2 @ dj
+        det = s2 * s4 - s3 * s3
+        a, b = (s4 * p1 - s3 * p2) / det, (s2 * p2 - s3 * p1) / det
+        r = u * (a + b * u) - dj
+        return r @ r + d2[j - 1], a * r.sum()
 
-
-def _qrfac(jac, fvec):
-    """qrfac with column pivoting for J's columns, the rows of ``jac``: R
-    as nested lists, the first n entries of Q^T fvec, the pivot order and
-    the column norms.  The next pivot, the column of largest norm
-    orthogonal to those taken, is the largest diagonal entry of the Gram
-    matrix's Schur complement; one Householder QR of [J P, fvec] gives both."""
-    n = len(jac)
-    g = (jac @ jac.T).tolist()
-    acnorm, ipvt = [math.sqrt(g[j][j]) for j in range(n)], list(range(n))
-    for j in range(n):
-        k = max(range(j, n), key=lambda i: g[ipvt[i]][ipvt[i]])
-        ipvt[j], ipvt[k] = ipvt[k], ipvt[j]
-        gp = g[ipvt[j]]
-        for i in ipvt[j + 1 :]:
-            c = g[i][ipvt[j]] / gp[ipvt[j]] if gp[ipvt[j]] > 0 else 0.0
-            g[i] = [gi - c * gk for gi, gk in zip(g[i], gp)]
-    h = np.linalg.qr(np.vstack((jac[ipvt], fvec)).T, mode="raw")[0][:, :n].tolist()
-    return [[h[k][i] if k >= i else 0.0 for k in range(n)] for i in range(n)], h[n], ipvt, acnorm
-
-
-def _solve(t, b, ipvt):
-    """x with P^T x solving T P^T x = b, T an upper triangle (nested lists);
-    from the first 0 on T's diagonal on, P^T x is 0 (least squares)."""
-    k = next((j for j in range(len(b)) if t[j][j] == 0), len(b))
-    z = list(b[:k]) + [0.0] * (len(b) - k)
-    for j in reversed(range(k)):
-        z[j] = (z[j] - sum(t[j][i] * z[i] for i in range(j + 1, k))) / t[j][j]
-    return [z[ipvt.index(l)] for l in range(len(b))]
-
-
-def _newton(t, ipvt, diag, wa2, dxnorm):
-    """|y| for T^T y = P^T D wa2 / |wa2|, wa2 = D x, the slope in lmpar's Newton steps."""
-    y = []
-    for j, l in enumerate(ipvt):
-        y.append((diag[l] * (wa2[l] / dxnorm) - sum(t[i][j] * y[i] for i in range(j))) / t[j][j])
-    return math.hypot(*y)
-
-
-def _lmpar(r, ipvt, diag, qtb, delta, par):
-    """lmpar: the step x and the Levenberg-Marquardt parameter that puts
-    |D x| within 10 % of ``delta`` (0 if the Gauss-Newton step is inside).
-    qrsolv's Givens reduction of [R, qtb; D P, 0] is one Householder QR."""
-    n, x = len(qtb), _solve(r, qtb, ipvt)
-    wa2 = [d * v for d, v in zip(diag, x)]
-    dxnorm = math.hypot(*wa2)
-    fp = dxnorm - delta
-    if fp <= 0.1 * delta:
-        return 0.0, x
-    parl = 0.0  # the Newton step's lower bound, unless R is singular
-    if all(r[j][j] for j in range(n)):
-        y = _newton(r, ipvt, diag, wa2, dxnorm)
-        parl = ((fp / delta) / y) / y
-    gnorm = math.hypot(*[sum(r[i][j] * qtb[i] for i in range(j + 1)) / diag[l]
-                         for j, l in enumerate(ipvt)])
-    paru = gnorm / delta or _TINY / min(delta, 0.1)
-    par = min(max(par, parl), paru) or gnorm / dxnorm
-    a = np.zeros((2 * n, n + 1))
-    a[:n, :n], a[:n, n] = r, qtb
-    for it in range(1, 11):
-        par = par or max(_TINY, 0.001 * paru)
-        a[range(n, 2 * n), range(n)] = [math.sqrt(par) * diag[l] for l in ipvt]
-        s = np.linalg.qr(a, mode="r")[:n].tolist()
-        x = _solve(s, [row[n] for row in s], ipvt)
-        wa2 = [d * v for d, v in zip(diag, x)]
-        dxnorm = math.hypot(*wa2)
-        temp, fp = fp, dxnorm - delta
-        if abs(fp) <= 0.1 * delta or parl == 0 and fp <= temp < 0 or it == 10:
+    f, side = fit(t[k], k + 1)[0], 0
+    for step in (-1, 1):
+        while 0 < k < len(t) - 1 and (g := fit(t[k + step], k + step + 1)[0]) < f:
+            k, f, side = k + step, g, step
+        if side:
             break
-        y = _newton(s, ipvt, diag, wa2, dxnorm)
-        parl = max(parl, par) if fp > 0 else parl
-        paru = min(paru, par) if fp < 0 else paru
-        par = max(parl, par + ((fp / delta) / y) / y)
-    return par, x
-
-
-def _lmdif(fcn, x0):
-    """MINPACK's lmdif (More, LNM 630, 1978) as scipy's leastsq runs it for
-    a curve fit: forward differences, D the running max of the column norms
-    (mode 1), first step bound 100 |D x0|, ftol = xtol = _TOL, gtol = 0.
-    ``fcn(*params)`` takes a point of floats or n points as (n, 1) columns.
-    Returns x, info (1 to 4 is convergence) and the points evaluated."""
-    x, n = [float(v) for v in x0], len(x0)
-    fvec = fcn(*x)
-    nfev, fnorm, par, it = 1, math.sqrt(fvec @ fvec), 0.0, 1
-    while True:
-        r, qtf, ipvt, acnorm = _qrfac(_fdjac(fcn, x, fvec), fvec)
-        nfev += n
-        if it == 1:
-            diag = [c or 1.0 for c in acnorm]
-            xnorm = math.hypot(*[d * v for d, v in zip(diag, x)])
-            delta = 100.0 * xnorm or 100.0
-        gnorm = 0.0
-        for j, l in enumerate(ipvt if fnorm else ()):  # the scaled gradient
-            if acnorm[l]:
-                gnorm = max(gnorm, abs(sum(r[i][j] * (qtf[i] / fnorm) for i in range(j + 1)) / acnorm[l]))
-        if gnorm <= 0.0:
-            return x, 4, nfev
-        diag = [max(d, c) for d, c in zip(diag, acnorm)]
-        while True:
-            par, p = _lmpar(r, ipvt, diag, qtf, delta, par)
-            x1 = [v - s for v, s in zip(x, p)]
-            pnorm = math.hypot(*[d * s for d, s in zip(diag, p)])
-            delta = min(delta, pnorm) if it == 1 else delta
-            f1, nfev = fcn(*x1), nfev + 1
-            fnorm1 = math.sqrt(f1 @ f1)
-            actred = 1.0 - (fnorm1 / fnorm) * (fnorm1 / fnorm) if 0.1 * fnorm1 < fnorm else -1.0
-            wa3 = [0.0] * n  # R P^T p, for the predicted reduction
-            for j, l in enumerate(ipvt):
-                for i in range(j + 1):
-                    wa3[i] += r[i][j] * p[l]
-            temp1, temp2 = math.hypot(*wa3) / fnorm, (math.sqrt(par) * pnorm) / fnorm
-            prered, dirder = temp1 * temp1 + temp2 * temp2 / 0.5, -(temp1 * temp1 + temp2 * temp2)
-            ratio = actred / prered if prered else 0.0
-            if ratio <= 0.25:
-                temp = 0.5 if actred >= 0 else 0.5 * dirder / (dirder + 0.5 * actred)
-                temp = 0.1 if 0.1 * fnorm1 >= fnorm or temp < 0.1 else temp
-                delta, par = temp * min(delta, pnorm / 0.1), par / temp
-            elif par == 0 or ratio >= 0.75:
-                delta, par = pnorm / 0.5, 0.5 * par
-            if ratio >= 1e-4:
-                x, fvec, fnorm, it = x1, f1, fnorm1, it + 1
-                xnorm = math.hypot(*[d * v for d, v in zip(diag, x)])
-            small = abs(actred) <= _TOL and prered <= _TOL and 0.5 * ratio <= 1
-            if small or delta <= _TOL * xnorm:
-                return x, (3 if small else 2) if delta <= _TOL * xnorm else 1, nfev
-            if (nfev >= _MAXFEV or delta <= _EPS * xnorm or gnorm <= _EPS
-                    or abs(actred) <= _EPS and prered <= _EPS and 0.5 * ratio <= 1):
-                return x, 5, nfev
-            if ratio >= 1e-4:
+    if not 0 < k < len(t) - 1:
+        raise ValidationError("revival edge fit did not converge on the given window")
+    for toward in (-side or 1, side or -1):
+        lo, hi = sorted((t[k], t[k + toward]))
+        j = k + (toward > 0)  # the first sample past the interval
+        g_lo, g_hi = fit(lo, j)[1], fit(hi, j)[1]
+        if not g_lo > 0 > g_hi:  # sse does not fall from lo and rise to hi
+            continue
+        moved = 0  # the end the last step moved (1 lo, -1 hi); Illinois halves a stuck end's g
+        while hi - lo > 1e-12 * (abs(lo) + abs(hi)):
+            x = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+            if not lo < x < hi:
                 break
+            g = fit(x, j)[1]
+            if g > 0:
+                lo, g_lo, g_hi, moved = x, g, g_hi * (0.5 if moved > 0 else 1.0), 1
+            else:
+                hi, g_hi, g_lo, moved = x, g, g_lo * (0.5 if moved < 0 else 1.0), -1
+        return 0.5 * (lo + hi)
+    return t[k]
 
 
 def revival_onset(times: np.ndarray, pe: np.ndarray) -> float:
@@ -329,10 +240,12 @@ def revival_onset(times: np.ndarray, pe: np.ndarray) -> float:
     edge curvature, so concave (weak-coupling) and convex
     (strong-coupling) revival edges are timed consistently.
 
-    The fit is ``_lmdif``, scipy's leastsq run, from (t10, d35 / edge, 0).
-    It keeps that run's local optimum on purpose: the global one moves two
-    benchmark references by 7.5e-4 relative (the FOUND on the hinge fit's
-    local optimum in CHANGES.md).
+    The fit is ``_hinge_onset``, a search in t0 alone from t10 with (a, b)
+    in closed form at each trial t0.  It lands on the local optimum that
+    the Levenberg-Marquardt fit from (t10, d35 / edge, 0) found before it,
+    and keeps it on purpose: the global one moves two benchmark references
+    by 7.5e-4 relative (the FOUND on the hinge fit's local optimum in
+    CHANGES.md).
     """
     times = np.asarray(times, dtype=float)
     pe = np.asarray(pe, dtype=float)
@@ -357,13 +270,4 @@ def revival_onset(times: np.ndarray, pe: np.ndarray) -> float:
         raise ValidationError("revival edge too steep for the sampling grid")
     edge_len = times[i35] - times[i10]
     i_lo = int(np.searchsorted(times, times[i10] - 3.0 * edge_len))
-    t_fit, d_fit = times[i_lo : i35 + 1], dev[i_lo : i35 + 1]
-
-    def residuals(t0, a, b):
-        u = np.maximum(t_fit - t0, 0.0)
-        return u * (a + b * u) - d_fit
-
-    x, info, _ = _lmdif(residuals, (times[i10], dev[i35] / max(edge_len, 1e-9), 0.0))
-    if info > 4:
-        raise ValidationError("revival edge fit did not converge on the given window")
-    return x[0]
+    return _hinge_onset(times[i_lo : i35 + 1], dev[i_lo : i35 + 1], i10 - i_lo)

@@ -806,6 +806,8 @@ class TestConfigFuzz:
     @example(case=("saw_response", [(("params", "points"), -1)]))
     @example(case=("spectroscopy", [(("params", "points"), 0)]))
     @example(case=("tomo_roundtrip", [(("seed",), -1)]))
+    # a subnormal T2R makes interference's derived sigma_phi overflow to inf
+    @example(case=("interference", [(("device", "q1", "T2R_us"), 2.225073858507203e-309)]))
     def test_run_exits_cleanly(self, case):
         _exit_cleanly("run", _mutated(*case))
 

@@ -847,8 +847,9 @@ class TestNoise:
         assert not np.array_equal(a, b)
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(ValidationError):
-            NoiseSpec(sigma_phi=-0.1)
+        for sigma in (-0.1, np.inf, np.nan):
+            with pytest.raises(ValidationError):
+                NoiseSpec(sigma_phi=sigma)
         with pytest.raises(ValidationError):
             NoiseSpec(sigma_phi=0.1, n_realizations=0)
 

@@ -2,24 +2,18 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeWarning, curve_fit, leastsq
 from scipy.special import eval_laguerre
 
-from sawlink import multimode
-from sawlink.device import default_device
 from sawlink.dynamics import evolve_generator, expectations
 from sawlink.errors import ValidationError
-from sawlink.experiments import EXPERIMENTS, run_experiment
 from sawlink.ioshape import MHZ
 from sawlink.multimode import (
     MultimodeParams,
-    _fdjac,
+    _hinge_onset,
     _laguerre,
-    _lmdif,
-    _qrfac,
     decay_population,
     efficiency_bound,
     golden_rule_kappa,
@@ -30,6 +24,7 @@ from sawlink.multimode import (
 )
 from sawlink.qcore import NUMBER, SIGMA_MINUS, SIGMA_PLUS, HilbertSpace, embed
 
+from hinge_oracle import profile_sse, run_vacuum_rabi_fit, scan_minimum
 from ladder_oracle import ladder_generator, ladder_hamiltonian, lowering_operators
 
 
@@ -306,31 +301,21 @@ def hinge_residuals(t, d):
     return fcn
 
 
-def curve_fit_onset(fcn, x0):
-    """The hinge position scipy's curve_fit finds for the residuals ``fcn``
-    from ``x0``: the fit revival_onset ran before it had its own."""
-    zeros = np.zeros(fcn(*x0).size)
+def lm_start(t, d, k):
+    """The start (t10, d35 / edge, 0) revival_onset's Levenberg-Marquardt
+    fit took on the window (t, d) from the sample t[k]."""
+    return t[k], d[-1] / max(t[-1] - t[k], 1e-9), 0.0
+
+
+def curve_fit_onset(t, d, k):
+    """The hinge position scipy's curve_fit finds on the window (t, d) from
+    ``lm_start``: the fit revival_onset ran before it had its own."""
+    fcn = hinge_residuals(t, d)
     with warnings.catch_warnings():
         # its covariance, which nothing reads, is undefined on an exact fit
         warnings.simplefilter("ignore", OptimizeWarning)
-        return curve_fit(lambda _t, t0, a, b: fcn(t0, a, b), zeros, zeros, p0=x0, maxfev=10000)[0][0]
-
-
-def minpack_nfev(fcn, x0):
-    """The residual evaluations scipy's leastsq, MINPACK's lmdif, makes."""
-    return leastsq(lambda q: fcn(*q), x0, full_output=True, maxfev=10000)[2]["nfev"]
-
-
-def run_vacuum_rabi_fit(monkeypatch, fits, **over):
-    """vacuum_rabi's revival onset at the defaults with ``over``; each edge
-    fit it makes goes to ``fits`` as (residuals, start, (x, info, nfev))."""
-    def spy(fcn, x0):
-        fits.append((fcn, x0, _lmdif(fcn, x0)))
-        return fits[-1][2]
-
-    monkeypatch.setattr(multimode, "_lmdif", spy)
-    params = {**EXPERIMENTS["vacuum_rabi"].defaults, **over}
-    return run_experiment("vacuum_rabi", default_device(), params, 1234).metrics["revival_onset_ns"]
+        return curve_fit(lambda _t, t0, a, b: fcn(t0, a, b), t, np.zeros_like(t),
+                         p0=lm_start(t, d, k), maxfev=10000)[0][0]
 
 
 # the benchmark's twelve sweep_vacuum_rabi entries (qubit, g_mhz), among
@@ -341,31 +326,30 @@ POOL = [(1, 0.159), (1, 0.16), (2, 0.2064), (1, 0.2037), (2, 0.1879), (1, 0.1599
 
 
 class TestRevivalFit:
-    """multimode's Levenberg-Marquardt against scipy's, which runs MINPACK."""
+    """multimode's variable-projection hinge fit against scipy's curve_fit
+    and a brute-force profile of the fit's residual."""
 
     @pytest.mark.parametrize("qubit, g", POOL + [(q, g) for q in (1, 2) for g in (0.10, 0.14, 0.18)])
     def test_onset_matches_curve_fit(self, monkeypatch, qubit, g):
         fits = []
         onset = run_vacuum_rabi_fit(monkeypatch, fits, qubit=qubit, g_mhz=g)
-        ((fcn, x0, (x, info, nfev)),) = fits
-        assert info in (1, 2, 3, 4) and onset == x[0]
-        want = curve_fit_onset(fcn, x0)
+        ((t, d, k),) = fits
+        assert onset == _hinge_onset(t, d, k)
+        want = curve_fit_onset(t, d, k)
         assert abs(onset - want) <= 2e-9 * abs(want)
-        # the same path: as many residual evaluations as MINPACK's
-        assert nfev == minpack_nfev(fcn, x0)
 
     @pytest.mark.parametrize("update", [
         {"g_mhz": 0.3, "horizon_tau": 0.5, "points": 120},
         {"g_mhz": 0.01, "horizon_tau": 1.0, "n_modes": 3, "points": 120},
     ], ids=["short-window", "weak-coupling"])
     def test_unconverged_fit_raises(self, monkeypatch, update):
-        # both fits spend maxfev (info 5), here and in MINPACK
+        # MINPACK spends maxfev on both windows (info 5)
         fits = []
         with pytest.raises(ValidationError, match="did not converge"):
             run_vacuum_rabi_fit(monkeypatch, fits, **update)
-        ((fcn, x0, (x, info, nfev)),) = fits
-        assert info == 5 and nfev >= 10000
-        assert leastsq(lambda q: fcn(*q), x0, full_output=True, maxfev=10000)[4] == 5
+        ((t, d, k),) = fits
+        fcn = hinge_residuals(t, d)
+        assert leastsq(lambda q: fcn(*q), lm_start(t, d, k), full_output=True, maxfev=10000)[4] == 5
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -375,71 +359,41 @@ class TestRevivalFit:
         a=st.floats(1e-3, 1.0),
         curvature=st.floats(-0.3, 1.0),
         noise=st.floats(1e-3, 1e-2),
-        start=st.tuples(st.floats(0.8, 1.2), st.floats(0.3, 3.0)),
+        start=st.floats(0.8, 1.2),
         seed=st.integers(0, 2**32 - 1),
     )
-    # two fits whose path depends on D keeping the running max of the
-    # column norms: with the current norms alone they take 59 and 43
-    # evaluations, not 57 and 56, and end 3e-7 away
-    @example(m=135, span=28.6, frac=0.48, a=0.673, curvature=-0.05, noise=0.0099,
-             start=(1.1, 2.88), seed=615)
-    @example(m=162, span=31.3, frac=0.31, a=0.063, curvature=0.4, noise=0.0044,
-             start=(0.81, 0.72), seed=59)
-    def test_synthetic_hinge_matches_curve_fit(self, m, span, frac, a, curvature, noise, start, seed):
+    def test_synthetic_hinge_descends_to_the_profile_minimum(
+            self, m, span, frac, a, curvature, noise, start, seed):
         # a noisy hinge with t0 inside the window, a > 0 and at least 20
-        # samples past it, fitted from a start off the truth; the noise keeps
-        # the final residual, and so the stopping tests, above rounding
+        # samples past it, fitted from the sample nearest a start off the truth
         t, t0 = np.linspace(0.0, span, m), frac * span
         assume(np.count_nonzero(t > t0) >= 20)
         rng = np.random.default_rng(seed)
         u = np.maximum(t - t0, 0.0)
         d = u * (a + curvature * a / (span - t0) * u) + rng.normal(0.0, noise * a * (span - t0), m)
-        x0 = (t0 * start[0], a * start[1], 0.0)
-        want = curve_fit_onset(hinge_residuals(t, d), x0)
-        want_nfev = minpack_nfev(hinge_residuals(t, d), x0)
-        # well conditioned: moving every sample by one ulp, six times at
-        # random, moves curve_fit's onset by at most 1e-9 and leaves MINPACK's
-        # path, its count of evaluations, as it was
-        for _ in range(6):
-            nudged = hinge_residuals(t, np.nextafter(d, rng.choice([-np.inf, np.inf], m)))
-            assume(abs(curve_fit_onset(nudged, x0) - want) <= 1e-9 * abs(want))
-            assume(minpack_nfev(nudged, x0) == want_nfev)
-        x, info, nfev = _lmdif(hinge_residuals(t, d), x0)
-        assert info in (1, 2, 3, 4)
-        assert abs(x[0] - want) <= 1e-8 * abs(want)
-        assert nfev == want_nfev
+        k = int(np.argmin(np.abs(t - start * t0)))
+        onset = _hinge_onset(t, d, k)
+        # the profile's minimum on the sample interval the onset lies in:
+        # the same t0 within 1e-8, or, where the profile is flat within its
+        # rounding (up to a few 1e-13 of it) over more than that, as low a
+        # profile: the scan compares values, so it cannot place t0 closer
+        j = int(np.searchsorted(t, onset))
+        want = scan_minimum(t, d, t[j - 1], t[j])
+        assert (abs(onset - want) <= 1e-8 * abs(want)
+                or profile_sse(t, d, onset) <= (1 + 1e-12) * profile_sse(t, d, want))
+        # a descent: the profile does not rise over the samples from the
+        # start to the onset, nor from the last of them to the onset
+        path = range(k, j) if onset > t[k] else range(k, j - 1, -1)
+        sse = [profile_sse(t, d, t[i]) for i in path] + [profile_sse(t, d, onset)]
+        assert np.all(np.diff(sse) <= 0.0)
 
-
-class TestMinpackSteps:
-    def test_forward_differences(self):
-        # fdjac2's step sqrt(eps) |x_j|, and sqrt(eps) where x_j = 0 (b starts
-        # at 0 in every revival fit); the batch gives each column's own bits
-        t = np.linspace(0.0, 40.0, 120)
-        fcn = hinge_residuals(t, np.sin(t) * 1e-3)
-        x = [12.3, 2.5e-4, 0.0]
-        fvec = fcn(*x)
-        want = []
-        for j, v in enumerate(x):
-            h = np.sqrt(np.finfo(float).eps) * abs(v) or np.sqrt(np.finfo(float).eps)
-            want.append((fcn(*[w + h if i == j else w for i, w in enumerate(x)]) - fvec) / h)
-        assert np.array_equal(_fdjac(fcn, x, fvec), np.array(want))
-
-    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0), (2, 1, 0)])
-    def test_qrfac_pivots_on_column_norms(self, order):
-        # columns of very different norms, as in the hinge fit (t0, a, b);
-        # LAPACK's dgeqp3 pivots by the same rule
-        rng = np.random.default_rng(sum(order))
-        jac = rng.normal(size=(3, 60)) * np.array([1e-2, 1e1, 1e4])[list(order)][:, None]
-        jac[2] += 0.5 * jac[1]  # correlated columns, so the order after the first is not by norm alone
-        fvec = rng.normal(size=60)
-        r, qtf, ipvt, acnorm = _qrfac(jac, fvec)
-        _, r_lapack, piv = scipy.linalg.qr(jac.T, pivoting=True, mode="economic")
-        assert ipvt == piv.tolist()
-        r = np.array(r)
-        assert np.allclose(np.abs(np.diag(r)), np.abs(np.diag(r_lapack)), rtol=1e-12, atol=0.0)
-        assert np.array_equal(r, np.triu(r))
-        # R is the triangle of J P, and qtf the first n entries of Q^T fvec
-        jp = jac[ipvt].T
-        assert np.allclose(r.T @ r, jp.T @ jp, rtol=1e-12, atol=1e-12 * np.max(acnorm) ** 2)
-        assert np.allclose(r.T @ np.array(qtf), jp.T @ fvec, rtol=1e-12, atol=1e-9)
-        assert np.allclose(acnorm, np.linalg.norm(jac, axis=1), rtol=1e-14, atol=0.0)
+    def test_descent_to_the_window_end_raises(self):
+        # the hinge lies between the last two samples, so the walk from the
+        # start runs right until fewer than three samples lie past t0, where
+        # (a, b) is not determined: an error, with no warning on the way
+        t = np.linspace(0.0, 10.0, 50)
+        d = np.maximum(t - 9.7, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="did not converge"):
+                _hinge_onset(t, d, 10)
