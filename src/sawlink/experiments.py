@@ -92,29 +92,28 @@ def run_ping_pong(device: DeviceParams, params: dict, seed: int) -> ExperimentOu
 
 
 def plan_multi_transit(device: DeviceParams, params: dict, seed: int):
-    """The channel and one release-capture schedule per transit count."""
-    w = params["window_ns"]
-    ch = device.channel(params["eta"])
-    release = Segment("release", 1, 0.0, w, params["kappa_c"])
-
-    def schedule(n):
-        capture = time_reverse(replace(release, t_start=n * ch.tau))
-        return ControlSchedule([release, capture], window=(0.0, n * ch.tau + w))
-
-    n_max = _integer(params, "max_transits")
-    check_loop_memory(schedule(n_max), ch)  # the longest loop, before the others are built
-    return ch, [schedule(n) for n in range(1, n_max + 1)]
+    """ping_pong's channel and schedule, and the transit counts 1..max_transits."""
+    ch, sched = plan_ping_pong(device, params, seed)
+    return ch, sched, np.arange(1, _integer(params, "max_transits") + 1, dtype=float)
 
 
 def run_multi_transit(device: DeviceParams, params: dict, seed: int) -> ExperimentOutput:
-    """Capture after n full transits; efficiency decays geometrically."""
-    ch, schedules = plan_multi_transit(device, params, seed)
-    effs = []
-    for sched in schedules:
-        trace = simulate_io(sched, ch, s0=(1.0, 0.0))
-        effs.append(float(np.abs(trace.s1[-1]) ** 2))
-    effs_arr = np.array(effs)
-    ns = np.arange(1, len(schedules) + 1, dtype=float)
+    """Capture after n full transits; efficiency decays geometrically.
+
+    The loop is linear, and between release and capture the uncoupled qubit
+    keeps its leftover amplitude and sends the field back with a sign flip
+    (a_out = -a_in).  Each extra transit multiplies the returning packet by
+    z = -sqrt(eta) e^{i phase}, so s(n) = a + (s(1) - a) z^(n - 1), a being
+    the capture alone acting on the leftover; this holds for a window w < tau.
+    """
+    ch, sched, ns = plan_multi_transit(device, params, seed)
+    trace = simulate_io(sched, ch, s0=(1.0, 0.0))
+    _, capture = sched.segments
+    left = trace.s1[np.searchsorted(trace.times, capture.t_start) - 1]  # before the capture
+    # s(1)'s window, so that a reads the capture's edges at the nodes s(1) reads them
+    a = simulate_io(ControlSchedule([capture], window=sched.window), ch, s0=(left, 0.0)).s1[-1]
+    zn = (-np.sqrt(ch.eta)) ** (ns - 1) * np.exp(1j * ch.phase * (ns - 1))
+    effs_arr = np.abs(zn * trace.s1[-1] + (1 - zn) * a) ** 2  # s(1) to the bit at n = 1
     # one-parameter geometric fit in log space
     eta_fit = float(np.exp(np.sum(ns * np.log(effs_arr)) / np.sum(ns**2)))
     fitted = eta_fit**ns

@@ -316,20 +316,36 @@ class TestExitCodes:
         }
 
     # 10**17 float64 elements are 711 PiB, beyond any address space, so the
-    # allocation fails at once whatever the host's memory or overcommit policy
-    @pytest.mark.parametrize("experiment", ["saw_response", "vacuum_rabi"])
-    def test_grid_too_large_for_memory_fails_validate(self, tmp_path, capsys, experiment):
-        code, err = _validate(tmp_path, capsys, experiment, {"points": 10**17})
+    # allocation fails at once whatever the host's memory or overcommit
+    # policy: the grids of saw_response and vacuum_rabi, and multi_transit's
+    # transit counts
+    @pytest.mark.parametrize("experiment, params", [
+        ("saw_response", {"points": 10**17}),
+        ("vacuum_rabi", {"points": 10**17}),
+        ("multi_transit", {"max_transits": 10**17}),
+    ], ids=["saw_response", "vacuum_rabi", "multi_transit"])
+    def test_grid_too_large_for_memory_fails_validate(self, tmp_path, capsys, experiment,
+                                                      params):
+        code, err = _validate(tmp_path, capsys, experiment, params)
         assert code == 2
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "MemoryError"
 
+    def test_million_transits_run(self, tmp_path, capsys):
+        # the transit count sizes no delay loop: two passes of ping_pong's
+        # loop serve every count, so a million transits run
+        code, _ = _validate(tmp_path, capsys, "multi_transit", {"max_transits": 1000000})
+        assert code == 0
+        assert main(["run", "--config", str(tmp_path / "c.yaml"),
+                     "--out", str(tmp_path / "r")]) == 0
+        assert capsys.readouterr().err == ""
+
     # the delay loop is sized from its grid before anything is allocated:
-    # against 8 GiB, ping_pong at kappa_c 1e4/ns (78.5M steps) and the
-    # millionth transit of multi_transit (2.0e9 steps) fail `validate`
+    # against 8 GiB, ping_pong and multi_transit at kappa_c 1e4/ns (78.5M
+    # steps) fail `validate`
     @pytest.mark.parametrize("experiment, params, steps", [
         ("ping_pong", {"kappa_c": 10000.0}, 78515000),
-        ("multi_transit", {"max_transits": 1000000}, 2033000601),
+        ("multi_transit", {"kappa_c": 10000.0}, 78515000),
     ])
     def test_delay_loop_too_large_for_memory_fails_validate(self, tmp_path, capsys, monkeypatch,
                                                             experiment, params, steps):

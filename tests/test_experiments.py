@@ -1,10 +1,15 @@
 """End-to-end experiment runners: metric sanity at frozen defaults."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from transit_oracle import per_transit_amplitudes
 
-from sawlink import tomo
+from sawlink import experiments, tomo
 from sawlink.cascade import (
     CascadeConfig,
     age_idle,
@@ -16,7 +21,7 @@ from sawlink.device import QubitNoise, default_device
 from sawlink.dynamics import dissipator, from_coords, to_coords
 from sawlink.errors import ValidationError
 from sawlink.experiments import EXPERIMENTS, run_experiment
-from sawlink.ioshape import transfer_schedule
+from sawlink.ioshape import ChannelParams, transfer_schedule
 from sawlink.qcore import NUMBER, SIGMA_MINUS, HilbertSpace, QuantumState, embed
 from sawlink.tomo import ReadoutModel
 
@@ -95,6 +100,42 @@ class TestMultiTransit:
         assert out.metrics["r_squared"] > 0.999
         assert out.metrics["max_dev_from_eta_power"] <= 0.02
         assert list(out.series["transits"]["n"]) == [1.0, 2.0, 3.0]
+
+    def test_first_transit_is_ping_pong_to_the_bit(self):
+        efficiency = run("multi_transit").series["transits"]["efficiency"][0]
+        assert efficiency == run("ping_pong").metrics["capture_efficiency"]
+
+    @pytest.mark.parametrize("max_transits", [1, 4, 1000])
+    def test_two_loop_passes_whatever_the_transit_count(self, monkeypatch, max_transits):
+        calls, simulate_io = [], experiments.simulate_io
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return simulate_io(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "simulate_io", counted)
+        out = run("multi_transit", max_transits=max_transits)
+        assert len(calls) == 2
+        assert len(out.series["transits"]["efficiency"]) == max_transits
+
+    # Above 0.4/ns the step shrinks below 0.25 ns, and the n-th capture's
+    # hard leading edge at n tau can land an ulp from a step node; the
+    # reference then reads it on whichever side h * n * n_sub rounds to,
+    # one node apart between transit counts, an O(h) change of its own.
+    # At kappa_c <= 0.4/ns and the device's tau, every n <= 6 lands on its node.
+    @settings(max_examples=20, deadline=None)
+    @given(kappa_c=st.floats(0.02, 0.4), window=st.floats(20.0, 500.0),
+           eta=st.floats(0.0, 1.0), max_transits=st.integers(1, 6),
+           phase=st.floats(0.1, 2 * np.pi - 0.1))
+    def test_superposition_matches_one_loop_per_transit(self, kappa_c, window, eta,
+                                                         max_transits, phase):
+        ch = ChannelParams(eta, DEV.tau_ns, phase)
+        phased = SimpleNamespace(channel=lambda _: ch)  # the device's line, with a phase
+        params = {"kappa_c": kappa_c, "window_ns": window, "eta": eta,
+                  "max_transits": max_transits}
+        got = run_experiment("multi_transit", phased, params, 1234).series["transits"]
+        want = np.abs(per_transit_amplitudes(ch, kappa_c, window, max_transits)) ** 2
+        assert np.max(np.abs(got["efficiency"] - want)) <= 1e-14
 
 
 class TestInterference:
