@@ -18,10 +18,11 @@ sqrt(eta kappa_i(t - tau) kappa_j(t)).  The schedule, the channel and the qubit 
 the generator only through c(t), which one function per stage reads
 from both qubits' coupling tables (``ControlSchedule.tables``): one
 bisection per qubit and time, and the lagged copies at t - tau.  The
-cascade models shaped couplings alone, so a schedule that detunes a
-qubit is rejected.  A qubit that idles outside the cascade, as the Bell
-pair's emitter does before readout, is aged by ``age_idle``, the same
-relaxation and dephasing in closed form.
+cascade models shaped couplings alone, and a schedule holds nothing
+else, so it needs no check for what it cannot model.  A qubit that
+idles outside the cascade, as the Bell pair's emitter does before
+readout, is aged by ``age_idle``, the same relaxation and dephasing in
+closed form.
 
 ``run_cascade`` is the one way in: one ``QuantumState`` or a (k, 4, 4)
 stack of preparations goes through both stages as one stack and comes
@@ -82,10 +83,6 @@ class CascadeConfig:
     def __post_init__(self):
         if not isinstance(self.schedule, ControlSchedule):
             raise ValidationError("schedule must be a ControlSchedule")
-        for s in self.schedule.segments:
-            if s.f_mhz != 0.0:
-                raise ValidationError(f"the cascade models couplings alone, but qubit "
-                                      f"{s.qubit} is detuned by {s.f_mhz} MHz")
 
 
 @dataclass(frozen=True)

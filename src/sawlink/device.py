@@ -6,6 +6,13 @@ helpers that turn them into the noise (``QubitNoise``, rates in 1/ns),
 readout, and channel objects the simulation modules consume.  A qubit's
 coherence times are checked for consistency (T2R <= 2 T1) when its
 table is built.
+
+The table's numbers are independent calibrations, not derived from one
+another, and saw_response reports two line-loss figures from two of
+them.  Its ``t1_saw_us`` (1.771 us) comes from the geometry's 70 Np/m
+propagation loss (``sawphys.loss_budget``); its ``eta_bound`` (0.6548)
+is exp(-tau / T1_saw) of the table's own T1_saw of 1.2 us.  The table's
+eta = 0.67 exceeds that bound.
 """
 
 from __future__ import annotations

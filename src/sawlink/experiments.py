@@ -105,6 +105,9 @@ def run_multi_transit(device: DeviceParams, params: dict, seed: int) -> Experime
     (a_out = -a_in).  Each extra transit multiplies the returning packet by
     z = -sqrt(eta) e^{i phase}, so s(n) = a + (s(1) - a) z^(n - 1), a being
     the capture alone acting on the leftover; this holds for a window w < tau.
+    The geometric fit takes transit 1 and the transits whose packet term
+    |(s(1) - a) z^(n - 1)| exceeds the leftover |a|: past them the
+    efficiency sits on the floor |a|^2, which no power of eta describes.
     """
     ch, sched, ns = plan_multi_transit(device, params, seed)
     trace = simulate_io(sched, ch, s0=(1.0, 0.0))
@@ -114,11 +117,12 @@ def run_multi_transit(device: DeviceParams, params: dict, seed: int) -> Experime
     a = simulate_io(ControlSchedule([capture], window=sched.window), ch, s0=(left, 0.0)).s1[-1]
     zn = (-np.sqrt(ch.eta)) ** (ns - 1) * np.exp(1j * ch.phase * (ns - 1))
     effs_arr = np.abs(zn * trace.s1[-1] + (1 - zn) * a) ** 2  # s(1) to the bit at n = 1
-    # one-parameter geometric fit in log space
-    eta_fit = float(np.exp(np.sum(ns * np.log(effs_arr)) / np.sum(ns**2)))
-    fitted = eta_fit**ns
-    ss_res = float(np.sum((effs_arr - fitted) ** 2))
-    ss_tot = float(np.sum((effs_arr - effs_arr.mean()) ** 2))
+    # one-parameter geometric fit in log space, down to the leftover's floor
+    fit = (ns == 1) | (np.abs((trace.s1[-1] - a) * zn) > abs(a))
+    n, effs = ns[fit], effs_arr[fit]
+    eta_fit = float(np.exp(np.sum(n * np.log(effs)) / np.sum(n**2)))
+    ss_res = float(np.sum((effs - eta_fit**n) ** 2))
+    ss_tot = float(np.sum((effs - effs.mean()) ** 2))
     powers = ch.eta**ns
     return ExperimentOutput(
         metrics={
@@ -138,7 +142,7 @@ def run_multi_transit(device: DeviceParams, params: dict, seed: int) -> Experime
 
 
 def plan_interference(device: DeviceParams, params: dict, seed: int):
-    """Fringe phases, channel, phase noise and rows per pass; checks the longest pulse."""
+    """Fringe phases, channel, phase noise and rows per pass; checks every phase pulse."""
     ch = device.channel(params["eta"])
     # the fringe's harmonic ratio needs rfft bins beyond the fundamental
     phases = np.linspace(0.0, 2 * np.pi, _integer(params, "n_phases", least=5))
@@ -147,9 +151,7 @@ def plan_interference(device: DeviceParams, params: dict, seed: int):
         # Gaussian phase spread accumulated over one emit-wait-capture cycle
         sigma = float(np.sqrt(2 * ch.tau / (device.q1.T2R_us * 1e3)))
     noise = NoiseSpec(sigma_phi=sigma, n_realizations=params["realizations"], master_seed=seed)
-    # a schedule check fails for every phase or first for the longest pulse
-    longest = phases[[np.argmax(phases % (2 * np.pi))]]
-    (sched,) = interference_schedules(longest, ch, params["kappa_c"], params["window_ns"])
+    sched, _ = interference_schedules(phases, ch, params["kappa_c"], params["window_ns"])
     chunk = _integer(params, "chunk")
     check_loop_memory(sched, ch, rows=chunk)
     return phases, ch, noise, chunk

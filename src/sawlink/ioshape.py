@@ -7,25 +7,28 @@ per-transit phase.  This single-excitation picture is the fast path
 for efficiency and interference sweeps; density-matrix experiments
 live in `cascade`.  The module needs numpy alone.
 
-A coupling segment releases the fraction alpha of the stored excitation
-(alpha = 1 empties the qubit) or captures it, the release with the same
-alpha mirrored in time; a detune segment shifts the qubit.  The shape is
-written once, with a float form (``math``) for the cascade's per-call
-schedule lookups and an array form (numpy) for the delay loop's grid.
+A schedule holds couplings alone: a segment releases the fraction alpha
+of the stored excitation (alpha = 1 empties the qubit) or captures it,
+the release with the same alpha mirrored in time.  The shape is written
+once, with a float form (``math``) for the cascade's per-call schedule
+lookups and an array form (numpy) for the delay loop's grid.  The one
+detuning of the package, the interference fringe's phase pulse on qubit
+1, is not a segment but an argument of the delay loop.
 
 The delay loop is fixed-step RK4 with the step nodes and the step
 midpoints in separate contiguous arrays.  It integrates only the qubits
-that hold a segment: a qubit without one is uncoupled and undetuned, so
-it is carried, keeping its initial amplitude, and adds nothing to the
-output field.  The step maps, which depend on the schedule alone, are
-built once per call, in float64 when no qubit detunes, and the whole
-loop runs in float64 when every feedback factor and amplitude is real as
-well.  Each round trip then only forms its input offsets, composes its
-steps with one running product and one running sum (no log-depth scan)
-and evaluates its outputs.  The running sum divides by the running
-product, which stays far from zero: the step is capped by the detuning
-as well as by the coupling, so each step's map has modulus at least
-about 0.95, and one product spans at most 4,096 steps.
+that hold a segment or the pulse: any other qubit is uncoupled and
+undetuned, so it is carried, keeping its initial amplitude, and adds
+nothing to the output field.  The step maps, which depend on the
+schedule and the pulse alone, are built once per call, in float64
+without a pulse, and the whole loop runs in float64 when every feedback
+factor and amplitude is real as well.  Each round trip then only forms
+its input offsets, composes its steps with one running product and one
+running sum (no log-depth scan) and evaluates its outputs.  The running
+sum divides by the running product, which stays far from zero: the step
+is capped by the pulse's detuning as well as by the coupling, so each
+step's map has modulus at least about 0.95, and one product spans at
+most 4,096 steps.
 
 Classical phase noise is drawn per realization from the Philox stream
 keyed by (master seed, realization index); being counter-based, a stream
@@ -51,7 +54,7 @@ from .errors import RoleAmbiguityError, ValidationError
 MHZ = 2e-3 * np.pi  # linear MHz -> rad/ns
 DETUNE_PULSE_MHZ = 20.0  # fixed detuning used to dial in a relative phase
 
-SEGMENT_KINDS = ("release", "capture", "detune")
+SEGMENT_KINDS = ("release", "capture")
 
 
 @dataclass(frozen=True)
@@ -134,25 +137,22 @@ def _release(x, alpha: float):
 
 @dataclass(frozen=True)
 class Segment:
-    """One control interval on one qubit.
+    """One coupling interval on one qubit.
 
     A ``release`` emits the fraction ``alpha`` of the stored excitation
     (alpha = 1 empties the qubit) and a ``capture`` is the release with
     the same alpha mirrored in time, the absorber matched to its packet.
     Both are centered on the segment midpoint, so a release peaks its
     packet there and the matching capture must be scheduled one transit
-    later.  A ``detune`` shifts the qubit by ``f_mhz``; at 0 MHz it idles.
-    Each kind takes only the fields it reads: a coupling leaves ``f_mhz``
-    at 0, and a detune leaves ``kappa_c`` at 0 and ``alpha`` at 1.
+    later.
     """
 
     kind: str
     qubit: int
     t_start: float
     duration: float
-    kappa_c: float = 0.0
+    kappa_c: float
     alpha: float = 1.0
-    f_mhz: float = 0.0
 
     def __post_init__(self):
         if self.kind not in SEGMENT_KINDS:
@@ -161,86 +161,64 @@ class Segment:
             raise ValidationError("qubit must be 1 or 2")
         if self.duration <= 0:
             raise ValidationError("duration must be positive")
-        if self.couples and not (self.kappa_c > 0 and 0.0 < self.alpha <= 1.0):
+        if not (self.kappa_c > 0 and 0.0 < self.alpha <= 1.0):
             raise ValidationError(f"{self.kind} segment needs kappa_c > 0 and alpha in (0, 1]")
-        if self.couples and self.f_mhz != 0.0:
-            raise ValidationError(f"{self.kind} segment takes no f_mhz")
-        if not self.couples and (self.kappa_c != 0.0 or self.alpha != 1.0):
-            raise ValidationError("detune segment takes no kappa_c or alpha")
 
     @property
     def t_end(self) -> float:
         return self.t_start + self.duration
-
-    @property
-    def couples(self) -> bool:
-        return self.kind != "detune"
 
     def kappa(self, t):
         """Coupling rate (1/ns) at t: a float for a float t, else an array."""
         x = self.kappa_c * (t - (self.t_start + self.duration / 2.0))
         return self.kappa_c * _release(-x if self.kind == "capture" else x, self.alpha)
 
-    def delta(self, t):
-        """Detuning (rad/ns) at t: a float for a float t, else an array."""
-        return 0.0 * t + self.f_mhz * MHZ
-
 
 class CouplingTable(tuple):
-    """One qubit's segments in start order as seven columns: the starts,
-    ends, midpoints, kappa_c, alpha, capture flags and detunings (rad/ns),
-    after row 0, an empty segment at -inf.  A time is read from the one
-    segment whose [start, end) holds it, the later one inside the 1e-12 ns
-    overlap allowed between neighbours: the floats of ``Segment.kappa``
-    and ``Segment.delta``, and 0 where no segment holds it."""
+    """One qubit's segments in start order as six columns: the starts,
+    ends, midpoints, kappa_c, alpha and capture flags, after row 0, an
+    empty segment at -inf.  A time is read from the one segment whose
+    [start, end) holds it, the later one inside the 1e-12 ns overlap
+    allowed between neighbours: the floats of ``Segment.kappa``, and 0
+    where no segment holds it."""
 
     @classmethod
     def of(cls, segments: Sequence[Segment]) -> CouplingTable:
         """The table of one qubit's segments, given in start order."""
-        rows = [(-math.inf, -math.inf, 0.0, 0.0, 1.0, False, 0.0)]
+        rows = [(-math.inf, -math.inf, 0.0, 0.0, 1.0, False)]
         rows += [(s.t_start, s.t_end, s.t_start + s.duration / 2.0, s.kappa_c, s.alpha,
-                  s.kind == "capture", s.f_mhz * MHZ) for s in segments]
+                  s.kind == "capture") for s in segments]
         return cls(zip(*rows))
 
     def kappa(self, t):
         """Coupling rate (1/ns): a float for a float t, read with one
         bisection, else an array, each row written over the rows before."""
-        starts, ends, mids, kappa_cs, alphas, captures, _ = self
+        starts, ends, mids, kappa_cs, alphas, captures = self
         if isinstance(t, float):
             i = bisect_right(starts, t) - 1
             kc = kappa_cs[i]
-            if t >= ends[i] or not kc:
+            if t >= ends[i]:  # row 0 ends at -inf
                 return 0.0
             x = kc * (t - mids[i])
             return kc * _release(-x if captures[i] else x, alphas[i])
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
-        for start, end, mid, kc, alpha, capture in zip(*self[:6]):
-            if kc:
-                held = (t >= start) & (t < end)
-                x = kc * (t[held] - mid)
-                out[held] = kc * _release(-x if capture else x, alpha)
-        return out
-
-    def delta(self, t: np.ndarray) -> np.ndarray:
-        """Detuning (rad/ns) at an array of times, each row written over the rows before."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for start, end, delta in zip(self[0], self[1], self[6]):
-            out[(t >= start) & (t < end)] = delta
+        for start, end, mid, kc, alpha, capture in list(zip(*self))[1:]:  # row 0 holds none
+            held = (t >= start) & (t < end)
+            x = kc * (t[held] - mid)
+            out[held] = kc * _release(-x if capture else x, alpha)
         return out
 
 
 def time_reverse(segment: Segment) -> Segment:
     """Reflect a segment's coupling shape about its own midpoint."""
-    flip = {"release": "capture", "capture": "release"}
-    return replace(segment, kind=flip.get(segment.kind, segment.kind))
+    return replace(segment, kind={"release": "capture", "capture": "release"}[segment.kind])
 
 
 @dataclass(frozen=True)
 class ControlSchedule:
     """Segments on both qubits over a window; ``tables[q]`` is qubit q's
-    ``CouplingTable``, built once, and the one place kappa and Delta are read."""
+    ``CouplingTable``, built once, and the one place kappa is read."""
 
     segments: tuple[Segment, ...]
     window: tuple[float, float]
@@ -252,15 +230,14 @@ class ControlSchedule:
         if window[1] <= window[0]:
             raise ValidationError("window must have positive length")
         # coupling exclusivity: the two qubits never talk to the line at once
-        coupled = [s for s in segs if s.couples]
-        for a in coupled:
-            for b in coupled:
+        for a in segs:
+            for b in segs:
                 if a.qubit != b.qubit and a.t_start < b.t_end and b.t_start < a.t_end:
                     raise RoleAmbiguityError(
                         f"overlapping couplings: {a.kind} on qubit {a.qubit} and "
                         f"{b.kind} on qubit {b.qubit}"
                     )
-        # no overlapping segments of any kind on one qubit
+        # no overlapping segments on one qubit
         tables = {}
         for q in (1, 2):
             mine = sorted((s for s in segs if s.qubit == q), key=lambda s: s.t_start)
@@ -276,16 +253,8 @@ class ControlSchedule:
         """Coupling rate of one qubit (1/ns); a float for a float ``t``."""
         return self.tables[qubit].kappa(t)
 
-    def delta(self, qubit: int, t: np.ndarray) -> np.ndarray:
-        """Detuning of one qubit (rad/ns) at an array of times."""
-        return self.tables[qubit].delta(t)
-
     def max_kappa(self) -> float:
-        return max((s.kappa_c for s in self.segments if s.couples), default=0.0)
-
-    def max_delta(self) -> float:
-        """The largest |Delta| (rad/ns) of any segment; 0 when nothing detunes."""
-        return max(abs(s.f_mhz) * MHZ for s in self.segments)
+        return max(s.kappa_c for s in self.segments)
 
     def breakpoints(self) -> np.ndarray:
         pts = sorted({s.t_start for s in self.segments} | {s.t_end for s in self.segments})
@@ -310,13 +279,15 @@ class IOTrace:
         return np.abs(self.s2) ** 2
 
 
-def _grid(schedule: ControlSchedule, tau: float, dt: float) -> tuple[int, float, int]:
+def _grid(schedule: ControlSchedule, tau: float, dt: float,
+          delta: float = 0.0) -> tuple[int, float, int]:
     """Steps per transit, the step (an exact divisor of tau, at most dt,
-    0.25 ns and a tenth of both 1 / kappa_max and 1 / |Delta|max of the
-    schedule) and the steps spanning the schedule's window."""
+    0.25 ns and a tenth of both 1 / kappa_max of the schedule and
+    1 / |delta|, delta the phase pulse's detuning in rad/ns) and the steps
+    spanning the schedule's window."""
     if not dt > 0:  # also rejects NaN
         raise ValidationError(f"dt must be positive, got {dt}")
-    for rate in (schedule.max_kappa(), schedule.max_delta()):
+    for rate in (schedule.max_kappa(), abs(delta)):
         if rate > 0:
             dt = min(dt, 0.1 / rate)
     n_sub = max(int(np.ceil(tau / min(dt, 0.25))), 1)
@@ -393,12 +364,15 @@ def _integrate(
     s0: np.ndarray,
     dt: float,
     extra_phases: np.ndarray | None = None,
+    pulse: tuple[float, float, float] | None = None,
 ):
     """Fixed-step RK4 for the delayed feedback loop, batched over phases.
 
-    ``s0`` holds one amplitude pair per batch row.  Returns the step nodes,
-    the amplitudes per (batch, node, qubit) and the input and output fields
-    per (batch, node), in float64 when no qubit detunes and every row's
+    ``s0`` holds one amplitude pair per batch row.  ``pulse`` (start, end,
+    Delta) detunes qubit 1 by Delta (rad/ns) on [start, end), the
+    interference fringe's phase pulse.  Returns the step nodes, the
+    amplitudes per (batch, node, qubit) and the input and output fields
+    per (batch, node), in float64 when there is no pulse and every row's
     sqrt(eta) e^{i (phase + row phase)} and amplitude is real, else complex.
 
     The step nodes ``times`` (n_steps + 1) and the step midpoints
@@ -408,15 +382,15 @@ def _integrate(
     divides tau exactly, so the fed-back input is a plain offset of n_sub
     nodes; it first reaches step n_sub - 1, and its terms start there.
 
-    Only the qubits that hold a segment have coefficient rows and are
-    integrated.  A qubit without one is carried, not integrated: its
+    Only the qubits that hold a segment or the pulse have coefficient rows
+    and are integrated.  Any other qubit is carried, not integrated: its
     states are its ``s0`` amplitude at every node, and it adds nothing to
     the output field.
 
-    The step maps of ``_step_maps`` depend on the schedule alone and are
-    built once per call; when no qubit detunes they are real and built in
-    float64, cast to complex if the loop is.  The loop then runs once per round
-    trip: inside a block of n_sub steps the input is the fed-back output
+    The step maps of ``_step_maps`` depend on the schedule and the pulse
+    alone and are built once per call; without a pulse they are real and
+    built in float64, cast to complex if the loop is.  The loop then runs
+    once per round trip: inside a block of n_sub steps the input is the fed-back output
     of the previous block, so the loop forms the block's offsets
     B = Ca u_a + Cm u_m + Cb u_b and composes the block's steps
     s -> A_k s + B_k with one running product P = cumprod(A) and one
@@ -424,27 +398,28 @@ def _integrate(
     log-depth scan; it then evaluates the outputs at the block's midpoints
     and end nodes as whole-block expressions.  The division is safe by
     construction: the step is at most a tenth of 1 / kappa_max and of
-    1 / |Delta|max, so |A_k| is at least about 0.95, and one product spans
+    1 / |Delta|, so |A_k| is at least about 0.95, and one product spans
     at most ``_SPAN`` = 4,096 steps, so |P| stays above about 1e-89; a
     longer block is composed span after span.
     """
     t0 = schedule.window[0]
-    n_sub, h, n_steps = _grid(schedule, ch.tau, dt)
+    n_sub, h, n_steps = _grid(schedule, ch.tau, dt, pulse[2] if pulse else 0.0)
     times = t0 + h * np.arange(n_steps + 1)
-    # the qubits that hold a segment (a table's row 0 is none); with two
-    # qubits they are one slice of the qubit axis
-    busy = [q for q in (1, 2) if len(schedule.tables[q][0]) > 1]
+    # the qubits that hold a segment (a table's row 0 is none) or the pulse;
+    # with two qubits they are one slice of the qubit axis
+    busy = [q for q in (1, 2) if len(schedule.tables[q][0]) > 1 or (pulse and q == 1)]
     rows = slice(busy[0] - 1, busy[-1])
     # (qubit, node) coefficients of ds/dt = decay * s + root * a_in at the
     # step nodes, then the midpoints
     nodes = np.concatenate([times, times[:-1] + h / 2.0])
     kappa = np.stack([schedule.kappa(q, nodes) for q in busy])
-    if schedule.max_delta() > 0:
+    if pulse:
         # decay = -(kappa / 2 + i Delta), written part by part: arithmetic
         # that mixes float and complex operands runs at half speed
-        decay = np.empty(kappa.shape, dtype=complex)
+        start, end, delta = pulse
+        decay = np.zeros(kappa.shape, dtype=complex)
         decay.real = -0.5 * kappa
-        decay.imag = -np.stack([schedule.delta(q, nodes) for q in busy])
+        decay.imag[0, (nodes >= start) & (nodes < end)] = -delta  # qubit 1 is busy[0]
         root = np.sqrt(kappa).astype(complex)
     else:  # real coefficients: the same maps, with the same bits, in float64
         decay, root = -0.5 * kappa, np.sqrt(kappa)
@@ -453,7 +428,7 @@ def _integrate(
     phases = np.zeros(batch) if extra_phases is None else np.asarray(extra_phases, dtype=float)
     feedback = (np.sqrt(ch.eta) * np.exp(1j * (ch.phase + phases)))[:, None]  # (batch, 1)
     # the whole loop runs in float64 when nothing in it is complex: no
-    # detuning, a real feedback factor on every row and real amplitudes
+    # pulse, a real feedback factor on every row and real amplitudes
     real = root.dtype == float and not (feedback.imag.any() or np.imag(s).any())
     dtype = float if real else complex
     feedback, s = (feedback.real, s.real) if real else (feedback, s)
@@ -521,7 +496,7 @@ def simulate_io(
     Steps are uniform so delayed lookups stay on the stored grid, and a
     hard segment edge that falls inside a step is not resolved: RK4
     loses its order on that step, and the kick depends on where in the
-    step the edge falls.  The interference fringe's 20 MHz detune pulse
+    step the edge falls.  The interference fringe's 20 MHz phase pulse
     has measured final-population errors up to 2.85e-3 at dt 0.25 ns,
     8.2e-4 at 0.125 and 1.4e-5 at 0.0625.  Shrink ``dt`` if that matters.
     A real transfer's trace (``_integrate``) is float64, on a ``grid`` too.
@@ -566,27 +541,31 @@ def transfer_schedule(
 
 def interference_schedules(
     delta_phi: np.ndarray, ch: ChannelParams, kappa_c: float, window: float
-) -> list[ControlSchedule]:
-    """The schedule of each relative phase of the 1-D array ``delta_phi``:
-    half release, then a fixed 20 MHz detuning pulse of duration
-    delta_phi / (2 pi * 20 MHz) between the release and capture windows,
-    as in the hardware calibration, then half recapture one transit
-    later.  A pulse that runs into the capture overlaps it on qubit 1 and
-    is rejected.
+) -> tuple[ControlSchedule, list[tuple[float, float, float] | None]]:
+    """The fringe's schedule, a half release and the half recapture one
+    transit later, and the phase pulse of each relative phase of the 1-D
+    array ``delta_phi``: a fixed 20 MHz detuning of qubit 1 for
+    delta_phi / (2 pi * 20 MHz) from the end of the release, as in the
+    hardware calibration, as the (start, end, Delta) of ``_integrate``,
+    or None at delta_phi = 0.  A pulse that runs into the capture by more
+    than the 1e-12 ns two neighbouring segments may overlap is rejected;
+    one that ends inside that sliver is cut at the capture's start.
     """
     dphis = np.asarray(delta_phi, dtype=float)
     if dphis.ndim != 1:
         raise ValidationError("delta_phi must be a 1-D array")
     release = Segment("release", 1, 0.0, window, kappa_c, alpha=0.5)
-    segs = [release, time_reverse(replace(release, t_start=ch.tau))]
-    schedules = []
+    schedule = ControlSchedule([release, time_reverse(replace(release, t_start=ch.tau))],
+                               window=(0.0, ch.tau + window))
+    delta = DETUNE_PULSE_MHZ * MHZ
+    pulses = []
     for dphi in dphis % (2 * np.pi):
-        pulse = []
-        if dphi > 0:
-            pulse_len = dphi / (DETUNE_PULSE_MHZ * MHZ)
-            pulse = [Segment("detune", 1, window, pulse_len, f_mhz=DETUNE_PULSE_MHZ)]
-        schedules.append(ControlSchedule(segs + pulse, window=(0.0, ch.tau + window)))
-    return schedules
+        end = window + dphi / delta
+        if ch.tau < end - 1e-12:
+            raise ValidationError("overlapping segments on qubit 1: the phase pulse runs "
+                                  "into the capture")
+        pulses.append((window, min(end, ch.tau), delta) if dphi > 0 else None)
+    return schedule, pulses
 
 
 def interference_experiment(
@@ -598,8 +577,9 @@ def interference_experiment(
     dt: float = 0.25,
     chunk: int = 128,
 ) -> np.ndarray:
-    """Mean final population on each schedule of ``interference_schedules``,
-    one value per relative phase of the 1-D array ``delta_phi``.
+    """Mean final population of the schedule of ``interference_schedules``
+    under each of its phase pulses, one value per relative phase of the
+    1-D array ``delta_phi``.
 
     The noise average is exact: with z = e^{i phi} the per-realization
     phase, s1(T) = sum_m c_m z^m is a polynomial of degree n, the round
@@ -608,21 +588,21 @@ def interference_experiment(
     of |s1|^2 runs over the seeded phases, drawn once per call.  At
     sigma_phi = 0 the same formula is read at phi = 0.
     """
-    schedules = interference_schedules(delta_phi, ch, kappa_c, window)
+    schedule, pulses = interference_schedules(delta_phi, ch, kappa_c, window)
     phases = np.zeros(1) if noise.sigma_phi == 0.0 else realization_phases(noise)
-    pe = np.empty(len(schedules))
-    if not schedules:
+    pe = np.empty(len(pulses))
+    if not pulses:
         return pe
-    # one grid serves every schedule: they share the window and kappa_c, and
-    # the pulse's 20 MHz caps the step at 0.8 ns, above the 0.25 ns cap
-    n_sub, _, n_steps = _grid(schedules[0], ch.tau, dt)
+    # one grid serves every pulse: the pulse's 20 MHz caps the step at
+    # 0.8 ns, above the 0.25 ns cap
+    n_sub, _, n_steps = _grid(schedule, ch.tau, dt, DETUNE_PULSE_MHZ * MHZ)
     n = n_steps // n_sub
     root_phases = 2 * np.pi * np.arange(n + 1) / (n + 1)
     powers = np.exp(1j * np.outer(phases, np.arange(n + 1)))  # (realization, m)
-    for k, schedule in enumerate(schedules):
+    for k, pulse in enumerate(pulses):
         s1 = np.concatenate([
             _integrate(schedule, ch, np.tile([1.0 + 0j, 0.0], (len(rows), 1)), dt,
-                       extra_phases=rows)[1][:, -1, 0]
+                       extra_phases=rows, pulse=pulse)[1][:, -1, 0]
             for rows in (root_phases[i : i + chunk] for i in range(0, n + 1, chunk))
         ])
         coeffs = np.fft.fft(s1) / (n + 1)

@@ -1,7 +1,6 @@
 """Two-stage cascade: generator structure, transfer physics, guards."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,8 +239,7 @@ def segment_rates(cfg, left=False):
     def rates(s):
         k = [0.0, 0.0]
         for seg in cfg.schedule.segments:
-            if seg.couples and (seg.t_start < s <= seg.t_end if left
-                                else seg.t_start <= s < seg.t_end):
+            if seg.t_start < s <= seg.t_end if left else seg.t_start <= s < seg.t_end:
                 k[seg.qubit - 1] = seg.kappa(s)
         return k
 
@@ -454,18 +452,6 @@ class TestRunCascade:
         with pytest.raises(ValidationError):
             CascadeConfig(BothOn(), ChannelParams(eta=1.0, tau=TAU))
 
-    def test_detuned_schedule_rejected(self):
-        # the cascade models shaped couplings alone: a detune segment would
-        # otherwise be dropped without a word; at 0 MHz it idles and passes
-        sched = transfer_schedule(KC, WINDOW, TAU, emitter=1, receiver=2)
-        ch = ChannelParams(eta=0.67, tau=TAU)
-        idle = Segment("detune", 1, WINDOW, 50.0)
-        CascadeConfig(ControlSchedule([*sched.segments, idle], window=sched.window), ch)
-        for qubit, f_mhz in ((1, 20.0), (2, -5.0), (1, 1e-9)):
-            segs = [*sched.segments, replace(idle, qubit=qubit, f_mhz=f_mhz)]
-            with pytest.raises(ValidationError, match="detuned"):
-                CascadeConfig(ControlSchedule(segs, window=sched.window), ch)
-
 
 class TestDoubledView:
     def test_doubled_trajectory_exposed(self):
@@ -558,8 +544,9 @@ class TestProcessTomographyRun:
             assert np.max(np.abs(traj.doubled.rhos[:, j] - alone.doubled.rhos)) <= 1e-7
 
     def test_identity_transfer(self):
-        # couplers never fire: each prep sits still and the process is I
-        sched = ControlSchedule([Segment("detune", 1, 0.0, 1.0)], window=(0.0, 1.0))
+        # couplers never fire, the one coupling starting after the readout:
+        # each prep sits still and the process is I
+        sched = ControlSchedule([Segment("release", 1, 2.0, 1.0, KC)], window=(0.0, 1.0))
         cfg = CascadeConfig(sched, ChannelParams(eta=0.67, tau=TAU))
         chi = process_tomography_run(cfg, (1,), (1,), t_ro=1.0, frame=np.eye(2))
         assert chi[0, 0].real == pytest.approx(1.0, abs=1e-8)
@@ -577,7 +564,7 @@ class TestProcessTomographyRun:
         assert tomo.fidelity(chi, tomo.chi_ideal(np.eye(2))) > 0.999
 
     def test_mismatched_sides_rejected(self):
-        sched = ControlSchedule([Segment("detune", 1, 0.0, 1.0)], window=(0.0, 1.0))
+        sched = ControlSchedule([Segment("release", 1, 2.0, 1.0, KC)], window=(0.0, 1.0))
         cfg = CascadeConfig(sched, ChannelParams(eta=0.67, tau=TAU))
         with pytest.raises(ValidationError):
             process_tomography_run(cfg, (1, 2), (1,), t_ro=1.0, frame=np.eye(2))

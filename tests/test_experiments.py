@@ -105,6 +105,16 @@ class TestMultiTransit:
         efficiency = run("multi_transit").series["transits"]["efficiency"][0]
         assert efficiency == run("ping_pong").metrics["capture_efficiency"]
 
+    def test_fit_stops_at_the_leftover_floor(self):
+        # the capture's leftover |a|^2 is a floor under the geometric decay;
+        # the fit takes the transits whose packet term still exceeds the
+        # leftover, while the series keeps all 1,000
+        out = run("multi_transit", max_transits=1000)
+        efficiency = out.series["transits"]["efficiency"]
+        assert len(efficiency) == 1000 and efficiency[-1] > 0.0
+        assert out.metrics["eta_fit"] == pytest.approx(0.67, abs=0.01)
+        assert out.metrics["r_squared"] > 0.99
+
     @pytest.mark.parametrize("max_transits", [1, 4, 1000])
     def test_two_loop_passes_whatever_the_transit_count(self, monkeypatch, max_transits):
         calls, simulate_io = [], experiments.simulate_io

@@ -15,6 +15,7 @@ import sawlink
 from sawlink.errors import ValidationError
 from sawlink.ioshape import (
     _SPAN,
+    MHZ,
     SEGMENT_KINDS,
     ChannelParams,
     ControlSchedule,
@@ -25,6 +26,7 @@ from sawlink.ioshape import (
     _integrate,
     _step_maps,
     interference_experiment,
+    interference_schedules,
     realization_phases,
     simulate_io,
     time_reverse,
@@ -97,30 +99,30 @@ class TestPulseShapes:
         ("capture", {"kappa_c": KC, "f_mhz": -0.5}),
         ("release", {"kappa_c": KC, "f_mhz": float("nan")}),
         ("detune", {"kappa_c": 0.3}),
-        ("detune", {"alpha": 0.5}),
+        ("detune", {"kappa_c": 0.3, "alpha": 0.5}),
         ("detune", {"f_mhz": 20.0, "kappa_c": 0.3, "alpha": 0.5}),
     ])
     def test_field_the_kind_does_not_read_rejected(self, kind, fields):
-        # the schedule would drop it: a release's f_mhz detunes nothing and
-        # a detune's kappa_c couples nothing
-        with pytest.raises(ValidationError):
-            Segment(kind, 1, 0.0, 100.0, **fields)
+        # a schedule holds couplings alone: a segment has no detuning field,
+        # and the detune kind is unknown whatever coupling it is given
+        if "f_mhz" in fields:
+            with pytest.raises(TypeError, match="f_mhz"):
+                Segment(kind, 1, 0.0, 100.0, **fields)
+        else:
+            with pytest.raises(ValidationError, match="unknown segment kind 'detune'"):
+                Segment(kind, 1, 0.0, 100.0, **fields)
 
 
 @st.composite
 def schedules(draw):
-    """One to five segments of any kind on either qubit, laid end to end or
-    with gaps, so the coupling rules hold by construction; each kind draws
-    only the fields it reads."""
+    """One to five segments of either kind on either qubit, laid end to end
+    or with gaps, so the coupling rules hold by construction."""
     segs, t = [], draw(st.floats(-50.0, 50.0))
     for _ in range(draw(st.integers(1, 5))):
         kind, qubit = draw(st.sampled_from(SEGMENT_KINDS)), draw(st.sampled_from([1, 2]))
         duration = draw(st.floats(1.0, 200.0))
-        if kind == "detune":
-            fields = {"f_mhz": draw(st.floats(-50.0, 50.0))}
-        else:
-            fields = {"kappa_c": draw(st.floats(0.01, 1.0)), "alpha": draw(st.floats(0.05, 1.0))}
-        segs.append(Segment(kind, qubit, t, duration, **fields))
+        segs.append(Segment(kind, qubit, t, duration, draw(st.floats(0.01, 1.0)),
+                            alpha=draw(st.floats(0.05, 1.0))))
         t += duration + draw(st.sampled_from([0.0, 5.0]))
     return ControlSchedule(segs, window=(segs[0].t_start, segs[-1].t_end))
 
@@ -142,8 +144,7 @@ class TestScheduleLookup:
     @settings(max_examples=60, deadline=None)
     @given(sched=schedules(), data=st.data())
     def test_lookup_reads_the_one_segment_holding_t(self, sched, data):
-        # brute force: the segment of the qubit whose [start, end) holds t,
-        # a coupling giving kappa and a detune delta
+        # brute force: the segment of the qubit whose [start, end) holds t
         edges = [x for s in sched.segments for x in (s.t_start, s.t_end)]
         lo, hi = sched.window
         ts = data.draw(st.lists(st.sampled_from(edges) | st.floats(lo - 10.0, hi + 10.0),
@@ -152,12 +153,9 @@ class TestScheduleLookup:
             holding = [[s for s in sched.segments if s.qubit == qubit
                         and s.t_start <= t < s.t_end] for t in ts]
             assert all(len(segs) <= 1 for segs in holding)
-            kappa = [sum(s.kappa(t) for s in segs if s.couples) for t, segs in zip(ts, holding)]
-            delta = [sum(s.delta(t) for s in segs if not s.couples)
-                     for t, segs in zip(ts, holding)]
+            kappa = [sum(s.kappa(t) for s in segs) for t, segs in zip(ts, holding)]
             assert [sched.kappa(qubit, t) for t in ts] == kappa
             assert np.allclose(sched.kappa(qubit, np.array(ts)), kappa, rtol=1e-13, atol=0.0)
-            assert np.array_equal(sched.delta(qubit, np.array(ts)), delta)
 
     def test_overlap_sliver_reads_the_later_segment(self):
         # neighbours on one qubit may overlap by up to 1e-12 ns; inside that
@@ -226,18 +224,22 @@ class TestTimeReverse:
 
 class TestSimulateIO:
     def test_idle_keeps_populations(self):
-        segs = [Segment("detune", 1, 0.0, 100.0, f_mhz=20.0)]
+        # qubit 1 holds the 20 MHz pulse alone; qubit 2 holds a coupling
+        # after the run's last time, so both are integrated, uncoupled
+        segs = [Segment("release", 2, 200.0, 100.0, KC)]
         sched = ControlSchedule(segs, window=(0.0, 100.0))
-        tr = simulate_io(sched, ChannelParams(eta=1.0, tau=TAU), s0=(0.6, 0.8))
-        # the step straddling the hard segment edge takes a one-time
+        times, s, _, _ = _integrate(sched, ChannelParams(eta=1.0, tau=TAU), np.array([[0.6, 0.8]]),
+                                    0.25, pulse=(0.0, 100.0, 20.0 * MHZ))
+        s1, s2 = s[0, :, 0], s[0, :, 1]
+        # the step straddling the pulse's hard edge takes a one-time
         # O((delta*h)^3) kick; strictly inside, populations hold tight
-        inside = tr.times <= 99.5
-        assert np.allclose(tr.p1[inside], 0.36, atol=5e-9)
-        assert np.allclose(tr.p1, 0.36, atol=2e-5)
-        assert np.allclose(tr.p2, 0.64, atol=1e-12)
+        inside = times <= 99.5
+        assert np.allclose(np.abs(s1[inside]) ** 2, 0.36, atol=5e-9)
+        assert np.allclose(np.abs(s1) ** 2, 0.36, atol=2e-5)
+        assert np.allclose(np.abs(s2) ** 2, 0.64, atol=1e-12)
         # detuning only rotates the phase
-        expected = 0.6 * np.exp(-1j * 0.02 * 2 * np.pi * tr.times)
-        assert np.allclose(tr.s1[inside], expected[inside], atol=1e-6)
+        expected = 0.6 * np.exp(-1j * 0.02 * 2 * np.pi * times)
+        assert np.allclose(s1[inside], expected[inside], atol=1e-6)
 
     def test_ping_pong_efficiency_lossy(self):
         sched = transfer_schedule(KC, 180.0, TAU)
@@ -322,11 +324,12 @@ class TestSimulateIO:
 def delay_lines(draw, pairs=((1, 1), (1, 2), (2, 1), (2, 2))):
     """A release for one transit (full or partial), then a capture one
     transit later by the same qubit or the other one (an (emitter,
-    receiver) pair drawn from ``pairs``), and an optional
-    detune pulse on a qubit free at that time, in a window that starts off
-    zero.  The window holds one to four round trips, the last one full or
-    partial; tau is never a multiple of the 0.25 ns base step, so the step
-    is always cut down."""
+    receiver) pair drawn from ``pairs``), and an optional phase pulse on
+    qubit 1 from the capture's start, which the loop takes whether or not
+    qubit 1 couples then, in a window that starts off zero.  The window
+    holds one to four round trips, the last one full or partial; tau is
+    never a multiple of the 0.25 ns base step, so the step is always cut
+    down.  Gives (schedule, channel, dt, pulse)."""
     tau = draw(st.floats(2.0, 20.0).filter(lambda x: abs(x / 0.25 - round(x / 0.25)) > 1e-6))
     dt = draw(st.floats(0.1, 0.25))
     ch = ChannelParams(eta=draw(st.floats(0.0, 1.0)), tau=tau,
@@ -337,45 +340,42 @@ def delay_lines(draw, pairs=((1, 1), (1, 2), (2, 1), (2, 2))):
     emitter, receiver = draw(st.sampled_from(pairs))
     segs = [Segment("release", emitter, t0, tau, kc, alpha=alpha),
             Segment("capture", receiver, t0 + tau, tau, kc)]
+    pulse = None
     if draw(st.booleans()):
-        # the emitter is free after its release unless it captures too
-        free = emitter if receiver != emitter else 3 - emitter
-        segs.append(Segment("detune", free, t0 + tau, tau * draw(st.floats(0.1, 1.0)),
-                            f_mhz=draw(st.floats(-30.0, 30.0))))
+        pulse = (t0 + tau, t0 + tau * (1.0 + draw(st.floats(0.1, 1.0))),
+                 draw(st.floats(-30.0, 30.0)) * MHZ)
     last = draw(st.just(1.0) | st.floats(0.01, 0.99))
     window = (t0, t0 + tau * (draw(st.integers(0, 3)) + last))
-    return ControlSchedule(segs, window=window), ch, dt
+    return ControlSchedule(segs, window=window), ch, dt, pulse
 
 
 def fixed_line(receiver: int, trips: float):
-    """A partial release on qubit 1, captured by ``receiver``, with a detune
-    pulse on the qubit free after the release, over ``trips`` round trips."""
+    """A partial release on qubit 1, captured by ``receiver``, with a 12 MHz
+    pulse on qubit 1 after the release, over ``trips`` round trips."""
     tau = 7.3
-    detuned = 2 if receiver == 1 else 1
     segs = [Segment("release", 1, 1.0, tau, 0.3, alpha=0.6),
-            Segment("capture", receiver, 1.0 + tau, tau, 0.3),
-            Segment("detune", detuned, 1.0 + tau, 0.5 * tau, f_mhz=12.0)]
+            Segment("capture", receiver, 1.0 + tau, tau, 0.3)]
     ch = ChannelParams(eta=0.8, tau=tau, phase=0.4)
-    return ControlSchedule(segs, window=(1.0, 1.0 + trips * tau)), ch, 0.2
+    pulse = (1.0 + tau, 1.0 + 1.5 * tau, 12.0 * MHZ)
+    return ControlSchedule(segs, window=(1.0, 1.0 + trips * tau)), ch, 0.2, pulse
 
 
 def one_step_line(trips: float):
-    """A 0.2 ns line stepped in 0.2 ns, one step per round trip: qubit 1
+    """A 0.2 ns line stepped in 0.2 ns, one step per round trip: qubit 2
     releases over 20 round trips, fed its own output all along, while
-    qubit 2 is detuned."""
+    qubit 1 holds the pulse alone."""
     tau = 0.2
-    segs = [Segment("release", 1, 1.0, 20 * tau, 0.3, alpha=0.6),
-            Segment("detune", 2, 1.5, 5 * tau, f_mhz=12.0)]
+    segs = [Segment("release", 2, 1.0, 20 * tau, 0.3, alpha=0.6)]
     ch = ChannelParams(eta=0.8, tau=tau, phase=0.4)
-    return ControlSchedule(segs, window=(1.0, 1.0 + trips * tau)), ch, 0.2
+    pulse = (1.5, 1.5 + 5 * tau, 12.0 * MHZ)
+    return ControlSchedule(segs, window=(1.0, 1.0 + trips * tau)), ch, 0.2, pulse
 
 
 def resonant(line):
-    """A line without its detune pulse and at channel phase 0: a release
-    and capture on resonance, a real transfer."""
-    sched, ch, dt = line
-    couplings = [s for s in sched.segments if s.couples]
-    return ControlSchedule(couplings, sched.window), replace(ch, phase=0.0), dt
+    """A line without its pulse and at channel phase 0: a release and
+    capture on resonance, a real transfer."""
+    sched, ch, dt, _ = line
+    return sched, replace(ch, phase=0.0), dt, None
 
 
 def real_line(trips: float):
@@ -383,7 +383,7 @@ def real_line(trips: float):
     return resonant(fixed_line(receiver=1, trips=trips))
 
 
-def stepwise_integrate(schedule, ch, s0, dt, extra_phases=None):
+def stepwise_integrate(schedule, ch, s0, dt, extra_phases=None, pulse=None):
     """Reference: the delay loop stepped one RK4 step at a time in Python,
     on the same half-step grid, input offset and Hermite midpoint."""
     t0, t1 = schedule.window
@@ -394,7 +394,10 @@ def stepwise_integrate(schedule, ch, s0, dt, extra_phases=None):
     nodes = (times[:, None] + [0.0, h / 2.0]).ravel()[:-1]
     lag = 2 * n_sub
     kappa = np.stack([schedule.kappa(q, nodes) for q in (1, 2)], axis=1)
-    delta = np.stack([schedule.delta(q, nodes) for q in (1, 2)], axis=1)
+    delta = np.zeros_like(kappa)
+    if pulse:
+        start, end, detuning = pulse
+        delta[(nodes >= start) & (nodes < end), 0] = detuning
     decay = -(1j * delta + kappa / 2.0)
     root = np.sqrt(kappa)
 
@@ -431,16 +434,16 @@ def stepwise_integrate(schedule, ch, s0, dt, extra_phases=None):
     return times, np.stack(states, axis=1), np.stack(inputs, axis=1), out[:, ::2]
 
 
-def full_block_integrate(schedule, ch, s0, dt, extra_phases=None, dtype=None):
+def full_block_integrate(schedule, ch, s0, dt, extra_phases=None, pulse=None, dtype=None):
     """Reference: the block loop with the input work done on every step of
     every block, also before the first transit has arrived; ``_step_maps``
     from step 0 gives the input weights of every step.  It runs in the
     dtype given, or by default in the one ``_integrate`` picks: float64
-    when nothing detunes and every feedback factor and amplitude is real."""
+    without a pulse when every feedback factor and amplitude is real."""
     t0 = schedule.window[0]
-    n_sub, h, n_steps = _grid(schedule, ch.tau, dt)
+    n_sub, h, n_steps = _grid(schedule, ch.tau, dt, pulse[2] if pulse else 0.0)
     times = t0 + h * np.arange(n_steps + 1)
-    busy = [q for q in (1, 2) if len(schedule.tables[q][0]) > 1]
+    busy = [q for q in (1, 2) if len(schedule.tables[q][0]) > 1 or (pulse and q == 1)]
     rows = slice(busy[0] - 1, busy[-1])
     nodes = np.concatenate([times, times[:-1] + h / 2.0])
     kappa = np.stack([schedule.kappa(q, nodes) for q in busy])
@@ -449,14 +452,15 @@ def full_block_integrate(schedule, ch, s0, dt, extra_phases=None, dtype=None):
     phases = np.zeros(batch) if extra_phases is None else np.asarray(extra_phases, dtype=float)
     feedback = (np.sqrt(ch.eta) * np.exp(1j * (ch.phase + phases)))[:, None]
     if dtype is None:
-        real = schedule.max_delta() == 0 and not feedback.imag.any() and not np.imag(s).any()
+        real = pulse is None and not feedback.imag.any() and not np.imag(s).any()
         dtype = float if real else complex
     if dtype == float:
         feedback, s = feedback.real, s.real
-    decay = np.empty(kappa.shape, dtype=dtype)
+    decay = np.zeros(kappa.shape, dtype=dtype)
     decay.real = -0.5 * kappa
-    if dtype == complex:
-        decay.imag = -np.stack([schedule.delta(q, nodes) for q in busy])
+    if pulse:
+        start, end, delta = pulse
+        decay.imag[0, (nodes >= start) & (nodes < end)] = -delta
     root = np.sqrt(kappa).astype(dtype)
     A, Ca, Cm, Ha, Hb = _step_maps(decay, root, h, n_steps, 0)
     r_a, r_b = root[:, None, :n_steps], root[:, None, 1 : n_steps + 1]
@@ -497,21 +501,22 @@ class TestDelayLine:
     @settings(max_examples=25, deadline=None)
     @given(line=delay_lines())
     def test_input_is_fed_back_output_one_transit_late(self, line):
-        sched, ch, dt = line
-        tr = simulate_io(sched, ch, s0=(1.0, 0.0), dt=dt)
+        sched, ch, dt, pulse = line
+        _, _, (a_in,), (a_out,) = _integrate(sched, ch, np.array([[1.0, 0.0]]), dt, pulse=pulse)
         n_sub = int(np.ceil(ch.tau / min(dt, 0.25)))
-        assert np.all(tr.a_in[:n_sub] == 0.0)
+        assert np.all(a_in[:n_sub] == 0.0)
         feedback = np.sqrt(ch.eta) * np.exp(1j * ch.phase)
-        assert np.allclose(tr.a_in[n_sub:], feedback * tr.a_out[:-n_sub], rtol=0.0, atol=1e-14)
+        assert np.allclose(a_in[n_sub:], feedback * a_out[:-n_sub], rtol=0.0, atol=1e-14)
 
     @settings(max_examples=10, deadline=None)
     @given(line=delay_lines(), extra=st.lists(st.floats(-np.pi, np.pi), min_size=2, max_size=4))
     def test_batched_rows_equal_single_runs(self, line, extra):
-        sched, ch, dt = line
+        sched, ch, dt, pulse = line
         s0 = np.tile([1.0 + 0j, 0.0], (len(extra), 1))
-        batched = _integrate(sched, ch, s0, dt, extra_phases=np.array(extra))
+        batched = _integrate(sched, ch, s0, dt, extra_phases=np.array(extra), pulse=pulse)
         for row, phi in enumerate(extra):
-            single = _integrate(sched, replace(ch, phase=ch.phase + phi), s0[row : row + 1], dt)
+            single = _integrate(sched, replace(ch, phase=ch.phase + phi), s0[row : row + 1], dt,
+                                pulse=pulse)
             assert np.array_equal(batched[0], single[0])
             for got, want in zip(batched[1:], single[1:]):
                 assert np.allclose(got[row], want[0], rtol=0.0, atol=1e-14)
@@ -529,11 +534,11 @@ class TestDelayLine:
     def test_block_scan_matches_stepwise_loop(self, line, rows):
         # differential: the step maps and block scan against the oracle that
         # takes one RK4 step at a time, on states, a_in and a_out
-        sched, ch, dt = line
+        sched, ch, dt, pulse = line
         extra = np.array([phi for phi, _, _ in rows])
         s0 = np.array([[s1, s2] for _, s1, s2 in rows])
-        got = _integrate(sched, ch, s0, dt, extra_phases=extra)
-        want = stepwise_integrate(sched, ch, s0, dt, extra_phases=extra)
+        got = _integrate(sched, ch, s0, dt, extra_phases=extra, pulse=pulse)
+        want = stepwise_integrate(sched, ch, s0, dt, extra_phases=extra, pulse=pulse)
         assert np.array_equal(got[0], want[0])
         for g, w in zip(got[1:], want[1:]):
             assert g.shape == w.shape
@@ -555,11 +560,11 @@ class TestDelayLine:
         # input reaches against the same loop doing it on every step; the
         # examples are windows shorter than tau and lines whose step is one
         # round trip (n_sub = 1)
-        sched, ch, dt = line
+        sched, ch, dt, pulse = line
         extra = np.array([phi for phi, _, _ in rows])
         s0 = np.array([[s1, s2] for _, s1, s2 in rows])
-        got = _integrate(sched, ch, s0, dt, extra_phases=extra)
-        want = full_block_integrate(sched, ch, s0, dt, extra_phases=extra)
+        got = _integrate(sched, ch, s0, dt, extra_phases=extra, pulse=pulse)
+        want = full_block_integrate(sched, ch, s0, dt, extra_phases=extra, pulse=pulse)
         for g, w in zip(got, want):
             assert g.shape == w.shape
             assert np.array_equal(g, w)
@@ -568,21 +573,23 @@ class TestDelayLine:
         ({}, np.float64),
         ({"s0": np.array([[1.0 + 0j, 0.0], [0.6, -0.8]])}, np.float64),  # complex, zero imag
         ({"eta": 0.0}, np.float64),
-        ({"segments": [Segment("detune", 2, 3.0, 2.0)]}, np.float64),  # 0 MHz idles
-        ({"segments": [Segment("detune", 2, 3.0, 2.0, f_mhz=12.0)]}, np.complex128),
+        # qubit 2 joins the loop, uncoupled: its coupling starts after the run
+        ({"segments": [Segment("release", 2, 100.0, 2.0, 0.3)]}, np.float64),
+        ({"pulse": (3.0, 5.0, 12.0 * MHZ)}, np.complex128),
         ({"phase": 0.4}, np.complex128),
         ({"extra": np.array([0.0, 1.3])}, np.complex128),
         ({"s0": np.array([[1.0, 0.0], [0.6, 0.8j]])}, np.complex128),
     ])
     def test_loop_is_real_exactly_when_the_transfer_is(self, change, dtype):
-        # float64 needs no detuning, a real feedback factor on every row
-        # and real amplitudes; any one complex term makes the loop complex
-        sched, ch, dt = real_line(trips=2.5)
+        # float64 needs no pulse, a real feedback factor on every row and
+        # real amplitudes; any one complex term makes the loop complex
+        sched, ch, dt, _ = real_line(trips=2.5)
         sched = ControlSchedule(list(sched.segments) + change.get("segments", []), sched.window)
         ch = replace(ch, eta=change.get("eta", ch.eta), phase=change.get("phase", ch.phase))
         s0 = change.get("s0", np.array([[1.0, 0.0], [0.6, -0.8]]))
         extra = change.get("extra", np.zeros(2))
-        _, states, ain, aout = _integrate(sched, ch, s0, dt, extra_phases=extra)
+        _, states, ain, aout = _integrate(sched, ch, s0, dt, extra_phases=extra,
+                                          pulse=change.get("pulse"))
         assert states.dtype == ain.dtype == aout.dtype == dtype
 
     @settings(max_examples=40, deadline=None)
@@ -592,7 +599,7 @@ class TestDelayLine:
     @example(line=real_line(trips=3.7), amps=[(1.0, 0.0), (0.6, -0.8)])
     def test_real_loop_matches_complex_oracle(self, line, amps):
         # differential: the float64 loop against the same loop forced complex
-        sched, ch, dt = line
+        sched, ch, dt, _ = line
         s0 = np.array(amps)
         extra = np.zeros(len(amps))
         got = _integrate(sched, ch, s0, dt, extra_phases=extra)
@@ -626,20 +633,20 @@ class TestDelayLine:
             assert np.max(np.abs(g - w)) <= 1e-13
 
     def test_fast_detuning_shortens_the_step(self):
-        # 2 GHz would put h |Delta| near 3 at dt 0.25; the step is cut to a
-        # tenth of 1 / |Delta| instead, so no step map nears zero
+        # a 2 GHz pulse would put h |Delta| near 3 at dt 0.25; the step is
+        # cut to a tenth of 1 / |Delta| instead, so no step map nears zero
         tau = 2.0
         segs = [Segment("release", 1, 0.0, tau, 0.3, alpha=0.6),
-                Segment("capture", 2, tau, tau, 0.3),
-                Segment("detune", 1, tau, 0.5 * tau, f_mhz=2000.0)]
+                Segment("capture", 2, tau, tau, 0.3)]
         sched = ControlSchedule(segs, window=(0.0, 3.7 * tau))
         ch = ChannelParams(eta=0.8, tau=tau, phase=0.4)
-        _, h, _ = _grid(sched, tau, 0.25)
-        assert h * sched.max_delta() <= 0.1
+        pulse = (tau, 1.5 * tau, 2000.0 * MHZ)
+        _, h, _ = _grid(sched, tau, 0.25, pulse[2])
+        assert h * pulse[2] <= 0.1 < _grid(sched, tau, 0.25)[1] * pulse[2]
         s0 = np.array([[1.0, 0.0], [0.3j, 0.5]])
         extra = np.array([0.0, -2.1])
-        got = _integrate(sched, ch, s0, 0.25, extra_phases=extra)
-        want = stepwise_integrate(sched, ch, s0, h, extra_phases=extra)
+        got = _integrate(sched, ch, s0, 0.25, extra_phases=extra, pulse=pulse)
+        want = stepwise_integrate(sched, ch, s0, h, extra_phases=extra, pulse=pulse)
         assert np.array_equal(got[0], want[0])
         for g, w in zip(got[1:], want[1:]):
             assert np.all(np.isfinite(g))
@@ -649,7 +656,7 @@ class TestDelayLine:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), fed=st.integers(0, 40),
            h=st.floats(0.01, 0.25))
     def test_real_maps_equal_complex_maps(self, seed, n, fed, h):
-        # an undetuned schedule builds its maps in float64: cast to complex
+        # without a pulse the maps are built in float64: cast to complex
         # they are the maps of the same coefficients given as complex
         rng = np.random.default_rng(seed)
         kappa = rng.uniform(0.0, 0.4, size=(2, 2 * n + 1))
@@ -671,26 +678,28 @@ class TestDelayLine:
     @example(line=fixed_line(receiver=1, trips=3.7),
              rows=[(0.0, 1.0, 0.5j), (1.1, 0.3j, -0.6 + 0.2j)])
     def test_idle_qubit_carried_as_if_integrated(self, line, rows):
-        # differential, exact: a 0 MHz detune over the window sends the
-        # otherwise idle qubit through the loop at kappa = Delta = 0
-        sched, ch, dt = line
-        (busy,) = {s.qubit for s in sched.segments if s.couples}
-        segs = [s for s in sched.segments if s.qubit == busy]
-        t0, t1 = sched.window
-        idle = Segment("detune", 3 - busy, t0, t1 - t0)
+        # differential, exact: a coupling after the run's last node, and
+        # after every other coupling, sends the otherwise idle qubit through
+        # the loop at kappa = Delta = 0
+        sched, ch, dt, pulse = line
+        (busy,) = {s.qubit for s in sched.segments}
+        pulse = pulse if busy == 1 else None  # the pulse would make qubit 1 busy
+        segs = list(sched.segments)
+        after = max(sched.window[1], *(s.t_end for s in segs)) + ch.tau
+        idle = Segment("release", 3 - busy, after, ch.tau, 0.3)
         extra = np.array([phi for phi, _, _ in rows])
         # each row draws the busy qubit's amplitude, then the idle one's
         s0 = np.array([(a, b) if busy == 1 else (b, a) for _, a, b in rows])
-        carried = _integrate(ControlSchedule(segs, sched.window), ch, s0, dt, extra_phases=extra)
+        carried = _integrate(sched, ch, s0, dt, extra_phases=extra, pulse=pulse)
         looped = _integrate(ControlSchedule(segs + [idle], sched.window), ch, s0, dt,
-                            extra_phases=extra)
+                            extra_phases=extra, pulse=pulse)
         for c, w in zip(carried, looped):
             assert c.shape == w.shape
             assert np.array_equal(c, w)
 
     def test_qubit_two_alone_mirrors_qubit_one_alone(self):
-        sched, ch, dt = fixed_line(receiver=1, trips=3.7)
-        segs = [s for s in sched.segments if s.qubit == 1]
+        sched, ch, dt, _ = fixed_line(receiver=1, trips=3.7)
+        segs = list(sched.segments)
         s0 = np.array([[1.0, 0.3j], [0.2 - 0.5j, -0.7]])
         extra = np.array([0.0, 1.3])
         one = _integrate(ControlSchedule(segs, sched.window), ch, s0, dt, extra_phases=extra)
@@ -707,12 +716,13 @@ class TestDelayLine:
 
 
 def interference_schedule(delta_phi, tau, kappa_c, window):
-    """The schedule `interference_experiment` integrates for one phase."""
+    """The schedule and pulse `interference_experiment` integrates for one
+    phase that leaves the pulse short of the capture."""
     release = Segment("release", 1, 0.0, window, kappa_c, alpha=0.5)
-    segs = [release, time_reverse(replace(release, t_start=tau))]
-    if delta_phi > 0:
-        segs.append(Segment("detune", 1, window, delta_phi / (20.0 * 2e-3 * np.pi), f_mhz=20.0))
-    return ControlSchedule(segs, window=(0.0, tau + window))
+    sched = ControlSchedule([release, time_reverse(replace(release, t_start=tau))],
+                            window=(0.0, tau + window))
+    delta = 20.0 * 2e-3 * np.pi
+    return sched, (window, window + delta_phi / delta, delta) if delta_phi > 0 else None
 
 
 @st.composite
@@ -740,9 +750,9 @@ class TestInterference:
         dphi, ch, noise, kappa_c, window, chunk = case
         pe = interference_experiment(np.array([dphi]), ch, noise, kappa_c, window, chunk=chunk)
         phases = np.zeros(1) if noise.sigma_phi == 0.0 else realization_phases(noise)
-        sched = interference_schedule(dphi, ch.tau, kappa_c, window)
+        sched, pulse = interference_schedule(dphi, ch.tau, kappa_c, window)
         s0 = np.tile([1.0 + 0j, 0.0], (len(phases), 1))
-        final = _integrate(sched, ch, s0, 0.25, extra_phases=phases)[1][:, -1]
+        final = _integrate(sched, ch, s0, 0.25, extra_phases=phases, pulse=pulse)[1][:, -1]
         assert pe[0] == pytest.approx(np.mean(np.abs(final[:, 0]) ** 2), rel=0.0, abs=1e-12)
 
     def test_phase_array_matches_scalar_calls(self):
@@ -763,7 +773,7 @@ class TestInterference:
         ch = ChannelParams(eta=0.67, tau=60.0)
         noise = NoiseSpec(sigma_phi=0.7, n_realizations=16, master_seed=11)
         dphis = np.array([0.0, 1.0, np.pi])
-        n_sub, _, n_steps = _grid(interference_schedule(0.0, ch.tau, 0.2, 20.0), ch.tau, 0.25)
+        n_sub, _, n_steps = _grid(interference_schedule(0.0, ch.tau, 0.2, 20.0)[0], ch.tau, 0.25)
         one_row = interference_experiment(dphis, ch, noise, 0.2, 20.0, chunk=1)
         one_pass = interference_experiment(dphis, ch, noise, 0.2, 20.0,
                                            chunk=n_steps // n_sub + 1)
@@ -793,10 +803,19 @@ class TestInterference:
                                     dt=dt)
 
     def test_phase_pulse_must_fit(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="overlapping segments on qubit 1"):
             interference_experiment(
                 np.array([np.pi]), ChannelParams(eta=1.0, tau=200.0), NOISELESS, window=180.0
             )
+
+    def test_pulse_inside_the_overlap_sliver_ends_at_the_capture(self):
+        # neighbours on qubit 1 may overlap by 1e-12 ns, and inside that
+        # sliver the capture is read, so the pulse is cut at its start
+        ch, delta = ChannelParams(eta=1.0, tau=200.0), 20.0 * MHZ
+        for past, end in ((5e-13, 200.0), (-5e-12, 200.0 - 5e-12)):
+            _, (pulse,) = interference_schedules(np.array([(20.0 + past) * delta]), ch, KC, 180.0)
+            assert pulse == (180.0, pytest.approx(end, abs=1e-13), delta)
+            assert pulse[1] <= ch.tau
 
 
 def test_iotrace_population_properties():
