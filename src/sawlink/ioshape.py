@@ -13,22 +13,22 @@ the release with the same alpha mirrored in time.  The shape is written
 once, with a float form (``math``) for the cascade's per-call schedule
 lookups and an array form (numpy) for the delay loop's grid.  The one
 detuning of the package, the interference fringe's phase pulse on qubit
-1, is not a segment but an argument of the delay loop.
+1, is not a segment and never enters the delay loop: the fringe runs the
+loop once without it and applies each pulse by linearity.
 
 The delay loop is fixed-step RK4 with the step nodes and the step
 midpoints in separate contiguous arrays.  It integrates only the qubits
-that hold a segment or the pulse: any other qubit is uncoupled and
-undetuned, so it is carried, keeping its initial amplitude, and adds
-nothing to the output field.  The step maps, which depend on the
-schedule and the pulse alone, are built once per call, in float64
-without a pulse, and the whole loop runs in float64 when every feedback
-factor and amplitude is real as well.  Each round trip then only forms
-its input offsets, composes its steps with one running product and one
-running sum (no log-depth scan) and evaluates its outputs.  The running
-sum divides by the running product, which stays far from zero: the step
-is capped by the pulse's detuning as well as by the coupling, so each
-step's map has modulus at least about 0.95, and one product spans at
-most 4,096 steps.
+that hold a segment: any other qubit is uncoupled, so it is carried,
+keeping its initial amplitude, and adds nothing to the output field.
+The step maps, which depend on the schedule alone, are built once per
+call, in float64, and the whole loop runs in float64 when every
+feedback factor and amplitude is real as well.  Each round trip then
+only forms its input offsets, composes its steps with one running
+product and one running sum (no log-depth scan) and evaluates its
+outputs.  The running sum divides by the running product, which stays
+far from zero: the step is capped by the coupling, so each step's map
+has modulus at least about 0.95, and one product spans at most 4,096
+steps.
 
 Classical phase noise is drawn per realization from the Philox stream
 keyed by (master seed, realization index); being counter-based, a stream
@@ -279,17 +279,13 @@ class IOTrace:
         return np.abs(self.s2) ** 2
 
 
-def _grid(schedule: ControlSchedule, tau: float, dt: float,
-          delta: float = 0.0) -> tuple[int, float, int]:
+def _grid(schedule: ControlSchedule, tau: float, dt: float) -> tuple[int, float, int]:
     """Steps per transit, the step (an exact divisor of tau, at most dt,
-    0.25 ns and a tenth of both 1 / kappa_max of the schedule and
-    1 / |delta|, delta the phase pulse's detuning in rad/ns) and the steps
+    0.25 ns and a tenth of 1 / kappa_max of the schedule) and the steps
     spanning the schedule's window."""
     if not dt > 0:  # also rejects NaN
         raise ValidationError(f"dt must be positive, got {dt}")
-    for rate in (schedule.max_kappa(), abs(delta)):
-        if rate > 0:
-            dt = min(dt, 0.1 / rate)
+    dt = min(dt, 0.1 / schedule.max_kappa())
     n_sub = max(int(np.ceil(tau / min(dt, 0.25))), 1)
     h = tau / n_sub
     t0, t1 = schedule.window
@@ -364,16 +360,13 @@ def _integrate(
     s0: np.ndarray,
     dt: float,
     extra_phases: np.ndarray | None = None,
-    pulse: tuple[float, float, float] | None = None,
 ):
     """Fixed-step RK4 for the delayed feedback loop, batched over phases.
 
-    ``s0`` holds one amplitude pair per batch row.  ``pulse`` (start, end,
-    Delta) detunes qubit 1 by Delta (rad/ns) on [start, end), the
-    interference fringe's phase pulse.  Returns the step nodes, the
-    amplitudes per (batch, node, qubit) and the input and output fields
-    per (batch, node), in float64 when there is no pulse and every row's
-    sqrt(eta) e^{i (phase + row phase)} and amplitude is real, else complex.
+    ``s0`` holds one amplitude pair per batch row.  Returns the step nodes,
+    the amplitudes per (batch, node, qubit) and the input and output fields
+    per (batch, node), in float64 when every row's sqrt(eta)
+    e^{i (phase + row phase)} and amplitude is real, else complex.
 
     The step nodes ``times`` (n_steps + 1) and the step midpoints
     (n_steps) are kept apart, each in contiguous arrays with the node
@@ -382,54 +375,44 @@ def _integrate(
     divides tau exactly, so the fed-back input is a plain offset of n_sub
     nodes; it first reaches step n_sub - 1, and its terms start there.
 
-    Only the qubits that hold a segment or the pulse have coefficient rows
-    and are integrated.  Any other qubit is carried, not integrated: its
+    Only the qubits that hold a segment have coefficient rows and are
+    integrated.  Any other qubit is carried, not integrated: its
     states are its ``s0`` amplitude at every node, and it adds nothing to
     the output field.
 
-    The step maps of ``_step_maps`` depend on the schedule and the pulse
-    alone and are built once per call; without a pulse they are real and
-    built in float64, cast to complex if the loop is.  The loop then runs
-    once per round trip: inside a block of n_sub steps the input is the fed-back output
-    of the previous block, so the loop forms the block's offsets
-    B = Ca u_a + Cm u_m + Cb u_b and composes the block's steps
-    s -> A_k s + B_k with one running product P = cumprod(A) and one
-    running sum, s_{k+1} = P_k (s_first + sum_{j<=k} B_j / P_j), with no
+    The step maps of ``_step_maps`` depend on the schedule alone and are
+    built once per call, in float64, cast to complex if the loop is.  The
+    loop then runs once per round trip: inside a block of n_sub steps the
+    input is the fed-back output of the previous block, so the loop forms
+    the block's offsets B = Ca u_a + Cm u_m + Cb u_b and composes the
+    block's steps s -> A_k s + B_k with one running product P = cumprod(A)
+    and one running sum, s_{k+1} = P_k (s_first + sum_{j<=k} B_j / P_j), with no
     log-depth scan; it then evaluates the outputs at the block's midpoints
     and end nodes as whole-block expressions.  The division is safe by
-    construction: the step is at most a tenth of 1 / kappa_max and of
-    1 / |Delta|, so |A_k| is at least about 0.95, and one product spans
-    at most ``_SPAN`` = 4,096 steps, so |P| stays above about 1e-89; a
-    longer block is composed span after span.
+    construction: the step is at most a tenth of 1 / kappa_max, so |A_k|
+    is at least about 0.95, and one product spans at most ``_SPAN`` =
+    4,096 steps, so |P| stays above about 1e-89; a longer block is
+    composed span after span.
     """
     t0 = schedule.window[0]
-    n_sub, h, n_steps = _grid(schedule, ch.tau, dt, pulse[2] if pulse else 0.0)
+    n_sub, h, n_steps = _grid(schedule, ch.tau, dt)
     times = t0 + h * np.arange(n_steps + 1)
-    # the qubits that hold a segment (a table's row 0 is none) or the pulse;
-    # with two qubits they are one slice of the qubit axis
-    busy = [q for q in (1, 2) if len(schedule.tables[q][0]) > 1 or (pulse and q == 1)]
+    # the qubits that hold a segment (a table's row 0 is none); with two
+    # qubits they are one slice of the qubit axis
+    busy = [q for q in (1, 2) if len(schedule.tables[q][0]) > 1]
     rows = slice(busy[0] - 1, busy[-1])
     # (qubit, node) coefficients of ds/dt = decay * s + root * a_in at the
     # step nodes, then the midpoints
     nodes = np.concatenate([times, times[:-1] + h / 2.0])
     kappa = np.stack([schedule.kappa(q, nodes) for q in busy])
-    if pulse:
-        # decay = -(kappa / 2 + i Delta), written part by part: arithmetic
-        # that mixes float and complex operands runs at half speed
-        start, end, delta = pulse
-        decay = np.zeros(kappa.shape, dtype=complex)
-        decay.real = -0.5 * kappa
-        decay.imag[0, (nodes >= start) & (nodes < end)] = -delta  # qubit 1 is busy[0]
-        root = np.sqrt(kappa).astype(complex)
-    else:  # real coefficients: the same maps, with the same bits, in float64
-        decay, root = -0.5 * kappa, np.sqrt(kappa)
+    decay, root = -0.5 * kappa, np.sqrt(kappa)
     s = np.asarray(s0)
     batch = s.shape[0]
     phases = np.zeros(batch) if extra_phases is None else np.asarray(extra_phases, dtype=float)
     feedback = (np.sqrt(ch.eta) * np.exp(1j * (ch.phase + phases)))[:, None]  # (batch, 1)
-    # the whole loop runs in float64 when nothing in it is complex: no
-    # pulse, a real feedback factor on every row and real amplitudes
-    real = root.dtype == float and not (feedback.imag.any() or np.imag(s).any())
+    # the whole loop runs in float64 when nothing in it is complex: a real
+    # feedback factor on every row and real amplitudes
+    real = not (feedback.imag.any() or np.imag(s).any())
     dtype = float if real else complex
     feedback, s = (feedback.real, s.real) if real else (feedback, s)
     fed = min(n_sub - 1, n_steps)  # the first step the input reaches
@@ -496,10 +479,8 @@ def simulate_io(
     Steps are uniform so delayed lookups stay on the stored grid, and a
     hard segment edge that falls inside a step is not resolved: RK4
     loses its order on that step, and the kick depends on where in the
-    step the edge falls.  The interference fringe's 20 MHz phase pulse
-    has measured final-population errors up to 2.85e-3 at dt 0.25 ns,
-    8.2e-4 at 0.125 and 1.4e-5 at 0.0625.  Shrink ``dt`` if that matters.
-    A real transfer's trace (``_integrate``) is float64, on a ``grid`` too.
+    step the edge falls.  A real transfer's trace (``_integrate``) is
+    float64, on a ``grid`` too.
     """
     s0 = np.asarray(s0, dtype=complex)
     if s0.shape != (2,):
@@ -546,10 +527,11 @@ def interference_schedules(
     transit later, and the phase pulse of each relative phase of the 1-D
     array ``delta_phi``: a fixed 20 MHz detuning of qubit 1 for
     delta_phi / (2 pi * 20 MHz) from the end of the release, as in the
-    hardware calibration, as the (start, end, Delta) of ``_integrate``,
-    or None at delta_phi = 0.  A pulse that runs into the capture by more
-    than the 1e-12 ns two neighbouring segments may overlap is rejected;
-    one that ends inside that sliver is cut at the capture's start.
+    hardware calibration, as (start, end, Delta), a detuning by Delta
+    (rad/ns) on [start, end), or None at delta_phi = 0.  A pulse that runs
+    into the capture by more than the 1e-12 ns two neighbouring segments
+    may overlap is rejected; one that ends inside that sliver is cut at
+    the capture's start.
     """
     dphis = np.asarray(delta_phi, dtype=float)
     if dphis.ndim != 1:
@@ -583,28 +565,84 @@ def interference_experiment(
 
     The noise average is exact: with z = e^{i phi} the per-realization
     phase, s1(T) = sum_m c_m z^m is a polynomial of degree n, the round
-    trips in the window.  It is integrated at the n + 1 roots of unity
-    (``chunk`` >= 1 rows per pass), the c_m follow by FFT, and the mean
-    of |s1|^2 runs over the seeded phases, drawn once per call.  At
-    sigma_phi = 0 the same formula is read at phi = 0.
+    trips in the window.  It is evaluated at the n + 1 roots of unity, the
+    c_m follow by FFT, and the mean of |s1|^2 runs over the seeded phases,
+    drawn once per call.  At sigma_phi = 0 the same formula is read at
+    phi = 0.
+
+    One delay-loop pass (``chunk`` >= 1 rows at a time) integrates the n + 1
+    rows without a pulse, and each pulse follows by linearity, in the
+    loop's own RK4 arithmetic.  A pulse detunes qubit 1 only where it is
+    uncoupled, from the release's end w to at most the capture's start
+    tau, before the fed-back input arrives (the one input term there, at
+    tau, is the same under every pulse), so every row holds the same state
+    there.  A pulse changes the step maps of the steps from the one w
+    falls in, lo, to the last it detunes, and through them two things
+    that reach qubit 1's final amplitude: its state after those steps,
+    and the output at step lo's midpoint, nonzero when that midpoint is
+    still coupled, which the line feeds back into step lo + n_sub.  Their
+    other outputs are uncoupled, or fed back at 2 tau or later, past the
+    capture's end.  So each row's final amplitude is the pass's, plus the
+    state's change times the product of the later steps' maps A_k, plus
+    the output's change times the row's feedback factor, Cm of step
+    lo + n_sub and the product of the maps after it.  The maps are those
+    of ``_step_maps``, built once without a pulse and once for every pulse
+    at once on the steps the pulses detune.
+
+    A hard edge inside a step is not resolved: RK4 loses its order on
+    that step, and the kick depends on where in the step the edge falls.
+    The 20 MHz pulse's edges give final-population errors up to 2.85e-3 at
+    dt 0.25 ns, 8.2e-4 at 0.125 and 1.4e-5 at 0.0625.  Shrink ``dt`` if
+    that matters.
     """
     schedule, pulses = interference_schedules(delta_phi, ch, kappa_c, window)
     phases = np.zeros(1) if noise.sigma_phi == 0.0 else realization_phases(noise)
     pe = np.empty(len(pulses))
     if not pulses:
         return pe
-    # one grid serves every pulse: the pulse's 20 MHz caps the step at
-    # 0.8 ns, above the 0.25 ns cap
-    n_sub, _, n_steps = _grid(schedule, ch.tau, dt, DETUNE_PULSE_MHZ * MHZ)
+    n_sub, h, n_steps = _grid(schedule, ch.tau, dt)
     n = n_steps // n_sub
     root_phases = 2 * np.pi * np.arange(n + 1) / (n + 1)
+    s1 = np.concatenate([  # qubit 1 per (row, node), without a pulse
+        _integrate(schedule, ch, np.tile([1.0 + 0j, 0.0], (len(rows), 1)), dt,
+                   extra_phases=rows)[1][..., 0]
+        for rows in (root_phases[i : i + chunk] for i in range(0, n + 1, chunk))
+    ])
+    # each pulse detunes steps lo..hi - 1 (none at delta_phi = 0), the
+    # last the capture's first when a pulse cut at tau detunes a node that
+    # rounds short of it; the loop's nodes start at 0
+    times = h * np.arange(n_steps + 1)
+    ends = np.array([p[1] if p else window for p in pulses])
+    lo = int(np.searchsorted(times, window)) - 1
+    his = np.minimum(np.searchsorted(times, ends), n_steps)
+    hi = his.max()
+    # qubit 1's couplings and maps on steps lo.., nodes then midpoints
+    points = np.concatenate([times[lo:], times[lo:-1] + h / 2.0])
+    kappa = schedule.kappa(1, points)
+    A, _, Cm, Ha, Hb = (m[0, 0] for m in _step_maps(-0.5 * kappa[None], np.sqrt(kappa)[None],
+                                                    h, n_steps - lo, 0))
+    after = np.append(np.cumprod(A[::-1])[::-1], 1.0)  # after[k]: the maps of steps lo + k..
+    # and on steps lo..hi - 1 under each pulse
+    mid = n_steps - lo + 1  # lo's midpoint in points
+    near = np.r_[: hi - lo + 1, mid : mid + hi - lo]
+    decay = np.empty((len(ends), near.size), dtype=complex)
+    decay.real = -0.5 * kappa[near]
+    decay.imag = np.where((points[near] >= window) & (points[near] < ends[:, None]),
+                          -DETUNE_PULSE_MHZ * MHZ, 0.0)
+    A_p, _, _, Ha_p, Hb_p = (m[:, 0] for m in _step_maps(decay, np.sqrt(kappa[near])[None], h,
+                                                         hi - lo, hi - lo))
+    # what each pulse changes, per unit of qubit 1's state at node lo (the
+    # same on every row): its state at node hi and the output at lo's midpoint
+    s_lo, r_mid = s1[0, lo], np.sqrt(kappa[mid])
+    last = his - lo - 1
+    state = np.cumprod(A_p, axis=1)[np.arange(len(ends)), last] - np.cumprod(A[: hi - lo])[last]
+    out = r_mid * ((Ha_p[:, 0] + Hb_p[:, 0] * A_p[:, 0]) - (Ha[0] + Hb[0] * A[0]))
+    kick = (after[his - lo] * s_lo * state)[:, None]
+    if lo + n_sub < n_steps:
+        feedback = np.sqrt(ch.eta) * np.exp(1j * (ch.phase + root_phases))
+        kick = kick + feedback * (Cm[n_sub] * after[n_sub + 1] * s_lo * out)[:, None]
     powers = np.exp(1j * np.outer(phases, np.arange(n + 1)))  # (realization, m)
-    for k, pulse in enumerate(pulses):
-        s1 = np.concatenate([
-            _integrate(schedule, ch, np.tile([1.0 + 0j, 0.0], (len(rows), 1)), dt,
-                       extra_phases=rows, pulse=pulse)[1][:, -1, 0]
-            for rows in (root_phases[i : i + chunk] for i in range(0, n + 1, chunk))
-        ])
-        coeffs = np.fft.fft(s1) / (n + 1)
+    for k, row in enumerate(s1[:, -1] + kick):
+        coeffs = np.fft.fft(row) / (n + 1)
         pe[k] = np.mean(np.abs(powers @ coeffs) ** 2)
     return pe

@@ -8,6 +8,7 @@ the error measured when its row was added, and says where that error
 comes from; a change that makes a route more accurate tightens its row.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +20,8 @@ from transit_oracle import per_transit_amplitudes
 from sawlink.device import default_device
 from sawlink.experiments import EXPERIMENTS, run_experiment
 from sawlink.ioshape import (
-    _grid,
-    _integrate,
-    interference_schedules,
+    NoiseSpec,
+    interference_experiment,
     simulate_io,
     transfer_schedule,
 )
@@ -90,27 +90,23 @@ def test_cascade_metrics_against_a_tight_tolerance(name, budgets):
 def test_interference_fringe_against_the_gaussian_average():
     # Source: the fringe averages 1024 seeded draws of the Gaussian phase
     # and reads the phase pulse's hard edges on the 0.25 ns step.  The
-    # converged fringe takes the n + 1 root-of-unity rows at dt 1/64 and
-    # averages |sum_m c_m z^m|^2 over the Gaussian in closed form,
-    # sum_{m, m'} c_m conj(c_m') e^{-sigma^2 (m - m')^2 / 2} (Kubo, J. Phys.
-    # Soc. Jpn. 17, 1100 (1962)).  The default fringe lies up to 4.96e-3
-    # from it: the draws alone give 3.76e-3 and the step alone 2.84e-3.
-    # Budget 9.9e-3.
+    # default window holds one round trip, so s1 = c_0 + c_1 z, and the
+    # converged fringe averages |c_0 + c_1 z|^2 over the Gaussian in closed
+    # form, |c_0|^2 + |c_1|^2 + 2 Re(c_0 conj(c_1)) e^{-sigma^2 / 2} (Kubo,
+    # J. Phys. Soc. Jpn. 17, 1100 (1962)), from the noiseless fringes at
+    # dt 1/64 with the channel phase turned by 0 and by pi, which give
+    # |c_0|^2 + |c_1|^2 +- 2 Re(c_0 conj(c_1)).  The default fringe lies up
+    # to 4.96e-3 from it: the draws alone give 3.76e-3 and the step alone
+    # 2.84e-3.  Budget 9.9e-3.
     p = EXPERIMENTS["interference"].defaults
     out = run("interference")
     ch, sigma = DEV.channel(p["eta"]), out.metrics["sigma_phi"]
-    schedule, pulses = interference_schedules(out.series["fringe"]["delta_phi_rad"], ch,
-                                              p["kappa_c"], p["window_ns"])
-    n_sub, _, n_steps = _grid(schedule, ch.tau, FINE_DT)
-    m = np.arange(n_steps // n_sub + 1)
-    spread = np.exp(-0.5 * sigma**2 * np.subtract.outer(m, m) ** 2)
-    converged = []
-    for pulse in pulses:
-        rows = np.tile([1.0 + 0j, 0.0], (len(m), 1))
-        s1 = _integrate(schedule, ch, rows, FINE_DT, extra_phases=2 * np.pi * m / len(m),
-                        pulse=pulse)[1][:, -1, 0]
-        c = np.fft.fft(s1) / len(m)
-        converged.append((c @ spread @ c.conj()).real)
+    assert p["window_ns"] < ch.tau  # one round trip
+    dphi = out.series["fringe"]["delta_phi_rad"]
+    plus, minus = (interference_experiment(dphi, replace(ch, phase=ch.phase + turn),
+                                           NoiseSpec(sigma_phi=0.0), p["kappa_c"],
+                                           p["window_ns"], dt=FINE_DT) for turn in (0.0, np.pi))
+    converged = (plus + minus) / 2 + (plus - minus) / 2 * np.exp(-sigma**2 / 2)
     assert np.max(np.abs(out.series["fringe"]["p_e"] - converged)) <= 9.9e-3
 
 

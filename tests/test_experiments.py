@@ -168,8 +168,10 @@ class TestInterference:
         )
 
     @pytest.mark.parametrize("realizations", [1, 64, 1024])
-    def test_one_draw_and_n_plus_one_rows_per_phase(self, monkeypatch, realizations):
-        # the default window holds one round trip, so two rows per phase
+    @pytest.mark.parametrize("n_phases", [5, 33])
+    def test_one_draw_and_one_pass_of_n_plus_one_rows(self, monkeypatch, n_phases, realizations):
+        # the default window holds one round trip, so one pass of two rows
+        # serves every phase
         import sawlink.ioshape as ioshape
 
         draws, rows = [], []
@@ -185,9 +187,10 @@ class TestInterference:
 
         monkeypatch.setattr(ioshape, "realization_phases", counted_draw)
         monkeypatch.setattr(ioshape, "_integrate", counted_integrate)
-        run("interference", **{**SMALL_INTERFERENCE, "realizations": realizations})
+        run("interference", **{**SMALL_INTERFERENCE, "n_phases": n_phases,
+                               "realizations": realizations})
         assert len(draws) == 1
-        assert rows == [2] * SMALL_INTERFERENCE["n_phases"]
+        assert rows == [2]
 
     def test_different_seed_changes_fringe(self, interference_out):
         other = run("interference", seed=77, **SMALL_INTERFERENCE)

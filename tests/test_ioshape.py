@@ -224,22 +224,14 @@ class TestTimeReverse:
 
 class TestSimulateIO:
     def test_idle_keeps_populations(self):
-        # qubit 1 holds the 20 MHz pulse alone; qubit 2 holds a coupling
-        # after the run's last time, so both are integrated, uncoupled
-        segs = [Segment("release", 2, 200.0, 100.0, KC)]
+        # each qubit holds a coupling after the run's last time, so both
+        # are integrated, uncoupled: every step map is 1 and no field flows
+        segs = [Segment("release", 1, 300.0, 100.0, KC), Segment("release", 2, 200.0, 100.0, KC)]
         sched = ControlSchedule(segs, window=(0.0, 100.0))
-        times, s, _, _ = _integrate(sched, ChannelParams(eta=1.0, tau=TAU), np.array([[0.6, 0.8]]),
-                                    0.25, pulse=(0.0, 100.0, 20.0 * MHZ))
-        s1, s2 = s[0, :, 0], s[0, :, 1]
-        # the step straddling the pulse's hard edge takes a one-time
-        # O((delta*h)^3) kick; strictly inside, populations hold tight
-        inside = times <= 99.5
-        assert np.allclose(np.abs(s1[inside]) ** 2, 0.36, atol=5e-9)
-        assert np.allclose(np.abs(s1) ** 2, 0.36, atol=2e-5)
-        assert np.allclose(np.abs(s2) ** 2, 0.64, atol=1e-12)
-        # detuning only rotates the phase
-        expected = 0.6 * np.exp(-1j * 0.02 * 2 * np.pi * times)
-        assert np.allclose(s1[inside], expected[inside], atol=1e-6)
+        _, s, a_in, a_out = _integrate(sched, ChannelParams(eta=1.0, tau=TAU),
+                                       np.array([[0.6, 0.8]]), 0.25)
+        assert np.all(s[0] == [0.6, 0.8])
+        assert not a_in.any() and not a_out.any()
 
     def test_ping_pong_efficiency_lossy(self):
         sched = transfer_schedule(KC, 180.0, TAU)
@@ -324,12 +316,10 @@ class TestSimulateIO:
 def delay_lines(draw, pairs=((1, 1), (1, 2), (2, 1), (2, 2))):
     """A release for one transit (full or partial), then a capture one
     transit later by the same qubit or the other one (an (emitter,
-    receiver) pair drawn from ``pairs``), and an optional phase pulse on
-    qubit 1 from the capture's start, which the loop takes whether or not
-    qubit 1 couples then, in a window that starts off zero.  The window
-    holds one to four round trips, the last one full or partial; tau is
-    never a multiple of the 0.25 ns base step, so the step is always cut
-    down.  Gives (schedule, channel, dt, pulse)."""
+    receiver) pair drawn from ``pairs``), in a window that starts off
+    zero.  The window holds one to four round trips, the last one full or
+    partial; tau is never a multiple of the 0.25 ns base step, so the step
+    is always cut down.  Gives (schedule, channel, dt)."""
     tau = draw(st.floats(2.0, 20.0).filter(lambda x: abs(x / 0.25 - round(x / 0.25)) > 1e-6))
     dt = draw(st.floats(0.1, 0.25))
     ch = ChannelParams(eta=draw(st.floats(0.0, 1.0)), tau=tau,
@@ -340,42 +330,35 @@ def delay_lines(draw, pairs=((1, 1), (1, 2), (2, 1), (2, 2))):
     emitter, receiver = draw(st.sampled_from(pairs))
     segs = [Segment("release", emitter, t0, tau, kc, alpha=alpha),
             Segment("capture", receiver, t0 + tau, tau, kc)]
-    pulse = None
-    if draw(st.booleans()):
-        pulse = (t0 + tau, t0 + tau * (1.0 + draw(st.floats(0.1, 1.0))),
-                 draw(st.floats(-30.0, 30.0)) * MHZ)
     last = draw(st.just(1.0) | st.floats(0.01, 0.99))
     window = (t0, t0 + tau * (draw(st.integers(0, 3)) + last))
-    return ControlSchedule(segs, window=window), ch, dt, pulse
+    return ControlSchedule(segs, window=window), ch, dt
 
 
 def fixed_line(receiver: int, trips: float):
-    """A partial release on qubit 1, captured by ``receiver``, with a 12 MHz
-    pulse on qubit 1 after the release, over ``trips`` round trips."""
+    """A partial release on qubit 1, captured by ``receiver``, over
+    ``trips`` round trips."""
     tau = 7.3
     segs = [Segment("release", 1, 1.0, tau, 0.3, alpha=0.6),
             Segment("capture", receiver, 1.0 + tau, tau, 0.3)]
     ch = ChannelParams(eta=0.8, tau=tau, phase=0.4)
-    pulse = (1.0 + tau, 1.0 + 1.5 * tau, 12.0 * MHZ)
-    return ControlSchedule(segs, window=(1.0, 1.0 + trips * tau)), ch, 0.2, pulse
+    return ControlSchedule(segs, window=(1.0, 1.0 + trips * tau)), ch, 0.2
 
 
 def one_step_line(trips: float):
     """A 0.2 ns line stepped in 0.2 ns, one step per round trip: qubit 2
-    releases over 20 round trips, fed its own output all along, while
-    qubit 1 holds the pulse alone."""
+    releases over 20 round trips, fed its own output all along."""
     tau = 0.2
     segs = [Segment("release", 2, 1.0, 20 * tau, 0.3, alpha=0.6)]
     ch = ChannelParams(eta=0.8, tau=tau, phase=0.4)
-    pulse = (1.5, 1.5 + 5 * tau, 12.0 * MHZ)
-    return ControlSchedule(segs, window=(1.0, 1.0 + trips * tau)), ch, 0.2, pulse
+    return ControlSchedule(segs, window=(1.0, 1.0 + trips * tau)), ch, 0.2
 
 
 def resonant(line):
-    """A line without its pulse and at channel phase 0: a release and
-    capture on resonance, a real transfer."""
-    sched, ch, dt, _ = line
-    return sched, replace(ch, phase=0.0), dt, None
+    """A line at channel phase 0: a release and capture on resonance, a
+    real transfer."""
+    sched, ch, dt = line
+    return sched, replace(ch, phase=0.0), dt
 
 
 def real_line(trips: float):
@@ -441,7 +424,7 @@ def full_block_integrate(schedule, ch, s0, dt, extra_phases=None, pulse=None, dt
     dtype given, or by default in the one ``_integrate`` picks: float64
     without a pulse when every feedback factor and amplitude is real."""
     t0 = schedule.window[0]
-    n_sub, h, n_steps = _grid(schedule, ch.tau, dt, pulse[2] if pulse else 0.0)
+    n_sub, h, n_steps = _grid(schedule, ch.tau, dt)
     times = t0 + h * np.arange(n_steps + 1)
     busy = [q for q in (1, 2) if len(schedule.tables[q][0]) > 1 or (pulse and q == 1)]
     rows = slice(busy[0] - 1, busy[-1])
@@ -501,8 +484,8 @@ class TestDelayLine:
     @settings(max_examples=25, deadline=None)
     @given(line=delay_lines())
     def test_input_is_fed_back_output_one_transit_late(self, line):
-        sched, ch, dt, pulse = line
-        _, _, (a_in,), (a_out,) = _integrate(sched, ch, np.array([[1.0, 0.0]]), dt, pulse=pulse)
+        sched, ch, dt = line
+        _, _, (a_in,), (a_out,) = _integrate(sched, ch, np.array([[1.0, 0.0]]), dt)
         n_sub = int(np.ceil(ch.tau / min(dt, 0.25)))
         assert np.all(a_in[:n_sub] == 0.0)
         feedback = np.sqrt(ch.eta) * np.exp(1j * ch.phase)
@@ -511,12 +494,11 @@ class TestDelayLine:
     @settings(max_examples=10, deadline=None)
     @given(line=delay_lines(), extra=st.lists(st.floats(-np.pi, np.pi), min_size=2, max_size=4))
     def test_batched_rows_equal_single_runs(self, line, extra):
-        sched, ch, dt, pulse = line
+        sched, ch, dt = line
         s0 = np.tile([1.0 + 0j, 0.0], (len(extra), 1))
-        batched = _integrate(sched, ch, s0, dt, extra_phases=np.array(extra), pulse=pulse)
+        batched = _integrate(sched, ch, s0, dt, extra_phases=np.array(extra))
         for row, phi in enumerate(extra):
-            single = _integrate(sched, replace(ch, phase=ch.phase + phi), s0[row : row + 1], dt,
-                                pulse=pulse)
+            single = _integrate(sched, replace(ch, phase=ch.phase + phi), s0[row : row + 1], dt)
             assert np.array_equal(batched[0], single[0])
             for got, want in zip(batched[1:], single[1:]):
                 assert np.allclose(got[row], want[0], rtol=0.0, atol=1e-14)
@@ -534,11 +516,11 @@ class TestDelayLine:
     def test_block_scan_matches_stepwise_loop(self, line, rows):
         # differential: the step maps and block scan against the oracle that
         # takes one RK4 step at a time, on states, a_in and a_out
-        sched, ch, dt, pulse = line
+        sched, ch, dt = line
         extra = np.array([phi for phi, _, _ in rows])
         s0 = np.array([[s1, s2] for _, s1, s2 in rows])
-        got = _integrate(sched, ch, s0, dt, extra_phases=extra, pulse=pulse)
-        want = stepwise_integrate(sched, ch, s0, dt, extra_phases=extra, pulse=pulse)
+        got = _integrate(sched, ch, s0, dt, extra_phases=extra)
+        want = stepwise_integrate(sched, ch, s0, dt, extra_phases=extra)
         assert np.array_equal(got[0], want[0])
         for g, w in zip(got[1:], want[1:]):
             assert g.shape == w.shape
@@ -560,11 +542,11 @@ class TestDelayLine:
         # input reaches against the same loop doing it on every step; the
         # examples are windows shorter than tau and lines whose step is one
         # round trip (n_sub = 1)
-        sched, ch, dt, pulse = line
+        sched, ch, dt = line
         extra = np.array([phi for phi, _, _ in rows])
         s0 = np.array([[s1, s2] for _, s1, s2 in rows])
-        got = _integrate(sched, ch, s0, dt, extra_phases=extra, pulse=pulse)
-        want = full_block_integrate(sched, ch, s0, dt, extra_phases=extra, pulse=pulse)
+        got = _integrate(sched, ch, s0, dt, extra_phases=extra)
+        want = full_block_integrate(sched, ch, s0, dt, extra_phases=extra)
         for g, w in zip(got, want):
             assert g.shape == w.shape
             assert np.array_equal(g, w)
@@ -575,21 +557,20 @@ class TestDelayLine:
         ({"eta": 0.0}, np.float64),
         # qubit 2 joins the loop, uncoupled: its coupling starts after the run
         ({"segments": [Segment("release", 2, 100.0, 2.0, 0.3)]}, np.float64),
-        ({"pulse": (3.0, 5.0, 12.0 * MHZ)}, np.complex128),
+        ({"s0": np.array([[1.0j, 0.0], [0.6, -0.8]])}, np.complex128),  # on the busy qubit
         ({"phase": 0.4}, np.complex128),
         ({"extra": np.array([0.0, 1.3])}, np.complex128),
-        ({"s0": np.array([[1.0, 0.0], [0.6, 0.8j]])}, np.complex128),
+        ({"s0": np.array([[1.0, 0.0], [0.6, 0.8j]])}, np.complex128),  # on the carried one
     ])
     def test_loop_is_real_exactly_when_the_transfer_is(self, change, dtype):
-        # float64 needs no pulse, a real feedback factor on every row and
-        # real amplitudes; any one complex term makes the loop complex
-        sched, ch, dt, _ = real_line(trips=2.5)
+        # float64 needs a real feedback factor on every row and real
+        # amplitudes; any one complex term makes the loop complex
+        sched, ch, dt = real_line(trips=2.5)
         sched = ControlSchedule(list(sched.segments) + change.get("segments", []), sched.window)
         ch = replace(ch, eta=change.get("eta", ch.eta), phase=change.get("phase", ch.phase))
         s0 = change.get("s0", np.array([[1.0, 0.0], [0.6, -0.8]]))
         extra = change.get("extra", np.zeros(2))
-        _, states, ain, aout = _integrate(sched, ch, s0, dt, extra_phases=extra,
-                                          pulse=change.get("pulse"))
+        _, states, ain, aout = _integrate(sched, ch, s0, dt, extra_phases=extra)
         assert states.dtype == ain.dtype == aout.dtype == dtype
 
     @settings(max_examples=40, deadline=None)
@@ -599,7 +580,7 @@ class TestDelayLine:
     @example(line=real_line(trips=3.7), amps=[(1.0, 0.0), (0.6, -0.8)])
     def test_real_loop_matches_complex_oracle(self, line, amps):
         # differential: the float64 loop against the same loop forced complex
-        sched, ch, dt, _ = line
+        sched, ch, dt = line
         s0 = np.array(amps)
         extra = np.zeros(len(amps))
         got = _integrate(sched, ch, s0, dt, extra_phases=extra)
@@ -632,32 +613,13 @@ class TestDelayLine:
             assert np.all(np.isfinite(g))
             assert np.max(np.abs(g - w)) <= 1e-13
 
-    def test_fast_detuning_shortens_the_step(self):
-        # a 2 GHz pulse would put h |Delta| near 3 at dt 0.25; the step is
-        # cut to a tenth of 1 / |Delta| instead, so no step map nears zero
-        tau = 2.0
-        segs = [Segment("release", 1, 0.0, tau, 0.3, alpha=0.6),
-                Segment("capture", 2, tau, tau, 0.3)]
-        sched = ControlSchedule(segs, window=(0.0, 3.7 * tau))
-        ch = ChannelParams(eta=0.8, tau=tau, phase=0.4)
-        pulse = (tau, 1.5 * tau, 2000.0 * MHZ)
-        _, h, _ = _grid(sched, tau, 0.25, pulse[2])
-        assert h * pulse[2] <= 0.1 < _grid(sched, tau, 0.25)[1] * pulse[2]
-        s0 = np.array([[1.0, 0.0], [0.3j, 0.5]])
-        extra = np.array([0.0, -2.1])
-        got = _integrate(sched, ch, s0, 0.25, extra_phases=extra, pulse=pulse)
-        want = stepwise_integrate(sched, ch, s0, h, extra_phases=extra, pulse=pulse)
-        assert np.array_equal(got[0], want[0])
-        for g, w in zip(got[1:], want[1:]):
-            assert np.all(np.isfinite(g))
-            assert np.max(np.abs(g - w)) <= 1e-13
-
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), fed=st.integers(0, 40),
            h=st.floats(0.01, 0.25))
     def test_real_maps_equal_complex_maps(self, seed, n, fed, h):
-        # without a pulse the maps are built in float64: cast to complex
-        # they are the maps of the same coefficients given as complex
+        # the loop's maps are built in float64: cast to complex they are
+        # the maps of the same coefficients given as complex, which the
+        # interference fringe builds for its phase pulses
         rng = np.random.default_rng(seed)
         kappa = rng.uniform(0.0, 0.4, size=(2, 2 * n + 1))
         kappa[:, rng.random(2 * n + 1) < 0.3] = 0.0  # uncoupled nodes
@@ -680,25 +642,24 @@ class TestDelayLine:
     def test_idle_qubit_carried_as_if_integrated(self, line, rows):
         # differential, exact: a coupling after the run's last node, and
         # after every other coupling, sends the otherwise idle qubit through
-        # the loop at kappa = Delta = 0
-        sched, ch, dt, pulse = line
+        # the loop at kappa = 0
+        sched, ch, dt = line
         (busy,) = {s.qubit for s in sched.segments}
-        pulse = pulse if busy == 1 else None  # the pulse would make qubit 1 busy
         segs = list(sched.segments)
         after = max(sched.window[1], *(s.t_end for s in segs)) + ch.tau
         idle = Segment("release", 3 - busy, after, ch.tau, 0.3)
         extra = np.array([phi for phi, _, _ in rows])
         # each row draws the busy qubit's amplitude, then the idle one's
         s0 = np.array([(a, b) if busy == 1 else (b, a) for _, a, b in rows])
-        carried = _integrate(sched, ch, s0, dt, extra_phases=extra, pulse=pulse)
+        carried = _integrate(sched, ch, s0, dt, extra_phases=extra)
         looped = _integrate(ControlSchedule(segs + [idle], sched.window), ch, s0, dt,
-                            extra_phases=extra, pulse=pulse)
+                            extra_phases=extra)
         for c, w in zip(carried, looped):
             assert c.shape == w.shape
             assert np.array_equal(c, w)
 
     def test_qubit_two_alone_mirrors_qubit_one_alone(self):
-        sched, ch, dt, _ = fixed_line(receiver=1, trips=3.7)
+        sched, ch, dt = fixed_line(receiver=1, trips=3.7)
         segs = list(sched.segments)
         s0 = np.array([[1.0, 0.3j], [0.2 - 0.5j, -0.7]])
         extra = np.array([0.0, 1.3])
@@ -715,45 +676,98 @@ class TestDelayLine:
         assert np.all(two[1][..., 0] == s0[:, None, 1])
 
 
+DELTA = 20.0 * MHZ  # the fringe's phase-pulse detuning
+
+
 def interference_schedule(delta_phi, tau, kappa_c, window):
-    """The schedule and pulse `interference_experiment` integrates for one
-    phase that leaves the pulse short of the capture."""
+    """The schedule and pulse (start, end, Delta) of one fringe phase, the
+    pulse cut at the capture's start, as the oracles take them."""
     release = Segment("release", 1, 0.0, window, kappa_c, alpha=0.5)
     sched = ControlSchedule([release, time_reverse(replace(release, t_start=tau))],
                             window=(0.0, tau + window))
-    delta = 20.0 * 2e-3 * np.pi
-    return sched, (window, window + delta_phi / delta, delta) if delta_phi > 0 else None
+    return sched, (window, min(window + delta_phi / DELTA, tau), DELTA) if delta_phi > 0 else None
 
 
 @st.composite
 def interference_cases(draw):
-    """Short lines; window = tau (two round trips in the integration window)
-    leaves no room for a phase pulse, so delta_phi is 0 there."""
-    tau = draw(st.floats(20.0, 60.0))
-    window = draw(st.just(tau) | st.floats(0.2 * tau, 0.9 * tau))
-    room = (tau - window) * 20.0 * 2e-3 * np.pi  # the widest phase that fits
+    """Lines of 20-60 ns, or of 100 or 508 ns; every step is 0.25 ns or a
+    little shorter.  The release's end w falls on a loop node, inside a
+    step before its midpoint or after it (the midpoint coupled then), or
+    anywhere; window = tau (two round trips in the integration window)
+    leaves no room for a phase pulse.  The phase is 0, at most 0.03 rad (a
+    pulse shorter than one step), anything that fits, or one whose pulse
+    ends inside the 1e-12 ns sliver past the capture's start and is cut
+    there."""
+    tau = draw(st.sampled_from([100.0, 508.0]) | st.floats(20.0, 60.0))
+    h = tau / np.ceil(tau / 0.25)
+    node = draw(st.integers(int(0.2 * tau / h), int(0.9 * tau / h)))
+    window = draw(st.just(tau) | st.floats(0.2 * tau, 0.9 * tau)
+                  | st.sampled_from([0.0, 0.3, 0.7]).map(lambda f: (node + f) * h))
+    room = (tau - window) * DELTA  # the widest phase that fits
+    dphi = draw(st.sampled_from(["short", "fits", "cut"]).flatmap(lambda kind: {
+        "short": st.floats(0.0, 0.03).map(lambda p: min(p, room)),
+        "fits": st.floats(0.0, 0.999).map(lambda f: f * min(room, 2 * np.pi - 1e-6)),
+        "cut": st.floats(0.0, 5e-13).map(
+            lambda e: room + e * DELTA if room < 2 * np.pi - 1e-6 else 0.0),
+    }[kind]))
     ch = ChannelParams(eta=draw(st.floats(0.0, 1.0)), tau=tau,
                        phase=draw(st.floats(-np.pi, np.pi)))
     noise = NoiseSpec(sigma_phi=draw(st.just(0.0) | st.floats(0.0, 2.0)),
                       n_realizations=draw(st.integers(1, 16)),
                       master_seed=draw(st.integers(0, 2**32)))
-    return (draw(st.floats(0.0, 0.999)) * min(room, 2 * np.pi - 1e-6), ch, noise,
-            draw(st.floats(0.05, 0.4)), window, draw(st.integers(1, 4)))
+    return dphi, ch, noise, draw(st.floats(0.05, 0.4)), window, draw(st.integers(1, 4))
 
 
 class TestInterference:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(case=interference_cases())
     @example(case=(0.0, ChannelParams(eta=0.67, tau=30.0, phase=0.3),
                    NoiseSpec(0.7, 5, 11), 0.2, 30.0, 1))
+    # w on a node, the midpoint before it coupled: without that output's
+    # change every row's amplitude misses by 7e-8
+    @example(case=(1.0, ChannelParams(eta=0.67, tau=508.0, phase=0.7),
+                   NoiseSpec(0.0), 0.3, 40.0, 1))
+    @example(case=(0.02, ChannelParams(eta=0.8, tau=100.0, phase=-1.2),
+                   NoiseSpec(0.9, 7, 3), 0.3, 40.175, 1))  # inside a step, midpoint coupled
+    @example(case=(0.03, ChannelParams(eta=0.8, tau=100.0, phase=2.0),
+                   NoiseSpec(0.9, 7, 3), 0.3, 40.075, 2))  # inside a step, midpoint not
+    @example(case=(10.0 * DELTA + 3e-13 * DELTA, ChannelParams(eta=0.9, tau=30.0, phase=0.5),
+                   NoiseSpec(1.1, 9, 4), 0.25, 20.0, 1))  # cut at the capture
+    # kappa_c 0.5 cuts the step to 30.2 / 151 ns, whose 151st multiple rounds
+    # short of tau: the pulse cut at tau also detunes that node, the
+    # capture's first step's start
+    @example(case=(10.2 * DELTA + 2e-13 * DELTA, ChannelParams(eta=0.7, tau=30.2, phase=-1.0),
+                   NoiseSpec(0.5, 6, 2), 0.5, 20.0, 3))
     def test_exact_average_matches_per_realization_rows(self, case):
+        # differential: the one pass and the pulses by linearity against the
+        # block loop run under each realization's phase with the pulse
         dphi, ch, noise, kappa_c, window, chunk = case
         pe = interference_experiment(np.array([dphi]), ch, noise, kappa_c, window, chunk=chunk)
         phases = np.zeros(1) if noise.sigma_phi == 0.0 else realization_phases(noise)
         sched, pulse = interference_schedule(dphi, ch.tau, kappa_c, window)
         s0 = np.tile([1.0 + 0j, 0.0], (len(phases), 1))
-        final = _integrate(sched, ch, s0, 0.25, extra_phases=phases, pulse=pulse)[1][:, -1]
-        assert pe[0] == pytest.approx(np.mean(np.abs(final[:, 0]) ** 2), rel=0.0, abs=1e-12)
+        rows = full_block_integrate(sched, ch, s0, 0.25, extra_phases=phases, pulse=pulse)[1]
+        s1 = rows[:, -1, 0]
+        assert pe[0] == pytest.approx(np.mean(np.abs(s1) ** 2), rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("line, pulse", [
+        (fixed_line(receiver=1, trips=3.7), (8.3, 11.95, 12.0 * MHZ)),
+        (fixed_line(receiver=2, trips=4.0), (8.3, 11.95, -25.0 * MHZ)),
+        (one_step_line(trips=37.5), (1.5, 2.5, 12.0 * MHZ)),
+    ])
+    def test_block_oracle_matches_stepwise_oracle_under_a_pulse(self, line, pulse):
+        # the fringe's oracle, the block loop under a pulse, against the
+        # loop stepped one RK4 step at a time under the same pulse: on
+        # qubit 1 coupled, uncoupled after its release, and alone
+        sched, ch, dt = line
+        s0 = np.array([[1.0, 0.0], [0.3j, 0.5]])
+        extra = np.array([0.0, -2.1])
+        got = full_block_integrate(sched, ch, s0, dt, extra_phases=extra, pulse=pulse)
+        want = stepwise_integrate(sched, ch, s0, dt, extra_phases=extra, pulse=pulse)
+        assert np.array_equal(got[0], want[0])
+        for g, w in zip(got[1:], want[1:]):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-13
 
     def test_phase_array_matches_scalar_calls(self):
         ch = ChannelParams(eta=0.67, tau=TAU)
