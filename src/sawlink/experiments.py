@@ -30,6 +30,7 @@ from .ioshape import (
     check_loop_memory,
     interference_experiment,
     interference_schedules,
+    recapture_with_leftover,
     simulate_io,
     time_reverse,
     transfer_schedule,
@@ -105,20 +106,18 @@ def run_multi_transit(device: DeviceParams, params: dict, seed: int) -> Experime
     (a_out = -a_in).  Each extra transit multiplies the returning packet by
     z = -sqrt(eta) e^{i phase}, so s(n) = a + (s(1) - a) z^(n - 1), a being
     the capture alone acting on the leftover; this holds for a window w < tau.
+    One loop pass of ping_pong's transfer gives s(1), and a follows from
+    that pass's own step maps (``recapture_with_leftover``).
     The geometric fit takes transit 1 and the transits whose packet term
     |(s(1) - a) z^(n - 1)| exceeds the leftover |a|: past them the
     efficiency sits on the floor |a|^2, which no power of eta describes.
     """
     ch, sched, ns = plan_multi_transit(device, params, seed)
-    trace = simulate_io(sched, ch, s0=(1.0, 0.0))
-    _, capture = sched.segments
-    left = trace.s1[np.searchsorted(trace.times, capture.t_start) - 1]  # before the capture
-    # s(1)'s window, so that a reads the capture's edges at the nodes s(1) reads them
-    a = simulate_io(ControlSchedule([capture], window=sched.window), ch, s0=(left, 0.0)).s1[-1]
+    s1, a = recapture_with_leftover(sched, ch)
     zn = (-np.sqrt(ch.eta)) ** (ns - 1) * np.exp(1j * ch.phase * (ns - 1))
-    effs_arr = np.abs(zn * trace.s1[-1] + (1 - zn) * a) ** 2  # s(1) to the bit at n = 1
+    effs_arr = np.abs(zn * s1 + (1 - zn) * a) ** 2  # s(1) to the bit at n = 1
     # one-parameter geometric fit in log space, down to the leftover's floor
-    fit = (ns == 1) | (np.abs((trace.s1[-1] - a) * zn) > abs(a))
+    fit = (ns == 1) | (np.abs((s1 - a) * zn) > abs(a))
     n, effs = ns[fit], effs_arr[fit]
     eta_fit = float(np.exp(np.sum(n * np.log(effs)) / np.sum(n**2)))
     ss_res = float(np.sum((effs - eta_fit**n) ** 2))

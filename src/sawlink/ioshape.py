@@ -20,22 +20,24 @@ The delay loop is fixed-step RK4 with the step nodes and the step
 midpoints in separate contiguous arrays.  It integrates only the qubits
 that hold a segment: any other qubit is uncoupled, so it is carried,
 keeping its initial amplitude, and adds nothing to the output field.
-The step maps, which depend on the schedule alone, are built once per
-call, in float64, and the whole loop runs in float64 when every
-feedback factor and amplitude is real as well.  Each round trip then
-only forms its input offsets, composes its steps with one running
-product and one running sum (no log-depth scan) and evaluates its
-outputs.  The running sum divides by the running product, which stays
-far from zero: the step is capped by the coupling, so each step's map
-has modulus at least about 0.95, and one product spans at most 4,096
-steps.
+The couplings and step maps, which depend on the schedule alone, are
+read and built once per experiment call (``_loop``), in float64, for
+its one pass and the linearity terms after it; the whole pass runs in
+float64 when every feedback factor and amplitude is real as well.  Each
+round trip then only forms its input offsets, composes its steps with
+one running product and one running sum (no log-depth scan) and
+evaluates its outputs.  The running sum divides by the running
+product, which stays far from zero: the step is capped by the coupling,
+so each step's map has modulus at least about 0.95, and one product
+spans at most 4,096 steps.
 
 Classical phase noise is drawn per realization from the Philox stream
 keyed by (master seed, realization index); being counter-based, a stream
 is fixed by its key, so one generator re-keyed per realization gives the
 same bits as a fresh one, and repeated runs are bit-identical.  The
 interference experiment draws the phases once per call and takes the
-exact mean of the final population over them.
+exact mean of the final population over them, as a Toeplitz form in
+their moments.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from numbers import Integral
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -354,19 +356,53 @@ def _step_maps(decay: np.ndarray, root: np.ndarray, h: float, n: int, fed: int) 
     return tuple(m[:, None] for m in (A, Ca, Cm, Ha, Hb))
 
 
-def _integrate(
-    schedule: ControlSchedule,
-    ch: ChannelParams,
-    s0: np.ndarray,
-    dt: float,
-    extra_phases: np.ndarray | None = None,
-):
-    """Fixed-step RK4 for the delayed feedback loop, batched over phases.
+class _Loop(NamedTuple):
+    """One schedule's delay-loop grid and float64 step maps, built once
+    (``_loop``) and read by each pass over it and by the linearity terms
+    after it: the step nodes, the steps per transit and the step, the
+    qubits that hold a segment, their (qubit, node) decay and root at the
+    step nodes then the midpoints, the first step the fed-back input
+    reaches, and ``_step_maps``' (A, Ca, Cm, Ha, Hb), Ca and Cm from that
+    step on."""
 
-    ``s0`` holds one amplitude pair per batch row.  Returns the step nodes,
-    the amplitudes per (batch, node, qubit) and the input and output fields
-    per (batch, node), in float64 when every row's sqrt(eta)
-    e^{i (phase + row phase)} and amplitude is real, else complex.
+    times: np.ndarray
+    n_sub: int
+    h: float
+    busy: list[int]
+    decay: np.ndarray
+    root: np.ndarray
+    fed: int
+    maps: tuple
+
+
+def _loop(schedule: ControlSchedule, tau: float, dt: float) -> _Loop:
+    """The schedule's loop on the grid of ``_grid``: each busy qubit's
+    coupling read once, at the step nodes and midpoints, and its maps."""
+    n_sub, h, n_steps = _grid(schedule, tau, dt)
+    times = schedule.window[0] + h * np.arange(n_steps + 1)
+    # the qubits that hold a segment (a table's row 0 is none)
+    busy = [q for q in (1, 2) if len(schedule.tables[q][0]) > 1]
+    # (qubit, node) coefficients of ds/dt = decay * s + root * a_in at the
+    # step nodes, then the midpoints
+    nodes = np.concatenate([times, times[:-1] + h / 2.0])
+    kappa = np.stack([schedule.kappa(q, nodes) for q in busy])
+    decay, root = -0.5 * kappa, np.sqrt(kappa)
+    fed = min(n_sub - 1, n_steps)  # the first step the input reaches
+    return _Loop(times, n_sub, h, busy, decay, root, fed,
+                 _step_maps(decay, root, h, n_steps, fed))
+
+
+def _integrate(loop: _Loop, ch: ChannelParams, s0: np.ndarray,
+               row_factors: np.ndarray | None = None):
+    """Fixed-step RK4 for the delayed feedback loop of ``_loop``, batched
+    over rows.
+
+    ``s0`` holds one amplitude pair per batch row, and ``row_factors`` one
+    unit factor per row (default 1) that multiplies the channel's feedback
+    sqrt(eta) e^{i phase}.  Returns the step nodes, the amplitudes per
+    (batch, node, qubit) and the input and output fields per (batch,
+    node), in float64 when every row's feedback factor and amplitude is
+    real, else complex.
 
     The step nodes ``times`` (n_steps + 1) and the step midpoints
     (n_steps) are kept apart, each in contiguous arrays with the node
@@ -380,10 +416,10 @@ def _integrate(
     states are its ``s0`` amplitude at every node, and it adds nothing to
     the output field.
 
-    The step maps of ``_step_maps`` depend on the schedule alone and are
-    built once per call, in float64, cast to complex if the loop is.  The
-    loop then runs once per round trip: inside a block of n_sub steps the
-    input is the fed-back output of the previous block, so the loop forms
+    The step maps of ``_step_maps`` depend on the schedule alone: they are
+    the loop's, in float64, cast to complex if the pass is.  The pass
+    then runs once per round trip: inside a block of n_sub steps the
+    input is the fed-back output of the previous block, so the pass forms
     the block's offsets B = Ca u_a + Cm u_m + Cb u_b and composes the
     block's steps s -> A_k s + B_k with one running product P = cumprod(A)
     and one running sum, s_{k+1} = P_k (s_first + sum_{j<=k} B_j / P_j), with no
@@ -394,32 +430,20 @@ def _integrate(
     4,096 steps, so |P| stays above about 1e-89; a longer block is
     composed span after span.
     """
-    t0 = schedule.window[0]
-    n_sub, h, n_steps = _grid(schedule, ch.tau, dt)
-    times = t0 + h * np.arange(n_steps + 1)
-    # the qubits that hold a segment (a table's row 0 is none); with two
-    # qubits they are one slice of the qubit axis
-    busy = [q for q in (1, 2) if len(schedule.tables[q][0]) > 1]
-    rows = slice(busy[0] - 1, busy[-1])
-    # (qubit, node) coefficients of ds/dt = decay * s + root * a_in at the
-    # step nodes, then the midpoints
-    nodes = np.concatenate([times, times[:-1] + h / 2.0])
-    kappa = np.stack([schedule.kappa(q, nodes) for q in busy])
-    decay, root = -0.5 * kappa, np.sqrt(kappa)
+    times, n_sub, h, root, fed = loop.times, loop.n_sub, loop.h, loop.root, loop.fed
+    n_steps = len(times) - 1
+    rows = slice(loop.busy[0] - 1, loop.busy[-1])  # with two busy qubits, the whole axis
     s = np.asarray(s0)
     batch = s.shape[0]
-    phases = np.zeros(batch) if extra_phases is None else np.asarray(extra_phases, dtype=float)
-    feedback = (np.sqrt(ch.eta) * np.exp(1j * (ch.phase + phases)))[:, None]  # (batch, 1)
+    factors = np.ones(batch) if row_factors is None else np.asarray(row_factors)
+    feedback = (np.sqrt(ch.eta) * np.exp(1j * ch.phase) * factors)[:, None]  # (batch, 1)
     # the whole loop runs in float64 when nothing in it is complex: a real
     # feedback factor on every row and real amplitudes
     real = not (feedback.imag.any() or np.imag(s).any())
     dtype = float if real else complex
     feedback, s = (feedback.real, s.real) if real else (feedback, s)
-    fed = min(n_sub - 1, n_steps)  # the first step the input reaches
-    A, Ca, Cm, Ha, Hb = (m.astype(dtype, copy=False)
-                         for m in _step_maps(decay, root, h, n_steps, fed))
+    A, Ca, Cm, Ha, Hb = (m.astype(dtype, copy=False) for m in loop.maps)
     root = root.astype(dtype, copy=False)
-    del nodes, kappa, decay  # only root is read past the maps
     r_a, r_b = root[:, None, :n_steps], root[:, None, 1 : n_steps + 1]
     r_m = root[:, None, n_steps + 1 :]
 
@@ -485,7 +509,7 @@ def simulate_io(
     s0 = np.asarray(s0, dtype=complex)
     if s0.shape != (2,):
         raise ValidationError("s0 must hold exactly two amplitudes")
-    times, s_arr, ain_arr, aout_arr = _integrate(schedule, ch, s0[None, :], dt)
+    times, s_arr, ain_arr, aout_arr = _integrate(_loop(schedule, ch.tau, dt), ch, s0[None, :])
     s1, s2 = s_arr[0, :, 0], s_arr[0, :, 1]
     ain, aout = ain_arr[0], aout_arr[0]
     if grid is not None:
@@ -499,6 +523,43 @@ def simulate_io(
 
         return IOTrace(grid, onto(s1), onto(s2), onto(ain), onto(aout))
     return IOTrace(times, s1, s2, ain, aout)
+
+
+def recapture_with_leftover(schedule: ControlSchedule,
+                            ch: ChannelParams) -> tuple[complex, complex]:
+    """One loop pass of a release and recapture on qubit 1 (segments
+    (release, capture), as ``transfer_schedule(..., 1, 1)`` builds them)
+    from s = (1, 0): qubit 1's final amplitude, and a, the amplitude the
+    capture acting alone on the release's leftover ends with.
+
+    Acting alone, the capture gets no input: nothing else sends into the
+    line, and its own output returns at 2 tau or later, past its end.  So
+    it takes the leftover at the node before it through the maps A_k of
+    the pass's later steps alone.  A window within a step of tau leaves
+    the release coupled at the start or midpoint of the first of those
+    steps; that step's map is then rebuilt with the release uncoupled.
+    The product is taken span by span, as ``_integrate`` composes a pass,
+    so a is the capture-alone pass's to the bit.
+    """
+    loop = _loop(schedule, ch.tau, 0.25)
+    times, states, _, _ = _integrate(loop, ch, np.array([[1.0, 0.0]]))
+    s1, A, n_sub, h = states[0, :, 0], loop.maps[0][0, 0], loop.n_sub, loop.h
+    release, capture = schedule.segments
+    first = int(np.searchsorted(times, capture.t_start)) - 1
+    if times[first] < release.t_end:
+        # decay at the step's start, end and midpoint, zero where the release holds it
+        at = np.array([times[first], times[first + 1], times[first] + h / 2.0])
+        cols = [first, first + 1, len(times) + first]
+        decay = np.where(at < release.t_end, 0.0, loop.decay[0, cols])
+        A = A.copy()
+        A[first] = _step_maps(decay[None], np.zeros((1, 3)), h, 1, 1)[0][0, 0, 0]
+    a = s1[first]
+    for block in range(0, len(A), n_sub):
+        for start in range(block, min(block + n_sub, len(A)), _SPAN):
+            stop = min(start + _SPAN, block + n_sub, len(A))
+            if stop > first:
+                a = np.cumprod(A[max(start, first) : stop])[-1] * a
+    return s1[-1], a
 
 
 def transfer_schedule(
@@ -525,7 +586,7 @@ def interference_schedules(
 ) -> tuple[ControlSchedule, list[tuple[float, float, float] | None]]:
     """The fringe's schedule, a half release and the half recapture one
     transit later, and the phase pulse of each relative phase of the 1-D
-    array ``delta_phi``: a fixed 20 MHz detuning of qubit 1 for
+    array ``delta_phi``, finite: a fixed 20 MHz detuning of qubit 1 for
     delta_phi / (2 pi * 20 MHz) from the end of the release, as in the
     hardware calibration, as (start, end, Delta), a detuning by Delta
     (rad/ns) on [start, end), or None at delta_phi = 0.  A pulse that runs
@@ -536,6 +597,8 @@ def interference_schedules(
     dphis = np.asarray(delta_phi, dtype=float)
     if dphis.ndim != 1:
         raise ValidationError("delta_phi must be a 1-D array")
+    if not np.isfinite(dphis).all():  # NaN % 2 pi would read as no pulse
+        raise ValidationError("delta_phi must be finite")
     release = Segment("release", 1, 0.0, window, kappa_c, alpha=0.5)
     schedule = ControlSchedule([release, time_reverse(replace(release, t_start=ch.tau))],
                                window=(0.0, ch.tau + window))
@@ -566,28 +629,32 @@ def interference_experiment(
     The noise average is exact: with z = e^{i phi} the per-realization
     phase, s1(T) = sum_m c_m z^m is a polynomial of degree n, the round
     trips in the window.  It is evaluated at the n + 1 roots of unity, the
-    c_m follow by FFT, and the mean of |s1|^2 runs over the seeded phases,
-    drawn once per call.  At sigma_phi = 0 the same formula is read at
-    phi = 0.
+    c_m follow by one FFT over every pulse's row, and the mean of |s1|^2
+    over the seeded phases, drawn once per call, is the Toeplitz form
+    sum_{m, m'} c_m conj(c_m') g_{m - m'} with g_d = mean_r e^{i d phi_r}.
+    At sigma_phi = 0 the same formula is read at phi = 0.
 
-    One delay-loop pass (``chunk`` >= 1 rows at a time) integrates the n + 1
-    rows without a pulse, and each pulse follows by linearity, in the
-    loop's own RK4 arithmetic.  A pulse detunes qubit 1 only where it is
-    uncoupled, from the release's end w to at most the capture's start
-    tau, before the fed-back input arrives (the one input term there, at
-    tau, is the same under every pulse), so every row holds the same state
-    there.  A pulse changes the step maps of the steps from the one w
-    falls in, lo, to the last it detunes, and through them two things
-    that reach qubit 1's final amplitude: its state after those steps,
-    and the output at step lo's midpoint, nonzero when that midpoint is
-    still coupled, which the line feeds back into step lo + n_sub.  Their
-    other outputs are uncoupled, or fed back at 2 tau or later, past the
-    capture's end.  So each row's final amplitude is the pass's, plus the
-    state's change times the product of the later steps' maps A_k, plus
-    the output's change times the row's feedback factor, Cm of step
-    lo + n_sub and the product of the maps after it.  The maps are those
-    of ``_step_maps``, built once without a pulse and once for every pulse
-    at once on the steps the pulses detune.
+    The schedule's loop (``_loop``) is built once: one coupling read and
+    one set of step maps.  One delay-loop pass over it (``chunk`` >= 1
+    rows at a time) integrates the n + 1 rows without a pulse, each row's
+    feedback times its root of unity, the real ones exact: at n = 1 and
+    channel phase 0 the rows are +-1 and the pass runs in float64.  Each
+    pulse follows by linearity, in the loop's own RK4 arithmetic.  A pulse
+    detunes qubit 1 only where it is uncoupled, from the release's end w
+    to at most the capture's start tau, before the fed-back input arrives
+    (the one input term there, at tau, is the same under every pulse), so
+    every row holds the same state there.  A pulse changes the step maps
+    of the steps from the one w falls in, lo, to the last it detunes, and
+    through them two things that reach qubit 1's final amplitude: its
+    state after those steps, and the output at step lo's midpoint, nonzero
+    when that midpoint is still coupled, which the line feeds back into
+    step lo + n_sub.  Their other outputs are uncoupled, or fed back at
+    2 tau or later, past the capture's end.  So each row's final amplitude
+    is the pass's, plus the state's change times the product of the later
+    steps' maps A_k, plus the output's change times the row's feedback
+    factor, Cm of step lo + n_sub and the product of the maps after it.
+    Those maps are the loop's; only the steps the pulses detune get maps
+    of their own, built for every pulse at once from the loop's coupling.
 
     A hard edge inside a step is not resolved: RK4 loses its order on
     that step, and the kick depends on where in the step the edge falls.
@@ -600,49 +667,54 @@ def interference_experiment(
     pe = np.empty(len(pulses))
     if not pulses:
         return pe
-    n_sub, h, n_steps = _grid(schedule, ch.tau, dt)
+    loop = _loop(schedule, ch.tau, dt)
+    times, n_sub, h = loop.times, loop.n_sub, loop.h
+    n_steps = len(times) - 1
     n = n_steps // n_sub
-    root_phases = 2 * np.pi * np.arange(n + 1) / (n + 1)
+    # the rows' roots of unity, the real ones exact, so that at n = 1 the
+    # loop runs in float64 when the channel's phase is 0
+    roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    roots[0] = 1.0
+    if n % 2:
+        roots[(n + 1) // 2] = -1.0
     s1 = np.concatenate([  # qubit 1 per (row, node), without a pulse
-        _integrate(schedule, ch, np.tile([1.0 + 0j, 0.0], (len(rows), 1)), dt,
-                   extra_phases=rows)[1][..., 0]
-        for rows in (root_phases[i : i + chunk] for i in range(0, n + 1, chunk))
+        _integrate(loop, ch, np.tile([1.0, 0.0], (len(rows), 1)), rows)[1][..., 0]
+        for rows in (roots[i : i + chunk] for i in range(0, n + 1, chunk))
     ])
     # each pulse detunes steps lo..hi - 1 (none at delta_phi = 0), the
     # last the capture's first when a pulse cut at tau detunes a node that
     # rounds short of it; the loop's nodes start at 0
-    times = h * np.arange(n_steps + 1)
     ends = np.array([p[1] if p else window for p in pulses])
     lo = int(np.searchsorted(times, window)) - 1
     his = np.minimum(np.searchsorted(times, ends), n_steps)
     hi = his.max()
-    # qubit 1's couplings and maps on steps lo.., nodes then midpoints
-    points = np.concatenate([times[lo:], times[lo:-1] + h / 2.0])
-    kappa = schedule.kappa(1, points)
-    A, _, Cm, Ha, Hb = (m[0, 0] for m in _step_maps(-0.5 * kappa[None], np.sqrt(kappa)[None],
-                                                    h, n_steps - lo, 0))
-    after = np.append(np.cumprod(A[::-1])[::-1], 1.0)  # after[k]: the maps of steps lo + k..
-    # and on steps lo..hi - 1 under each pulse
-    mid = n_steps - lo + 1  # lo's midpoint in points
-    near = np.r_[: hi - lo + 1, mid : mid + hi - lo]
+    # qubit 1 is the loop's one qubit: its maps on steps lo.., the loop's
+    A, _, Cm, Ha, Hb = (m[0, 0] for m in loop.maps)
+    after = np.append(np.cumprod(A[lo:][::-1])[::-1], 1.0)  # after[k]: the maps of steps lo + k..
+    # and on steps lo..hi - 1 under each pulse, nodes then midpoints
+    near = np.r_[lo : hi + 1, n_steps + 1 + lo : n_steps + 1 + hi]
+    points = np.concatenate([times[lo : hi + 1], times[lo:hi] + h / 2.0])
     decay = np.empty((len(ends), near.size), dtype=complex)
-    decay.real = -0.5 * kappa[near]
-    decay.imag = np.where((points[near] >= window) & (points[near] < ends[:, None]),
+    decay.real = loop.decay[0, near]
+    decay.imag = np.where((points >= window) & (points < ends[:, None]),
                           -DETUNE_PULSE_MHZ * MHZ, 0.0)
-    A_p, _, _, Ha_p, Hb_p = (m[:, 0] for m in _step_maps(decay, np.sqrt(kappa[near])[None], h,
+    A_p, _, _, Ha_p, Hb_p = (m[:, 0] for m in _step_maps(decay, loop.root[:, near], h,
                                                          hi - lo, hi - lo))
     # what each pulse changes, per unit of qubit 1's state at node lo (the
     # same on every row): its state at node hi and the output at lo's midpoint
-    s_lo, r_mid = s1[0, lo], np.sqrt(kappa[mid])
+    s_lo, r_mid = s1[0, lo], loop.root[0, n_steps + 1 + lo]
     last = his - lo - 1
-    state = np.cumprod(A_p, axis=1)[np.arange(len(ends)), last] - np.cumprod(A[: hi - lo])[last]
-    out = r_mid * ((Ha_p[:, 0] + Hb_p[:, 0] * A_p[:, 0]) - (Ha[0] + Hb[0] * A[0]))
+    state = np.cumprod(A_p, axis=1)[np.arange(len(ends)), last] - np.cumprod(A[lo:hi])[last]
+    out = r_mid * ((Ha_p[:, 0] + Hb_p[:, 0] * A_p[:, 0]) - (Ha[lo] + Hb[lo] * A[lo]))
     kick = (after[his - lo] * s_lo * state)[:, None]
     if lo + n_sub < n_steps:
-        feedback = np.sqrt(ch.eta) * np.exp(1j * (ch.phase + root_phases))
-        kick = kick + feedback * (Cm[n_sub] * after[n_sub + 1] * s_lo * out)[:, None]
-    powers = np.exp(1j * np.outer(phases, np.arange(n + 1)))  # (realization, m)
-    for k, row in enumerate(s1[:, -1] + kick):
-        coeffs = np.fft.fft(row) / (n + 1)
-        pe[k] = np.mean(np.abs(powers @ coeffs) ** 2)
+        feedback = np.sqrt(ch.eta) * np.exp(1j * ch.phase) * roots  # the loop's, per row
+        cm = Cm[lo + n_sub - loop.fed]  # Cm of step lo + n_sub; the loop's start at step fed
+        kick = kick + feedback * (cm * after[n_sub + 1] * s_lo * out)[:, None]
+    # mean_r |sum_m c_m z_r^m|^2 = sum_{m, m'} c_m conj(c_m') g_{m - m'}, g_d = mean_r z_r^d
+    g = np.exp(1j * np.outer(np.arange(n + 1), phases)).mean(axis=1)
+    lag = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))
+    toeplitz = np.where(lag >= 0, g[np.abs(lag)], g[np.abs(lag)].conj())
+    coeffs = np.fft.fft(s1[:, -1] + kick) / (n + 1)  # (pulse, m)
+    pe[:] = np.einsum("km,ml,kl->k", coeffs, toeplitz, coeffs.conj()).real
     return pe

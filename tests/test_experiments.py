@@ -5,11 +5,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from transit_oracle import per_transit_amplitudes
+from transit_oracle import capture_alone, per_transit_amplitudes
 
-from sawlink import experiments, tomo
+from sawlink import tomo
 from sawlink.cascade import (
     CascadeConfig,
     age_idle,
@@ -21,7 +21,7 @@ from sawlink.device import QubitNoise, default_device
 from sawlink.dynamics import dissipator, from_coords, to_coords
 from sawlink.errors import ValidationError
 from sawlink.experiments import EXPERIMENTS, run_experiment
-from sawlink.ioshape import ChannelParams, transfer_schedule
+from sawlink.ioshape import ChannelParams, recapture_with_leftover, transfer_schedule
 from sawlink.qcore import NUMBER, SIGMA_MINUS, HilbertSpace, QuantumState, embed
 from sawlink.tomo import ReadoutModel
 
@@ -116,17 +116,47 @@ class TestMultiTransit:
         assert out.metrics["r_squared"] > 0.99
 
     @pytest.mark.parametrize("max_transits", [1, 4, 1000])
-    def test_two_loop_passes_whatever_the_transit_count(self, monkeypatch, max_transits):
-        calls, simulate_io = [], experiments.simulate_io
+    def test_one_loop_pass_whatever_the_transit_count(self, monkeypatch, max_transits):
+        # one coupling read and one pass of ping_pong's transfer; the
+        # capture's leftover comes from that pass's own step maps
+        import sawlink.ioshape as ioshape
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return simulate_io(*args, **kwargs)
+        reads, passes = [], []
+        kappa, integrate = ioshape.ControlSchedule.kappa, ioshape._integrate
 
-        monkeypatch.setattr(experiments, "simulate_io", counted)
+        def counted_kappa(schedule, qubit, t):
+            reads.append(qubit)
+            return kappa(schedule, qubit, t)
+
+        def counted_integrate(*args):
+            passes.append(args)
+            return integrate(*args)
+
+        monkeypatch.setattr(ioshape.ControlSchedule, "kappa", counted_kappa)
+        monkeypatch.setattr(ioshape, "_integrate", counted_integrate)
         out = run("multi_transit", max_transits=max_transits)
-        assert len(calls) == 2
+        assert reads == [1] and len(passes) == 1
         assert len(out.series["transits"]["efficiency"]) == max_transits
+
+    # Above 0.81/ns a round trip takes more than 4,096 steps, so the loop
+    # composes it in two spans, and at 1.0/ns a window past 0.81 tau puts
+    # the span edge inside the capture; past 0.75 tau the run goes beyond
+    # 2 tau, where the capture's own output comes back to an uncoupled qubit.
+    # With h = tau / 2033, the step at 0.15/ns, a window of tau - h/4 leaves
+    # the release coupled at the start and the midpoint of the capture's
+    # first step, one of tau - 3h/4 at its start.
+    @settings(max_examples=25, deadline=None)
+    @given(kappa_c=st.floats(0.02, 1.0), fraction=st.floats(0.05, 0.9),
+           eta=st.floats(0.0, 1.0), phase=st.just(0.0) | st.floats(-np.pi, np.pi))
+    @example(kappa_c=1.0, fraction=0.9, eta=0.67, phase=0.0)
+    @example(kappa_c=1.0, fraction=0.85, eta=0.5, phase=1.1)
+    @example(kappa_c=0.15, fraction=1 - 0.25 / 2033, eta=0.67, phase=0.0)
+    @example(kappa_c=0.15, fraction=1 - 0.75 / 2033, eta=0.5, phase=1.1)
+    def test_leftover_matches_the_capture_alone_pass(self, kappa_c, fraction, eta, phase):
+        ch = ChannelParams(eta, DEV.tau_ns, phase)
+        sched = transfer_schedule(kappa_c, fraction * ch.tau, ch.tau, 1, 1)
+        _, a = recapture_with_leftover(sched, ch)
+        assert a == capture_alone(sched, ch)
 
     # Above 0.4/ns the step shrinks below 0.25 ns, and the n-th capture's
     # hard leading edge at n tau can land an ulp from a step node; the
@@ -170,26 +200,33 @@ class TestInterference:
     @pytest.mark.parametrize("realizations", [1, 64, 1024])
     @pytest.mark.parametrize("n_phases", [5, 33])
     def test_one_draw_and_one_pass_of_n_plus_one_rows(self, monkeypatch, n_phases, realizations):
-        # the default window holds one round trip, so one pass of two rows
-        # serves every phase
+        # the default window holds one round trip, so one coupling read
+        # and one pass of two rows serve every phase
         import sawlink.ioshape as ioshape
 
-        draws, rows = [], []
+        draws, reads, rows = [], [], []
         draw, integrate = ioshape.realization_phases, ioshape._integrate
+        kappa = ioshape.ControlSchedule.kappa
 
         def counted_draw(noise):
             draws.append(noise)
             return draw(noise)
 
-        def counted_integrate(schedule, ch, s0, dt, **kwargs):
-            rows.append(len(np.atleast_2d(s0)))
-            return integrate(schedule, ch, s0, dt, **kwargs)
+        def counted_kappa(schedule, qubit, t):
+            reads.append(qubit)
+            return kappa(schedule, qubit, t)
+
+        def counted_integrate(loop, ch, s0, *args):
+            rows.append(len(s0))
+            return integrate(loop, ch, s0, *args)
 
         monkeypatch.setattr(ioshape, "realization_phases", counted_draw)
+        monkeypatch.setattr(ioshape.ControlSchedule, "kappa", counted_kappa)
         monkeypatch.setattr(ioshape, "_integrate", counted_integrate)
         run("interference", **{**SMALL_INTERFERENCE, "n_phases": n_phases,
                                "realizations": realizations})
         assert len(draws) == 1
+        assert reads == [1]
         assert rows == [2]
 
     def test_different_seed_changes_fringe(self, interference_out):

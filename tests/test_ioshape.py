@@ -24,6 +24,7 @@ from sawlink.ioshape import (
     Segment,
     _grid,
     _integrate,
+    _loop,
     _step_maps,
     interference_experiment,
     interference_schedules,
@@ -36,6 +37,13 @@ from sawlink.ioshape import (
 KC = 0.1  # 1/ns
 TAU = 508.0  # ns
 NOISELESS = NoiseSpec(sigma_phi=0.0)
+
+
+def integrate(schedule, ch, s0, dt, extra_phases=None):
+    """``_integrate`` over the schedule's loop, each row's feedback turned
+    by its extra phase."""
+    factors = None if extra_phases is None else np.exp(1j * np.asarray(extra_phases, dtype=float))
+    return _integrate(_loop(schedule, ch.tau, dt), ch, s0, factors)
 
 
 def sech_envelope(t, kappa_c: float):
@@ -228,8 +236,8 @@ class TestSimulateIO:
         # are integrated, uncoupled: every step map is 1 and no field flows
         segs = [Segment("release", 1, 300.0, 100.0, KC), Segment("release", 2, 200.0, 100.0, KC)]
         sched = ControlSchedule(segs, window=(0.0, 100.0))
-        _, s, a_in, a_out = _integrate(sched, ChannelParams(eta=1.0, tau=TAU),
-                                       np.array([[0.6, 0.8]]), 0.25)
+        _, s, a_in, a_out = integrate(sched, ChannelParams(eta=1.0, tau=TAU),
+                                      np.array([[0.6, 0.8]]), 0.25)
         assert np.all(s[0] == [0.6, 0.8])
         assert not a_in.any() and not a_out.any()
 
@@ -387,7 +395,7 @@ def stepwise_integrate(schedule, ch, s0, dt, extra_phases=None, pulse=None):
     s = np.atleast_2d(np.array(s0, dtype=complex))
     batch = s.shape[0]
     phases = np.zeros(batch) if extra_phases is None else np.asarray(extra_phases, dtype=float)
-    feedback = np.sqrt(ch.eta) * np.exp(1j * (ch.phase + phases))
+    feedback = np.sqrt(ch.eta) * np.exp(1j * ch.phase) * np.exp(1j * phases)
     zero = np.zeros(batch, dtype=complex)
     out = np.zeros((batch, 2 * n_steps + 1), dtype=complex)
 
@@ -433,7 +441,7 @@ def full_block_integrate(schedule, ch, s0, dt, extra_phases=None, pulse=None, dt
     s = np.asarray(s0)
     batch = s.shape[0]
     phases = np.zeros(batch) if extra_phases is None else np.asarray(extra_phases, dtype=float)
-    feedback = (np.sqrt(ch.eta) * np.exp(1j * (ch.phase + phases)))[:, None]
+    feedback = (np.sqrt(ch.eta) * np.exp(1j * ch.phase) * np.exp(1j * phases))[:, None]
     if dtype is None:
         real = pulse is None and not feedback.imag.any() and not np.imag(s).any()
         dtype = float if real else complex
@@ -485,7 +493,7 @@ class TestDelayLine:
     @given(line=delay_lines())
     def test_input_is_fed_back_output_one_transit_late(self, line):
         sched, ch, dt = line
-        _, _, (a_in,), (a_out,) = _integrate(sched, ch, np.array([[1.0, 0.0]]), dt)
+        _, _, (a_in,), (a_out,) = integrate(sched, ch, np.array([[1.0, 0.0]]), dt)
         n_sub = int(np.ceil(ch.tau / min(dt, 0.25)))
         assert np.all(a_in[:n_sub] == 0.0)
         feedback = np.sqrt(ch.eta) * np.exp(1j * ch.phase)
@@ -496,9 +504,9 @@ class TestDelayLine:
     def test_batched_rows_equal_single_runs(self, line, extra):
         sched, ch, dt = line
         s0 = np.tile([1.0 + 0j, 0.0], (len(extra), 1))
-        batched = _integrate(sched, ch, s0, dt, extra_phases=np.array(extra))
+        batched = integrate(sched, ch, s0, dt, extra_phases=np.array(extra))
         for row, phi in enumerate(extra):
-            single = _integrate(sched, replace(ch, phase=ch.phase + phi), s0[row : row + 1], dt)
+            single = integrate(sched, replace(ch, phase=ch.phase + phi), s0[row : row + 1], dt)
             assert np.array_equal(batched[0], single[0])
             for got, want in zip(batched[1:], single[1:]):
                 assert np.allclose(got[row], want[0], rtol=0.0, atol=1e-14)
@@ -519,7 +527,7 @@ class TestDelayLine:
         sched, ch, dt = line
         extra = np.array([phi for phi, _, _ in rows])
         s0 = np.array([[s1, s2] for _, s1, s2 in rows])
-        got = _integrate(sched, ch, s0, dt, extra_phases=extra)
+        got = integrate(sched, ch, s0, dt, extra_phases=extra)
         want = stepwise_integrate(sched, ch, s0, dt, extra_phases=extra)
         assert np.array_equal(got[0], want[0])
         for g, w in zip(got[1:], want[1:]):
@@ -545,7 +553,7 @@ class TestDelayLine:
         sched, ch, dt = line
         extra = np.array([phi for phi, _, _ in rows])
         s0 = np.array([[s1, s2] for _, s1, s2 in rows])
-        got = _integrate(sched, ch, s0, dt, extra_phases=extra)
+        got = integrate(sched, ch, s0, dt, extra_phases=extra)
         want = full_block_integrate(sched, ch, s0, dt, extra_phases=extra)
         for g, w in zip(got, want):
             assert g.shape == w.shape
@@ -570,7 +578,7 @@ class TestDelayLine:
         ch = replace(ch, eta=change.get("eta", ch.eta), phase=change.get("phase", ch.phase))
         s0 = change.get("s0", np.array([[1.0, 0.0], [0.6, -0.8]]))
         extra = change.get("extra", np.zeros(2))
-        _, states, ain, aout = _integrate(sched, ch, s0, dt, extra_phases=extra)
+        _, states, ain, aout = integrate(sched, ch, s0, dt, extra_phases=extra)
         assert states.dtype == ain.dtype == aout.dtype == dtype
 
     @settings(max_examples=40, deadline=None)
@@ -583,7 +591,7 @@ class TestDelayLine:
         sched, ch, dt = line
         s0 = np.array(amps)
         extra = np.zeros(len(amps))
-        got = _integrate(sched, ch, s0, dt, extra_phases=extra)
+        got = integrate(sched, ch, s0, dt, extra_phases=extra)
         want = full_block_integrate(sched, ch, s0, dt, extra_phases=extra, dtype=complex)
         assert np.array_equal(got[0], want[0])
         for g, w in zip(got[1:], want[1:]):
@@ -606,7 +614,7 @@ class TestDelayLine:
         assert n_sub == 5082 and n_sub > _SPAN
         s0 = np.array([[1.0, 0.0], [0.6, 0.8j]])
         extra = np.array([0.0, 1.3])
-        got = _integrate(sched, ch, s0, 0.1, extra_phases=extra)
+        got = integrate(sched, ch, s0, 0.1, extra_phases=extra)
         want = stepwise_integrate(sched, ch, s0, 0.1, extra_phases=extra)
         assert np.array_equal(got[0], want[0])
         for g, w in zip(got[1:], want[1:]):
@@ -651,9 +659,9 @@ class TestDelayLine:
         extra = np.array([phi for phi, _, _ in rows])
         # each row draws the busy qubit's amplitude, then the idle one's
         s0 = np.array([(a, b) if busy == 1 else (b, a) for _, a, b in rows])
-        carried = _integrate(sched, ch, s0, dt, extra_phases=extra)
-        looped = _integrate(ControlSchedule(segs + [idle], sched.window), ch, s0, dt,
-                            extra_phases=extra)
+        carried = integrate(sched, ch, s0, dt, extra_phases=extra)
+        looped = integrate(ControlSchedule(segs + [idle], sched.window), ch, s0, dt,
+                           extra_phases=extra)
         for c, w in zip(carried, looped):
             assert c.shape == w.shape
             assert np.array_equal(c, w)
@@ -663,9 +671,9 @@ class TestDelayLine:
         segs = list(sched.segments)
         s0 = np.array([[1.0, 0.3j], [0.2 - 0.5j, -0.7]])
         extra = np.array([0.0, 1.3])
-        one = _integrate(ControlSchedule(segs, sched.window), ch, s0, dt, extra_phases=extra)
-        two = _integrate(ControlSchedule([replace(s, qubit=2) for s in segs], sched.window), ch,
-                         s0[:, ::-1], dt, extra_phases=extra)
+        one = integrate(ControlSchedule(segs, sched.window), ch, s0, dt, extra_phases=extra)
+        two = integrate(ControlSchedule([replace(s, qubit=2) for s in segs], sched.window), ch,
+                        s0[:, ::-1], dt, extra_phases=extra)
         # the same arrays, bit for bit, with the qubit axis swapped
         mirrored = (one[0], one[1][..., ::-1], one[2], one[3])
         for m, t in zip(mirrored, two):
@@ -815,6 +823,36 @@ class TestInterference:
         with pytest.raises(ValidationError, match="dt must be positive"):
             interference_experiment(np.array([0.0]), ChannelParams(eta=0.67, tau=TAU), NOISELESS,
                                     dt=dt)
+
+    @pytest.mark.parametrize("phase, dtype", [(0.0, np.float64), (0.4, np.complex128)])
+    def test_rows_reach_the_loop_as_exact_roots_of_unity(self, monkeypatch, phase, dtype):
+        # the default fringe holds one round trip: its two rows reach the
+        # loop as +1 and -1 exactly, and the pass runs in float64; a
+        # channel phase makes every row's feedback complex
+        import sawlink.ioshape as ioshape
+
+        passes = []
+
+        def recorded(loop, ch, s0, row_factors):
+            out = _integrate(loop, ch, s0, row_factors)
+            passes.append((row_factors, out[1].dtype))
+            return out
+
+        monkeypatch.setattr(ioshape, "_integrate", recorded)
+        ch = ChannelParams(eta=0.67, tau=508.12, phase=phase)
+        interference_experiment(np.linspace(0.0, 2 * np.pi, 5), ch, NoiseSpec(0.7, 64, 3))
+        ((factors, got),) = passes
+        assert not factors.imag.any() and factors.real.tolist() == [1.0, -1.0]
+        assert got == dtype
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phase_rejected(self, bad):
+        # NaN and inf have no remainder mod 2 pi, so they would read as no pulse
+        ch = ChannelParams(eta=0.67, tau=TAU)
+        with pytest.raises(ValidationError, match="delta_phi must be finite"):
+            interference_schedules(np.array([0.0, bad]), ch, KC, 180.0)
+        with pytest.raises(ValidationError, match="delta_phi must be finite"):
+            interference_experiment(np.array([bad, 0.0, np.inf]), ch, NOISELESS)
 
     def test_phase_pulse_must_fit(self):
         with pytest.raises(ValidationError, match="overlapping segments on qubit 1"):
